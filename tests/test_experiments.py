@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: protocol, runners, serialization."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -181,6 +182,59 @@ class TestRecordProtocol:
         fast_transfer, lam_transfer = _linear_fit(plan, draw, "transfer_ridge", scale)
         reference = fit_ridge(draw.x, y, lam_transfer, beta0=plan.beta0)
         np.testing.assert_allclose(fast_transfer, reference.beta_hat, rtol=1.0e-10)
+
+
+class TestGoldenRecords:
+    """Byte-level pin of every experiment's records and summary.
+
+    Each digest pair is the SHA-256 of the written CSV with its ``wall_ms``
+    column cut (rows as written, i.e. sorted; the cut is the one
+    ``heavybench/child.py::output_digest`` makes) and of the written
+    ``summary.json``, for ``tiny_config(name)``.  Made with numpy 2.4.6,
+    scipy 1.17.1 and scipy-openblas 0.3.31 on x86-64 (Haswell kernels).
+    Another BLAS or library version may round differently; regenerate by
+    printing ``_digests(run_experiment(tiny_config(name)), tmp_path)`` for
+    each name, and only on a commit whose records are known good.
+    """
+
+    GOLDEN = {
+        "paradox": ("20457be47638edeb216cb24fa49443d314f84105bbb6b42c231987c7f4890979",
+                    "ff58a4200aa3ae0f32d55b0ec2b3b0521537ddd670acd492e8c91aa9839a3d59"),
+        "floor": ("b0f4e6b0f2afc50fe9253d0101cbd382e27551fa029e1b57c1b8a34fb68aca2f",
+                  "f017744b5910ebfff821e84ccf1b0a32b0ddd68f3a278a4d6b63fd556828848c"),
+        "transient": ("a23969e762556af0ee5b4427f9bbc5390d9f6350b4b6cd97a137a6b48092a8b9",
+                      "f269393e7a6216b1f81fd4cd9d98049bfc2fd8a3c522fd65248df64a7c36dec6"),
+        "trichotomy": ("22212164d9391f35d642b3e156cb348aa24b1eed640f3c4e0f3e5a83a45825b4",
+                       "077ffa51f9135875402049a224328d71921b2b5c366ac1bb897b9006698926c1"),
+        "universality": ("5375dc5feda97c9a84288684cc67bb5dafa4ad4e57ac1bb7a5d823283a62b58e",
+                         "22b63ac3b865febfbb9b9848dc04b3ec615b583c70a42f157d0c1dd5e26674ba"),
+        "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
+                          "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
+    }
+    # Design-plan figures that concentration never draws a design for; its
+    # summary digest is taken without them.
+    PLAN_KEYS = ("n", "p", "gamma", "q_sigma", "sigma2_unit", "tau_unit")
+
+    @classmethod
+    def _digests(cls, result, out_dir):
+        paths = write_outputs(result, out_dir)
+        with open(paths["csv"], "rb") as fh:
+            rows = b"\n".join(line.rsplit(b",", 1)[0] for line in fh.read().splitlines())
+        with open(paths["summary"], "rb") as fh:
+            summary = fh.read()
+        if result.config.name == "concentration":
+            kept = {k: v for k, v in json.loads(summary).items() if k not in cls.PLAN_KEYS}
+            summary = (json.dumps(kept, indent=2, sort_keys=True) + "\n").encode()
+        return hashlib.sha256(rows).hexdigest(), hashlib.sha256(summary).hexdigest()
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_records_and_summary_match_the_golden_digests(self, name, tmp_path):
+        assert self._digests(run_experiment(tiny_config(name)), tmp_path) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
+    def test_two_workers_write_the_same_bytes(self, name, tmp_path):
+        result = run_experiment(tiny_config(name, workers=2))
+        assert self._digests(result, tmp_path) == self.GOLDEN[name]
 
 
 class TestParadoxRunner:
