@@ -34,7 +34,6 @@ from .errors import (
 from .estimators import (
     EstimatorConfig,
     FitResult,
-    LambdaMode,
     empirical_risk,
     fit_ols,
     fit_proximal,

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .convex import Loss, LossKind, RegKind, Regularizer, classify, moment_verdict, required_alpha
 from .errors import ConfigError, ConvergenceError, HeavyRegError
@@ -211,19 +212,9 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 _INI_SECTIONS = {
-    "experiment": {
-        "n": int,
-        "p": int,
-        "replications": int,
-        "master_seed": int,
-        "design_kind": str,
-        "sparsity": float,
-        "delta_norm": float,
-        "lambda_tilde": float,
-        "lambda_fixed": float,
-        "huber_k": float,
-        "workers": int,
-    },
+    # every scalar field of ExperimentConfig except the name, which the command line gives
+    "experiment": {key: kind for key, kind in typing.get_type_hints(ExperimentConfig).items()
+                   if kind in (int, float, str) and key != "name"},
     "covariance": {"kind": str, "rho": float},
     "noise": {"family": str, "alpha": float, "scale": float},
     "grid": {"scale": "floats", "sigma": "floats", "n": "ints"},

@@ -301,10 +301,19 @@ def prox_loss_conjugate(loss: Loss, sigma: float, u: np.ndarray | float) -> np.n
     return out if out.shape else float(out)
 
 
-def prox_reg(reg: Regularizer, eta: float, v: np.ndarray | float) -> np.ndarray | float:
-    """Coordinate-wise proximal map of a regularizer."""
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"prox step must be finite and > 0, got {eta}")
+def prox_reg(reg: Regularizer, eta: float | np.ndarray, v: np.ndarray | float) -> np.ndarray | float:
+    """Coordinate-wise proximal map of a regularizer.
+
+    ``eta`` is one step or an array of steps that broadcasts against ``v``
+    (for example one step per row); every step must be finite and > 0.
+    """
+    if np.ndim(eta) == 0:  # the solvers' per-iteration call: keep numpy out of the check
+        valid = eta > 0.0 and math.isfinite(eta)
+    else:
+        eta = np.asarray(eta, dtype=float)
+        valid = bool(np.all((eta > 0.0) & np.isfinite(eta)))
+    if not valid:
+        raise ValueError(f"prox steps must be finite and > 0, got {eta}")
     v = np.asarray(v, dtype=float)
     if reg.kind is RegKind.RIDGE:
         out = v / (1.0 + eta)

@@ -12,17 +12,15 @@ with no further rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve as linalg_solve
 
-from .convex import Loss, LossKind, Regularizer, prox_loss  # noqa: F401  (prox_loss re-exported for symmetry)
-from .convex import prox_reg
+from .convex import Loss, Regularizer, prox_reg
 from .errors import ConfigError, ConvergenceError
 
 __all__ = [
-    "LambdaMode",
     "EstimatorConfig",
     "FitResult",
     "fit_ols",
@@ -38,25 +36,16 @@ _BACKTRACK_MAX = 80
 _STALL_WINDOW = 300
 
 
-class LambdaMode:
-    """Penalty-strength policies."""
-
-    FIXED = "fixed"
-    NOISE_ADAPTED = "noise_adapted"
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Everything a proximal fit needs besides the data.
 
-    ``lambda_value`` is the fixed strength under ``FIXED`` and the
-    noise-adapted weight (multiplying the effective variance) under
-    ``NOISE_ADAPTED``.  ``center`` defaults to the origin.
+    ``lambda_value`` is the penalty level ``lambda_n``; a noise-adapted fit
+    passes ``lambda_tilde * sigma2``.  ``center`` defaults to the origin.
     """
 
     loss: Loss
     reg: Regularizer | None
-    lambda_mode: str = LambdaMode.FIXED
     lambda_value: float = 0.1
     center: np.ndarray | None = None
     rel_objective_tol: float = 1.0e-10
@@ -64,28 +53,10 @@ class EstimatorConfig:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.lambda_mode not in (LambdaMode.FIXED, LambdaMode.NOISE_ADAPTED):
-            raise ConfigError(f"unknown penalty mode {self.lambda_mode!r}")
         if not (self.lambda_value > 0.0 and math.isfinite(self.lambda_value)):
             raise ConfigError(f"penalty weight must be finite and > 0, got {self.lambda_value}")
         if self.max_iterations < 1:
             raise ConfigError(f"iteration budget must be >= 1, got {self.max_iterations}")
-
-    def penalty_strength(self, sigma2: float | None = None) -> float:
-        """Resolve the effective penalty level lambda_n.
-
-        Raises
-        ------
-        ConfigError
-            In noise-adapted mode when no effective variance is supplied.
-        """
-        if self.lambda_mode == LambdaMode.FIXED:
-            return self.lambda_value
-        if sigma2 is None:
-            raise ConfigError("noise-adapted penalty needs the effective variance sigma2")
-        if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-            raise ConfigError(f"effective variance must be finite and > 0, got {sigma2}")
-        return self.lambda_value * sigma2
 
 
 @dataclass(frozen=True)
@@ -182,7 +153,6 @@ def fit_proximal(
     config: EstimatorConfig,
     x: np.ndarray,
     y: np.ndarray,
-    sigma2: float | None = None,
     x0: np.ndarray | None = None,
     record_trace: bool = False,
 ) -> FitResult:
@@ -199,7 +169,7 @@ def fit_proximal(
     if not config.loss.smooth:
         raise ConfigError(f"loss {config.loss.kind.value!r} is classification-only; fitting needs a smooth loss")
     x, y, n, p = _as_matrix(x, y)
-    lam = config.penalty_strength(sigma2)
+    lam = config.lambda_value
     center = np.zeros(p) if config.center is None else np.asarray(config.center, dtype=float)
     if center.shape != (p,):
         raise ConfigError(f"center must have shape ({p},), got {center.shape}")

@@ -28,14 +28,16 @@ import dataclasses
 import json
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .convex import Loss, LossKind, RegKind, Regularizer
 from .errors import ConfigError
-from .estimators import EstimatorConfig, LambdaMode, empirical_risk, fit_proximal
+from .estimators import EstimatorConfig, FitResult, empirical_risk, fit_proximal
 from .spectrum import (
     CovarianceModel,
     DiscreteSpectrum,
@@ -62,12 +64,6 @@ __all__ = [
     "ExperimentResult",
     "default_config",
     "run_experiment",
-    "run_paradox",
-    "run_floor",
-    "run_transient",
-    "run_trichotomy",
-    "run_universality",
-    "run_concentration",
     "summarize",
     "write_outputs",
     "CSV_HEADER",
@@ -75,7 +71,6 @@ __all__ = [
 ]
 
 CSV_HEADER = ("experiment", "estimator", "sweep_value", "replication", "risk", "converged", "wall_ms")
-EXPERIMENT_NAMES = ("paradox", "floor", "transient", "trichotomy", "universality", "concentration")
 
 _NOISELESS_PENALTY = 1.0e-12  # penalty floor for scale-zero rows
 _MAX_NONCONVERGED_FRACTION = 0.01
@@ -141,9 +136,11 @@ class ExperimentConfig:
                     raise ConfigError(f"{label} must be nonempty")
                 if any(b <= a for a, b in zip(grid, grid[1:])):
                     raise ConfigError(f"{label} must be strictly ascending")
-        needs = {"transient": "sigma_grid", "concentration": "n_grid"}.get(self.name, "scale_grid")
-        if getattr(self, needs) is None:
-            raise ConfigError(f"experiment {self.name!r} requires {needs}")
+        experiment = _EXPERIMENTS[self.name]
+        if getattr(self, experiment.grid) is None:
+            raise ConfigError(f"experiment {self.name!r} requires {experiment.grid}")
+        if experiment.fits_ols and self.n <= self.p:
+            raise ConfigError("this experiment fits unpenalized least squares and needs n > p")
         if not (self.lambda_tilde > 0.0 and self.lambda_fixed > 0.0 and self.huber_k > 0.0):
             raise ConfigError("penalty weights and the Huber knee must be > 0")
 
@@ -291,6 +288,12 @@ def _resolvent_solve(draw: _RepDraw, rhs: np.ndarray, lam: float) -> np.ndarray:
     return draw.evecs @ ((draw.evecs.T @ rhs) / (draw.evals + lam))
 
 
+def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
+    """The noise-adapted penalty ``lambda_tilde * sigma2``, floored so that
+    noiseless rows keep a positive penalty."""
+    return max(config.lambda_tilde * sigma2, _NOISELESS_PENALTY)
+
+
 def _linear_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float) -> tuple[np.ndarray, float]:
     """Closed-form fit of one squared-loss estimator at one noise scale.
 
@@ -305,12 +308,33 @@ def _linear_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float) -> tu
         gram_beta = draw.evecs @ ((draw.evecs.T @ plan.beta_star) * draw.evals)
         return _resolvent_solve(draw, gram_beta + xtw, lam), lam
     if estimator == "transfer_ridge":
-        sigma2 = scale ** 2 * plan.sigma2_unit
-        lam = max(cfg.lambda_tilde * sigma2, _NOISELESS_PENALTY)
+        lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
         diff = plan.beta_star - plan.beta0
         gram_diff = draw.evecs @ ((draw.evecs.T @ diff) * draw.evals)
         return plan.beta0 + _resolvent_solve(draw, gram_diff + xtw, lam), lam
     raise ConfigError(f"unknown linear estimator {estimator!r}")
+
+
+_PROXIMAL_FITS = ("huber", "transfer_lasso")
+
+
+def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
+                  warm: np.ndarray | None) -> FitResult:
+    """FISTA fit of one proximal estimator at one noise scale.
+
+    Huber-ridge sees the raw heavy-tailed noise at the fixed penalty; transfer
+    lasso sees the winsorized noise at the noise-adapted penalty.
+    """
+    cfg = plan.config
+    signal = draw.x @ plan.beta_star
+    if estimator == "huber":
+        config = EstimatorConfig(Loss(LossKind.HUBER, cfg.huber_k), Regularizer(RegKind.RIDGE), cfg.lambda_fixed)
+        y = signal + scale * draw.w_unit
+    else:  # transfer_lasso
+        lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
+        config = EstimatorConfig(Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO), lam, center=plan.beta0)
+        y = signal + scale * draw.w_wins_unit
+    return fit_proximal(config, draw.x, y, x0=warm)
 
 
 def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.ndarray,
@@ -328,69 +352,34 @@ def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.nd
 
 
 # --------------------------------------------------------------------------
-# Per-replication record generators (module-level so worker processes can
-# import them; the plan is installed per worker by the pool initializer).
+# Per-replication record generators: ``(plan, rep) -> records``.
 # --------------------------------------------------------------------------
 
-_WORKER_PLAN: _Plan | None = None
 
+def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
+                     designs: tuple[str, ...] | None = None) -> list[RiskRecord]:
+    """One replication of a noise-scale sweep.
 
-def _install_plan(plan: _Plan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
-
-
-def _worker_entry(rep: int) -> list[RiskRecord]:
-    return _records_for_replication(_WORKER_PLAN, rep)
-
-
-def _records_for_replication(plan: _Plan, rep: int) -> list[RiskRecord]:
-    name = plan.config.name
-    if name == "paradox":
-        return _rep_paradox(plan, rep)
-    if name == "floor":
-        return _rep_floor(plan, rep)
-    if name == "transient":
-        return _rep_transient(plan, rep)
-    if name == "trichotomy":
-        return _rep_trichotomy(plan, rep)
-    if name == "universality":
-        return _rep_universality(plan, rep)
-    if name == "concentration":
-        return _rep_concentration(plan, rep)
-    raise ConfigError(f"unknown experiment {name!r}")
-
-
-def _rep_paradox(plan: _Plan, rep: int) -> list[RiskRecord]:
-    draw = _draw_replication(plan, rep)
+    Draws the design and the unit noise once per design kind (the configured
+    kind, or each of ``designs``, whose name is then appended to the
+    estimator label) and fits every estimator at every scale.  Each proximal
+    fit warm-starts from its own fit at the previous scale.
+    """
     records = []
-    for scale in plan.config.scale_grid:
-        for estimator in ("ols", "fixed_ridge", "transfer_ridge"):
-            t0 = time.perf_counter()
-            beta_hat, _ = _linear_fit(plan, draw, estimator, scale)
-            records.append(_record(plan, estimator, scale, rep, beta_hat, True, t0))
-    return records
-
-
-def _rep_floor(plan: _Plan, rep: int) -> list[RiskRecord]:
-    cfg = plan.config
-    draw = _draw_replication(plan, rep)
-    records = []
-    warm = None
-    for scale in cfg.scale_grid:
-        t0 = time.perf_counter()
-        beta_hat, _ = _linear_fit(plan, draw, "transfer_ridge", scale)
-        records.append(_record(plan, "transfer_ridge", scale, rep, beta_hat, True, t0))
-
-        t0 = time.perf_counter()
-        sigma2 = scale ** 2 * plan.sigma2_unit
-        lam = max(cfg.lambda_tilde * sigma2, _NOISELESS_PENALTY)
-        lasso = EstimatorConfig(Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO),
-                                LambdaMode.FIXED, lam, center=plan.beta0)
-        y = draw.x @ plan.beta_star + scale * draw.w_wins_unit
-        fit = fit_proximal(lasso, draw.x, y, x0=warm)
-        warm = fit.beta_hat
-        records.append(_record(plan, "transfer_lasso", scale, rep, fit.beta_hat, fit.converged, t0))
+    for kind in designs or (plan.config.design_kind,):
+        draw = _draw_replication(plan, rep, design_kind=kind)
+        warm: dict[str, np.ndarray] = {}
+        for scale in plan.config.scale_grid:
+            for estimator in estimators:
+                t0 = time.perf_counter()
+                if estimator in _PROXIMAL_FITS:
+                    fit = _proximal_fit(plan, draw, estimator, scale, warm.get(estimator))
+                    beta_hat, converged = fit.beta_hat, fit.converged
+                    warm[estimator] = beta_hat
+                else:
+                    beta_hat, converged = _linear_fit(plan, draw, estimator, scale)[0], True
+                label = estimator if designs is None else f"{estimator}_{kind}"
+                records.append(_record(plan, label, scale, rep, beta_hat, converged, t0))
     return records
 
 
@@ -404,57 +393,23 @@ def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
     for sigma2 in cfg.sigma_grid:
         t0 = time.perf_counter()
         amp = math.sqrt(sigma2 / plan.sigma2_unit)
-        beta_hat = plan.beta0 + _resolvent_solve(draw, gram_diff + amp * xtw_unit, cfg.lambda_tilde * sigma2)
+        beta_hat = plan.beta0 + _resolvent_solve(draw, gram_diff + amp * xtw_unit, _adapted_lambda(cfg, sigma2))
         records.append(_record(plan, "transfer_ridge", sigma2, rep, beta_hat, True, t0))
     return records
 
 
-def _rep_trichotomy(plan: _Plan, rep: int) -> list[RiskRecord]:
-    cfg = plan.config
-    draw = _draw_replication(plan, rep)
+def _rep_concentration(config: ExperimentConfig, rep: int) -> list[RiskRecord]:
+    rng = substream(config.master_seed, "noise", rep)
     records = []
-    huber = EstimatorConfig(Loss(LossKind.HUBER, cfg.huber_k), Regularizer(RegKind.RIDGE),
-                            LambdaMode.FIXED, cfg.lambda_fixed)
-    warm = None
-    signal = draw.x @ plan.beta_star
-    for scale in cfg.scale_grid:
-        for estimator in ("ols", "fixed_ridge", "transfer_ridge"):
-            t0 = time.perf_counter()
-            beta_hat, _ = _linear_fit(plan, draw, estimator, scale)
-            records.append(_record(plan, estimator, scale, rep, beta_hat, True, t0))
+    for n in config.n_grid:  # ascending; one stream consumed sequentially
         t0 = time.perf_counter()
-        y_raw = signal + scale * draw.w_unit
-        fit = fit_proximal(huber, draw.x, y_raw, x0=warm)
-        warm = fit.beta_hat
-        records.append(_record(plan, "huber", scale, rep, fit.beta_hat, fit.converged, t0))
-    return records
-
-
-def _rep_universality(plan: _Plan, rep: int) -> list[RiskRecord]:
-    cfg = plan.config
-    records = []
-    for kind in ("gaussian", "rademacher"):
-        draw = _draw_replication(plan, rep, design_kind=kind)
-        for scale in cfg.scale_grid:
-            t0 = time.perf_counter()
-            beta_hat, _ = _linear_fit(plan, draw, "transfer_ridge", scale)
-            records.append(_record(plan, f"transfer_ridge_{kind}", scale, rep, beta_hat, True, t0))
-    return records
-
-
-def _rep_concentration(plan: _Plan, rep: int) -> list[RiskRecord]:
-    cfg = plan.config
-    rng = substream(cfg.master_seed, "noise", rep)
-    records = []
-    for n in cfg.n_grid:  # ascending; one stream consumed sequentially
-        t0 = time.perf_counter()
-        tau = float(n) ** (1.0 / cfg.noise.alpha)
-        w = sample_noise(cfg.noise, n, rng)
+        tau = float(n) ** (1.0 / config.noise.alpha)
+        w = sample_noise(config.noise, n, rng)
         # tau is in unit-law units: the scaled law is clamped at scale * tau.
-        clamped = winsorize(w, cfg.noise.scale * tau)
-        ratio = float(np.sum(clamped ** 2)) / (n * effective_variance_exact(cfg.noise, tau))
+        clamped = winsorize(w, config.noise.scale * tau)
+        ratio = float(np.sum(clamped ** 2)) / (n * effective_variance_exact(config.noise, tau))
         records.append(RiskRecord(
-            experiment=cfg.name,
+            experiment=config.name,
             estimator="winsorized_energy_ratio",
             sweep_value=float(n),
             replication=rep,
@@ -466,17 +421,30 @@ def _rep_concentration(plan: _Plan, rep: int) -> list[RiskRecord]:
 
 
 # --------------------------------------------------------------------------
-# Execution, aggregation, checks.
+# Execution (module-level so worker processes can import it; the pool
+# initializer installs the replicate function and its plan per worker).
 # --------------------------------------------------------------------------
 
+_WORKER_TASK: tuple[Callable, object] | None = None
 
-def _collect_records(plan: _Plan) -> tuple[RiskRecord, ...]:
-    cfg = plan.config
-    reps = range(cfg.replications)
-    if cfg.workers == 1:
-        chunks = [_records_for_replication(plan, rep) for rep in reps]
+
+def _install_task(replicate: Callable, plan) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = (replicate, plan)
+
+
+def _worker_entry(rep: int) -> list[RiskRecord]:
+    replicate, plan = _WORKER_TASK
+    return replicate(plan, rep)
+
+
+def _collect_records(config: ExperimentConfig, replicate: Callable, plan) -> tuple[RiskRecord, ...]:
+    reps = range(config.replications)
+    if config.workers == 1:
+        chunks = [replicate(plan, rep) for rep in reps]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_install_plan, initargs=(plan,)) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_install_task,
+                                 initargs=(replicate, plan)) as pool:
             chunks = list(pool.map(_worker_entry, reps, chunksize=4))
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: (r.estimator, r.sweep_value, r.replication))
@@ -505,6 +473,11 @@ def summarize(records: tuple[RiskRecord, ...]) -> dict:
     return out
 
 
+# --------------------------------------------------------------------------
+# Acceptance checks: ``(plan, records, stats) -> (checks, extra summary fields)``.
+# --------------------------------------------------------------------------
+
+
 def _top_decade(values: list[float]) -> list[float]:
     top = max(values)
     return [v for v in values if v > 0.0 and v >= top / 10.000001]
@@ -531,58 +504,29 @@ def _nonconvergence_check(records: tuple[RiskRecord, ...]) -> dict:
     return _check(frac, None, _MAX_NONCONVERGED_FRACTION)
 
 
-def _base_summary(plan: _Plan, records: tuple[RiskRecord, ...]) -> dict:
-    cfg = plan.config
+def _squared_loss_checks(stats: dict, q: float) -> dict:
+    """OLS and fixed-penalty ridge diverge with slope two; noise-adapted
+    transfer ridge ends on a plateau at the misalignment energy ``q``."""
     return {
-        "experiment": cfg.name,
-        "n": cfg.n,
-        "p": cfg.p,
-        "gamma": cfg.gamma,
-        "replications": cfg.replications,
-        "master_seed": cfg.master_seed,
-        "q_sigma": q_sigma(plan.spec),
-        "sigma2_unit": plan.sigma2_unit,
-        "tau_unit": plan.tau_unit,
-        "estimators": summarize(records),
-    }
-
-
-def _finish(plan: _Plan, records: tuple[RiskRecord, ...], checks: dict) -> ExperimentResult:
-    summary = _base_summary(plan, records)
-    summary["checks"] = checks
-    summary["passed"] = all(c["passed"] for c in checks.values())
-    return ExperimentResult(config=plan.config, records=records, summary=summary)
-
-
-def run_paradox(config: ExperimentConfig) -> ExperimentResult:
-    """Noise-scale sweep of OLS, fixed-penalty ridge, and noise-adapted
-    transfer ridge: the first two diverge with slope two, the third sits on a
-    plateau at the misalignment energy."""
-    plan = _build_plan(config)
-    if config.n <= config.p:
-        raise ConfigError("this experiment fits unpenalized least squares and needs n > p")
-    records = _collect_records(plan)
-    stats = summarize(records)
-    q = q_sigma(plan.spec)
-    checks = {
         "ols_slope": _check(_loglog_slope(stats["ols"]["sweep_values"], stats["ols"]["mean"]),
                             *_SLOPE_BAND_SQUARED),
         "fixed_ridge_slope": _check(_loglog_slope(stats["fixed_ridge"]["sweep_values"],
                                                   stats["fixed_ridge"]["mean"]), *_SLOPE_BAND_SQUARED),
         "transfer_plateau_ratio": _check(stats["transfer_ridge"]["mean"][-1] / q,
                                          1.0 - _PLATEAU_RTOL, 1.0 + _PLATEAU_RTOL),
-        "noiseless_ols_risk": _check(stats["ols"]["mean"][0], None, 1.0e-12),
-        "nonconverged_fraction": _nonconvergence_check(records),
     }
-    return _finish(plan, records, checks)
 
 
-def run_floor(config: ExperimentConfig) -> ExperimentResult:
-    """Transfer ridge versus transfer lasso along the noise-scale sweep: both
-    must land on the same floor at the largest scale."""
-    plan = _build_plan(config)
-    records = _collect_records(plan)
-    stats = summarize(records)
+def _paradox_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
+    """The squared-loss checks, plus zero OLS risk on the noiseless row."""
+    checks = _squared_loss_checks(stats, q_sigma(plan.spec))
+    checks["noiseless_ols_risk"] = _check(stats["ols"]["mean"][0], None, 1.0e-12)
+    return checks, {}
+
+
+def _floor_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
+    """Transfer ridge and transfer lasso land on the same floor at the
+    largest scale."""
     q = q_sigma(plan.spec)
     ridge_terminal = stats["transfer_ridge"]["mean"][-1]
     lasso_terminal = stats["transfer_lasso"]["mean"][-1]
@@ -592,88 +536,55 @@ def run_floor(config: ExperimentConfig) -> ExperimentResult:
         "lasso_terminal_ratio": _check(lasso_terminal / q, 1.0 - _PLATEAU_RTOL, 1.0 + _PLATEAU_RTOL),
         "noiseless_within_floor": _check(max(stats["transfer_ridge"]["mean"][0],
                                              stats["transfer_lasso"]["mean"][0]), None, q),
-        "nonconverged_fraction": _nonconvergence_check(records),
     }
-    return _finish(plan, records, checks)
+    return checks, {}
 
 
-def run_transient(config: ExperimentConfig) -> ExperimentResult:
+def _transient_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
     """Monte Carlo risk of noise-adapted transfer ridge across the
     effective-variance grid, against the deterministic closed form."""
+    # Looked up on heavyreg.theory at call time, so a wrapper installed on
+    # that module's binding sees every call.
     from .theory import TheoryInputs, ridge_risk_closed_form
 
-    plan = _build_plan(config)
-    records = _collect_records(plan)
-    stats = summarize(records)
+    cfg = plan.config
     theory = [
-        ridge_risk_closed_form(TheoryInputs(plan.spec, config.gamma, sigma2, config.lambda_tilde)).risk
+        ridge_risk_closed_form(TheoryInputs(plan.spec, cfg.gamma, sigma2, cfg.lambda_tilde)).risk
         for sigma2 in stats["transfer_ridge"]["sweep_values"]
     ]
     rel_errors = [abs(mc - th) / th for mc, th in zip(stats["transfer_ridge"]["mean"], theory)]
-    checks = {
-        "median_relative_error": _check(float(np.median(rel_errors)), None, 0.03),
-        "nonconverged_fraction": _nonconvergence_check(records),
-    }
-    result = _finish(plan, records, checks)
-    result.summary["theory_risk"] = theory
-    result.summary["relative_errors"] = rel_errors
-    return result
+    checks = {"median_relative_error": _check(float(np.median(rel_errors)), None, 0.03)}
+    return checks, {"theory_risk": theory, "relative_errors": rel_errors}
 
 
-def run_trichotomy(config: ExperimentConfig) -> ExperimentResult:
-    """Four estimators against the noise-scale sweep: squared-loss curves
-    diverge, the Huber fit plateaus, noise-adapted transfer ridge stays at
-    the floor."""
-    plan = _build_plan(config)
-    if config.n <= config.p:
-        raise ConfigError("this experiment fits unpenalized least squares and needs n > p")
-    records = _collect_records(plan)
-    stats = summarize(records)
+def _trichotomy_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
+    """The squared-loss checks, plus a flat, finite Huber curve (and, at
+    paper scale, its plateau level)."""
     q = q_sigma(plan.spec)
     huber_means = stats["huber"]["mean"]
-    checks = {
-        "ols_slope": _check(_loglog_slope(stats["ols"]["sweep_values"], stats["ols"]["mean"]),
-                            *_SLOPE_BAND_SQUARED),
-        "fixed_ridge_slope": _check(_loglog_slope(stats["fixed_ridge"]["sweep_values"],
-                                                  stats["fixed_ridge"]["mean"]), *_SLOPE_BAND_SQUARED),
-        "huber_slope": _check(_loglog_slope(stats["huber"]["sweep_values"], huber_means), *_SLOPE_BAND_FLAT),
-        "huber_risk_finite": _check(1.0 if all(map(math.isfinite, huber_means)) else 0.0, 1.0, None),
-        "transfer_plateau_ratio": _check(stats["transfer_ridge"]["mean"][-1] / q,
-                                         1.0 - _PLATEAU_RTOL, 1.0 + _PLATEAU_RTOL),
-        "nonconverged_fraction": _nonconvergence_check(records),
-    }
-    if config.paper_scale:
-        plateau = huber_means[-1]
-        checks["huber_plateau"] = _check(plateau, 0.14, 0.24)
-        checks["huber_over_floor"] = _check(plateau / q, 149.0, 209.0)
-    result = _finish(plan, records, checks)
-    result.summary["huber_plateau"] = huber_means[-1]
-    result.summary["huber_plateau_over_q"] = huber_means[-1] / q
-    return result
+    checks = _squared_loss_checks(stats, q)
+    checks["huber_slope"] = _check(_loglog_slope(stats["huber"]["sweep_values"], huber_means), *_SLOPE_BAND_FLAT)
+    checks["huber_risk_finite"] = _check(1.0 if all(map(math.isfinite, huber_means)) else 0.0, 1.0, None)
+    if plan.config.paper_scale:
+        checks["huber_plateau"] = _check(huber_means[-1], 0.14, 0.24)
+        checks["huber_over_floor"] = _check(huber_means[-1] / q, 149.0, 209.0)
+    return checks, {"huber_plateau": huber_means[-1], "huber_plateau_over_q": huber_means[-1] / q}
 
 
-def run_universality(config: ExperimentConfig) -> ExperimentResult:
-    """Paired Gaussian/Rademacher designs sharing noise streams; the
+def _universality_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
+    """Paired Gaussian/Rademacher designs share noise streams; their
     transfer-ridge risks must agree within two pooled standard errors."""
-    plan = _build_plan(config)
-    records = _collect_records(plan)
-    stats = summarize(records)
     g = stats["transfer_ridge_gaussian"]
     r = stats["transfer_ridge_rademacher"]
     z_scores = []
     for mg, mr, sg, sr in zip(g["mean"], r["mean"], g["se"], r["se"]):
         pooled = math.sqrt(sg ** 2 + sr ** 2)
         z_scores.append(abs(mg - mr) / pooled if pooled > 0.0 else 0.0)
-    checks = {
-        "max_design_gap_in_ses": _check(float(np.max(z_scores)), None, 2.0),
-        "nonconverged_fraction": _nonconvergence_check(records),
-    }
-    result = _finish(plan, records, checks)
-    result.summary["design_gap_in_ses"] = z_scores
-    return result
+    return {"max_design_gap_in_ses": _check(float(np.max(z_scores)), None, 2.0)}, {"design_gap_in_ses": z_scores}
 
 
-def run_concentration(config: ExperimentConfig) -> ExperimentResult:
+def _concentration_checks(config: ExperimentConfig, records: tuple[RiskRecord, ...],
+                          stats: dict) -> tuple[dict, dict]:
     """Distribution of the normalized winsorized noise energy across sample
     sizes.
 
@@ -695,8 +606,6 @@ def run_concentration(config: ExperimentConfig) -> ExperimentResult:
     ``truncated_fourth_moment``, whose relative error at the default Pareto
     configuration is below 1e-5.
     """
-    plan = _build_plan(config)
-    records = _collect_records(plan)
     law = config.noise
     lo, hi = _CONCENTRATION_BAND
     rows = []
@@ -724,25 +633,74 @@ def run_concentration(config: ExperimentConfig) -> ExperimentResult:
         "max_variance_gap_in_ses": _check(max(map(abs, moments["variance_gap_in_ses"])),
                                           None, _MAX_MOMENT_GAP_IN_SES),
     }
-    result = _finish(plan, records, checks)
-    result.summary["energy_ratio"] = {"n": [int(n) for n in config.n_grid], **moments}
-    result.summary["in_band_fractions"] = dict(zip((str(n) for n in config.n_grid), fractions))
-    return result
+    return checks, {
+        "energy_ratio": {"n": [int(n) for n in config.n_grid], **moments},
+        "in_band_fractions": dict(zip((str(n) for n in config.n_grid), fractions)),
+    }
 
 
-_RUNNERS = {
-    "paradox": run_paradox,
-    "floor": run_floor,
-    "transient": run_transient,
-    "trichotomy": run_trichotomy,
-    "universality": run_universality,
-    "concentration": run_concentration,
+# --------------------------------------------------------------------------
+# The registry.
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    grid: str  # the ExperimentConfig field that holds the sweep
+    fits_ols: bool  # unpenalized least squares needs n > p
+    replicate: Callable  # (plan, rep) -> the replication's records
+    checks: Callable  # (plan, records, stats) -> (checks, extra summary fields)
+    # False for a study that draws no design and fits nothing: its functions
+    # get the config in place of a plan, and its summary carries neither the
+    # plan's figures nor a convergence check.
+    draws_design: bool = True
+
+
+_SQUARED_LOSS_FITS = ("ols", "fixed_ridge", "transfer_ridge")
+
+_EXPERIMENTS = {
+    "paradox": _Experiment("scale_grid", True, partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS),
+                           _paradox_checks),
+    "floor": _Experiment("scale_grid", False,
+                         partial(_rep_scale_sweep, estimators=("transfer_ridge", "transfer_lasso")), _floor_checks),
+    "transient": _Experiment("sigma_grid", False, _rep_transient, _transient_checks),
+    "trichotomy": _Experiment("scale_grid", True,
+                              partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS + ("huber",)),
+                              _trichotomy_checks),
+    "universality": _Experiment("scale_grid", False,
+                                partial(_rep_scale_sweep, estimators=("transfer_ridge",),
+                                        designs=("gaussian", "rademacher")),
+                                _universality_checks),
+    "concentration": _Experiment("n_grid", False, _rep_concentration, _concentration_checks, draws_design=False),
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch to the named runner."""
-    return _RUNNERS[config.name](config)
+    """Run one named experiment from its registry entry.
+
+    The entry names the sweep grid, whether the experiment fits unpenalized
+    least squares (then ``ExperimentConfig`` requires n > p), the
+    per-replication record generator and the acceptance checks.  The rest is
+    shared: build the frozen plan (signal, misalignment, winsorization
+    threshold) unless the experiment draws no design, collect the records
+    serially or in a process pool (the same bytes for any worker count),
+    summarize them, add the non-convergence check to the entry's checks and
+    assemble the summary.
+    """
+    experiment = _EXPERIMENTS[config.name]
+    plan = _build_plan(config) if experiment.draws_design else config
+    records = _collect_records(config, experiment.replicate, plan)
+    stats = summarize(records)
+    checks, extra = experiment.checks(plan, records, stats)
+    summary = {"experiment": config.name, "replications": config.replications,
+               "master_seed": config.master_seed, "estimators": stats}
+    if experiment.draws_design:
+        checks["nonconverged_fraction"] = _nonconvergence_check(records)
+        summary.update(n=config.n, p=config.p, gamma=config.gamma, q_sigma=q_sigma(plan.spec),
+                       sigma2_unit=plan.sigma2_unit, tau_unit=plan.tau_unit)
+    summary.update(extra, checks=checks, passed=all(c["passed"] for c in checks.values()))
+    return ExperimentResult(config=config, records=records, summary=summary)
 
 
 # --------------------------------------------------------------------------

@@ -101,15 +101,12 @@ class DiscreteSpectrum:
         The covariance that was decomposed (kept for exact cross-checks).
     delta_coeffs : ndarray or None
         Eigenbasis coefficients of the misalignment ``beta_star - beta0``.
-    gamma : float or None
-        Aspect ratio ``p / n`` once a sample size is attached.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     matrix: np.ndarray
     delta_coeffs: np.ndarray | None = None
-    gamma: float | None = None
 
     @property
     def p(self) -> int:
@@ -119,11 +116,6 @@ class DiscreteSpectrum:
     def weights(self) -> np.ndarray:
         """Uniform spectral weights, ``1/p`` per atom."""
         return np.full(self.p, 1.0 / self.p)
-
-    def with_gamma(self, gamma: float) -> "DiscreteSpectrum":
-        if not (gamma >= 0.0 and math.isfinite(gamma)):
-            raise SpectrumError(f"aspect ratio must be finite and >= 0, got {gamma}")
-        return replace(self, gamma=gamma)
 
     def sqrt_matrix(self) -> np.ndarray:
         """Symmetric square root of the covariance."""

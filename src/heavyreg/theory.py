@@ -215,7 +215,7 @@ def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DE
     def risk_functional(tau_eff2: float) -> float:
         kappa = np.sqrt(kappa_base2 * tau_eff2)
         args = delta[:, None] - kappa[:, None] * zeta[None, :]
-        moved = _prox_reg_per_atom(inputs.reg, eta, args)
+        moved = prox_reg(inputs.reg, eta[:, None], args)
         sq = (moved - delta[:, None]) ** 2
         return float(np.sum(s * (sq @ wts)) / p)
 
@@ -244,17 +244,6 @@ def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DE
         iterations=iterations,
         residual=residual,
     )
-
-
-def _prox_reg_per_atom(reg: Regularizer, eta: np.ndarray, args: np.ndarray) -> np.ndarray:
-    # Vectorized over atoms (rows) with one step size per row.
-    e = eta[:, None]
-    if reg.kind is RegKind.RIDGE:
-        return args / (1.0 + e)
-    if reg.kind is RegKind.LASSO:
-        return np.sign(args) * np.maximum(np.abs(args) - e, 0.0)
-    soft = np.sign(args) * np.maximum(np.abs(args) - e * reg.mix, 0.0)
-    return soft / (1.0 + e * (1.0 - reg.mix))
 
 
 def floor_risk(inputs: TheoryInputs) -> tuple[float, float]:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import pathlib
 
 import pytest
 
-from heavyreg.cli import main
+from heavyreg import experiments
+from heavyreg.cli import _INI_SECTIONS, _read_ini, main
+from heavyreg.experiments import default_config
+
+DOCS_INI = pathlib.Path(__file__).resolve().parents[1] / "docs" / "experiment-config.ini"
 
 TINY_INI = """
 [experiment]
@@ -188,6 +193,23 @@ class TestExperimentCommand:
         code = main(["experiment", "paradox", "--config", ini])
         assert code == 2
         assert "experiments" in capsys.readouterr().err
+
+    def test_least_squares_config_with_n_not_above_p_exits_two_before_any_draw(self, tmp_path, monkeypatch):
+        def no_decompose(model):
+            raise AssertionError("a rejected config must not reach the covariance")
+
+        monkeypatch.setattr(experiments, "decompose", no_decompose)
+        ini = write_ini(tmp_path, TINY_INI.replace("n = 100", "n = 30"))
+        assert main(["experiment", "trichotomy", "--config", ini, "--out", str(tmp_path / "r")]) == 2
+
+    def test_annotated_config_file_holds_the_desk_defaults(self):
+        ini = _read_ini(str(DOCS_INI))
+        desk = default_config("paradox")
+        assert ini["experiment"] == {key: getattr(desk, key) for key in _INI_SECTIONS["experiment"]}
+        assert ini["covariance"] == {"kind": desk.cov.kind.value, "rho": desk.cov.rho}
+        assert ini["noise"] == {"family": desk.noise.family.value, "alpha": desk.noise.alpha,
+                                "scale": desk.noise.scale}
+        assert ini["grid"]["scale"] == pytest.approx(desk.scale_grid, rel=5.0e-3)
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["experiment", "paradox", "--config", str(tmp_path / "nope.ini")]) == 2

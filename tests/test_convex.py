@@ -304,6 +304,21 @@ class TestRegularizers:
         assert float(out[0]) == pytest.approx((3.0 - 1.0) / 2.0, rel=1.0e-12)
 
     @pytest.mark.parametrize("reg", ALL_REGS, ids=reg_ids)
+    def test_array_step_equals_row_wise_scalar_steps(self, reg):
+        rng = np.random.default_rng(5)
+        v = rng.normal(scale=3.0, size=(6, 9))
+        eta = np.geomspace(0.01, 10.0, 6)
+        rows = np.stack([prox_reg(reg, float(e), row) for e, row in zip(eta, v)])
+        assert np.array_equal(prox_reg(reg, eta[:, None], v), rows)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_every_step_entry_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError):
+            prox_reg(Regularizer(RegKind.LASSO), np.array([[1.0], [bad]]), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            prox_reg(Regularizer(RegKind.LASSO), bad, np.ones(3))
+
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=reg_ids)
     def test_prox_firm_nonexpansiveness(self, reg):
         rng = np.random.default_rng(23)
         x = rng.normal(scale=10.0, size=(200, 6))

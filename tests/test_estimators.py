@@ -8,7 +8,6 @@ from heavyreg.errors import ConfigError
 from heavyreg.estimators import (
     EstimatorConfig,
     FitResult,
-    LambdaMode,
     empirical_risk,
     fit_ols,
     fit_proximal,
@@ -29,10 +28,11 @@ def make_problem(n=60, p=12, seed=0, noise=0.0):
 
 
 class TestEstimatorConfig:
-    """Validation and penalty resolution."""
+    """Validation of the solver settings."""
 
     def test_unknown_penalty_mode_is_rejected(self):
-        with pytest.raises(ConfigError):
+        # the penalty level is always explicit; no mode keyword is accepted
+        with pytest.raises(TypeError):
             EstimatorConfig(SQUARED, RIDGE, lambda_mode="annealed")
 
     def test_nonpositive_penalty_weight_is_rejected(self):
@@ -42,19 +42,6 @@ class TestEstimatorConfig:
     def test_empty_iteration_budget_is_rejected(self):
         with pytest.raises(ConfigError):
             EstimatorConfig(SQUARED, RIDGE, max_iterations=0)
-
-    def test_fixed_mode_returns_the_configured_weight(self):
-        config = EstimatorConfig(SQUARED, RIDGE, LambdaMode.FIXED, 0.7)
-        assert config.penalty_strength() == 0.7
-
-    def test_noise_adapted_mode_multiplies_the_effective_variance(self):
-        config = EstimatorConfig(SQUARED, RIDGE, LambdaMode.NOISE_ADAPTED, 0.5)
-        assert config.penalty_strength(sigma2=40.0) == 20.0
-
-    def test_noise_adapted_mode_requires_the_effective_variance(self):
-        config = EstimatorConfig(SQUARED, RIDGE, LambdaMode.NOISE_ADAPTED, 0.5)
-        with pytest.raises(ConfigError):
-            config.penalty_strength()
 
 
 class TestFitOls:
@@ -157,7 +144,7 @@ class TestFitProximal:
 
     def test_matches_the_ridge_closed_form(self):
         x, y, _ = make_problem(n=100, p=40, seed=7, noise=1.0)
-        config = EstimatorConfig(SQUARED, RIDGE, LambdaMode.FIXED, 0.3)
+        config = EstimatorConfig(SQUARED, RIDGE, 0.3)
         fista = fit_proximal(config, x, y)
         exact = fit_ridge(x, y, 0.3)
         assert fista.converged
@@ -165,7 +152,7 @@ class TestFitProximal:
 
     def test_huber_recovers_noiseless_data(self):
         x, y, beta_star = make_problem(n=80, p=20, seed=11)
-        config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, LambdaMode.FIXED, 1.0e-12)
+        config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, 1.0e-12)
         fit = fit_proximal(config, x, y)
         assert fit.converged
         np.testing.assert_allclose(fit.beta_hat, beta_star, rtol=0.0, atol=1.0e-4)
@@ -173,7 +160,7 @@ class TestFitProximal:
     def test_overwhelming_lasso_penalty_returns_the_center_exactly(self):
         x, y, _ = make_problem(noise=1.0)
         beta0 = np.linspace(0.0, 1.0, x.shape[1])
-        config = EstimatorConfig(SQUARED, LASSO, LambdaMode.FIXED, 1.0e9, center=beta0)
+        config = EstimatorConfig(SQUARED, LASSO, 1.0e9, center=beta0)
         fit = fit_proximal(config, x, y)
         assert fit.converged
         assert np.array_equal(fit.beta_hat, beta0)
@@ -185,30 +172,16 @@ class TestFitProximal:
             with pytest.raises(ConfigError):
                 fit_proximal(EstimatorConfig(loss, RIDGE), x, y)
 
-    def test_noise_adapted_penalty_requires_sigma2(self):
-        x, y, _ = make_problem()
-        config = EstimatorConfig(SQUARED, RIDGE, LambdaMode.NOISE_ADAPTED, 1.0)
-        with pytest.raises(ConfigError):
-            fit_proximal(config, x, y)
-
-    def test_noise_adapted_penalty_equals_the_resolved_fixed_one(self):
-        x, y, _ = make_problem(noise=1.0)
-        adapted = EstimatorConfig(SQUARED, RIDGE, LambdaMode.NOISE_ADAPTED, 0.5)
-        fixed = EstimatorConfig(SQUARED, RIDGE, LambdaMode.FIXED, 0.5 * 12.0)
-        a = fit_proximal(adapted, x, y, sigma2=12.0)
-        b = fit_proximal(fixed, x, y)
-        np.testing.assert_allclose(a.beta_hat, b.beta_hat, rtol=0.0, atol=1.0e-12)
-
     def test_exhausted_budget_reports_nonconvergence_without_raising(self):
         x, y, _ = make_problem(n=100, p=40, seed=5, noise=1.0)
-        config = EstimatorConfig(SQUARED, RIDGE, LambdaMode.FIXED, 0.3, max_iterations=3)
+        config = EstimatorConfig(SQUARED, RIDGE, 0.3, max_iterations=3)
         fit = fit_proximal(config, x, y)
         assert not fit.converged
         assert fit.iterations == 3
 
     def test_warm_start_reuses_the_previous_solution(self):
         x, y, _ = make_problem(n=100, p=40, seed=9, noise=1.0)
-        config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, LambdaMode.FIXED, 0.1)
+        config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, 0.1)
         cold = fit_proximal(config, x, y)
         warm = fit_proximal(config, x, y, x0=cold.beta_hat)
         assert cold.converged and warm.converged
@@ -217,7 +190,7 @@ class TestFitProximal:
 
     def test_objective_trace_is_monotone_up_to_slack(self):
         x, y, _ = make_problem(n=100, p=40, seed=13, noise=2.0)
-        config = EstimatorConfig(SQUARED, LASSO, LambdaMode.FIXED, 0.05)
+        config = EstimatorConfig(SQUARED, LASSO, 0.05)
         fit = fit_proximal(config, x, y, record_trace=True)
         trace = np.array(fit.objective_trace)
         slack = 1.0e-9 * np.maximum(1.0, np.abs(trace[:-1]))
@@ -225,7 +198,7 @@ class TestFitProximal:
 
     def test_converged_fit_carries_a_valid_certificate(self):
         x, y, _ = make_problem(n=100, p=40, seed=21, noise=1.0)
-        config = EstimatorConfig(SQUARED, LASSO, LambdaMode.FIXED, 0.05)
+        config = EstimatorConfig(SQUARED, LASSO, 0.05)
         fit = fit_proximal(config, x, y)
         assert fit.converged
         bound = config.gradient_map_tol * (1.0 + np.linalg.norm(fit.beta_hat))
@@ -234,7 +207,7 @@ class TestFitProximal:
     def test_lasso_stationarity_via_subgradient(self):
         x, y, _ = make_problem(n=100, p=40, seed=17, noise=1.0)
         lam = 0.05
-        config = EstimatorConfig(SQUARED, LASSO, LambdaMode.FIXED, lam, gradient_map_tol=1.0e-10)
+        config = EstimatorConfig(SQUARED, LASSO, lam, gradient_map_tol=1.0e-10)
         fit = fit_proximal(config, x, y)
         grad = -(x.T @ (y - x @ fit.beta_hat)) / x.shape[0]
         active = np.abs(fit.beta_hat) > 1.0e-12

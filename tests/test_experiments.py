@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from heavyreg import experiments
 from heavyreg.errors import ConfigError
 from heavyreg.experiments import (
     CSV_HEADER,
@@ -211,20 +212,13 @@ class TestGoldenRecords:
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
-    # Design-plan figures that concentration never draws a design for; its
-    # summary digest is taken without them.
-    PLAN_KEYS = ("n", "p", "gamma", "q_sigma", "sigma2_unit", "tau_unit")
-
-    @classmethod
-    def _digests(cls, result, out_dir):
+    @staticmethod
+    def _digests(result, out_dir):
         paths = write_outputs(result, out_dir)
         with open(paths["csv"], "rb") as fh:
             rows = b"\n".join(line.rsplit(b",", 1)[0] for line in fh.read().splitlines())
         with open(paths["summary"], "rb") as fh:
             summary = fh.read()
-        if result.config.name == "concentration":
-            kept = {k: v for k, v in json.loads(summary).items() if k not in cls.PLAN_KEYS}
-            summary = (json.dumps(kept, indent=2, sort_keys=True) + "\n").encode()
         return hashlib.sha256(rows).hexdigest(), hashlib.sha256(summary).hexdigest()
 
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -259,8 +253,9 @@ class TestParadoxRunner:
         assert ols["mean"][0] <= 1.0e-20
 
     def test_needs_more_rows_than_columns(self):
-        with pytest.raises(ConfigError):
-            run_experiment(tiny_config("paradox", n=40, p=40))
+        for name in ("paradox", "trichotomy"):
+            with pytest.raises(ConfigError):
+                tiny_config(name, n=40, p=40)
 
 
 class TestFloorRunner:
@@ -366,6 +361,15 @@ class TestConcentrationRunner:
         scaled = run_experiment(tiny_config("concentration", noise=scaled_law))
         assert [r.risk for r in scaled.records] == pytest.approx([r.risk for r in unit.records], rel=1.0e-12)
         assert scaled.passed, scaled.summary["checks"]
+
+    def test_runs_without_a_design_plan(self, monkeypatch):
+        def no_decompose(model):
+            raise AssertionError("concentration draws no design")
+
+        monkeypatch.setattr(experiments, "decompose", no_decompose)
+        result = run_experiment(tiny_config("concentration"))
+        assert result.passed, result.summary["checks"]
+        assert not {"n", "p", "gamma", "q_sigma", "sigma2_unit", "tau_unit"} & set(result.summary)
 
     def test_too_few_replications_for_the_moment_checks_are_rejected(self):
         with pytest.raises(ConfigError):
