@@ -34,6 +34,7 @@ from .errors import (
 from .estimators import (
     EstimatorConfig,
     FitResult,
+    Resolvent,
     empirical_risk,
     fit_ols,
     fit_proximal,

@@ -2,6 +2,11 @@
 accelerated proximal-gradient solver for smooth losses with separable
 penalties.
 
+Every fit goes through one :class:`Resolvent`, the eigendecomposition of the
+design's Gram matrix ``X'X/n`` taken once per design: least squares and ridge
+are its resolvent ``(X'X/n + lam I)^-1`` applied to ``X'y/n``, and the
+proximal solver takes its fixed step ``1/L`` from the top eigenvalue.
+
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
 ``n^-1 sum loss(y_i - x_i' beta) + lambda * penalty(beta - beta0)``
@@ -15,12 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve as linalg_solve
 
 from .convex import Loss, Regularizer, prox_reg
 from .errors import ConfigError, ConvergenceError
 
 __all__ = [
+    "Resolvent",
     "EstimatorConfig",
     "FitResult",
     "fit_ols",
@@ -30,9 +35,6 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1.0e12
-_POWER_ITER_TOL = 1.0e-6
-_POWER_ITER_MAX = 1000
-_BACKTRACK_MAX = 80
 _STALL_WINDOW = 300
 
 
@@ -76,51 +78,78 @@ class FitResult:
     objective_trace: tuple[float, ...] | None = None
 
 
-def _as_matrix(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ConfigError(f"design must be a 2-d array, got shape {x.shape}")
-    n, p = x.shape
-    if y.shape != (n,):
-        raise ConfigError(f"response must have shape ({n},), got {y.shape}")
-    return x, y, n, p
+@dataclass(frozen=True)
+class Resolvent:
+    """One design and the eigendecomposition of its Gram matrix ``X'X/n``.
 
-
-def fit_ols(x: np.ndarray, y: np.ndarray) -> FitResult:
-    """Unpenalized least squares via orthogonal factorization.
-
-    Requires more observations than features and a design with condition
-    number at most 1e12.
+    Build it with :meth:`of`, which takes the decomposition once; every fit
+    on the same design reuses it.  ``evals`` ascend, so ``evals[-1]`` is the
+    largest eigenvalue ``||X||_2**2 / n``.
     """
-    x, y, n, p = _as_matrix(x, y)
+
+    x: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> Resolvent:
+        """Validate a finite 2-d design and eigendecompose ``X'X/n``."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.size == 0 or not np.isfinite(x).all():
+            raise ConfigError(f"design must be a nonempty finite 2-d array, got shape {x.shape}")
+        return cls(x, *np.linalg.eigh(x.T @ x / x.shape[0]))
+
+    def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
+        """``(X'X/n + lam I)^-1 rhs`` through the eigenbasis."""
+        return self.evecs @ ((self.evecs.T @ rhs) / (self.evals + lam))
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """``(X'X/n) v`` through the eigenbasis."""
+        return self.evecs @ ((self.evecs.T @ v) * self.evals)
+
+
+def _finite_vector(v, size: int, label: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,) or not np.isfinite(v).all():
+        raise ConfigError(f"{label} must be finite with shape ({size},), got shape {v.shape}")
+    return v
+
+
+def fit_ols(design: Resolvent, y: np.ndarray) -> FitResult:
+    """Unpenalized least squares, ``(X'X/n)^-1 X'y/n`` through the eigenbasis.
+
+    Requires more observations than features and a Gram matrix with
+    condition number at most 1e12, i.e. a design with condition number at
+    most 1e6.  Raises ``ConfigError`` on a non-finite response.
+    """
+    x = design.x
+    n, p = x.shape
+    y = _finite_vector(y, n, "response")
     if n <= p:
         raise ConfigError(f"least squares needs n > p, got n={n}, p={p}")
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 0.0 or diag.max() / diag.min() > _MAX_CONDITION:
-        raise ConfigError("design is rank deficient or conditioned worse than 1e12")
-    beta = np.linalg.solve(r, q.T @ y)
+    if not (design.evals[0] > 0.0 and design.evals[-1] <= _MAX_CONDITION * design.evals[0]):
+        raise ConfigError("Gram matrix is singular or conditioned worse than 1e12")
+    beta = design.solve(x.T @ y / n, 0.0)
     resid = y - x @ beta
     objective = 0.5 * float(resid @ resid) / n
     return FitResult(beta_hat=beta, iterations=0, converged=True, objective=objective,
                      gradient_map_norm=float(np.linalg.norm(x.T @ resid)) / n)
 
 
-def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, beta0: np.ndarray | None = None) -> FitResult:
-    """Exact solution of ``(X'X/n + lam I)(beta - beta0) = X'(y - X beta0)/n``."""
-    x, y, n, p = _as_matrix(x, y)
+def fit_ridge(design: Resolvent, y: np.ndarray, lam: float, beta0: np.ndarray | None = None) -> FitResult:
+    """Exact solution of ``(X'X/n + lam I)(beta - beta0) = X'(y - X beta0)/n``
+    through the eigenbasis, certified by the stationarity residual computed
+    from the design itself (``ConvergenceError`` above 1e-10 relative)."""
+    x = design.x
+    n, p = x.shape
+    y = _finite_vector(y, n, "response")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ConfigError(f"ridge strength must be finite and > 0, got {lam}")
-    center = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float)
-    if center.shape != (p,):
-        raise ConfigError(f"center must have shape ({p},), got {center.shape}")
-    gram = x.T @ x / n
-    gram[np.diag_indices_from(gram)] += lam
+    center = np.zeros(p) if beta0 is None else _finite_vector(beta0, p, "center")
     rhs = x.T @ (y - x @ center) / n
-    d = linalg_solve(gram, rhs, assume_a="pos")
-    residual = float(np.linalg.norm(gram @ d - rhs))
-    scale = float(np.linalg.norm(rhs)) + float(np.linalg.norm(d)) * float(np.linalg.norm(gram, 2))
+    d = design.solve(rhs, lam)
+    residual = float(np.linalg.norm(x.T @ (x @ d) / n + lam * d - rhs))
+    scale = float(np.linalg.norm(rhs)) + float(np.linalg.norm(d)) * (float(design.evals[-1]) + lam)
     if residual > 1.0e-10 * max(scale, 1.0e-300):
         raise ConvergenceError(f"ridge stationarity residual {residual} exceeds 1e-10 relative")
     beta = center + d
@@ -130,49 +159,36 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, beta0: np.ndarray | None
                      gradient_map_norm=residual)
 
 
-def _operator_norm_squared(x: np.ndarray) -> float:
-    """Largest eigenvalue of X'X/n by power iteration to 1e-6 relative."""
-    n, p = x.shape
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(_POWER_ITER_MAX):
-        w = x.T @ (x @ v) / n
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - estimate) <= _POWER_ITER_TOL * norm:
-            return norm
-        estimate = norm
-    raise ConvergenceError("power iteration for the step size did not converge")
-
-
 def fit_proximal(
     config: EstimatorConfig,
-    x: np.ndarray,
+    design: Resolvent,
     y: np.ndarray,
     x0: np.ndarray | None = None,
     record_trace: bool = False,
 ) -> FitResult:
-    """Accelerated proximal gradient (FISTA) with backtracking and monotone
-    restarts on ``n^-1 sum loss(y - X beta) + lambda_n reg(beta - beta0)``.
+    """Accelerated proximal gradient (FISTA) with monotone restarts on
+    ``n^-1 sum loss(y - X beta) + lambda_n reg(beta - beta0)``.
 
     Only smooth losses take gradient steps; the penalty enters through its
-    prox.  ``x0`` warm-starts the iteration (e.g. from the previous sweep
-    point).  Convergence means the gradient-mapping certificate holds;
-    ``rel_objective_tol`` is the slack used in the backtracking and
-    monotonicity comparisons.  Never raises on a busted budget or a stalled
-    certificate: the result is returned with ``converged=False``.
+    prox.  The step is the constant ``1/L`` with ``L = evals[-1] *
+    loss.derivative_lipschitz()``, the exact Lipschitz constant of the
+    smooth part's gradient, so every step satisfies the descent lemma and
+    nothing is backtracked.  ``x0`` warm-starts the iteration (e.g. from the
+    previous sweep point).  Convergence means the gradient-mapping
+    certificate holds; ``rel_objective_tol`` is the slack of the
+    monotonicity comparison.  Raises only ``ConfigError``, on invalid input
+    (a nonsmooth loss, wrong shapes, non-finite ``y``, center or ``x0``); a
+    busted budget or a stalled certificate returns the result with
+    ``converged=False``.
     """
     if not config.loss.smooth:
         raise ConfigError(f"loss {config.loss.kind.value!r} is classification-only; fitting needs a smooth loss")
-    x, y, n, p = _as_matrix(x, y)
+    x = design.x
+    n, p = x.shape
+    y = _finite_vector(y, n, "response")
     lam = config.lambda_value
-    center = np.zeros(p) if config.center is None else np.asarray(config.center, dtype=float)
-    if center.shape != (p,):
-        raise ConfigError(f"center must have shape ({p},), got {center.shape}")
+    center = np.zeros(p) if config.center is None else _finite_vector(config.center, p, "center")
+    d = np.zeros(p) if x0 is None else _finite_vector(x0, p, "warm start") - center
     y_shift = y - x @ center
     loss = config.loss
     reg = config.reg
@@ -186,15 +202,19 @@ def fit_proximal(
     def penalty(d: np.ndarray) -> float:
         return 0.0 if reg is None else lam * float(reg.value(d))
 
-    def prox(step: float, point: np.ndarray) -> np.ndarray:
-        return point.copy() if reg is None else prox_reg(reg, step * lam, point)
-
-    lipschitz = _operator_norm_squared(x) * loss.derivative_lipschitz()
+    lipschitz = float(design.evals[-1]) * loss.derivative_lipschitz()
     step = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
 
-    d = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float) - center
-    resid = y_shift - x @ d
-    objective = smooth_value(resid) + penalty(d)
+    def prox_step(point: np.ndarray, g: np.ndarray) -> np.ndarray:
+        moved = point - step * g
+        return moved if reg is None else prox_reg(reg, step * lam, moved)
+
+    def forward_backward(point: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        cand = prox_step(point, gradient(y_shift - x @ point))
+        r_cand = y_shift - x @ cand
+        return cand, r_cand, smooth_value(r_cand)
+
+    objective = smooth_value(y_shift - x @ d) + penalty(d)
     z = d.copy()
     momentum = 1.0
     trace = [objective] if record_trace else None
@@ -205,30 +225,14 @@ def fit_proximal(
     since_improvement = 0
     slack = config.rel_objective_tol
 
-    def backtracked_step(point: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        nonlocal step
-        r_point = y_shift - x @ point
-        f_point = smooth_value(r_point)
-        g = gradient(r_point)
-        for _ in range(_BACKTRACK_MAX):
-            cand = prox(step, point - step * g)
-            diff = cand - point
-            r_cand = y_shift - x @ cand
-            f_cand = smooth_value(r_cand)
-            bound = f_point + float(g @ diff) + 0.5 * float(diff @ diff) / step
-            if f_cand <= bound + slack * max(1.0, abs(f_point)):
-                return cand, r_cand, f_cand
-            step *= 0.5
-        raise ConvergenceError("backtracking exhausted 80 halvings; loss curvature inconsistent")
-
     for iterations in range(1, config.max_iterations + 1):
-        cand, r_cand, f_cand = backtracked_step(z)
+        cand, r_cand, f_cand = forward_backward(z)
         new_objective = f_cand + penalty(cand)
         if new_objective > objective + slack * max(1.0, abs(objective)):
             # Momentum overshot: restart from the last accepted iterate. The
             # plain majorized step cannot increase the objective.
             momentum = 1.0
-            cand, r_cand, f_cand = backtracked_step(d)
+            cand, r_cand, f_cand = forward_backward(d)
             new_objective = f_cand + penalty(cand)
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum ** 2))
         z = cand + ((momentum - 1.0) / momentum_next) * (cand - d)
@@ -236,8 +240,7 @@ def fit_proximal(
         if record_trace:
             trace.append(objective)
 
-        g_at_d = gradient(r_cand)
-        mapped = prox(step, d - step * g_at_d)
+        mapped = prox_step(d, gradient(r_cand))
         gradient_map_norm = float(np.linalg.norm(d - mapped)) / step
         if gradient_map_norm <= config.gradient_map_tol * (1.0 + float(np.linalg.norm(d + center))):
             converged = True

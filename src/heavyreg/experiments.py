@@ -37,7 +37,7 @@ import numpy as np
 
 from .convex import Loss, LossKind, RegKind, Regularizer
 from .errors import ConfigError
-from .estimators import EstimatorConfig, FitResult, empirical_risk, fit_proximal
+from .estimators import EstimatorConfig, FitResult, Resolvent, empirical_risk, fit_proximal
 from .spectrum import (
     CovarianceModel,
     DiscreteSpectrum,
@@ -149,7 +149,10 @@ class ExperimentConfig:
         return self.p / self.n
 
     def to_dict(self) -> dict:
-        """JSON-ready fully resolved configuration."""
+        """JSON-ready fully resolved configuration.
+
+        An experiment that draws no design echoes only the fields it reads.
+        """
         out = dataclasses.asdict(self)
         out["cov"] = {"kind": self.cov.kind.value, "p": self.cov.p, "rho": self.cov.rho}
         out["noise"] = {"family": self.noise.family.value, "alpha": self.noise.alpha, "scale": self.noise.scale}
@@ -159,6 +162,8 @@ class ExperimentConfig:
                 out[label] = [float(v) for v in out[label]]
         if out["n_grid"] is not None:
             out["n_grid"] = [int(v) for v in out["n_grid"]]
+        if not _EXPERIMENTS[self.name].draws_design:
+            return {key: out[key] for key in _DESIGN_FREE_FIELDS}
         return out
 
 
@@ -265,9 +270,7 @@ def _build_plan(config: ExperimentConfig) -> _Plan:
 class _RepDraw:
     """One replication's design (eigendecomposed once) and unit noise."""
 
-    evals: np.ndarray
-    evecs: np.ndarray
-    x: np.ndarray
+    design: Resolvent
     w_unit: np.ndarray
     w_wins_unit: np.ndarray
 
@@ -277,15 +280,7 @@ def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> 
     kind = cfg.design_kind if design_kind is None else design_kind
     x = sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind)
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
-    gram = x.T @ x / cfg.n
-    evals, evecs = np.linalg.eigh(gram)
-    return _RepDraw(evals=evals, evecs=evecs, x=x, w_unit=w_unit,
-                    w_wins_unit=winsorize(w_unit, plan.tau_unit))
-
-
-def _resolvent_solve(draw: _RepDraw, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Solve ``(X'X/n + lam I) d = rhs`` through the cached eigenbasis."""
-    return draw.evecs @ ((draw.evecs.T @ rhs) / (draw.evals + lam))
+    return _RepDraw(design=Resolvent.of(x), w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
 
 
 def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
@@ -294,24 +289,18 @@ def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
     return max(config.lambda_tilde * sigma2, _NOISELESS_PENALTY)
 
 
-def _linear_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float) -> tuple[np.ndarray, float]:
-    """Closed-form fit of one squared-loss estimator at one noise scale.
-
-    Returns the coefficient estimate and the effective penalty used.
-    """
+def _linear_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float) -> np.ndarray:
+    """Closed-form fit of one squared-loss estimator at one noise scale."""
     cfg = plan.config
-    xtw = draw.x.T @ (scale * draw.w_wins_unit) / cfg.n
+    design = draw.design
+    xtw = design.x.T @ (scale * draw.w_wins_unit) / cfg.n
     if estimator == "ols":
-        return plan.beta_star + _resolvent_solve(draw, xtw, 0.0), 0.0
+        return plan.beta_star + design.solve(xtw, 0.0)
     if estimator == "fixed_ridge":
-        lam = cfg.lambda_fixed
-        gram_beta = draw.evecs @ ((draw.evecs.T @ plan.beta_star) * draw.evals)
-        return _resolvent_solve(draw, gram_beta + xtw, lam), lam
+        return design.solve(design.gram(plan.beta_star) + xtw, cfg.lambda_fixed)
     if estimator == "transfer_ridge":
         lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
-        diff = plan.beta_star - plan.beta0
-        gram_diff = draw.evecs @ ((draw.evecs.T @ diff) * draw.evals)
-        return plan.beta0 + _resolvent_solve(draw, gram_diff + xtw, lam), lam
+        return plan.beta0 + design.solve(design.gram(plan.beta_star - plan.beta0) + xtw, lam)
     raise ConfigError(f"unknown linear estimator {estimator!r}")
 
 
@@ -326,7 +315,7 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
     lasso sees the winsorized noise at the noise-adapted penalty.
     """
     cfg = plan.config
-    signal = draw.x @ plan.beta_star
+    signal = draw.design.x @ plan.beta_star
     if estimator == "huber":
         config = EstimatorConfig(Loss(LossKind.HUBER, cfg.huber_k), Regularizer(RegKind.RIDGE), cfg.lambda_fixed)
         y = signal + scale * draw.w_unit
@@ -334,7 +323,7 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
         lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
         config = EstimatorConfig(Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO), lam, center=plan.beta0)
         y = signal + scale * draw.w_wins_unit
-    return fit_proximal(config, draw.x, y, x0=warm)
+    return fit_proximal(config, draw.design, y, x0=warm)
 
 
 def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.ndarray,
@@ -377,7 +366,7 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
                     beta_hat, converged = fit.beta_hat, fit.converged
                     warm[estimator] = beta_hat
                 else:
-                    beta_hat, converged = _linear_fit(plan, draw, estimator, scale)[0], True
+                    beta_hat, converged = _linear_fit(plan, draw, estimator, scale), True
                 label = estimator if designs is None else f"{estimator}_{kind}"
                 records.append(_record(plan, label, scale, rep, beta_hat, converged, t0))
     return records
@@ -386,14 +375,14 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
 def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
     cfg = plan.config
     draw = _draw_replication(plan, rep)
-    diff = plan.beta_star - plan.beta0
-    gram_diff = draw.evecs @ ((draw.evecs.T @ diff) * draw.evals)
-    xtw_unit = draw.x.T @ draw.w_wins_unit / cfg.n
+    design = draw.design
+    gram_diff = design.gram(plan.beta_star - plan.beta0)
+    xtw_unit = design.x.T @ draw.w_wins_unit / cfg.n
     records = []
     for sigma2 in cfg.sigma_grid:
         t0 = time.perf_counter()
         amp = math.sqrt(sigma2 / plan.sigma2_unit)
-        beta_hat = plan.beta0 + _resolvent_solve(draw, gram_diff + amp * xtw_unit, _adapted_lambda(cfg, sigma2))
+        beta_hat = plan.beta0 + design.solve(gram_diff + amp * xtw_unit, _adapted_lambda(cfg, sigma2))
         records.append(_record(plan, "transfer_ridge", sigma2, rep, beta_hat, True, t0))
     return records
 
@@ -655,6 +644,9 @@ class _Experiment:
     # plan's figures nor a convergence check.
     draws_design: bool = True
 
+
+# The configuration fields an experiment that draws no design reads.
+_DESIGN_FREE_FIELDS = ("name", "noise", "n_grid", "replications", "master_seed", "workers", "paper_scale")
 
 _SQUARED_LOSS_FITS = ("ols", "fixed_ridge", "transfer_ridge")
 

@@ -32,7 +32,7 @@ from heavyreg.convex import (
     required_alpha,
 )
 from heavyreg.errors import ConfigError
-from heavyreg.estimators import EstimatorConfig, fit_proximal
+from heavyreg.estimators import EstimatorConfig, Resolvent, fit_proximal
 from heavyreg.experiments import (
     ExperimentConfig,
     default_config,
@@ -357,7 +357,7 @@ class TestCriterion11:
         x = rng.standard_normal((100, 40))
         y = x @ rng.standard_normal(40) + rng.standard_normal(100)
         config = EstimatorConfig(Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO), 0.05)
-        fit = fit_proximal(config, x, y)
+        fit = fit_proximal(config, Resolvent.of(x), y)
         certificate_ok = fit.converged and fit.gradient_map_norm <= config.gradient_map_tol * (
             1.0 + float(np.linalg.norm(fit.beta_hat))
         )

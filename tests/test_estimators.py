@@ -8,6 +8,7 @@ from heavyreg.errors import ConfigError
 from heavyreg.estimators import (
     EstimatorConfig,
     FitResult,
+    Resolvent,
     empirical_risk,
     fit_ols,
     fit_proximal,
@@ -44,56 +45,131 @@ class TestEstimatorConfig:
             EstimatorConfig(SQUARED, RIDGE, max_iterations=0)
 
 
+class TestResolvent:
+    """The Gram eigendecomposition every fit goes through, against explicit
+    dense oracles."""
+
+    def test_solve_matches_the_explicit_penalized_gram_system(self):
+        x, _, _ = make_problem(n=60, p=12, seed=4)
+        n, p = x.shape
+        design = Resolvent.of(x)
+        rhs = np.random.default_rng(5).standard_normal(p)
+        for lam in (0.0, 1.0e-3, 1.0):
+            expected = np.linalg.solve(x.T @ x / n + lam * np.eye(p), rhs)
+            np.testing.assert_allclose(design.solve(rhs, lam), expected, rtol=1.0e-10, atol=1.0e-12)
+
+    def test_gram_product_matches_the_design_products(self):
+        x, _, _ = make_problem(n=30, p=50, seed=6)
+        v = np.random.default_rng(7).standard_normal(50)
+        np.testing.assert_allclose(Resolvent.of(x).gram(v), x.T @ (x @ v) / 30, rtol=1.0e-10, atol=1.0e-12)
+
+    def test_top_eigenvalue_is_the_squared_spectral_norm_over_n(self):
+        for n, p in ((60, 12), (30, 50)):
+            x, _, _ = make_problem(n=n, p=p, seed=8)
+            assert Resolvent.of(x).evals[-1] == pytest.approx(np.linalg.norm(x, 2) ** 2 / n, rel=1.0e-12)
+
+    def test_non_finite_or_non_matrix_designs_are_rejected(self):
+        x, _, _ = make_problem()
+        for bad in (np.nan, np.inf):
+            corrupt = x.copy()
+            corrupt[3, 2] = bad
+            with pytest.raises(ConfigError):
+                Resolvent.of(corrupt)
+        with pytest.raises(ConfigError):
+            Resolvent.of(x[0])
+
+
+class TestNonFiniteInput:
+    """Every fitter rejects a non-finite response, center or warm start
+    instead of returning a NaN estimate or failing inside the iteration."""
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_response(self, bad):
+        x, y, _ = make_problem(noise=1.0)
+        design = Resolvent.of(x)
+        y = y.copy()
+        y[5] = bad
+        with pytest.raises(ConfigError):
+            fit_ols(design, y)
+        with pytest.raises(ConfigError):
+            fit_ridge(design, y, 0.1)
+        for loss in (SQUARED, Loss(LossKind.HUBER, 1.5)):
+            with pytest.raises(ConfigError):
+                fit_proximal(EstimatorConfig(loss, RIDGE, 0.1), design, y)
+
+    def test_ridge_center(self):
+        x, y, _ = make_problem(noise=1.0)
+        with pytest.raises(ConfigError):
+            fit_ridge(Resolvent.of(x), y, 0.1, beta0=np.full(x.shape[1], np.nan))
+
+    def test_proximal_center_and_warm_start(self):
+        x, y, _ = make_problem(noise=1.0)
+        design = Resolvent.of(x)
+        nan_vector = np.full(x.shape[1], np.nan)
+        with pytest.raises(ConfigError):
+            fit_proximal(EstimatorConfig(SQUARED, LASSO, 0.1, center=nan_vector), design, y)
+        with pytest.raises(ConfigError):
+            fit_proximal(EstimatorConfig(SQUARED, LASSO, 0.1), design, y, x0=nan_vector)
+
+
 class TestFitOls:
-    """Unpenalized least squares through the QR path."""
+    """Unpenalized least squares through the Gram eigenbasis."""
 
     def test_stacked_identity_design_returns_the_response_block(self):
         p = 5
         b = np.arange(1.0, p + 1.0)
         x = np.vstack([np.eye(p), np.eye(p)])
-        fit = fit_ols(x, np.concatenate([b, b]))
+        fit = fit_ols(Resolvent.of(x), np.concatenate([b, b]))
         np.testing.assert_allclose(fit.beta_hat, b, rtol=0.0, atol=1.0e-12)
         assert fit.converged and fit.iterations == 0
 
     def test_noiseless_data_is_recovered(self):
         x, y, beta_star = make_problem()
-        fit = fit_ols(x, y)
+        fit = fit_ols(Resolvent.of(x), y)
         np.testing.assert_allclose(fit.beta_hat, beta_star, rtol=0.0, atol=1.0e-8)
 
     def test_matches_the_normal_equations(self):
         x, y, _ = make_problem(n=50, p=2, noise=0.5)
         expected = np.linalg.solve(x.T @ x, x.T @ y)
-        fit = fit_ols(x, y)
+        fit = fit_ols(Resolvent.of(x), y)
         np.testing.assert_allclose(fit.beta_hat, expected, rtol=1.0e-8)
 
     def test_residual_is_orthogonal_to_the_columns(self):
         x, y, _ = make_problem(noise=1.0)
-        fit = fit_ols(x, y)
+        fit = fit_ols(Resolvent.of(x), y)
         resid = y - x @ fit.beta_hat
         assert np.max(np.abs(x.T @ resid)) <= 1.0e-8 * np.linalg.norm(y)
 
     def test_objective_is_half_mean_squared_residual(self):
         x, y, _ = make_problem(noise=1.0)
-        fit = fit_ols(x, y)
+        fit = fit_ols(Resolvent.of(x), y)
         resid = y - x @ fit.beta_hat
         assert fit.objective == pytest.approx(0.5 * np.mean(resid**2), rel=1.0e-12)
 
     def test_square_or_wide_designs_are_rejected(self):
         x, y, _ = make_problem(n=12, p=12)
         with pytest.raises(ConfigError):
-            fit_ols(x, y)
+            fit_ols(Resolvent.of(x), y)
 
     def test_rank_deficiency_is_rejected(self):
         x, y, _ = make_problem()
         x = x.copy()
         x[:, -1] = x[:, 0]
         with pytest.raises(ConfigError):
-            fit_ols(x, y)
+            fit_ols(Resolvent.of(x), y)
+
+    def test_gram_condition_above_1e12_is_rejected(self):
+        # design condition 1e5 (Gram 1e10) passes, 1e7 (Gram 1e14) does not
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((40, 2)))
+        y = np.ones(40)
+        assert fit_ols(Resolvent.of(q * [1.0, 1.0e-5]), y).converged
+        with pytest.raises(ConfigError):
+            fit_ols(Resolvent.of(q * [1.0, 1.0e-7]), y)
 
     def test_response_shape_mismatch_is_rejected(self):
         x, y, _ = make_problem()
         with pytest.raises(ConfigError):
-            fit_ols(x, y[:-1])
+            fit_ols(Resolvent.of(x), y[:-1])
 
 
 class TestFitRidge:
@@ -102,13 +178,14 @@ class TestFitRidge:
     def test_huge_penalty_pins_the_estimate_at_the_center(self):
         x, y, _ = make_problem(noise=1.0)
         beta0 = np.linspace(-1.0, 1.0, x.shape[1])
-        fit = fit_ridge(x, y, 1.0e12, beta0=beta0)
+        fit = fit_ridge(Resolvent.of(x), y, 1.0e12, beta0=beta0)
         assert np.linalg.norm(fit.beta_hat - beta0) <= 1.0e-6
 
     def test_vanishing_penalty_approaches_least_squares(self):
         x, y, _ = make_problem(noise=0.3)
-        ols = fit_ols(x, y)
-        ridge = fit_ridge(x, y, 1.0e-12)
+        design = Resolvent.of(x)
+        ols = fit_ols(design, y)
+        ridge = fit_ridge(design, y, 1.0e-12)
         np.testing.assert_allclose(ridge.beta_hat, ols.beta_hat, rtol=0.0, atol=1.0e-4)
 
     def test_single_column_shrinkage_formula(self):
@@ -118,42 +195,45 @@ class TestFitRidge:
         lam = 0.8
         n = 40
         expected = (x[:, 0] @ y / n) / (x[:, 0] @ x[:, 0] / n + lam)
-        fit = fit_ridge(x, y, lam)
+        fit = fit_ridge(Resolvent.of(x), y, lam)
         assert fit.beta_hat[0] == pytest.approx(expected, rel=1.0e-12)
 
     def test_centering_shifts_the_solution_exactly(self):
         x, y, _ = make_problem(noise=0.7)
         beta0 = np.full(x.shape[1], 0.3)
-        shifted = fit_ridge(x, y, 0.4, beta0=beta0)
-        plain = fit_ridge(x, y - x @ beta0, 0.4)
+        design = Resolvent.of(x)
+        shifted = fit_ridge(design, y, 0.4, beta0=beta0)
+        plain = fit_ridge(design, y - x @ beta0, 0.4)
         np.testing.assert_allclose(shifted.beta_hat, beta0 + plain.beta_hat, rtol=0.0, atol=1.0e-12)
 
     def test_nonpositive_penalty_is_rejected(self):
         x, y, _ = make_problem()
         with pytest.raises(ConfigError):
-            fit_ridge(x, y, 0.0)
+            fit_ridge(Resolvent.of(x), y, 0.0)
 
     def test_center_shape_mismatch_is_rejected(self):
         x, y, _ = make_problem()
         with pytest.raises(ConfigError):
-            fit_ridge(x, y, 1.0, beta0=np.zeros(3))
+            fit_ridge(Resolvent.of(x), y, 1.0, beta0=np.zeros(3))
 
 
 class TestFitProximal:
-    """Accelerated proximal gradient with backtracking and restarts."""
+    """Accelerated proximal gradient with the fixed step 1/L from the Gram
+    spectrum and monotone restarts."""
 
     def test_matches_the_ridge_closed_form(self):
         x, y, _ = make_problem(n=100, p=40, seed=7, noise=1.0)
         config = EstimatorConfig(SQUARED, RIDGE, 0.3)
-        fista = fit_proximal(config, x, y)
-        exact = fit_ridge(x, y, 0.3)
+        design = Resolvent.of(x)
+        fista = fit_proximal(config, design, y)
+        exact = fit_ridge(design, y, 0.3)
         assert fista.converged
         assert np.linalg.norm(fista.beta_hat - exact.beta_hat) <= 1.0e-6
 
     def test_huber_recovers_noiseless_data(self):
         x, y, beta_star = make_problem(n=80, p=20, seed=11)
         config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, 1.0e-12)
-        fit = fit_proximal(config, x, y)
+        fit = fit_proximal(config, Resolvent.of(x), y)
         assert fit.converged
         np.testing.assert_allclose(fit.beta_hat, beta_star, rtol=0.0, atol=1.0e-4)
 
@@ -161,7 +241,7 @@ class TestFitProximal:
         x, y, _ = make_problem(noise=1.0)
         beta0 = np.linspace(0.0, 1.0, x.shape[1])
         config = EstimatorConfig(SQUARED, LASSO, 1.0e9, center=beta0)
-        fit = fit_proximal(config, x, y)
+        fit = fit_proximal(config, Resolvent.of(x), y)
         assert fit.converged
         assert np.array_equal(fit.beta_hat, beta0)
 
@@ -170,20 +250,21 @@ class TestFitProximal:
         for kind in (LossKind.ABSOLUTE, LossKind.QUANTILE):
             loss = Loss(kind, 0.3) if kind is LossKind.QUANTILE else Loss(kind)
             with pytest.raises(ConfigError):
-                fit_proximal(EstimatorConfig(loss, RIDGE), x, y)
+                fit_proximal(EstimatorConfig(loss, RIDGE), Resolvent.of(x), y)
 
     def test_exhausted_budget_reports_nonconvergence_without_raising(self):
         x, y, _ = make_problem(n=100, p=40, seed=5, noise=1.0)
         config = EstimatorConfig(SQUARED, RIDGE, 0.3, max_iterations=3)
-        fit = fit_proximal(config, x, y)
+        fit = fit_proximal(config, Resolvent.of(x), y)
         assert not fit.converged
         assert fit.iterations == 3
 
     def test_warm_start_reuses_the_previous_solution(self):
         x, y, _ = make_problem(n=100, p=40, seed=9, noise=1.0)
         config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, 0.1)
-        cold = fit_proximal(config, x, y)
-        warm = fit_proximal(config, x, y, x0=cold.beta_hat)
+        design = Resolvent.of(x)
+        cold = fit_proximal(config, design, y)
+        warm = fit_proximal(config, design, y, x0=cold.beta_hat)
         assert cold.converged and warm.converged
         assert warm.iterations < cold.iterations
         assert warm.iterations <= 2
@@ -191,15 +272,32 @@ class TestFitProximal:
     def test_objective_trace_is_monotone_up_to_slack(self):
         x, y, _ = make_problem(n=100, p=40, seed=13, noise=2.0)
         config = EstimatorConfig(SQUARED, LASSO, 0.05)
-        fit = fit_proximal(config, x, y, record_trace=True)
+        fit = fit_proximal(config, Resolvent.of(x), y, record_trace=True)
         trace = np.array(fit.objective_trace)
         slack = 1.0e-9 * np.maximum(1.0, np.abs(trace[:-1]))
         assert np.all(trace[1:] <= trace[:-1] + slack)
 
+    @pytest.mark.parametrize("loss", (SQUARED, Loss(LossKind.HUBER, 1.5), Loss(LossKind.LOGCOSH)),
+                             ids=("squared", "huber", "logcosh"))
+    @pytest.mark.parametrize("reg", (None, RIDGE, LASSO, Regularizer(RegKind.ELASTIC_NET, 0.5)),
+                             ids=("none", "ridge", "lasso", "elastic_net"))
+    def test_fixed_step_never_increases_the_objective(self, loss, reg):
+        # with the exact Lipschitz constant every restarted step descends, so
+        # the accepted objectives are monotone for wide and tall designs alike
+        for n, p, seed in ((100, 40, 23), (30, 60, 29)):
+            x, y, _ = make_problem(n=n, p=p, seed=seed, noise=3.0)
+            design = Resolvent.of(x)
+            for lam in (1.0e-12, 0.05, 1.0e9):
+                config = EstimatorConfig(loss, reg, lam, max_iterations=300)
+                trace = np.array(fit_proximal(config, design, y, record_trace=True).objective_trace)
+                assert np.all(np.isfinite(trace))
+                slack = config.rel_objective_tol * np.maximum(1.0, np.abs(trace[:-1]))
+                assert np.all(trace[1:] <= trace[:-1] + slack)
+
     def test_converged_fit_carries_a_valid_certificate(self):
         x, y, _ = make_problem(n=100, p=40, seed=21, noise=1.0)
         config = EstimatorConfig(SQUARED, LASSO, 0.05)
-        fit = fit_proximal(config, x, y)
+        fit = fit_proximal(config, Resolvent.of(x), y)
         assert fit.converged
         bound = config.gradient_map_tol * (1.0 + np.linalg.norm(fit.beta_hat))
         assert fit.gradient_map_norm <= bound
@@ -208,7 +306,7 @@ class TestFitProximal:
         x, y, _ = make_problem(n=100, p=40, seed=17, noise=1.0)
         lam = 0.05
         config = EstimatorConfig(SQUARED, LASSO, lam, gradient_map_tol=1.0e-10)
-        fit = fit_proximal(config, x, y)
+        fit = fit_proximal(config, Resolvent.of(x), y)
         grad = -(x.T @ (y - x @ fit.beta_hat)) / x.shape[0]
         active = np.abs(fit.beta_hat) > 1.0e-12
         # active coordinates: gradient + lam * sign = 0; inactive: |gradient| <= lam

@@ -92,6 +92,18 @@ class TestExperimentConfig:
         assert parsed["cov"] == {"kind": "ar1", "p": 40, "rho": 0.5}
         assert parsed["noise"]["family"] == "student_t"
 
+    def test_design_free_config_echoes_only_the_fields_it_reads(self):
+        echo = json.loads(json.dumps(default_config("concentration").to_dict()))
+        assert echo == {
+            "name": "concentration",
+            "noise": {"family": "symmetric_pareto", "alpha": 1.5, "scale": 1.0},
+            "n_grid": [1000, 10000, 100000],
+            "replications": 200,
+            "master_seed": 12345,
+            "workers": 1,
+            "paper_scale": False,
+        }
+
 
 class TestDefaultConfigs:
     """Desk-scale and paper-scale presets."""
@@ -166,23 +178,28 @@ class TestRecordProtocol:
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_cached_sweep_solves_match_the_public_fitters(self):
-        from heavyreg.estimators import fit_ols, fit_ridge
-        from heavyreg.experiments import _build_plan, _draw_replication, _linear_fit
+        # independent dense oracles: the harness and the fitters share the
+        # eigenbasis solve, so neither may serve as the other's reference
+        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _linear_fit
 
-        plan = _build_plan(tiny_config("paradox"))
+        cfg = tiny_config("paradox")
+        plan = _build_plan(cfg)
         draw = _draw_replication(plan, rep=0)
+        x = draw.design.x
         scale = 10.0
-        y = draw.x @ plan.beta_star + scale * draw.w_wins_unit
+        y = x @ plan.beta_star + scale * draw.w_wins_unit
 
-        fast_ols, _ = _linear_fit(plan, draw, "ols", scale)
-        np.testing.assert_allclose(fast_ols, fit_ols(draw.x, y).beta_hat, rtol=1.0e-10)
+        def ridge(lam, center):
+            system = x.T @ x / cfg.n + lam * np.eye(cfg.p)
+            return center + np.linalg.solve(system, x.T @ (y - x @ center) / cfg.n)
 
-        fast_fixed, lam_fixed = _linear_fit(plan, draw, "fixed_ridge", scale)
-        np.testing.assert_allclose(fast_fixed, fit_ridge(draw.x, y, lam_fixed).beta_hat, rtol=1.0e-10)
-
-        fast_transfer, lam_transfer = _linear_fit(plan, draw, "transfer_ridge", scale)
-        reference = fit_ridge(draw.x, y, lam_transfer, beta0=plan.beta0)
-        np.testing.assert_allclose(fast_transfer, reference.beta_hat, rtol=1.0e-10)
+        ols = np.linalg.lstsq(x, y, rcond=None)[0]
+        np.testing.assert_allclose(_linear_fit(plan, draw, "ols", scale), ols, rtol=1.0e-10)
+        np.testing.assert_allclose(_linear_fit(plan, draw, "fixed_ridge", scale),
+                                   ridge(cfg.lambda_fixed, np.zeros(cfg.p)), rtol=1.0e-10)
+        lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
+        np.testing.assert_allclose(_linear_fit(plan, draw, "transfer_ridge", scale),
+                                   ridge(lam, plan.beta0), rtol=1.0e-10)
 
 
 class TestGoldenRecords:
@@ -201,12 +218,12 @@ class TestGoldenRecords:
     GOLDEN = {
         "paradox": ("20457be47638edeb216cb24fa49443d314f84105bbb6b42c231987c7f4890979",
                     "ff58a4200aa3ae0f32d55b0ec2b3b0521537ddd670acd492e8c91aa9839a3d59"),
-        "floor": ("b0f4e6b0f2afc50fe9253d0101cbd382e27551fa029e1b57c1b8a34fb68aca2f",
-                  "f017744b5910ebfff821e84ccf1b0a32b0ddd68f3a278a4d6b63fd556828848c"),
+        "floor": ("4bdb09bc3f1798347ee0204a7d106f7fc926d68829371587b06d9ceedebe4636",
+                  "3dcc13d0f589ae670a4d69aaa0211038d53d25bf5d47f97b4cd3d1c2949d3fa5"),
         "transient": ("a23969e762556af0ee5b4427f9bbc5390d9f6350b4b6cd97a137a6b48092a8b9",
                       "f269393e7a6216b1f81fd4cd9d98049bfc2fd8a3c522fd65248df64a7c36dec6"),
-        "trichotomy": ("22212164d9391f35d642b3e156cb348aa24b1eed640f3c4e0f3e5a83a45825b4",
-                       "077ffa51f9135875402049a224328d71921b2b5c366ac1bb897b9006698926c1"),
+        "trichotomy": ("eb256ddae614e2197693869f19ceecb103206e45fe462e0514cf0014a4c8db47",
+                       "27c0c5f9a42b43f0c2a5c47ebee19c4a4d9f67cecde9b5d136cfde3ecaddd928"),
         "universality": ("5375dc5feda97c9a84288684cc67bb5dafa4ad4e57ac1bb7a5d823283a62b58e",
                          "22b63ac3b865febfbb9b9848dc04b3ec615b583c70a42f157d0c1dd5e26674ba"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
