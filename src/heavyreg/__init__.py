@@ -27,9 +27,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     HeavyRegError,
-    IntegrationError,
-    SpectrumError,
-    TailModelError,
 )
 from .estimators import (
     EstimatorConfig,
@@ -76,8 +73,6 @@ from .tails import (
 from .theory import (
     RiskPrediction,
     TheoryInputs,
-    floor_risk,
-    predict_divergence_exponent,
     ridge_risk_closed_form,
     solve_companion_v,
     solve_general_fixed_point,

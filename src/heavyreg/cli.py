@@ -1,10 +1,10 @@
 """Command-line surface: tail calculators, loss classification, risk theory,
 and the named experiment harness.
 
-Exit codes are a stable contract: 0 success, 1 acceptance or convergence
-failure, 2 usage or configuration error.  Every subcommand accepts ``--json``
-for machine-readable output.  The default output directory for experiment
-artifacts is ``$HEAVYREG_OUT`` (falling back to ``./results``).
+Exit codes are a stable contract: 0 success, 1 acceptance failure or
+``ConvergenceError``, 2 usage error or ``ConfigError``.  Every subcommand
+accepts ``--json`` for machine-readable output.  The default output directory
+for experiment artifacts is ``$HEAVYREG_OUT`` (falling back to ``./results``).
 """
 
 from __future__ import annotations
@@ -114,19 +114,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _theory_inputs(args: argparse.Namespace, sigma2: float, reg: Regularizer) -> TheoryInputs:
-    if args.cov == "ar1":
-        model = CovarianceModel.ar1(args.p, args.rho)
-    else:
-        model = CovarianceModel.identity(args.p)
-    spec = decompose(model)
-    rng = substream(args.seed, "signal", 0)
-    beta_star = sample_signal(args.p, 0.1, rng)
-    delta = sample_sphere(args.p, args.delta_norm, rng)
-    spec = project_delta(spec, beta_star, beta_star + delta)
-    return TheoryInputs(spec, args.gamma, sigma2, args.lambda_tilde, reg=reg)
-
-
 def _theory_grid(args: argparse.Namespace) -> list[float]:
     if args.sigma_grid is not None:
         try:
@@ -139,17 +126,31 @@ def _theory_grid(args: argparse.Namespace) -> list[float]:
     return [args.sigma2]
 
 
+def _theory_inputs(args: argparse.Namespace, reg: Regularizer) -> list[TheoryInputs]:
+    """One input per grid point; all share one spectrum and one frozen misalignment draw."""
+    grid = _theory_grid(args)
+    if args.cov == "ar1":
+        model = CovarianceModel.ar1(args.p, args.rho)
+    else:
+        model = CovarianceModel.identity(args.p)
+    spec = decompose(model)
+    rng = substream(args.seed, "signal", 0)
+    beta_star = sample_signal(args.p, 0.1, rng)
+    delta = sample_sphere(args.p, args.delta_norm, rng)
+    spec = project_delta(spec, beta_star, beta_star + delta)
+    return [TheoryInputs(spec, args.gamma, sigma2, args.lambda_tilde, reg=reg) for sigma2 in grid]
+
+
 def _predict(inputs: TheoryInputs, use_closed_form: bool, nodes: int):
     if use_closed_form:
         return ridge_risk_closed_form(inputs)
     return solve_general_fixed_point(inputs, gh_nodes=nodes)
 
 
-def _theory_point(args: argparse.Namespace, sigma2: float, reg: Regularizer, closed: bool) -> dict:
-    inputs = _theory_inputs(args, sigma2, reg)
+def _theory_point(args: argparse.Namespace, inputs: TheoryInputs, closed: bool) -> dict:
     prediction = _predict(inputs, closed, args.nodes)
     point = {
-        "sigma2": sigma2,
+        "sigma2": inputs.sigma2,
         "gamma": args.gamma,
         "lambda_tilde": args.lambda_tilde,
         "risk": prediction.risk,
@@ -169,8 +170,7 @@ def _theory_point(args: argparse.Namespace, sigma2: float, reg: Regularizer, clo
 
 def _run_verify(args: argparse.Namespace) -> int:
     gaps = []
-    for sigma2 in _theory_grid(args):
-        inputs = _theory_inputs(args, sigma2, Regularizer(RegKind.RIDGE))
+    for inputs in _theory_inputs(args, Regularizer(RegKind.RIDGE)):
         closed = ridge_risk_closed_form(inputs)
         fixed = solve_general_fixed_point(inputs, gh_nodes=args.nodes)
         gaps.append(abs(fixed.risk - closed.risk) / max(closed.risk, 1.0e-300))
@@ -194,7 +194,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
             raise ConfigError("--verify cross-checks the two ridge forms; drop --reg or set it to ridge")
         return _run_verify(args)
     reg = Regularizer(RegKind.RIDGE) if closed else _reg_from_flags(args.reg, args.mix)
-    points = [_theory_point(args, sigma2, reg, closed) for sigma2 in _theory_grid(args)]
+    points = [_theory_point(args, inputs, closed) for inputs in _theory_inputs(args, reg)]
     if len(points) == 1:
         _emit(points[0], args.json)
     elif args.json:
@@ -302,9 +302,6 @@ def _resolve_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.workers is not None:
         kw["workers"] = args.workers
     kw["paper_scale"] = args.paper_scale
-    if kw["cov"].p != kw["p"]:
-        kw["cov"] = (CovarianceModel.ar1(kw["p"], rho) if kind == "ar1"
-                     else CovarianceModel.identity(kw["p"]))
     return ExperimentConfig(**kw)
 
 

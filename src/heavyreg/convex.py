@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "LossKind",
@@ -59,12 +59,12 @@ class Loss:
     def __post_init__(self) -> None:
         if self.kind is LossKind.HUBER:
             if self.param is None or self.param <= 0.0:
-                raise ValueError(f"Huber needs a transition point > 0, got {self.param}")
+                raise ConfigError(f"Huber needs a transition point > 0, got {self.param}")
         elif self.kind is LossKind.QUANTILE:
             if self.param is None or not (0.0 < self.param < 1.0):
-                raise ValueError(f"quantile level must lie in (0, 1), got {self.param}")
+                raise ConfigError(f"quantile level must lie in (0, 1), got {self.param}")
         elif self.param is not None:
-            raise ValueError(f"{self.kind.value} takes no parameter")
+            raise ConfigError(f"{self.kind.value} takes no parameter")
 
     @property
     def smooth(self) -> bool:
@@ -107,7 +107,7 @@ class Loss:
     def derivative_lipschitz(self) -> float:
         """Upper bound on the curvature of a smooth loss."""
         if not self.smooth:
-            raise ValueError(f"{self.kind.value} is not smooth; no curvature bound")
+            raise ConfigError(f"{self.kind.value} is not smooth; no curvature bound")
         return 1.0  # t, clip(t, -k, k), tanh(t) are all 1-Lipschitz
 
 
@@ -131,9 +131,9 @@ class Regularizer:
     def __post_init__(self) -> None:
         if self.kind is RegKind.ELASTIC_NET:
             if self.mix is None or not (0.0 < self.mix < 1.0):
-                raise ValueError(f"elastic-net mix must lie in (0, 1), got {self.mix}")
+                raise ConfigError(f"elastic-net mix must lie in (0, 1), got {self.mix}")
         elif self.mix is not None:
-            raise ValueError(f"{self.kind.value} takes no mix parameter")
+            raise ConfigError(f"{self.kind.value} takes no mix parameter")
 
     def value(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float)
@@ -210,7 +210,7 @@ def required_alpha(q: float) -> float:
     qualifies (the bound 1 is exclusive).
     """
     if q < 1.0:
-        raise ValueError(f"growth exponent must be >= 1, got {q}")
+        raise ConfigError(f"growth exponent must be >= 1, got {q}")
     if q == 1.0:
         return 1.0
     return q / (q - 1.0)
@@ -219,7 +219,7 @@ def required_alpha(q: float) -> float:
 def moment_verdict(cls: ConjugateClass, alpha: float) -> str:
     """Risk verdict for a tail index in (1, 2) under the given loss class."""
     if not (1.0 < alpha < 2.0):
-        raise ValueError(f"tail index must lie in (1, 2), got {alpha}")
+        raise ConfigError(f"tail index must lie in (1, 2), got {alpha}")
     if cls.bounded:
         return "bounded-risk"
     if alpha >= required_alpha(cls.q_growth):
@@ -230,7 +230,7 @@ def moment_verdict(cls: ConjugateClass, alpha: float) -> str:
 def prox_loss(loss: Loss, eta: float, x: np.ndarray | float) -> np.ndarray | float:
     """Proximal map ``argmin_z eta * L(z) + (z - x)^2 / 2``."""
     if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"prox step must be finite and > 0, got {eta}")
+        raise ConfigError(f"prox step must be finite and > 0, got {eta}")
     x = np.asarray(x, dtype=float)
     k = loss.kind
     if k is LossKind.SQUARED:
@@ -283,7 +283,7 @@ def prox_loss_conjugate(loss: Loss, sigma: float, u: np.ndarray | float) -> np.n
     identity, so it must not be used to *test* that identity.
     """
     if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"prox step must be finite and > 0, got {sigma}")
+        raise ConfigError(f"prox step must be finite and > 0, got {sigma}")
     u = np.asarray(u, dtype=float)
     k = loss.kind
     if k is LossKind.SQUARED:
@@ -313,7 +313,7 @@ def prox_reg(reg: Regularizer, eta: float | np.ndarray, v: np.ndarray | float) -
         eta = np.asarray(eta, dtype=float)
         valid = bool(np.all((eta > 0.0) & np.isfinite(eta)))
     if not valid:
-        raise ValueError(f"prox steps must be finite and > 0, got {eta}")
+        raise ConfigError(f"prox steps must be finite and > 0, got {eta}")
     v = np.asarray(v, dtype=float)
     if reg.kind is RegKind.RIDGE:
         out = v / (1.0 + eta)

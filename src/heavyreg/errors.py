@@ -1,25 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per cause.
+
+``ConfigError`` means the caller's arguments are invalid; ``ConvergenceError``
+means the arguments are valid but a numerical method missed its own
+tolerance.  The command line maps them to exit codes 2 and 1.
+"""
 
 
 class HeavyRegError(Exception):
     """Base class for all package-specific failures."""
 
 
-class TailModelError(HeavyRegError):
-    """A noise model was constructed or used outside its valid domain."""
-
-
-class IntegrationError(HeavyRegError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-class SpectrumError(HeavyRegError):
-    """Covariance decomposition failed validation (not PSD, bad reconstruction)."""
+class ConfigError(HeavyRegError, ValueError):
+    """An argument, constructor field or configuration value is invalid."""
 
 
 class ConvergenceError(HeavyRegError):
-    """An iterative solver exhausted its budget without meeting tolerance."""
-
-
-class ConfigError(HeavyRegError):
-    """A run configuration is malformed (unknown key, bad value, bad section)."""
+    """A numerical method (solver, quadrature, decomposition) missed its own tolerance."""

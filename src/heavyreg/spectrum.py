@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SpectrumError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "CovarianceKind",
@@ -53,16 +53,16 @@ class CovarianceModel:
 
     def __post_init__(self) -> None:
         if self.p < 1:
-            raise SpectrumError(f"dimension must be >= 1, got {self.p}")
+            raise ConfigError(f"dimension must be >= 1, got {self.p}")
         if self.kind is CovarianceKind.AR1:
             if self.rho is None or not (-1.0 < self.rho < 1.0):
-                raise SpectrumError(f"AR1 correlation must lie in (-1, 1), got {self.rho}")
+                raise ConfigError(f"AR1 correlation must lie in (-1, 1), got {self.rho}")
         if self.kind is CovarianceKind.EXPLICIT:
             m = self.matrix
             if m is None or m.shape != (self.p, self.p):
-                raise SpectrumError("explicit covariance needs a (p, p) matrix")
+                raise ConfigError("explicit covariance needs a (p, p) matrix")
             if not np.allclose(m, m.T, rtol=0.0, atol=1.0e-12):
-                raise SpectrumError("explicit covariance must be symmetric")
+                raise ConfigError("explicit covariance must be symmetric")
 
     @classmethod
     def identity(cls, p: int) -> "CovarianceModel":
@@ -127,21 +127,23 @@ def decompose(model: CovarianceModel) -> DiscreteSpectrum:
 
     Raises
     ------
-    SpectrumError
+    ConfigError
         If the smallest eigenvalue falls at or below ``1e-12`` times the
-        largest, or the eigenbasis fails to reconstruct the matrix to
-        ``1e-10`` relative Frobenius error.
+        largest.
+    ConvergenceError
+        If the eigenbasis fails to reconstruct the matrix to ``1e-10``
+        relative Frobenius error.
     """
     sigma = model.materialize()
     eigenvalues, basis = np.linalg.eigh(sigma)
     if eigenvalues[-1] <= 0.0 or eigenvalues[0] <= _EIGENVALUE_FLOOR * eigenvalues[-1]:
-        raise SpectrumError(
+        raise ConfigError(
             f"covariance is numerically singular: eigenvalue range [{eigenvalues[0]}, {eigenvalues[-1]}]"
         )
     recon = (basis * eigenvalues) @ basis.T
     rel = np.linalg.norm(recon - sigma) / np.linalg.norm(sigma)
     if rel > _RECONSTRUCTION_TOL:
-        raise SpectrumError(f"eigendecomposition reconstruction error {rel} exceeds {_RECONSTRUCTION_TOL}")
+        raise ConvergenceError(f"eigendecomposition reconstruction error {rel} exceeds {_RECONSTRUCTION_TOL}")
     return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=sigma)
 
 
@@ -155,14 +157,14 @@ def project_delta(spec: DiscreteSpectrum, beta_star: np.ndarray, beta0: np.ndarr
     beta_star = np.asarray(beta_star, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     if beta_star.shape != (spec.p,) or beta0.shape != (spec.p,):
-        raise SpectrumError(f"signal vectors must have shape ({spec.p},)")
+        raise ConfigError(f"signal vectors must have shape ({spec.p},)")
     delta = beta_star - beta0
     coeffs = spec.basis.T @ delta
     spectral = float(np.sum(spec.eigenvalues * coeffs ** 2)) / spec.p
     direct = float(delta @ spec.matrix @ delta) / spec.p
     scale = max(abs(direct), 1.0e-300)
     if abs(spectral - direct) > 1.0e-10 * scale:
-        raise SpectrumError(
+        raise ConfigError(
             f"misalignment energy mismatch: spectral {spectral} vs direct {direct}"
         )
     return replace(spec, delta_coeffs=coeffs)
@@ -171,7 +173,7 @@ def project_delta(spec: DiscreteSpectrum, beta_star: np.ndarray, beta0: np.ndarr
 def q_sigma(spec: DiscreteSpectrum) -> float:
     """Normalized misalignment energy ``p^-1 sum_j s_j Delta_j^2``."""
     if spec.delta_coeffs is None:
-        raise SpectrumError("spectrum carries no misalignment coefficients; call project_delta first")
+        raise ConfigError("spectrum carries no misalignment coefficients; call project_delta first")
     return float(np.sum(spec.eigenvalues * spec.delta_coeffs ** 2)) / spec.p
 
 
@@ -187,20 +189,20 @@ def sample_design(
     ``"gaussian"`` or ``"rademacher"`` (unit variance either way).
     """
     if n < 1:
-        raise SpectrumError(f"sample size must be >= 1, got {n}")
+        raise ConfigError(f"sample size must be >= 1, got {n}")
     if kind == "gaussian":
         z = rng.standard_normal((n, spec.p))
     elif kind == "rademacher":
         z = np.where(rng.random((n, spec.p)) < 0.5, -1.0, 1.0)
     else:
-        raise SpectrumError(f"unknown design kind {kind!r}; expected 'gaussian' or 'rademacher'")
+        raise ConfigError(f"unknown design kind {kind!r}; expected 'gaussian' or 'rademacher'")
     return z @ spec.sqrt_matrix()
 
 
 def sample_signal(p: int, sparsity: float, rng: np.random.Generator) -> np.ndarray:
     """Sparse signal: ``ceil(sparsity * p)`` coordinates iid standard normal."""
     if not (0.0 < sparsity <= 1.0):
-        raise SpectrumError(f"sparsity must lie in (0, 1], got {sparsity}")
+        raise ConfigError(f"sparsity must lie in (0, 1], got {sparsity}")
     k = int(math.ceil(sparsity * p))
     support = rng.choice(p, size=k, replace=False)
     beta = np.zeros(p)
@@ -211,7 +213,7 @@ def sample_signal(p: int, sparsity: float, rng: np.random.Generator) -> np.ndarr
 def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the sphere of the given radius in ``R^p``."""
     if radius < 0.0:
-        raise SpectrumError(f"radius must be >= 0, got {radius}")
+        raise ConfigError(f"radius must be >= 0, got {radius}")
     g = rng.standard_normal(p)
     norm = np.linalg.norm(g)
     while norm == 0.0:  # pragma: no cover - measure-zero event

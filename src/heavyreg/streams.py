@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Stable purpose registry. The integer codes are part of the reproducibility
 # contract: changing them changes every downstream stream.
 PURPOSES = {
@@ -33,12 +35,12 @@ def substream(master_seed: int, purpose: str, replication: int = 0) -> np.random
         Replication index, >= 0. Frozen quantities (signal vectors) use 0.
     """
     if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     if replication < 0:
-        raise ValueError(f"replication must be >= 0, got {replication}")
+        raise ConfigError(f"replication must be >= 0, got {replication}")
     try:
         code = PURPOSES[purpose]
     except KeyError:
-        raise ValueError(f"unknown stream purpose {purpose!r}; expected one of {sorted(PURPOSES)}") from None
+        raise ConfigError(f"unknown stream purpose {purpose!r}; expected one of {sorted(PURPOSES)}") from None
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(code, replication))
     return np.random.Generator(np.random.PCG64(ss))

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 from scipy import stats
 
-from .errors import IntegrationError, TailModelError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "NoiseFamily",
@@ -78,7 +78,7 @@ def _verified_student_tail_constant(alpha: float) -> float:
     )
     c_num = 2.0 * tail * T ** alpha
     if not math.isfinite(c_num) or abs(c_num - c) > 1.0e-6 * c:
-        raise TailModelError(
+        raise ConvergenceError(
             f"Student-t tail constant self-check failed for alpha={alpha}: closed form {c}, numeric {c_num}"
         )
     return c
@@ -113,9 +113,9 @@ class TailLaw:
 
     def __post_init__(self) -> None:
         if not (1.0 < self.alpha < 2.0):
-            raise TailModelError(f"tail index must lie in (1, 2), got {self.alpha}")
+            raise ConfigError(f"tail index must lie in (1, 2), got {self.alpha}")
         if not (self.scale >= 0.0 and math.isfinite(self.scale)):
-            raise TailModelError(f"scale must be finite and >= 0, got {self.scale}")
+            raise ConfigError(f"scale must be finite and >= 0, got {self.scale}")
         if self.family is NoiseFamily.STUDENT_T:
             _verified_student_tail_constant(self.alpha)
 
@@ -132,7 +132,7 @@ class TailLaw:
         """P(|w| > t) for the unit-scale law, vectorized over ``t >= 0``."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
-            raise TailModelError("survival is defined for t >= 0")
+            raise ConfigError("survival is defined for t >= 0")
         if self.family is NoiseFamily.SYMMETRIC_PARETO:
             out = np.where(t < 1.0, 1.0, np.minimum(t, np.inf) ** -self.alpha)
         elif self.family is NoiseFamily.STUDENT_T:
@@ -179,10 +179,10 @@ def winsorize(w: np.ndarray | float, tau: float) -> np.ndarray | float:
     upstream sampling bug and must not be silently clipped away.
     """
     if not (tau > 0.0 and math.isfinite(tau)):
-        raise TailModelError(f"winsorization threshold must be finite and > 0, got {tau}")
+        raise ConfigError(f"winsorization threshold must be finite and > 0, got {tau}")
     arr = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise TailModelError("winsorize received non-finite input")
+        raise ConfigError("winsorize received non-finite input")
     out = np.clip(arr, -tau, tau)
     return out if out.shape else float(out)
 
@@ -191,10 +191,11 @@ def effective_variance_exact(law: TailLaw, tau: float) -> float:
     """Exact winsorized second moment ``scale**2 * int_0^tau 2 t P(|w|>t) dt``.
 
     Closed form for the symmetric Pareto family; adaptive quadrature to 1e-10
-    relative tolerance otherwise.
+    relative tolerance otherwise, raising ``ConvergenceError`` when the
+    quadrature's own error estimate exceeds it.
     """
     if not (tau > 0.0 and math.isfinite(tau)):
-        raise TailModelError(f"threshold must be finite and > 0, got {tau}")
+        raise ConfigError(f"threshold must be finite and > 0, got {tau}")
     a = law.alpha
     if law.family is NoiseFamily.SYMMETRIC_PARETO:
         # Unit minimum: survival is 1 below t=1 and t^-alpha above.
@@ -222,7 +223,7 @@ def effective_variance_exact(law: TailLaw, tau: float) -> float:
         total += val
         err += ab
     if not math.isfinite(total) or total <= 0.0 or err > 1.0e-10 * total:
-        raise IntegrationError(
+        raise ConvergenceError(
             f"effective-variance quadrature did not converge: value {total}, error estimate {err}"
         )
     return law.scale ** 2 * total
@@ -231,7 +232,7 @@ def effective_variance_exact(law: TailLaw, tau: float) -> float:
 def effective_variance_asymptotic(law: TailLaw, n: int) -> float:
     """Leading-order effective variance ``(2c/(2-alpha)) * n**((2-alpha)/alpha)``."""
     if n < 1:
-        raise TailModelError(f"sample size must be >= 1, got {n}")
+        raise ConfigError(f"sample size must be >= 1, got {n}")
     a = law.alpha
     return law.scale ** 2 * (2.0 * law.c / (2.0 - a)) * float(n) ** ((2.0 - a) / a)
 
@@ -239,7 +240,7 @@ def effective_variance_asymptotic(law: TailLaw, n: int) -> float:
 def winsor_plan(law: TailLaw, n: int) -> WinsorPlan:
     """Threshold ``tau_n = n**(1/alpha)`` and the exact effective variance at it."""
     if n < 1:
-        raise TailModelError(f"sample size must be >= 1, got {n}")
+        raise ConfigError(f"sample size must be >= 1, got {n}")
     tau = float(n) ** (1.0 / law.alpha)
     return WinsorPlan(n=n, tau=tau, sigma2=effective_variance_exact(law, tau))
 
@@ -251,7 +252,7 @@ def truncated_fourth_moment(law: TailLaw, tau: float) -> float:
     winsorized square is (the ratio to ``sigma2**2 * n`` stays of order one).
     """
     if tau < 1.0:
-        raise TailModelError(f"fourth-moment asymptotic needs tau >= 1, got {tau}")
+        raise ConfigError(f"fourth-moment asymptotic needs tau >= 1, got {tau}")
     a = law.alpha
     return law.scale ** 4 * (4.0 * law.c / (4.0 - a)) * tau ** (4.0 - a)
 
@@ -282,7 +283,7 @@ def sample_noise(law: TailLaw, size: int, rng: np.random.Generator) -> np.ndarra
     generator states.
     """
     if size < 0:
-        raise TailModelError(f"size must be >= 0, got {size}")
+        raise ConfigError(f"size must be >= 0, got {size}")
     if law.family is NoiseFamily.SYMMETRIC_PARETO:
         # 1-U keeps the uniform away from zero so the magnitude is finite.
         magnitude = (1.0 - rng.random(size)) ** (-1.0 / law.alpha)

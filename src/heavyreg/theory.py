@@ -44,8 +44,8 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import brentq
 
 from .convex import Regularizer, RegKind, prox_reg
-from .errors import ConvergenceError
-from .spectrum import DiscreteSpectrum, q_sigma
+from .errors import ConfigError, ConvergenceError
+from .spectrum import DiscreteSpectrum
 
 __all__ = [
     "TheoryInputs",
@@ -53,7 +53,6 @@ __all__ = [
     "solve_companion_v",
     "ridge_risk_closed_form",
     "solve_general_fixed_point",
-    "predict_divergence_exponent",
 ]
 
 _GH_NODES_DEFAULT = 61
@@ -81,17 +80,17 @@ class TheoryInputs:
 
     def __post_init__(self) -> None:
         if self.spectrum.delta_coeffs is None:
-            raise ValueError("spectrum carries no misalignment coefficients; call project_delta first")
+            raise ConfigError("spectrum carries no misalignment coefficients; call project_delta first")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"aspect ratio must be finite and >= 0, got {self.gamma}")
+            raise ConfigError(f"aspect ratio must be finite and >= 0, got {self.gamma}")
         if not (self.sigma2 >= 0.0 and math.isfinite(self.sigma2)):
-            raise ValueError(f"noise variance must be finite and >= 0, got {self.sigma2}")
+            raise ConfigError(f"noise variance must be finite and >= 0, got {self.sigma2}")
         if not (self.lambda_tilde > 0.0 and math.isfinite(self.lambda_tilde)):
-            raise ValueError(f"penalty weight must be finite and > 0, got {self.lambda_tilde}")
+            raise ConfigError(f"penalty weight must be finite and > 0, got {self.lambda_tilde}")
         if self.n is not None:
             expected = self.spectrum.p / self.n
             if abs(expected - self.gamma) > 1.0e-12 * max(1.0, expected):
-                raise ValueError(f"gamma {self.gamma} inconsistent with p/n = {expected}")
+                raise ConfigError(f"gamma {self.gamma} inconsistent with p/n = {expected}")
 
 
 @dataclass(frozen=True)
@@ -119,13 +118,13 @@ def solve_companion_v(eigenvalues: np.ndarray, gamma: float, mu: float) -> float
     """
     s = np.asarray(eigenvalues, dtype=float)
     if np.any(s <= 0.0):
-        raise ValueError("eigenvalues must be positive")
+        raise ConfigError("eigenvalues must be positive")
     if not (gamma >= 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"aspect ratio must be finite and >= 0, got {gamma}")
+        raise ConfigError(f"aspect ratio must be finite and >= 0, got {gamma}")
     if mu < 0.0:
-        raise ValueError(f"regularization level must be >= 0, got {mu}")
+        raise ConfigError(f"regularization level must be >= 0, got {mu}")
     if mu == 0.0 and gamma >= 1.0:
-        raise ValueError("mu = 0 requires gamma < 1")
+        raise ConfigError("mu = 0 requires gamma < 1")
     if gamma == 0.0:
         return 1.0
     if mu == 0.0:
@@ -153,7 +152,7 @@ def _sigma2_over_n(inputs: TheoryInputs) -> float:
 def ridge_risk_closed_form(inputs: TheoryInputs) -> RiskPrediction:
     """Companion-resolvent risk for the ridge penalty."""
     if inputs.reg.kind is not RegKind.RIDGE:
-        raise ValueError("closed form applies to the ridge penalty only")
+        raise ConfigError("closed form applies to the ridge penalty only")
     spec = inputs.spectrum
     s = spec.eigenvalues
     d2 = spec.delta_coeffs ** 2
@@ -245,21 +244,3 @@ def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DE
         residual=residual,
     )
 
-
-def floor_risk(inputs: TheoryInputs) -> tuple[float, float]:
-    """The large-noise limit: ``(q_Sigma, sqrt(1 + gamma * q_Sigma))``."""
-    q = q_sigma(inputs.spectrum)
-    return q, math.sqrt(1.0 + inputs.gamma * q)
-
-
-def predict_divergence_exponent(mode: str) -> float:
-    """Risk growth exponent in the noise scale for each penalty mode.
-
-    ``"ols"`` and ``"fixed"`` inherit the effective variance (exponent 2 in
-    the scale); ``"noise_adapted"`` pins the risk at the floor (exponent 0).
-    """
-    table = {"ols": 2.0, "fixed": 2.0, "noise_adapted": 0.0}
-    try:
-        return table[mode]
-    except KeyError:
-        raise ValueError(f"unknown penalty mode {mode!r}; expected one of {sorted(table)}") from None

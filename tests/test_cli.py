@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from heavyreg import experiments
+from heavyreg import cli, experiments
 from heavyreg.cli import _INI_SECTIONS, _read_ini, main
 from heavyreg.experiments import default_config
 
@@ -153,6 +153,22 @@ class TestTheoryCommand:
         first = [float(tok) for tok in lines[1].split(",")]
         assert first[0] == 1.0
 
+    def test_sigma_grid_decomposes_once_and_matches_single_points(self, capsys, monkeypatch):
+        """Every grid point reuses one spectrum and misalignment draw; each point
+        equals the same sigma2 run on its own."""
+        singles = []
+        for sigma2 in ("1", "10", "100"):
+            code, payload = run_json(capsys, ["theory", "fixed-point", "--sigma2", sigma2, "--p", "80", "--json"])
+            assert code == 0
+            singles.append(payload)
+        calls = []
+        decompose = cli.decompose
+        monkeypatch.setattr(cli, "decompose", lambda model: calls.append(model) or decompose(model))
+        code, payload = run_json(capsys, ["theory", "fixed-point", "--sigma-grid", "1,10,100", "--p", "80", "--json"])
+        assert code == 0
+        assert len(calls) == 1
+        assert payload == {"points": singles}
+
     def test_unparseable_sigma_grid_exits_two(self):
         assert main(["theory", "ridge-risk", "--sigma-grid", "1,abc", "--p", "40"]) == 2
 
@@ -252,6 +268,13 @@ class TestExperimentCommand:
         assert main(["experiment", "paradox", "--config", ini, "--out", str(out), "--seed", "42"]) == 0
         echo = json.loads((out / "paradox_seed42.config.json").read_text())
         assert echo["master_seed"] == 42
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_failed_effective_variance_quadrature_exits_one(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, "[experiment]\nn = 100000\np = 2\nreplications = 1\n\n"
+                                  "[noise]\nfamily = alpha_stable\nalpha = 1.95\n\n[grid]\nsigma = 1, 10\n")
+        assert main(["experiment", "transient", "--config", ini, "--out", str(tmp_path / "r")]) == 1
+        assert "quadrature did not converge" in capsys.readouterr().err
 
     def test_unknown_experiment_name_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

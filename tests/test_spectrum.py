@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavyreg.errors import SpectrumError
+from heavyreg import spectrum
+from heavyreg.errors import ConfigError, ConvergenceError
 from heavyreg.spectrum import (
     CovarianceKind,
     CovarianceModel,
@@ -41,12 +42,12 @@ class TestCovarianceModel:
 
     @pytest.mark.parametrize("rho", [-1.0, 1.0, 1.5])
     def test_ar1_rejects_degenerate_correlation(self, rho):
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ConfigError):
             CovarianceModel.ar1(4, rho)
 
     def test_explicit_rejects_asymmetric_matrix(self):
         m = np.array([[1.0, 0.2], [0.0, 1.0]])
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ConfigError):
             CovarianceModel.explicit(m)
 
     def test_explicit_round_trips(self):
@@ -81,8 +82,14 @@ class TestDecompose:
 
     def test_singular_matrix_rejected(self):
         m = np.ones((3, 3))
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ConfigError):
             decompose(CovarianceModel.explicit(m))
+
+    def test_inexact_eigendecomposition_is_a_convergence_failure(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(spectrum.np.linalg, "eigh", lambda m: (eigh(m)[0] * (1.0 + 1.0e-6), eigh(m)[1]))
+        with pytest.raises(ConvergenceError, match="reconstruction error"):
+            decompose(CovarianceModel.ar1(10, 0.5))
 
     def test_weights_are_uniform(self):
         spec = decompose(CovarianceModel.ar1(10, 0.5))
@@ -114,12 +121,12 @@ class TestProjectDelta:
 
     def test_shape_mismatch_rejected(self):
         spec = decompose(CovarianceModel.identity(4))
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ConfigError):
             project_delta(spec, np.zeros(5), np.zeros(5))
 
     def test_q_sigma_requires_projection(self):
         spec = decompose(CovarianceModel.identity(4))
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ConfigError):
             q_sigma(spec)
 
     @given(st.floats(0.1, 10.0))
@@ -154,7 +161,7 @@ class TestSampling:
 
     def test_unknown_design_kind_rejected(self):
         spec = decompose(CovarianceModel.identity(3))
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ConfigError):
             sample_design(spec, 5, substream(6, "design"), kind="uniform")
 
     def test_signal_support_size(self):
@@ -162,7 +169,7 @@ class TestSampling:
         assert int(np.count_nonzero(beta)) == math.ceil(0.1 * 400)
 
     def test_signal_rejects_bad_sparsity(self):
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ConfigError):
             sample_signal(10, 0.0, substream(8, "signal"))
 
     def test_sphere_norm_is_exact(self):

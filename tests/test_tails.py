@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavyreg.errors import TailModelError
+from heavyreg import tails
+from heavyreg.errors import ConfigError, ConvergenceError
 from heavyreg.streams import substream
 from heavyreg.tails import (
     NoiseFamily,
@@ -33,11 +34,11 @@ class TestTailLawValidation:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.5, float("nan")])
     def test_rejects_tail_index_outside_open_interval(self, alpha):
-        with pytest.raises(TailModelError):
+        with pytest.raises(ConfigError):
             TailLaw(NoiseFamily.SYMMETRIC_PARETO, alpha=alpha)
 
     def test_rejects_negative_scale(self):
-        with pytest.raises(TailModelError):
+        with pytest.raises(ConfigError):
             TailLaw(NoiseFamily.SYMMETRIC_PARETO, alpha=1.5, scale=-1.0)
 
     def test_zero_scale_is_accepted_for_noiseless_rows(self):
@@ -54,6 +55,12 @@ class TestTailConstants:
     def test_student_constant_matches_gamma_closed_form(self):
         # 2 nu^(nu/2-1) Gamma((nu+1)/2) / (sqrt(pi) Gamma(nu/2)) at nu = 1.5.
         assert STUDENT.c == pytest.approx(0.7541704864032494, rel=1.0e-12)
+
+    def test_failed_student_self_check_is_a_convergence_failure(self, monkeypatch):
+        closed_form = tails._student_tail_constant
+        monkeypatch.setattr(tails, "_student_tail_constant", lambda alpha: 1.001 * closed_form(alpha))
+        with pytest.raises(ConvergenceError, match="self-check failed"):
+            TailLaw(NoiseFamily.STUDENT_T, alpha=1.37)
 
     def test_stable_constant_matches_gamma_closed_form(self):
         # (2/pi) Gamma(alpha) sin(pi alpha / 2) at alpha = 1.5.
@@ -81,7 +88,7 @@ class TestSurvival:
         assert float(PARETO.survival(4.0)) == pytest.approx(4.0 ** -1.5, rel=0.0, abs=0.0)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(TailModelError):
+        with pytest.raises(ConfigError):
             PARETO.survival(-1.0)
 
 
@@ -93,11 +100,11 @@ class TestWinsorize:
         assert np.array_equal(out, np.array([-2.0, -0.5, 0.0, 2.0, 2.0]))
 
     def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(TailModelError):
+        with pytest.raises(ConfigError):
             winsorize(np.array([1.0]), 0.0)
 
     def test_rejects_nonfinite_input(self):
-        with pytest.raises(TailModelError):
+        with pytest.raises(ConfigError):
             winsorize(np.array([1.0, float("inf")]), 2.0)
 
     @given(
@@ -156,6 +163,14 @@ class TestEffectiveVariance:
         base = effective_variance_exact(PARETO, 100.0)
         assert effective_variance_exact(scaled, 100.0) == pytest.approx(9.0 * base, rel=1.0e-12)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_quadrature_that_misses_its_tolerance_is_a_convergence_failure(self):
+        """Near alpha = 2 the stable tail integral loses 1e-10 to roundoff at tau_n
+        for n = 1e5; valid arguments, so the failure is numerical."""
+        law = TailLaw(NoiseFamily.ALPHA_STABLE, 1.95)
+        with pytest.raises(ConvergenceError, match="quadrature did not converge"):
+            effective_variance_exact(law, 1.0e5 ** (1.0 / 1.95))
+
 
 class TestWinsorPlan:
     """Threshold schedule tied to the sample size."""
@@ -186,7 +201,7 @@ class TestFourthMoment:
         assert truncated_fourth_moment(PARETO, 1.0) == pytest.approx(1.6, rel=1.0e-12)
 
     def test_rejects_subunit_threshold(self):
-        with pytest.raises(TailModelError):
+        with pytest.raises(ConfigError):
             truncated_fourth_moment(PARETO, 0.5)
 
     def test_borderline_ratio_is_order_one_in_n(self):

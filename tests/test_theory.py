@@ -22,8 +22,6 @@ from heavyreg.streams import substream
 from heavyreg.theory import (
     RiskPrediction,
     TheoryInputs,
-    floor_risk,
-    predict_divergence_exponent,
     ridge_risk_closed_form,
     solve_companion_v,
     solve_general_fixed_point,
@@ -201,9 +199,9 @@ class TestGeneralFixedPoint:
         spec = make_spectrum()
         ti = TheoryInputs(spec, 0.5, 1.0e12, 1.0, reg=reg)
         pred = solve_general_fixed_point(ti)
-        q, tau_star = floor_risk(ti)
+        q = q_sigma(spec)
         assert pred.risk == pytest.approx(q, rel=1.0e-9)
-        assert pred.tau == pytest.approx(tau_star, rel=1.0e-12)
+        assert pred.tau == pytest.approx(math.sqrt(1.0 + 0.5 * q), rel=1.0e-12)
 
     def test_risk_rises_monotonically_to_the_floor(self):
         """With order-one coefficients the soft threshold is selective at low
@@ -240,15 +238,3 @@ class TestGeneralFixedPoint:
         pred = solve_general_fixed_point(TheoryInputs(make_spectrum(), 0.5, 0.0, 1.0))
         assert pred.risk == 0.0 and pred.tau == 1.0
 
-
-class TestDivergenceExponents:
-    """Noise-scale growth exponents per penalty mode."""
-
-    def test_table(self):
-        assert predict_divergence_exponent("ols") == 2.0
-        assert predict_divergence_exponent("fixed") == 2.0
-        assert predict_divergence_exponent("noise_adapted") == 0.0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            predict_divergence_exponent("adaptive")
