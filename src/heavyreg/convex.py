@@ -7,8 +7,9 @@ loss) has an unbounded conjugate domain and inherits the noise variance.  The
 bounded/unbounded verdict plus the growth exponent feed the moment-requirement
 rule ``alpha >= q / (q - 1)``.
 
-Only smooth losses (Squared, Huber, LogCosh) are ever fitted by the solvers;
-Absolute and Quantile participate in classification and prox identities only.
+Only Squared and Huber are ever fitted (with a ridge or lasso penalty, by
+``estimators.fit_proximal``); LogCosh, Absolute and Quantile participate in
+classification and prox identities only.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
-"""Finite-sample estimators: least squares, closed-form ridge, and an
-accelerated proximal-gradient solver for smooth losses with separable
-penalties.
+"""Finite-sample estimators: least squares, closed-form ridge, and an exact
+active-set Newton fit for squared or Huber loss with a ridge or lasso
+penalty.
 
 Every fit goes through one :class:`Resolvent`, the eigendecomposition of the
 design's Gram matrix ``X'X/n`` taken once per design: least squares and ridge
-are its resolvent ``(X'X/n + lam I)^-1`` applied to ``X'y/n``, and the
-proximal solver takes its fixed step ``1/L`` from the top eigenvalue.
+are its resolvent ``(X'X/n + lam I)^-1`` applied to ``X'y/n``.  The Newton
+fit solves one piecewise-quadratic pattern per step through the same
+resolvent, corrected by Woodbury identities for a few outliers or a few
+inliers, or else through a Cholesky factor; it never decomposes again.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -20,8 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .convex import Loss, Regularizer, prox_reg
+from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
 from .errors import ConfigError, ConvergenceError
 
 __all__ = [
@@ -35,7 +38,9 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1.0e12
-_STALL_WINDOW = 300
+_ROUNDING = 1.0e-12  # relative objective slack that absorbs rounding
+_MIN_STEP = 2.0 ** -60  # the shortest step the halving tries
+_PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to L
 
 
 @dataclass(frozen=True)
@@ -44,15 +49,15 @@ class EstimatorConfig:
 
     ``lambda_value`` is the penalty level ``lambda_n``; a noise-adapted fit
     passes ``lambda_tilde * sigma2``.  ``center`` defaults to the origin.
+    ``max_iterations`` caps the Newton steps.
     """
 
     loss: Loss
     reg: Regularizer | None
     lambda_value: float = 0.1
     center: np.ndarray | None = None
-    rel_objective_tol: float = 1.0e-10
     gradient_map_tol: float = 1.0e-8
-    max_iterations: int = 10_000
+    max_iterations: int = 100
 
     def __post_init__(self) -> None:
         if not (self.lambda_value > 0.0 and math.isfinite(self.lambda_value)):
@@ -66,8 +71,8 @@ class FitResult:
     """Outcome of a fit, with its optimality certificate.
 
     ``converged`` is True only when the gradient-mapping norm certifies
-    first-order optimality; closed-form fits report zero iterations and a
-    machine-precision certificate.
+    first-order optimality; ``iterations`` counts Newton steps, and
+    closed-form fits report zero and a machine-precision certificate.
     """
 
     beta_hat: np.ndarray
@@ -75,7 +80,6 @@ class FitResult:
     converged: bool
     objective: float
     gradient_map_norm: float = 0.0
-    objective_trace: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,10 @@ class Resolvent:
         return cls(x, *np.linalg.eigh(x.T @ x / x.shape[0]))
 
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
-        """``(X'X/n + lam I)^-1 rhs`` through the eigenbasis."""
-        return self.evecs @ ((self.evecs.T @ rhs) / (self.evals + lam))
+        """``(X'X/n + lam I)^-1 rhs`` through the eigenbasis, for a vector or
+        a ``p x k`` block of right-hand sides."""
+        shift = (self.evals + lam).reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
+        return self.evecs @ ((self.evecs.T @ rhs) / shift)
 
     def gram(self, v: np.ndarray) -> np.ndarray:
         """``(X'X/n) v`` through the eigenbasis."""
@@ -164,25 +170,41 @@ def fit_proximal(
     design: Resolvent,
     y: np.ndarray,
     x0: np.ndarray | None = None,
-    record_trace: bool = False,
 ) -> FitResult:
-    """Accelerated proximal gradient (FISTA) with monotone restarts on
-    ``n^-1 sum loss(y - X beta) + lambda_n reg(beta - beta0)``.
+    """Exact active-set (semismooth) Newton method on
+    ``n^-1 sum loss(y - X beta) + lambda_n reg(beta - beta0)`` for squared
+    or Huber loss with a ridge or lasso penalty.
 
-    Only smooth losses take gradient steps; the penalty enters through its
-    prox.  The step is the constant ``1/L`` with ``L = evals[-1] *
-    loss.derivative_lipschitz()``, the exact Lipschitz constant of the
-    smooth part's gradient, so every step satisfies the descent lemma and
-    nothing is backtracked.  ``x0`` warm-starts the iteration (e.g. from the
-    previous sweep point).  Convergence means the gradient-mapping
-    certificate holds; ``rel_objective_tol`` is the slack of the
-    monotonicity comparison.  Raises only ``ConfigError``, on invalid input
-    (a nonsmooth loss, wrong shapes, non-finite ``y``, center or ``x0``); a
-    busted budget or a stalled certificate returns the result with
-    ``converged=False``.
+    Both objectives are piecewise quadratic.  Each step reads a pattern --
+    every residual an inlier (``|r| <= k``) or an outlier of a given sign,
+    every lasso coordinate zero or free with a given sign -- and solves that
+    pattern's quadratic exactly (:func:`_pattern_solve`).  The lasso reads
+    its signs from the proximal-gradient point ``prox(b - grad / L)`` and
+    steps from there.  When the full step raises the objective, the step is
+    halved (for the lasso, coordinates that would change sign stop at zero).
+    The method stops when a full step lands on the pattern it was solved
+    for, since that point satisfies the optimality conditions exactly, or
+    when a step no longer lowers the objective.  A lasso pattern with more
+    free coordinates than inlier rows, or a Cholesky factorization that
+    fails, has no unique minimizer; its step adds the proximal term
+    ``(mu/2) ||b - b_k||^2`` with ``mu = 1e-6 L`` and never ends the method.
+    ``x0`` warm-starts it (e.g. from the previous sweep point).  A lasso
+    whose centre is optimal, ``||X' loss'(y - X beta0) / n||_inf <=
+    lambda_n``, returns the centre in zero steps.
+
+    ``iterations`` counts Newton steps.  Convergence means the
+    gradient-mapping certificate, computed once at the end with the step
+    ``1/L``, ``L = evals[-1]``, holds.  Raises only ``ConfigError``, on
+    invalid input (a loss or penalty other than those above, wrong shapes,
+    non-finite ``y``, center or ``x0``); a busted budget or a stalled step
+    returns the result with ``converged=False``.
     """
-    if not config.loss.smooth:
-        raise ConfigError(f"loss {config.loss.kind.value!r} is classification-only; fitting needs a smooth loss")
+    loss, reg = config.loss, config.reg
+    if loss.kind not in (LossKind.SQUARED, LossKind.HUBER) or reg is None \
+            or reg.kind not in (RegKind.RIDGE, RegKind.LASSO):
+        penalty = "no penalty" if reg is None else repr(reg.kind.value)
+        raise ConfigError(f"fitting takes squared or Huber loss with ridge or lasso, "
+                          f"got {loss.kind.value!r} with {penalty}")
     x = design.x
     n, p = x.shape
     y = _finite_vector(y, n, "response")
@@ -190,77 +212,145 @@ def fit_proximal(
     center = np.zeros(p) if config.center is None else _finite_vector(config.center, p, "center")
     d = np.zeros(p) if x0 is None else _finite_vector(x0, p, "warm start") - center
     y_shift = y - x @ center
-    loss = config.loss
-    reg = config.reg
-
-    def smooth_value(resid: np.ndarray) -> float:
-        return float(np.mean(loss.value(resid)))
-
-    def gradient(resid: np.ndarray) -> np.ndarray:
-        return -(x.T @ np.asarray(loss.derivative(resid))) / n
-
-    def penalty(d: np.ndarray) -> float:
-        return 0.0 if reg is None else lam * float(reg.value(d))
-
+    lasso = reg.kind is RegKind.LASSO
+    k = loss.param if loss.kind is LossKind.HUBER else math.inf
     lipschitz = float(design.evals[-1]) * loss.derivative_lipschitz()
     step = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
 
-    def prox_step(point: np.ndarray, g: np.ndarray) -> np.ndarray:
-        moved = point - step * g
-        return moved if reg is None else prox_reg(reg, step * lam, moved)
+    def objective(d: np.ndarray, r: np.ndarray) -> float:
+        return float(np.mean(loss.value(r))) + lam * float(reg.value(d))
 
-    def forward_backward(point: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        cand = prox_step(point, gradient(y_shift - x @ point))
-        r_cand = y_shift - x @ cand
-        return cand, r_cand, smooth_value(r_cand)
+    def gradient(r: np.ndarray) -> np.ndarray:
+        return -(x.T @ np.asarray(loss.derivative(r))) / n
 
-    objective = smooth_value(y_shift - x @ d) + penalty(d)
-    z = d.copy()
-    momentum = 1.0
-    trace = [objective] if record_trace else None
-    converged = False
-    gradient_map_norm = math.inf
+    screened = lasso and np.max(np.abs(gradient(y_shift))) <= lam
+    if screened:
+        d = np.zeros(p)  # the centre is optimal
+    r = y_shift - x @ d
+    f = objective(d, r)
     iterations = 0
-    best_certificate = math.inf
-    since_improvement = 0
-    slack = config.rel_objective_tol
+    solved = None  # the pattern of the last exact full step
+    while not screened and iterations < config.max_iterations:
+        base, r_base, sign = d, r, None
+        if lasso:  # the proximal-gradient point lies inside its own sign pattern
+            u = d - step * gradient(r)
+            sign = np.where(np.abs(u) > step * lam, np.sign(u), 0.0)
+            base = np.where(sign != 0.0, u - step * lam * sign, 0.0)
+            r_base = y_shift - x @ base
+        pattern = (np.where(np.abs(r_base) <= k, 0.0, np.sign(r_base)), sign)
+        if solved is not None and all(a is None or np.array_equal(a, b) for a, b in zip(pattern, solved)):
+            break  # a full step landed on its own pattern
+        iterations += 1
+        if lasso:  # never above the objective at d, by the descent lemma
+            d, r, f = base, r_base, objective(base, r_base)
+        singular = lasso and np.count_nonzero(sign) > np.count_nonzero(pattern[0] == 0.0)
+        mu = _PROXIMAL * lipschitz if singular else 0.0
+        try:
+            target = _pattern_solve(design, y_shift, k, *pattern, lam, d, mu)
+        except np.linalg.LinAlgError:
+            mu = _PROXIMAL * lipschitz
+            target = _pattern_solve(design, y_shift, k, *pattern, lam, d, mu)
+        # the full step; for the lasso next the full step with coordinates
+        # that would change sign stopped at zero; then halvings of that
+        t, cand = 1.0, target
+        while True:
+            r_cand = y_shift - x @ cand
+            f_cand = objective(cand, r_cand)
+            if f_cand <= f + _ROUNDING * abs(f) or t < _MIN_STEP:
+                break
+            if not (lasso and cand is target):
+                t *= 0.5
+            cand = d + t * (target - d)
+            if lasso:
+                cand = np.where(cand * sign > 0.0, cand, 0.0)
+        if not f_cand < f:
+            break  # no descent left
+        d, r, f = cand, r_cand, f_cand
+        solved = pattern if cand is target and mu == 0.0 else None
 
-    for iterations in range(1, config.max_iterations + 1):
-        cand, r_cand, f_cand = forward_backward(z)
-        new_objective = f_cand + penalty(cand)
-        if new_objective > objective + slack * max(1.0, abs(objective)):
-            # Momentum overshot: restart from the last accepted iterate. The
-            # plain majorized step cannot increase the objective.
-            momentum = 1.0
-            cand, r_cand, f_cand = forward_backward(d)
-            new_objective = f_cand + penalty(cand)
-        momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum ** 2))
-        z = cand + ((momentum - 1.0) / momentum_next) * (cand - d)
-        d, objective, momentum = cand, new_objective, momentum_next
-        if record_trace:
-            trace.append(objective)
-
-        mapped = prox_step(d, gradient(r_cand))
-        gradient_map_norm = float(np.linalg.norm(d - mapped)) / step
-        if gradient_map_norm <= config.gradient_map_tol * (1.0 + float(np.linalg.norm(d + center))):
-            converged = True
-            break
-        if gradient_map_norm <= 0.99 * best_certificate:
-            best_certificate = gradient_map_norm
-            since_improvement = 0
-        else:
-            since_improvement += 1
-        if since_improvement >= _STALL_WINDOW:
-            break
-
+    mapped = prox_reg(reg, step * lam, d - step * gradient(r))
+    gradient_map_norm = float(np.linalg.norm(d - mapped)) / step
+    beta = center + d
     return FitResult(
-        beta_hat=center + d,
+        beta_hat=beta,
         iterations=iterations,
-        converged=converged,
-        objective=objective,
+        converged=gradient_map_norm <= config.gradient_map_tol * (1.0 + float(np.linalg.norm(beta))),
+        objective=f,
         gradient_map_norm=gradient_map_norm,
-        objective_trace=None if trace is None else tuple(trace),
     )
+
+
+def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarray,
+                   sign: np.ndarray | None, lam: float, anchor: np.ndarray, mu: float) -> np.ndarray:
+    """Minimizer of one pattern's quadratic plus ``(mu/2) ||b - anchor||^2``.
+
+    ``outlier`` is 0 for an inlier residual and its sign for an outlier;
+    ``sign`` is None for the ridge, where every coordinate is free, and for
+    the lasso each coordinate's sign, 0 for one held at zero.  On the free
+    coordinates ``F`` the minimizer solves
+
+        ``(X_IF' X_IF / n + s I) b_F = X_F' v / n - lam_1 sign_F + mu anchor_F``
+
+    with ``v`` the inlier responses and ``k`` times the outlier signs,
+    ``s = lam_2 + mu`` and ``(lam_1, lam_2)`` equal to ``(lam, 0)`` for the
+    lasso and ``(0, lam)`` for the ridge.  The system is solved the cheapest
+    exact way by flop count: through the ``Resolvent`` with a Woodbury
+    correction for the outliers when every coordinate is free and the
+    resolvent is finite (``s > 0``, or a Gram matrix conditioned within
+    1e12); with a Woodbury correction of ``s I`` for the inliers when
+    ``s > 0`` (no inliers and ``mu = 0`` give ``b = k X' sign / (lam n)``);
+    otherwise by a Cholesky factor of ``X_IF' X_IF / n + s I``, whose
+    failure raises ``numpy.linalg.LinAlgError``.
+    """
+    x = design.x
+    n, p = x.shape
+    inlier = outlier == 0.0
+    free = np.ones(p, dtype=bool) if sign is None else sign != 0.0
+    q = int(np.count_nonzero(free))
+    m = int(np.count_nonzero(inlier))
+    out = np.zeros(p)
+    if q == 0:
+        return out
+    x_f = x if q == p else x[:, free]
+    c = x_f.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * anchor[free]
+    if sign is None:
+        shift = lam + mu
+    else:
+        shift = mu
+        c -= lam * sign[free]
+
+    costs = {"cholesky": m * q * q + q ** 3 / 3.0}
+    if q == p and (shift > 0.0 or design.evals[-1] <= _MAX_CONDITION * design.evals[0]):
+        costs["outliers"] = 2.0 * p * p * (n - m) + p * (n - m) ** 2
+    if shift > 0.0:
+        costs["inliers"] = m * m * q + m ** 3 / 3.0
+    route = min(costs, key=costs.get)
+    if route == "outliers":
+        # (A - X_O'X_O/n)^-1 = A^-1 + A^-1 X_O' (n I - X_O A^-1 X_O')^-1 X_O A^-1,  A = X'X/n + s I
+        b = design.solve(c, shift)
+        if m < n:
+            x_o = x[~inlier]
+            w = design.solve(x_o.T, shift)
+            b += w @ _spd_solve(n * np.eye(n - m) - x_o @ w, x_o @ b)
+    elif route == "inliers":
+        # (s I + X_I'X_I/n)^-1 = (I - X_I' (n s I + X_I X_I')^-1 X_I) / s
+        x_i = x_f[inlier]
+        if m:
+            c = c - x_i.T @ _spd_solve(n * shift * np.eye(m) + x_i @ x_i.T, x_i @ c)
+        b = c / shift
+    else:
+        x_i = x_f[inlier]
+        h = x_i.T @ x_i / n
+        h[np.diag_indices(q)] += shift
+        b = _spd_solve(h, c)
+    out[free] = b
+    return out
+
+
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` for a symmetric positive definite ``a``, by Cholesky."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True, check_finite=False), b,
+                                  check_finite=False)
 
 
 def empirical_risk(beta_hat: np.ndarray, beta_star: np.ndarray, sigma: np.ndarray) -> float:

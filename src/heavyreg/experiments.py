@@ -169,7 +169,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RiskRecord:
-    """One Monte Carlo measurement."""
+    """One Monte Carlo measurement.
+
+    A Newton fit also reports its step count and optimality certificate;
+    closed-form fits leave both at None.  Neither goes into the CSV.
+    """
 
     experiment: str
     estimator: str
@@ -178,6 +182,8 @@ class RiskRecord:
     risk: float
     converged: bool
     wall_ms: float
+    newton_steps: int | None = None
+    certificate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -309,7 +315,7 @@ _PROXIMAL_FITS = ("huber", "transfer_lasso")
 
 def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
                   warm: np.ndarray | None) -> FitResult:
-    """FISTA fit of one proximal estimator at one noise scale.
+    """Newton fit of one proximal estimator at one noise scale.
 
     Huber-ridge sees the raw heavy-tailed noise at the fixed penalty; transfer
     lasso sees the winsorized noise at the noise-adapted penalty.
@@ -327,7 +333,7 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
 
 
 def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.ndarray,
-            converged: bool, t0: float) -> RiskRecord:
+            converged: bool, t0: float, fit: FitResult | None = None) -> RiskRecord:
     risk = empirical_risk(beta_hat, plan.beta_star, plan.spec.matrix)
     return RiskRecord(
         experiment=plan.config.name,
@@ -337,6 +343,8 @@ def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.nd
         risk=risk,
         converged=converged,
         wall_ms=(time.perf_counter() - t0) * 1.0e3,
+        newton_steps=None if fit is None else fit.iterations,
+        certificate=None if fit is None else fit.gradient_map_norm,
     )
 
 
@@ -361,6 +369,7 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
         for scale in plan.config.scale_grid:
             for estimator in estimators:
                 t0 = time.perf_counter()
+                fit = None
                 if estimator in _PROXIMAL_FITS:
                     fit = _proximal_fit(plan, draw, estimator, scale, warm.get(estimator))
                     beta_hat, converged = fit.beta_hat, fit.converged
@@ -368,7 +377,7 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
                 else:
                     beta_hat, converged = _linear_fit(plan, draw, estimator, scale), True
                 label = estimator if designs is None else f"{estimator}_{kind}"
-                records.append(_record(plan, label, scale, rep, beta_hat, converged, t0))
+                records.append(_record(plan, label, scale, rep, beta_hat, converged, t0, fit))
     return records
 
 
@@ -441,7 +450,9 @@ def _collect_records(config: ExperimentConfig, replicate: Callable, plan) -> tup
 
 
 def summarize(records: tuple[RiskRecord, ...]) -> dict:
-    """Deterministic per-(estimator, sweep) statistics."""
+    """Deterministic per-(estimator, sweep) statistics; for a Newton-fitted
+    estimator also the largest and 95th-percentile step count and the worst
+    certificate."""
     groups: dict[tuple[str, float], list[RiskRecord]] = {}
     for record in records:
         groups.setdefault((record.estimator, record.sweep_value), []).append(record)
@@ -459,6 +470,12 @@ def summarize(records: tuple[RiskRecord, ...]) -> dict:
         block["q05"].append(float(np.quantile(risks, 0.05)))
         block["q95"].append(float(np.quantile(risks, 0.95)))
         block["nonconverged"].append(sum(0 if r.converged else 1 for r in groups[(estimator, sweep)]))
+        steps = [r.newton_steps for r in groups[(estimator, sweep)] if r.newton_steps is not None]
+        if steps:
+            block.setdefault("newton_steps_max", []).append(max(steps))
+            block.setdefault("newton_steps_p95", []).append(float(np.quantile(steps, 0.95)))
+            block.setdefault("certificate_max", []).append(
+                max(r.certificate for r in groups[(estimator, sweep)]))
     return out
 
 

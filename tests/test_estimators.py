@@ -1,5 +1,7 @@
 """Tests for the regression fitters and their optimality certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from heavyreg.estimators import (
 SQUARED = Loss(LossKind.SQUARED)
 RIDGE = Regularizer(RegKind.RIDGE)
 LASSO = Regularizer(RegKind.LASSO)
+HUBER = Loss(LossKind.HUBER, 1.5)
 
 
 def make_problem(n=60, p=12, seed=0, noise=0.0):
@@ -54,6 +57,15 @@ class TestResolvent:
         n, p = x.shape
         design = Resolvent.of(x)
         rhs = np.random.default_rng(5).standard_normal(p)
+        for lam in (0.0, 1.0e-3, 1.0):
+            expected = np.linalg.solve(x.T @ x / n + lam * np.eye(p), rhs)
+            np.testing.assert_allclose(design.solve(rhs, lam), expected, rtol=1.0e-10, atol=1.0e-12)
+
+    def test_solve_takes_a_block_of_right_hand_sides(self):
+        x, _, _ = make_problem(n=60, p=12, seed=4)
+        n, p = x.shape
+        design = Resolvent.of(x)
+        rhs = np.random.default_rng(5).standard_normal((p, 3))
         for lam in (0.0, 1.0e-3, 1.0):
             expected = np.linalg.solve(x.T @ x / n + lam * np.eye(p), rhs)
             np.testing.assert_allclose(design.solve(rhs, lam), expected, rtol=1.0e-10, atol=1.0e-12)
@@ -218,31 +230,83 @@ class TestFitRidge:
 
 
 class TestFitProximal:
-    """Accelerated proximal gradient with the fixed step 1/L from the Gram
-    spectrum and monotone restarts."""
+    """The exact active-set Newton fit: squared or Huber loss with a ridge or
+    lasso penalty, certified by the gradient map."""
 
     def test_matches_the_ridge_closed_form(self):
         x, y, _ = make_problem(n=100, p=40, seed=7, noise=1.0)
         config = EstimatorConfig(SQUARED, RIDGE, 0.3)
         design = Resolvent.of(x)
-        fista = fit_proximal(config, design, y)
+        newton = fit_proximal(config, design, y)
         exact = fit_ridge(design, y, 0.3)
-        assert fista.converged
-        assert np.linalg.norm(fista.beta_hat - exact.beta_hat) <= 1.0e-6
+        assert newton.converged and newton.iterations == 1
+        np.testing.assert_allclose(newton.beta_hat, exact.beta_hat, rtol=1.0e-12, atol=0.0)
 
     def test_huber_recovers_noiseless_data(self):
         x, y, beta_star = make_problem(n=80, p=20, seed=11)
-        config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, 1.0e-12)
+        config = EstimatorConfig(HUBER, RIDGE, 1.0e-12)
         fit = fit_proximal(config, Resolvent.of(x), y)
         assert fit.converged
-        np.testing.assert_allclose(fit.beta_hat, beta_star, rtol=0.0, atol=1.0e-4)
+        np.testing.assert_allclose(fit.beta_hat, beta_star, rtol=0.0, atol=1.0e-8)
+
+    @pytest.mark.parametrize("n, p, seed", ((100, 40, 9), (60, 90, 3), (800, 40, 1)))
+    @pytest.mark.parametrize("noise", (1.0, 30.0))
+    def test_huber_ridge_stationarity_holds_exactly(self, n, p, seed, noise):
+        # lambda b = X' psi_k(y - X b) / n, whichever route solved the last pattern
+        x, y, _ = make_problem(n=n, p=p, seed=seed, noise=noise)
+        lam = 0.1
+        fit = fit_proximal(EstimatorConfig(HUBER, RIDGE, lam), Resolvent.of(x), y)
+        assert fit.converged
+        psi = np.clip(y - x @ fit.beta_hat, -1.5, 1.5)
+        lhs = lam * fit.beta_hat
+        assert np.linalg.norm(lhs - x.T @ psi / n) <= 1.0e-12 * np.linalg.norm(lhs)
+
+    def test_all_outliers_give_the_closed_form_top_of_sweep_fit(self):
+        # once every residual exceeds k the fit is (k / (lam n)) X' sign(r)
+        x, _, _ = make_problem(n=200, p=40, seed=31)
+        n, lam, k = 200, 0.1, 1.5
+        y = 1.0e6 * np.random.default_rng(32).standard_t(1.5, n)
+        b_inf = k / (lam * n) * (x.T @ np.sign(y))
+        assert np.all(np.abs(y - x @ b_inf) > k)
+        config = EstimatorConfig(HUBER, RIDGE, lam)
+        design = Resolvent.of(x)
+        for start in (None, b_inf):
+            fit = fit_proximal(config, design, y, x0=start)
+            assert fit.converged
+            np.testing.assert_allclose(fit.beta_hat, b_inf, rtol=1.0e-14, atol=0.0)
+        assert fit.iterations <= 1
+
+    def test_noiseless_lasso_at_the_penalty_floor_certifies(self):
+        x, y, beta_star = make_problem(n=80, p=40, seed=19)
+        center = beta_star + np.random.default_rng(20).standard_normal(40)
+        config = EstimatorConfig(SQUARED, LASSO, 1.0e-12, center=center)
+        fit = fit_proximal(config, Resolvent.of(x), y)
+        assert fit.converged and fit.iterations <= 3
+        np.testing.assert_allclose(fit.beta_hat, beta_star, rtol=0.0, atol=1.0e-9)
+
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_wide_lasso_certifies(self, loss):
+        # more features than rows: the support must shrink below n first
+        x, y, _ = make_problem(n=30, p=60, seed=29, noise=3.0)
+        fit = fit_proximal(EstimatorConfig(loss, LASSO, 0.05), Resolvent.of(x), y)
+        assert fit.converged
+        assert np.count_nonzero(fit.beta_hat) <= 30
+
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_lasso_with_a_duplicated_column_certifies(self, loss):
+        # both copies free with one sign make the pattern's Cholesky fail
+        x, _, _ = make_problem(n=100, p=40, seed=3)
+        x[:, 1] = x[:, 0]
+        y = x @ np.random.default_rng(4).standard_normal(40) + np.random.default_rng(5).standard_normal(100)
+        fit = fit_proximal(EstimatorConfig(loss, LASSO, 1.0e-3), Resolvent.of(x), y)
+        assert fit.converged
 
     def test_overwhelming_lasso_penalty_returns_the_center_exactly(self):
         x, y, _ = make_problem(noise=1.0)
         beta0 = np.linspace(0.0, 1.0, x.shape[1])
         config = EstimatorConfig(SQUARED, LASSO, 1.0e9, center=beta0)
-        fit = fit_proximal(config, Resolvent.of(x), y)
-        assert fit.converged
+        fit = fit_proximal(config, Resolvent.of(x), y, x0=beta0 + 1.0)
+        assert fit.converged and fit.iterations == 0
         assert np.array_equal(fit.beta_hat, beta0)
 
     def test_nonsmooth_losses_are_rejected(self):
@@ -252,16 +316,52 @@ class TestFitProximal:
             with pytest.raises(ConfigError):
                 fit_proximal(EstimatorConfig(loss, RIDGE), Resolvent.of(x), y)
 
+    @pytest.mark.parametrize("loss, reg", ((Loss(LossKind.LOGCOSH), RIDGE), (SQUARED, None),
+                                           (HUBER, Regularizer(RegKind.ELASTIC_NET, 0.5))),
+                             ids=("logcosh", "no_penalty", "elastic_net"))
+    def test_pairs_outside_the_piecewise_quadratic_family_are_rejected(self, loss, reg):
+        x, y, _ = make_problem()
+        with pytest.raises(ConfigError):
+            fit_proximal(EstimatorConfig(loss, reg), Resolvent.of(x), y)
+
     def test_exhausted_budget_reports_nonconvergence_without_raising(self):
-        x, y, _ = make_problem(n=100, p=40, seed=5, noise=1.0)
-        config = EstimatorConfig(SQUARED, RIDGE, 0.3, max_iterations=3)
-        fit = fit_proximal(config, Resolvent.of(x), y)
+        x, y, _ = make_problem(n=100, p=40, seed=5, noise=3.0)
+        design = Resolvent.of(x)
+        full = fit_proximal(EstimatorConfig(HUBER, RIDGE, 0.1), design, y)
+        assert full.converged and full.iterations >= 3
+        fit = fit_proximal(EstimatorConfig(HUBER, RIDGE, 0.1, max_iterations=1), design, y)
         assert not fit.converged
-        assert fit.iterations == 3
+        assert fit.iterations == 1
+
+    def test_objective_trace_is_monotone_up_to_slack(self):
+        # the fit stopped after j steps is the method's j-th iterate
+        x, y, _ = make_problem(n=100, p=40, seed=13, noise=2.0)
+        config = EstimatorConfig(SQUARED, LASSO, 0.05)
+        design = Resolvent.of(x)
+        final = fit_proximal(config, design, y)
+        trace = np.array([fit_proximal(dataclasses.replace(config, max_iterations=j), design, y).objective
+                          for j in range(1, final.iterations + 1)])
+        assert trace[-1] == final.objective
+        slack = 1.0e-12 * np.maximum(1.0, np.abs(trace[:-1]))
+        assert np.all(trace[1:] <= trace[:-1] + slack)
+
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    @pytest.mark.parametrize("reg", (RIDGE, LASSO), ids=("ridge", "lasso"))
+    def test_fixed_step_never_increases_the_objective(self, loss, reg):
+        # every step, full or halved, keeps the objective from rising, for
+        # wide and tall designs alike and whether or not the fit certifies
+        for n, p, seed in ((100, 40, 23), (30, 60, 29)):
+            x, y, _ = make_problem(n=n, p=p, seed=seed, noise=3.0)
+            design = Resolvent.of(x)
+            for lam in (1.0e-12, 1.0e-3, 0.05, 1.0e9):
+                trace = np.array([fit_proximal(EstimatorConfig(loss, reg, lam, max_iterations=j), design, y).objective
+                                  for j in range(1, 9)])
+                assert np.all(np.isfinite(trace))
+                assert np.all(trace[1:] <= trace[:-1] + 1.0e-12 * np.abs(trace[:-1]))
 
     def test_warm_start_reuses_the_previous_solution(self):
         x, y, _ = make_problem(n=100, p=40, seed=9, noise=1.0)
-        config = EstimatorConfig(Loss(LossKind.HUBER, 1.5), RIDGE, 0.1)
+        config = EstimatorConfig(HUBER, RIDGE, 0.1)
         design = Resolvent.of(x)
         cold = fit_proximal(config, design, y)
         warm = fit_proximal(config, design, y, x0=cold.beta_hat)
@@ -269,30 +369,17 @@ class TestFitProximal:
         assert warm.iterations < cold.iterations
         assert warm.iterations <= 2
 
-    def test_objective_trace_is_monotone_up_to_slack(self):
-        x, y, _ = make_problem(n=100, p=40, seed=13, noise=2.0)
-        config = EstimatorConfig(SQUARED, LASSO, 0.05)
-        fit = fit_proximal(config, Resolvent.of(x), y, record_trace=True)
-        trace = np.array(fit.objective_trace)
-        slack = 1.0e-9 * np.maximum(1.0, np.abs(trace[:-1]))
-        assert np.all(trace[1:] <= trace[:-1] + slack)
+    def test_makes_no_eigendecomposition(self, monkeypatch):
+        x, y, _ = make_problem(n=100, p=40, seed=13, noise=5.0)
+        design = Resolvent.of(x)
 
-    @pytest.mark.parametrize("loss", (SQUARED, Loss(LossKind.HUBER, 1.5), Loss(LossKind.LOGCOSH)),
-                             ids=("squared", "huber", "logcosh"))
-    @pytest.mark.parametrize("reg", (None, RIDGE, LASSO, Regularizer(RegKind.ELASTIC_NET, 0.5)),
-                             ids=("none", "ridge", "lasso", "elastic_net"))
-    def test_fixed_step_never_increases_the_objective(self, loss, reg):
-        # with the exact Lipschitz constant every restarted step descends, so
-        # the accepted objectives are monotone for wide and tall designs alike
-        for n, p, seed in ((100, 40, 23), (30, 60, 29)):
-            x, y, _ = make_problem(n=n, p=p, seed=seed, noise=3.0)
-            design = Resolvent.of(x)
-            for lam in (1.0e-12, 0.05, 1.0e9):
-                config = EstimatorConfig(loss, reg, lam, max_iterations=300)
-                trace = np.array(fit_proximal(config, design, y, record_trace=True).objective_trace)
-                assert np.all(np.isfinite(trace))
-                slack = config.rel_objective_tol * np.maximum(1.0, np.abs(trace[:-1]))
-                assert np.all(trace[1:] <= trace[:-1] + slack)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_proximal called numpy.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        for loss in (SQUARED, HUBER):
+            for reg in (RIDGE, LASSO):
+                assert fit_proximal(EstimatorConfig(loss, reg, 0.05), design, y).converged
 
     def test_converged_fit_carries_a_valid_certificate(self):
         x, y, _ = make_problem(n=100, p=40, seed=21, noise=1.0)

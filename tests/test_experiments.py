@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: protocol, runners, serialization."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -218,12 +219,12 @@ class TestGoldenRecords:
     GOLDEN = {
         "paradox": ("20457be47638edeb216cb24fa49443d314f84105bbb6b42c231987c7f4890979",
                     "ff58a4200aa3ae0f32d55b0ec2b3b0521537ddd670acd492e8c91aa9839a3d59"),
-        "floor": ("4bdb09bc3f1798347ee0204a7d106f7fc926d68829371587b06d9ceedebe4636",
-                  "3dcc13d0f589ae670a4d69aaa0211038d53d25bf5d47f97b4cd3d1c2949d3fa5"),
+        "floor": ("1075bac735b1404e8ece68f902478dcaebd512d55913b09c1bb33c40fa3c0f2f",
+                  "ad6493093ed9b20a5379331771cd9af4019a441157711d7067ada79913c550c9"),
         "transient": ("a23969e762556af0ee5b4427f9bbc5390d9f6350b4b6cd97a137a6b48092a8b9",
                       "f269393e7a6216b1f81fd4cd9d98049bfc2fd8a3c522fd65248df64a7c36dec6"),
-        "trichotomy": ("eb256ddae614e2197693869f19ceecb103206e45fe462e0514cf0014a4c8db47",
-                       "27c0c5f9a42b43f0c2a5c47ebee19c4a4d9f67cecde9b5d136cfde3ecaddd928"),
+        "trichotomy": ("26b212b1809ec9e41f7ede0929f6ba7d13c404674a37f38693246cec6317bf5a",
+                       "853db35794678644aee52c6699c6ff999156b938af599f8062abc9811aab37b5"),
         "universality": ("5375dc5feda97c9a84288684cc67bb5dafa4ad4e57ac1bb7a5d823283a62b58e",
                          "22b63ac3b865febfbb9b9848dc04b3ec615b583c70a42f157d0c1dd5e26674ba"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
@@ -425,6 +426,26 @@ class TestSummarize:
 
     def test_summary_is_json_ready(self):
         json.dumps(summarize(self.fake_records()))
+
+    def test_solver_telemetry_only_for_newton_fits(self):
+        stats = summarize(self.fake_records())
+        assert "newton_steps_max" not in stats["a"]
+        records = [dataclasses.replace(r, newton_steps=r.replication + 1, certificate=10.0 ** -r.replication)
+                   for r in self.fake_records() if r.estimator == "a"]
+        block = summarize(tuple(records))["a"]
+        assert block["newton_steps_max"] == [3, 3]
+        assert block["newton_steps_p95"] == [pytest.approx(np.quantile([1, 2, 3], 0.95))] * 2
+        assert block["certificate_max"] == [1.0, 1.0]
+
+    def test_written_summary_reports_every_sweep_points_solver(self, tmp_path):
+        result = run_experiment(tiny_config("floor"))
+        lasso = result.summary["estimators"]["transfer_lasso"]
+        for key in ("newton_steps_max", "newton_steps_p95", "certificate_max"):
+            assert len(lasso[key]) == len(lasso["sweep_values"])
+        assert max(lasso["certificate_max"]) <= 1.0e-8
+        assert "newton_steps_max" not in result.summary["estimators"]["transfer_ridge"]
+        with open(write_outputs(result, tmp_path)["csv"]) as fh:
+            assert tuple(next(csv.reader(fh))) == CSV_HEADER
 
 
 class TestSerialization:
