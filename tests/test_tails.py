@@ -163,13 +163,79 @@ class TestEffectiveVariance:
         base = effective_variance_exact(PARETO, 100.0)
         assert effective_variance_exact(scaled, 100.0) == pytest.approx(9.0 * base, rel=1.0e-12)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_quadrature_that_misses_its_tolerance_is_a_convergence_failure(self):
-        """Near alpha = 2 the stable tail integral loses 1e-10 to roundoff at tau_n
-        for n = 1e5; valid arguments, so the failure is numerical."""
-        law = TailLaw(NoiseFamily.ALPHA_STABLE, 1.95)
+    def test_quadrature_that_misses_its_tolerance_is_a_convergence_failure(self, monkeypatch):
+        """A quadrature whose own error estimate exceeds 1e-10 relative fails
+        on valid arguments, so the failure is numerical."""
+        gauss_panels = tails._gauss_panels
+
+        def loose(f, edges):
+            value, _ = gauss_panels(f, edges)
+            return value, 1.0e-9 * abs(value)
+
+        monkeypatch.setattr(tails, "_gauss_panels", loose)
         with pytest.raises(ConvergenceError, match="quadrature did not converge"):
-            effective_variance_exact(law, 1.0e5 ** (1.0 / 1.95))
+            effective_variance_exact(STABLE, 100.0)
+
+    def test_stable_plan_near_alpha_two(self):
+        """alpha = 1.95 at n = 1e5 (tau ~ 368) once raised after seconds of
+        roundoff-limited quadrature of the survival function."""
+        law = TailLaw(NoiseFamily.ALPHA_STABLE, 1.95)
+        assert winsor_plan(law, 100_000).sigma2 == pytest.approx(2.6300321037, rel=1.0e-10)
+
+    @pytest.mark.parametrize(
+        "alpha, n, sigma2",
+        [
+            (1.2, 800, 119.64379384036289),
+            (1.2, 2000, 220.52362738051502),
+            (1.5, 800, 14.798994251258865),
+            (1.5, 2000, 20.0973707799683),
+            (1.8, 800, 3.848559865700989),
+            (1.8, 2000, 4.262543807157556),
+        ],
+    )
+    def test_stable_plans_match_the_benchmark_references(self, alpha, n, sigma2):
+        """The theory-grid reference values, computed by integrating scipy's
+        stable survival function, which is off by up to 8e-8 relative."""
+        law = TailLaw(NoiseFamily.ALPHA_STABLE, alpha)
+        assert winsor_plan(law, n).sigma2 == pytest.approx(sigma2, rel=1.0e-7)
+
+    @pytest.mark.parametrize("tau", [3.0, 20.0, 80.0])
+    def test_stable_derivative_is_twice_tau_times_the_survival(self, tau):
+        """d/dtau E[min(W^2, tau^2)] = 2 tau P(|W| > tau), on both sides of the
+        series crossover at 50."""
+        h = 1.0e-3 * tau
+        slope = (effective_variance_exact(STABLE, tau + h) - effective_variance_exact(STABLE, tau - h)) / (2.0 * h)
+        assert slope == pytest.approx(2.0 * tau * STABLE.survival(tau), rel=1.0e-6)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 1.95])
+    @pytest.mark.parametrize("T", [2.0, 5.0, 50.0])
+    def test_stable_clipped_moment_matches_high_precision(self, alpha, T):
+        """The characteristic-function quadrature against mpmath at 25 digits
+        on the other form of the identity, T^2 - (4/pi) int e^{-u^alpha}
+        (sin Tu - Tu cos Tu) / u^3 du, whose integrand decays like e^{-u^alpha}."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(25):
+            a, t = mp.mpf(alpha), mp.mpf(T)
+            taylor = [(-1) ** (j + 1) * 2 * j / mp.factorial(2 * j + 1) for j in range(1, 13)]
+
+            def integrand(u):
+                x = t * u
+                if x < 0.1:
+                    k = mp.fsum(c * x ** (2 * j) for j, c in enumerate(taylor))
+                else:
+                    k = (mp.sin(x) - x * mp.cos(x)) / x ** 3
+                return mp.exp(-u ** a) * t ** 3 * k
+
+            # e^{-u^alpha} < 1e-60 past u_max; panels are half an oscillation wide
+            # and graded geometrically toward the u^alpha singularity at 0.
+            u_max = (60 * mp.log(10)) ** (1 / a)
+            panels = int(mp.ceil(u_max * t / mp.pi))
+            h = u_max / panels
+            points = [0] + [h / mp.mpf(2) ** j for j in range(40, 0, -1)] + [h * i for i in range(1, panels + 1)]
+            oracle = t ** 2 - 4 / mp.pi * mp.quad(integrand, points, method="gauss-legendre")
+        value, err = tails._stable_clipped_moment(alpha, T)
+        assert value == pytest.approx(float(oracle), rel=1.0e-12)
+        assert err <= 1.0e-10 * value
 
 
 class TestWinsorPlan:

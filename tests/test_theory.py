@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavyreg.convex import RegKind, Regularizer
+from heavyreg.convex import RegKind, Regularizer, prox_reg
 from heavyreg.errors import ConvergenceError
 from heavyreg.spectrum import CovarianceModel, decompose, project_delta, q_sigma, sample_sphere
 from heavyreg.streams import substream
@@ -233,6 +234,33 @@ class TestGeneralFixedPoint:
         assert pred.residual <= 1.0e-9
         assert pred.tau >= 1.0
         assert pred.tau == pytest.approx(math.sqrt(1.0 + 0.5 * pred.risk), rel=1.0e-14)
+
+    @pytest.mark.parametrize("reg", [Regularizer(RegKind.LASSO), Regularizer(RegKind.ELASTIC_NET, 0.5)], ids=["lasso", "elastic_net"])
+    @pytest.mark.parametrize("sigma2", [1.0, 10.0, 100.0, 1.0e4])
+    def test_settled_risk_stops_the_iteration_within_five_steps(self, reg, sigma2):
+        """Near the floor the risk settles at once, and nothing else is left
+        to converge."""
+        pred = solve_general_fixed_point(TheoryInputs(make_spectrum(), 0.5, sigma2, 1.0, reg=reg))
+        assert pred.iterations <= 5
+
+    @pytest.mark.parametrize("reg", [Regularizer(RegKind.RIDGE), Regularizer(RegKind.LASSO), Regularizer(RegKind.ELASTIC_NET, 0.5)], ids=["ridge", "lasso", "elastic_net"])
+    def test_residual_is_the_gap_at_the_returned_risk(self, reg):
+        """``residual`` is gamma |R(r) - r| at the returned r, with R the risk
+        functional evaluated here from its definition."""
+        gamma, sigma2 = 0.5, 1.0
+        spec = make_spectrum()
+        ti = TheoryInputs(spec, gamma, sigma2, 0.1, reg=reg)
+        pred = solve_general_fixed_point(ti)
+        s, delta, p = spec.eigenvalues, spec.delta_coeffs, spec.p
+        mu = 0.1 * sigma2
+        v = solve_companion_v(s, gamma, mu)
+        x, w = hermgauss(61)
+        kappa = np.sqrt((sigma2 + p * pred.risk) * gamma / (p * s))
+        moved = prox_reg(reg, (mu / (v * s))[:, None], delta[:, None] - kappa[:, None] * (math.sqrt(2.0) * x)[None, :])
+        again = float(np.sum(s * (((moved - delta[:, None]) ** 2) @ (w / math.sqrt(math.pi)))) / p)
+        assert pred.iterations > 2
+        assert pred.residual <= gamma * 1.0e-12 * max(1.0, pred.risk)
+        assert pred.residual == pytest.approx(gamma * abs(again - pred.risk), rel=0.0, abs=1.0e-15 * max(1.0, pred.risk))
 
     def test_noiseless_input_short_circuits(self):
         pred = solve_general_fixed_point(TheoryInputs(make_spectrum(), 0.5, 0.0, 1.0))
