@@ -31,13 +31,21 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .convex import Loss, LossKind, RegKind, Regularizer
 from .errors import ConfigError
-from .estimators import EstimatorConfig, FitResult, Resolvent, empirical_risk, fit_proximal
+from .estimators import (
+    _CERTIFICATE,
+    EstimatorConfig,
+    FitResult,
+    Resolvent,
+    _shifted_solve,
+    empirical_risk,
+    fit_proximal,
+)
 from .spectrum import (
     CovarianceModel,
     DiscreteSpectrum,
@@ -171,8 +179,17 @@ class ExperimentConfig:
 class RiskRecord:
     """One Monte Carlo measurement.
 
-    A Newton fit also reports its step count and optimality certificate;
-    closed-form fits leave both at None.  Neither goes into the CSV.
+    A Newton fit also reports its step count and optimality certificate.  A
+    transient record reports the relative residual of its shifted solve as
+    its certificate, and whether the solve fell back from conjugate
+    gradients to the ``Resolvent``.  Other closed-form fits leave these at
+    None and False.  None of them goes into the CSV.
+
+    ``wall_ms`` is physical time: a fit's own time, or for a closed-form
+    fit its solve and risk evaluation.  The replication's shared draw and
+    factorization are not in it.  The transient sweep solves all its σ²
+    points in one block, so each of its records gets an equal share of the
+    block solve plus its own risk evaluation.
     """
 
     experiment: str
@@ -184,6 +201,7 @@ class RiskRecord:
     wall_ms: float
     newton_steps: int | None = None
     certificate: float | None = None
+    resolvent_fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -266,6 +284,7 @@ def _build_plan(config: ExperimentConfig) -> _Plan:
     delta = sample_sphere(config.p, config.delta_norm, rng)
     beta0 = beta_star + delta
     spec = project_delta(spec, beta_star, beta0)
+    spec.sqrt_matrix()  # taken once here, so every worker inherits it
     tau_unit = float(config.n) ** (1.0 / config.noise.alpha)
     sigma2_unit = effective_variance_exact(config.noise, tau_unit)
     return _Plan(config=config, spec=spec, beta_star=beta_star, beta0=beta0,
@@ -274,11 +293,19 @@ def _build_plan(config: ExperimentConfig) -> _Plan:
 
 @dataclass(frozen=True)
 class _RepDraw:
-    """One replication's design (eigendecomposed once) and unit noise."""
+    """One replication's design and unit noise, raw and winsorized.
 
-    design: Resolvent
+    ``design`` eigendecomposes the Gram matrix on first use, once per draw;
+    the transient sweep never asks for it.
+    """
+
+    x: np.ndarray
     w_unit: np.ndarray
     w_wins_unit: np.ndarray
+
+    @cached_property
+    def design(self) -> Resolvent:
+        return Resolvent.of(self.x)
 
 
 def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
@@ -286,7 +313,7 @@ def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> 
     kind = cfg.design_kind if design_kind is None else design_kind
     x = sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind)
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
-    return _RepDraw(design=Resolvent.of(x), w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
+    return _RepDraw(x=x, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
 
 
 def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
@@ -333,7 +360,8 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
 
 
 def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.ndarray,
-            converged: bool, t0: float, fit: FitResult | None = None) -> RiskRecord:
+            converged: bool, t0: float, fit: FitResult | None = None, certificate: float | None = None,
+            resolvent_fallback: bool = False) -> RiskRecord:
     risk = empirical_risk(beta_hat, plan.beta_star, plan.spec.matrix)
     return RiskRecord(
         experiment=plan.config.name,
@@ -344,7 +372,8 @@ def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.nd
         converged=converged,
         wall_ms=(time.perf_counter() - t0) * 1.0e3,
         newton_steps=None if fit is None else fit.iterations,
-        certificate=None if fit is None else fit.gradient_map_norm,
+        certificate=certificate if fit is None else fit.gradient_map_norm,
+        resolvent_fallback=resolvent_fallback,
     )
 
 
@@ -382,17 +411,31 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
 
 
 def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
+    """One replication of noise-adapted transfer ridge across the σ² grid,
+    with no eigendecomposition.
+
+    With ``d = beta_star - beta0``, ``v = X'w/n`` for the unit winsorized
+    noise, ``a_k = sqrt(sigma2_k / sigma2_unit)`` and ``lam_k`` the adapted
+    penalty, the error of the fit at ``sigma2_k`` is
+    ``beta_hat_k - beta_star = (X'X/n + lam_k I)^-1 (a_k v - lam_k d)``; all
+    columns are solved together by :func:`_shifted_solve`.  A record is
+    converged when its certificate holds.
+    """
     cfg = plan.config
     draw = _draw_replication(plan, rep)
-    design = draw.design
-    gram_diff = design.gram(plan.beta_star - plan.beta0)
-    xtw_unit = design.x.T @ draw.w_wins_unit / cfg.n
+    v = draw.x.T @ draw.w_wins_unit / cfg.n
+    d = plan.beta_star - plan.beta0
+    amps = np.array([math.sqrt(sigma2 / plan.sigma2_unit) for sigma2 in cfg.sigma_grid])
+    lams = np.array([_adapted_lambda(cfg, sigma2) for sigma2 in cfg.sigma_grid])
+    t0 = time.perf_counter()
+    errors, certificates, fell_back = _shifted_solve(draw.x, v[:, None] * amps - d[:, None] * lams, lams)
+    share = (time.perf_counter() - t0) / len(lams)
     records = []
-    for sigma2 in cfg.sigma_grid:
-        t0 = time.perf_counter()
-        amp = math.sqrt(sigma2 / plan.sigma2_unit)
-        beta_hat = plan.beta0 + design.solve(gram_diff + amp * xtw_unit, _adapted_lambda(cfg, sigma2))
-        records.append(_record(plan, "transfer_ridge", sigma2, rep, beta_hat, True, t0))
+    for k, sigma2 in enumerate(cfg.sigma_grid):
+        # the clock starts a share of the block solve early
+        records.append(_record(plan, "transfer_ridge", sigma2, rep, plan.beta_star + errors[:, k],
+                               bool(certificates[k] <= _CERTIFICATE), time.perf_counter() - share,
+                               certificate=float(certificates[k]), resolvent_fallback=bool(fell_back[k])))
     return records
 
 
@@ -451,8 +494,8 @@ def _collect_records(config: ExperimentConfig, replicate: Callable, plan) -> tup
 
 def summarize(records: tuple[RiskRecord, ...]) -> dict:
     """Deterministic per-(estimator, sweep) statistics; for a Newton-fitted
-    estimator also the largest and 95th-percentile step count and the worst
-    certificate."""
+    estimator also the largest and 95th-percentile step count, and for any
+    record that carries one the worst certificate."""
     groups: dict[tuple[str, float], list[RiskRecord]] = {}
     for record in records:
         groups.setdefault((record.estimator, record.sweep_value), []).append(record)
@@ -474,8 +517,9 @@ def summarize(records: tuple[RiskRecord, ...]) -> dict:
         if steps:
             block.setdefault("newton_steps_max", []).append(max(steps))
             block.setdefault("newton_steps_p95", []).append(float(np.quantile(steps, 0.95)))
-            block.setdefault("certificate_max", []).append(
-                max(r.certificate for r in groups[(estimator, sweep)]))
+        certificates = [r.certificate for r in groups[(estimator, sweep)] if r.certificate is not None]
+        if certificates:
+            block.setdefault("certificate_max", []).append(max(certificates))
     return out
 
 
@@ -548,7 +592,9 @@ def _floor_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> 
 
 def _transient_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
     """Monte Carlo risk of noise-adapted transfer ridge across the
-    effective-variance grid, against the deterministic closed form."""
+    effective-variance grid, against the deterministic closed form; the
+    summary also counts, per σ² point, the solves that fell back to the
+    ``Resolvent``."""
     # Looked up on heavyreg.theory at call time, so a wrapper installed on
     # that module's binding sees every call.
     from .theory import TheoryInputs, ridge_risk_closed_form
@@ -560,7 +606,9 @@ def _transient_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict)
     ]
     rel_errors = [abs(mc - th) / th for mc, th in zip(stats["transfer_ridge"]["mean"], theory)]
     checks = {"median_relative_error": _check(float(np.median(rel_errors)), None, 0.03)}
-    return checks, {"theory_risk": theory, "relative_errors": rel_errors}
+    fallbacks = [sum(r.resolvent_fallback for r in records if r.sweep_value == sigma2)
+                 for sigma2 in stats["transfer_ridge"]["sweep_values"]]
+    return checks, {"theory_risk": theory, "relative_errors": rel_errors, "resolvent_fallbacks": fallbacks}
 
 
 def _trichotomy_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -118,8 +119,15 @@ class DiscreteSpectrum:
         return np.full(self.p, 1.0 / self.p)
 
     def sqrt_matrix(self) -> np.ndarray:
-        """Symmetric square root of the covariance."""
-        return (self.basis * np.sqrt(self.eigenvalues)) @ self.basis.T
+        """Symmetric square root of the covariance, taken once per spectrum
+        and returned read-only."""
+        return self._sqrt_matrix
+
+    @cached_property
+    def _sqrt_matrix(self) -> np.ndarray:
+        root = (self.basis * np.sqrt(self.eigenvalues)) @ self.basis.T
+        root.flags.writeable = False
+        return root
 
 
 def decompose(model: CovarianceModel) -> DiscreteSpectrum:

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from heavyreg import estimators
 from heavyreg.convex import Loss, LossKind, RegKind, Regularizer
 from heavyreg.errors import ConfigError
 from heavyreg.estimators import (
     EstimatorConfig,
     FitResult,
     Resolvent,
+    _shifted_solve,
     empirical_risk,
     fit_ols,
     fit_proximal,
@@ -89,6 +91,54 @@ class TestResolvent:
                 Resolvent.of(corrupt)
         with pytest.raises(ConfigError):
             Resolvent.of(x[0])
+
+
+class TestShiftedSolve:
+    """Conjugate gradients over a block of shifted Gram systems, against the
+    eigenbasis solve, on right-hand sides of the transient sweep's form
+    ``sqrt(s) X'w/n - s d``."""
+
+    SHIFTS = np.array([1.0e-6, 1.0e-3, 0.1, 1.0, 10.0, 1.0e4])
+
+    @staticmethod
+    def make_block(n, p, shifts):
+        rng = np.random.default_rng(n + p)
+        x = rng.standard_normal((n, p)) * np.linspace(0.3, 2.0, p)  # a spread spectrum
+        v = x.T @ rng.standard_t(1.5, n) / n
+        d = rng.standard_normal(p)
+        return x, v[:, None] * np.sqrt(shifts) - d[:, None] * shifts
+
+    @pytest.mark.parametrize("n, p", [(200, 50), (40, 60), (60, 60), (800, 400)])
+    def test_matches_the_eigenbasis_solve(self, n, p):
+        x, rhs = self.make_block(n, p, self.SHIFTS)
+        sol, certificate, fell_back = _shifted_solve(x, rhs, self.SHIFTS)
+        design = Resolvent.of(x)
+        for k, shift in enumerate(self.SHIFTS):
+            want = design.solve(rhs[:, k], shift)
+            assert np.linalg.norm(sol[:, k] - want) <= 1.0e-10 * np.linalg.norm(want)
+            residual = np.linalg.norm(x.T @ (x @ sol[:, k]) / n + shift * sol[:, k] - rhs[:, k])
+            assert residual <= 1.0e-10 * np.linalg.norm(rhs[:, k])
+        assert np.all(certificate <= 1.0e-10)
+        assert not fell_back[self.SHIFTS >= 1.0].any()  # conditioned within 5: conjugate gradients
+
+    def test_spent_budget_falls_back_to_the_resolvent(self, monkeypatch):
+        x, rhs = self.make_block(800, 400, self.SHIFTS)
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        sol, certificate, fell_back = _shifted_solve(x, rhs, self.SHIFTS)
+        assert not fell_back.any() and eighs == []
+        monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
+        forced, forced_certificate, forced_back = _shifted_solve(x, rhs, self.SHIFTS)
+        assert forced_back.all() and eighs == [(400, 400)]  # one Resolvent for the whole block
+        assert np.all(forced_certificate <= 1.0e-10)
+        assert np.all(np.linalg.norm(forced - sol, axis=0) <= 1.0e-10 * np.linalg.norm(sol, axis=0))
+
+    def test_zero_right_hand_side_is_solved_exactly(self):
+        x, rhs = self.make_block(60, 12, self.SHIFTS)
+        rhs[:, 2] = 0.0
+        sol, certificate, fell_back = _shifted_solve(x, rhs, self.SHIFTS)
+        assert np.array_equal(sol[:, 2], np.zeros(12)) and certificate[2] == 0.0 and not fell_back[2]
 
 
 class TestNonFiniteInput:

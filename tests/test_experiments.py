@@ -221,8 +221,8 @@ class TestGoldenRecords:
                     "ff58a4200aa3ae0f32d55b0ec2b3b0521537ddd670acd492e8c91aa9839a3d59"),
         "floor": ("1075bac735b1404e8ece68f902478dcaebd512d55913b09c1bb33c40fa3c0f2f",
                   "ad6493093ed9b20a5379331771cd9af4019a441157711d7067ada79913c550c9"),
-        "transient": ("a23969e762556af0ee5b4427f9bbc5390d9f6350b4b6cd97a137a6b48092a8b9",
-                      "f269393e7a6216b1f81fd4cd9d98049bfc2fd8a3c522fd65248df64a7c36dec6"),
+        "transient": ("c10cd5c969ad12d2dba3ba296cb29e59f02546263906d8432a91b47154a86daf",
+                      "401ce1275c7de20a17338768d4bccc3fbf306238c6298523ab8b2db7046cb042"),
         "trichotomy": ("26b212b1809ec9e41f7ede0929f6ba7d13c404674a37f38693246cec6317bf5a",
                        "853db35794678644aee52c6699c6ff999156b938af599f8062abc9811aab37b5"),
         "universality": ("5375dc5feda97c9a84288684cc67bb5dafa4ad4e57ac1bb7a5d823283a62b58e",
@@ -243,7 +243,7 @@ class TestGoldenRecords:
     def test_records_and_summary_match_the_golden_digests(self, name, tmp_path):
         assert self._digests(run_experiment(tiny_config(name)), tmp_path) == self.GOLDEN[name]
 
-    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
+    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy", "transient", "universality"))
     def test_two_workers_write_the_same_bytes(self, name, tmp_path):
         result = run_experiment(tiny_config(name, workers=2))
         assert self._digests(result, tmp_path) == self.GOLDEN[name]
@@ -308,6 +308,65 @@ class TestTransientRunner:
         result = run_experiment(tiny_config("transient", replications=20))
         assert len(result.summary["theory_risk"]) == len(result.config.sigma_grid)
         assert result.summary["checks"]["median_relative_error"]["value"] <= 0.03
+
+    @staticmethod
+    def eigh_shapes(monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        return shapes
+
+    @staticmethod
+    def eigenbasis_risks(config):
+        """Every record by the eigenbasis solve of the fitted ridge itself,
+        ``beta0 + (G + lam I)^-1 (G (beta_star - beta0) + a X'w/n)``."""
+        from heavyreg.estimators import Resolvent, empirical_risk
+        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
+
+        plan = _build_plan(config)
+        risks = {}
+        for rep in range(config.replications):
+            draw = _draw_replication(plan, rep)
+            design = Resolvent.of(draw.x)
+            xtw = draw.x.T @ draw.w_wins_unit / config.n
+            for sigma2 in config.sigma_grid:
+                rhs = design.gram(plan.beta_star - plan.beta0) + math.sqrt(sigma2 / plan.sigma2_unit) * xtw
+                beta = plan.beta0 + design.solve(rhs, _adapted_lambda(config, sigma2))
+                risks[(sigma2, rep)] = empirical_risk(beta, plan.beta_star, plan.spec.matrix)
+        return risks
+
+    def assert_certified_and_equal_to_the_eigenbasis(self, result):
+        want = self.eigenbasis_risks(result.config)
+        for r in result.records:
+            assert r.converged and r.certificate <= 1.0e-10
+            assert r.risk == pytest.approx(want[(r.sweep_value, r.replication)], rel=1.0e-10)
+        block = result.summary["estimators"]["transfer_ridge"]
+        assert len(block["certificate_max"]) == len(block["sweep_values"])
+        assert max(block["certificate_max"]) <= 1.0e-10 and "newton_steps_max" not in block
+
+    def test_sweep_is_certified_without_an_eigendecomposition(self, monkeypatch):
+        shapes = self.eigh_shapes(monkeypatch)
+        result = run_experiment(tiny_config("transient"))
+        assert shapes == [(40, 40)]  # the covariance, decomposed once
+        self.assert_certified_and_equal_to_the_eigenbasis(result)
+        assert result.summary["resolvent_fallbacks"] == [0] * len(result.config.sigma_grid)
+
+    def test_spent_budget_routes_every_column_through_one_resolvent(self, monkeypatch):
+        from heavyreg import estimators
+
+        monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
+        shapes = self.eigh_shapes(monkeypatch)
+        result = run_experiment(tiny_config("transient"))
+        assert shapes == [(40, 40)] * (1 + result.config.replications)  # one Resolvent per replication
+        self.assert_certified_and_equal_to_the_eigenbasis(result)
+        assert all(r.resolvent_fallback for r in result.records)
+        assert result.summary["resolvent_fallbacks"] == [result.config.replications] * len(result.config.sigma_grid)
+
+    def test_ill_conditioned_sweep_is_certified(self):
+        """At n = p and lambda_tilde = 1e-6 the Gram matrix is nearly
+        singular and the smallest penalties are about 1e-6."""
+        self.assert_certified_and_equal_to_the_eigenbasis(
+            run_experiment(tiny_config("transient", n=40, lambda_tilde=1.0e-6)))
 
 
 class TestTrichotomyRunner:

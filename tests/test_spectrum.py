@@ -176,6 +176,20 @@ class TestSampling:
         v = sample_sphere(100, 2.5, substream(9, "signal"))
         assert float(np.linalg.norm(v)) == pytest.approx(2.5, rel=1.0e-12)
 
+    def test_design_takes_the_square_root_once_per_spectrum(self, monkeypatch):
+        """The cached root gives the bytes of ``z @ Sigma^1/2`` computed afresh
+        for every draw, and is computed once however many designs are drawn."""
+        spec = decompose(CovarianceModel.ar1(30, 0.5))
+        roots = []
+        numpy_sqrt = np.sqrt
+        monkeypatch.setattr(spectrum.np, "sqrt", lambda a: roots.append(a.shape) or numpy_sqrt(a))
+        for rep in range(3):
+            x = sample_design(spec, 50, substream(11, "design", rep))
+            z = substream(11, "design", rep).standard_normal((50, 30))
+            assert np.array_equal(x, z @ ((spec.basis * numpy_sqrt(spec.eigenvalues)) @ spec.basis.T))
+        assert roots == [(30,)]
+        assert spec.sqrt_matrix() is spec.sqrt_matrix() and not spec.sqrt_matrix().flags.writeable
+
     def test_samplers_reproduce_from_equal_streams(self):
         a = sample_design(decompose(CovarianceModel.ar1(5, 0.5)), 7, substream(10, "design", 2))
         b = sample_design(decompose(CovarianceModel.ar1(5, 0.5)), 7, substream(10, "design", 2))

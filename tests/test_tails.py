@@ -91,6 +91,27 @@ class TestSurvival:
         with pytest.raises(ConfigError):
             PARETO.survival(-1.0)
 
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_stable_survival_near_zero_matches_high_precision(self, alpha):
+        """Below t = 0.1 the stable survival function is the convergent
+        density series; mpmath integrates the characteristic function,
+        P(|W| <= t) = (2/pi) int e^{-u^alpha} sin(tu)/u du, at 30 digits."""
+        mp = pytest.importorskip("mpmath")
+        ts = np.array([1.0e-4, 1.0e-3, 4.0e-3, 0.05])
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            oracle = [1 - 2 / mp.pi * mp.quad(lambda u: mp.exp(-u ** a) * mp.sin(mp.mpf(t) * u) / u,
+                                              [0, 1, 5, 20, 80]) for t in ts]
+        law = TailLaw(NoiseFamily.ALPHA_STABLE, alpha)
+        np.testing.assert_allclose(law.survival(ts), [float(v) for v in oracle], rtol=1.0e-15, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_stable_survival_is_continuous_at_the_series_switch(self, alpha):
+        law = TailLaw(NoiseFamily.ALPHA_STABLE, alpha)
+        top = tails._STABLE_SERIES_TOP
+        below, above = law.survival(np.array([np.nextafter(top, 0.0), top]))
+        assert below == pytest.approx(above, rel=1.0e-15)
+
 
 class TestWinsorize:
     """Clamping contracts."""
@@ -121,6 +142,16 @@ class TestWinsorize:
         assert np.array_equal(winsorize(out, tau), out)
         inside = np.abs(x) <= tau
         assert np.array_equal(out[inside], x[inside])
+
+    @given(
+        st.lists(st.floats(-1.0e6, 1.0e6), min_size=1, max_size=50),
+        st.floats(1.0e-3, 1.0e3),
+        st.floats(1.0e-3, 1.0e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_commutes_with_clamping_exactly(self, values, tau, scale):
+        w = np.asarray(values)
+        assert np.array_equal(winsorize(scale * w, scale * tau), scale * winsorize(w, tau))
 
 
 class TestEffectiveVariance:
@@ -157,6 +188,17 @@ class TestEffectiveVariance:
         gaps = [abs(r - 1.0) for r in ratios]
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.02
+
+    @given(
+        st.sampled_from(list(NoiseFamily)),
+        st.floats(1.05, 1.95),
+        st.floats(1.0e-3, 1.0e3),
+        st.floats(0.5, 500.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scale_squared_factors_out_exactly(self, family, alpha, scale, tau):
+        unit = effective_variance_exact(TailLaw(family, alpha), tau)
+        assert effective_variance_exact(TailLaw(family, alpha, scale), tau) == scale ** 2 * unit
 
     def test_scale_squared_factors_out(self):
         scaled = TailLaw(NoiseFamily.SYMMETRIC_PARETO, alpha=1.5, scale=3.0)
@@ -314,6 +356,18 @@ class TestSampling:
             w_unit = sample_noise(unit, 500, substream(11, "noise", 3))
             w_scaled = sample_noise(scaled, 500, substream(11, "noise", 3))
             assert np.array_equal(w_scaled, 7.25 * w_unit)
+
+    @given(
+        st.sampled_from(list(NoiseFamily)),
+        st.floats(1.05, 1.95),
+        st.floats(1.0e-3, 1.0e3),
+        st.integers(0, 2 ** 32),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_scaled_draws_are_the_scaled_unit_draws(self, family, alpha, scale, seed):
+        unit = sample_noise(TailLaw(family, alpha), 64, substream(seed, "noise"))
+        scaled = sample_noise(TailLaw(family, alpha, scale), 64, substream(seed, "noise"))
+        assert np.array_equal(scaled, scale * unit)
 
     def test_pareto_magnitudes_start_at_one(self):
         w = sample_noise(PARETO, 10 ** 5, substream(3, "noise"))
