@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy import special
-from scipy import stats
 
 from .errors import ConfigError, ConvergenceError
 
@@ -64,20 +63,16 @@ def _student_tail_constant(alpha: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _verified_student_tail_constant(alpha: float) -> float:
-    """Closed-form Student-t tail constant, checked against direct integration.
+    """Closed-form Student-t tail constant, checked against the t distribution.
 
-    The check integrates the density over ``[T, inf)`` and compares
-    ``2 * T^alpha * integral`` with the closed form; agreement to 1e-6 relative
-    is required once per distinct ``alpha`` per process.
+    The check compares ``2 * T^alpha * P(W > T)`` at ``T = 1e4``, from the
+    incomplete-beta routine ``special.stdtr``, with the closed form; agreement
+    to 1e-6 relative (the next tail term is ~1e-8 there) is required once per
+    distinct ``alpha`` per process.
     """
     c = _student_tail_constant(alpha)
     T = 1.0e4
-    # Substitute u = 1/t: the infinite tail becomes a smooth finite integral,
-    # which quad resolves far below the closed form's own magnitude.
-    tail, abserr = integrate.quad(
-        lambda u: stats.t.pdf(1.0 / u, df=alpha) / (u * u), 0.0, 1.0 / T, epsabs=0.0, epsrel=1.0e-9
-    )
-    c_num = 2.0 * tail * T ** alpha
+    c_num = 2.0 * special.stdtr(alpha, -T) * T ** alpha
     if not math.isfinite(c_num) or abs(c_num - c) > 1.0e-6 * c:
         raise ConvergenceError(
             f"Student-t tail constant self-check failed for alpha={alpha}: closed form {c}, numeric {c_num}"
@@ -143,24 +138,40 @@ class TailLaw:
         return _stable_tail_constant(self.alpha)
 
     def survival(self, t: np.ndarray | float) -> np.ndarray | float:
-        """P(|w| > t) for the unit-scale law, vectorized over ``t >= 0``."""
+        """P(|w| > t) for the unit-scale law, vectorized over ``t >= 0``.
+
+        - Symmetric Pareto: the closed form, exact.
+        - Student-t: ``2 * special.stdtr(alpha, -t)``, the incomplete-beta
+          routine behind scipy's t distribution; it agrees with a 30-digit
+          incomplete-beta oracle to 1e-15 relative on ``[1e-3, 1e6]``.
+        - Alpha-stable below ``t = 0.1``: the convergent density series, to
+          1e-15 relative.
+        - Alpha-stable on ``[0.1, 50]``: the characteristic-function integral
+          of :func:`_stable_survival_cf`, certified to 1e-10 relative (1e-14
+          absolute where the value is below 1e-4); it matches a 30-digit
+          oracle to about 1e-11 at alpha <= 1.95.
+        - Alpha-stable past ``t = 50``: the two-term tail series
+          ``c t^-alpha - b t^-2alpha``, whose relative error ``O(t^-2alpha)``
+          is about 1e-5 at 50.
+
+        Raises
+        ------
+        ConvergenceError
+            If a characteristic-function integral misses its certificate.
+        """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ConfigError("survival is defined for t >= 0")
         if self.family is NoiseFamily.SYMMETRIC_PARETO:
             out = np.where(t < 1.0, 1.0, np.minimum(t, np.inf) ** -self.alpha)
         elif self.family is NoiseFamily.STUDENT_T:
-            out = 2.0 * stats.t.sf(t, df=self.alpha)
+            out = 2.0 * special.stdtr(self.alpha, -t)
         else:
             out = self._stable_survival(t)
         return out if out.shape else float(out)
 
     def _stable_survival(self, t: np.ndarray) -> np.ndarray:
-        # scipy's stable sf returns exactly 1 below t ~ 5e-3; there use
-        #   P(|W| <= t) = (2/(pi a)) sum_k (-1)^k Gamma((2k+1)/a) t^(2k+1) / (2k+1)!.
-        # scipy's stable CDF underflows to 0 past t ~ 1e3; switch to the
-        # two-term series c t^-a - b t^-2a, whose relative error O(t^-2a) is
-        # ~1e-5 already at the crossover.
+        # Below 0.1:  P(|W| <= t) = (2/(pi a)) sum_k (-1)^k Gamma((2k+1)/a) t^(2k+1) / (2k+1)!.
         a = self.alpha
         out = np.empty_like(t)
         low = t < _STABLE_SERIES_TOP
@@ -168,7 +179,7 @@ class TailLaw:
         coeffs = (-1.0) ** k * np.exp(special.gammaln((2 * k + 1) / a) - special.gammaln(2 * k + 2))
         out[low] = 1.0 - 2.0 / (math.pi * a) * t[low] * np.polynomial.polynomial.polyval(t[low] ** 2, coeffs)
         near = ~low & (t <= _STABLE_CROSSOVER)
-        out[near] = 2.0 * stats.levy_stable.sf(t[near], a, 0.0)
+        out[near] = [_stable_survival_cf(a, float(x)) for x in t[near]]
         far = t > _STABLE_CROSSOVER
         if np.any(far):
             tf = t[far]
@@ -290,6 +301,24 @@ def _gauss_panels(f, edges: np.ndarray) -> tuple[float, float]:
     return float(np.sum(sums[1])), float(np.sum(np.abs(sums[1] - sums[0])))
 
 
+def _stable_panels(alpha: float, T: float, kernel) -> tuple[float, float, float]:
+    """``int_0^{TU} (1 - exp(-(x/T)^alpha)) kernel(x) dx``, ``U = 40^(1/alpha)``,
+    by :func:`_gauss_panels`: the value, its error estimate and ``TU``.
+
+    The panels are graded geometrically toward the ``x^alpha`` singularity at
+    0 and are at most half an oscillation wide beyond it.  Past ``TU`` the
+    factor ``1 - exp(-(x/T)^alpha)`` is 1 to within ``e^-40``; each caller
+    closes that tail itself.
+    """
+    top = T * 40.0 ** (1.0 / alpha)
+    x0 = min(math.pi, T)
+    edges = np.unique(np.concatenate((
+        [0.0], x0 * 2.0 ** -np.arange(40.0, 0.0, -1.0), np.arange(x0, top, min(math.pi, 0.5 * T)), [top],
+    )))
+    body, err = _gauss_panels(lambda x: -np.expm1(-((x / T) ** alpha)) * kernel(x), edges)
+    return body, err, top
+
+
 def _stable_clipped_moment(alpha: float, T: float) -> tuple[float, float]:
     """``E[min(W^2, T^2)]`` for the standard symmetric stable law, with an
     error estimate.
@@ -299,25 +328,44 @@ def _stable_clipped_moment(alpha: float, T: float) -> tuple[float, float]:
         E[min(W^2, T^2)] = (4/pi) T^2 int_0^inf (1 - exp(-(x/T)^alpha)) k(x) dx,
 
     ``k(x) = (sin x - x cos x) / x^3``, a form without the cancellation of
-    ``T^2 - E[...; |W| <= T]``.  Up to ``x = T U``, ``U = 40^(1/alpha)``, Gauss
-    panels are graded geometrically toward the ``x^alpha`` singularity at 0
-    and are at most half an oscillation wide beyond it.  Past ``T U`` the
-    factor ``1 - exp(-u^alpha)`` is 1 to within ``e^-40``: the tail
-    ``int_{TU}^inf k`` is closed form through the sine integral, and the
-    neglected part is bounded (``|k| <= 1/3``) and added to the estimate.
+    ``T^2 - E[...; |W| <= T]``.  :func:`_stable_panels` integrates up to
+    ``T U``; the tail ``int_{TU}^inf k`` is closed form through the sine
+    integral, and the neglected part is bounded (``|k| <= 1/3``) and added to
+    the estimate.
     """
-    U = 40.0 ** (1.0 / alpha)
-    top = T * U
-    x0 = min(math.pi, T)
-    edges = np.unique(np.concatenate((
-        [0.0], x0 * 2.0 ** -np.arange(40.0, 0.0, -1.0), np.arange(x0, top, min(math.pi, 0.5 * T)), [top],
-    )))
-    body, err = _gauss_panels(lambda x: -np.expm1(-((x / T) ** alpha)) * _kernel_k(x), edges)
+    body, err, top = _stable_panels(alpha, T, _kernel_k)
     si, _ = special.sici(top)
     tail = math.sin(top) / (2.0 * top * top) - math.cos(top) / (2.0 * top) + (math.pi / 2.0 - si) / 2.0
+    U = top / T
     neglected = T * math.exp(-40.0) / (3.0 * alpha * U ** (alpha - 1.0))
     scale = 4.0 / math.pi * T * T
     return scale * (body + tail), scale * (err + neglected)
+
+
+def _stable_survival_cf(alpha: float, t: float) -> float:
+    """``P(|W| > t)`` for the standard symmetric stable law, certified.
+
+    Subtracting ``P(|W| <= t) = (2/pi) int_0^inf exp(-u^alpha) sin(tu)/u du``
+    from ``(2/pi) int_0^inf sin(tu)/u du = 1`` and putting ``x = tu`` gives
+
+        P(|W| > t) = (2/pi) int_0^inf (1 - exp(-(x/t)^alpha)) sin(x)/x dx,
+
+    which has no ``1 - P(|W| <= t)`` cancellation.  :func:`_stable_panels`
+    integrates up to ``t U``; the tail is ``pi/2 - Si(tU)``, and the neglected
+    part, at most ``int_U^inf exp(-u^alpha)/u du <= e^-40 / (40 alpha)``, is
+    added to the estimate.  The roundoff of the oscillatory sum, about 1e-15
+    in absolute terms, is why the certificate is 1e-10 relative only down to
+    values of 1e-4 and 1e-14 absolute below.
+    """
+    body, err, top = _stable_panels(alpha, t, lambda x: np.sin(x) / x)
+    si, _ = special.sici(top)
+    value = 2.0 / math.pi * (body + math.pi / 2.0 - si)
+    err = 2.0 / math.pi * (err + math.exp(-40.0) / (40.0 * alpha))
+    if not (err <= 1.0e-10 * max(value, 1.0e-4)):
+        raise ConvergenceError(
+            f"stable survival quadrature did not converge at t={t}: value {value}, error estimate {err}"
+        )
+    return value
 
 
 def effective_variance_asymptotic(law: TailLaw, n: int) -> float:

@@ -36,6 +36,7 @@ to the misalignment energy ``q_Sigma``, and ``tau`` tends to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,14 +133,16 @@ def solve_companion_v(eigenvalues: np.ndarray, gamma: float, mu: float) -> float
     def residual(v: float) -> float:
         return 1.0 / v - 1.0 - gamma * float(np.mean(s / (s * v + mu)))
 
-    lo = 1.0e-14
-    if residual(lo) <= 0.0:  # pragma: no cover - impossible for mu > 0
-        raise ConvergenceError("companion bracket lost its sign change at the lower end")
-    hi = 1.0
-    v = float(brentq(residual, lo, hi, xtol=1.0e-15, rtol=8.9e-16))
-    res = abs(residual(v))
+    # At lo, 1/lo - 1 = gamma mean(s) / mu bounds the mean term from above,
+    # so residual(lo) >= 0 and residual(1) < 0; where rounding makes
+    # residual(lo) <= 0 (mu >> gamma s), lo is the root to rounding.  The
+    # tolerances and the residual check are relative to v, which can be far
+    # below 1e-6 at small mu.
+    lo = mu / (mu + gamma * float(np.mean(s)))
+    v = lo if residual(lo) <= 0.0 else float(brentq(residual, lo, 1.0, xtol=1.0e-15 * lo, rtol=8.9e-16))
+    res = v * abs(residual(v))
     if not (res <= 1.0e-10):
-        raise ConvergenceError(f"companion equation residual {res} exceeds 1e-10 at v={v}")
+        raise ConvergenceError(f"companion equation relative residual {res} exceeds 1e-10 at v={v}")
     return v
 
 
@@ -180,10 +183,15 @@ def ridge_risk_closed_form(inputs: TheoryInputs) -> RiskPrediction:
     )
 
 
+@functools.cache
 def _gauss_hermite_standard_normal(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # hermgauss targets weight exp(-x^2); rescale to the standard normal.
+    # Built once per node count and shared, so the arrays are read-only.
     x, w = hermgauss(nodes)
-    return x * math.sqrt(2.0), w / math.sqrt(math.pi)
+    x, w = x * math.sqrt(2.0), w / math.sqrt(math.pi)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DEFAULT) -> RiskPrediction:

@@ -5,7 +5,11 @@ so the name count is read from this file rather than counted by hand.
 """
 
 import inspect
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +100,25 @@ def test_errors_are_one_class_per_cause():
     assert issubclass(heavyreg.ConfigError, heavyreg.HeavyRegError)
     assert issubclass(heavyreg.ConvergenceError, heavyreg.HeavyRegError)
     assert not issubclass(heavyreg.ConvergenceError, ValueError)
+
+
+def test_package_runs_without_scipy_stats():
+    """Importing the package, building each noise law with its survival and
+    winsorization plan, and every experiment's default configuration load no
+    ``scipy.stats``, whose import alone costs a large share of start-up."""
+    script = (
+        "import sys\n"
+        "import heavyreg\n"
+        "from heavyreg.experiments import EXPERIMENT_NAMES\n"
+        "for family in heavyreg.NoiseFamily:\n"
+        "    law = heavyreg.TailLaw(family, 1.5)\n"
+        "    law.survival([0.05, 1.0, 80.0])\n"
+        "    heavyreg.winsor_plan(law, 800)\n"
+        "for name in EXPERIMENT_NAMES:\n"
+        "    heavyreg.default_config(name)\n"
+        "assert 'scipy.stats' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+    )
+    src = str(Path(heavyreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

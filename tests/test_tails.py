@@ -29,6 +29,29 @@ STUDENT = TailLaw(NoiseFamily.STUDENT_T, alpha=1.5)
 STABLE = TailLaw(NoiseFamily.ALPHA_STABLE, alpha=1.5)
 
 
+def stable_survival_oracle(alpha, ts):
+    """P(|W| > t) for the standard symmetric stable law at 30 digits, from
+    P(|W| <= t) = (2/pi) int e^{-u^alpha} sin(tu)/u du: mpmath on panels at
+    most half an oscillation wide, graded geometrically toward the u^alpha
+    singularity at 0, up to where e^{-u^alpha} < 1e-40."""
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        u_max = (40 * mp.log(10)) ** (1 / a)
+        for t in ts:
+            t = mp.mpf(t)
+            panels = int(mp.ceil(u_max * t / mp.pi))
+            h = u_max / panels
+            first = min(h, mp.mpf(1))
+            points = sorted({mp.mpf(0), *(first / mp.mpf(2) ** j for j in range(40, -1, -1)),
+                             *(h * i for i in range(1, panels + 1))})
+            cdf = 2 / mp.pi * mp.quad(lambda u: mp.exp(-u ** a) * mp.sin(t * u) / u, points,
+                                      method="gauss-legendre")
+            out.append(float(1 - cdf))
+    return np.array(out)
+
+
 class TestTailLawValidation:
     """Constructor contracts for tail laws."""
 
@@ -94,16 +117,43 @@ class TestSurvival:
     @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
     def test_stable_survival_near_zero_matches_high_precision(self, alpha):
         """Below t = 0.1 the stable survival function is the convergent
-        density series; mpmath integrates the characteristic function,
-        P(|W| <= t) = (2/pi) int e^{-u^alpha} sin(tu)/u du, at 30 digits."""
-        mp = pytest.importorskip("mpmath")
+        density series."""
         ts = np.array([1.0e-4, 1.0e-3, 4.0e-3, 0.05])
-        with mp.workdps(30):
-            a = mp.mpf(alpha)
-            oracle = [1 - 2 / mp.pi * mp.quad(lambda u: mp.exp(-u ** a) * mp.sin(mp.mpf(t) * u) / u,
-                                              [0, 1, 5, 20, 80]) for t in ts]
         law = TailLaw(NoiseFamily.ALPHA_STABLE, alpha)
-        np.testing.assert_allclose(law.survival(ts), [float(v) for v in oracle], rtol=1.0e-15, atol=0.0)
+        np.testing.assert_allclose(law.survival(ts), stable_survival_oracle(alpha, ts), rtol=1.0e-15, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_stable_survival_matches_high_precision(self, alpha):
+        """On [0.1, 50] the stable survival function is a characteristic-function
+        integral; scipy's levy_stable.sf, used before, was off by 1.5e-6 at
+        alpha = 1.95, t = 49.9."""
+        ts = np.array([0.1, 0.7, 3.0, 12.0, 49.9, 50.0])
+        law = TailLaw(NoiseFamily.ALPHA_STABLE, alpha)
+        np.testing.assert_allclose(law.survival(ts), stable_survival_oracle(alpha, ts), rtol=1.0e-10, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_student_survival_matches_high_precision(self, alpha):
+        """P(|W| > t) = I_{nu/(nu+t^2)}(nu/2, 1/2), the regularized incomplete
+        beta function, with nu = alpha, at 30 digits."""
+        mp = pytest.importorskip("mpmath")
+        ts = np.geomspace(1.0e-3, 1.0e6, 28)
+        with mp.workdps(30):
+            nu = mp.mpf(alpha)
+            oracle = [mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + mp.mpf(t) ** 2), regularized=True) for t in ts]
+        law = TailLaw(NoiseFamily.STUDENT_T, alpha)
+        np.testing.assert_allclose(law.survival(ts), [float(v) for v in oracle], rtol=1.0e-14, atol=0.0)
+
+    def test_stable_survival_that_misses_its_certificate_is_a_convergence_failure(self, monkeypatch):
+        gauss_panels = tails._gauss_panels
+
+        def loose(f, edges):
+            value, _ = gauss_panels(f, edges)
+            return value, 1.0e-9 * abs(value)
+
+        monkeypatch.setattr(tails, "_gauss_panels", loose)
+        assert STABLE.survival(0.05) > 0.0  # the series branch has no quadrature
+        with pytest.raises(ConvergenceError, match="stable survival quadrature did not converge"):
+            STABLE.survival(1.0)
 
     @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
     def test_stable_survival_is_continuous_at_the_series_switch(self, alpha):

@@ -16,6 +16,7 @@ from numpy.polynomial.hermite import hermgauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavyreg import theory
 from heavyreg.convex import RegKind, Regularizer, prox_reg
 from heavyreg.errors import ConvergenceError
 from heavyreg.spectrum import CovarianceModel, decompose, project_delta, q_sigma, sample_sphere
@@ -77,6 +78,29 @@ class TestCompanion:
         assert 0.0 < v <= 1.0
         residual = 1.0 / v - 1.0 - gamma * float(np.mean(s / (s * v + mu)))
         assert abs(residual) <= 1.0e-10
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 20.0, 100.0])
+    @pytest.mark.parametrize("mu", [1.0e-12, 1.0e-8, 1.0e-6, 1.0e-4, 1.0e-2, 1.0, 1.0e6, 1.0e18])
+    def test_root_over_a_wide_grid_has_a_tiny_relative_residual(self, gamma, mu):
+        """For gamma > 1 at small mu the root falls below 1e-6; an absolute
+        bracket tolerance once stopped about 6 digits from it and the residual
+        check raised on valid inputs (gamma = 2, mu = 1e-6; gamma = 20,
+        mu = 1e-4)."""
+        s = decompose(CovarianceModel.ar1(200, 0.5)).eigenvalues
+        v = solve_companion_v(s, gamma, mu)
+        assert mu / (mu + gamma * float(np.mean(s))) <= v <= 1.0
+        assert abs(1.0 - v - gamma * v * float(np.mean(s / (s * v + mu)))) <= 1.0e-14
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 1.1, 2.0, 20.0, 100.0])
+    @pytest.mark.parametrize("mu", [1.0e-12, 1.0e-6, 1.0e-2, 1.0e2, 1.0e16, 1.0e300])
+    def test_flat_spectrum_root_over_a_wide_grid(self, gamma, mu):
+        """For S = 1 the root of v^2 + (mu + gamma - 1) v - mu = 0 is closed
+        form; gamma = 1 is left out, where the root ~ sqrt(mu) is
+        ill-conditioned."""
+        b = mu + gamma - 1.0
+        root = math.hypot(b, 2.0 * math.sqrt(mu))
+        exact = 2.0 * mu / (b + root) if b > 0.0 else (root - b) / 2.0
+        assert solve_companion_v(np.ones(200), gamma, mu) == pytest.approx(exact, rel=1.0e-14)
 
     def test_root_decreases_with_aspect_ratio(self):
         """More parameters per observation force more effective shrinkage."""
@@ -192,6 +216,14 @@ class TestGeneralFixedPoint:
             r61 = solve_general_fixed_point(ti, gh_nodes=61).risk
             r121 = solve_general_fixed_point(ti, gh_nodes=121).risk
             assert r121 == pytest.approx(r61, rel=1.0e-8)
+
+    def test_gauss_hermite_rule_is_built_once_and_read_only(self):
+        """Every fixed-point solve shares one rule per node count."""
+        zeta, wts = theory._gauss_hermite_standard_normal(61)
+        assert theory._gauss_hermite_standard_normal(61)[0] is zeta
+        assert not zeta.flags.writeable and not wts.flags.writeable
+        x, w = hermgauss(61)
+        assert np.array_equal(zeta, x * math.sqrt(2.0)) and np.array_equal(wts, w / math.sqrt(math.pi))
 
     @pytest.mark.parametrize("reg", [Regularizer(RegKind.LASSO), Regularizer(RegKind.ELASTIC_NET, 0.5)], ids=["lasso", "elastic_net"])
     def test_large_noise_floor_is_exact(self, reg):
