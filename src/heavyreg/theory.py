@@ -21,13 +21,18 @@ Two routes are provided and must agree for the ridge penalty:
   accounts for the estimation error feeding back into the residuals.
 
 * :func:`solve_general_fixed_point` solves the scalar fixed point
-  ``tau^2 = 1 + gamma * R(tau)`` by plain iteration on the risk, where ``R``
-  is the risk functional evaluated atom by atom: each eigen-atom applies the
-  regularizer prox with step ``mu / (v * s_j)`` to the misalignment
-  coefficient perturbed by centered Gaussian noise of standard deviation
+  ``r = R(r)`` on the risk (Thrampoulidis, Abbasi & Hassibi 2018), with
+  ``tau^2 = 1 + gamma * r``.  ``R`` is the risk functional evaluated atom by
+  atom: each eigen-atom applies the regularizer prox with step
+  ``mu / (v * s_j)`` to the misalignment coefficient perturbed by centered
+  Gaussian noise of standard deviation
   ``sqrt(sigma2 + n * (tau^2 - 1)) / sqrt(n * s_j)``, integrated by
-  Gauss-Hermite quadrature.  For the ridge prox the quadrature is exact and
-  the two routes coincide to solver tolerance.
+  Gauss-Hermite quadrature.  The root of ``g(r) = R(r) - r`` is found by
+  secant steps kept inside the bracket that the signs of ``g`` give, with the
+  plain step ``r <- R(r)`` or a bisection as the safeguard.  For the ridge
+  prox the quadrature is exact and ``R`` is affine in ``r``, so the secant
+  lands on the root at the third evaluation and the two routes coincide to
+  rounding.
 
 As ``sigma2 -> inf`` every prox collapses to the centering point, ``R`` tends
 to the misalignment energy ``q_Sigma``, and ``tau`` tends to
@@ -195,19 +200,31 @@ def _gauss_hermite_standard_normal(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DEFAULT) -> RiskPrediction:
-    """Fixed-point iteration on the risk, ``r <- R(r)``.
+    """The risk ``r`` with ``R(r) = r``, by safeguarded secant steps on
+    ``g(r) = R(r) - r``.
 
     ``R(r)`` is the risk functional at ``tau_eff^2 = 1 + p r / sigma2``.  The
-    iteration starts at ``r = 0`` and stops at the first ``r`` with
+    search starts at ``r = 0``, where ``g >= 0``, and keeps the bracket
+    ``[lo, hi]`` that the signs of ``g`` seen so far give (``hi`` is infinite
+    until ``g < 0`` is seen).  Each step is the secant point through the last
+    two evaluations when it lies strictly inside the bracket; otherwise the
+    plain step ``R(r)``, or the bracket's midpoint where that step leaves it.
+    The first step is therefore ``R(0)``; where the prox pins every node at
+    the centre, ``R`` is constant and 2 evaluations suffice, and for ridge,
+    whose ``R`` is affine, 3.
+
+    The search stops at the first evaluated ``r`` with
     ``|R(r) - r| <= 1e-12 max(1, r)``; that ``r`` is the returned risk, and
     ``residual`` is the matching gap in ``tau^2 = 1 + gamma R``, namely
-    ``gamma |R(r) - r|``.  Where the prox pins every node at the centre,
-    ``R`` is constant and 2 steps suffice.
+    ``gamma |R(r) - r|``.  ``iterations`` counts evaluations of ``R``.
 
     Raises
     ------
     ConvergenceError
-        If 500 iterations do not bring the risk within that tolerance.
+        If 500 evaluations do not bring the risk within that tolerance, or as
+        soon as ``R(r)`` overflows or is not finite (the risk grows without
+        bound: there is no finite fixed point); the message names the last
+        finite risk.
     """
     spec = inputs.spectrum
     s = spec.eigenvalues
@@ -231,18 +248,39 @@ def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DE
         sq = (moved - delta[:, None]) ** 2
         return float(np.sum(s * (sq @ wts)) / p)
 
-    risk = 0.0
-    for iterations in range(1, _FP_MAX_ITER + 1):
-        risk_new = risk_functional(1.0 + p * risk / sigma2)
-        step = abs(risk_new - risk)
-        if step <= _FP_TOL * max(1.0, risk):
-            break
-        risk = risk_new
-    else:
-        raise ConvergenceError(
-            f"risk fixed point did not converge in {_FP_MAX_ITER} iterations (last risk = {risk}, step {step})"
-        )
-    residual = gamma * step
+    def gap(risk: float) -> float:
+        try:
+            value = risk_functional(1.0 + p * risk / sigma2)
+        except FloatingPointError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConvergenceError(f"R(r) is not finite at r = {risk}, the last finite risk: no finite fixed point")
+        return value - risk
+
+    risk, lo, hi = 0.0, 0.0, math.inf  # g(lo) >= 0 > g(hi)
+    last = None  # the previous (risk, g) pair
+    with np.errstate(over="raise", invalid="raise"):
+        for iterations in range(1, _FP_MAX_ITER + 1):
+            g = gap(risk)
+            if abs(g) <= _FP_TOL * max(1.0, risk):
+                break
+            if g > 0.0:
+                lo = risk
+            else:
+                hi = risk
+            step = risk + g
+            if last is not None and g != last[1]:
+                secant = risk - g * (risk - last[0]) / (g - last[1])
+                if lo < secant < hi:
+                    step = secant
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            last, risk = (risk, g), step
+        else:
+            raise ConvergenceError(
+                f"risk fixed point did not converge in {_FP_MAX_ITER} evaluations (last risk = {last[0]}, gap {g})"
+            )
+    residual = gamma * abs(g)
     return RiskPrediction(
         risk=risk,
         tau=math.sqrt(1.0 + gamma * risk),

@@ -141,6 +141,22 @@ class TestTheoryCommand:
         assert payload["max_relative_gap"] <= 1.0e-6
         assert payload["points"] == 3
 
+    def test_verify_passes_at_unit_aspect_ratio_and_tiny_penalty(self, capsys):
+        """At gamma = 1 and lambda_tilde = 1e-6 the plain iteration r <- R(r)
+        ran out of its 500 steps; the secant lands on the ridge root."""
+        code, payload = run_json(capsys, [
+            "theory", "fixed-point", "--gamma", "1", "--lambda-tilde", "1e-6", "--p", "200", "--verify", "--json",
+        ])
+        assert code == 0
+        assert payload["max_relative_gap"] <= 1.0e-6
+
+    def test_lasso_fixed_point_converges_at_unit_aspect_ratio(self, capsys):
+        code, payload = run_json(capsys, [
+            "theory", "fixed-point", "--reg", "lasso", "--gamma", "1", "--lambda-tilde", "1e-4", "--p", "200", "--json",
+        ])
+        assert code == 0
+        assert payload["residual"] <= 1.0e-12 * max(1.0, payload["risk"])
+
     def test_verify_rejects_non_ridge_penalties(self):
         assert main(["theory", "fixed-point", "--reg", "lasso", "--verify", "--p", "40"]) == 2
 

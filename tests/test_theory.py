@@ -9,6 +9,7 @@ large-noise floor.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,34 @@ def make_spectrum(p=400, rho=0.5, seed=123, radius=1.0, identity=False):
     spec = decompose(model)
     delta = sample_sphere(p, radius, substream(seed, "signal"))
     return project_delta(spec, delta, np.zeros(p))
+
+
+def risk_from_definition(ti, risk):
+    """The risk functional R at ``risk``, built here from its definition:
+    per eigen-atom, the prox of the misalignment coefficient plus Gaussian
+    noise, integrated by a 61-node Gauss-Hermite rule."""
+    spec = ti.spectrum
+    s, delta, p = spec.eigenvalues, spec.delta_coeffs, spec.p
+    mu = ti.lambda_tilde * ti.sigma2
+    v = solve_companion_v(s, ti.gamma, mu)
+    x, w = hermgauss(61)
+    kappa = np.sqrt((ti.sigma2 + p * risk) * ti.gamma / (p * s))
+    moved = prox_reg(ti.reg, (mu / (v * s))[:, None], delta[:, None] - kappa[:, None] * (math.sqrt(2.0) * x)[None, :])
+    return float(np.sum(s * (((moved - delta[:, None]) ** 2) @ (w / math.sqrt(math.pi)))) / p)
+
+
+def plain_fixed_point(ti):
+    """The plain iteration ``r <- R(r)`` from ``r = 0`` with the solver's
+    stopping rule ``|R(r) - r| <= 1e-12 max(1, r)``: the returned ``r`` and
+    its step count, or ``None`` when 500 steps do not settle it."""
+    risk = 0.0
+    with np.errstate(all="ignore"):  # the divergent cases run into inf
+        for steps in range(1, 501):
+            again = risk_from_definition(ti, risk)
+            if abs(again - risk) <= 1.0e-12 * max(1.0, risk):
+                return risk, steps
+            risk = again
+    return None
 
 
 def mp_resolvent_integral(gamma, mu):
@@ -283,13 +312,7 @@ class TestGeneralFixedPoint:
         spec = make_spectrum()
         ti = TheoryInputs(spec, gamma, sigma2, 0.1, reg=reg)
         pred = solve_general_fixed_point(ti)
-        s, delta, p = spec.eigenvalues, spec.delta_coeffs, spec.p
-        mu = 0.1 * sigma2
-        v = solve_companion_v(s, gamma, mu)
-        x, w = hermgauss(61)
-        kappa = np.sqrt((sigma2 + p * pred.risk) * gamma / (p * s))
-        moved = prox_reg(reg, (mu / (v * s))[:, None], delta[:, None] - kappa[:, None] * (math.sqrt(2.0) * x)[None, :])
-        again = float(np.sum(s * (((moved - delta[:, None]) ** 2) @ (w / math.sqrt(math.pi)))) / p)
+        again = risk_from_definition(ti, pred.risk)
         assert pred.iterations > 2
         assert pred.residual <= gamma * 1.0e-12 * max(1.0, pred.risk)
         assert pred.residual == pytest.approx(gamma * abs(again - pred.risk), rel=0.0, abs=1.0e-15 * max(1.0, pred.risk))
@@ -298,3 +321,80 @@ class TestGeneralFixedPoint:
         pred = solve_general_fixed_point(TheoryInputs(make_spectrum(), 0.5, 0.0, 1.0))
         assert pred.risk == 0.0 and pred.tau == 1.0
 
+
+SLOW_GAMMAS = (0.9, 1.0, 1.1)
+SLOW_LAMBDAS = (1.0e-6, 1.0e-4, 1.0e-3)
+
+
+class TestSlowRegion:
+    """Near gamma = 1 at small lambda_tilde the plain iteration r <- R(r)
+    contracts ever more slowly: on AR(1) rho = 0.5, p = 200, sigma2 = 1 it
+    ran out of its 500 steps for ridge at gamma = 1 and lambda_tilde <= 1e-4,
+    and took 200-280 steps elsewhere on this grid."""
+
+    @pytest.mark.parametrize("gamma", SLOW_GAMMAS)
+    @pytest.mark.parametrize("lambda_tilde", SLOW_LAMBDAS)
+    def test_ridge_lands_on_the_closed_form_in_four_evaluations(self, gamma, lambda_tilde):
+        ti = TheoryInputs(make_spectrum(p=200), gamma, 1.0, lambda_tilde)
+        fixed = solve_general_fixed_point(ti)
+        assert fixed.iterations <= 4
+        assert fixed.risk == pytest.approx(ridge_risk_closed_form(ti).risk, rel=1.0e-9)
+
+    @pytest.mark.parametrize("reg", [Regularizer(RegKind.LASSO), Regularizer(RegKind.ELASTIC_NET, 0.5)], ids=["lasso", "elastic_net"])
+    @pytest.mark.parametrize("gamma", SLOW_GAMMAS)
+    def test_sparse_penalties_return_a_certified_root(self, reg, gamma):
+        spec = make_spectrum(p=200)
+        for lambda_tilde in SLOW_LAMBDAS:
+            ti = TheoryInputs(spec, gamma, 1.0, lambda_tilde, reg=reg)
+            pred = solve_general_fixed_point(ti)
+            again = risk_from_definition(ti, pred.risk)
+            assert pred.residual <= gamma * 1.0e-12 * max(1.0, pred.risk)
+            assert pred.residual == pytest.approx(gamma * abs(again - pred.risk), rel=0.0, abs=1.0e-15 * max(1.0, pred.risk))
+
+
+class TestSameRootAsThePlainIteration:
+    """Wherever the plain iteration settles, the secant search returns its
+    root.  The plain loop stops up to ~3e-8 relative short of the root near
+    r ~ 2e-5, hence the tolerance."""
+
+    @pytest.mark.parametrize("reg", [Regularizer(RegKind.RIDGE), Regularizer(RegKind.LASSO), Regularizer(RegKind.ELASTIC_NET, 0.5)], ids=["ridge", "lasso", "elastic_net"])
+    @pytest.mark.parametrize("radius", [1.0, 20.0])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.9, 2.0])
+    def test_secant_root_matches_the_plain_iteration(self, reg, radius, gamma):
+        spec = make_spectrum(p=120, radius=radius)
+        settled = 0
+        for lambda_tilde in (1.0e-2, 1.0e-1, 1.0):
+            for sigma2 in (0.01, 1.0, 100.0):
+                ti = TheoryInputs(spec, gamma, sigma2, lambda_tilde, reg=reg)
+                oracle = plain_fixed_point(ti)
+                if oracle is None:
+                    continue
+                settled += 1
+                pred = solve_general_fixed_point(ti)
+                assert pred.risk == pytest.approx(oracle[0], rel=1.0e-7, abs=1.0e-11)
+                assert pred.iterations <= max(oracle[1], 5)
+        assert settled > 0
+
+
+class TestDivergence:
+    """The lasso risk grows like gamma * r for large r, so at gamma > 1 with a
+    large misalignment there is no finite fixed point."""
+
+    def test_overflowing_risk_fails_at_once_and_quietly(self, monkeypatch):
+        calls = []
+        prox = theory.prox_reg
+        monkeypatch.setattr(theory, "prox_reg", lambda *a: calls.append(1) or prox(*a))
+        ti = TheoryInputs(make_spectrum(p=120, radius=20.0), 5.0, 1.0, 1.0, reg=Regularizer(RegKind.LASSO))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not finite at r = "):
+                solve_general_fixed_point(ti)
+        assert len(calls) < 500
+
+    def test_unbounded_risk_fails_quietly(self):
+        ti = TheoryInputs(make_spectrum(p=120, radius=20.0), 2.0, 0.01, 1.0, reg=Regularizer(RegKind.LASSO))
+        assert plain_fixed_point(ti) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                solve_general_fixed_point(ti)
