@@ -33,9 +33,7 @@ from .estimators import (
     FitResult,
     Resolvent,
     empirical_risk,
-    fit_ols,
     fit_proximal,
-    fit_ridge,
 )
 from .experiments import (
     ExperimentConfig,

@@ -1,16 +1,17 @@
-"""Finite-sample estimators: least squares, closed-form ridge, and an exact
-active-set Newton fit for squared or Huber loss with a ridge or lasso
-penalty.
+"""Finite-sample estimators: an exact active-set Newton fit for squared or
+Huber loss with a ridge or lasso penalty, and the shifted Gram solves behind
+every closed-form squared-loss fit.
 
 Every fit goes through one :class:`Resolvent`, the eigendecomposition of the
-design's Gram matrix ``X'X/n`` taken once per design: least squares and ridge
-are its resolvent ``(X'X/n + lam I)^-1`` applied to ``X'y/n``.  The Newton
-fit solves one piecewise-quadratic pattern per step through the same
-resolvent, corrected by Woodbury identities for a few outliers or a few
-inliers, or else through a Cholesky factor; it never decomposes again.
-A block of well-conditioned ridge solves on one design (the transient
-sweep's) skips the decomposition: conjugate gradients solve it, certified by
-the true residual, with the ``Resolvent`` as fallback.
+design's Gram matrix ``X'X/n`` taken once per design.  A closed-form
+squared-loss fit is one shifted system ``(X'X/n + lam I) e = rhs`` for its
+error ``e``; :meth:`Resolvent.solve` takes a block of them with one shift per
+column.  The Newton fit solves one piecewise-quadratic pattern per step
+through the same resolvent, corrected by Woodbury identities for a few
+outliers or a few inliers, or else through a Cholesky factor; it never
+decomposes again.  A block of well-conditioned shifted solves on one design
+(the transient sweep's) skips the decomposition: conjugate gradients solve
+it, certified by the true residual, with the ``Resolvent`` as fallback.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -28,14 +29,12 @@ import numpy as np
 import scipy.linalg
 
 from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 
 __all__ = [
     "Resolvent",
     "EstimatorConfig",
     "FitResult",
-    "fit_ols",
-    "fit_ridge",
     "fit_proximal",
     "empirical_risk",
 ]
@@ -44,7 +43,7 @@ _MAX_CONDITION = 1.0e12
 _ROUNDING = 1.0e-12  # relative objective slack that absorbs rounding
 _MIN_STEP = 2.0 ** -60  # the shortest step the halving tries
 _PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to L
-_CERTIFICATE = 1.0e-10  # relative residual a shifted solve must reach, as for fit_ridge
+_CERTIFICATE = 1.0e-10  # relative residual a shifted solve must reach
 _CG_TOL = 1.0e-12  # recurrence residual at which a column leaves the conjugate-gradient block
 # Column mat-vecs per feature the block may spend: on one BLAS thread an eigh
 # of a p x p Gram matrix costs 2.5p (p = 1000) to 4p (p = 400) of them.
@@ -79,8 +78,7 @@ class FitResult:
     """Outcome of a fit, with its optimality certificate.
 
     ``converged`` is True only when the gradient-mapping norm certifies
-    first-order optimality; ``iterations`` counts Newton steps, and
-    closed-form fits report zero and a machine-precision certificate.
+    first-order optimality; ``iterations`` counts Newton steps.
     """
 
     beta_hat: np.ndarray
@@ -111,15 +109,12 @@ class Resolvent:
             raise ConfigError(f"design must be a nonempty finite 2-d array, got shape {x.shape}")
         return cls(x, *np.linalg.eigh(x.T @ x / x.shape[0]))
 
-    def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
         """``(X'X/n + lam I)^-1 rhs`` through the eigenbasis, for a vector or
-        a ``p x k`` block of right-hand sides."""
-        shift = (self.evals + lam).reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
+        a ``p x k`` block of right-hand sides; for a block ``lam`` is one
+        shift or ``k`` of them, one per column."""
+        shift = self.evals.reshape((-1,) + (1,) * (np.ndim(rhs) - 1)) + lam
         return self.evecs @ ((self.evecs.T @ rhs) / shift)
-
-    def gram(self, v: np.ndarray) -> np.ndarray:
-        """``(X'X/n) v`` through the eigenbasis."""
-        return self.evecs @ ((self.evecs.T @ v) * self.evals)
 
 
 def _shifted_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,10 +164,8 @@ def _shifted_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> tuple[
     certificate = certify(np.arange(rhs.shape[1]))
     fell_back = ~(certificate <= _CERTIFICATE)
     if fell_back.any():
-        resolvent = Resolvent(x, *np.linalg.eigh(gram))
         cols = np.flatnonzero(fell_back)
-        for k in cols:
-            sol[:, k] = resolvent.solve(rhs[:, k], shifts[k])
+        sol[:, cols] = Resolvent(x, *np.linalg.eigh(gram)).solve(rhs[:, cols], shifts[cols])
         certificate[cols] = certify(cols)
     return sol, certificate, fell_back
 
@@ -182,50 +175,6 @@ def _finite_vector(v, size: int, label: str) -> np.ndarray:
     if v.shape != (size,) or not np.isfinite(v).all():
         raise ConfigError(f"{label} must be finite with shape ({size},), got shape {v.shape}")
     return v
-
-
-def fit_ols(design: Resolvent, y: np.ndarray) -> FitResult:
-    """Unpenalized least squares, ``(X'X/n)^-1 X'y/n`` through the eigenbasis.
-
-    Requires more observations than features and a Gram matrix with
-    condition number at most 1e12, i.e. a design with condition number at
-    most 1e6.  Raises ``ConfigError`` on a non-finite response.
-    """
-    x = design.x
-    n, p = x.shape
-    y = _finite_vector(y, n, "response")
-    if n <= p:
-        raise ConfigError(f"least squares needs n > p, got n={n}, p={p}")
-    if not (design.evals[0] > 0.0 and design.evals[-1] <= _MAX_CONDITION * design.evals[0]):
-        raise ConfigError("Gram matrix is singular or conditioned worse than 1e12")
-    beta = design.solve(x.T @ y / n, 0.0)
-    resid = y - x @ beta
-    objective = 0.5 * float(resid @ resid) / n
-    return FitResult(beta_hat=beta, iterations=0, converged=True, objective=objective,
-                     gradient_map_norm=float(np.linalg.norm(x.T @ resid)) / n)
-
-
-def fit_ridge(design: Resolvent, y: np.ndarray, lam: float, beta0: np.ndarray | None = None) -> FitResult:
-    """Exact solution of ``(X'X/n + lam I)(beta - beta0) = X'(y - X beta0)/n``
-    through the eigenbasis, certified by the stationarity residual computed
-    from the design itself (``ConvergenceError`` above 1e-10 relative)."""
-    x = design.x
-    n, p = x.shape
-    y = _finite_vector(y, n, "response")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ConfigError(f"ridge strength must be finite and > 0, got {lam}")
-    center = np.zeros(p) if beta0 is None else _finite_vector(beta0, p, "center")
-    rhs = x.T @ (y - x @ center) / n
-    d = design.solve(rhs, lam)
-    residual = float(np.linalg.norm(x.T @ (x @ d) / n + lam * d - rhs))
-    scale = float(np.linalg.norm(rhs)) + float(np.linalg.norm(d)) * (float(design.evals[-1]) + lam)
-    if residual > 1.0e-10 * max(scale, 1.0e-300):
-        raise ConvergenceError(f"ridge stationarity residual {residual} exceeds 1e-10 relative")
-    beta = center + d
-    r = y - x @ beta
-    objective = 0.5 * float(r @ r) / n + 0.5 * lam * float(d @ d)
-    return FitResult(beta_hat=beta, iterations=0, converged=True, objective=objective,
-                     gradient_map_norm=residual)
 
 
 def fit_proximal(

@@ -149,8 +149,11 @@ class ExperimentConfig:
             raise ConfigError(f"experiment {self.name!r} requires {experiment.grid}")
         if experiment.fits_ols and self.n <= self.p:
             raise ConfigError("this experiment fits unpenalized least squares and needs n > p")
-        if not (self.lambda_tilde > 0.0 and self.lambda_fixed > 0.0 and self.huber_k > 0.0):
-            raise ConfigError("penalty weights and the Huber knee must be > 0")
+        for label in ("lambda_tilde", "lambda_fixed", "huber_k"):
+            if not 0.0 < getattr(self, label) < math.inf:
+                raise ConfigError(f"{label} must be finite and > 0, got {getattr(self, label)}")
+        if not 0.0 <= self.delta_norm < math.inf:
+            raise ConfigError(f"delta_norm must be finite and >= 0, got {self.delta_norm}")
 
     @property
     def gamma(self) -> float:
@@ -185,11 +188,11 @@ class RiskRecord:
     gradients to the ``Resolvent``.  Other closed-form fits leave these at
     None and False.  None of them goes into the CSV.
 
-    ``wall_ms`` is physical time: a fit's own time, or for a closed-form
-    fit its solve and risk evaluation.  The replication's shared draw and
-    factorization are not in it.  The transient sweep solves all its σ²
-    points in one block, so each of its records gets an equal share of the
-    block solve plus its own risk evaluation.
+    ``wall_ms`` is physical time: a Newton fit's own time plus its risk
+    evaluation.  The closed-form fits of one draw are solved in one block, so
+    each of their records gets an equal share of the block solve plus its
+    own risk evaluation.  The replication's shared draw and factorization
+    are not in it.
     """
 
     experiment: str
@@ -322,19 +325,40 @@ def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
     return max(config.lambda_tilde * sigma2, _NOISELESS_PENALTY)
 
 
-def _linear_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float) -> np.ndarray:
-    """Closed-form fit of one squared-loss estimator at one noise scale."""
+def _penalty_and_centre(plan: _Plan, estimator: str, sigma2: float) -> tuple[float, np.ndarray]:
+    """Each estimator's penalty level and centre at effective noise variance
+    ``sigma2``: least squares is unpenalized, fixed ridge and Huber-ridge take
+    ``lambda_fixed`` at the origin, and the transfer fits take the adapted
+    penalty at ``beta0``."""
     cfg = plan.config
-    design = draw.design
-    xtw = design.x.T @ (scale * draw.w_wins_unit) / cfg.n
+    if estimator in ("transfer_ridge", "transfer_lasso"):
+        return _adapted_lambda(cfg, sigma2), plan.beta0
+    if estimator in ("fixed_ridge", "huber"):
+        return cfg.lambda_fixed, np.zeros(cfg.p)
     if estimator == "ols":
-        return plan.beta_star + design.solve(xtw, 0.0)
-    if estimator == "fixed_ridge":
-        return design.solve(design.gram(plan.beta_star) + xtw, cfg.lambda_fixed)
-    if estimator == "transfer_ridge":
-        lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
-        return plan.beta0 + design.solve(design.gram(plan.beta_star - plan.beta0) + xtw, lam)
-    raise ConfigError(f"unknown linear estimator {estimator!r}")
+        return 0.0, np.zeros(cfg.p)
+    raise ConfigError(f"unknown estimator {estimator!r}")
+
+
+def _error_block(plan: _Plan, draw: _RepDraw,
+                 points: list[tuple[str, float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The error systems of closed-form squared-loss fits on one draw.
+
+    A squared-loss fit with penalty ``lam`` and centre ``c`` (see
+    :func:`_penalty_and_centre`) at noise amplitude ``a`` errs by
+    ``beta_hat - beta_star = (X'X/n + lam I)^-1 (a v - lam (beta_star - c))``,
+    with ``v = X'w/n`` for the draw's unit winsorized noise.  ``points`` lists
+    ``(estimator, a, sigma2)``, ``sigma2`` being the effective noise variance
+    at amplitude ``a``.  Returns the ``p x k`` block of right-hand sides and
+    the ``k`` shifts ``lam``.
+    """
+    v = draw.x.T @ draw.w_wins_unit / plan.config.n
+    columns, shifts = [], []
+    for estimator, amplitude, sigma2 in points:
+        lam, centre = _penalty_and_centre(plan, estimator, sigma2)
+        columns.append(amplitude * v - lam * (plan.beta_star - centre))
+        shifts.append(lam)
+    return np.stack(columns, axis=1), np.array(shifts)
 
 
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
@@ -342,21 +366,19 @@ _PROXIMAL_FITS = ("huber", "transfer_lasso")
 
 def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
                   warm: np.ndarray | None) -> FitResult:
-    """Newton fit of one proximal estimator at one noise scale.
+    """Newton fit of one proximal estimator at one noise scale, at the
+    penalty and centre :func:`_penalty_and_centre` gives it.
 
-    Huber-ridge sees the raw heavy-tailed noise at the fixed penalty; transfer
-    lasso sees the winsorized noise at the noise-adapted penalty.
+    Huber-ridge sees the raw heavy-tailed noise; transfer lasso sees the
+    winsorized noise.
     """
-    cfg = plan.config
-    signal = draw.design.x @ plan.beta_star
+    lam, centre = _penalty_and_centre(plan, estimator, scale ** 2 * plan.sigma2_unit)
     if estimator == "huber":
-        config = EstimatorConfig(Loss(LossKind.HUBER, cfg.huber_k), Regularizer(RegKind.RIDGE), cfg.lambda_fixed)
-        y = signal + scale * draw.w_unit
+        loss, reg, noise = Loss(LossKind.HUBER, plan.config.huber_k), Regularizer(RegKind.RIDGE), draw.w_unit
     else:  # transfer_lasso
-        lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
-        config = EstimatorConfig(Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO), lam, center=plan.beta0)
-        y = signal + scale * draw.w_wins_unit
-    return fit_proximal(config, draw.design, y, x0=warm)
+        loss, reg, noise = Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO), draw.w_wins_unit
+    y = draw.x @ plan.beta_star + scale * noise
+    return fit_proximal(EstimatorConfig(loss, reg, lam, center=centre), draw.design, y, x0=warm)
 
 
 def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.ndarray,
@@ -388,25 +410,36 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
 
     Draws the design and the unit noise once per design kind (the configured
     kind, or each of ``designs``, whose name is then appended to the
-    estimator label) and fits every estimator at every scale.  Each proximal
-    fit warm-starts from its own fit at the previous scale.
+    estimator label).  The closed-form fits at every scale form one
+    :func:`_error_block`, solved in one call through the draw's
+    ``Resolvent``.  Each proximal fit warm-starts from its own fit at the
+    previous scale.
     """
+    cfg = plan.config
+    closed = [(estimator, scale) for scale in cfg.scale_grid for estimator in estimators
+              if estimator not in _PROXIMAL_FITS]
     records = []
-    for kind in designs or (plan.config.design_kind,):
+    for kind in designs or (cfg.design_kind,):
         draw = _draw_replication(plan, rep, design_kind=kind)
+        design = draw.design  # factorized before the clock starts
+        suffix = "" if designs is None else f"_{kind}"
+        t0 = time.perf_counter()
+        rhs, shifts = _error_block(plan, draw, [(e, scale, scale ** 2 * plan.sigma2_unit) for e, scale in closed])
+        errors = design.solve(rhs, shifts)
+        share = (time.perf_counter() - t0) / len(closed)
+        for k, (estimator, scale) in enumerate(closed):
+            # the clock starts a share of the block solve early
+            records.append(_record(plan, estimator + suffix, scale, rep, plan.beta_star + errors[:, k], True,
+                                   time.perf_counter() - share))
         warm: dict[str, np.ndarray] = {}
-        for scale in plan.config.scale_grid:
+        for scale in cfg.scale_grid:
             for estimator in estimators:
-                t0 = time.perf_counter()
-                fit = None
                 if estimator in _PROXIMAL_FITS:
+                    t0 = time.perf_counter()
                     fit = _proximal_fit(plan, draw, estimator, scale, warm.get(estimator))
-                    beta_hat, converged = fit.beta_hat, fit.converged
-                    warm[estimator] = beta_hat
-                else:
-                    beta_hat, converged = _linear_fit(plan, draw, estimator, scale), True
-                label = estimator if designs is None else f"{estimator}_{kind}"
-                records.append(_record(plan, label, scale, rep, beta_hat, converged, t0, fit))
+                    warm[estimator] = fit.beta_hat
+                    records.append(_record(plan, estimator + suffix, scale, rep, fit.beta_hat, fit.converged,
+                                           t0, fit))
     return records
 
 
@@ -414,21 +447,17 @@ def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
     """One replication of noise-adapted transfer ridge across the σ² grid,
     with no eigendecomposition.
 
-    With ``d = beta_star - beta0``, ``v = X'w/n`` for the unit winsorized
-    noise, ``a_k = sqrt(sigma2_k / sigma2_unit)`` and ``lam_k`` the adapted
-    penalty, the error of the fit at ``sigma2_k`` is
-    ``beta_hat_k - beta_star = (X'X/n + lam_k I)^-1 (a_k v - lam_k d)``; all
-    columns are solved together by :func:`_shifted_solve`.  A record is
-    converged when its certificate holds.
+    The fit at ``sigma2_k`` has amplitude ``a_k = sqrt(sigma2_k /
+    sigma2_unit)``; all points form one :func:`_error_block`, solved
+    together by :func:`_shifted_solve`.  A record is converged when its
+    certificate holds.
     """
     cfg = plan.config
     draw = _draw_replication(plan, rep)
-    v = draw.x.T @ draw.w_wins_unit / cfg.n
-    d = plan.beta_star - plan.beta0
-    amps = np.array([math.sqrt(sigma2 / plan.sigma2_unit) for sigma2 in cfg.sigma_grid])
-    lams = np.array([_adapted_lambda(cfg, sigma2) for sigma2 in cfg.sigma_grid])
     t0 = time.perf_counter()
-    errors, certificates, fell_back = _shifted_solve(draw.x, v[:, None] * amps - d[:, None] * lams, lams)
+    rhs, lams = _error_block(plan, draw, [("transfer_ridge", math.sqrt(sigma2 / plan.sigma2_unit), sigma2)
+                                       for sigma2 in cfg.sigma_grid])
+    errors, certificates, fell_back = _shifted_solve(draw.x, rhs, lams)
     share = (time.perf_counter() - t0) / len(lams)
     records = []
     for k, sigma2 in enumerate(cfg.sigma_grid):

@@ -3,7 +3,7 @@
 The risk theory consumes a covariance only through its eigenvalues and the
 projection of the prior misalignment onto its eigenbasis, so the central type
 is :class:`DiscreteSpectrum`: eigen-atoms with uniform weight ``1/p``,
-optionally carrying misalignment coefficients and the aspect ratio.
+optionally carrying misalignment coefficients.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ class DiscreteSpectrum:
     @property
     def p(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Uniform spectral weights, ``1/p`` per atom."""
-        return np.full(self.p, 1.0 / self.p)
 
     def sqrt_matrix(self) -> np.ndarray:
         """Symmetric square root of the covariance, taken once per spectrum

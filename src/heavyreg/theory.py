@@ -72,8 +72,7 @@ class TheoryInputs:
 
     ``spectrum`` must carry misalignment coefficients (see
     :func:`heavyreg.spectrum.project_delta`).  ``gamma`` is the aspect ratio
-    ``p/n``; ``n`` is optional and only cross-checked when provided, since the
-    formulas need the sample size only through ``gamma``.
+    ``p/n``; the formulas need the sample size only through it.
     """
 
     spectrum: DiscreteSpectrum
@@ -81,7 +80,6 @@ class TheoryInputs:
     sigma2: float
     lambda_tilde: float
     reg: Regularizer = Regularizer(RegKind.RIDGE)
-    n: int | None = None
 
     def __post_init__(self) -> None:
         if self.spectrum.delta_coeffs is None:
@@ -92,10 +90,6 @@ class TheoryInputs:
             raise ConfigError(f"noise variance must be finite and >= 0, got {self.sigma2}")
         if not (self.lambda_tilde > 0.0 and math.isfinite(self.lambda_tilde)):
             raise ConfigError(f"penalty weight must be finite and > 0, got {self.lambda_tilde}")
-        if self.n is not None:
-            expected = self.spectrum.p / self.n
-            if abs(expected - self.gamma) > 1.0e-12 * max(1.0, expected):
-                raise ConfigError(f"gamma {self.gamma} inconsistent with p/n = {expected}")
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,16 @@ class TestExperimentCommand:
         assert code == 2
         assert "replicas" in capsys.readouterr().err
 
+    def test_non_finite_penalty_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def no_decompose(model):
+            raise AssertionError("a rejected config must not reach the covariance")
+
+        monkeypatch.setattr(experiments, "decompose", no_decompose)
+        ini = write_ini(tmp_path, TINY_INI.replace("replications = 3", "replications = 3\nlambda_tilde = inf"))
+        assert main(["experiment", "paradox", "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "lambda_tilde" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_config_section_exits_two(self, tmp_path, capsys):
         ini = write_ini(tmp_path, "[experiments]\nn = 100\n")
         code = main(["experiment", "paradox", "--config", ini])

@@ -14,9 +14,7 @@ from heavyreg.estimators import (
     Resolvent,
     _shifted_solve,
     empirical_risk,
-    fit_ols,
     fit_proximal,
-    fit_ridge,
 )
 
 SQUARED = Loss(LossKind.SQUARED)
@@ -72,10 +70,29 @@ class TestResolvent:
             expected = np.linalg.solve(x.T @ x / n + lam * np.eye(p), rhs)
             np.testing.assert_allclose(design.solve(rhs, lam), expected, rtol=1.0e-10, atol=1.0e-12)
 
-    def test_gram_product_matches_the_design_products(self):
-        x, _, _ = make_problem(n=30, p=50, seed=6)
-        v = np.random.default_rng(7).standard_normal(50)
-        np.testing.assert_allclose(Resolvent.of(x).gram(v), x.T @ (x @ v) / 30, rtol=1.0e-10, atol=1.0e-12)
+    def test_solve_takes_one_shift_per_column_of_a_block(self):
+        for n, p in ((60, 12), (30, 50)):
+            x, _, _ = make_problem(n=n, p=p, seed=6)
+            design = Resolvent.of(x)
+            rhs = np.random.default_rng(7).standard_normal((p, 4))
+            shifts = np.array([1.0e-3, 0.1, 1.0, 1.0e3])
+            sol = design.solve(rhs, shifts)
+            for k, lam in enumerate(shifts):
+                expected = np.linalg.solve(x.T @ x / n + lam * np.eye(p), rhs[:, k])
+                np.testing.assert_allclose(sol[:, k], expected, rtol=1.0e-9, atol=1.0e-12)
+
+    def test_scalar_shift_keeps_the_block_arithmetic(self):
+        # a repeated per-column shift and the scalar one divide by the same
+        # values after the same products, so they agree bit for bit
+        x, _, _ = make_problem(n=60, p=12, seed=4)
+        design = Resolvent.of(x)
+        rhs = np.random.default_rng(5).standard_normal((12, 3))
+        scalar = design.solve(rhs, 0.3)
+        assert np.array_equal(design.solve(rhs, np.full(3, 0.3)), scalar)
+        assert np.array_equal(scalar, design.evecs @ ((design.evecs.T @ rhs) / (design.evals + 0.3)[:, None]))
+        vector = rhs[:, 1]
+        assert np.array_equal(design.solve(vector, 0.3),
+                              design.evecs @ ((design.evecs.T @ vector) / (design.evals + 0.3)))
 
     def test_top_eigenvalue_is_the_squared_spectral_norm_over_n(self):
         for n, p in ((60, 12), (30, 50)):
@@ -151,18 +168,9 @@ class TestNonFiniteInput:
         design = Resolvent.of(x)
         y = y.copy()
         y[5] = bad
-        with pytest.raises(ConfigError):
-            fit_ols(design, y)
-        with pytest.raises(ConfigError):
-            fit_ridge(design, y, 0.1)
         for loss in (SQUARED, Loss(LossKind.HUBER, 1.5)):
             with pytest.raises(ConfigError):
                 fit_proximal(EstimatorConfig(loss, RIDGE, 0.1), design, y)
-
-    def test_ridge_center(self):
-        x, y, _ = make_problem(noise=1.0)
-        with pytest.raises(ConfigError):
-            fit_ridge(Resolvent.of(x), y, 0.1, beta0=np.full(x.shape[1], np.nan))
 
     def test_proximal_center_and_warm_start(self):
         x, y, _ = make_problem(noise=1.0)
@@ -174,111 +182,6 @@ class TestNonFiniteInput:
             fit_proximal(EstimatorConfig(SQUARED, LASSO, 0.1), design, y, x0=nan_vector)
 
 
-class TestFitOls:
-    """Unpenalized least squares through the Gram eigenbasis."""
-
-    def test_stacked_identity_design_returns_the_response_block(self):
-        p = 5
-        b = np.arange(1.0, p + 1.0)
-        x = np.vstack([np.eye(p), np.eye(p)])
-        fit = fit_ols(Resolvent.of(x), np.concatenate([b, b]))
-        np.testing.assert_allclose(fit.beta_hat, b, rtol=0.0, atol=1.0e-12)
-        assert fit.converged and fit.iterations == 0
-
-    def test_noiseless_data_is_recovered(self):
-        x, y, beta_star = make_problem()
-        fit = fit_ols(Resolvent.of(x), y)
-        np.testing.assert_allclose(fit.beta_hat, beta_star, rtol=0.0, atol=1.0e-8)
-
-    def test_matches_the_normal_equations(self):
-        x, y, _ = make_problem(n=50, p=2, noise=0.5)
-        expected = np.linalg.solve(x.T @ x, x.T @ y)
-        fit = fit_ols(Resolvent.of(x), y)
-        np.testing.assert_allclose(fit.beta_hat, expected, rtol=1.0e-8)
-
-    def test_residual_is_orthogonal_to_the_columns(self):
-        x, y, _ = make_problem(noise=1.0)
-        fit = fit_ols(Resolvent.of(x), y)
-        resid = y - x @ fit.beta_hat
-        assert np.max(np.abs(x.T @ resid)) <= 1.0e-8 * np.linalg.norm(y)
-
-    def test_objective_is_half_mean_squared_residual(self):
-        x, y, _ = make_problem(noise=1.0)
-        fit = fit_ols(Resolvent.of(x), y)
-        resid = y - x @ fit.beta_hat
-        assert fit.objective == pytest.approx(0.5 * np.mean(resid**2), rel=1.0e-12)
-
-    def test_square_or_wide_designs_are_rejected(self):
-        x, y, _ = make_problem(n=12, p=12)
-        with pytest.raises(ConfigError):
-            fit_ols(Resolvent.of(x), y)
-
-    def test_rank_deficiency_is_rejected(self):
-        x, y, _ = make_problem()
-        x = x.copy()
-        x[:, -1] = x[:, 0]
-        with pytest.raises(ConfigError):
-            fit_ols(Resolvent.of(x), y)
-
-    def test_gram_condition_above_1e12_is_rejected(self):
-        # design condition 1e5 (Gram 1e10) passes, 1e7 (Gram 1e14) does not
-        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((40, 2)))
-        y = np.ones(40)
-        assert fit_ols(Resolvent.of(q * [1.0, 1.0e-5]), y).converged
-        with pytest.raises(ConfigError):
-            fit_ols(Resolvent.of(q * [1.0, 1.0e-7]), y)
-
-    def test_response_shape_mismatch_is_rejected(self):
-        x, y, _ = make_problem()
-        with pytest.raises(ConfigError):
-            fit_ols(Resolvent.of(x), y[:-1])
-
-
-class TestFitRidge:
-    """Closed-form penalized least squares."""
-
-    def test_huge_penalty_pins_the_estimate_at_the_center(self):
-        x, y, _ = make_problem(noise=1.0)
-        beta0 = np.linspace(-1.0, 1.0, x.shape[1])
-        fit = fit_ridge(Resolvent.of(x), y, 1.0e12, beta0=beta0)
-        assert np.linalg.norm(fit.beta_hat - beta0) <= 1.0e-6
-
-    def test_vanishing_penalty_approaches_least_squares(self):
-        x, y, _ = make_problem(noise=0.3)
-        design = Resolvent.of(x)
-        ols = fit_ols(design, y)
-        ridge = fit_ridge(design, y, 1.0e-12)
-        np.testing.assert_allclose(ridge.beta_hat, ols.beta_hat, rtol=0.0, atol=1.0e-4)
-
-    def test_single_column_shrinkage_formula(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((40, 1))
-        y = rng.standard_normal(40)
-        lam = 0.8
-        n = 40
-        expected = (x[:, 0] @ y / n) / (x[:, 0] @ x[:, 0] / n + lam)
-        fit = fit_ridge(Resolvent.of(x), y, lam)
-        assert fit.beta_hat[0] == pytest.approx(expected, rel=1.0e-12)
-
-    def test_centering_shifts_the_solution_exactly(self):
-        x, y, _ = make_problem(noise=0.7)
-        beta0 = np.full(x.shape[1], 0.3)
-        design = Resolvent.of(x)
-        shifted = fit_ridge(design, y, 0.4, beta0=beta0)
-        plain = fit_ridge(design, y - x @ beta0, 0.4)
-        np.testing.assert_allclose(shifted.beta_hat, beta0 + plain.beta_hat, rtol=0.0, atol=1.0e-12)
-
-    def test_nonpositive_penalty_is_rejected(self):
-        x, y, _ = make_problem()
-        with pytest.raises(ConfigError):
-            fit_ridge(Resolvent.of(x), y, 0.0)
-
-    def test_center_shape_mismatch_is_rejected(self):
-        x, y, _ = make_problem()
-        with pytest.raises(ConfigError):
-            fit_ridge(Resolvent.of(x), y, 1.0, beta0=np.zeros(3))
-
-
 class TestFitProximal:
     """The exact active-set Newton fit: squared or Huber loss with a ridge or
     lasso penalty, certified by the gradient map."""
@@ -288,9 +191,9 @@ class TestFitProximal:
         config = EstimatorConfig(SQUARED, RIDGE, 0.3)
         design = Resolvent.of(x)
         newton = fit_proximal(config, design, y)
-        exact = fit_ridge(design, y, 0.3)
+        exact = np.linalg.solve(x.T @ x / 100 + 0.3 * np.eye(40), x.T @ y / 100)
         assert newton.converged and newton.iterations == 1
-        np.testing.assert_allclose(newton.beta_hat, exact.beta_hat, rtol=1.0e-12, atol=0.0)
+        np.testing.assert_allclose(newton.beta_hat, exact, rtol=1.0e-12, atol=0.0)
 
     def test_huber_recovers_noiseless_data(self):
         x, y, beta_star = make_problem(n=80, p=20, seed=11)

@@ -80,6 +80,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config("paradox", noise=TailLaw(NoiseFamily.STUDENT_T, 1.5, scale=2.0))
 
+    @pytest.mark.parametrize("field", ("lambda_tilde", "lambda_fixed", "huber_k", "delta_norm"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_penalties_knee_and_misalignment_are_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config("paradox", **{field: bad})
+
+    def test_nonpositive_penalties_knee_and_negative_misalignment_are_rejected(self):
+        for field, bad in (("lambda_tilde", 0.0), ("lambda_fixed", -1.0), ("huber_k", 0.0), ("delta_norm", -1.0)):
+            with pytest.raises(ConfigError, match=field):
+                tiny_config("paradox", **{field: bad})
+        assert tiny_config("paradox", delta_norm=0.0).delta_norm == 0.0
+
     def test_degenerate_noise_law_is_an_explicit_error(self):
         with pytest.raises(ConfigError):
             tiny_config("concentration", noise=TailLaw(NoiseFamily.SYMMETRIC_PARETO, 1.5, scale=0.0))
@@ -178,29 +190,29 @@ class TestRecordProtocol:
         x = sample_design(spec, 32, substream(0, "design", 0), kind="rademacher")
         assert set(np.unique(x)) == {-1.0, 1.0}
 
-    def test_cached_sweep_solves_match_the_public_fitters(self):
-        # independent dense oracles: the harness and the fitters share the
-        # eigenbasis solve, so neither may serve as the other's reference
-        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _linear_fit
+    def test_every_closed_form_sweep_point_matches_a_dense_oracle(self):
+        # the oracle solves each fit's centred normal equations densely in
+        # the beta form; the harness solves the error form in the eigenbasis
+        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _error_block
 
         cfg = tiny_config("paradox")
         plan = _build_plan(cfg)
         draw = _draw_replication(plan, rep=0)
-        x = draw.design.x
-        scale = 10.0
-        y = x @ plan.beta_star + scale * draw.w_wins_unit
-
-        def ridge(lam, center):
+        x = draw.x
+        estimators = ("ols", "fixed_ridge", "transfer_ridge")
+        points = [(e, scale, scale ** 2 * plan.sigma2_unit) for scale in cfg.scale_grid for e in estimators]
+        rhs, shifts = _error_block(plan, draw, points)
+        errors = draw.design.solve(rhs, shifts)
+        assert 0.0 in cfg.scale_grid
+        for k, (estimator, scale, sigma2) in enumerate(points):
+            y = x @ plan.beta_star + scale * draw.w_wins_unit
+            lam, center = {"ols": (0.0, np.zeros(cfg.p)),
+                           "fixed_ridge": (cfg.lambda_fixed, np.zeros(cfg.p)),
+                           "transfer_ridge": (_adapted_lambda(cfg, sigma2), plan.beta0)}[estimator]
             system = x.T @ x / cfg.n + lam * np.eye(cfg.p)
-            return center + np.linalg.solve(system, x.T @ (y - x @ center) / cfg.n)
-
-        ols = np.linalg.lstsq(x, y, rcond=None)[0]
-        np.testing.assert_allclose(_linear_fit(plan, draw, "ols", scale), ols, rtol=1.0e-10)
-        np.testing.assert_allclose(_linear_fit(plan, draw, "fixed_ridge", scale),
-                                   ridge(cfg.lambda_fixed, np.zeros(cfg.p)), rtol=1.0e-10)
-        lam = _adapted_lambda(cfg, scale ** 2 * plan.sigma2_unit)
-        np.testing.assert_allclose(_linear_fit(plan, draw, "transfer_ridge", scale),
-                                   ridge(lam, plan.beta0), rtol=1.0e-10)
+            oracle = center + np.linalg.solve(system, x.T @ (y - x @ center) / cfg.n)
+            np.testing.assert_allclose(plan.beta_star + errors[:, k], oracle, rtol=1.0e-10, atol=1.0e-12,
+                                       err_msg=f"{estimator} at scale {scale}")
 
 
 class TestGoldenRecords:
@@ -217,16 +229,16 @@ class TestGoldenRecords:
     """
 
     GOLDEN = {
-        "paradox": ("20457be47638edeb216cb24fa49443d314f84105bbb6b42c231987c7f4890979",
-                    "ff58a4200aa3ae0f32d55b0ec2b3b0521537ddd670acd492e8c91aa9839a3d59"),
-        "floor": ("1075bac735b1404e8ece68f902478dcaebd512d55913b09c1bb33c40fa3c0f2f",
-                  "ad6493093ed9b20a5379331771cd9af4019a441157711d7067ada79913c550c9"),
+        "paradox": ("c76cb2424c4bb8b9e57476a7198ece619c67db13c725a059da322ff6c0b24432",
+                    "1644fc4a09b9747d603ccd69bd0a6c7cef2106241639641c5603618c7529fda1"),
+        "floor": ("2295af6e52be6759df1e0ce823ff19abfdac99d6144ebd2177f98923cc17ebd4",
+                  "e1c33705182bdc3b322b851349529630329945ea1a3e7ca5b85fc3d7725f240a"),
         "transient": ("c10cd5c969ad12d2dba3ba296cb29e59f02546263906d8432a91b47154a86daf",
                       "401ce1275c7de20a17338768d4bccc3fbf306238c6298523ab8b2db7046cb042"),
-        "trichotomy": ("26b212b1809ec9e41f7ede0929f6ba7d13c404674a37f38693246cec6317bf5a",
-                       "853db35794678644aee52c6699c6ff999156b938af599f8062abc9811aab37b5"),
-        "universality": ("5375dc5feda97c9a84288684cc67bb5dafa4ad4e57ac1bb7a5d823283a62b58e",
-                         "22b63ac3b865febfbb9b9848dc04b3ec615b583c70a42f157d0c1dd5e26674ba"),
+        "trichotomy": ("245745d083b4563986735916c47f7459cb67f26198e9fa463eb11db66ac06401",
+                       "7b19ffcaa04101f921f71832c4494be7b3ebb0ef90623caa1f2e8e002deb42d5"),
+        "universality": ("83183218faca69b3e32ab452939dd8cfbc99a46b7ec2de28e0ced34ace787fa1",
+                         "d8dc71c82afbbc5a59d9caa7ec512f92474710741b6aeec57693c3d3e446feea"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -319,7 +331,8 @@ class TestTransientRunner:
     @staticmethod
     def eigenbasis_risks(config):
         """Every record by the eigenbasis solve of the fitted ridge itself,
-        ``beta0 + (G + lam I)^-1 (G (beta_star - beta0) + a X'w/n)``."""
+        ``beta0 + (G + lam I)^-1 (G (beta_star - beta0) + a X'w/n)``, with
+        ``G d`` formed from the design."""
         from heavyreg.estimators import Resolvent, empirical_risk
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
 
@@ -329,8 +342,9 @@ class TestTransientRunner:
             draw = _draw_replication(plan, rep)
             design = Resolvent.of(draw.x)
             xtw = draw.x.T @ draw.w_wins_unit / config.n
+            gd = draw.x.T @ (draw.x @ (plan.beta_star - plan.beta0)) / config.n
             for sigma2 in config.sigma_grid:
-                rhs = design.gram(plan.beta_star - plan.beta0) + math.sqrt(sigma2 / plan.sigma2_unit) * xtw
+                rhs = gd + math.sqrt(sigma2 / plan.sigma2_unit) * xtw
                 beta = plan.beta0 + design.solve(rhs, _adapted_lambda(config, sigma2))
                 risks[(sigma2, rep)] = empirical_risk(beta, plan.beta_star, plan.spec.matrix)
         return risks

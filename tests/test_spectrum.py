@@ -91,11 +91,6 @@ class TestDecompose:
         with pytest.raises(ConvergenceError, match="reconstruction error"):
             decompose(CovarianceModel.ar1(10, 0.5))
 
-    def test_weights_are_uniform(self):
-        spec = decompose(CovarianceModel.ar1(10, 0.5))
-        assert np.allclose(spec.weights, 0.1, rtol=0.0, atol=0.0)
-        assert float(np.sum(spec.weights)) == pytest.approx(1.0, rel=1.0e-14)
-
 
 class TestProjectDelta:
     """Misalignment projection and energy."""

@@ -211,11 +211,6 @@ class TestRidgeClosedForm:
         with pytest.raises(ValueError):
             ridge_risk_closed_form(TheoryInputs(make_spectrum(), 0.5, 1.0, 1.0, reg=Regularizer(RegKind.LASSO)))
 
-    def test_inputs_validate_gamma_against_sample_size(self):
-        with pytest.raises(ValueError):
-            TheoryInputs(make_spectrum(p=400), 0.5, 1.0, 1.0, n=1000)
-        TheoryInputs(make_spectrum(p=400), 0.5, 1.0, 1.0, n=800)
-
     def test_inputs_require_projected_spectrum(self):
         spec = decompose(CovarianceModel.identity(8))
         with pytest.raises(ValueError):
