@@ -215,6 +215,92 @@ class TestRecordProtocol:
                                        err_msg=f"{estimator} at scale {scale}")
 
 
+class TestErrorBlock:
+    """The closed-form squared-loss fits: each estimator's penalty and
+    centre, and the error systems one draw solves as a block."""
+
+    @staticmethod
+    def solved(config, points, draw=None, **plan_fields):
+        """``(plan, draw, errors)`` for ``points`` on ``draw`` (the plan's
+        first draw when omitted), the plan's fields overridden as given."""
+        plan = dataclasses.replace(experiments._build_plan(config), **plan_fields)
+        draw = draw or experiments._draw_replication(plan, rep=0)
+        rhs, shifts = experiments._error_block(plan, draw, points)
+        return plan, draw, draw.design.solve(rhs, shifts)
+
+    @staticmethod
+    def response(plan, draw, amplitude):
+        return draw.x @ plan.beta_star + amplitude * draw.w_wins_unit
+
+    def test_each_estimator_has_its_penalty_and_centre(self):
+        cfg = tiny_config("paradox", lambda_tilde=0.5, lambda_fixed=0.2)
+        plan = experiments._build_plan(cfg)
+        origin = np.zeros(cfg.p)
+        for estimator, lam, centre in (("ols", 0.0, origin), ("fixed_ridge", 0.2, origin), ("huber", 0.2, origin),
+                                       ("transfer_ridge", 1.5, plan.beta0), ("transfer_lasso", 1.5, plan.beta0)):
+            got_lam, got_centre = experiments._penalty_and_centre(plan, estimator, 3.0)
+            assert got_lam == lam, estimator
+            assert np.array_equal(got_centre, centre), estimator
+
+    def test_noiseless_transfer_penalty_keeps_its_floor(self):
+        plan = experiments._build_plan(tiny_config("paradox"))
+        lam, _ = experiments._penalty_and_centre(plan, "transfer_ridge", 0.0)
+        assert lam == experiments._NOISELESS_PENALTY > 0.0
+
+    def test_unknown_estimator_is_rejected(self):
+        plan = experiments._build_plan(tiny_config("paradox"))
+        with pytest.raises(ConfigError):
+            experiments._penalty_and_centre(plan, "elastic_net", 1.0)
+
+    def test_block_has_one_column_and_one_shift_per_point(self):
+        cfg = tiny_config("paradox")
+        plan = experiments._build_plan(cfg)
+        draw = experiments._draw_replication(plan, rep=0)
+        points = [("ols", 1.0, 1.0), ("fixed_ridge", 2.0, 4.0), ("transfer_ridge", 3.0, 9.0)]
+        rhs, shifts = experiments._error_block(plan, draw, points)
+        assert rhs.shape == (cfg.p, 3)
+        assert shifts.tolist() == [0.0, cfg.lambda_fixed, experiments._adapted_lambda(cfg, 9.0)]
+
+    def test_stacked_identity_design_averages_the_two_response_blocks(self):
+        # X = [I; I] makes X'X/n = 2I/n, so least squares is the mean of the blocks
+        cfg = tiny_config("paradox", n=8, p=4, cov=CovarianceModel.identity(4))
+        noise = np.arange(1.0, 9.0)
+        draw = experiments._RepDraw(x=np.vstack([np.eye(4), np.eye(4)]), w_unit=noise, w_wins_unit=noise)
+        plan, _, errors = self.solved(cfg, [("ols", 2.0, 4.0)], draw=draw)
+        np.testing.assert_allclose(errors[:, 0], 2.0 * (noise[:4] + noise[4:]) / 2.0, rtol=0.0, atol=1.0e-12)
+
+    def test_noiseless_least_squares_recovers_the_signal_exactly(self):
+        plan, _, errors = self.solved(tiny_config("paradox"), [("ols", 0.0, 0.0)])
+        assert np.array_equal(errors[:, 0], np.zeros(plan.config.p))
+
+    def test_least_squares_residual_is_orthogonal_to_the_columns(self):
+        plan, draw, errors = self.solved(tiny_config("paradox"), [("ols", 3.0, 9.0)])
+        y = self.response(plan, draw, 3.0)
+        resid = y - draw.x @ (plan.beta_star + errors[:, 0])
+        assert np.max(np.abs(draw.x.T @ resid)) <= 1.0e-10 * np.linalg.norm(y)
+
+    def test_least_squares_error_is_linear_in_the_noise_amplitude(self):
+        # the pure-variance curve behind the slope-two check
+        _, _, errors = self.solved(tiny_config("paradox"), [("ols", 1.0, 1.0), ("ols", 1.0e3, 1.0e6)])
+        np.testing.assert_allclose(errors[:, 1], 1.0e3 * errors[:, 0], rtol=1.0e-12, atol=0.0)
+
+    def test_huge_penalty_pins_the_transfer_fit_at_its_centre(self):
+        plan, _, errors = self.solved(tiny_config("paradox", lambda_tilde=1.0e12), [("transfer_ridge", 1.0, 1.0)])
+        assert np.linalg.norm(plan.beta_star + errors[:, 0] - plan.beta0) <= 1.0e-6
+
+    def test_vanishing_penalty_approaches_least_squares(self):
+        _, _, errors = self.solved(tiny_config("paradox", lambda_fixed=1.0e-12),
+                                   [("ols", 0.3, 0.09), ("fixed_ridge", 0.3, 0.09)])
+        np.testing.assert_allclose(errors[:, 1], errors[:, 0], rtol=0.0, atol=1.0e-9)
+
+    def test_single_column_ridge_is_the_shrinkage_formula(self):
+        cfg = tiny_config("paradox", n=40, p=1, cov=CovarianceModel.identity(1), sparsity=1.0, lambda_fixed=0.8)
+        plan, draw, errors = self.solved(cfg, [("fixed_ridge", 2.0, 4.0)])
+        x, y = draw.x[:, 0], self.response(plan, draw, 2.0)
+        expected = (x @ y / 40) / (x @ x / 40 + 0.8)
+        assert plan.beta_star[0] + errors[0, 0] == pytest.approx(expected, rel=1.0e-12)
+
+
 class TestGoldenRecords:
     """Byte-level pin of every experiment's records and summary.
 
