@@ -381,10 +381,13 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
     return fit_proximal(EstimatorConfig(loss, reg, lam, center=centre), draw.design, y, x0=warm)
 
 
-def _record(plan: _Plan, estimator: str, sweep: float, rep: int, beta_hat: np.ndarray,
+def _record(plan: _Plan, estimator: str, sweep: float, rep: int, error: np.ndarray,
             converged: bool, t0: float, fit: FitResult | None = None, certificate: float | None = None,
             resolvent_fallback: bool = False) -> RiskRecord:
-    risk = empirical_risk(beta_hat, plan.beta_star, plan.spec.matrix)
+    """The record of one fit whose error ``beta_hat - beta_star`` is
+    ``error``; a closed-form fit passes its solved error as is, so a tiny
+    error loses no digits to adding and subtracting ``beta_star``."""
+    risk = empirical_risk(error, np.zeros_like(error), plan.spec.matrix)
     return RiskRecord(
         experiment=plan.config.name,
         estimator=estimator,
@@ -429,7 +432,7 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
         share = (time.perf_counter() - t0) / len(closed)
         for k, (estimator, scale) in enumerate(closed):
             # the clock starts a share of the block solve early
-            records.append(_record(plan, estimator + suffix, scale, rep, plan.beta_star + errors[:, k], True,
+            records.append(_record(plan, estimator + suffix, scale, rep, errors[:, k], True,
                                    time.perf_counter() - share))
         warm: dict[str, np.ndarray] = {}
         for scale in cfg.scale_grid:
@@ -438,8 +441,8 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
                     t0 = time.perf_counter()
                     fit = _proximal_fit(plan, draw, estimator, scale, warm.get(estimator))
                     warm[estimator] = fit.beta_hat
-                    records.append(_record(plan, estimator + suffix, scale, rep, fit.beta_hat, fit.converged,
-                                           t0, fit))
+                    records.append(_record(plan, estimator + suffix, scale, rep, fit.beta_hat - plan.beta_star,
+                                           fit.converged, t0, fit))
     return records
 
 
@@ -462,7 +465,7 @@ def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
     records = []
     for k, sigma2 in enumerate(cfg.sigma_grid):
         # the clock starts a share of the block solve early
-        records.append(_record(plan, "transfer_ridge", sigma2, rep, plan.beta_star + errors[:, k],
+        records.append(_record(plan, "transfer_ridge", sigma2, rep, errors[:, k],
                                bool(certificates[k] <= _CERTIFICATE), time.perf_counter() - share,
                                certificate=float(certificates[k]), resolvent_fallback=bool(fell_back[k])))
     return records

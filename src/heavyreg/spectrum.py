@@ -4,6 +4,11 @@ The risk theory consumes a covariance only through its eigenvalues and the
 projection of the prior misalignment onto its eigenbasis, so the central type
 is :class:`DiscreteSpectrum`: eigen-atoms with uniform weight ``1/p``,
 optionally carrying misalignment coefficients.
+
+An AR(1) covariance (identity is AR(1) with ``rho = 0``) has a tridiagonal
+inverse in closed form, so :func:`decompose` takes its eigenpairs from that
+tridiagonal in ``O(p^2)`` work; only an explicit matrix takes a dense
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy import linalg
 
 from .errors import ConfigError, ConvergenceError
 
@@ -29,8 +35,9 @@ __all__ = [
     "sample_sphere",
 ]
 
-_RECONSTRUCTION_TOL = 1.0e-10
+_CERTIFICATE_TOL = 1.0e-10  # reconstruction, residual and orthogonality bound
 _EIGENVALUE_FLOOR = 1.0e-12
+_RESIDUAL_BLOCK = 128  # columns per slice of the tridiagonal residual
 
 
 class CovarianceKind(enum.Enum):
@@ -43,8 +50,9 @@ class CovarianceKind(enum.Enum):
 class CovarianceModel:
     """Feature covariance specification.
 
-    ``AR1`` has entries ``rho**|i-j|``; ``EXPLICIT`` carries a symmetric
-    positive-definite matrix supplied by the caller.
+    ``AR1`` has entries ``rho**|i-j|`` (``IDENTITY`` is the case
+    ``rho = 0``); ``EXPLICIT`` carries a symmetric positive-definite matrix
+    supplied by the caller.
     """
 
     kind: CovarianceKind
@@ -78,14 +86,16 @@ class CovarianceModel:
         matrix = np.asarray(matrix, dtype=float)
         return cls(CovarianceKind.EXPLICIT, matrix.shape[0], matrix=matrix)
 
+    @property
+    def _correlation(self) -> float:
+        """The AR(1) correlation of an identity or AR(1) model."""
+        return 0.0 if self.kind is CovarianceKind.IDENTITY else self.rho
+
     def materialize(self) -> np.ndarray:
         """Return the dense covariance matrix."""
-        if self.kind is CovarianceKind.IDENTITY:
-            return np.eye(self.p)
-        if self.kind is CovarianceKind.AR1:
-            idx = np.arange(self.p)
-            return self.rho ** np.abs(np.subtract.outer(idx, idx))
-        return np.array(self.matrix, dtype=float)
+        if self.kind is CovarianceKind.EXPLICIT:
+            return np.array(self.matrix, dtype=float)
+        return linalg.toeplitz(self._correlation ** np.arange(self.p))
 
 
 @dataclass(frozen=True)
@@ -128,26 +138,87 @@ class DiscreteSpectrum:
 def decompose(model: CovarianceModel) -> DiscreteSpectrum:
     """Eigendecompose a covariance model into a :class:`DiscreteSpectrum`.
 
+    An identity or AR(1) covariance is decomposed through its tridiagonal
+    inverse ``T`` (see :func:`_ar1_inverse`): ``scipy.linalg.eigh_tridiagonal``
+    of ``-T`` returns eigenvalues ``mu`` in ascending order, so ``-1/mu`` are
+    the covariance's eigenvalues, ascending, with the same eigenvectors.  The
+    pairs are certified in ``O(p^2)`` work by the residual
+    ``||T U diag(s) - U||_F / sqrt(p)`` and by ``||U'U - I||_F``.  The
+    largest eigenvalues, as reciprocals of the inverse's smallest, carry
+    about ``eps ((1+|rho|)/(1-|rho|))^2`` relative error (``2e-15`` at
+    ``rho = 0.5``, ``2e-12`` near ``|rho| = 0.99``).  An explicit matrix
+    takes a dense ``np.linalg.eigh`` certified by reconstruction.
+
     Raises
     ------
     ConfigError
         If the smallest eigenvalue falls at or below ``1e-12`` times the
         largest.
     ConvergenceError
-        If the eigenbasis fails to reconstruct the matrix to ``1e-10``
-        relative Frobenius error.
+        If an AR(1) eigenbasis misses the residual or the orthogonality
+        bound (``1e-10`` each), or if an explicit matrix's eigenbasis fails
+        to reconstruct it to ``1e-10`` relative Frobenius error.  The
+        message names the check.
     """
     sigma = model.materialize()
-    eigenvalues, basis = np.linalg.eigh(sigma)
+    if model.kind is CovarianceKind.EXPLICIT:
+        eigenvalues, basis = np.linalg.eigh(sigma)
+        _require_definite(eigenvalues)
+        recon = (basis * eigenvalues) @ basis.T
+        rel = np.linalg.norm(recon - sigma) / np.linalg.norm(sigma)
+        if rel > _CERTIFICATE_TOL:
+            raise ConvergenceError(f"eigendecomposition reconstruction error {rel} exceeds {_CERTIFICATE_TOL}")
+        return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=sigma)
+    diag, off = _ar1_inverse(model.p, model._correlation)
+    mu, basis = linalg.eigh_tridiagonal(-diag, -off)
+    eigenvalues = -1.0 / mu
+    _require_definite(eigenvalues)
+    residual = _tridiagonal_residual(diag, off, eigenvalues, basis)
+    if not residual <= _CERTIFICATE_TOL:
+        raise ConvergenceError(f"tridiagonal eigenpair residual {residual} exceeds {_CERTIFICATE_TOL}")
+    gram = basis.T @ basis
+    gram.flat[::model.p + 1] -= 1.0
+    orthogonality = float(np.linalg.norm(gram))
+    if not orthogonality <= _CERTIFICATE_TOL:
+        raise ConvergenceError(f"eigenbasis orthogonality error {orthogonality} exceeds {_CERTIFICATE_TOL}")
+    return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=sigma)
+
+
+def _require_definite(eigenvalues: np.ndarray) -> None:
     if eigenvalues[-1] <= 0.0 or eigenvalues[0] <= _EIGENVALUE_FLOOR * eigenvalues[-1]:
         raise ConfigError(
             f"covariance is numerically singular: eigenvalue range [{eigenvalues[0]}, {eigenvalues[-1]}]"
         )
-    recon = (basis * eigenvalues) @ basis.T
-    rel = np.linalg.norm(recon - sigma) / np.linalg.norm(sigma)
-    if rel > _RECONSTRUCTION_TOL:
-        raise ConvergenceError(f"eigendecomposition reconstruction error {rel} exceeds {_RECONSTRUCTION_TOL}")
-    return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=sigma)
+
+
+def _ar1_inverse(p: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the inverse of the AR(1) covariance
+    ``rho**|i-j|``: ``(1, 1+rho^2, ..., 1+rho^2, 1)/(1-rho^2)`` and
+    ``-rho/(1-rho^2)`` (the inverse of the ``1 x 1`` covariance is 1)."""
+    if p == 1:
+        return np.ones(1), np.empty(0)
+    scale = 1.0 - rho * rho
+    diag = np.full(p, (1.0 + rho * rho) / scale)
+    diag[[0, -1]] = 1.0 / scale
+    return diag, np.full(p - 1, -rho / scale)
+
+
+def _tridiagonal_residual(diag: np.ndarray, off: np.ndarray, eigenvalues: np.ndarray,
+                          basis: np.ndarray) -> float:
+    """``||T U diag(eigenvalues) - U||_F / sqrt(p)`` for the symmetric
+    tridiagonal ``T`` with the given diagonal and off-diagonal, formed a
+    slice of columns at a time so that no ``p x p`` temporary is held."""
+    p = basis.shape[0]
+    total = 0.0
+    for start in range(0, p, _RESIDUAL_BLOCK):
+        u = basis[:, start:start + _RESIDUAL_BLOCK]
+        r = diag[:, None] * u
+        r[1:] += off[:, None] * u[:-1]
+        r[:-1] += off[:, None] * u[1:]
+        r *= eigenvalues[start:start + _RESIDUAL_BLOCK]
+        r -= u
+        total += float(np.sum(r * r))
+    return math.sqrt(total / p)
 
 
 def project_delta(spec: DiscreteSpectrum, beta_star: np.ndarray, beta0: np.ndarray) -> DiscreteSpectrum:

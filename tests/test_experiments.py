@@ -315,16 +315,16 @@ class TestGoldenRecords:
     """
 
     GOLDEN = {
-        "paradox": ("c76cb2424c4bb8b9e57476a7198ece619c67db13c725a059da322ff6c0b24432",
-                    "1644fc4a09b9747d603ccd69bd0a6c7cef2106241639641c5603618c7529fda1"),
-        "floor": ("2295af6e52be6759df1e0ce823ff19abfdac99d6144ebd2177f98923cc17ebd4",
-                  "e1c33705182bdc3b322b851349529630329945ea1a3e7ca5b85fc3d7725f240a"),
-        "transient": ("c10cd5c969ad12d2dba3ba296cb29e59f02546263906d8432a91b47154a86daf",
-                      "401ce1275c7de20a17338768d4bccc3fbf306238c6298523ab8b2db7046cb042"),
-        "trichotomy": ("245745d083b4563986735916c47f7459cb67f26198e9fa463eb11db66ac06401",
-                       "7b19ffcaa04101f921f71832c4494be7b3ebb0ef90623caa1f2e8e002deb42d5"),
-        "universality": ("83183218faca69b3e32ab452939dd8cfbc99a46b7ec2de28e0ced34ace787fa1",
-                         "d8dc71c82afbbc5a59d9caa7ec512f92474710741b6aeec57693c3d3e446feea"),
+        "paradox": ("1490f47c284914c18e9308f1da22a492de47b30deb3919659c2246921638c357",
+                    "42b6aceffb5f1e3d464c1447bf2722e96a60ad0af9e473224ef3fe076e62f9e0"),
+        "floor": ("b0efe1bbf11a146116cdfbbfb56a998cdae1dbccb15984cde6d53eaac691d5c4",
+                  "617b1fb81b478bc856cb1fc19e25cd3dda435e4239cc6a51ee4e7b102ecc13da"),
+        "transient": ("523a0758053f6df3ddcab1d04caca23924a2452a36b61e3a6bbf6bddf576f274",
+                      "b85a4cd0f409307b4142df03707419a5ff61684a08aee8cc5e6b9f79a1f36a0c"),
+        "trichotomy": ("c65769bd16b5e9073b07429541dd3c156a55f85669e1da06e3f9409fc901a0ad",
+                       "8983c5b27fca8faa8b887f0ab5b471e351f87663cc07b415c72688c7014daee5"),
+        "universality": ("1e9bee81cb018c01ee0f7d0460cd1a66b17c427d794536cb6bf3cb48e65f8742",
+                         "79516e9501b90d1b6e9f20188ce6435c02c0df5f14b022d5cf27329971cad75e"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -367,6 +367,28 @@ class TestParadoxRunner:
         ols = result.summary["estimators"]["ols"]
         assert ols["sweep_values"][0] == 0.0
         assert ols["mean"][0] <= 1.0e-20
+
+    def test_noiseless_transfer_row_matches_a_high_precision_oracle(self):
+        """The noiseless transfer-ridge risk (about 3e-25) against its error
+        solved in 50 digits from the same design, signal and centre.  The risk
+        must come from the solved error itself: a round trip through
+        ``beta_star + e`` loses about 1e-5 of it."""
+        import mpmath
+
+        cfg = tiny_config("paradox")
+        plan = experiments._build_plan(cfg)
+        draw = experiments._draw_replication(plan, rep=4)
+        record = next(r for r in run_experiment(cfg).records
+                      if (r.estimator, r.sweep_value, r.replication) == ("transfer_ridge", 0.0, 4))
+        with mpmath.workdps(50):
+            x = mpmath.matrix(draw.x.tolist())
+            lam = mpmath.mpf(experiments._NOISELESS_PENALTY)
+            system = x.T * x / cfg.n + lam * mpmath.eye(cfg.p)
+            centre_gap = mpmath.matrix(plan.beta_star.tolist()) - mpmath.matrix(plan.beta0.tolist())
+            error = mpmath.lu_solve(system, -lam * centre_gap)
+            oracle = float((error.T * mpmath.matrix(plan.spec.matrix.tolist()) * error)[0] / cfg.p)
+        assert 0.0 < oracle < 1.0e-20
+        assert record.risk == pytest.approx(oracle, rel=1.0e-12, abs=0.0)
 
     def test_needs_more_rows_than_columns(self):
         for name in ("paradox", "trichotomy"):
@@ -447,7 +469,7 @@ class TestTransientRunner:
     def test_sweep_is_certified_without_an_eigendecomposition(self, monkeypatch):
         shapes = self.eigh_shapes(monkeypatch)
         result = run_experiment(tiny_config("transient"))
-        assert shapes == [(40, 40)]  # the covariance, decomposed once
+        assert shapes == []  # the AR(1) covariance is decomposed through its tridiagonal inverse
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert result.summary["resolvent_fallbacks"] == [0] * len(result.config.sigma_grid)
 
@@ -457,7 +479,7 @@ class TestTransientRunner:
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
         shapes = self.eigh_shapes(monkeypatch)
         result = run_experiment(tiny_config("transient"))
-        assert shapes == [(40, 40)] * (1 + result.config.replications)  # one Resolvent per replication
+        assert shapes == [(40, 40)] * result.config.replications  # one Resolvent per replication
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert all(r.resolvent_fallback for r in result.records)
         assert result.summary["resolvent_fallbacks"] == [result.config.replications] * len(result.config.sigma_grid)

@@ -89,7 +89,98 @@ class TestDecompose:
         eigh = np.linalg.eigh
         monkeypatch.setattr(spectrum.np.linalg, "eigh", lambda m: (eigh(m)[0] * (1.0 + 1.0e-6), eigh(m)[1]))
         with pytest.raises(ConvergenceError, match="reconstruction error"):
+            decompose(CovarianceModel.explicit(CovarianceModel.ar1(10, 0.5).materialize()))
+
+    def test_inexact_tridiagonal_eigenvalues_fail_the_residual(self, monkeypatch):
+        eigh_tridiagonal = spectrum.linalg.eigh_tridiagonal
+
+        def perturbed(d, e):
+            mu, basis = eigh_tridiagonal(d, e)
+            return mu * (1.0 + 1.0e-6), basis
+
+        monkeypatch.setattr(spectrum.linalg, "eigh_tridiagonal", perturbed)
+        with pytest.raises(ConvergenceError, match="residual"):
             decompose(CovarianceModel.ar1(10, 0.5))
+
+    def test_duplicated_eigenpair_fails_the_orthogonality_check(self, monkeypatch):
+        # an exact eigenpair twice passes the residual; only orthogonality sees it
+        eigh_tridiagonal = spectrum.linalg.eigh_tridiagonal
+
+        def duplicated(d, e):
+            mu, basis = eigh_tridiagonal(d, e)
+            mu[4], basis[:, 4] = mu[3], basis[:, 3]
+            return mu, basis
+
+        monkeypatch.setattr(spectrum.linalg, "eigh_tridiagonal", duplicated)
+        with pytest.raises(ConvergenceError, match="orthogonality"):
+            decompose(CovarianceModel.ar1(10, 0.5))
+
+    def test_ar1_takes_no_dense_eigendecomposition(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        spec = decompose(CovarianceModel.ar1(1000, 0.5))
+        assert calls == [] and spec.p == 1000
+
+    def test_nearly_unit_correlation_is_rejected_by_both_routes(self):
+        # eigenvalues run from about (1 - rho)/2 = 5e-12 to about p = 50: a ratio of 1e-13
+        model = CovarianceModel.ar1(50, 1.0 - 1.0e-11)
+        for route in (model, CovarianceModel.explicit(model.materialize())):
+            with pytest.raises(ConfigError, match="numerically singular"):
+                decompose(route)
+
+
+def dense_ar1_inverse(p, rho):
+    diag, off = spectrum._ar1_inverse(p, rho)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestTridiagonalRoute:
+    """AR(1) spectra through the tridiagonal inverse, against dense ``eigh``."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 50])
+    @pytest.mark.parametrize("rho", [0.5, -0.8])
+    def test_closed_form_inverse_inverts_the_covariance(self, p, rho):
+        product = dense_ar1_inverse(p, rho) @ CovarianceModel.ar1(p, rho).materialize()
+        assert np.max(np.abs(product - np.eye(p))) <= 1.0e-13
+
+    @given(st.integers(1, 300), st.floats(-0.99, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_eigendecomposition(self, p, rho):
+        model = CovarianceModel.ar1(p, rho)
+        sigma = model.materialize()
+        spec = decompose(model)
+        values, vectors = np.linalg.eigh(sigma)
+        # The largest covariance eigenvalue is the reciprocal of the inverse's
+        # smallest, found to eps ||T|| absolute, so it carries about eps kappa(T)
+        # relative error, kappa(T) -> band**2; measured at most 1.4 eps band**2
+        # (2.7e-12 at |rho| = 0.985) over p <= 300.
+        band = (1.0 + abs(rho)) / (1.0 - abs(rho))
+        drift = 2.0 * np.finfo(float).eps * band ** 2
+        np.testing.assert_allclose(spec.eigenvalues, values, rtol=max(1.0e-13, drift), atol=0.0)
+        recon = (spec.basis * spec.eigenvalues) @ spec.basis.T
+        assert np.linalg.norm(recon - sigma) <= max(1.0e-12, drift) * np.linalg.norm(sigma)
+        root = (vectors * np.sqrt(values)) @ vectors.T
+        assert np.linalg.norm(spec.sqrt_matrix() - root) <= max(1.0e-12, drift) * np.linalg.norm(root)
+
+    def test_zero_correlation_is_the_identity_exactly(self):
+        for model in (CovarianceModel.ar1(7, 0.0), CovarianceModel.identity(7)):
+            spec = decompose(model)
+            assert np.array_equal(spec.eigenvalues, np.ones(7))
+            assert np.array_equal(spec.basis, np.eye(7))
+            assert np.array_equal(spec.matrix, np.eye(7))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.7, -0.95])
+    def test_one_dimension_is_a_unit_variance(self, rho):
+        spec = decompose(CovarianceModel.ar1(1, rho))
+        assert spec.eigenvalues.tolist() == [1.0] and np.abs(spec.basis).tolist() == [[1.0]]
+        assert spec.matrix.tolist() == [[1.0]]
+
+    def test_materialized_ar1_is_the_outer_power(self):
+        idx = np.arange(200)
+        for rho in (0.5, -0.3, 0.99):
+            outer = rho ** np.abs(np.subtract.outer(idx, idx))
+            assert np.array_equal(CovarianceModel.ar1(200, rho).materialize(), outer)
 
 
 class TestProjectDelta:
