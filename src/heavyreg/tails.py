@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special
 
 from .errors import ConfigError, ConvergenceError
@@ -219,8 +218,9 @@ def winsorize(w: np.ndarray | float, tau: float) -> np.ndarray | float:
 def effective_variance_exact(law: TailLaw, tau: float) -> float:
     """Exact winsorized second moment ``scale**2 * int_0^tau 2 t P(|w|>t) dt``.
 
-    Closed form for the symmetric Pareto family.  Student-t uses adaptive
-    quadrature of the survival function on decade panels.  The alpha-stable
+    Closed form for the symmetric Pareto family.  Student-t integrates
+    ``2 t P(|w| > t)`` by :func:`_gauss_panels` on the half-decade panels
+    ``[0, 1, sqrt(10), 10, ...]`` cut at ``tau``.  The alpha-stable
     law computes ``E[min(W^2, T^2)]`` on ``[0, T]``, ``T = min(tau, 50)``, from
     its characteristic function (see :func:`_stable_clipped_moment`); past
     ``t = 50`` it adds the exact integral of the two-term series that
@@ -244,21 +244,11 @@ def effective_variance_exact(law: TailLaw, tau: float) -> float:
         return law.scale ** 2 * unit
 
     if law.family is NoiseFamily.STUDENT_T:
-        # Integrate on decade panels so the power-law tail cannot starve quad of
-        # subdivisions on a single huge interval.
-        edges = [0.0]
-        e = 1.0
-        while e < tau:
-            edges.append(e)
-            e *= 10.0
-        edges.append(tau)
-        total = 0.0
-        err = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            val, ab = integrate.quad(lambda t: 2.0 * t * float(law.survival(t)), lo, hi,
-                                     epsabs=0.0, epsrel=1.0e-12, limit=200)
-            total += val
-            err += ab
+        # On whole decades the 16- and 32-node sums drift apart by up to
+        # 9e-10 relative at alpha near 2; on half decades they agree to 1e-15.
+        steps = 10.0 ** (0.5 * np.arange(math.floor(2.0 * math.log10(tau)) + 1))
+        edges = np.concatenate(([0.0], steps[steps < tau], [tau]))
+        total, err = _gauss_panels(lambda t: 2.0 * t * law.survival(t), edges)
         series = 0.0
     else:
         T = min(tau, _STABLE_CROSSOVER)

@@ -27,12 +27,12 @@ Two routes are provided and must agree for the ridge penalty:
   ``mu / (v * s_j)`` to the misalignment coefficient perturbed by centered
   Gaussian noise of standard deviation
   ``sqrt(sigma2 + n * (tau^2 - 1)) / sqrt(n * s_j)``, integrated by
-  Gauss-Hermite quadrature.  The root of ``g(r) = R(r) - r`` is found by
-  secant steps kept inside the bracket that the signs of ``g`` give, with the
-  plain step ``r <- R(r)`` or a bisection as the safeguard.  For the ridge
-  prox the quadrature is exact and ``R`` is affine in ``r``, so the secant
-  lands on the root at the third evaluation and the two routes coincide to
-  rounding.
+  Gauss-Hermite quadrature.  For the ridge prox the quadrature is exact and
+  ``R`` is affine in ``r``, so the two routes coincide to rounding.
+
+Both scalar equations, ``r = R(r)`` and the companion one in its fixed-point
+form ``v = 1 - gamma * E_S[S v / (S v + mu)]``, are solved by one
+root-finder, :func:`_bracketed_secant`.
 
 As ``sigma2 -> inf`` every prox collapses to the centering point, ``R`` tends
 to the misalignment energy ``q_Sigma``, and ``tau`` tends to
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import brentq
 
 from .convex import Regularizer, RegKind, prox_reg
 from .errors import ConfigError, ConvergenceError
@@ -109,11 +108,49 @@ class RiskPrediction:
     residual: float = 0.0
 
 
+def _bracketed_secant(gap, x: float, lo: float, hi: float, tol: float) -> tuple[float, float, int, bool]:
+    """Root of a decreasing ``gap`` with ``gap(lo) >= 0 > gap(hi)`` (``hi`` may
+    be infinite), from ``x``: each step is the secant through the last two
+    evaluations if it lies strictly inside the bracket the signs of ``gap``
+    give, else the plain step ``x + gap(x)``, else the bracket's midpoint.
+
+    Stops at the first ``x`` with ``|gap(x)| <= tol * max(1, x)`` or once no
+    float lies strictly inside the bracket, and returns that ``x``,
+    ``gap(x)``, the evaluation count and whether it stopped within
+    ``_FP_MAX_ITER`` evaluations (else ``x`` is the last one evaluated).
+    """
+    last = None  # the previous (x, gap) pair
+    for evaluations in range(1, _FP_MAX_ITER + 1):
+        g = gap(x)
+        if abs(g) <= tol * max(1.0, x):
+            return x, g, evaluations, True
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        if math.nextafter(lo, hi) >= hi:
+            return x, g, evaluations, True
+        step = x + g
+        if last is not None and g != last[1]:
+            secant = x - g * (x - last[0]) / (g - last[1])
+            if lo < secant < hi:
+                step = secant
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        last, x = (x, g), step
+    return last[0], g, _FP_MAX_ITER, False
+
+
 def solve_companion_v(eigenvalues: np.ndarray, gamma: float, mu: float) -> float:
     """Solve ``1/v = 1 + gamma * mean_j(s_j / (s_j v + mu))`` for ``v`` in (0, 1].
 
     Requires ``mu > 0``, or ``mu = 0`` with ``gamma < 1`` (where the solution
-    is ``1 - gamma`` exactly).
+    is ``1 - gamma`` exactly).  Otherwise :func:`_bracketed_secant` finds the
+    fixed point of ``F(v) = 1 - gamma * mean_j(s_j v / (s_j v + mu))`` in
+    ``[mu / (mu + gamma mean(s)), 1]`` to the last float, with ``F`` summed as
+    ``mean_j((mu + (1 - gamma) s_j v) / (s_j v + mu))``, which does not cancel
+    near the root ``v ~ sqrt(mu)`` at ``gamma = 1``; ``|F(v) - v| <= 1e-10``
+    is certified.
     """
     s = np.asarray(eigenvalues, dtype=float)
     if np.any(s <= 0.0):
@@ -129,19 +166,15 @@ def solve_companion_v(eigenvalues: np.ndarray, gamma: float, mu: float) -> float
     if mu == 0.0:
         return 1.0 - gamma
 
-    def residual(v: float) -> float:
-        return 1.0 / v - 1.0 - gamma * float(np.mean(s / (s * v + mu)))
+    def gap(v: float) -> float:
+        return float(np.mean((mu + (1.0 - gamma) * s * v) / (s * v + mu))) - v
 
-    # At lo, 1/lo - 1 = gamma mean(s) / mu bounds the mean term from above,
-    # so residual(lo) >= 0 and residual(1) < 0; where rounding makes
-    # residual(lo) <= 0 (mu >> gamma s), lo is the root to rounding.  The
-    # tolerances and the residual check are relative to v, which can be far
-    # below 1e-6 at small mu.
+    # gap(lo) >= 0 > gap(1); where rounding makes gap(lo) <= 0 (mu >> gamma s)
+    # the bracket closes at once on lo, the root to rounding.
     lo = mu / (mu + gamma * float(np.mean(s)))
-    v = lo if residual(lo) <= 0.0 else float(brentq(residual, lo, 1.0, xtol=1.0e-15 * lo, rtol=8.9e-16))
-    res = v * abs(residual(v))
-    if not (res <= 1.0e-10):
-        raise ConvergenceError(f"companion equation relative residual {res} exceeds 1e-10 at v={v}")
+    v, g, _, _ = _bracketed_secant(gap, lo, lo, 1.0, 0.0)
+    if not (abs(g) <= 1.0e-10):
+        raise ConvergenceError(f"companion equation relative residual {abs(g)} exceeds 1e-10 at v={v}")
     return v
 
 
@@ -194,23 +227,16 @@ def _gauss_hermite_standard_normal(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DEFAULT) -> RiskPrediction:
-    """The risk ``r`` with ``R(r) = r``, by safeguarded secant steps on
-    ``g(r) = R(r) - r``.
+    """The risk ``r`` with ``R(r) = r``, by :func:`_bracketed_secant` on
+    ``g(r) = R(r) - r`` from ``r = 0`` in ``[0, inf)``.
 
     ``R(r)`` is the risk functional at ``tau_eff^2 = 1 + p r / sigma2``.  The
-    search starts at ``r = 0``, where ``g >= 0``, and keeps the bracket
-    ``[lo, hi]`` that the signs of ``g`` seen so far give (``hi`` is infinite
-    until ``g < 0`` is seen).  Each step is the secant point through the last
-    two evaluations when it lies strictly inside the bracket; otherwise the
-    plain step ``R(r)``, or the bracket's midpoint where that step leaves it.
-    The first step is therefore ``R(0)``; where the prox pins every node at
-    the centre, ``R`` is constant and 2 evaluations suffice, and for ridge,
-    whose ``R`` is affine, 3.
-
-    The search stops at the first evaluated ``r`` with
-    ``|R(r) - r| <= 1e-12 max(1, r)``; that ``r`` is the returned risk, and
-    ``residual`` is the matching gap in ``tau^2 = 1 + gamma R``, namely
-    ``gamma |R(r) - r|``.  ``iterations`` counts evaluations of ``R``.
+    first step is ``R(0)``; where the prox pins every node at the centre,
+    ``R`` is constant and 2 evaluations suffice, and for ridge, whose ``R`` is
+    affine, 3.  The returned ``r`` is the first with
+    ``|R(r) - r| <= 1e-12 max(1, r)``, or the last before the bracket closes;
+    ``residual`` is ``gamma |R(r) - r|`` there, the gap in
+    ``tau^2 = 1 + gamma R``, and ``iterations`` counts evaluations of ``R``.
 
     Raises
     ------
@@ -251,29 +277,12 @@ def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DE
             raise ConvergenceError(f"R(r) is not finite at r = {risk}, the last finite risk: no finite fixed point")
         return value - risk
 
-    risk, lo, hi = 0.0, 0.0, math.inf  # g(lo) >= 0 > g(hi)
-    last = None  # the previous (risk, g) pair
     with np.errstate(over="raise", invalid="raise"):
-        for iterations in range(1, _FP_MAX_ITER + 1):
-            g = gap(risk)
-            if abs(g) <= _FP_TOL * max(1.0, risk):
-                break
-            if g > 0.0:
-                lo = risk
-            else:
-                hi = risk
-            step = risk + g
-            if last is not None and g != last[1]:
-                secant = risk - g * (risk - last[0]) / (g - last[1])
-                if lo < secant < hi:
-                    step = secant
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            last, risk = (risk, g), step
-        else:
-            raise ConvergenceError(
-                f"risk fixed point did not converge in {_FP_MAX_ITER} evaluations (last risk = {last[0]}, gap {g})"
-            )
+        risk, g, iterations, settled = _bracketed_secant(gap, 0.0, 0.0, math.inf, _FP_TOL)
+    if not settled:
+        raise ConvergenceError(
+            f"risk fixed point did not converge in {_FP_MAX_ITER} evaluations (last risk = {risk}, gap {g})"
+        )
     residual = gamma * abs(g)
     return RiskPrediction(
         risk=risk,

@@ -100,12 +100,15 @@ def test_errors_are_one_class_per_cause():
     assert not issubclass(heavyreg.ConvergenceError, ValueError)
 
 
-def test_package_runs_without_scipy_stats():
+def test_package_runs_without_scipy_stats_integrate_or_optimize():
     """Importing the package, building each noise law with its survival and
-    winsorization plan, and every experiment's default configuration load no
-    ``scipy.stats``, whose import alone costs a large share of start-up."""
+    winsorization plan, every experiment's default configuration, both risk
+    routes and one tiny experiment load none of ``scipy.stats``,
+    ``scipy.integrate`` or ``scipy.optimize``, whose imports alone cost a
+    large share of start-up."""
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "import heavyreg\n"
         "from heavyreg.experiments import EXPERIMENT_NAMES\n"
         "for family in heavyreg.NoiseFamily:\n"
@@ -114,7 +117,14 @@ def test_package_runs_without_scipy_stats():
         "    heavyreg.winsor_plan(law, 800)\n"
         "for name in EXPERIMENT_NAMES:\n"
         "    heavyreg.default_config(name)\n"
-        "assert 'scipy.stats' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+        "spec = heavyreg.decompose(heavyreg.CovarianceModel.ar1(20, 0.5))\n"
+        "spec = heavyreg.project_delta(spec, np.ones(20), np.zeros(20))\n"
+        "heavyreg.ridge_risk_closed_form(heavyreg.TheoryInputs(spec, 0.5, 2.0, 1.0))\n"
+        "heavyreg.solve_general_fixed_point(heavyreg.TheoryInputs(spec, 0.5, 2.0, 1.0, heavyreg.Regularizer(heavyreg.RegKind.LASSO)))\n"
+        "heavyreg.run_experiment(heavyreg.ExperimentConfig(name='transient', n=60, p=20, cov=heavyreg.CovarianceModel.ar1(20, 0.5),\n"
+        "                                                  replications=2, sigma_grid=(1.0, 100.0)))\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate', 'scipy.optimize')))\n"
+        "assert not loaded, loaded\n"
     )
     src = str(Path(heavyreg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

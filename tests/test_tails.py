@@ -255,7 +255,8 @@ class TestEffectiveVariance:
         base = effective_variance_exact(PARETO, 100.0)
         assert effective_variance_exact(scaled, 100.0) == pytest.approx(9.0 * base, rel=1.0e-12)
 
-    def test_quadrature_that_misses_its_tolerance_is_a_convergence_failure(self, monkeypatch):
+    @pytest.mark.parametrize("law", [STUDENT, STABLE], ids=lambda l: l.family.value)
+    def test_quadrature_that_misses_its_tolerance_is_a_convergence_failure(self, law, monkeypatch):
         """A quadrature whose own error estimate exceeds 1e-10 relative fails
         on valid arguments, so the failure is numerical."""
         gauss_panels = tails._gauss_panels
@@ -266,7 +267,24 @@ class TestEffectiveVariance:
 
         monkeypatch.setattr(tails, "_gauss_panels", loose)
         with pytest.raises(ConvergenceError, match="quadrature did not converge"):
-            effective_variance_exact(STABLE, 100.0)
+            effective_variance_exact(law, 100.0)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 1.95])
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 7.0, 86.0, 1.0e3, 1.0e6])
+    def test_student_matches_high_precision(self, alpha, tau):
+        """The half-decade Gauss panels against mpmath at 30 digits.  With
+        ``x = tau^2 / (nu + tau^2)``, ``U = W^2 / (nu + W^2)`` is
+        Beta(1/2, nu/2), so ``E[min(W^2, tau^2)]`` is
+        ``nu B(x; 3/2, nu/2 - 1) / B(1/2, nu/2) + tau^2 I_{1-x}(nu/2, 1/2)``."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            nu, t = mp.mpf(alpha), mp.mpf(tau)
+            x = t ** 2 / (nu + t ** 2)
+            half = mp.mpf(1) / 2
+            clipped = nu * mp.betainc(3 * half, nu / 2 - 1, 0, x) / mp.beta(half, nu / 2)
+            oracle = clipped + t ** 2 * mp.betainc(nu / 2, half, 0, nu / (nu + t ** 2), regularized=True)
+        law = TailLaw(NoiseFamily.STUDENT_T, alpha)
+        assert effective_variance_exact(law, tau) == pytest.approx(float(oracle), rel=1.0e-13)
 
     def test_stable_plan_near_alpha_two(self):
         """alpha = 1.95 at n = 1e5 (tau ~ 368) once raised after seconds of

@@ -137,6 +137,51 @@ class TestCompanion:
         roots = [solve_companion_v(s, g, 1.0) for g in (0.1, 0.5, 0.9)]
         assert roots[0] > roots[1] > roots[2]
 
+    @pytest.mark.parametrize("mu", [1.0e-14, 1.0e-10, 1.0e-6])
+    def test_unit_aspect_ratio_root_matches_high_precision(self, mu):
+        """At gamma = 1 the root ~ sqrt(mu) is the balance of two terms near 1
+        in ``1 - mean(s v / (s v + mu))``; the gap written as one fraction per
+        atom, ``mean((mu + (1 - gamma) s v) / (s v + mu)) - v``, has no such
+        cancellation.  The root once sat up to 9e-10 from a 40-digit one."""
+        mp = pytest.importorskip("mpmath")
+        s = decompose(CovarianceModel.ar1(60, 0.5)).eigenvalues
+        v = solve_companion_v(s, 1.0, mu)
+        with mp.workdps(40):
+            atoms = [mp.mpf(float(x)) for x in s]
+            m = mp.mpf(mu)
+            root = mp.findroot(lambda x: mp.fsum(m / (a * x + m) for a in atoms) / len(atoms) - x,
+                               (mp.mpf(v) * (1 - mp.mpf(1.0e-6)), mp.mpf(v) * (1 + mp.mpf(1.0e-6))),
+                               solver="anderson")
+            assert float(abs(v - root) / root) <= 1.0e-15
+
+
+class TestBracketedSecant:
+    """The one root-finder behind the companion root and the risk fixed point."""
+
+    def test_stops_once_no_float_lies_inside_the_bracket(self):
+        """A jump has no root and no point where the gap meets a tolerance of
+        0; the search ends on the two adjacent floats around it."""
+        jump = 0.3
+
+        def gap(x):
+            return 1.0 if x < jump else -1.0
+
+        x, g, evaluations, settled = theory._bracketed_secant(gap, 0.0, 0.0, 1.0, 0.0)
+        assert settled and evaluations < 100
+        assert x in (jump, math.nextafter(jump, 0.0))
+        assert g == gap(x)
+
+    def test_out_of_budget_returns_the_last_evaluated_point(self):
+        seen = []
+
+        def gap(x):
+            seen.append(x)
+            return 1.0
+
+        x, g, evaluations, settled = theory._bracketed_secant(gap, 0.0, 0.0, math.inf, 1.0e-12)
+        assert not settled and evaluations == 500 == len(seen)
+        assert x == seen[-1] and g == 1.0
+
 
 class TestRidgeClosedForm:
     """Companion-resolvent closed form against independent references."""
