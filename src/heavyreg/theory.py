@@ -89,6 +89,11 @@ class TheoryInputs:
             raise ConfigError(f"noise variance must be finite and >= 0, got {self.sigma2}")
         if not (self.lambda_tilde > 0.0 and math.isfinite(self.lambda_tilde)):
             raise ConfigError(f"penalty weight must be finite and > 0, got {self.lambda_tilde}")
+        if self.sigma2 == 0.0 and self.gamma >= 1.0:
+            # The adapted penalty lambda_tilde * sigma2 vanishes, and the
+            # ridgeless limit at gamma >= 1 keeps a null-space bias, so a
+            # risk of 0 would be wrong.
+            raise ConfigError(f"sigma2 = 0 requires gamma < 1, got gamma = {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -240,12 +245,16 @@ def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DE
 
     Raises
     ------
+    ConfigError
+        If ``gh_nodes < 1``.
     ConvergenceError
         If 500 evaluations do not bring the risk within that tolerance, or as
         soon as ``R(r)`` overflows or is not finite (the risk grows without
         bound: there is no finite fixed point); the message names the last
         finite risk.
     """
+    if gh_nodes < 1:
+        raise ConfigError(f"gh_nodes must be >= 1, got {gh_nodes}")
     spec = inputs.spectrum
     s = spec.eigenvalues
     delta = spec.delta_coeffs

@@ -188,6 +188,18 @@ class TestTheoryCommand:
     def test_unparseable_sigma_grid_exits_two(self):
         assert main(["theory", "ridge-risk", "--sigma-grid", "1,abc", "--p", "40"]) == 2
 
+    @pytest.mark.parametrize("command", ["ridge-risk", "fixed-point"])
+    def test_noiseless_overparametrized_point_exits_two_naming_both_inputs(self, command, capsys):
+        """sigma2 = 0 removes the adapted penalty; at gamma >= 1 the ridgeless
+        limit keeps a null-space bias, so neither route may report 0."""
+        assert main(["theory", command, "--sigma2", "0", "--gamma", "2", "--p", "40"]) == 2
+        err = capsys.readouterr().err
+        assert "sigma2 = 0" in err and "gamma" in err
+
+    def test_zero_quadrature_nodes_exits_two_naming_the_argument(self, capsys):
+        assert main(["theory", "fixed-point", "--nodes", "0", "--p", "40"]) == 2
+        assert "gh_nodes" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     """End-to-end runs, config plumbing, exit codes."""

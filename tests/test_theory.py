@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from heavyreg import theory
 from heavyreg.convex import RegKind, Regularizer, prox_reg
-from heavyreg.errors import ConvergenceError
+from heavyreg.errors import ConfigError, ConvergenceError
 from heavyreg.spectrum import CovarianceModel, decompose, project_delta, q_sigma, sample_sphere
 from heavyreg.streams import substream
 from heavyreg.theory import (
@@ -261,6 +261,13 @@ class TestRidgeClosedForm:
         with pytest.raises(ValueError):
             TheoryInputs(spec, 0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_noiseless_inputs_at_or_past_unit_aspect_ratio_are_rejected(self, gamma):
+        """sigma2 = 0 zeroes the adapted penalty, and the ridgeless limit at
+        gamma >= 1 keeps a null-space bias, so a risk of 0 would be wrong."""
+        with pytest.raises(ConfigError, match=r"sigma2 = 0 requires gamma < 1, got gamma = "):
+            TheoryInputs(make_spectrum(p=40), gamma, 0.0, 1.0)
+
 
 class TestGeneralFixedPoint:
     """Scalar fixed-point route for general separable penalties."""
@@ -360,6 +367,11 @@ class TestGeneralFixedPoint:
     def test_noiseless_input_short_circuits(self):
         pred = solve_general_fixed_point(TheoryInputs(make_spectrum(), 0.5, 0.0, 1.0))
         assert pred.risk == 0.0 and pred.tau == 1.0
+
+    @pytest.mark.parametrize("nodes", [0, -3])
+    def test_rejects_an_empty_quadrature_rule(self, nodes):
+        with pytest.raises(ConfigError, match="gh_nodes must be >= 1"):
+            solve_general_fixed_point(TheoryInputs(make_spectrum(p=40), 0.5, 1.0, 1.0), gh_nodes=nodes)
 
 
 SLOW_GAMMAS = (0.9, 1.0, 1.1)
