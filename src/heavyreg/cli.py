@@ -45,18 +45,15 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def cmd_tails(args: argparse.Namespace) -> int:
-    if not (1.0 < args.alpha < 2.0):
-        print(f"error: tail index must lie in (1, 2), got {args.alpha}", file=sys.stderr)
-        return 2
+    # checked before the scale is taken: a negative c has a complex root
     if args.c <= 0.0:
         print(f"error: tail constant must be > 0, got {args.c}", file=sys.stderr)
         return 2
-    if args.n < 1:
-        print(f"error: sample size must be >= 1, got {args.n}", file=sys.stderr)
-        return 2
     # a symmetric power-tail law with the requested tail constant; winsorized
-    # thresholds ride with the law's scale, so tau is reported in unit-law units
-    law = TailLaw(NoiseFamily.SYMMETRIC_PARETO, args.alpha, scale=args.c ** (1.0 / args.alpha))
+    # thresholds ride with the law's scale, so tau is reported in unit-law
+    # units.  The unit law checks alpha before the scale divides by it.
+    law = TailLaw(NoiseFamily.SYMMETRIC_PARETO, args.alpha)
+    law = dataclasses.replace(law, scale=args.c ** (1.0 / args.alpha))
     plan = winsor_plan(law, args.n)
     from .tails import effective_variance_asymptotic
 
@@ -114,16 +111,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _theory_grid(args: argparse.Namespace) -> list[float]:
-    if args.sigma_grid is not None:
-        try:
-            grid = [float(tok) for tok in args.sigma_grid.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"could not parse --sigma-grid: {exc}") from None
-        if not grid:
-            raise ConfigError("--sigma-grid must contain at least one value")
-        return grid
-    return [args.sigma2]
+def _parse_floats(raw: str) -> tuple[float, ...]:
+    """A comma-separated list of floats, blank items skipped; raises ValueError."""
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _theory_grid(args: argparse.Namespace) -> tuple[float, ...]:
+    if args.sigma_grid is None:
+        return (args.sigma2,)
+    try:
+        grid = _parse_floats(args.sigma_grid)
+    except ValueError as exc:
+        raise ConfigError(f"could not parse --sigma-grid: {exc}") from None
+    if not grid:
+        raise ConfigError("--sigma-grid must contain at least one value")
+    return grid
 
 
 def _theory_inputs(args: argparse.Namespace, reg: Regularizer) -> list[TheoryInputs]:
@@ -212,21 +214,13 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 _INI_SECTIONS = {
-    # every scalar field of ExperimentConfig except the name, which the command line gives
+    # every scalar field of ExperimentConfig except the name, which the command
+    # line gives, plus the sweep grid as a comma-separated list
     "experiment": {key: kind for key, kind in typing.get_type_hints(ExperimentConfig).items()
-                   if kind in (int, float, str) and key != "name"},
+                   if kind in (int, float, str) and key != "name"} | {"grid": _parse_floats},
     "covariance": {"kind": str, "rho": float},
     "noise": {"family": str, "alpha": float, "scale": float},
-    "grid": {"scale": "floats", "sigma": "floats", "n": "ints"},
 }
-
-
-def _parse_grid(raw: str, as_int: bool) -> tuple:
-    try:
-        values = [tok.strip() for tok in raw.split(",") if tok.strip()]
-        return tuple(int(v) for v in values) if as_int else tuple(float(v) for v in values)
-    except ValueError as exc:
-        raise ConfigError(f"could not parse grid value {raw!r}: {exc}") from None
 
 
 def _read_ini(path: str) -> dict:
@@ -243,18 +237,10 @@ def _read_ini(path: str) -> dict:
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]; expected one of {sorted(schema)}")
-            rule = schema[key]
-            if rule == "floats":
-                block[key] = _parse_grid(raw, as_int=False)
-            elif rule == "ints":
-                block[key] = _parse_grid(raw, as_int=True)
-            elif rule is str:
-                block[key] = raw.strip()
-            else:
-                try:
-                    block[key] = rule(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}") from None
+            try:
+                block[key] = schema[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}") from None
         out[section] = block
     return out
 
@@ -287,14 +273,6 @@ def _resolve_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"unknown noise family {noise_block.get('family')!r}") from None
         kw["noise"] = TailLaw(family, noise_block.get("alpha", base.noise.alpha),
                               noise_block.get("scale", base.noise.scale))
-
-    grid_block = ini.get("grid", {})
-    if "scale" in grid_block:
-        kw["scale_grid"] = grid_block["scale"]
-    if "sigma" in grid_block:
-        kw["sigma_grid"] = grid_block["sigma"]
-    if "n" in grid_block:
-        kw["n_grid"] = grid_block["n"]
 
     # command-line flags outrank the config file
     if args.seed is not None:

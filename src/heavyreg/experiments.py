@@ -92,7 +92,14 @@ _MAX_MOMENT_GAP_IN_SES = 3.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, serializable description of one experiment run."""
+    """Complete, serializable description of one experiment run.
+
+    ``grid`` is the sweep, and the experiment decides what its values mean:
+    noise scales (>= 0) for paradox, floor, trichotomy and universality,
+    effective noise variances sigma2 (> 0) for transient, and sample sizes
+    (integers >= 1) for concentration.  It is normalized to ints for
+    concentration and to floats for every other experiment.
+    """
 
     name: str
     n: int = 800
@@ -104,9 +111,7 @@ class ExperimentConfig:
     lambda_tilde: float = 1.0
     lambda_fixed: float = 0.1
     huber_k: float = 1.5
-    scale_grid: tuple[float, ...] | None = None
-    sigma_grid: tuple[float, ...] | None = None
-    n_grid: tuple[int, ...] | None = None
+    grid: tuple[float, ...] = ()
     replications: int = 100
     master_seed: int = 12345
     design_kind: str = "gaussian"
@@ -130,24 +135,27 @@ class ExperimentConfig:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
         if self.design_kind not in ("gaussian", "rademacher"):
             raise ConfigError(f"unknown design kind {self.design_kind!r}")
+        grid = tuple(self.grid)
+        if not grid or not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"grid must be nonempty, finite and strictly ascending, got {grid}")
         if self.name == "concentration":
             if self.noise.scale == 0.0:
                 raise ConfigError("the winsorized-energy ratio is undefined for a zero-scale noise law")
             if self.replications < 3:
                 raise ConfigError("the concentration checks estimate a fourth moment and need >= 3 replications")
-        elif self.noise.scale != 1.0:
-            raise ConfigError("sweeps own the noise scale; configure the law with scale=1")
-        for label in ("scale_grid", "sigma_grid", "n_grid"):
-            grid = getattr(self, label)
-            if grid is not None:
-                if len(grid) == 0:
-                    raise ConfigError(f"{label} must be nonempty")
-                if any(b <= a for a, b in zip(grid, grid[1:])):
-                    raise ConfigError(f"{label} must be strictly ascending")
-        experiment = _EXPERIMENTS[self.name]
-        if getattr(self, experiment.grid) is None:
-            raise ConfigError(f"experiment {self.name!r} requires {experiment.grid}")
-        if experiment.fits_ols and self.n <= self.p:
+            if grid[0] < 1 or any(v != int(v) for v in grid):
+                raise ConfigError(f"a sample-size grid holds integers >= 1, got {grid}")
+            grid = tuple(map(int, grid))
+        else:
+            if self.noise.scale != 1.0:
+                raise ConfigError("sweeps own the noise scale; configure the law with scale=1")
+            if self.name == "transient" and grid[0] <= 0.0:
+                raise ConfigError(f"a sigma2 grid must be > 0, got {grid}")
+            if grid[0] < 0.0:
+                raise ConfigError(f"a noise-scale grid must be >= 0, got {grid}")
+            grid = tuple(map(float, grid))
+        object.__setattr__(self, "grid", grid)
+        if _EXPERIMENTS[self.name].fits_ols and self.n <= self.p:
             raise ConfigError("this experiment fits unpenalized least squares and needs n > p")
         for label in ("lambda_tilde", "lambda_fixed", "huber_k"):
             if not 0.0 < getattr(self, label) < math.inf:
@@ -168,11 +176,6 @@ class ExperimentConfig:
         out["cov"] = {"kind": self.cov.kind.value, "p": self.cov.p, "rho": self.cov.rho}
         out["noise"] = {"family": self.noise.family.value, "alpha": self.noise.alpha, "scale": self.noise.scale}
         out["gamma"] = self.gamma
-        for label in ("scale_grid", "sigma_grid"):
-            if out[label] is not None:
-                out[label] = [float(v) for v in out[label]]
-        if out["n_grid"] is not None:
-            out["n_grid"] = [int(v) for v in out["n_grid"]]
         if not _EXPERIMENTS[self.name].draws_design:
             return {key: out[key] for key in _DESIGN_FREE_FIELDS}
         return out
@@ -238,17 +241,17 @@ def default_config(name: str, master_seed: int = 12345, paper_scale: bool = Fals
     common = dict(n=n, p=p, cov=CovarianceModel.ar1(p, 0.5), master_seed=master_seed,
                   workers=workers, paper_scale=paper_scale)
     if name in ("paradox", "floor"):
-        return ExperimentConfig(name=name, scale_grid=_desk_scale_grid(), replications=reps, **common)
+        return ExperimentConfig(name=name, grid=_desk_scale_grid(), replications=reps, **common)
     if name == "trichotomy":
-        return ExperimentConfig(name=name, scale_grid=_trichotomy_scale_grid(), replications=reps, **common)
+        return ExperimentConfig(name=name, grid=_trichotomy_scale_grid(), replications=reps, **common)
     if name == "transient":
         points = 25 if paper_scale else 10
         reps_t = 500 if paper_scale else 200
         grid = tuple(float(v) for v in np.geomspace(1.0, 1.0e4, points))
-        return ExperimentConfig(name=name, sigma_grid=grid, replications=reps_t, **common)
+        return ExperimentConfig(name=name, grid=grid, replications=reps_t, **common)
     if name == "universality":
         grid = tuple(float(v) for v in np.geomspace(1.0, 1.0e3, 5))
-        return ExperimentConfig(name=name, scale_grid=grid, replications=100 if not paper_scale else reps, **common)
+        return ExperimentConfig(name=name, grid=grid, replications=reps, **common)
     if name == "concentration":
         return ExperimentConfig(
             name=name,
@@ -256,7 +259,7 @@ def default_config(name: str, master_seed: int = 12345, paper_scale: bool = Fals
             p=400,
             cov=CovarianceModel.ar1(400, 0.5),
             noise=TailLaw(NoiseFamily.SYMMETRIC_PARETO, alpha=1.5),
-            n_grid=(10 ** 3, 10 ** 4, 10 ** 5),
+            grid=(10 ** 3, 10 ** 4, 10 ** 5),
             replications=200,
             master_seed=master_seed,
             workers=workers,
@@ -419,7 +422,7 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
     previous scale.
     """
     cfg = plan.config
-    closed = [(estimator, scale) for scale in cfg.scale_grid for estimator in estimators
+    closed = [(estimator, scale) for scale in cfg.grid for estimator in estimators
               if estimator not in _PROXIMAL_FITS]
     records = []
     for kind in designs or (cfg.design_kind,):
@@ -435,7 +438,7 @@ def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
             records.append(_record(plan, estimator + suffix, scale, rep, errors[:, k], True,
                                    time.perf_counter() - share))
         warm: dict[str, np.ndarray] = {}
-        for scale in cfg.scale_grid:
+        for scale in cfg.grid:
             for estimator in estimators:
                 if estimator in _PROXIMAL_FITS:
                     t0 = time.perf_counter()
@@ -459,11 +462,11 @@ def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
     draw = _draw_replication(plan, rep)
     t0 = time.perf_counter()
     rhs, lams = _error_block(plan, draw, [("transfer_ridge", math.sqrt(sigma2 / plan.sigma2_unit), sigma2)
-                                       for sigma2 in cfg.sigma_grid])
+                                       for sigma2 in cfg.grid])
     errors, certificates, fell_back = _shifted_solve(draw.x, rhs, lams)
     share = (time.perf_counter() - t0) / len(lams)
     records = []
-    for k, sigma2 in enumerate(cfg.sigma_grid):
+    for k, sigma2 in enumerate(cfg.grid):
         # the clock starts a share of the block solve early
         records.append(_record(plan, "transfer_ridge", sigma2, rep, errors[:, k],
                                bool(certificates[k] <= _CERTIFICATE), time.perf_counter() - share,
@@ -474,7 +477,7 @@ def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
 def _rep_concentration(config: ExperimentConfig, rep: int) -> list[RiskRecord]:
     rng = substream(config.master_seed, "noise", rep)
     records = []
-    for n in config.n_grid:  # ascending; one stream consumed sequentially
+    for n in config.grid:  # ascending; one stream consumed sequentially
         t0 = time.perf_counter()
         tau = float(n) ** (1.0 / config.noise.alpha)
         w = sample_noise(config.noise, n, rng)
@@ -696,7 +699,7 @@ def _concentration_checks(config: ExperimentConfig, records: tuple[RiskRecord, .
     lo, hi = _CONCENTRATION_BAND
     rows = []
     fractions = []
-    for n in config.n_grid:
+    for n in config.grid:
         ratios = np.array([r.risk for r in records if r.sweep_value == float(n)])
         m = len(ratios)
         central = ratios - np.mean(ratios)
@@ -720,8 +723,8 @@ def _concentration_checks(config: ExperimentConfig, records: tuple[RiskRecord, .
                                           None, _MAX_MOMENT_GAP_IN_SES),
     }
     return checks, {
-        "energy_ratio": {"n": [int(n) for n in config.n_grid], **moments},
-        "in_band_fractions": dict(zip((str(n) for n in config.n_grid), fractions)),
+        "energy_ratio": {"n": list(config.grid), **moments},
+        "in_band_fractions": dict(zip(map(str, config.grid), fractions)),
     }
 
 
@@ -732,7 +735,6 @@ def _concentration_checks(config: ExperimentConfig, records: tuple[RiskRecord, .
 
 @dataclass(frozen=True)
 class _Experiment:
-    grid: str  # the ExperimentConfig field that holds the sweep
     fits_ols: bool  # unpenalized least squares needs n > p
     replicate: Callable  # (plan, rep) -> the replication's records
     checks: Callable  # (plan, records, stats) -> (checks, extra summary fields)
@@ -743,24 +745,20 @@ class _Experiment:
 
 
 # The configuration fields an experiment that draws no design reads.
-_DESIGN_FREE_FIELDS = ("name", "noise", "n_grid", "replications", "master_seed", "workers", "paper_scale")
+_DESIGN_FREE_FIELDS = ("name", "noise", "grid", "replications", "master_seed", "workers", "paper_scale")
 
 _SQUARED_LOSS_FITS = ("ols", "fixed_ridge", "transfer_ridge")
 
 _EXPERIMENTS = {
-    "paradox": _Experiment("scale_grid", True, partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS),
-                           _paradox_checks),
-    "floor": _Experiment("scale_grid", False,
-                         partial(_rep_scale_sweep, estimators=("transfer_ridge", "transfer_lasso")), _floor_checks),
-    "transient": _Experiment("sigma_grid", False, _rep_transient, _transient_checks),
-    "trichotomy": _Experiment("scale_grid", True,
-                              partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS + ("huber",)),
+    "paradox": _Experiment(True, partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS), _paradox_checks),
+    "floor": _Experiment(False, partial(_rep_scale_sweep, estimators=("transfer_ridge", "transfer_lasso")),
+                         _floor_checks),
+    "transient": _Experiment(False, _rep_transient, _transient_checks),
+    "trichotomy": _Experiment(True, partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS + ("huber",)),
                               _trichotomy_checks),
-    "universality": _Experiment("scale_grid", False,
-                                partial(_rep_scale_sweep, estimators=("transfer_ridge",),
-                                        designs=("gaussian", "rademacher")),
-                                _universality_checks),
-    "concentration": _Experiment("n_grid", False, _rep_concentration, _concentration_checks, draws_design=False),
+    "universality": _Experiment(False, partial(_rep_scale_sweep, estimators=("transfer_ridge",),
+                                               designs=("gaussian", "rademacher")), _universality_checks),
+    "concentration": _Experiment(False, _rep_concentration, _concentration_checks, draws_design=False),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
@@ -768,14 +766,14 @@ EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one named experiment from its registry entry.
 
-    The entry names the sweep grid, whether the experiment fits unpenalized
-    least squares (then ``ExperimentConfig`` requires n > p), the
-    per-replication record generator and the acceptance checks.  The rest is
-    shared: build the frozen plan (signal, misalignment, winsorization
-    threshold) unless the experiment draws no design, collect the records
-    serially or in a process pool (the same bytes for any worker count),
-    summarize them, add the non-convergence check to the entry's checks and
-    assemble the summary.
+    The entry says whether the experiment fits unpenalized least squares
+    (then ``ExperimentConfig`` requires n > p) and gives the per-replication
+    record generator, which reads ``config.grid`` in the experiment's own
+    units, and the acceptance checks.  The rest is shared: build the frozen
+    plan (signal, misalignment, winsorization threshold) unless the
+    experiment draws no design, collect the records serially or in a process
+    pool (the same bytes for any worker count), summarize them, add the
+    non-convergence check to the entry's checks and assemble the summary.
     """
     experiment = _EXPERIMENTS[config.name]
     plan = _build_plan(config) if experiment.draws_design else config

@@ -251,7 +251,7 @@ class TestCriterion8:
 
         limit = (2.0 - alpha) ** 2 / (c * (4.0 - alpha))
         mean_z, var_z, predicted = [], [], []
-        for n in config.n_grid:
+        for n in config.grid:
             ratios = np.array([r.risk for r in concentration_result.records if r.sweep_value == float(n)])
             m = len(ratios)
             central = ratios - ratios.mean()
@@ -269,7 +269,7 @@ class TestCriterion8:
                "mean z " + ", ".join(f"{z:+.2f}" for z in mean_z)
                + "; variance z " + ", ".join(f"{z:+.2f}" for z in var_z)
                + "; exact Var R_n " + ", ".join(f"{v:.4f}" for v in predicted)
-               + f" -> {limit:.4f} at n={list(config.n_grid)}")
+               + f" -> {limit:.4f} at n={list(config.grid)}")
         assert len(predicted) >= 2
         assert unbiased
         assert spread
@@ -365,7 +365,7 @@ class TestCriterion11:
         # CSV bit-reproducibility across worker counts (wall_ms is physical
         # time and excluded per the documented schema exception)
         base = dict(name="paradox", n=100, p=30, cov=CovarianceModel.ar1(30, 0.5),
-                    scale_grid=(0.0, 1.0, 10.0, 100.0), replications=6, master_seed=99)
+                    grid=(0.0, 1.0, 10.0, 100.0), replications=6, master_seed=99)
         serial = run_experiment(ExperimentConfig(**base, workers=1))
         parallel = run_experiment(ExperimentConfig(**base, workers=3))
         path_a, path_b = tmp_path / "serial.csv", tmp_path / "parallel.csv"

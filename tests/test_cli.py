@@ -17,13 +17,11 @@ TINY_INI = """
 n = 100
 p = 30
 replications = 3
+grid = 0, 1, 10, 100
 
 [covariance]
 kind = ar1
 rho = 0.4
-
-[grid]
-scale = 0, 1, 10, 100
 """
 
 
@@ -63,6 +61,14 @@ class TestTailsCommand:
         code = main(["tails", "effective-variance", "--alpha", "2.5", "--n", "1000"])
         assert code == 2
         assert "(1, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "0", "--n", "1000"], "tail index must lie in (1, 2), got 0.0"),
+        (["--alpha", "1.5", "--n", "0"], "sample size must be >= 1, got 0"),
+    ])
+    def test_zero_tail_index_or_sample_size_exits_two(self, capsys, flags, message):
+        assert main(["tails", "effective-variance", *flags]) == 2
+        assert message in capsys.readouterr().err
 
     def test_nonpositive_tail_constant_exits_two(self):
         assert main(["tails", "effective-variance", "--alpha", "1.5", "--c", "0", "--n", "10"]) == 2
@@ -248,6 +254,30 @@ class TestExperimentCommand:
         assert code == 2
         assert "experiments" in capsys.readouterr().err
 
+    def test_grid_section_is_an_unknown_section(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, TINY_INI + "\n[grid]\nsigma = 1, 10\n")
+        assert main(["experiment", "paradox", "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "unknown config section [grid]" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name, grid, message", [
+        ("paradox", "0, nan, 10", "strictly ascending"),
+        ("paradox", "-1, 0, 10", "noise-scale grid must be >= 0"),
+        ("transient", "0, 10", "sigma2 grid must be > 0"),
+        ("concentration", "1000, 1000.5", "integers >= 1"),
+        ("paradox", "0, abc", "bad value for 'grid' in [experiment]"),
+    ])
+    def test_grid_outside_the_experiment_domain_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                                                         name, grid, message):
+        def no_decompose(model):
+            raise AssertionError("a rejected config must not reach the covariance")
+
+        monkeypatch.setattr(experiments, "decompose", no_decompose)
+        ini = write_ini(tmp_path, TINY_INI.replace("0, 1, 10, 100", grid))
+        assert main(["experiment", name, "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_least_squares_config_with_n_not_above_p_exits_two_before_any_draw(self, tmp_path, monkeypatch):
         def no_decompose(model):
             raise AssertionError("a rejected config must not reach the covariance")
@@ -259,11 +289,12 @@ class TestExperimentCommand:
     def test_annotated_config_file_holds_the_desk_defaults(self):
         ini = _read_ini(str(DOCS_INI))
         desk = default_config("paradox")
-        assert ini["experiment"] == {key: getattr(desk, key) for key in _INI_SECTIONS["experiment"]}
+        grid = ini["experiment"].pop("grid")
+        assert ini["experiment"] == {key: getattr(desk, key) for key in _INI_SECTIONS["experiment"] if key != "grid"}
         assert ini["covariance"] == {"kind": desk.cov.kind.value, "rho": desk.cov.rho}
         assert ini["noise"] == {"family": desk.noise.family.value, "alpha": desk.noise.alpha,
                                 "scale": desk.noise.scale}
-        assert ini["grid"]["scale"] == pytest.approx(desk.scale_grid, rel=5.0e-3)
+        assert grid == pytest.approx(desk.grid, rel=5.0e-3)
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["experiment", "paradox", "--config", str(tmp_path / "nope.ini")]) == 2
@@ -298,7 +329,7 @@ class TestExperimentCommand:
         assert echo["n"] == 100
         assert echo["p"] == 30
         assert echo["cov"] == {"kind": "ar1", "p": 30, "rho": 0.4}
-        assert echo["scale_grid"] == [0.0, 1.0, 10.0, 100.0]
+        assert echo["grid"] == [0.0, 1.0, 10.0, 100.0]
 
     def test_seed_flag_outranks_the_config_file(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI.replace("replications = 3", "replications = 3\nmaster_seed = 1"))
@@ -315,8 +346,8 @@ class TestExperimentCommand:
             return value, 1.0e-9 * abs(value)
 
         monkeypatch.setattr(tails, "_gauss_panels", loose)
-        ini = write_ini(tmp_path, "[experiment]\nn = 100000\np = 2\nreplications = 1\n\n"
-                                  "[noise]\nfamily = alpha_stable\nalpha = 1.95\n\n[grid]\nsigma = 1, 10\n")
+        ini = write_ini(tmp_path, "[experiment]\nn = 100000\np = 2\nreplications = 1\ngrid = 1, 10\n\n"
+                                  "[noise]\nfamily = alpha_stable\nalpha = 1.95\n")
         assert main(["experiment", "transient", "--config", ini, "--out", str(tmp_path / "r")]) == 1
         assert "quadrature did not converge" in capsys.readouterr().err
 

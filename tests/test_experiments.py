@@ -38,13 +38,13 @@ def tiny_config(name, **overrides):
         master_seed=20240817,
     )
     if name == "transient":
-        base["sigma_grid"] = tuple(float(v) for v in np.geomspace(1.0, 1.0e4, 6))
+        base["grid"] = tuple(float(v) for v in np.geomspace(1.0, 1.0e4, 6))
     elif name == "concentration":
-        base.update(noise=TailLaw(NoiseFamily.SYMMETRIC_PARETO, 1.5), n_grid=(500, 2000), replications=30)
+        base.update(noise=TailLaw(NoiseFamily.SYMMETRIC_PARETO, 1.5), grid=(500, 2000), replications=30)
     elif name == "trichotomy":
-        base["scale_grid"] = (0.0, 1.0, 10.0, 100.0, 1.0e3, 1.0e4, 1.0e5)
+        base["grid"] = (0.0, 1.0, 10.0, 100.0, 1.0e3, 1.0e4, 1.0e5)
     else:
-        base["scale_grid"] = (0.0, 1.0, 10.0, 100.0, 1.0e3)
+        base["grid"] = (0.0, 1.0, 10.0, 100.0, 1.0e3)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -54,11 +54,30 @@ class TestExperimentConfig:
 
     def test_unknown_experiment_name_is_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(name="warmup", scale_grid=(1.0,))
+            ExperimentConfig(name="warmup", grid=(1.0,))
 
     def test_grids_must_ascend_strictly(self):
         with pytest.raises(ConfigError):
-            tiny_config("paradox", scale_grid=(0.0, 10.0, 10.0))
+            tiny_config("paradox", grid=(0.0, 10.0, 10.0))
+
+    @pytest.mark.parametrize("name, grid", [
+        ("paradox", (0.0, math.nan, 10.0)),
+        ("trichotomy", (0.0, 10.0, math.inf)),
+        ("floor", (-1.0, 0.0, 10.0)),
+        ("transient", (0.0, 10.0)),
+        ("transient", (-1.0, 10.0)),
+        ("concentration", (500, 1000.5)),
+        ("concentration", (0, 500)),
+    ])
+    def test_grid_values_outside_the_experiment_domain_are_rejected(self, name, grid):
+        with pytest.raises(ConfigError, match="grid"):
+            tiny_config(name, grid=grid)
+
+    def test_grid_is_normalized_to_the_experiment_units(self):
+        sizes = tiny_config("concentration", grid=(500.0, 2000.0)).grid
+        assert sizes == (500, 2000) and all(type(n) is int for n in sizes)
+        scales = tiny_config("paradox", grid=[0, 1, np.float64(10.0)]).grid
+        assert scales == (0.0, 1.0, 10.0) and all(type(s) is float for s in scales)
 
     def test_each_experiment_requires_its_sweep_grid(self):
         with pytest.raises(ConfigError):
@@ -110,7 +129,7 @@ class TestExperimentConfig:
         assert echo == {
             "name": "concentration",
             "noise": {"family": "symmetric_pareto", "alpha": 1.5, "scale": 1.0},
-            "n_grid": [1000, 10000, 100000],
+            "grid": [1000, 10000, 100000],
             "replications": 200,
             "master_seed": 12345,
             "workers": 1,
@@ -133,28 +152,28 @@ class TestDefaultConfigs:
     def test_desk_scale_dimensions(self):
         config = default_config("paradox")
         assert (config.n, config.p, config.replications) == (800, 400, 100)
-        assert config.scale_grid[0] == 0.0
-        assert config.scale_grid[-1] == pytest.approx(1.0e3)
+        assert config.grid[0] == 0.0
+        assert config.grid[-1] == pytest.approx(1.0e3)
 
     def test_transient_desk_grid_has_ten_variance_points(self):
         config = default_config("transient")
-        assert len(config.sigma_grid) == 10
+        assert len(config.grid) == 10
         assert config.replications == 200
 
     def test_trichotomy_grid_reaches_the_flat_regime(self):
         config = default_config("trichotomy")
-        assert config.scale_grid[-1] == pytest.approx(1.0e5)
+        assert config.grid[-1] == pytest.approx(1.0e5)
 
     def test_concentration_uses_a_power_tail_and_large_samples(self):
         config = default_config("concentration")
         assert config.noise.family is NoiseFamily.SYMMETRIC_PARETO
-        assert config.n_grid == (10**3, 10**4, 10**5)
+        assert config.grid == (10**3, 10**4, 10**5)
         assert config.replications == 200
 
     def test_paper_scale_switches_dimensions(self):
         config = default_config("transient", paper_scale=True)
         assert (config.n, config.p, config.replications) == (2000, 1000, 500)
-        assert len(config.sigma_grid) == 25
+        assert len(config.grid) == 25
 
 
 class TestRecordProtocol:
@@ -163,7 +182,7 @@ class TestRecordProtocol:
     def test_record_set_is_complete_and_unique(self):
         result = run_experiment(tiny_config("paradox"))
         config = result.config
-        expected = 3 * len(config.scale_grid) * config.replications
+        expected = 3 * len(config.grid) * config.replications
         assert len(result.records) == expected
         keys = {(r.estimator, r.sweep_value, r.replication) for r in result.records}
         assert len(keys) == expected
@@ -200,10 +219,10 @@ class TestRecordProtocol:
         draw = _draw_replication(plan, rep=0)
         x = draw.x
         estimators = ("ols", "fixed_ridge", "transfer_ridge")
-        points = [(e, scale, scale ** 2 * plan.sigma2_unit) for scale in cfg.scale_grid for e in estimators]
+        points = [(e, scale, scale ** 2 * plan.sigma2_unit) for scale in cfg.grid for e in estimators]
         rhs, shifts = _error_block(plan, draw, points)
         errors = draw.design.solve(rhs, shifts)
-        assert 0.0 in cfg.scale_grid
+        assert 0.0 in cfg.grid
         for k, (estimator, scale, sigma2) in enumerate(points):
             y = x @ plan.beta_star + scale * draw.w_wins_unit
             lam, center = {"ols": (0.0, np.zeros(cfg.p)),
@@ -426,7 +445,7 @@ class TestTransientRunner:
 
     def test_theory_overlay_matches_the_grid(self):
         result = run_experiment(tiny_config("transient", replications=20))
-        assert len(result.summary["theory_risk"]) == len(result.config.sigma_grid)
+        assert len(result.summary["theory_risk"]) == len(result.config.grid)
         assert result.summary["checks"]["median_relative_error"]["value"] <= 0.03
 
     @staticmethod
@@ -451,7 +470,7 @@ class TestTransientRunner:
             design = Resolvent.of(draw.x)
             xtw = draw.x.T @ draw.w_wins_unit / config.n
             gd = draw.x.T @ (draw.x @ (plan.beta_star - plan.beta0)) / config.n
-            for sigma2 in config.sigma_grid:
+            for sigma2 in config.grid:
                 rhs = gd + math.sqrt(sigma2 / plan.sigma2_unit) * xtw
                 beta = plan.beta0 + design.solve(rhs, _adapted_lambda(config, sigma2))
                 risks[(sigma2, rep)] = empirical_risk(beta, plan.beta_star, plan.spec.matrix)
@@ -471,7 +490,7 @@ class TestTransientRunner:
         result = run_experiment(tiny_config("transient"))
         assert shapes == []  # the AR(1) covariance is decomposed through its tridiagonal inverse
         self.assert_certified_and_equal_to_the_eigenbasis(result)
-        assert result.summary["resolvent_fallbacks"] == [0] * len(result.config.sigma_grid)
+        assert result.summary["resolvent_fallbacks"] == [0] * len(result.config.grid)
 
     def test_spent_budget_routes_every_column_through_one_resolvent(self, monkeypatch):
         from heavyreg import estimators
@@ -482,7 +501,7 @@ class TestTransientRunner:
         assert shapes == [(40, 40)] * result.config.replications  # one Resolvent per replication
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert all(r.resolvent_fallback for r in result.records)
-        assert result.summary["resolvent_fallbacks"] == [result.config.replications] * len(result.config.sigma_grid)
+        assert result.summary["resolvent_fallbacks"] == [result.config.replications] * len(result.config.grid)
 
     def test_ill_conditioned_sweep_is_certified(self):
         """At n = p and lambda_tilde = 1e-6 the Gram matrix is nearly
@@ -515,11 +534,11 @@ class TestUniversalityRunner:
     """Design-law insensitivity of the plateau."""
 
     def test_built_in_checks_pass(self):
-        result = run_experiment(tiny_config("universality", scale_grid=(1.0, 10.0, 100.0)))
+        result = run_experiment(tiny_config("universality", grid=(1.0, 10.0, 100.0)))
         assert result.passed, result.summary["checks"]
 
     def test_aligned_noiseless_case_gives_zero_risk_for_both_designs(self):
-        config = tiny_config("universality", scale_grid=(0.0,), delta_norm=0.0)
+        config = tiny_config("universality", grid=(0.0,), delta_norm=0.0)
         result = run_experiment(config)
         for estimator in ("transfer_ridge_gaussian", "transfer_ridge_rademacher"):
             assert result.summary["estimators"][estimator]["mean"][0] <= 1.0e-10
@@ -663,7 +682,7 @@ class TestSerialization:
         assert "checks" in summary and "passed" in summary
         echo = json.loads(open(paths["config"]).read())
         assert echo["master_seed"] == 20240817
-        assert echo["scale_grid"] == [0.0, 1.0, 10.0, 100.0, 1000.0]
+        assert echo["grid"] == [0.0, 1.0, 10.0, 100.0, 1000.0]
 
     def test_custom_tag_overrides_the_seed_tag(self, tmp_path):
         result = run_experiment(tiny_config("paradox", replications=2))

@@ -122,7 +122,7 @@ def test_package_runs_without_scipy_stats_integrate_or_optimize():
         "heavyreg.ridge_risk_closed_form(heavyreg.TheoryInputs(spec, 0.5, 2.0, 1.0))\n"
         "heavyreg.solve_general_fixed_point(heavyreg.TheoryInputs(spec, 0.5, 2.0, 1.0, heavyreg.Regularizer(heavyreg.RegKind.LASSO)))\n"
         "heavyreg.run_experiment(heavyreg.ExperimentConfig(name='transient', n=60, p=20, cov=heavyreg.CovarianceModel.ar1(20, 0.5),\n"
-        "                                                  replications=2, sigma_grid=(1.0, 100.0)))\n"
+        "                                                  replications=2, grid=(1.0, 100.0)))\n"
         "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate', 'scipy.optimize')))\n"
         "assert not loaded, loaded\n"
     )
