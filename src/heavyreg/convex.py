@@ -302,12 +302,17 @@ def prox_loss_conjugate(loss: Loss, sigma: float, u: np.ndarray | float) -> np.n
     return out if out.shape else float(out)
 
 
-def prox_reg(reg: Regularizer, eta: float | np.ndarray, v: np.ndarray | float) -> np.ndarray | float:
-    """Coordinate-wise proximal map of a regularizer.
+def _reg_weights(reg: Regularizer) -> tuple[float, float]:
+    """``(l1, l2)`` with ``prox_reg(reg, eta, v) = soft(v, eta * l1) / (1 + eta * l2)``."""
+    if reg.kind is RegKind.RIDGE:
+        return 0.0, 1.0
+    if reg.kind is RegKind.LASSO:
+        return 1.0, 0.0
+    return reg.mix, 1.0 - reg.mix
 
-    ``eta`` is one step or an array of steps that broadcasts against ``v``
-    (for example one step per row); every step must be finite and > 0.
-    """
+
+def _prox_steps(eta: float | np.ndarray) -> float | np.ndarray:
+    """``eta``, as an array unless it is a scalar, once every step is finite and > 0."""
     if np.ndim(eta) == 0:  # the solvers' per-iteration call: keep numpy out of the check
         valid = eta > 0.0 and math.isfinite(eta)
     else:
@@ -315,12 +320,19 @@ def prox_reg(reg: Regularizer, eta: float | np.ndarray, v: np.ndarray | float) -
         valid = bool(np.all((eta > 0.0) & np.isfinite(eta)))
     if not valid:
         raise ConfigError(f"prox steps must be finite and > 0, got {eta}")
+    return eta
+
+
+def prox_reg(reg: Regularizer, eta: float | np.ndarray, v: np.ndarray | float) -> np.ndarray | float:
+    """Coordinate-wise proximal map of a regularizer: the soft threshold at
+    ``eta * l1`` divided by ``1 + eta * l2``, with ``(l1, l2)`` = ``(0, 1)``
+    for ridge, ``(1, 0)`` for lasso and ``(mix, 1 - mix)`` for elastic net.
+
+    ``eta`` is one step or an array of steps that broadcasts against ``v``
+    (for example one step per row); every step must be finite and > 0.
+    """
+    eta = _prox_steps(eta)
+    l1, l2 = _reg_weights(reg)
     v = np.asarray(v, dtype=float)
-    if reg.kind is RegKind.RIDGE:
-        out = v / (1.0 + eta)
-    elif reg.kind is RegKind.LASSO:
-        out = np.sign(v) * np.maximum(np.abs(v) - eta, 0.0)
-    else:
-        soft = np.sign(v) * np.maximum(np.abs(v) - eta * reg.mix, 0.0)
-        out = soft / (1.0 + eta * (1.0 - reg.mix))
+    out = np.sign(v) * np.maximum(np.abs(v) - eta * l1, 0.0) / (1.0 + eta * l2)
     return out if out.shape else float(out)

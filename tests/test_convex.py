@@ -303,6 +303,27 @@ class TestRegularizers:
         out = prox_reg(reg, 2.0, np.array([3.0]))
         assert float(out[0]) == pytest.approx((3.0 - 1.0) / 2.0, rel=1.0e-12)
 
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=12),
+           st.floats(1.0e-300, 1.0e300), st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_one_formula_equals_the_three_textbook_proxes(self, values, eta, mix):
+        """``soft(v, eta l1) / (1 + eta l2)`` returns exactly what ``v / (1 + eta)``,
+        the soft threshold and the thresholded shrinkage return, for a scalar
+        step and for the same step as an array."""
+        v = np.array(values)
+
+        def soft(t):
+            return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+        textbook = [
+            (Regularizer(RegKind.RIDGE), v / (1.0 + eta)),
+            (Regularizer(RegKind.LASSO), soft(eta)),
+            (Regularizer(RegKind.ELASTIC_NET, mix), soft(eta * mix) / (1.0 + eta * (1.0 - mix))),
+        ]
+        for reg, expected in textbook:
+            assert np.array_equal(prox_reg(reg, eta, v), expected)
+            assert np.array_equal(prox_reg(reg, np.full(v.shape, eta), v), expected)
+
     @pytest.mark.parametrize("reg", ALL_REGS, ids=reg_ids)
     def test_array_step_equals_row_wise_scalar_steps(self, reg):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ is then required to reproduce the closed form and to achieve the universal
 large-noise floor.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -38,15 +39,20 @@ def make_spectrum(p=400, rho=0.5, seed=123, radius=1.0, identity=False):
     return project_delta(spec, delta, np.zeros(p))
 
 
-def risk_from_definition(ti, risk):
+PENALTIES = [Regularizer(RegKind.RIDGE), Regularizer(RegKind.LASSO), Regularizer(RegKind.ELASTIC_NET, 0.5)]
+PENALTY_IDS = ["ridge", "lasso", "elastic_net"]
+L1_WEIGHT = {RegKind.RIDGE: 0.0, RegKind.LASSO: 1.0, RegKind.ELASTIC_NET: 0.5}  # the threshold is eta * L1_WEIGHT
+
+
+def risk_from_definition(ti, risk, nodes=61):
     """The risk functional R at ``risk``, built here from its definition:
     per eigen-atom, the prox of the misalignment coefficient plus Gaussian
-    noise, integrated by a 61-node Gauss-Hermite rule."""
+    noise, integrated node by node by a ``nodes``-point Gauss-Hermite rule."""
     spec = ti.spectrum
     s, delta, p = spec.eigenvalues, spec.delta_coeffs, spec.p
     mu = ti.lambda_tilde * ti.sigma2
     v = solve_companion_v(s, ti.gamma, mu)
-    x, w = hermgauss(61)
+    x, w = hermgauss(nodes)
     kappa = np.sqrt((ti.sigma2 + p * risk) * ti.gamma / (p * s))
     moved = prox_reg(ti.reg, (mu / (v * s))[:, None], delta[:, None] - kappa[:, None] * (math.sqrt(2.0) * x)[None, :])
     return float(np.sum(s * (((moved - delta[:, None]) ** 2) @ (w / math.sqrt(math.pi)))) / p)
@@ -300,6 +306,12 @@ class TestGeneralFixedPoint:
         assert not zeta.flags.writeable and not wts.flags.writeable
         x, w = hermgauss(61)
         assert np.array_equal(zeta, x * math.sqrt(2.0)) and np.array_equal(wts, w / math.sqrt(math.pi))
+        prefix, suffix = theory._gauss_hermite_moments(61)
+        assert theory._gauss_hermite_moments(61)[0] is prefix
+        assert not prefix.flags.writeable and not suffix.flags.writeable
+        moments = [np.sum(wts), np.sum(wts * zeta), np.sum(wts * zeta ** 2)]
+        assert np.allclose(prefix[:, -1], moments) and np.allclose(suffix[:, 0], moments)
+        assert not prefix[:, 0].any() and not suffix[:, -1].any()
 
     @pytest.mark.parametrize("reg", [Regularizer(RegKind.LASSO), Regularizer(RegKind.ELASTIC_NET, 0.5)], ids=["lasso", "elastic_net"])
     def test_large_noise_floor_is_exact(self, reg):
@@ -368,10 +380,103 @@ class TestGeneralFixedPoint:
         pred = solve_general_fixed_point(TheoryInputs(make_spectrum(), 0.5, 0.0, 1.0))
         assert pred.risk == 0.0 and pred.tau == 1.0
 
+    @pytest.mark.parametrize("reg", PENALTIES, ids=PENALTY_IDS)
+    def test_zero_aspect_ratio_is_the_prox_of_the_misalignment(self, reg):
+        """At gamma = 0 the Gaussian perturbation has scale 0 at every atom, so
+        R is the constant mean(s (prox(delta) - delta)^2): for ridge the
+        closed form's fixed-design bias.  No node count divides by the scale."""
+        spec = make_spectrum(p=200, radius=20.0, seed=5)
+        ti = TheoryInputs(spec, 0.0, 1.0, 0.5, reg=reg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = solve_general_fixed_point(ti)
+        s, delta = spec.eigenvalues, spec.delta_coeffs
+        if reg.kind is RegKind.RIDGE:
+            expected = ridge_risk_closed_form(ti).risk
+        else:
+            expected = float(np.mean(s * (prox_reg(reg, 0.5 / s, delta) - delta) ** 2))
+            assert 0.0 < expected < q_sigma(spec)  # some atoms pass the threshold, some do not
+        assert pred.risk == pytest.approx(expected, rel=1.0e-13, abs=0.0)
+        assert pred.tau == 1.0 and pred.iterations == 2
+
     @pytest.mark.parametrize("nodes", [0, -3])
     def test_rejects_an_empty_quadrature_rule(self, nodes):
         with pytest.raises(ConfigError, match="gh_nodes must be >= 1"):
             solve_general_fixed_point(TheoryInputs(make_spectrum(p=40), 0.5, 1.0, 1.0), gh_nodes=nodes)
+
+
+def spectrum_with(deltas):
+    """The identity spectrum with misalignment coefficients ``deltas``."""
+    return dataclasses.replace(make_spectrum(p=len(deltas), identity=True), delta_coeffs=np.asarray(deltas, dtype=float))
+
+
+class TestPieceSums:
+    """R summed per piece of the prox is the Gauss-Hermite rule applied node
+    by node.  The lower piece's moments are sums over the top nodes, taken
+    from the top: as differences of prefix sums they put R 4e-8 off in
+    ``test_thin_outer_pieces``."""
+
+    @staticmethod
+    def piece_sum(ti, risk, nodes):
+        v = solve_companion_v(ti.spectrum.eigenvalues, ti.gamma, ti.lambda_tilde * ti.sigma2)
+        return theory._risk_functional(ti, v, nodes)(risk)
+
+    @pytest.mark.parametrize("reg", PENALTIES, ids=PENALTY_IDS)
+    @pytest.mark.parametrize("nodes", [1, 2, 61, 121])
+    def test_matches_the_rule_node_by_node(self, reg, nodes):
+        for radius in (1.0, 20.0):
+            spec = make_spectrum(p=120, radius=radius)
+            for gamma in (0.2, 1.0, 3.0):
+                for sigma2, lambda_tilde in ((0.01, 1.0), (1.0, 0.1), (1.0, 1.0), (100.0, 0.5)):
+                    ti = TheoryInputs(spec, gamma, sigma2, lambda_tilde, reg=reg)
+                    for risk in (0.0, 0.3, 30.0):
+                        assert self.piece_sum(ti, risk, nodes) == pytest.approx(
+                            risk_from_definition(ti, risk, nodes), rel=1.0e-13, abs=0.0)
+
+    @pytest.mark.parametrize("reg", PENALTIES, ids=PENALTY_IDS)
+    @pytest.mark.parametrize("nodes", [1, 61, 121])
+    def test_breakpoint_on_a_node(self, reg, nodes):
+        """An odd rule has the node 0; delta = +-eta l1 puts a breakpoint
+        (delta -+ eta l1) / kappa on it, and for ridge delta = 0 does."""
+        zeta, _ = theory._gauss_hermite_standard_normal(nodes)
+        assert zeta[nodes // 2] == 0.0
+        thresh = 0.5 / solve_companion_v(np.ones(4), 0.5, 0.5) * L1_WEIGHT[reg.kind]  # mu / (v s) * l1
+        deltas = np.array([thresh, -thresh, 0.0, 0.3])
+        assert deltas[0] - thresh == 0.0 == deltas[1] + thresh
+        ti = TheoryInputs(spectrum_with(deltas), 0.5, 1.0, 0.5, reg=reg)
+        for risk in (0.0, 0.7):
+            assert self.piece_sum(ti, risk, nodes) == pytest.approx(risk_from_definition(ti, risk, nodes), rel=1.0e-13, abs=0.0)
+
+    @pytest.mark.parametrize("reg", PENALTIES, ids=PENALTY_IDS)
+    @pytest.mark.parametrize("nodes, tail", [(3, 1), (61, 1), (121, 1), (61, 16), (121, 40)])
+    def test_thin_outer_pieces(self, reg, nodes, tail):
+        """One atom's upper piece holds only the lowest ``tail`` nodes, the
+        other's lower piece only the highest: the outermost node alone, or the
+        nodes above z = 6, of total weight about 1e-9.  For the sparse
+        penalties the threshold is ``kappa * cut - small``, with ``cut``
+        halfway between the piece's last node and the next, so the atoms are
+        ``-+small`` and their risk is about ``small^2``; the thin pieces'
+        moments taken as differences of sums over the whole rule were off by
+        rounding of the threshold squared."""
+        zeta, _ = theory._gauss_hermite_standard_normal(nodes)
+        assert tail == 1 or zeta[-tail - 1] < 6.0 < zeta[-tail]
+        gamma, sigma2, risk, p = 0.5, 2.0, 0.4, 2
+        kappa = math.sqrt((sigma2 + p * risk) * gamma / p)
+        cut = 0.5 * (zeta[-tail - 1] + zeta[-tail])
+        l1 = L1_WEIGHT[reg.kind]
+        if l1:
+            eta = (kappa * cut - 3.0e-4 * kappa) / l1
+            lambda_tilde = eta * (1.0 + eta - gamma) / (1.0 + eta) / sigma2  # mu / v = eta at s = 1
+        else:
+            lambda_tilde = 0.25
+        mu = lambda_tilde * sigma2
+        thresh = mu / solve_companion_v(np.ones(p), gamma, mu) * l1
+        deltas = np.array([thresh - kappa * cut, kappa * cut - thresh])
+        upper = np.searchsorted(zeta, (deltas - thresh) / kappa)
+        lower = np.searchsorted(zeta, (deltas + thresh) / kappa, side="right")
+        assert upper[0] == tail and lower[1] == nodes - tail
+        ti = TheoryInputs(spectrum_with(deltas), gamma, sigma2, lambda_tilde, reg=reg)
+        assert self.piece_sum(ti, risk, nodes) == pytest.approx(risk_from_definition(ti, risk, nodes), rel=1.0e-13, abs=0.0)
 
 
 SLOW_GAMMAS = (0.9, 1.0, 1.1)
@@ -433,15 +538,22 @@ class TestDivergence:
     large misalignment there is no finite fixed point."""
 
     def test_overflowing_risk_fails_at_once_and_quietly(self, monkeypatch):
-        calls = []
-        prox = theory.prox_reg
-        monkeypatch.setattr(theory, "prox_reg", lambda *a: calls.append(1) or prox(*a))
+        searches = []  # the points each root search evaluates its gap at
+        secant = theory._bracketed_secant
+
+        def counting(gap, *args):
+            points = []
+            searches.append(points)
+            return secant(lambda x: points.append(x) or gap(x), *args)
+
+        monkeypatch.setattr(theory, "_bracketed_secant", counting)
         ti = TheoryInputs(make_spectrum(p=120, radius=20.0), 5.0, 1.0, 1.0, reg=Regularizer(RegKind.LASSO))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="not finite at r = "):
                 solve_general_fixed_point(ti)
-        assert len(calls) < 500
+        _, risks = searches  # the companion root, then r = R(r)
+        assert 0 < len(risks) < 500
 
     def test_unbounded_risk_fails_quietly(self):
         ti = TheoryInputs(make_spectrum(p=120, radius=20.0), 2.0, 0.01, 1.0, reg=Regularizer(RegKind.LASSO))
