@@ -2,16 +2,16 @@
 Huber loss with a ridge or lasso penalty, and the shifted Gram solves behind
 every closed-form squared-loss fit.
 
-Every fit goes through one :class:`Resolvent`, the eigendecomposition of the
-design's Gram matrix ``X'X/n`` taken once per design.  A closed-form
-squared-loss fit is one shifted system ``(X'X/n + lam I) e = rhs`` for its
-error ``e``; :meth:`Resolvent.solve` takes a block of them with one shift per
-column.  The Newton fit solves one piecewise-quadratic pattern per step
-through the same resolvent, corrected by Woodbury identities for a few
-outliers or a few inliers, or else through a Cholesky factor; it never
-decomposes again.  A block of well-conditioned shifted solves on one design
-(the transient sweep's) skips the decomposition: conjugate gradients solve
-it, certified by the true residual, with the ``Resolvent`` as fallback.
+A :class:`Resolvent` is the eigendecomposition of the design's Gram matrix
+``X'X/n``, taken once per design.  A closed-form squared-loss fit is one
+shifted system ``(X'X/n + lam I) e = rhs`` for its error ``e``;
+:meth:`Resolvent.solve` takes a block of them with one shift per column.  The
+Newton fit solves one piecewise-quadratic pattern per step through the same
+resolvent, corrected by Woodbury identities for a few outliers or a few
+inliers, or else through a Cholesky factor; it never decomposes again.  A
+block on a design that no other fit reads, whose shifts grow with the noise
+(noise-adapted ridge alone), is well conditioned and skips the
+decomposition: :func:`_shifted_solve` solves it by conjugate gradients.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the

@@ -31,7 +31,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +121,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment {self.name!r}; expected one of {EXPERIMENT_NAMES}")
+        row = _EXPERIMENTS[self.name]
         if self.cov is None:
             object.__setattr__(self, "cov", CovarianceModel.ar1(self.p, 0.5))
         if self.cov.p != self.p:
@@ -138,7 +139,7 @@ class ExperimentConfig:
         grid = tuple(self.grid)
         if not grid or not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"grid must be nonempty, finite and strictly ascending, got {grid}")
-        if self.name == "concentration":
+        if not row.estimators:  # concentration
             if self.noise.scale == 0.0:
                 raise ConfigError("the winsorized-energy ratio is undefined for a zero-scale noise law")
             if self.replications < 3:
@@ -149,13 +150,13 @@ class ExperimentConfig:
         else:
             if self.noise.scale != 1.0:
                 raise ConfigError("sweeps own the noise scale; configure the law with scale=1")
-            if self.name == "transient" and grid[0] <= 0.0:
+            if row.sigma2_grid and grid[0] <= 0.0:
                 raise ConfigError(f"a sigma2 grid must be > 0, got {grid}")
             if grid[0] < 0.0:
                 raise ConfigError(f"a noise-scale grid must be >= 0, got {grid}")
             grid = tuple(map(float, grid))
         object.__setattr__(self, "grid", grid)
-        if _EXPERIMENTS[self.name].fits_ols and self.n <= self.p:
+        if "ols" in row.estimators and self.n <= self.p:
             raise ConfigError("this experiment fits unpenalized least squares and needs n > p")
         for label in ("lambda_tilde", "lambda_fixed", "huber_k"):
             if not 0.0 < getattr(self, label) < math.inf:
@@ -176,7 +177,7 @@ class ExperimentConfig:
         out["cov"] = {"kind": self.cov.kind.value, "p": self.cov.p, "rho": self.cov.rho}
         out["noise"] = {"family": self.noise.family.value, "alpha": self.noise.alpha, "scale": self.noise.scale}
         out["gamma"] = self.gamma
-        if not _EXPERIMENTS[self.name].draws_design:
+        if not _EXPERIMENTS[self.name].estimators:
             return {key: out[key] for key in _DESIGN_FREE_FIELDS}
         return out
 
@@ -186,10 +187,10 @@ class RiskRecord:
     """One Monte Carlo measurement.
 
     A Newton fit also reports its step count and optimality certificate.  A
-    transient record reports the relative residual of its shifted solve as
-    its certificate, and whether the solve fell back from conjugate
-    gradients to the ``Resolvent``.  Other closed-form fits leave these at
-    None and False.  None of them goes into the CSV.
+    closed-form fit solved by conjugate gradients (transient, universality)
+    reports the relative residual of its shifted solve as its certificate,
+    and whether the solve fell back to the ``Resolvent``.  Other closed-form
+    fits leave these at None and False.  None of them goes into the CSV.
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
     evaluation.  The closed-form fits of one draw are solved in one block, so
@@ -302,7 +303,7 @@ class _RepDraw:
     """One replication's design and unit noise, raw and winsorized.
 
     ``design`` eigendecomposes the Gram matrix on first use, once per draw;
-    the transient sweep never asks for it.
+    a draw whose fits are all noise-adapted ridge never asks for it.
     """
 
     x: np.ndarray
@@ -365,31 +366,36 @@ def _error_block(plan: _Plan, draw: _RepDraw,
 
 
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
+# Fits that read the eigenbasis: the Newton fits, and the penalties that do
+# not grow with the noise, which would spend the conjugate-gradient budget.
+_EIGENBASIS_FITS = _PROXIMAL_FITS + ("ols", "fixed_ridge")
 
 
-def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, scale: float,
+def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float, sigma2: float,
                   warm: np.ndarray | None) -> FitResult:
-    """Newton fit of one proximal estimator at one noise scale, at the
-    penalty and centre :func:`_penalty_and_centre` gives it.
+    """Newton fit of one proximal estimator at noise amplitude ``amplitude``,
+    at the penalty and centre :func:`_penalty_and_centre` gives it at ``sigma2``.
 
     Huber-ridge sees the raw heavy-tailed noise; transfer lasso sees the
     winsorized noise.
     """
-    lam, centre = _penalty_and_centre(plan, estimator, scale ** 2 * plan.sigma2_unit)
+    lam, centre = _penalty_and_centre(plan, estimator, sigma2)
     if estimator == "huber":
         loss, reg, noise = Loss(LossKind.HUBER, plan.config.huber_k), Regularizer(RegKind.RIDGE), draw.w_unit
     else:  # transfer_lasso
         loss, reg, noise = Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO), draw.w_wins_unit
-    y = draw.x @ plan.beta_star + scale * noise
+    y = draw.x @ plan.beta_star + amplitude * noise
     return fit_proximal(EstimatorConfig(loss, reg, lam, center=centre), draw.design, y, x0=warm)
 
 
-def _record(plan: _Plan, estimator: str, sweep: float, rep: int, error: np.ndarray,
-            converged: bool, t0: float, fit: FitResult | None = None, certificate: float | None = None,
+def _record(plan: _Plan, estimator: str, sweep: float, rep: int, error: np.ndarray, t0: float,
+            fit: FitResult | None = None, certificate: float | None = None,
             resolvent_fallback: bool = False) -> RiskRecord:
     """The record of one fit whose error ``beta_hat - beta_star`` is
     ``error``; a closed-form fit passes its solved error as is, so a tiny
-    error loses no digits to adding and subtracting ``beta_star``."""
+    error loses no digits to adding and subtracting ``beta_star``.  A
+    closed-form fit is converged unless its certificate misses
+    ``_CERTIFICATE``."""
     risk = empirical_risk(error, np.zeros_like(error), plan.spec.matrix)
     return RiskRecord(
         experiment=plan.config.name,
@@ -397,7 +403,7 @@ def _record(plan: _Plan, estimator: str, sweep: float, rep: int, error: np.ndarr
         sweep_value=float(sweep),
         replication=rep,
         risk=risk,
-        converged=converged,
+        converged=fit.converged if fit is not None else (certificate is None or certificate <= _CERTIFICATE),
         wall_ms=(time.perf_counter() - t0) * 1.0e3,
         newton_steps=None if fit is None else fit.iterations,
         certificate=certificate if fit is None else fit.gradient_map_norm,
@@ -410,67 +416,53 @@ def _record(plan: _Plan, estimator: str, sweep: float, rep: int, error: np.ndarr
 # --------------------------------------------------------------------------
 
 
-def _rep_scale_sweep(plan: _Plan, rep: int, estimators: tuple[str, ...],
-                     designs: tuple[str, ...] | None = None) -> list[RiskRecord]:
-    """One replication of a noise-scale sweep.
+def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
+    """One replication of the sweep its registry row describes.
 
-    Draws the design and the unit noise once per design kind (the configured
-    kind, or each of ``designs``, whose name is then appended to the
-    estimator label).  The closed-form fits at every scale form one
-    :func:`_error_block`, solved in one call through the draw's
-    ``Resolvent``.  Each proximal fit warm-starts from its own fit at the
-    previous scale.
+    A grid value ``g`` is a noise scale, with amplitude ``a = g`` and
+    ``sigma2 = g**2 sigma2_unit``, or on a σ² grid ``sigma2 = g`` with
+    ``a = sqrt(g / sigma2_unit)``.  Draws the design and unit noise once per
+    design law (the configured one, or each of the row's ``designs``, whose
+    name then suffixes the estimator label).  The closed-form fits at every
+    point form one :func:`_error_block`: if some fit reads the eigenbasis
+    (``_EIGENBASIS_FITS``), the draw is factorized before the clock starts
+    and the block solved through its ``Resolvent``, else by
+    :func:`_shifted_solve`, whose records carry their certificates and
+    fallback flags.  Each proximal fit warm-starts from its own fit at the
+    previous point.
     """
     cfg = plan.config
-    closed = [(estimator, scale) for scale in cfg.grid for estimator in estimators
-              if estimator not in _PROXIMAL_FITS]
+    row = _EXPERIMENTS[cfg.name]
+    points = [(g, math.sqrt(g / plan.sigma2_unit), g) if row.sigma2_grid else (g, g, g ** 2 * plan.sigma2_unit)
+              for g in cfg.grid]
+    closed = [(e, *point) for point in points for e in row.estimators if e not in _PROXIMAL_FITS]
+    eigenbasis = any(e in _EIGENBASIS_FITS for e in row.estimators)
     records = []
-    for kind in designs or (cfg.design_kind,):
+    for kind in row.designs or (cfg.design_kind,):
         draw = _draw_replication(plan, rep, design_kind=kind)
-        design = draw.design  # factorized before the clock starts
-        suffix = "" if designs is None else f"_{kind}"
+        if eigenbasis:
+            draw.design  # factorized before the clock starts
+        suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
-        rhs, shifts = _error_block(plan, draw, [(e, scale, scale ** 2 * plan.sigma2_unit) for e, scale in closed])
-        errors = design.solve(rhs, shifts)
+        rhs, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
+        if eigenbasis:
+            errors, certificates, fell_back = draw.design.solve(rhs, shifts), None, np.zeros(len(shifts), bool)
+        else:
+            errors, certificates, fell_back = _shifted_solve(draw.x, rhs, shifts)
         share = (time.perf_counter() - t0) / len(closed)
-        for k, (estimator, scale) in enumerate(closed):
+        for k, (estimator, g, _, _) in enumerate(closed):
             # the clock starts a share of the block solve early
-            records.append(_record(plan, estimator + suffix, scale, rep, errors[:, k], True,
-                                   time.perf_counter() - share))
+            records.append(_record(plan, estimator + suffix, g, rep, errors[:, k], time.perf_counter() - share,
+                                   certificate=None if certificates is None else float(certificates[k]),
+                                   resolvent_fallback=bool(fell_back[k])))
         warm: dict[str, np.ndarray] = {}
-        for scale in cfg.grid:
-            for estimator in estimators:
+        for g, a, sigma2 in points:
+            for estimator in row.estimators:
                 if estimator in _PROXIMAL_FITS:
                     t0 = time.perf_counter()
-                    fit = _proximal_fit(plan, draw, estimator, scale, warm.get(estimator))
+                    fit = _proximal_fit(plan, draw, estimator, a, sigma2, warm.get(estimator))
                     warm[estimator] = fit.beta_hat
-                    records.append(_record(plan, estimator + suffix, scale, rep, fit.beta_hat - plan.beta_star,
-                                           fit.converged, t0, fit))
-    return records
-
-
-def _rep_transient(plan: _Plan, rep: int) -> list[RiskRecord]:
-    """One replication of noise-adapted transfer ridge across the σ² grid,
-    with no eigendecomposition.
-
-    The fit at ``sigma2_k`` has amplitude ``a_k = sqrt(sigma2_k /
-    sigma2_unit)``; all points form one :func:`_error_block`, solved
-    together by :func:`_shifted_solve`.  A record is converged when its
-    certificate holds.
-    """
-    cfg = plan.config
-    draw = _draw_replication(plan, rep)
-    t0 = time.perf_counter()
-    rhs, lams = _error_block(plan, draw, [("transfer_ridge", math.sqrt(sigma2 / plan.sigma2_unit), sigma2)
-                                       for sigma2 in cfg.grid])
-    errors, certificates, fell_back = _shifted_solve(draw.x, rhs, lams)
-    share = (time.perf_counter() - t0) / len(lams)
-    records = []
-    for k, sigma2 in enumerate(cfg.grid):
-        # the clock starts a share of the block solve early
-        records.append(_record(plan, "transfer_ridge", sigma2, rep, errors[:, k],
-                               bool(certificates[k] <= _CERTIFICATE), time.perf_counter() - share,
-                               certificate=float(certificates[k]), resolvent_fallback=bool(fell_back[k])))
+                    records.append(_record(plan, estimator + suffix, g, rep, fit.beta_hat - plan.beta_star, t0, fit))
     return records
 
 
@@ -735,13 +727,20 @@ def _concentration_checks(config: ExperimentConfig, records: tuple[RiskRecord, .
 
 @dataclass(frozen=True)
 class _Experiment:
-    fits_ols: bool  # unpenalized least squares needs n > p
-    replicate: Callable  # (plan, rep) -> the replication's records
+    """One experiment: its checks and the sweep :func:`_rep_sweep` runs.
+
+    ``estimators`` are fitted at every grid point (``ols`` needs n > p);
+    none marks a study that draws no design and fits nothing, whose
+    functions get the config in place of a plan and whose summary carries
+    neither the plan's figures nor a convergence check.  ``designs`` are the
+    design laws each replication draws (None: the configured one), and
+    ``sigma2_grid`` says the grid holds σ² rather than noise scales.
+    """
+
     checks: Callable  # (plan, records, stats) -> (checks, extra summary fields)
-    # False for a study that draws no design and fits nothing: its functions
-    # get the config in place of a plan, and its summary carries neither the
-    # plan's figures nor a convergence check.
-    draws_design: bool = True
+    estimators: tuple[str, ...] = ()
+    designs: tuple[str, ...] | None = None
+    sigma2_grid: bool = False
 
 
 # The configuration fields an experiment that draws no design reads.
@@ -750,15 +749,12 @@ _DESIGN_FREE_FIELDS = ("name", "noise", "grid", "replications", "master_seed", "
 _SQUARED_LOSS_FITS = ("ols", "fixed_ridge", "transfer_ridge")
 
 _EXPERIMENTS = {
-    "paradox": _Experiment(True, partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS), _paradox_checks),
-    "floor": _Experiment(False, partial(_rep_scale_sweep, estimators=("transfer_ridge", "transfer_lasso")),
-                         _floor_checks),
-    "transient": _Experiment(False, _rep_transient, _transient_checks),
-    "trichotomy": _Experiment(True, partial(_rep_scale_sweep, estimators=_SQUARED_LOSS_FITS + ("huber",)),
-                              _trichotomy_checks),
-    "universality": _Experiment(False, partial(_rep_scale_sweep, estimators=("transfer_ridge",),
-                                               designs=("gaussian", "rademacher")), _universality_checks),
-    "concentration": _Experiment(False, _rep_concentration, _concentration_checks, draws_design=False),
+    "paradox": _Experiment(_paradox_checks, _SQUARED_LOSS_FITS),
+    "floor": _Experiment(_floor_checks, ("transfer_ridge", "transfer_lasso")),
+    "transient": _Experiment(_transient_checks, ("transfer_ridge",), sigma2_grid=True),
+    "trichotomy": _Experiment(_trichotomy_checks, _SQUARED_LOSS_FITS + ("huber",)),
+    "universality": _Experiment(_universality_checks, ("transfer_ridge",), designs=("gaussian", "rademacher")),
+    "concentration": _Experiment(_concentration_checks),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
@@ -766,23 +762,22 @@ EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one named experiment from its registry entry.
 
-    The entry says whether the experiment fits unpenalized least squares
-    (then ``ExperimentConfig`` requires n > p) and gives the per-replication
-    record generator, which reads ``config.grid`` in the experiment's own
-    units, and the acceptance checks.  The rest is shared: build the frozen
-    plan (signal, misalignment, winsorization threshold) unless the
-    experiment draws no design, collect the records serially or in a process
-    pool (the same bytes for any worker count), summarize them, add the
-    non-convergence check to the entry's checks and assemble the summary.
+    An entry with estimators builds the frozen plan (signal, misalignment,
+    winsorization threshold) and runs :func:`_rep_sweep` per replication;
+    the one without (concentration) runs :func:`_rep_concentration` on the
+    config.  The rest is shared: collect the records serially or in a
+    process pool (the same bytes for any worker count), summarize them, add
+    the non-convergence check to the entry's checks and assemble the
+    summary.
     """
     experiment = _EXPERIMENTS[config.name]
-    plan = _build_plan(config) if experiment.draws_design else config
-    records = _collect_records(config, experiment.replicate, plan)
+    plan, replicate = (_build_plan(config), _rep_sweep) if experiment.estimators else (config, _rep_concentration)
+    records = _collect_records(config, replicate, plan)
     stats = summarize(records)
     checks, extra = experiment.checks(plan, records, stats)
     summary = {"experiment": config.name, "replications": config.replications,
                "master_seed": config.master_seed, "estimators": stats}
-    if experiment.draws_design:
+    if experiment.estimators:
         checks["nonconverged_fraction"] = _nonconvergence_check(records)
         summary.update(n=config.n, p=config.p, gamma=config.gamma, q_sigma=q_sigma(plan.spec),
                        sigma2_unit=plan.sigma2_unit, tau_unit=plan.tau_unit)

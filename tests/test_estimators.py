@@ -112,7 +112,7 @@ class TestResolvent:
 
 class TestShiftedSolve:
     """Conjugate gradients over a block of shifted Gram systems, against the
-    eigenbasis solve, on right-hand sides of the transient sweep's form
+    eigenbasis solve, on right-hand sides of a noise-adapted ridge sweep's form
     ``sqrt(s) X'w/n - s d``."""
 
     SHIFTS = np.array([1.0e-6, 1.0e-3, 0.1, 1.0, 10.0, 1.0e4])

@@ -342,8 +342,8 @@ class TestGoldenRecords:
                       "b85a4cd0f409307b4142df03707419a5ff61684a08aee8cc5e6b9f79a1f36a0c"),
         "trichotomy": ("c65769bd16b5e9073b07429541dd3c156a55f85669e1da06e3f9409fc901a0ad",
                        "8983c5b27fca8faa8b887f0ab5b471e351f87663cc07b415c72688c7014daee5"),
-        "universality": ("1e9bee81cb018c01ee0f7d0460cd1a66b17c427d794536cb6bf3cb48e65f8742",
-                         "79516e9501b90d1b6e9f20188ce6435c02c0df5f14b022d5cf27329971cad75e"),
+        "universality": ("94ff45ab46aaa8f08d84293f74fd6a5010a2e30c45bb6a87ac28ecbd984c4a40",
+                         "7901d6228e4e94ea31dc32dc0fe82b34ab1992f9edb83b5d46cfd891c4c285f4"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -437,7 +437,17 @@ class TestFloorRunner:
 
 
 class TestTransientRunner:
-    """Monte Carlo versus the deterministic risk curve."""
+    """Monte Carlo versus the deterministic risk curve, and the solve rule:
+    a draw whose fits are all noise-adapted ridge (transient, universality)
+    goes through conjugate gradients, any other through one eigenbasis."""
+
+    # Per conjugate-gradient sweep: its design laws with their estimator
+    # labels, and a grid value's noise amplitude and effective variance.
+    SWEEPS = {
+        "transient": ((("gaussian", "transfer_ridge"),), lambda g, unit: (math.sqrt(g / unit), g)),
+        "universality": ((("gaussian", "transfer_ridge_gaussian"), ("rademacher", "transfer_ridge_rademacher")),
+                         lambda g, unit: (g, g ** 2 * unit)),
+    }
 
     def test_built_in_checks_pass(self):
         result = run_experiment(tiny_config("transient", replications=20))
@@ -455,59 +465,76 @@ class TestTransientRunner:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
         return shapes
 
-    @staticmethod
-    def eigenbasis_risks(config):
+    @classmethod
+    def eigenbasis_risks(cls, config):
         """Every record by the eigenbasis solve of the fitted ridge itself,
         ``beta0 + (G + lam I)^-1 (G (beta_star - beta0) + a X'w/n)``, with
-        ``G d`` formed from the design."""
+        ``G d`` formed from the design, for each design law."""
         from heavyreg.estimators import Resolvent, empirical_risk
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
 
+        laws, amplitude_and_sigma2 = cls.SWEEPS[config.name]
         plan = _build_plan(config)
         risks = {}
         for rep in range(config.replications):
-            draw = _draw_replication(plan, rep)
-            design = Resolvent.of(draw.x)
-            xtw = draw.x.T @ draw.w_wins_unit / config.n
-            gd = draw.x.T @ (draw.x @ (plan.beta_star - plan.beta0)) / config.n
-            for sigma2 in config.grid:
-                rhs = gd + math.sqrt(sigma2 / plan.sigma2_unit) * xtw
-                beta = plan.beta0 + design.solve(rhs, _adapted_lambda(config, sigma2))
-                risks[(sigma2, rep)] = empirical_risk(beta, plan.beta_star, plan.spec.matrix)
+            for law, estimator in laws:
+                draw = _draw_replication(plan, rep, design_kind=law)
+                design = Resolvent.of(draw.x)
+                xtw = draw.x.T @ draw.w_wins_unit / config.n
+                gd = draw.x.T @ (draw.x @ (plan.beta_star - plan.beta0)) / config.n
+                for g in config.grid:
+                    amplitude, sigma2 = amplitude_and_sigma2(g, plan.sigma2_unit)
+                    beta = plan.beta0 + design.solve(gd + amplitude * xtw, _adapted_lambda(config, sigma2))
+                    risks[(estimator, g, rep)] = empirical_risk(beta, plan.beta_star, plan.spec.matrix)
         return risks
 
     def assert_certified_and_equal_to_the_eigenbasis(self, result):
         want = self.eigenbasis_risks(result.config)
+        assert len(want) == len(result.records)
         for r in result.records:
             assert r.converged and r.certificate <= 1.0e-10
-            assert r.risk == pytest.approx(want[(r.sweep_value, r.replication)], rel=1.0e-10)
-        block = result.summary["estimators"]["transfer_ridge"]
-        assert len(block["certificate_max"]) == len(block["sweep_values"])
-        assert max(block["certificate_max"]) <= 1.0e-10 and "newton_steps_max" not in block
+            assert r.risk == pytest.approx(want[(r.estimator, r.sweep_value, r.replication)], rel=1.0e-10)
+        for block in result.summary["estimators"].values():
+            assert len(block["certificate_max"]) == len(block["sweep_values"])
+            assert max(block["certificate_max"]) <= 1.0e-10 and "newton_steps_max" not in block
 
-    def test_sweep_is_certified_without_an_eigendecomposition(self, monkeypatch):
+    @pytest.mark.parametrize("name", ("transient", "universality"))
+    def test_sweep_is_certified_without_an_eigendecomposition(self, name, monkeypatch):
         shapes = self.eigh_shapes(monkeypatch)
-        result = run_experiment(tiny_config("transient"))
+        result = run_experiment(tiny_config(name))
         assert shapes == []  # the AR(1) covariance is decomposed through its tridiagonal inverse
         self.assert_certified_and_equal_to_the_eigenbasis(result)
-        assert result.summary["resolvent_fallbacks"] == [0] * len(result.config.grid)
+        assert not any(r.resolvent_fallback for r in result.records)
+        if name == "transient":
+            assert result.summary["resolvent_fallbacks"] == [0] * len(result.config.grid)
 
-    def test_spent_budget_routes_every_column_through_one_resolvent(self, monkeypatch):
+    @pytest.mark.parametrize("name", ("transient", "universality"))
+    def test_spent_budget_routes_every_column_through_one_resolvent(self, name, monkeypatch):
         from heavyreg import estimators
 
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
         shapes = self.eigh_shapes(monkeypatch)
-        result = run_experiment(tiny_config("transient"))
-        assert shapes == [(40, 40)] * result.config.replications  # one Resolvent per replication
+        result = run_experiment(tiny_config(name))
+        draws = result.config.replications * len(self.SWEEPS[name][0])
+        assert shapes == [(40, 40)] * draws  # one Resolvent per draw
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert all(r.resolvent_fallback for r in result.records)
-        assert result.summary["resolvent_fallbacks"] == [result.config.replications] * len(result.config.grid)
+        if name == "transient":
+            assert result.summary["resolvent_fallbacks"] == [result.config.replications] * len(result.config.grid)
 
     def test_ill_conditioned_sweep_is_certified(self):
         """At n = p and lambda_tilde = 1e-6 the Gram matrix is nearly
         singular and the smallest penalties are about 1e-6."""
         self.assert_certified_and_equal_to_the_eigenbasis(
             run_experiment(tiny_config("transient", n=40, lambda_tilde=1.0e-6)))
+
+    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
+    def test_eigenbasis_fits_take_one_gram_eigh_per_draw(self, name, monkeypatch):
+        # least squares, fixed ridge and the Newton fits read the eigenbasis
+        shapes = self.eigh_shapes(monkeypatch)
+        result = run_experiment(tiny_config(name))
+        assert shapes == [(40, 40)] * result.config.replications
+        assert not any(r.resolvent_fallback for r in result.records)
 
 
 class TestTrichotomyRunner:
@@ -646,6 +673,12 @@ class TestSummarize:
         assert "newton_steps_max" not in result.summary["estimators"]["transfer_ridge"]
         with open(write_outputs(result, tmp_path)["csv"]) as fh:
             assert tuple(next(csv.reader(fh))) == CSV_HEADER
+        # the conjugate-gradient sweep reports each point's worst certificate
+        universality = run_experiment(tiny_config("universality")).summary["estimators"]
+        for estimator in ("transfer_ridge_gaussian", "transfer_ridge_rademacher"):
+            block = universality[estimator]
+            assert len(block["certificate_max"]) == len(block["sweep_values"])
+            assert max(block["certificate_max"]) <= 1.0e-10 and "newton_steps_max" not in block
 
 
 class TestSerialization:

@@ -46,16 +46,26 @@ L1_WEIGHT = {RegKind.RIDGE: 0.0, RegKind.LASSO: 1.0, RegKind.ELASTIC_NET: 0.5}  
 
 def risk_from_definition(ti, risk, nodes=61):
     """The risk functional R at ``risk``, built here from its definition:
-    per eigen-atom, the prox of the misalignment coefficient plus Gaussian
-    noise, integrated node by node by a ``nodes``-point Gauss-Hermite rule."""
+    per eigen-atom, the squared move ``prox(u) - delta`` of the misalignment
+    coefficient ``delta`` under Gaussian noise, ``u = delta - noise``,
+    integrated node by node by a ``nodes``-point Gauss-Hermite rule.
+
+    With ``prox(u) = soft(u, eta l1) / (1 + eta l2)`` the move is ``-delta``
+    where ``|u| <= eta l1`` and ``-(noise + eta l1 sign(u) + eta l2 delta) /
+    (1 + eta l2)`` beyond.  Formed that way it keeps its digits at a tiny
+    step ``eta``, where ``prox(u) - delta`` cancels."""
     spec = ti.spectrum
-    s, delta, p = spec.eigenvalues, spec.delta_coeffs, spec.p
+    s, delta, p = spec.eigenvalues, spec.delta_coeffs[:, None], spec.p
     mu = ti.lambda_tilde * ti.sigma2
     v = solve_companion_v(s, ti.gamma, mu)
     x, w = hermgauss(nodes)
-    kappa = np.sqrt((ti.sigma2 + p * risk) * ti.gamma / (p * s))
-    moved = prox_reg(ti.reg, (mu / (v * s))[:, None], delta[:, None] - kappa[:, None] * (math.sqrt(2.0) * x)[None, :])
-    return float(np.sum(s * (((moved - delta[:, None]) ** 2) @ (w / math.sqrt(math.pi)))) / p)
+    l1 = ti.reg.mix if ti.reg.kind is RegKind.ELASTIC_NET else L1_WEIGHT[ti.reg.kind]
+    l2 = 1.0 - l1
+    eta = (mu / (v * s))[:, None]
+    noise = np.sqrt((ti.sigma2 + p * risk) * ti.gamma / (p * s))[:, None] * (math.sqrt(2.0) * x)[None, :]
+    u = delta - noise
+    move = np.where(np.abs(u) > eta * l1, -(noise + eta * l1 * np.sign(u) + eta * l2 * delta) / (1.0 + eta * l2), -delta)
+    return float(np.sum(s * ((move ** 2) @ (w / math.sqrt(math.pi)))) / p)
 
 
 def plain_fixed_point(ti):
@@ -427,11 +437,33 @@ class TestPieceSums:
         for radius in (1.0, 20.0):
             spec = make_spectrum(p=120, radius=radius)
             for gamma in (0.2, 1.0, 3.0):
-                for sigma2, lambda_tilde in ((0.01, 1.0), (1.0, 0.1), (1.0, 1.0), (100.0, 0.5)):
+                for sigma2, lambda_tilde in ((1.0e-4, 1.0e-3), (0.01, 1.0), (1.0, 0.1), (1.0, 1.0), (100.0, 0.5)):
                     ti = TheoryInputs(spec, gamma, sigma2, lambda_tilde, reg=reg)
                     for risk in (0.0, 0.3, 30.0):
                         assert self.piece_sum(ti, risk, nodes) == pytest.approx(
                             risk_from_definition(ti, risk, nodes), rel=1.0e-13, abs=0.0)
+
+    def test_reference_keeps_its_digits_at_tiny_steps(self):
+        """At gamma = 0 and mu = 1e-7 every prox step is tiny.  Formed as
+        ``prox(delta) - delta``, the move put the reference 1.2e-10 off the
+        ridge closed form and 3.9e-10 off the 40-digit elastic-net value."""
+        import mpmath
+
+        ridge = TheoryInputs(make_spectrum(p=60, seed=1), 0.0, 1.0e-4, 1.0e-3)
+        assert risk_from_definition(ridge, 0.0) == pytest.approx(ridge_risk_closed_form(ridge).risk, rel=1.0e-13, abs=0.0)
+        enet = TheoryInputs(make_spectrum(p=40, seed=4, radius=100.0), 0.0, 1.0e-4, 1.0e-3,
+                            reg=Regularizer(RegKind.ELASTIC_NET, 0.5))
+        spec, mu = enet.spectrum, enet.lambda_tilde * enet.sigma2
+        v = solve_companion_v(spec.eigenvalues, 0.0, mu)
+        with mpmath.workdps(40):  # one node, z = 0: each atom moves by prox(delta) - delta
+            total = mpmath.mpf(0)
+            for s, delta in zip(map(mpmath.mpf, spec.eigenvalues), map(mpmath.mpf, spec.delta_coeffs)):
+                eta = mpmath.mpf(mu) / (mpmath.mpf(v) * s)
+                moved = mpmath.sign(delta) * max(abs(delta) - eta / 2, 0) / (1 + eta / 2)
+                total += s * (moved - delta) ** 2
+            oracle = float(total / spec.p)
+        assert risk_from_definition(enet, 0.0, 1) == pytest.approx(oracle, rel=1.0e-13, abs=0.0)
+        assert self.piece_sum(enet, 0.0, 1) == pytest.approx(oracle, rel=1.0e-13, abs=0.0)
 
     @pytest.mark.parametrize("reg", PENALTIES, ids=PENALTY_IDS)
     @pytest.mark.parametrize("nodes", [1, 61, 121])
