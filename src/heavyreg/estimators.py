@@ -9,9 +9,12 @@ shifted system ``(X'X/n + lam I) e = rhs`` for its error ``e``;
 Newton fit solves one piecewise-quadratic pattern per step through the same
 resolvent, corrected by Woodbury identities for a few outliers or a few
 inliers, or else through a Cholesky factor; it never decomposes again.  A
-block on a design that no other fit reads, whose shifts grow with the noise
-(noise-adapted ridge alone), is well conditioned and skips the
-decomposition: :func:`_shifted_solve` solves it by conjugate gradients.
+block of noise-adapted ridge fits alone, whose shifts grow with the noise,
+is well conditioned and skips both the decomposition and the design:
+:func:`_shifted_solve` solves it in whitened coordinates ``f = Sigma^1/2 e``
+on the white draw ``Z`` of ``X = Z Sigma^1/2``, by conjugate gradients
+preconditioned with the tridiagonal precision ``Sigma^-1``, and the fit's
+risk ``e' Sigma e / p`` is ``f'f / p``.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -23,6 +26,7 @@ with no further rescaling.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,55 +121,86 @@ class Resolvent:
         return self.evecs @ ((self.evecs.T @ rhs) / shift)
 
 
-def _shifted_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(G + shifts[k] I)^-1 rhs[:, k]`` for every column ``k``, with
-    ``G = X'X/n``, by conjugate gradients on all columns at once.
+def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root: Callable[[], np.ndarray],
+                   rhs: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(M + shifts[k] T)^-1 rhs[:, k]`` for every column ``k``, with
+    ``M = Z'Z/n`` for the white draw ``Z`` and ``T`` the symmetric
+    tridiagonal ``precision = (diagonal, off-diagonal)`` of a covariance
+    ``Sigma = T^-1``, by preconditioned conjugate gradients on all columns
+    at once.
 
-    Each step multiplies ``G`` into the block of unfinished search directions
-    (one GEMM); a column leaves the block once its recurrence residual falls
-    to ``_CG_TOL`` relative.  The block stops after ``_CG_BUDGET * p``
-    column mat-vecs in all, about the cost of one ``eigh`` of ``G``.  Every
-    column is certified by its true relative residual
-    ``||(G + s_k I) e_k - r_k|| / ||r_k||``, recomputed from ``G`` at the end;
-    a column above ``_CERTIFICATE`` (the budget ran out, or rounding held
-    the true residual up) is solved again through a :class:`Resolvent`,
-    built once, and certified the same way.
+    This is the whitened form of the design's shifted Gram system: for
+    ``X = Z Sigma^1/2`` and ``G = X'X/n``, ``f = Sigma^1/2 e`` solves it
+    exactly when ``(G + s I) e = Sigma^1/2 r``, and ``e' Sigma e = f'f``.
+    The preconditioner is ``T``: each step applies ``Sigma`` by a
+    tridiagonal solve (LAPACK ``pttrf`` once, ``pttrs`` per step), so the
+    iterates are those of plain conjugate gradients on ``G`` mapped through
+    ``Sigma^1/2``, and the recurrence norm ``r'Sigma r`` is that method's
+    squared residual.  Each step multiplies ``M`` into the block of
+    unfinished search directions (one GEMM); a column leaves the block once
+    its recurrence residual falls to ``_CG_TOL`` relative.  The block stops
+    after ``_CG_BUDGET * p`` column mat-vecs in all, about the cost of one
+    ``eigh`` of ``G``.  Every column is certified by the relative residual
+    of the Gram system, ``sqrt(rho' Sigma rho / r' Sigma r)`` with
+    ``rho = (M + s_k T) f_k - r_k`` recomputed from ``M`` at the end; a
+    column above ``_CERTIFICATE`` (the budget ran out, or rounding held the
+    true residual up) is solved again through a :class:`Resolvent` of
+    ``X = Z Sigma^1/2``, with ``Sigma^1/2 = root()`` taken only then, and
+    certified the same way.
 
     Returns the solutions, their certificates and a mask of the columns
     solved through the ``Resolvent``.
     """
-    n, p = x.shape
-    gram = x.T @ x / n
+    n, p = z.shape
+    gram = z.T @ z / n
+    diag, off = precision
+    # the LAPACK wrapper rejects an empty off-diagonal, so a 1 x 1 T gets a zero one
+    factor_d, factor_e, info = scipy.linalg.lapack.dpttrf(diag, off if p > 1 else np.zeros(1))
+    if info:
+        raise ConfigError(f"precision is not positive definite (pttrf info {info})")
+
+    def covariance(r: np.ndarray) -> np.ndarray:  # Sigma r = T^-1 r
+        return scipy.linalg.lapack.dpttrs(factor_d, factor_e, r)[0]
+
+    def shifted(f: np.ndarray, s: np.ndarray) -> np.ndarray:  # (M + s T) f
+        tf = diag[:, None] * f
+        tf[1:] += off[:, None] * f[:-1]
+        tf[:-1] += off[:, None] * f[1:]
+        return gram @ f + tf * s
+
     sol = np.zeros_like(rhs)
     res = rhs.copy()
-    direction = rhs.copy()
-    rho = np.einsum("ij,ij->j", res, res)
+    direction = covariance(res)
+    rho = np.einsum("ij,ij->j", res, direction)
     stop = _CG_TOL ** 2 * rho
     active = np.flatnonzero(rho > stop)
     spent = 0
     while active.size and spent + active.size <= _CG_BUDGET * p:
         spent += active.size
         d = direction[:, active]
-        q = gram @ d + d * shifts[active]
+        q = shifted(d, shifts[active])
         alpha = rho[active] / np.einsum("ij,ij->j", d, q)
         sol[:, active] += alpha * d
         r = res[:, active] - alpha * q
         res[:, active] = r
-        rho_next = np.einsum("ij,ij->j", r, r)
-        direction[:, active] = r + (rho_next / rho[active]) * d
+        pre = covariance(r)
+        rho_next = np.einsum("ij,ij->j", r, pre)
+        direction[:, active] = pre + (rho_next / rho[active]) * d
         rho[active] = rho_next
         active = active[rho_next > stop[active]]
 
+    scale = np.sqrt(np.einsum("ij,ij->j", rhs, covariance(rhs)))
+
     def certify(cols: np.ndarray) -> np.ndarray:
-        e = sol[:, cols]
-        residual = np.linalg.norm(gram @ e + e * shifts[cols] - rhs[:, cols], axis=0)
-        return residual / np.maximum(np.linalg.norm(rhs[:, cols], axis=0), 1.0e-300)
+        residual = shifted(sol[:, cols], shifts[cols]) - rhs[:, cols]
+        return np.sqrt(np.einsum("ij,ij->j", residual, covariance(residual))) / np.maximum(scale[cols], 1.0e-300)
 
     certificate = certify(np.arange(rhs.shape[1]))
     fell_back = ~(certificate <= _CERTIFICATE)
     if fell_back.any():
         cols = np.flatnonzero(fell_back)
-        sol[:, cols] = Resolvent(x, *np.linalg.eigh(gram)).solve(rhs[:, cols], shifts[cols])
+        half = root()
+        sol[:, cols] = half @ Resolvent.of(z @ half).solve(half @ rhs[:, cols], shifts[cols])
         certificate[cols] = certify(cols)
     return sol, certificate, fell_back
 

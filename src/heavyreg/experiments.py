@@ -47,6 +47,7 @@ from .estimators import (
     fit_proximal,
 )
 from .spectrum import (
+    CovarianceKind,
     CovarianceModel,
     DiscreteSpectrum,
     decompose,
@@ -55,6 +56,8 @@ from .spectrum import (
     sample_design,
     sample_signal,
     sample_sphere,
+    _ar1_inverse,
+    _white_draw,
 )
 from .streams import substream
 from .tails import (
@@ -126,6 +129,10 @@ class ExperimentConfig:
             object.__setattr__(self, "cov", CovarianceModel.ar1(self.p, 0.5))
         if self.cov.p != self.p:
             raise ConfigError(f"covariance dimension {self.cov.p} does not match p={self.p}")
+        if self.cov.kind is CovarianceKind.EXPLICIT:
+            # to_dict could not echo the matrix, and a whitened solve needs the
+            # closed-form tridiagonal precision of an identity or AR(1) covariance
+            raise ConfigError("experiments take an identity or AR(1) covariance, not an explicit matrix")
         if self.n < 1 or self.p < 1:
             raise ConfigError(f"dimensions must be >= 1, got n={self.n}, p={self.p}")
         if self.replications < 1:
@@ -187,16 +194,16 @@ class RiskRecord:
     """One Monte Carlo measurement.
 
     A Newton fit also reports its step count and optimality certificate.  A
-    closed-form fit solved by conjugate gradients (transient, universality)
-    reports the relative residual of its shifted solve as its certificate,
-    and whether the solve fell back to the ``Resolvent``.  Other closed-form
+    closed-form fit solved on the white draw (transient, universality)
+    reports as its certificate the relative residual of its shifted Gram
+    system ``(X'X/n + lam I) e = r``, recomputed from the whitened solve, and
+    whether the solve fell back to the ``Resolvent``.  Other closed-form
     fits leave these at None and False.  None of them goes into the CSV.
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
-    evaluation.  The closed-form fits of one draw are solved in one block, so
-    each of their records gets an equal share of the block solve plus its
-    own risk evaluation.  The replication's shared draw and factorization
-    are not in it.
+    evaluation.  The closed-form fits of one draw are solved and evaluated in
+    one block, so each of their records gets an equal share of it.  The
+    replication's shared draw and factorization are not in it.
     """
 
     experiment: str
@@ -282,6 +289,10 @@ class _Plan:
     beta0: np.ndarray
     tau_unit: float
     sigma2_unit: float
+    # On a whitened row: Sigma^-1 as (diagonal, off-diagonal), and the
+    # whitened misalignment Sigma^-1/2 (beta_star - beta0).
+    precision: tuple[np.ndarray, np.ndarray] | None = None
+    white_delta: np.ndarray | None = None
 
 
 def _build_plan(config: ExperimentConfig) -> _Plan:
@@ -291,36 +302,45 @@ def _build_plan(config: ExperimentConfig) -> _Plan:
     delta = sample_sphere(config.p, config.delta_norm, rng)
     beta0 = beta_star + delta
     spec = project_delta(spec, beta_star, beta0)
-    spec.sqrt_matrix()  # taken once here, so every worker inherits it
+    precision = white_delta = None
+    if _EXPERIMENTS[config.name].whitened:
+        precision = _ar1_inverse(config.p, config.cov._correlation)
+        white_delta = spec.basis @ (spec.delta_coeffs / np.sqrt(spec.eigenvalues))
+    else:
+        spec.sqrt_matrix()  # taken once here, so every worker inherits it
     tau_unit = float(config.n) ** (1.0 / config.noise.alpha)
     sigma2_unit = effective_variance_exact(config.noise, tau_unit)
     return _Plan(config=config, spec=spec, beta_star=beta_star, beta0=beta0,
-                 tau_unit=tau_unit, sigma2_unit=sigma2_unit)
+                 tau_unit=tau_unit, sigma2_unit=sigma2_unit, precision=precision, white_delta=white_delta)
 
 
 @dataclass(frozen=True)
 class _RepDraw:
     """One replication's design and unit noise, raw and winsorized.
 
-    ``design`` eigendecomposes the Gram matrix on first use, once per draw;
-    a draw whose fits are all noise-adapted ridge never asks for it.
+    ``x`` is the design ``X``, or on a white draw (``white``) the white
+    matrix ``Z`` with ``X = Z Sigma^1/2``; both come from the replication's
+    one design stream.  ``design`` eigendecomposes the Gram matrix of ``X``
+    on first use, once per draw; a white draw never asks for it.
     """
 
     x: np.ndarray
     w_unit: np.ndarray
     w_wins_unit: np.ndarray
+    white: bool = False
 
     @cached_property
     def design(self) -> Resolvent:
         return Resolvent.of(self.x)
 
 
-def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
+def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None, white: bool = False) -> _RepDraw:
     cfg = plan.config
     kind = cfg.design_kind if design_kind is None else design_kind
-    x = sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind)
+    rng = substream(cfg.master_seed, "design", rep)
+    x = _white_draw(cfg.n, cfg.p, rng, kind) if white else sample_design(plan.spec, cfg.n, rng, kind=kind)
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
-    return _RepDraw(x=x, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
+    return _RepDraw(x=x, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit), white=white)
 
 
 def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
@@ -355,20 +375,28 @@ def _error_block(plan: _Plan, draw: _RepDraw,
     ``(estimator, a, sigma2)``, ``sigma2`` being the effective noise variance
     at amplitude ``a``.  Returns the ``p x k`` block of right-hand sides and
     the ``k`` shifts ``lam``.
+
+    On a white draw the systems are whitened, ``(Z'Z/n + lam Sigma^-1) f =
+    a Z'w/n - lam Sigma^-1/2 (beta_star - c)`` for ``f = Sigma^1/2 e``
+    (see :func:`_shifted_solve`).  Only noise-adapted ridge is solved
+    whitened, so the centre is ``beta0`` and the offset the plan's
+    ``white_delta``.
     """
     v = draw.x.T @ draw.w_wins_unit / plan.config.n
     columns, shifts = [], []
     for estimator, amplitude, sigma2 in points:
         lam, centre = _penalty_and_centre(plan, estimator, sigma2)
-        columns.append(amplitude * v - lam * (plan.beta_star - centre))
+        offset = plan.white_delta if draw.white else plan.beta_star - centre
+        columns.append(amplitude * v - lam * offset)
         shifts.append(lam)
     return np.stack(columns, axis=1), np.array(shifts)
 
 
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
-# Fits that read the eigenbasis: the Newton fits, and the penalties that do
-# not grow with the noise, which would spend the conjugate-gradient budget.
-_EIGENBASIS_FITS = _PROXIMAL_FITS + ("ols", "fixed_ridge")
+# The fits solved on the white draw.  Every other fit reads the eigenbasis:
+# the Newton fits, and least squares and fixed ridge, whose penalties do not
+# grow with the noise and would spend the conjugate-gradient budget.
+_WHITENED_FITS = ("transfer_ridge",)
 
 
 def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float, sigma2: float,
@@ -388,21 +416,17 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float,
     return fit_proximal(EstimatorConfig(loss, reg, lam, center=centre), draw.design, y, x0=warm)
 
 
-def _record(plan: _Plan, estimator: str, sweep: float, rep: int, error: np.ndarray, t0: float,
+def _record(plan: _Plan, estimator: str, sweep: float, rep: int, risk: float, t0: float,
             fit: FitResult | None = None, certificate: float | None = None,
             resolvent_fallback: bool = False) -> RiskRecord:
-    """The record of one fit whose error ``beta_hat - beta_star`` is
-    ``error``; a closed-form fit passes its solved error as is, so a tiny
-    error loses no digits to adding and subtracting ``beta_star``.  A
-    closed-form fit is converged unless its certificate misses
-    ``_CERTIFICATE``."""
-    risk = empirical_risk(error, np.zeros_like(error), plan.spec.matrix)
+    """The record of one fit with risk ``risk``.  A closed-form fit is
+    converged unless its certificate misses ``_CERTIFICATE``."""
     return RiskRecord(
         experiment=plan.config.name,
         estimator=estimator,
         sweep_value=float(sweep),
         replication=rep,
-        risk=risk,
+        risk=float(risk),
         converged=fit.converged if fit is not None else (certificate is None or certificate <= _CERTIFICATE),
         wall_ms=(time.perf_counter() - t0) * 1.0e3,
         newton_steps=None if fit is None else fit.iterations,
@@ -424,35 +448,40 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     ``a = sqrt(g / sigma2_unit)``.  Draws the design and unit noise once per
     design law (the configured one, or each of the row's ``designs``, whose
     name then suffixes the estimator label).  The closed-form fits at every
-    point form one :func:`_error_block`: if some fit reads the eigenbasis
-    (``_EIGENBASIS_FITS``), the draw is factorized before the clock starts
-    and the block solved through its ``Resolvent``, else by
-    :func:`_shifted_solve`, whose records carry their certificates and
-    fallback flags.  Each proximal fit warm-starts from its own fit at the
-    previous point.
+    point form one :func:`_error_block`.  If every fit is noise-adapted
+    ridge (``_WHITENED_FITS``), the draw is the white ``Z`` and the block is
+    solved whitened by :func:`_shifted_solve`, whose records carry their
+    certificates and fallback flags, and each risk is ``f'f / p``.  Else the
+    design ``X`` is drawn and factorized before the clock starts, and the
+    block is solved through its ``Resolvent``.  Each proximal fit
+    warm-starts from its own fit at the previous point.
     """
     cfg = plan.config
     row = _EXPERIMENTS[cfg.name]
     points = [(g, math.sqrt(g / plan.sigma2_unit), g) if row.sigma2_grid else (g, g, g ** 2 * plan.sigma2_unit)
               for g in cfg.grid]
     closed = [(e, *point) for point in points for e in row.estimators if e not in _PROXIMAL_FITS]
-    eigenbasis = any(e in _EIGENBASIS_FITS for e in row.estimators)
     records = []
     for kind in row.designs or (cfg.design_kind,):
-        draw = _draw_replication(plan, rep, design_kind=kind)
-        if eigenbasis:
+        draw = _draw_replication(plan, rep, design_kind=kind, white=row.whitened)
+        if not row.whitened:
             draw.design  # factorized before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
         rhs, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
-        if eigenbasis:
-            errors, certificates, fell_back = draw.design.solve(rhs, shifts), None, np.zeros(len(shifts), bool)
+        if row.whitened:
+            white_errors, certificates, fell_back = _shifted_solve(draw.x, plan.precision, plan.spec.sqrt_matrix,
+                                                                   rhs, shifts)
+            risks = np.einsum("ij,ij->j", white_errors, white_errors) / cfg.p
         else:
-            errors, certificates, fell_back = _shifted_solve(draw.x, rhs, shifts)
+            errors = draw.design.solve(rhs, shifts)
+            # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
+            risks = [empirical_risk(e, np.zeros_like(e), plan.spec.matrix) for e in errors.T]
+            certificates, fell_back = None, np.zeros(len(shifts), bool)
         share = (time.perf_counter() - t0) / len(closed)
         for k, (estimator, g, _, _) in enumerate(closed):
-            # the clock starts a share of the block solve early
-            records.append(_record(plan, estimator + suffix, g, rep, errors[:, k], time.perf_counter() - share,
+            # the clock starts a share of the block early
+            records.append(_record(plan, estimator + suffix, g, rep, risks[k], time.perf_counter() - share,
                                    certificate=None if certificates is None else float(certificates[k]),
                                    resolvent_fallback=bool(fell_back[k])))
         warm: dict[str, np.ndarray] = {}
@@ -462,7 +491,8 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
                     t0 = time.perf_counter()
                     fit = _proximal_fit(plan, draw, estimator, a, sigma2, warm.get(estimator))
                     warm[estimator] = fit.beta_hat
-                    records.append(_record(plan, estimator + suffix, g, rep, fit.beta_hat - plan.beta_star, t0, fit))
+                    risk = empirical_risk(fit.beta_hat, plan.beta_star, plan.spec.matrix)
+                    records.append(_record(plan, estimator + suffix, g, rep, risk, t0, fit))
     return records
 
 
@@ -741,6 +771,11 @@ class _Experiment:
     estimators: tuple[str, ...] = ()
     designs: tuple[str, ...] | None = None
     sigma2_grid: bool = False
+
+    @property
+    def whitened(self) -> bool:
+        """Every fit is solved on the white draw (``_WHITENED_FITS``)."""
+        return bool(self.estimators) and all(e in _WHITENED_FITS for e in self.estimators)
 
 
 # The configuration fields an experiment that draws no design reads.

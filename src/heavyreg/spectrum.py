@@ -260,17 +260,24 @@ def sample_design(
     """Draw an ``n x p`` design with row covariance equal to the spectrum's matrix.
 
     ``kind`` selects the iid entry law of the pre-correlation matrix:
-    ``"gaussian"`` or ``"rademacher"`` (unit variance either way).
+    ``"gaussian"`` or ``"rademacher"`` (unit variance either way).  The
+    design is the white draw ``Z`` of :func:`_white_draw` times the
+    symmetric root ``Sigma^1/2``, bit for bit, so a solve that works on ``Z``
+    itself sees the same draw from the same stream.
     """
+    return _white_draw(n, spec.p, rng, kind) @ spec.sqrt_matrix()
+
+
+def _white_draw(n: int, p: int, rng: np.random.Generator, kind: str) -> np.ndarray:
+    """The ``n x p`` matrix ``Z`` of iid unit-variance entries of the law
+    ``kind`` behind :func:`sample_design`."""
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
     if kind == "gaussian":
-        z = rng.standard_normal((n, spec.p))
-    elif kind == "rademacher":
-        z = np.where(rng.random((n, spec.p)) < 0.5, -1.0, 1.0)
-    else:
-        raise ConfigError(f"unknown design kind {kind!r}; expected 'gaussian' or 'rademacher'")
-    return z @ spec.sqrt_matrix()
+        return rng.standard_normal((n, p))
+    if kind == "rademacher":
+        return np.where(rng.random((n, p)) < 0.5, -1.0, 1.0)
+    raise ConfigError(f"unknown design kind {kind!r}; expected 'gaussian' or 'rademacher'")
 
 
 def sample_signal(p: int, sparsity: float, rng: np.random.Generator) -> np.ndarray:

@@ -16,6 +16,7 @@ from heavyreg.estimators import (
     empirical_risk,
     fit_proximal,
 )
+from heavyreg.spectrum import _ar1_inverse
 
 SQUARED = Loss(LossKind.SQUARED)
 RIDGE = Regularizer(RegKind.RIDGE)
@@ -111,50 +112,107 @@ class TestResolvent:
 
 
 class TestShiftedSolve:
-    """Conjugate gradients over a block of shifted Gram systems, against the
-    eigenbasis solve, on right-hand sides of a noise-adapted ridge sweep's form
-    ``sqrt(s) X'w/n - s d``."""
+    """Preconditioned conjugate gradients over a block of whitened shifted
+    systems ``(Z'Z/n + s T) f = r``, against a dense solve of the design's
+    Gram system ``(X'X/n + s I) e = Sigma^1/2 r`` with ``X = Z Sigma^1/2``,
+    ``Sigma = T^-1`` and ``f = Sigma^1/2 e``, on right-hand sides of a
+    noise-adapted ridge sweep's form ``sqrt(s) Z'w/n - s d``."""
 
     SHIFTS = np.array([1.0e-6, 1.0e-3, 0.1, 1.0, 10.0, 1.0e4])
+    # Each tridiagonal precision T as (diagonal, off-diagonal); "spread" is
+    # the diagonal precision of Sigma^1/2 = diag(linspace(0.3, 2, p)).
+    PRECISIONS = {
+        "ar1-0.5": lambda p: _ar1_inverse(p, 0.5),
+        "ar1-minus-0.8": lambda p: _ar1_inverse(p, -0.8),
+        "identity": lambda p: _ar1_inverse(p, 0.0),
+        "spread": lambda p: (np.linspace(0.3, 2.0, p) ** -2.0, np.zeros(p - 1)),
+    }
+
+    @classmethod
+    def make_block(cls, n, p, precision):
+        """The white draw, the precision, the dense root ``Sigma^1/2`` and
+        the block of right-hand sides."""
+        rng = np.random.default_rng(n + p)
+        z = rng.standard_normal((n, p))
+        v = z.T @ rng.standard_t(1.5, n) / n
+        d = rng.standard_normal(p)
+        diag, off = cls.PRECISIONS[precision](p)
+        evals, evecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        root = (evecs * evals ** -0.5) @ evecs.T
+        return z, (diag, off), root, v[:, None] * np.sqrt(cls.SHIFTS) - d[:, None] * cls.SHIFTS
 
     @staticmethod
-    def make_block(n, p, shifts):
-        rng = np.random.default_rng(n + p)
-        x = rng.standard_normal((n, p)) * np.linspace(0.3, 2.0, p)  # a spread spectrum
-        v = x.T @ rng.standard_t(1.5, n) / n
-        d = rng.standard_normal(p)
-        return x, v[:, None] * np.sqrt(shifts) - d[:, None] * shifts
+    def gram_residual(z, root, f, shift, r):
+        """``||(G + s I) e - Sigma^1/2 r|| / ||Sigma^1/2 r||`` for ``e = Sigma^-1/2 f``, densely."""
+        x = z @ root
+        e = np.linalg.solve(root, f)
+        b = root @ r
+        return np.linalg.norm(x.T @ (x @ e) / z.shape[0] + shift * e - b) / np.linalg.norm(b)
 
+    @pytest.mark.parametrize("precision", list(PRECISIONS))
     @pytest.mark.parametrize("n, p", [(200, 50), (40, 60), (60, 60), (800, 400)])
-    def test_matches_the_eigenbasis_solve(self, n, p):
-        x, rhs = self.make_block(n, p, self.SHIFTS)
-        sol, certificate, fell_back = _shifted_solve(x, rhs, self.SHIFTS)
-        design = Resolvent.of(x)
+    def test_matches_the_dense_gram_solve(self, precision, n, p):
+        z, tridiagonal, root, rhs = self.make_block(n, p, precision)
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, rhs, self.SHIFTS)
+        x = z @ root
+        gram = x.T @ x / n
         for k, shift in enumerate(self.SHIFTS):
-            want = design.solve(rhs[:, k], shift)
-            assert np.linalg.norm(sol[:, k] - want) <= 1.0e-10 * np.linalg.norm(want)
-            residual = np.linalg.norm(x.T @ (x @ sol[:, k]) / n + shift * sol[:, k] - rhs[:, k])
-            assert residual <= 1.0e-10 * np.linalg.norm(rhs[:, k])
+            system = gram + shift * np.eye(p)
+            want = root @ np.linalg.solve(system, root @ rhs[:, k])
+            # a backward-stable solve errs by about eps * cond, which is above
+            # 1e-10 only at n < p with the smallest shift (cond about 1e7)
+            tol = max(1.0e-10, 1.0e-15 * np.linalg.cond(system))
+            assert np.linalg.norm(sol[:, k] - want) <= tol * np.linalg.norm(want)
+            assert self.gram_residual(z, root, sol[:, k], shift, rhs[:, k]) <= 1.0e-10
         assert np.all(certificate <= 1.0e-10)
         assert not fell_back[self.SHIFTS >= 1.0].any()  # conditioned within 5: conjugate gradients
 
-    def test_spent_budget_falls_back_to_the_resolvent(self, monkeypatch):
-        x, rhs = self.make_block(800, 400, self.SHIFTS)
-        eighs = []
+    @pytest.mark.parametrize("precision", list(PRECISIONS))
+    def test_certificate_is_the_gram_systems_relative_residual(self, precision, monkeypatch):
+        # stopped at 1e-3, every column keeps a residual far above rounding
+        monkeypatch.setattr(estimators, "_CG_TOL", 1.0e-3)
+        monkeypatch.setattr(estimators, "_CERTIFICATE", 1.0)
+        z, tridiagonal, root, rhs = self.make_block(200, 50, precision)
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, rhs, self.SHIFTS)
+        assert not fell_back.any()
+        for k, shift in enumerate(self.SHIFTS):
+            residual = self.gram_residual(z, root, sol[:, k], shift, rhs[:, k])
+            assert 1.0e-6 < residual <= 1.001e-3  # the recurrence stops on the Gram system's residual
+            assert certificate[k] == pytest.approx(residual, rel=1.0e-8)
+
+    def test_one_feature_is_the_scalar_formula(self):
+        # six columns exceed the budget of 3p mat-vecs, so each goes through a 1 x 1 Resolvent
+        rng = np.random.default_rng(3)
+        z, rhs, t = rng.standard_normal((30, 1)), rng.standard_normal((1, len(self.SHIFTS))), 1.7
+        sol, certificate, fell_back = _shifted_solve(z, (np.array([t]), np.empty(0)),
+                                                     lambda: np.array([[t ** -0.5]]), rhs, self.SHIFTS)
+        np.testing.assert_allclose(sol[0], rhs[0] / (z[:, 0] @ z[:, 0] / 30 + self.SHIFTS * t), rtol=1.0e-13)
+        assert fell_back.all() and np.all(certificate <= 1.0e-10)
+
+    def test_spent_budget_falls_back_to_one_resolvent(self, monkeypatch):
+        z, tridiagonal, root, rhs = self.make_block(800, 400, "ar1-0.5")
+        roots, eighs = [], []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
-        sol, certificate, fell_back = _shifted_solve(x, rhs, self.SHIFTS)
-        assert not fell_back.any() and eighs == []
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root,
+                                                     rhs, self.SHIFTS)
+        assert not fell_back.any() and eighs == [] and roots == []  # no root without a fallback
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
-        forced, forced_certificate, forced_back = _shifted_solve(x, rhs, self.SHIFTS)
-        assert forced_back.all() and eighs == [(400, 400)]  # one Resolvent for the whole block
+        forced, forced_certificate, forced_back = _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root,
+                                                                 rhs, self.SHIFTS)
+        assert forced_back.all() and eighs == [(400, 400)] and roots == [1]  # one Resolvent for the whole block
         assert np.all(forced_certificate <= 1.0e-10)
         assert np.all(np.linalg.norm(forced - sol, axis=0) <= 1.0e-10 * np.linalg.norm(sol, axis=0))
 
+    def test_indefinite_precision_is_rejected(self):
+        with pytest.raises(ConfigError, match="positive definite"):
+            _shifted_solve(np.ones((3, 2)), (np.array([1.0, -1.0]), np.zeros(1)), lambda: np.eye(2),
+                           np.ones((2, 1)), np.ones(1))
+
     def test_zero_right_hand_side_is_solved_exactly(self):
-        x, rhs = self.make_block(60, 12, self.SHIFTS)
+        z, tridiagonal, root, rhs = self.make_block(60, 12, "ar1-0.5")
         rhs[:, 2] = 0.0
-        sol, certificate, fell_back = _shifted_solve(x, rhs, self.SHIFTS)
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, rhs, self.SHIFTS)
         assert np.array_equal(sol[:, 2], np.zeros(12)) and certificate[2] == 0.0 and not fell_back[2]
 
 

@@ -89,6 +89,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config("paradox", cov=CovarianceModel.identity(8))
 
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_explicit_covariance_is_rejected(self, name):
+        # the config echo carries no matrix, and the whitened solve needs a tridiagonal precision
+        with pytest.raises(ConfigError, match="explicit"):
+            tiny_config(name, cov=CovarianceModel.explicit(CovarianceModel.ar1(40, 0.5).materialize()))
+
     def test_replication_and_worker_counts_must_be_positive(self):
         with pytest.raises(ConfigError):
             tiny_config("paradox", replications=0)
@@ -208,6 +214,17 @@ class TestRecordProtocol:
         spec = decompose(CovarianceModel.identity(16))
         x = sample_design(spec, 32, substream(0, "design", 0), kind="rademacher")
         assert set(np.unique(x)) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("kind", ("gaussian", "rademacher"))
+    def test_white_and_correlated_draws_share_one_design_stream(self, kind):
+        # a whitened row reads Z and an eigenbasis row X = Z Sigma^1/2 of the same (seed, "design", rep)
+        plan = experiments._build_plan(tiny_config("transient"))
+        for rep in (0, 3):
+            white = experiments._draw_replication(plan, rep, design_kind=kind, white=True)
+            draw = experiments._draw_replication(plan, rep, design_kind=kind)
+            assert white.white and not draw.white
+            assert np.array_equal(white.x @ plan.spec.sqrt_matrix(), draw.x)
+            assert np.array_equal(white.w_unit, draw.w_unit)
 
     def test_every_closed_form_sweep_point_matches_a_dense_oracle(self):
         # the oracle solves each fit's centred normal equations densely in
@@ -338,12 +355,12 @@ class TestGoldenRecords:
                     "42b6aceffb5f1e3d464c1447bf2722e96a60ad0af9e473224ef3fe076e62f9e0"),
         "floor": ("b0efe1bbf11a146116cdfbbfb56a998cdae1dbccb15984cde6d53eaac691d5c4",
                   "617b1fb81b478bc856cb1fc19e25cd3dda435e4239cc6a51ee4e7b102ecc13da"),
-        "transient": ("523a0758053f6df3ddcab1d04caca23924a2452a36b61e3a6bbf6bddf576f274",
-                      "b85a4cd0f409307b4142df03707419a5ff61684a08aee8cc5e6b9f79a1f36a0c"),
+        "transient": ("28293c56be323169ead1adea7eb0bb671c8023c31ed74a0f0d434ff7ad67b477",
+                      "03dcf40e043b7bdaac4b3f9980c5d2687999b45d16e1728422cf832c41173d5a"),
         "trichotomy": ("c65769bd16b5e9073b07429541dd3c156a55f85669e1da06e3f9409fc901a0ad",
                        "8983c5b27fca8faa8b887f0ab5b471e351f87663cc07b415c72688c7014daee5"),
-        "universality": ("94ff45ab46aaa8f08d84293f74fd6a5010a2e30c45bb6a87ac28ecbd984c4a40",
-                         "7901d6228e4e94ea31dc32dc0fe82b34ab1992f9edb83b5d46cfd891c4c285f4"),
+        "universality": ("c7ef7c771fc312725a7b0b90709c2f3dc1c8bd4d98ccd82d1681f75e67dede20",
+                         "99cddcb1804489907837fa040321aebb22ec310746be65f0744db32e96f53ea3"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -439,7 +456,8 @@ class TestFloorRunner:
 class TestTransientRunner:
     """Monte Carlo versus the deterministic risk curve, and the solve rule:
     a draw whose fits are all noise-adapted ridge (transient, universality)
-    goes through conjugate gradients, any other through one eigenbasis."""
+    is solved whitened, by conjugate gradients on the white draw ``Z``, any
+    other through one eigenbasis of ``X = Z Sigma^1/2``."""
 
     # Per conjugate-gradient sweep: its design laws with their estimator
     # labels, and a grid value's noise amplitude and effective variance.
@@ -501,8 +519,12 @@ class TestTransientRunner:
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_sweep_is_certified_without_an_eigendecomposition(self, name, monkeypatch):
         shapes = self.eigh_shapes(monkeypatch)
+        designs = []
+        monkeypatch.setattr(experiments, "sample_design", lambda *args, **kwargs: designs.append(args))
         result = run_experiment(tiny_config(name))
         assert shapes == []  # the AR(1) covariance is decomposed through its tridiagonal inverse
+        assert designs == []  # and X = Z Sigma^1/2 is never formed
+        monkeypatch.undo()  # the oracle draws X
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert not any(r.resolvent_fallback for r in result.records)
         if name == "transient":
@@ -527,6 +549,16 @@ class TestTransientRunner:
         singular and the smallest penalties are about 1e-6."""
         self.assert_certified_and_equal_to_the_eigenbasis(
             run_experiment(tiny_config("transient", n=40, lambda_tilde=1.0e-6)))
+
+    @pytest.mark.parametrize("name", ("paradox", "floor", "transient", "trichotomy", "universality"))
+    def test_only_rows_that_form_the_design_take_the_root_up_front(self, name):
+        plan = experiments._build_plan(tiny_config(name))
+        whitened = name in self.SWEEPS
+        assert ("_sqrt_matrix" in vars(plan.spec)) is not whitened
+        assert (plan.white_delta is not None) is whitened and (plan.precision is not None) is whitened
+        if whitened:  # Sigma^-1/2 (beta_star - beta0)
+            root = plan.spec.sqrt_matrix()
+            np.testing.assert_allclose(root @ plan.white_delta, plan.beta_star - plan.beta0, rtol=0.0, atol=1.0e-13)
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
     def test_eigenbasis_fits_take_one_gram_eigh_per_draw(self, name, monkeypatch):
