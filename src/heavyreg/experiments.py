@@ -294,6 +294,11 @@ class _Plan:
     precision: tuple[np.ndarray, np.ndarray] | None = None
     white_delta: np.ndarray | None = None
 
+    @property
+    def whitened(self) -> bool:
+        """The row's draws are white and solved by :func:`_shifted_solve`."""
+        return self.precision is not None
+
 
 def _build_plan(config: ExperimentConfig) -> _Plan:
     spec = decompose(config.cov)
@@ -318,29 +323,28 @@ def _build_plan(config: ExperimentConfig) -> _Plan:
 class _RepDraw:
     """One replication's design and unit noise, raw and winsorized.
 
-    ``x`` is the design ``X``, or on a white draw (``white``) the white
-    matrix ``Z`` with ``X = Z Sigma^1/2``; both come from the replication's
-    one design stream.  ``design`` eigendecomposes the Gram matrix of ``X``
-    on first use, once per draw; a white draw never asks for it.
+    ``x`` is the design ``X``, or on a whitened plan the white matrix ``Z``
+    with ``X = Z Sigma^1/2``; both come from the replication's one design
+    stream.  ``design`` eigendecomposes the Gram matrix of ``X`` on first
+    use, once per draw; a white draw never asks for it.
     """
 
     x: np.ndarray
     w_unit: np.ndarray
     w_wins_unit: np.ndarray
-    white: bool = False
 
     @cached_property
     def design(self) -> Resolvent:
         return Resolvent.of(self.x)
 
 
-def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None, white: bool = False) -> _RepDraw:
+def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
     cfg = plan.config
     kind = cfg.design_kind if design_kind is None else design_kind
     rng = substream(cfg.master_seed, "design", rep)
-    x = _white_draw(cfg.n, cfg.p, rng, kind) if white else sample_design(plan.spec, cfg.n, rng, kind=kind)
+    x = _white_draw(cfg.n, cfg.p, rng, kind) if plan.whitened else sample_design(plan.spec, cfg.n, rng, kind=kind)
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
-    return _RepDraw(x=x, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit), white=white)
+    return _RepDraw(x=x, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
 
 
 def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
@@ -376,17 +380,17 @@ def _error_block(plan: _Plan, draw: _RepDraw,
     at amplitude ``a``.  Returns the ``p x k`` block of right-hand sides and
     the ``k`` shifts ``lam``.
 
-    On a white draw the systems are whitened, ``(Z'Z/n + lam Sigma^-1) f =
-    a Z'w/n - lam Sigma^-1/2 (beta_star - c)`` for ``f = Sigma^1/2 e``
-    (see :func:`_shifted_solve`).  Only noise-adapted ridge is solved
-    whitened, so the centre is ``beta0`` and the offset the plan's
-    ``white_delta``.
+    On a whitened plan the draw is white and the systems are whitened,
+    ``(Z'Z/n + lam Sigma^-1) f = a Z'w/n - lam Sigma^-1/2 (beta_star - c)``
+    for ``f = Sigma^1/2 e`` (see :func:`_shifted_solve`).  Only
+    noise-adapted ridge is solved whitened, so the centre is ``beta0`` and
+    the offset the plan's ``white_delta``.
     """
     v = draw.x.T @ draw.w_wins_unit / plan.config.n
     columns, shifts = [], []
     for estimator, amplitude, sigma2 in points:
         lam, centre = _penalty_and_centre(plan, estimator, sigma2)
-        offset = plan.white_delta if draw.white else plan.beta_star - centre
+        offset = plan.white_delta if plan.whitened else plan.beta_star - centre
         columns.append(amplitude * v - lam * offset)
         shifts.append(lam)
     return np.stack(columns, axis=1), np.array(shifts)
@@ -463,13 +467,13 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     closed = [(e, *point) for point in points for e in row.estimators if e not in _PROXIMAL_FITS]
     records = []
     for kind in row.designs or (cfg.design_kind,):
-        draw = _draw_replication(plan, rep, design_kind=kind, white=row.whitened)
-        if not row.whitened:
+        draw = _draw_replication(plan, rep, design_kind=kind)
+        if not plan.whitened:
             draw.design  # factorized before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
         rhs, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
-        if row.whitened:
+        if plan.whitened:
             white_errors, certificates, fell_back = _shifted_solve(draw.x, plan.precision, plan.spec.sqrt_matrix,
                                                                    rhs, shifts)
             risks = np.einsum("ij,ij->j", white_errors, white_errors) / cfg.p

@@ -22,7 +22,7 @@ from heavyreg.experiments import (
     write_outputs,
     write_records_csv,
 )
-from heavyreg.spectrum import CovarianceModel, decompose, sample_design
+from heavyreg.spectrum import CovarianceModel, _white_draw, decompose, sample_design
 from heavyreg.streams import substream
 from heavyreg.tails import NoiseFamily, TailLaw
 
@@ -219,11 +219,13 @@ class TestRecordProtocol:
     def test_white_and_correlated_draws_share_one_design_stream(self, kind):
         # a whitened row reads Z and an eigenbasis row X = Z Sigma^1/2 of the same (seed, "design", rep)
         plan = experiments._build_plan(tiny_config("transient"))
+        eigenbasis = dataclasses.replace(plan, precision=None, white_delta=None)
         for rep in (0, 3):
-            white = experiments._draw_replication(plan, rep, design_kind=kind, white=True)
-            draw = experiments._draw_replication(plan, rep, design_kind=kind)
-            assert white.white and not draw.white
-            assert np.array_equal(white.x @ plan.spec.sqrt_matrix(), draw.x)
+            z = _white_draw(plan.config.n, plan.config.p, substream(plan.config.master_seed, "design", rep), kind)
+            white = experiments._draw_replication(plan, rep, design_kind=kind)
+            draw = experiments._draw_replication(eigenbasis, rep, design_kind=kind)
+            assert np.array_equal(white.x, z)
+            assert np.array_equal(z @ plan.spec.sqrt_matrix(), draw.x)
             assert np.array_equal(white.w_unit, draw.w_unit)
 
     def test_every_closed_form_sweep_point_matches_a_dense_oracle(self):
@@ -492,7 +494,7 @@ class TestTransientRunner:
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
 
         laws, amplitude_and_sigma2 = cls.SWEEPS[config.name]
-        plan = _build_plan(config)
+        plan = dataclasses.replace(_build_plan(config), precision=None, white_delta=None)  # draws X
         risks = {}
         for rep in range(config.replications):
             for law, estimator in laws:
