@@ -12,9 +12,11 @@ inliers, or else through a Cholesky factor; it never decomposes again.  A
 block of noise-adapted ridge fits alone, whose shifts grow with the noise,
 is well conditioned and skips both the decomposition and the design:
 :func:`_shifted_solve` solves it in whitened coordinates ``f = Sigma^1/2 e``
-on the white draw ``Z`` of ``X = Z Sigma^1/2``, by conjugate gradients
-preconditioned with the tridiagonal precision ``Sigma^-1``, and the fit's
-risk ``e' Sigma e / p`` is ``f'f / p``.
+on the white draw ``Z`` of ``X = Z Sigma^1/2``, by multi-shift conjugate
+gradients preconditioned with the tridiagonal precision ``Sigma^-1``, and
+the fit's risk ``e' Sigma e / p`` is ``f'f / p``.  Every right-hand side of
+such a block combines the same two seeds, ``Z'w/n`` and the whitened
+misalignment, so one Krylov sequence per seed serves every shift.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -47,11 +49,19 @@ _MAX_CONDITION = 1.0e12
 _ROUNDING = 1.0e-12  # relative objective slack that absorbs rounding
 _MIN_STEP = 2.0 ** -60  # the shortest step the halving tries
 _PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to L
-_CERTIFICATE = 1.0e-10  # relative residual a shifted solve must reach
-_CG_TOL = 1.0e-12  # recurrence residual at which a column leaves the conjugate-gradient block
-# Column mat-vecs per feature the block may spend: on one BLAS thread an eigh
-# of a p x p Gram matrix costs 2.5p (p = 1000) to 4p (p = 400) of them.
-_CG_BUDGET = 3
+# Relative residual a shifted solve must reach.  It bounds the residual, not
+# the error, which can reach cond(G + s I) times it: at n = 40, p = 60 and
+# s = 1e-6 eigenbasis solves certified below it were 4.2e-10 to 9.7e-10
+# relative off a 30-digit solution of the same system.
+_CERTIFICATE = 1.0e-10
+_CG_TOL = 1.0e-12  # recurrence residual at which a (seed, shift) pair leaves the conjugate-gradient solve
+# Column mat-vecs per feature the seeds of a block may spend in all: p Krylov
+# steps for a sweep's two seeds, conjugate gradients' termination bound in
+# exact arithmetic.  A seed that finishes early leaves its share to the other
+# (the noiseless point of a 40-feature universality sweep takes 48 steps).
+# Spent in full on one BLAS thread it costs about 2.3 (p = 400) to 5
+# (p = 1000) eighs of the p x p Gram matrix.
+_CG_BUDGET = 2
 
 
 @dataclass(frozen=True)
@@ -122,37 +132,49 @@ class Resolvent:
 
 
 def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root: Callable[[], np.ndarray],
-                   rhs: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(M + shifts[k] T)^-1 rhs[:, k]`` for every column ``k``, with
-    ``M = Z'Z/n`` for the white draw ``Z`` and ``T`` the symmetric
-    tridiagonal ``precision = (diagonal, off-diagonal)`` of a covariance
-    ``Sigma = T^-1``, by preconditioned conjugate gradients on all columns
-    at once.
+                   seeds: np.ndarray, coefficients: np.ndarray,
+                   shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(M + shifts[k] T)^-1 r_k`` for every column ``k`` of
+    ``r = seeds @ coefficients``, with ``M = Z'Z/n`` for the white draw
+    ``Z`` and ``T`` the symmetric tridiagonal ``precision = (diagonal,
+    off-diagonal)`` of a covariance ``Sigma = T^-1``, by multi-shift
+    preconditioned conjugate gradients: one Krylov sequence per seed, a
+    column of the ``p x m`` ``seeds``, serves every shift.
 
     This is the whitened form of the design's shifted Gram system: for
     ``X = Z Sigma^1/2`` and ``G = X'X/n``, ``f = Sigma^1/2 e`` solves it
     exactly when ``(G + s I) e = Sigma^1/2 r``, and ``e' Sigma e = f'f``.
     The preconditioner is ``T``: each step applies ``Sigma`` by a
-    tridiagonal solve (LAPACK ``pttrf`` once, ``pttrs`` per step), so the
-    iterates are those of plain conjugate gradients on ``G`` mapped through
-    ``Sigma^1/2``, and the recurrence norm ``r'Sigma r`` is that method's
-    squared residual.  Each step multiplies ``M`` into the block of
-    unfinished search directions (one GEMM); a column leaves the block once
-    its recurrence residual falls to ``_CG_TOL`` relative.  The block stops
-    after ``_CG_BUDGET * p`` column mat-vecs in all, about the cost of one
-    ``eigh`` of ``G``.  Every column is certified by the relative residual
-    of the Gram system, ``sqrt(rho' Sigma rho / r' Sigma r)`` with
-    ``rho = (M + s_k T) f_k - r_k`` recomputed from ``M`` at the end; a
-    column above ``_CERTIFICATE`` (the budget ran out, or rounding held the
-    true residual up) is solved again through a :class:`Resolvent` of
+    tridiagonal solve (LAPACK ``pttrf`` once, ``pttrs`` per step).  It turns
+    ``M + s T`` into ``Sigma M + s I``, a family shifted exactly, so a
+    seed's Krylov space is the same at every shift (Jegerlehner 1996,
+    hep-lat/9612014; Frommer 2003, *Computing* 70).  Each seed runs one
+    recurrence at the smallest shift ``s_0``: its iterates are those of
+    plain conjugate gradients on ``G + s_0 I`` mapped through
+    ``Sigma^1/2``, and each step multiplies ``M + s_0 T`` into the block of
+    unfinished seeds (one GEMM).  At a shift ``s`` the residual is ``zeta``
+    times the seed's, ``1 / zeta`` being the seed's residual polynomial at
+    ``s_0 - s``, so every (seed, shift) pair follows from scalar
+    recurrences, and its solution is a combination of the seed's
+    preconditioned residuals, formed for the whole block in one product at
+    the end.  A pair with a nonzero coefficient iterates until
+    ``zeta^2 r' Sigma r`` falls to ``_CG_TOL^2`` of its start, and a seed
+    until all its pairs have left; the seeds stop after ``_CG_BUDGET * p``
+    column mat-vecs in all.
+
+    Every column is certified by the relative residual of the Gram system,
+    ``sqrt(rho' Sigma rho / r' Sigma r)`` with ``rho = (M + s_k T) f_k - r_k``
+    recomputed from ``M + s_0 T`` at the end; a column above
+    ``_CERTIFICATE`` (the budget ran out, or rounding held the true residual
+    up) is solved again through a :class:`Resolvent` of
     ``X = Z Sigma^1/2``, with ``Sigma^1/2 = root()`` taken only then, and
-    certified the same way.
+    certified the same way.  The certificate bounds the residual, not the
+    error (see ``_CERTIFICATE``).
 
     Returns the solutions, their certificates and a mask of the columns
     solved through the ``Resolvent``.
     """
     n, p = z.shape
-    gram = z.T @ z / n
     diag, off = precision
     # the LAPACK wrapper rejects an empty off-diagonal, so a 1 x 1 T gets a zero one
     factor_d, factor_e, info = scipy.linalg.lapack.dpttrf(diag, off if p > 1 else np.zeros(1))
@@ -162,37 +184,70 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     def covariance(r: np.ndarray) -> np.ndarray:  # Sigma r = T^-1 r
         return scipy.linalg.lapack.dpttrs(factor_d, factor_e, r)[0]
 
-    def shifted(f: np.ndarray, s: np.ndarray) -> np.ndarray:  # (M + s T) f
+    base = shifts.min()
+    gaps = shifts - base
+    # every step multiplies A = M + s_0 T; a column at shift s is certified against A + (s - s_0) T
+    system = z.T @ z / n
+    system.flat[::p + 1] += base * diag
+    system.flat[1::p + 1] += base * off
+    system.flat[p::p + 1] += base * off
+
+    def shifted(f: np.ndarray, gap: np.ndarray) -> np.ndarray:  # (A + gap T) f
         tf = diag[:, None] * f
         tf[1:] += off[:, None] * f[:-1]
         tf[:-1] += off[:, None] * f[1:]
-        return gram @ f + tf * s
+        return system @ f + tf * gap
 
-    sol = np.zeros_like(rhs)
-    res = rhs.copy()
-    direction = covariance(res)
-    rho = np.einsum("ij,ij->j", res, direction)
+    res = seeds.copy()
+    pre = covariance(res)
+    rho = np.einsum("ij,ij->j", res, pre)
     stop = _CG_TOL ** 2 * rho
-    active = np.flatnonzero(rho > stop)
+    live = (rho > stop)[:, None] & (coefficients != 0.0)
+    # Only the seeds still iterating, ``ids``, are stepped.  A (seed, shift) pair's residual is zeta times
+    # its seed's, and it steps by alpha ratio along p_t = zeta_t z_t + beta ratio^2 p_(t-1), where z_t is
+    # the seed's preconditioned residual and ratio = zeta_(t+1) / zeta_t.  The loop keeps every z_t and
+    # these scalars; the solutions are formed after it.
+    ids = np.flatnonzero(live.any(axis=1))
+    res, pre, rho, stop, live = res[:, ids], pre[:, ids], rho[ids], stop[ids], live[ids]
+    direction, alpha, beta = pre, np.ones(ids.size), np.zeros(ids.size)
+    zeta, ratio = np.ones(live.shape), np.ones(live.shape)
+    basis, steps = [], []
     spent = 0
-    while active.size and spent + active.size <= _CG_BUDGET * p:
-        spent += active.size
-        d = direction[:, active]
-        q = shifted(d, shifts[active])
-        alpha = rho[active] / np.einsum("ij,ij->j", d, q)
-        sol[:, active] += alpha * d
-        r = res[:, active] - alpha * q
-        res[:, active] = r
-        pre = covariance(r)
-        rho_next = np.einsum("ij,ij->j", r, pre)
-        direction[:, active] = pre + (rho_next / rho[active]) * d
-        rho[active] = rho_next
-        active = active[rho_next > stop[active]]
+    while ids.size and spent + ids.size <= _CG_BUDGET * p:
+        spent += ids.size
+        q = system @ direction
+        alpha_next = rho / np.einsum("ij,ij->j", direction, q)
+        res = res - alpha_next * q
+        basis.append(pre)
+        pre = covariance(res)
+        rho_next = np.einsum("ij,ij->j", res, pre)
+        beta_next = rho_next / rho
+        direction = pre + beta_next * direction
+        # 1 / zeta is the seed's residual polynomial at s_0 - s; its three-term recurrence, in ratios
+        ratio = 1.0 / (1.0 + gaps * alpha_next[:, None] + (alpha_next * beta / alpha)[:, None] * (1.0 - ratio))
+        steps.append((ids, zeta, live, alpha_next, beta_next, ratio))
+        zeta = zeta * ratio
+        live = live & (zeta ** 2 * rho_next[:, None] > stop[:, None])
+        alpha, beta, rho = alpha_next, beta_next, rho_next
+        going = live.any(axis=1)
+        if not going.all():
+            ids, res, pre, direction, rho, stop, live, zeta, ratio, alpha, beta = (
+                ids[going], res[:, going], pre[:, going], direction[:, going], rho[going], stop[going],
+                live[going], zeta[going], ratio[going], alpha[going], beta[going])
 
+    # A pair's solution, the sum of its steps, is sum_t zeta_t w_t z_t with w_t = alpha_t ratio_t
+    # + beta_t ratio_t^2 w_(t+1) while it iterates; each column combines its pairs, so the block is one
+    # product of the kept residuals and their weights.
+    weights, w = [], np.zeros(coefficients.shape)
+    for ids, zeta, live, alpha, beta, ratio in reversed(steps):
+        w[ids] = live * alpha[:, None] * ratio + beta[:, None] * ratio ** 2 * w[ids]
+        weights.append(coefficients[ids] * zeta * w[ids])
+    sol = np.hstack(basis) @ np.vstack(weights[::-1]) if basis else np.zeros((p, shifts.size))
+    rhs = seeds @ coefficients
     scale = np.sqrt(np.einsum("ij,ij->j", rhs, covariance(rhs)))
 
     def certify(cols: np.ndarray) -> np.ndarray:
-        residual = shifted(sol[:, cols], shifts[cols]) - rhs[:, cols]
+        residual = shifted(sol[:, cols], gaps[cols]) - rhs[:, cols]
         return np.sqrt(np.einsum("ij,ij->j", residual, covariance(residual))) / np.maximum(scale[cols], 1.0e-300)
 
     certificate = certify(np.arange(rhs.shape[1]))

@@ -197,8 +197,12 @@ class RiskRecord:
     closed-form fit solved on the white draw (transient, universality)
     reports as its certificate the relative residual of its shifted Gram
     system ``(X'X/n + lam I) e = r``, recomputed from the whitened solve, and
-    whether the solve fell back to the ``Resolvent``.  Other closed-form
-    fits leave these at None and False.  None of them goes into the CSV.
+    whether the solve fell back to the ``Resolvent``.  The certificate bounds
+    the residual, not the error: the error can reach ``cond(X'X/n + lam I)``
+    times it (at n = 40, p = 60 and ``lam = 1e-6``, solves certified at
+    1e-10 were up to 9.7e-10 relative off the exact error).  Other
+    closed-form fits leave these at None and False.  None of them goes into
+    the CSV.
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
     evaluation.  The closed-form fits of one draw are solved and evaluated in
@@ -369,7 +373,7 @@ def _penalty_and_centre(plan: _Plan, estimator: str, sigma2: float) -> tuple[flo
 
 
 def _error_block(plan: _Plan, draw: _RepDraw,
-                 points: list[tuple[str, float, float]]) -> tuple[np.ndarray, np.ndarray]:
+                 points: list[tuple[str, float, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The error systems of closed-form squared-loss fits on one draw.
 
     A squared-loss fit with penalty ``lam`` and centre ``c`` (see
@@ -377,23 +381,39 @@ def _error_block(plan: _Plan, draw: _RepDraw,
     ``beta_hat - beta_star = (X'X/n + lam I)^-1 (a v - lam (beta_star - c))``,
     with ``v = X'w/n`` for the draw's unit winsorized noise.  ``points`` lists
     ``(estimator, a, sigma2)``, ``sigma2`` being the effective noise variance
-    at amplitude ``a``.  Returns the ``p x k`` block of right-hand sides and
-    the ``k`` shifts ``lam``.
+    at amplitude ``a``.  Every right-hand side combines a few seed vectors:
+    ``v`` and each estimator's offset ``beta_star - c``.  Returns the
+    ``p x m`` seeds, the ``m x k`` coefficients (``a`` on ``v`` and ``-lam``
+    on the point's offset) and the ``k`` shifts ``lam``.
 
     On a whitened plan the draw is white and the systems are whitened,
     ``(Z'Z/n + lam Sigma^-1) f = a Z'w/n - lam Sigma^-1/2 (beta_star - c)``
     for ``f = Sigma^1/2 e`` (see :func:`_shifted_solve`).  Only
-    noise-adapted ridge is solved whitened, so the centre is ``beta0`` and
-    the offset the plan's ``white_delta``.
+    noise-adapted ridge is solved whitened, so the centre is ``beta0``, the
+    offset the plan's ``white_delta`` and the seeds ``(v, white_delta)``.
     """
     v = draw.x.T @ draw.w_wins_unit / plan.config.n
-    columns, shifts = [], []
-    for estimator, amplitude, sigma2 in points:
+    seeds, rows = [v], {}
+    coefficients = np.zeros((1 + len(points), len(points)))
+    shifts = []
+    for k, (estimator, amplitude, sigma2) in enumerate(points):
         lam, centre = _penalty_and_centre(plan, estimator, sigma2)
-        offset = plan.white_delta if plan.whitened else plan.beta_star - centre
-        columns.append(amplitude * v - lam * offset)
+        if estimator not in rows:
+            rows[estimator] = len(seeds)
+            seeds.append(plan.white_delta if plan.whitened else plan.beta_star - centre)
+        coefficients[0, k], coefficients[rows[estimator], k] = amplitude, -lam
         shifts.append(lam)
-    return np.stack(columns, axis=1), np.array(shifts)
+    return np.stack(seeds, axis=1), coefficients[:len(seeds)], np.array(shifts)
+
+
+def _right_hand_sides(seeds: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The block ``seeds @ coefficients`` of an :func:`_error_block`, formed
+    one product at a time, so each column is ``a v - lam (beta_star - c)``
+    to the last bit (a matrix product may fuse the multiply and the add)."""
+    rhs = seeds[:, :1] * coefficients[0]
+    for seed, row in zip(seeds.T[1:], coefficients[1:]):
+        rhs += seed[:, None] * row
+    return rhs
 
 
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
@@ -472,13 +492,13 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
             draw.design  # factorized before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
-        rhs, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
+        seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
         if plan.whitened:
             white_errors, certificates, fell_back = _shifted_solve(draw.x, plan.precision, plan.spec.sqrt_matrix,
-                                                                   rhs, shifts)
+                                                                   seeds, coefficients, shifts)
             risks = np.einsum("ij,ij->j", white_errors, white_errors) / cfg.p
         else:
-            errors = draw.design.solve(rhs, shifts)
+            errors = draw.design.solve(_right_hand_sides(seeds, coefficients), shifts)
             # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
             risks = [empirical_risk(e, np.zeros_like(e), plan.spec.matrix) for e in errors.T]
             certificates, fell_back = None, np.zeros(len(shifts), bool)
@@ -667,9 +687,15 @@ def _transient_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict)
     ]
     rel_errors = [abs(mc - th) / th for mc, th in zip(stats["transfer_ridge"]["mean"], theory)]
     checks = {"median_relative_error": _check(float(np.median(rel_errors)), None, 0.03)}
-    fallbacks = [sum(r.resolvent_fallback for r in records if r.sweep_value == sigma2)
-                 for sigma2 in stats["transfer_ridge"]["sweep_values"]]
+    fallbacks = _resolvent_fallbacks(records, "transfer_ridge", stats)
     return checks, {"theory_risk": theory, "relative_errors": rel_errors, "resolvent_fallbacks": fallbacks}
+
+
+def _resolvent_fallbacks(records: tuple[RiskRecord, ...], estimator: str, stats: dict) -> list[int]:
+    """Per sweep point of ``estimator``, the whitened solves that fell back
+    to the ``Resolvent``."""
+    return [sum(r.resolvent_fallback for r in records if r.estimator == estimator and r.sweep_value == g)
+            for g in stats[estimator]["sweep_values"]]
 
 
 def _trichotomy_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
@@ -688,14 +714,19 @@ def _trichotomy_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict
 
 def _universality_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
     """Paired Gaussian/Rademacher designs share noise streams; their
-    transfer-ridge risks must agree within two pooled standard errors."""
+    transfer-ridge risks must agree within two pooled standard errors.  The
+    summary also counts, per design and noise scale, the solves that fell
+    back to the ``Resolvent``."""
     g = stats["transfer_ridge_gaussian"]
     r = stats["transfer_ridge_rademacher"]
     z_scores = []
     for mg, mr, sg, sr in zip(g["mean"], r["mean"], g["se"], r["se"]):
         pooled = math.sqrt(sg ** 2 + sr ** 2)
         z_scores.append(abs(mg - mr) / pooled if pooled > 0.0 else 0.0)
-    return {"max_design_gap_in_ses": _check(float(np.max(z_scores)), None, 2.0)}, {"design_gap_in_ses": z_scores}
+    fallbacks = {design: _resolvent_fallbacks(records, f"transfer_ridge_{design}", stats)
+                 for design in ("gaussian", "rademacher")}
+    return ({"max_design_gap_in_ses": _check(float(np.max(z_scores)), None, 2.0)},
+            {"design_gap_in_ses": z_scores, "resolvent_fallbacks": fallbacks})
 
 
 def _concentration_checks(config: ExperimentConfig, records: tuple[RiskRecord, ...],

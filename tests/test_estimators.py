@@ -111,13 +111,43 @@ class TestResolvent:
             Resolvent.of(x[0])
 
 
+class _GramProducts(np.ndarray):
+    """A white draw ``Z`` that records the width of every product of a
+    square matrix derived from it alone -- ``Z'Z/n``, shifted in place or
+    not -- into a block: one entry per GEMM, its column mat-vecs."""
+
+    def __array_finalize__(self, obj):
+        self.widths = getattr(obj, "widths", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, _GramProducts) else a for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _GramProducts) else o for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        if all(isinstance(a, _GramProducts) for a in inputs if isinstance(a, np.ndarray)):
+            result = result.view(_GramProducts)
+            result.widths = self.widths
+        elif ufunc is np.matmul and inputs[0] is self and self.shape[0] == self.shape[1]:
+            self.widths.append(plain[1].shape[1])
+        return result
+
+    @classmethod
+    def of(cls, z):
+        counted = np.array(z).view(cls)
+        counted.widths = []
+        return counted
+
+
 class TestShiftedSolve:
-    """Preconditioned conjugate gradients over a block of whitened shifted
-    systems ``(Z'Z/n + s T) f = r``, against the eigenbasis and a dense solve
-    of the design's Gram system ``(X'X/n + s I) e = Sigma^1/2 r`` with
-    ``X = Z Sigma^1/2``, ``Sigma = T^-1`` and ``f = Sigma^1/2 e``, on
-    right-hand sides of a noise-adapted ridge sweep's form
-    ``sqrt(s) Z'w/n - s d``."""
+    """Multi-shift preconditioned conjugate gradients over a block of
+    whitened shifted systems ``(Z'Z/n + s T) f = r``, against the
+    eigenbasis and a dense solve of the design's Gram system
+    ``(X'X/n + s I) e = Sigma^1/2 r`` with ``X = Z Sigma^1/2``,
+    ``Sigma = T^-1`` and ``f = Sigma^1/2 e``, on right-hand sides of a
+    noise-adapted ridge sweep's form: the seeds ``(v, d)`` with
+    ``v = Z'w/n``, combined as ``sqrt(s) v - s d``."""
 
     SHIFTS = np.array([1.0e-6, 1.0e-3, 0.1, 1.0, 10.0, 1.0e4])
     # Each tridiagonal precision T as (diagonal, off-diagonal); "spread" is
@@ -131,8 +161,8 @@ class TestShiftedSolve:
 
     @classmethod
     def make_block(cls, n, p, precision):
-        """The white draw, the precision, the dense root ``Sigma^1/2`` and
-        the block of right-hand sides."""
+        """The white draw, the precision, the dense root ``Sigma^1/2``, the
+        seeds ``(v, d)`` and their coefficients ``(sqrt(s), -s)``."""
         rng = np.random.default_rng(n + p)
         z = rng.standard_normal((n, p))
         v = z.T @ rng.standard_t(1.5, n) / n
@@ -140,7 +170,7 @@ class TestShiftedSolve:
         diag, off = cls.PRECISIONS[precision](p)
         evals, evecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         root = (evecs * evals ** -0.5) @ evecs.T
-        return z, (diag, off), root, v[:, None] * np.sqrt(cls.SHIFTS) - d[:, None] * cls.SHIFTS
+        return z, (diag, off), root, np.stack([v, d], axis=1), np.stack([np.sqrt(cls.SHIFTS), -cls.SHIFTS])
 
     @staticmethod
     def gram_residual(z, root, f, shift, r):
@@ -150,23 +180,40 @@ class TestShiftedSolve:
         b = root @ r
         return np.linalg.norm(x.T @ (x @ e) / z.shape[0] + shift * e - b) / np.linalg.norm(b)
 
+    @staticmethod
+    def exact_white_solve(z, precision, r, shift):
+        """``(Z'Z/n + s T)^-1 r`` to 30 digits, from the float inputs as given."""
+        import mpmath
+
+        diag, off = precision
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        with mpmath.workdps(30):
+            z_mp = mpmath.matrix(z.tolist())
+            system = z_mp.T * z_mp / z.shape[0] + mpmath.mpf(float(shift)) * mpmath.matrix(t.tolist())
+            return np.array([float(v) for v in mpmath.lu_solve(system, mpmath.matrix(r.tolist()))])
+
     @pytest.mark.parametrize("precision", list(PRECISIONS))
     @pytest.mark.parametrize("n, p", [(200, 50), (40, 60), (60, 60), (800, 400)])
     def test_matches_the_eigenbasis_solve(self, precision, n, p):
-        z, tridiagonal, root, rhs = self.make_block(n, p, precision)
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, rhs, self.SHIFTS)
+        z, tridiagonal, root, seeds, coefficients = self.make_block(n, p, precision)
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
+        rhs = seeds @ coefficients
         x = z @ root
         gram = x.T @ x / n
         design = Resolvent.of(x)
         for k, shift in enumerate(self.SHIFTS):
-            want = root @ design.solve(root @ rhs[:, k], shift)
-            assert np.linalg.norm(sol[:, k] - want) <= 1.0e-10 * np.linalg.norm(want)
             system = gram + shift * np.eye(p)
-            # LU errs by up to eps * cond, so the dense oracle is held to 1e-10
-            # only where that bound allows it: all but n <= p at the 1e-6 shift
-            if np.finfo(float).eps * np.linalg.cond(system) <= 1.0e-10:
-                dense = root @ np.linalg.solve(system, root @ rhs[:, k])
-                assert np.linalg.norm(sol[:, k] - dense) <= 1.0e-10 * np.linalg.norm(dense)
+            # A solve in doubles errs by up to eps * cond, the eigenbasis and LU as much as this one.
+            # Where that allows 1e-10, both hold every column to it; where it does not (n < p at the
+            # 1e-6 shift) the oracle is a 30-digit solve, held to that bound.  Every residual is 1e-10.
+            slack = np.finfo(float).eps * np.linalg.cond(system)
+            if slack <= 1.0e-10:
+                oracles, bound = (root @ design.solve(root @ rhs[:, k], shift),
+                                  root @ np.linalg.solve(system, root @ rhs[:, k])), 1.0e-10
+            else:
+                oracles, bound = (self.exact_white_solve(z, tridiagonal, rhs[:, k], shift),), slack
+            for want in oracles:
+                assert np.linalg.norm(sol[:, k] - want) <= bound * np.linalg.norm(want)
             assert self.gram_residual(z, root, sol[:, k], shift, rhs[:, k]) <= 1.0e-10
         assert np.all(certificate <= 1.0e-10)
         assert not fell_back[self.SHIFTS >= 1.0].any()  # conditioned within 5: conjugate gradients
@@ -176,34 +223,40 @@ class TestShiftedSolve:
         # stopped at 1e-3, every column keeps a residual far above rounding
         monkeypatch.setattr(estimators, "_CG_TOL", 1.0e-3)
         monkeypatch.setattr(estimators, "_CERTIFICATE", 1.0)
-        z, tridiagonal, root, rhs = self.make_block(200, 50, precision)
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, rhs, self.SHIFTS)
+        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, precision)
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
         assert not fell_back.any()
         for k, shift in enumerate(self.SHIFTS):
-            residual = self.gram_residual(z, root, sol[:, k], shift, rhs[:, k])
-            assert 1.0e-6 < residual <= 1.001e-3  # the recurrence stops on the Gram system's residual
+            rhs = seeds @ coefficients[:, k]
+            residual = self.gram_residual(z, root, sol[:, k], shift, rhs)
+            # each seed's pair stops at 1e-3 of its seed, so the column at 1e-3 of the seeds' sum
+            bound = sum(abs(c) * np.linalg.norm(root @ seed) for c, seed in zip(coefficients[:, k], seeds.T))
+            assert 1.0e-6 < residual <= 1.001e-3 * bound / np.linalg.norm(root @ rhs)
             assert certificate[k] == pytest.approx(residual, rel=1.0e-8)
 
     def test_one_feature_is_the_scalar_formula(self):
-        # six columns exceed the budget of 3p mat-vecs, so each goes through a 1 x 1 Resolvent
+        # a 1 x 1 T: one Krylov step per seed solves every shift exactly
         rng = np.random.default_rng(3)
-        z, rhs, t = rng.standard_normal((30, 1)), rng.standard_normal((1, len(self.SHIFTS))), 1.7
+        z, seeds, t = rng.standard_normal((30, 1)), rng.standard_normal((1, 2)), 1.7
+        coefficients = rng.standard_normal((2, len(self.SHIFTS)))
         sol, certificate, fell_back = _shifted_solve(z, (np.array([t]), np.empty(0)),
-                                                     lambda: np.array([[t ** -0.5]]), rhs, self.SHIFTS)
-        np.testing.assert_allclose(sol[0], rhs[0] / (z[:, 0] @ z[:, 0] / 30 + self.SHIFTS * t), rtol=1.0e-13)
-        assert fell_back.all() and np.all(certificate <= 1.0e-10)
+                                                     lambda: np.array([[t ** -0.5]]), seeds, coefficients,
+                                                     self.SHIFTS)
+        want = (seeds @ coefficients)[0] / (z[:, 0] @ z[:, 0] / 30 + self.SHIFTS * t)
+        np.testing.assert_allclose(sol[0], want, rtol=1.0e-13)
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
 
     def test_spent_budget_falls_back_to_one_resolvent(self, monkeypatch):
-        z, tridiagonal, root, rhs = self.make_block(800, 400, "ar1-0.5")
+        z, tridiagonal, root, seeds, coefficients = self.make_block(800, 400, "ar1-0.5")
         roots, eighs = [], []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
         sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root,
-                                                     rhs, self.SHIFTS)
+                                                     seeds, coefficients, self.SHIFTS)
         assert not fell_back.any() and eighs == [] and roots == []  # no root without a fallback
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
         forced, forced_certificate, forced_back = _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root,
-                                                                 rhs, self.SHIFTS)
+                                                                 seeds, coefficients, self.SHIFTS)
         assert forced_back.all() and eighs == [(400, 400)] and roots == [1]  # one Resolvent for the whole block
         assert np.all(forced_certificate <= 1.0e-10)
         assert np.all(np.linalg.norm(forced - sol, axis=0) <= 1.0e-10 * np.linalg.norm(sol, axis=0))
@@ -211,13 +264,73 @@ class TestShiftedSolve:
     def test_indefinite_precision_is_rejected(self):
         with pytest.raises(ConfigError, match="positive definite"):
             _shifted_solve(np.ones((3, 2)), (np.array([1.0, -1.0]), np.zeros(1)), lambda: np.eye(2),
-                           np.ones((2, 1)), np.ones(1))
+                           np.ones((2, 1)), np.ones((1, 1)), np.ones(1))
 
     def test_zero_right_hand_side_is_solved_exactly(self):
-        z, tridiagonal, root, rhs = self.make_block(60, 12, "ar1-0.5")
-        rhs[:, 2] = 0.0
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, rhs, self.SHIFTS)
+        z, tridiagonal, root, seeds, coefficients = self.make_block(60, 12, "ar1-0.5")
+        coefficients[:, 2] = 0.0
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
         assert np.array_equal(sol[:, 2], np.zeros(12)) and certificate[2] == 0.0 and not fell_back[2]
+
+    @pytest.mark.parametrize("zero", ("v", "d", "both"))
+    def test_a_zero_seed_takes_no_steps(self, zero):
+        # delta_norm = 0 makes the whitened misalignment d zero; the noise seed v may be zero too
+        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
+        gone = {"v": [0], "d": [1], "both": [0, 1]}[zero]
+        seeds[:, gone] = 0.0
+        counted = _GramProducts.of(z)
+        sol, certificate, fell_back = _shifted_solve(counted, tridiagonal, lambda: root, seeds, coefficients,
+                                                     self.SHIFTS)
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+        if zero == "both":
+            assert np.array_equal(sol, np.zeros_like(sol)) and np.array_equal(certificate, np.zeros(6))
+            assert counted.widths == [6]  # the certificate's product alone
+            return
+        assert set(counted.widths[:-1]) == {1}  # only the other seed iterates
+        rhs = seeds @ coefficients
+        for k, shift in enumerate(self.SHIFTS):
+            assert self.gram_residual(z, root, sol[:, k], shift, rhs[:, k]) <= 1.0e-10
+
+    def test_a_zero_amplitude_leaves_the_other_seed(self):
+        # a_k = 0 (the noiseless point): column k is -s_k d alone
+        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
+        coefficients[0, [0, 3]] = 0.0
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
+        alone, _, _ = _shifted_solve(z, tridiagonal, lambda: root, seeds[:, 1:], coefficients[1:], self.SHIFTS)
+        np.testing.assert_allclose(sol[:, [0, 3]], alone[:, [0, 3]], rtol=1.0e-10, atol=0.0)
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+
+    def test_duplicate_shifts_give_identical_columns(self):
+        # the smallest shift is the seeds' own (gap 0); each shift appears twice
+        z, tridiagonal, root, seeds, _ = self.make_block(200, 50, "ar1-0.5")
+        shifts = np.array([1.0e-3, 0.1, 1.0e-3, 10.0, 0.1, 10.0])
+        coefficients = np.stack([np.sqrt(shifts), -shifts])
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, shifts)
+        for a, b in ((0, 2), (1, 4), (3, 5)):
+            assert np.array_equal(sol[:, a], sol[:, b]) and certificate[a] == certificate[b]
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+        for k, shift in enumerate(shifts):
+            assert self.gram_residual(z, root, sol[:, k], shift, seeds @ coefficients[:, k]) <= 1.0e-10
+
+    def test_one_column_block(self):
+        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
+        for k, shift in enumerate(self.SHIFTS):
+            sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds,
+                                                         coefficients[:, k:k + 1], self.SHIFTS[k:k + 1])
+            assert sol.shape == (50, 1) and not fell_back[0] and certificate[0] <= 1.0e-10
+            assert self.gram_residual(z, root, sol[:, 0], shift, seeds @ coefficients[:, k]) <= 1.0e-10
+
+    def test_work_does_not_grow_with_the_number_of_shifts(self):
+        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
+        block, smallest = _GramProducts.of(z), _GramProducts.of(z)
+        _shifted_solve(block, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
+        _shifted_solve(smallest, tridiagonal, lambda: root, seeds, coefficients[:, :1], self.SHIFTS[:1])
+        # one product per Krylov step, then the certificate's product over every column
+        assert block.widths[-1] == len(self.SHIFTS) and smallest.widths[-1] == 1
+        steps = len(block.widths) - 1
+        assert block.widths[:-1] == smallest.widths[:-1]  # as many steps as the smallest shift alone
+        assert sum(block.widths[:-1]) == seeds.shape[1] * steps  # column mat-vecs: seeds x steps
+        assert 0 < steps < 50
 
 
 class TestNonFiniteInput:

@@ -231,7 +231,8 @@ class TestRecordProtocol:
     def test_every_closed_form_sweep_point_matches_a_dense_oracle(self):
         # the oracle solves each fit's centred normal equations densely in
         # the beta form; the harness solves the error form in the eigenbasis
-        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _error_block
+        from heavyreg.experiments import (_adapted_lambda, _build_plan, _draw_replication, _error_block,
+                                          _right_hand_sides)
 
         cfg = tiny_config("paradox")
         plan = _build_plan(cfg)
@@ -239,8 +240,8 @@ class TestRecordProtocol:
         x = draw.x
         estimators = ("ols", "fixed_ridge", "transfer_ridge")
         points = [(e, scale, scale ** 2 * plan.sigma2_unit) for scale in cfg.grid for e in estimators]
-        rhs, shifts = _error_block(plan, draw, points)
-        errors = draw.design.solve(rhs, shifts)
+        seeds, coefficients, shifts = _error_block(plan, draw, points)
+        errors = draw.design.solve(_right_hand_sides(seeds, coefficients), shifts)
         assert 0.0 in cfg.grid
         for k, (estimator, scale, sigma2) in enumerate(points):
             y = x @ plan.beta_star + scale * draw.w_wins_unit
@@ -263,8 +264,8 @@ class TestErrorBlock:
         first draw when omitted), the plan's fields overridden as given."""
         plan = dataclasses.replace(experiments._build_plan(config), **plan_fields)
         draw = draw or experiments._draw_replication(plan, rep=0)
-        rhs, shifts = experiments._error_block(plan, draw, points)
-        return plan, draw, draw.design.solve(rhs, shifts)
+        seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
+        return plan, draw, draw.design.solve(experiments._right_hand_sides(seeds, coefficients), shifts)
 
     @staticmethod
     def response(plan, draw, amplitude):
@@ -295,9 +296,27 @@ class TestErrorBlock:
         plan = experiments._build_plan(cfg)
         draw = experiments._draw_replication(plan, rep=0)
         points = [("ols", 1.0, 1.0), ("fixed_ridge", 2.0, 4.0), ("transfer_ridge", 3.0, 9.0)]
-        rhs, shifts = experiments._error_block(plan, draw, points)
+        seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
+        rhs = experiments._right_hand_sides(seeds, coefficients)
         assert rhs.shape == (cfg.p, 3)
         assert shifts.tolist() == [0.0, cfg.lambda_fixed, experiments._adapted_lambda(cfg, 9.0)]
+        # the seeds: v and each estimator's offset beta_star - c, each column a v - lam (beta_star - c)
+        v = draw.x.T @ draw.w_wins_unit / cfg.n
+        offsets = (plan.beta_star, plan.beta_star, plan.beta_star - plan.beta0)
+        assert seeds.shape == (cfg.p, 4) and np.array_equal(seeds[:, 0], v)
+        for k, ((_, amplitude, _), offset, lam) in enumerate(zip(points, offsets, shifts)):
+            assert np.array_equal(seeds[:, k + 1], offset)
+            assert np.array_equal(rhs[:, k], amplitude * v - lam * offset)  # to the last bit
+        np.testing.assert_allclose(rhs, seeds @ coefficients, rtol=1.0e-15, atol=1.0e-15)
+
+    def test_whitened_block_has_two_seeds(self):
+        cfg = tiny_config("transient")
+        plan = experiments._build_plan(cfg)
+        draw = experiments._draw_replication(plan, rep=0)
+        points = [("transfer_ridge", 1.0, 1.0), ("transfer_ridge", 2.0, 4.0)]
+        seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
+        assert np.array_equal(seeds, np.stack([draw.x.T @ draw.w_wins_unit / cfg.n, plan.white_delta], axis=1))
+        assert np.array_equal(coefficients, np.stack([[1.0, 2.0], -shifts]))
 
     def test_stacked_identity_design_averages_the_two_response_blocks(self):
         # X = [I; I] makes X'X/n = 2I/n, so least squares is the mean of the blocks
@@ -357,12 +376,12 @@ class TestGoldenRecords:
                     "42b6aceffb5f1e3d464c1447bf2722e96a60ad0af9e473224ef3fe076e62f9e0"),
         "floor": ("b0efe1bbf11a146116cdfbbfb56a998cdae1dbccb15984cde6d53eaac691d5c4",
                   "617b1fb81b478bc856cb1fc19e25cd3dda435e4239cc6a51ee4e7b102ecc13da"),
-        "transient": ("28293c56be323169ead1adea7eb0bb671c8023c31ed74a0f0d434ff7ad67b477",
-                      "03dcf40e043b7bdaac4b3f9980c5d2687999b45d16e1728422cf832c41173d5a"),
+        "transient": ("08378d578926552043c69127a557ebb0a1afa03e756bd74f29f66558f7a660e6",
+                      "480bbbacbf898b3e3e39acacee04dd647ba3f7f68fbcbf71c2bcaed7a44673dd"),
         "trichotomy": ("c65769bd16b5e9073b07429541dd3c156a55f85669e1da06e3f9409fc901a0ad",
                        "8983c5b27fca8faa8b887f0ab5b471e351f87663cc07b415c72688c7014daee5"),
-        "universality": ("c7ef7c771fc312725a7b0b90709c2f3dc1c8bd4d98ccd82d1681f75e67dede20",
-                         "99cddcb1804489907837fa040321aebb22ec310746be65f0744db32e96f53ea3"),
+        "universality": ("3c967de1a661989c87b8c27dc75238e44d00d2ea8ed40cc1402bd034a5c82cad",
+                         "57ed675d727acfd2398de9b1709afa110e23da1d8c8039cefae0ac5003c93598"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -508,6 +527,13 @@ class TestTransientRunner:
                     risks[(estimator, g, rep)] = empirical_risk(beta, plan.beta_star, plan.spec.matrix)
         return risks
 
+    @staticmethod
+    def fallback_counts(result, count):
+        """The summary's fallback counts when ``count`` solves fell back at every point: one list per
+        sweep for transient, one per design for universality."""
+        counts = [count] * len(result.config.grid)
+        return counts if result.config.name == "transient" else {"gaussian": counts, "rademacher": counts}
+
     def assert_certified_and_equal_to_the_eigenbasis(self, result):
         want = self.eigenbasis_risks(result.config)
         assert len(want) == len(result.records)
@@ -529,8 +555,7 @@ class TestTransientRunner:
         monkeypatch.undo()  # the oracle draws X
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert not any(r.resolvent_fallback for r in result.records)
-        if name == "transient":
-            assert result.summary["resolvent_fallbacks"] == [0] * len(result.config.grid)
+        assert result.summary["resolvent_fallbacks"] == self.fallback_counts(result, 0)
 
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_spent_budget_routes_every_column_through_one_resolvent(self, name, monkeypatch):
@@ -543,8 +568,7 @@ class TestTransientRunner:
         assert shapes == [(40, 40)] * draws  # one Resolvent per draw
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert all(r.resolvent_fallback for r in result.records)
-        if name == "transient":
-            assert result.summary["resolvent_fallbacks"] == [result.config.replications] * len(result.config.grid)
+        assert result.summary["resolvent_fallbacks"] == self.fallback_counts(result, result.config.replications)
 
     def test_ill_conditioned_sweep_is_certified(self):
         """At n = p and lambda_tilde = 1e-6 the Gram matrix is nearly
