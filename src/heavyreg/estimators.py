@@ -187,10 +187,15 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     base = shifts.min()
     gaps = shifts - base
     # every step multiplies A = M + s_0 T; a column at shift s is certified against A + (s - s_0) T
-    system = z.T @ z / n
+    system = z.T @ z
+    system /= n
     system.flat[::p + 1] += base * diag
     system.flat[1::p + 1] += base * off
     system.flat[p::p + 1] += base * off
+
+    def seed_product(d: np.ndarray) -> np.ndarray:  # A d by one symmetric mat-vec per column
+        # dsymv reads one triangle of A, half a GEMM's memory traffic; A.T is A in the Fortran order BLAS takes
+        return np.stack([scipy.linalg.blas.dsymv(1.0, system.T, column) for column in d.T], axis=1)
 
     def shifted(f: np.ndarray, gap: np.ndarray) -> np.ndarray:  # (A + gap T) f
         tf = diag[:, None] * f
@@ -215,7 +220,7 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     spent = 0
     while ids.size and spent + ids.size <= _CG_BUDGET * p:
         spent += ids.size
-        q = system @ direction
+        q = seed_product(direction)
         alpha_next = rho / np.einsum("ij,ij->j", direction, q)
         res = res - alpha_next * q
         basis.append(pre)

@@ -376,12 +376,12 @@ class TestGoldenRecords:
                     "42b6aceffb5f1e3d464c1447bf2722e96a60ad0af9e473224ef3fe076e62f9e0"),
         "floor": ("b0efe1bbf11a146116cdfbbfb56a998cdae1dbccb15984cde6d53eaac691d5c4",
                   "617b1fb81b478bc856cb1fc19e25cd3dda435e4239cc6a51ee4e7b102ecc13da"),
-        "transient": ("08378d578926552043c69127a557ebb0a1afa03e756bd74f29f66558f7a660e6",
-                      "480bbbacbf898b3e3e39acacee04dd647ba3f7f68fbcbf71c2bcaed7a44673dd"),
+        "transient": ("a6bd8b1bbbf8126863ce716d508dbfc8a18765f3284dc11ce94fd20fcbfd203f",
+                      "66bd007789f0bbabef07759c126421ce3ea1da2acd2cbe233d9f1c79e0bd8fac"),
         "trichotomy": ("c65769bd16b5e9073b07429541dd3c156a55f85669e1da06e3f9409fc901a0ad",
                        "8983c5b27fca8faa8b887f0ab5b471e351f87663cc07b415c72688c7014daee5"),
-        "universality": ("3c967de1a661989c87b8c27dc75238e44d00d2ea8ed40cc1402bd034a5c82cad",
-                         "57ed675d727acfd2398de9b1709afa110e23da1d8c8039cefae0ac5003c93598"),
+        "universality": ("62603ac9cc95a0a50f04d33abbd397856311b96156a9c3073390efa145e7de21",
+                         "b838eb8837e8514ae191776541168ea977508bfc43ed1887508d65bbe7edf437"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
