@@ -59,7 +59,7 @@ _CG_TOL = 1.0e-12  # recurrence residual at which a (seed, shift) pair leaves th
 # steps for a sweep's two seeds, conjugate gradients' termination bound in
 # exact arithmetic.  A seed that finishes early leaves its share to the other
 # (the noiseless point of a 40-feature universality sweep takes 48 steps).
-# Spent in full on one BLAS thread it costs about 2.3 (p = 400) to 5
+# Spent in full on one BLAS thread it costs about 2.1 (p = 400) to 2.9
 # (p = 1000) eighs of the p x p Gram matrix.
 _CG_BUDGET = 2
 
@@ -151,8 +151,8 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     hep-lat/9612014; Frommer 2003, *Computing* 70).  Each seed runs one
     recurrence at the smallest shift ``s_0``: its iterates are those of
     plain conjugate gradients on ``G + s_0 I`` mapped through
-    ``Sigma^1/2``, and each step multiplies ``M + s_0 T`` into the block of
-    unfinished seeds (one GEMM).  At a shift ``s`` the residual is ``zeta``
+    ``Sigma^1/2``, and each step multiplies ``M + s_0 T`` into each
+    unfinished seed (one symmetric mat-vec).  At a shift ``s`` the residual is ``zeta``
     times the seed's, ``1 / zeta`` being the seed's residual polynomial at
     ``s_0 - s``, so every (seed, shift) pair follows from scalar
     recurrences, and its solution is a combination of the seed's
