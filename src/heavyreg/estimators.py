@@ -16,7 +16,9 @@ on the white draw ``Z`` of ``X = Z Sigma^1/2``, by multi-shift conjugate
 gradients preconditioned with the tridiagonal precision ``Sigma^-1``, and
 the fit's risk ``e' Sigma e / p`` is ``f'f / p``.  Every right-hand side of
 such a block combines the same two seeds, ``Z'w/n`` and the whitened
-misalignment, so one Krylov sequence per seed serves every shift.
+misalignment, so one Krylov sequence per seed serves every shift.  Below
+``_KRYLOV_FEATURES`` features the block goes through one ``Resolvent``
+instead, which is cheaper there.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -57,11 +59,18 @@ _CERTIFICATE = 1.0e-10
 _CG_TOL = 1.0e-12  # recurrence residual at which a (seed, shift) pair leaves the conjugate-gradient solve
 # Column mat-vecs per feature the seeds of a block may spend in all: p Krylov
 # steps for a sweep's two seeds, conjugate gradients' termination bound in
-# exact arithmetic.  A seed that finishes early leaves its share to the other
-# (the noiseless point of a 40-feature universality sweep takes 48 steps).
+# exact arithmetic.  A seed that finishes early leaves its share to the other.
 # Spent in full on one BLAS thread it costs about 2.1 (p = 400) to 2.9
 # (p = 1000) eighs of the p x p Gram matrix.
 _CG_BUDGET = 2
+# Fewest features at which a whitened block is solved by conjugate gradients
+# rather than through one Resolvent.  Each Krylov step pays a fixed overhead
+# of tens of microseconds in NumPy and LAPACK calls, which an eigh of a small
+# Gram matrix does not: on one BLAS thread at n = p..3p, lambda_tilde = 1 or
+# 1e-6 and 10 or 25 shifts the eigh route was faster in every measured case
+# with p <= 120 (0.4 against 2.2-4.6 ms at p = 40), and conjugate gradients
+# in every case with p >= 160 and lambda_tilde = 1.
+_KRYLOV_FEATURES = 128
 
 
 @dataclass(frozen=True)
@@ -152,10 +161,10 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     recurrence at the smallest shift ``s_0``: its iterates are those of
     plain conjugate gradients on ``G + s_0 I`` mapped through
     ``Sigma^1/2``, and each step multiplies ``M + s_0 T`` into each
-    unfinished seed (one symmetric mat-vec).  At a shift ``s`` the residual is ``zeta``
-    times the seed's, ``1 / zeta`` being the seed's residual polynomial at
-    ``s_0 - s``, so every (seed, shift) pair follows from scalar
-    recurrences, and its solution is a combination of the seed's
+    unfinished seed (one symmetric mat-vec).  At a shift ``s`` the residual
+    is ``zeta`` times the seed's, ``1 / zeta`` being the seed's residual
+    polynomial at ``s_0 - s``, so every (seed, shift) pair follows from
+    scalar recurrences, and its solution is a combination of the seed's
     preconditioned residuals, formed for the whole block in one product at
     the end.  A pair with a nonzero coefficient iterates until
     ``zeta^2 r' Sigma r`` falls to ``_CG_TOL^2`` of its start, and a seed
@@ -168,11 +177,13 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     ``_CERTIFICATE`` (the budget ran out, or rounding held the true residual
     up) is solved again through a :class:`Resolvent` of
     ``X = Z Sigma^1/2``, with ``Sigma^1/2 = root()`` taken only then, and
-    certified the same way.  The certificate bounds the residual, not the
-    error (see ``_CERTIFICATE``).
+    certified the same way.  Below ``_KRYLOV_FEATURES`` features the whole
+    block is solved and certified through that ``Resolvent`` at once, which
+    is not a fallback.  The certificate bounds the residual, not the error
+    (see ``_CERTIFICATE``).
 
     Returns the solutions, their certificates and a mask of the columns
-    solved through the ``Resolvent``.
+    that fell back to the ``Resolvent``.
     """
     n, p = z.shape
     diag, off = precision
@@ -203,6 +214,34 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
         tf[:-1] += off[:, None] * f[1:]
         return system @ f + tf * gap
 
+    rhs = seeds @ coefficients
+    scale = np.sqrt(np.einsum("ij,ij->j", rhs, covariance(rhs)))
+
+    def certify(cols: np.ndarray) -> np.ndarray:
+        residual = shifted(sol[:, cols], gaps[cols]) - rhs[:, cols]
+        return np.sqrt(np.einsum("ij,ij->j", residual, covariance(residual))) / np.maximum(scale[cols], 1.0e-300)
+
+    redo = np.arange(shifts.size)  # the columns solved through the Resolvent
+    sol, certificate, fell_back = np.empty_like(rhs), np.empty(shifts.size), np.zeros(shifts.size, bool)
+    if p >= _KRYLOV_FEATURES:
+        sol = _multi_shift(seed_product, covariance, seeds, coefficients, gaps, _CG_BUDGET * p)
+        certificate = certify(redo)
+        fell_back = ~(certificate <= _CERTIFICATE)
+        redo = np.flatnonzero(fell_back)
+    if redo.size:
+        half = root()
+        sol[:, redo] = half @ Resolvent.of(z @ half).solve(half @ rhs[:, redo], shifts[redo])
+        certificate[redo] = certify(redo)
+    return sol, certificate, fell_back
+
+
+def _multi_shift(product: Callable[[np.ndarray], np.ndarray], covariance: Callable[[np.ndarray], np.ndarray],
+                 seeds: np.ndarray, coefficients: np.ndarray, gaps: np.ndarray, budget: int) -> np.ndarray:
+    """The Krylov loop of :func:`_shifted_solve`: ``product`` multiplies
+    ``M + s_0 T`` into the seeds' search directions, ``covariance`` applies
+    the preconditioner, ``gaps`` are ``s - s_0`` and ``budget`` caps the
+    column mat-vecs.  Returns the columns of ``seeds @ coefficients``
+    solved as far as their pairs got."""
     res = seeds.copy()
     pre = covariance(res)
     rho = np.einsum("ij,ij->j", res, pre)
@@ -211,16 +250,17 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     # Only the seeds still iterating, ``ids``, are stepped.  A (seed, shift) pair's residual is zeta times
     # its seed's, and it steps by alpha ratio along p_t = zeta_t z_t + beta ratio^2 p_(t-1), where z_t is
     # the seed's preconditioned residual and ratio = zeta_(t+1) / zeta_t.  The loop keeps every z_t and
-    # these scalars; the solutions are formed after it.
+    # these scalars; the solutions are formed after it, which on one BLAS thread at p = 1000 is 6-12 ms
+    # faster per 25-shift block than updating every pair's iterate and direction inside the loop.
     ids = np.flatnonzero(live.any(axis=1))
     res, pre, rho, stop, live = res[:, ids], pre[:, ids], rho[ids], stop[ids], live[ids]
     direction, alpha, beta = pre, np.ones(ids.size), np.zeros(ids.size)
     zeta, ratio = np.ones(live.shape), np.ones(live.shape)
     basis, steps = [], []
     spent = 0
-    while ids.size and spent + ids.size <= _CG_BUDGET * p:
+    while ids.size and spent + ids.size <= budget:
         spent += ids.size
-        q = seed_product(direction)
+        q = product(direction)
         alpha_next = rho / np.einsum("ij,ij->j", direction, q)
         res = res - alpha_next * q
         basis.append(pre)
@@ -247,22 +287,7 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     for ids, zeta, live, alpha, beta, ratio in reversed(steps):
         w[ids] = live * alpha[:, None] * ratio + beta[:, None] * ratio ** 2 * w[ids]
         weights.append(coefficients[ids] * zeta * w[ids])
-    sol = np.hstack(basis) @ np.vstack(weights[::-1]) if basis else np.zeros((p, shifts.size))
-    rhs = seeds @ coefficients
-    scale = np.sqrt(np.einsum("ij,ij->j", rhs, covariance(rhs)))
-
-    def certify(cols: np.ndarray) -> np.ndarray:
-        residual = shifted(sol[:, cols], gaps[cols]) - rhs[:, cols]
-        return np.sqrt(np.einsum("ij,ij->j", residual, covariance(residual))) / np.maximum(scale[cols], 1.0e-300)
-
-    certificate = certify(np.arange(rhs.shape[1]))
-    fell_back = ~(certificate <= _CERTIFICATE)
-    if fell_back.any():
-        cols = np.flatnonzero(fell_back)
-        half = root()
-        sol[:, cols] = half @ Resolvent.of(z @ half).solve(half @ rhs[:, cols], shifts[cols])
-        certificate[cols] = certify(cols)
-    return sol, certificate, fell_back
+    return np.hstack(basis) @ np.vstack(weights[::-1]) if basis else np.zeros((seeds.shape[0], gaps.size))
 
 
 def _finite_vector(v, size: int, label: str) -> np.ndarray:

@@ -376,12 +376,12 @@ class TestGoldenRecords:
                     "42b6aceffb5f1e3d464c1447bf2722e96a60ad0af9e473224ef3fe076e62f9e0"),
         "floor": ("b0efe1bbf11a146116cdfbbfb56a998cdae1dbccb15984cde6d53eaac691d5c4",
                   "617b1fb81b478bc856cb1fc19e25cd3dda435e4239cc6a51ee4e7b102ecc13da"),
-        "transient": ("a6bd8b1bbbf8126863ce716d508dbfc8a18765f3284dc11ce94fd20fcbfd203f",
-                      "66bd007789f0bbabef07759c126421ce3ea1da2acd2cbe233d9f1c79e0bd8fac"),
+        "transient": ("f65e4aa8566ea384c3b91d00f237ee9701ac25e4de559b95b397a4187ee8c351",
+                      "6a2119d37c008d6d4559895ef712bd890b172538b8a6523d3f1256ace58fd228"),
         "trichotomy": ("c65769bd16b5e9073b07429541dd3c156a55f85669e1da06e3f9409fc901a0ad",
                        "8983c5b27fca8faa8b887f0ab5b471e351f87663cc07b415c72688c7014daee5"),
-        "universality": ("62603ac9cc95a0a50f04d33abbd397856311b96156a9c3073390efa145e7de21",
-                         "b838eb8837e8514ae191776541168ea977508bfc43ed1887508d65bbe7edf437"),
+        "universality": ("14d10575b91cc1caffa9186d0ec0579076f9c4a3491ef1831338d6df5511391d",
+                         "283bd7166089cfe8edab8421f00f829382094428a5b67fa9a09d25492ba482ab"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -546,6 +546,9 @@ class TestTransientRunner:
 
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_sweep_is_certified_without_an_eigendecomposition(self, name, monkeypatch):
+        from heavyreg import estimators
+
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)  # conjugate gradients from 40 features on
         shapes = self.eigh_shapes(monkeypatch)
         designs = []
         monkeypatch.setattr(experiments, "sample_design", lambda *args, **kwargs: designs.append(args))
@@ -561,6 +564,7 @@ class TestTransientRunner:
     def test_spent_budget_routes_every_column_through_one_resolvent(self, name, monkeypatch):
         from heavyreg import estimators
 
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
         shapes = self.eigh_shapes(monkeypatch)
         result = run_experiment(tiny_config(name))
@@ -569,6 +573,17 @@ class TestTransientRunner:
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert all(r.resolvent_fallback for r in result.records)
         assert result.summary["resolvent_fallbacks"] == self.fallback_counts(result, result.config.replications)
+
+    @pytest.mark.parametrize("name", ("transient", "universality"))
+    def test_few_features_take_one_resolvent_per_draw_and_no_fallback(self, name, monkeypatch):
+        # 40 features are below the conjugate-gradient threshold
+        shapes = self.eigh_shapes(monkeypatch)
+        result = run_experiment(tiny_config(name))
+        draws = result.config.replications * len(self.SWEEPS[name][0])
+        assert shapes == [(40, 40)] * draws
+        self.assert_certified_and_equal_to_the_eigenbasis(result)
+        assert not any(r.resolvent_fallback for r in result.records)
+        assert result.summary["resolvent_fallbacks"] == self.fallback_counts(result, 0)
 
     def test_ill_conditioned_sweep_is_certified(self):
         """At n = p and lambda_tilde = 1e-6 the Gram matrix is nearly
