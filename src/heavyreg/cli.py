@@ -19,9 +19,9 @@ import typing
 
 from .convex import Loss, LossKind, RegKind, Regularizer, classify, moment_verdict, required_alpha
 from .errors import ConfigError, ConvergenceError, HeavyRegError
-from .experiments import EXPERIMENT_NAMES, ExperimentConfig, default_config, run_experiment, write_outputs
-from .spectrum import CovarianceModel, decompose, project_delta, q_sigma, sample_signal, sample_sphere
-from .streams import substream
+from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, _frozen_signal, default_config, run_experiment,
+                          write_outputs)
+from .spectrum import CovarianceModel, decompose, q_sigma
 from .tails import NoiseFamily, TailLaw, fisher_information, winsor_plan
 from .theory import TheoryInputs, ridge_risk_closed_form, solve_general_fixed_point
 
@@ -131,15 +131,8 @@ def _theory_grid(args: argparse.Namespace) -> tuple[float, ...]:
 def _theory_inputs(args: argparse.Namespace, reg: Regularizer) -> list[TheoryInputs]:
     """One input per grid point; all share one spectrum and one frozen misalignment draw."""
     grid = _theory_grid(args)
-    if args.cov == "ar1":
-        model = CovarianceModel.ar1(args.p, args.rho)
-    else:
-        model = CovarianceModel.identity(args.p)
-    spec = decompose(model)
-    rng = substream(args.seed, "signal", 0)
-    beta_star = sample_signal(args.p, 0.1, rng)
-    delta = sample_sphere(args.p, args.delta_norm, rng)
-    spec = project_delta(spec, beta_star, beta_star + delta)
+    spec = decompose(CovarianceModel(args.p, args.rho if args.cov == "ar1" else 0.0))
+    spec = _frozen_signal(spec, args.seed, 0.1, args.delta_norm)[0]
     return [TheoryInputs(spec, args.gamma, sigma2, args.lambda_tilde, reg=reg) for sigma2 in grid]
 
 
@@ -256,14 +249,12 @@ def _resolve_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     kw.update(ini.get("experiment", {}))
 
     cov_block = ini.get("covariance", {})
-    kind = cov_block.get("kind", base.cov.kind.value)
-    rho = cov_block.get("rho", base.cov.rho if base.cov.rho is not None else 0.5)
-    if kind == "ar1":
-        kw["cov"] = CovarianceModel.ar1(kw["p"], rho)
-    elif kind == "identity":
-        kw["cov"] = CovarianceModel.identity(kw["p"])
-    else:
+    kind = cov_block.get("kind", "ar1")
+    if kind not in ("ar1", "identity"):
         raise ConfigError(f"unknown covariance kind {kind!r}; expected 'ar1' or 'identity'")
+    if kind == "identity" and "rho" in cov_block:
+        raise ConfigError("an identity covariance takes no rho; drop it or set kind = ar1")
+    kw["cov"] = CovarianceModel(kw["p"], cov_block.get("rho", base.cov.rho) if kind == "ar1" else 0.0)
 
     noise_block = ini.get("noise", {})
     if noise_block:

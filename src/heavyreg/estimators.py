@@ -38,6 +38,7 @@ import scipy.linalg
 
 from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
 from .errors import ConfigError
+from .spectrum import _tridiagonal_product
 
 __all__ = [
     "Resolvent",
@@ -209,10 +210,7 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
         return np.stack([scipy.linalg.blas.dsymv(1.0, system.T, column) for column in d.T], axis=1)
 
     def shifted(f: np.ndarray, gap: np.ndarray) -> np.ndarray:  # (A + gap T) f
-        tf = diag[:, None] * f
-        tf[1:] += off[:, None] * f[:-1]
-        tf[:-1] += off[:, None] * f[1:]
-        return system @ f + tf * gap
+        return system @ f + _tridiagonal_product(diag, off, f) * gap
 
     rhs = seeds @ coefficients
     scale = np.sqrt(np.einsum("ij,ij->j", rhs, covariance(rhs)))

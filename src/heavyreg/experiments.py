@@ -47,7 +47,6 @@ from .estimators import (
     fit_proximal,
 )
 from .spectrum import (
-    CovarianceKind,
     CovarianceModel,
     DiscreteSpectrum,
     decompose,
@@ -129,10 +128,6 @@ class ExperimentConfig:
             object.__setattr__(self, "cov", CovarianceModel.ar1(self.p, 0.5))
         if self.cov.p != self.p:
             raise ConfigError(f"covariance dimension {self.cov.p} does not match p={self.p}")
-        if self.cov.kind is CovarianceKind.EXPLICIT:
-            # to_dict could not echo the matrix, and a whitened solve needs the
-            # closed-form tridiagonal precision of an identity or AR(1) covariance
-            raise ConfigError("experiments take an identity or AR(1) covariance, not an explicit matrix")
         if self.n < 1 or self.p < 1:
             raise ConfigError(f"dimensions must be >= 1, got n={self.n}, p={self.p}")
         if self.replications < 1:
@@ -179,9 +174,12 @@ class ExperimentConfig:
         """JSON-ready fully resolved configuration.
 
         An experiment that draws no design echoes only the fields it reads.
+        ``workers`` is left out, since the records do not depend on it.
         """
         out = dataclasses.asdict(self)
-        out["cov"] = {"kind": self.cov.kind.value, "p": self.cov.p, "rho": self.cov.rho}
+        del out["workers"]
+        rho = self.cov.rho
+        out["cov"] = {"kind": "ar1" if rho else "identity", "p": self.cov.p, "rho": rho or None}
         out["noise"] = {"family": self.noise.family.value, "alpha": self.noise.alpha, "scale": self.noise.scale}
         out["gamma"] = self.gamma
         if not _EXPERIMENTS[self.name].estimators:
@@ -304,16 +302,23 @@ class _Plan:
         return self.precision is not None
 
 
+def _frozen_signal(spec: DiscreteSpectrum, master_seed: int, sparsity: float,
+                   delta_norm: float) -> tuple[DiscreteSpectrum, np.ndarray, np.ndarray]:
+    """The signal pair frozen from the ``signal`` stream of ``master_seed``:
+    ``spec`` with the misalignment projected, ``beta_star`` and
+    ``beta0 = beta_star + delta``."""
+    rng = substream(master_seed, "signal", 0)
+    beta_star = sample_signal(spec.p, sparsity, rng)
+    beta0 = beta_star + sample_sphere(spec.p, delta_norm, rng)
+    return project_delta(spec, beta_star, beta0), beta_star, beta0
+
+
 def _build_plan(config: ExperimentConfig) -> _Plan:
-    spec = decompose(config.cov)
-    rng = substream(config.master_seed, "signal", 0)
-    beta_star = sample_signal(config.p, config.sparsity, rng)
-    delta = sample_sphere(config.p, config.delta_norm, rng)
-    beta0 = beta_star + delta
-    spec = project_delta(spec, beta_star, beta0)
+    spec, beta_star, beta0 = _frozen_signal(decompose(config.cov), config.master_seed, config.sparsity,
+                                            config.delta_norm)
     precision = white_delta = None
     if _EXPERIMENTS[config.name].whitened:
-        precision = _ar1_inverse(config.p, config.cov._correlation)
+        precision = _ar1_inverse(config.p, config.cov.rho)
         white_delta = spec.basis @ (spec.delta_coeffs / np.sqrt(spec.eigenvalues))
     else:
         spec.sqrt_matrix()  # taken once here, so every worker inherits it
@@ -814,7 +819,7 @@ class _Experiment:
 
 
 # The configuration fields an experiment that draws no design reads.
-_DESIGN_FREE_FIELDS = ("name", "noise", "grid", "replications", "master_seed", "workers", "paper_scale")
+_DESIGN_FREE_FIELDS = ("name", "noise", "grid", "replications", "master_seed", "paper_scale")
 
 _SQUARED_LOSS_FITS = ("ols", "fixed_ridge", "transfer_ridge")
 

@@ -5,15 +5,15 @@ projection of the prior misalignment onto its eigenbasis, so the central type
 is :class:`DiscreteSpectrum`: eigen-atoms with uniform weight ``1/p``,
 optionally carrying misalignment coefficients.
 
-An AR(1) covariance (identity is AR(1) with ``rho = 0``) has a tridiagonal
-inverse in closed form, so :func:`decompose` takes its eigenpairs from that
-tridiagonal in ``O(p^2)`` work; only an explicit matrix takes a dense
-eigendecomposition.
+Every covariance model is an AR(1) correlation (identity is ``rho = 0``),
+whose tridiagonal inverse is known in closed form, so :func:`decompose` takes
+its eigenpairs from that tridiagonal and takes no dense eigendecomposition.
+A general covariance enters the theory as a :class:`DiscreteSpectrum` built
+from its eigenpairs.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -24,7 +24,6 @@ from scipy import linalg
 from .errors import ConfigError, ConvergenceError
 
 __all__ = [
-    "CovarianceKind",
     "CovarianceModel",
     "DiscreteSpectrum",
     "decompose",
@@ -35,67 +34,36 @@ __all__ = [
     "sample_sphere",
 ]
 
-_CERTIFICATE_TOL = 1.0e-10  # reconstruction, residual and orthogonality bound
+_CERTIFICATE_TOL = 1.0e-10  # residual and orthogonality bound
 _EIGENVALUE_FLOOR = 1.0e-12
 _RESIDUAL_BLOCK = 128  # columns per slice of the tridiagonal residual
 
 
-class CovarianceKind(enum.Enum):
-    IDENTITY = "identity"
-    AR1 = "ar1"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Feature covariance specification.
+    """Feature covariance: the AR(1) correlation ``rho**|i-j|`` in ``p``
+    dimensions, ``-1 < rho < 1``; ``rho = 0`` is the identity."""
 
-    ``AR1`` has entries ``rho**|i-j|`` (``IDENTITY`` is the case
-    ``rho = 0``); ``EXPLICIT`` carries a symmetric positive-definite matrix
-    supplied by the caller.
-    """
-
-    kind: CovarianceKind
     p: int
-    rho: float | None = None
-    matrix: np.ndarray | None = None
+    rho: float = 0.0
 
     def __post_init__(self) -> None:
         if self.p < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.p}")
-        if self.kind is CovarianceKind.AR1:
-            if self.rho is None or not (-1.0 < self.rho < 1.0):
-                raise ConfigError(f"AR1 correlation must lie in (-1, 1), got {self.rho}")
-        if self.kind is CovarianceKind.EXPLICIT:
-            m = self.matrix
-            if m is None or m.shape != (self.p, self.p):
-                raise ConfigError("explicit covariance needs a (p, p) matrix")
-            if not np.allclose(m, m.T, rtol=0.0, atol=1.0e-12):
-                raise ConfigError("explicit covariance must be symmetric")
+        if not -1.0 < self.rho < 1.0:
+            raise ConfigError(f"AR1 correlation must lie in (-1, 1), got {self.rho}")
 
     @classmethod
     def identity(cls, p: int) -> "CovarianceModel":
-        return cls(CovarianceKind.IDENTITY, p)
+        return cls(p)
 
     @classmethod
     def ar1(cls, p: int, rho: float) -> "CovarianceModel":
-        return cls(CovarianceKind.AR1, p, rho=rho)
-
-    @classmethod
-    def explicit(cls, matrix: np.ndarray) -> "CovarianceModel":
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(CovarianceKind.EXPLICIT, matrix.shape[0], matrix=matrix)
-
-    @property
-    def _correlation(self) -> float:
-        """The AR(1) correlation of an identity or AR(1) model."""
-        return 0.0 if self.kind is CovarianceKind.IDENTITY else self.rho
+        return cls(p, rho)
 
     def materialize(self) -> np.ndarray:
         """Return the dense covariance matrix."""
-        if self.kind is CovarianceKind.EXPLICIT:
-            return np.array(self.matrix, dtype=float)
-        return linalg.toeplitz(self._correlation ** np.arange(self.p))
+        return linalg.toeplitz(self.rho ** np.arange(self.p))
 
 
 @dataclass(frozen=True)
@@ -138,16 +106,16 @@ class DiscreteSpectrum:
 def decompose(model: CovarianceModel) -> DiscreteSpectrum:
     """Eigendecompose a covariance model into a :class:`DiscreteSpectrum`.
 
-    An identity or AR(1) covariance is decomposed through its tridiagonal
-    inverse ``T`` (see :func:`_ar1_inverse`): ``scipy.linalg.eigh_tridiagonal``
-    of ``-T`` returns eigenvalues ``mu`` in ascending order, so ``-1/mu`` are
-    the covariance's eigenvalues, ascending, with the same eigenvectors.  The
-    pairs are certified in ``O(p^2)`` work by the residual
-    ``||T U diag(s) - U||_F / sqrt(p)`` and by ``||U'U - I||_F``.  The
-    largest eigenvalues, as reciprocals of the inverse's smallest, carry
-    about ``eps ((1+|rho|)/(1-|rho|))^2`` relative error (``2e-15`` at
-    ``rho = 0.5``, ``2e-12`` near ``|rho| = 0.99``).  An explicit matrix
-    takes a dense ``np.linalg.eigh`` certified by reconstruction.
+    The covariance is decomposed through its tridiagonal inverse ``T`` (see
+    :func:`_ar1_inverse`): ``scipy.linalg.eigh_tridiagonal`` of ``-T``
+    returns eigenvalues ``mu`` in ascending order, so ``-1/mu`` are the
+    covariance's eigenvalues, ascending, with the same eigenvectors.  The
+    pairs are certified by the residual ``||T U diag(s) - U||_F / sqrt(p)``,
+    in ``O(p^2)`` work, and by ``||U'U - I||_F``, a ``p^3`` product (about a
+    fifth of the call at ``p = 1000`` on one BLAS thread) kept because only
+    it catches a duplicated eigenpair.  The largest eigenvalues, as reciprocals of the
+    inverse's smallest, carry about ``eps ((1+|rho|)/(1-|rho|))^2`` relative
+    error (``2e-15`` at ``rho = 0.5``, ``2e-12`` near ``|rho| = 0.99``).
 
     Raises
     ------
@@ -155,24 +123,17 @@ def decompose(model: CovarianceModel) -> DiscreteSpectrum:
         If the smallest eigenvalue falls at or below ``1e-12`` times the
         largest.
     ConvergenceError
-        If an AR(1) eigenbasis misses the residual or the orthogonality
-        bound (``1e-10`` each), or if an explicit matrix's eigenbasis fails
-        to reconstruct it to ``1e-10`` relative Frobenius error.  The
-        message names the check.
+        If the eigenbasis misses the residual or the orthogonality bound
+        (``1e-10`` each).  The message names the check.
     """
     sigma = model.materialize()
-    if model.kind is CovarianceKind.EXPLICIT:
-        eigenvalues, basis = np.linalg.eigh(sigma)
-        _require_definite(eigenvalues)
-        recon = (basis * eigenvalues) @ basis.T
-        rel = np.linalg.norm(recon - sigma) / np.linalg.norm(sigma)
-        if rel > _CERTIFICATE_TOL:
-            raise ConvergenceError(f"eigendecomposition reconstruction error {rel} exceeds {_CERTIFICATE_TOL}")
-        return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=sigma)
-    diag, off = _ar1_inverse(model.p, model._correlation)
+    diag, off = _ar1_inverse(model.p, model.rho)
     mu, basis = linalg.eigh_tridiagonal(-diag, -off)
     eigenvalues = -1.0 / mu
-    _require_definite(eigenvalues)
+    if eigenvalues[-1] <= 0.0 or eigenvalues[0] <= _EIGENVALUE_FLOOR * eigenvalues[-1]:
+        raise ConfigError(
+            f"covariance is numerically singular: eigenvalue range [{eigenvalues[0]}, {eigenvalues[-1]}]"
+        )
     residual = _tridiagonal_residual(diag, off, eigenvalues, basis)
     if not residual <= _CERTIFICATE_TOL:
         raise ConvergenceError(f"tridiagonal eigenpair residual {residual} exceeds {_CERTIFICATE_TOL}")
@@ -182,13 +143,6 @@ def decompose(model: CovarianceModel) -> DiscreteSpectrum:
     if not orthogonality <= _CERTIFICATE_TOL:
         raise ConvergenceError(f"eigenbasis orthogonality error {orthogonality} exceeds {_CERTIFICATE_TOL}")
     return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=sigma)
-
-
-def _require_definite(eigenvalues: np.ndarray) -> None:
-    if eigenvalues[-1] <= 0.0 or eigenvalues[0] <= _EIGENVALUE_FLOOR * eigenvalues[-1]:
-        raise ConfigError(
-            f"covariance is numerically singular: eigenvalue range [{eigenvalues[0]}, {eigenvalues[-1]}]"
-        )
 
 
 def _ar1_inverse(p: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +157,15 @@ def _ar1_inverse(p: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
     return diag, np.full(p - 1, -rho / scale)
 
 
+def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``T u`` for the symmetric tridiagonal ``T`` with the given diagonal
+    and off-diagonal and a ``p x k`` block ``u``."""
+    tu = diag[:, None] * u
+    tu[1:] += off[:, None] * u[:-1]
+    tu[:-1] += off[:, None] * u[1:]
+    return tu
+
+
 def _tridiagonal_residual(diag: np.ndarray, off: np.ndarray, eigenvalues: np.ndarray,
                           basis: np.ndarray) -> float:
     """``||T U diag(eigenvalues) - U||_F / sqrt(p)`` for the symmetric
@@ -212,9 +175,7 @@ def _tridiagonal_residual(diag: np.ndarray, off: np.ndarray, eigenvalues: np.nda
     total = 0.0
     for start in range(0, p, _RESIDUAL_BLOCK):
         u = basis[:, start:start + _RESIDUAL_BLOCK]
-        r = diag[:, None] * u
-        r[1:] += off[:, None] * u[:-1]
-        r[:-1] += off[:, None] * u[1:]
+        r = _tridiagonal_product(diag, off, u)
         r *= eigenvalues[start:start + _RESIDUAL_BLOCK]
         r -= u
         total += float(np.sum(r * r))

@@ -130,6 +130,17 @@ class TestTheoryCommand:
         assert code == 0
         assert payload["v"] == 1.0
 
+    def test_identity_flag_is_zero_correlation(self, capsys):
+        argv = ["theory", "ridge-risk", "--sigma2", "10", "--p", "80", "--json"]
+        identity = run_json(capsys, argv + ["--cov", "identity"])
+        assert identity == run_json(capsys, argv + ["--cov", "ar1", "--rho", "0"])
+        assert identity != run_json(capsys, argv)
+
+    def test_misalignment_is_the_experiments_frozen_draw(self, capsys):
+        _, payload = run_json(capsys, ["theory", "ridge-risk", "--p", "80", "--seed", "7", "--json"])
+        config = experiments.ExperimentConfig(name="paradox", n=200, p=80, grid=(0.0,), master_seed=7)
+        assert payload["q_sigma"] == experiments.q_sigma(experiments._build_plan(config).spec)
+
     def test_huge_noise_fixed_point_lands_on_the_floor(self, capsys):
         code, payload = run_json(capsys, [
             "theory", "fixed-point", "--reg", "lasso", "--sigma2", "1e12", "--p", "80", "--json",
@@ -291,7 +302,7 @@ class TestExperimentCommand:
         desk = default_config("paradox")
         grid = ini["experiment"].pop("grid")
         assert ini["experiment"] == {key: getattr(desk, key) for key in _INI_SECTIONS["experiment"] if key != "grid"}
-        assert ini["covariance"] == {"kind": desk.cov.kind.value, "rho": desk.cov.rho}
+        assert ini["covariance"] == {"kind": "ar1", "rho": desk.cov.rho}
         assert ini["noise"] == {"family": desk.noise.family.value, "alpha": desk.noise.alpha,
                                 "scale": desk.noise.scale}
         assert grid == pytest.approx(desk.grid, rel=5.0e-3)
@@ -330,6 +341,28 @@ class TestExperimentCommand:
         assert echo["p"] == 30
         assert echo["cov"] == {"kind": "ar1", "p": 30, "rho": 0.4}
         assert echo["grid"] == [0.0, 1.0, 10.0, 100.0]
+
+    def test_identity_config_is_echoed_without_a_correlation(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI.replace("kind = ar1\nrho = 0.4", "kind = identity"))
+        out = tmp_path / "echo"
+        assert main(["experiment", "paradox", "--config", ini, "--out", str(out), "--seed", "5"]) == 0
+        echo = json.loads((out / "paradox_seed5.config.json").read_text())
+        assert echo["cov"] == {"kind": "identity", "p": 30, "rho": None}
+
+    def test_identity_config_with_a_correlation_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def no_decompose(model):
+            raise AssertionError("a rejected config must not reach the covariance")
+
+        monkeypatch.setattr(experiments, "decompose", no_decompose)
+        ini = write_ini(tmp_path, TINY_INI.replace("kind = ar1", "kind = identity"))
+        assert main(["experiment", "paradox", "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "identity covariance takes no rho" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_unknown_covariance_kind_exits_two(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, TINY_INI.replace("kind = ar1", "kind = explicit"))
+        assert main(["experiment", "paradox", "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "unknown covariance kind 'explicit'" in capsys.readouterr().err
 
     def test_seed_flag_outranks_the_config_file(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI.replace("replications = 3", "replications = 3\nmaster_seed = 1"))

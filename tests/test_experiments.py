@@ -89,12 +89,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config("paradox", cov=CovarianceModel.identity(8))
 
-    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
-    def test_explicit_covariance_is_rejected(self, name):
-        # the config echo carries no matrix, and the whitened solve needs a tridiagonal precision
-        with pytest.raises(ConfigError, match="explicit"):
-            tiny_config(name, cov=CovarianceModel.explicit(CovarianceModel.ar1(40, 0.5).materialize()))
-
     def test_replication_and_worker_counts_must_be_positive(self):
         with pytest.raises(ConfigError):
             tiny_config("paradox", replications=0)
@@ -138,9 +132,49 @@ class TestExperimentConfig:
             "grid": [1000, 10000, 100000],
             "replications": 200,
             "master_seed": 12345,
-            "workers": 1,
             "paper_scale": False,
         }
+
+    ECHO = """{
+  "cov": {
+    "kind": "%s",
+    "p": 30,
+    "rho": %s
+  },
+  "delta_norm": 1.0,
+  "design_kind": "gaussian",
+  "gamma": 0.3,
+  "grid": [
+    0.0,
+    1.0
+  ],
+  "huber_k": 1.5,
+  "lambda_fixed": 0.1,
+  "lambda_tilde": 1.0,
+  "master_seed": 12345,
+  "n": 100,
+  "name": "paradox",
+  "noise": {
+    "alpha": 1.5,
+    "family": "student_t",
+    "scale": 1.0
+  },
+  "p": 30,
+  "paper_scale": false,
+  "replications": 2,
+  "sparsity": 0.1
+}"""
+
+    @pytest.mark.parametrize("cov, kind, rho", [
+        (CovarianceModel.identity(30), "identity", "null"),
+        (CovarianceModel.ar1(30, 0.0), "identity", "null"),
+        (CovarianceModel.ar1(30, 0.4), "ar1", "0.4"),
+        (CovarianceModel(30, 0.4), "ar1", "0.4"),
+    ])
+    def test_echo_keeps_its_bytes(self, cov, kind, rho):
+        # the covariance reads identity exactly when rho = 0, as config.json always has
+        cfg = ExperimentConfig(name="paradox", n=100, p=30, cov=cov, grid=(0.0, 1.0), replications=2)
+        assert json.dumps(cfg.to_dict(), indent=2, sort_keys=True) == self.ECHO % (kind, rho)
 
 
 class TestDefaultConfigs:
@@ -402,6 +436,10 @@ class TestGoldenRecords:
     def test_two_workers_write_the_same_bytes(self, name, tmp_path):
         result = run_experiment(tiny_config(name, workers=2))
         assert self._digests(result, tmp_path) == self.GOLDEN[name]
+        parallel = write_outputs(result, tmp_path / "parallel")["config"]
+        serial = write_outputs(dataclasses.replace(result, config=tiny_config(name)), tmp_path / "serial")["config"]
+        with open(parallel, "rb") as a, open(serial, "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestParadoxRunner:

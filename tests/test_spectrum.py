@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from heavyreg import spectrum
 from heavyreg.errors import ConfigError, ConvergenceError
 from heavyreg.spectrum import (
-    CovarianceKind,
     CovarianceModel,
+    DiscreteSpectrum,
     decompose,
     project_delta,
     q_sigma,
@@ -40,21 +40,18 @@ class TestCovarianceModel:
         )
         assert np.allclose(m, expected, rtol=0.0, atol=0.0)
 
-    @pytest.mark.parametrize("rho", [-1.0, 1.0, 1.5])
+    @pytest.mark.parametrize("rho", [-1.0, 1.0, 1.5, math.nan])
     def test_ar1_rejects_degenerate_correlation(self, rho):
         with pytest.raises(ConfigError):
             CovarianceModel.ar1(4, rho)
 
-    def test_explicit_rejects_asymmetric_matrix(self):
-        m = np.array([[1.0, 0.2], [0.0, 1.0]])
-        with pytest.raises(ConfigError):
-            CovarianceModel.explicit(m)
-
-    def test_explicit_round_trips(self):
-        m = np.array([[2.0, 0.3], [0.3, 1.0]])
-        model = CovarianceModel.explicit(m)
-        assert model.kind is CovarianceKind.EXPLICIT
-        assert np.array_equal(model.materialize(), m)
+    @pytest.mark.parametrize("p", [1, 7, 300])
+    def test_identity_is_zero_correlation_bit_for_bit(self, p):
+        identity, ar1 = CovarianceModel.identity(p), CovarianceModel.ar1(p, 0.0)
+        assert identity == ar1 == CovarianceModel(p)
+        a, b = decompose(identity), decompose(ar1)
+        for field in ("eigenvalues", "basis", "matrix"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 class TestDecompose:
@@ -79,17 +76,6 @@ class TestDecompose:
         spec = decompose(CovarianceModel.ar1(40, 0.5))
         gram = spec.basis.T @ spec.basis
         assert np.allclose(gram, np.eye(40), rtol=0.0, atol=1.0e-12)
-
-    def test_singular_matrix_rejected(self):
-        m = np.ones((3, 3))
-        with pytest.raises(ConfigError):
-            decompose(CovarianceModel.explicit(m))
-
-    def test_inexact_eigendecomposition_is_a_convergence_failure(self, monkeypatch):
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(spectrum.np.linalg, "eigh", lambda m: (eigh(m)[0] * (1.0 + 1.0e-6), eigh(m)[1]))
-        with pytest.raises(ConvergenceError, match="reconstruction error"):
-            decompose(CovarianceModel.explicit(CovarianceModel.ar1(10, 0.5).materialize()))
 
     def test_inexact_tridiagonal_eigenvalues_fail_the_residual(self, monkeypatch):
         eigh_tridiagonal = spectrum.linalg.eigh_tridiagonal
@@ -122,12 +108,10 @@ class TestDecompose:
         spec = decompose(CovarianceModel.ar1(1000, 0.5))
         assert calls == [] and spec.p == 1000
 
-    def test_nearly_unit_correlation_is_rejected_by_both_routes(self):
+    def test_nearly_unit_correlation_is_rejected(self):
         # eigenvalues run from about (1 - rho)/2 = 5e-12 to about p = 50: a ratio of 1e-13
-        model = CovarianceModel.ar1(50, 1.0 - 1.0e-11)
-        for route in (model, CovarianceModel.explicit(model.materialize())):
-            with pytest.raises(ConfigError, match="numerically singular"):
-                decompose(route)
+        with pytest.raises(ConfigError, match="numerically singular"):
+            decompose(CovarianceModel.ar1(50, 1.0 - 1.0e-11))
 
 
 def dense_ar1_inverse(p, rho):
@@ -162,6 +146,13 @@ class TestTridiagonalRoute:
         assert np.linalg.norm(recon - sigma) <= max(1.0e-12, drift) * np.linalg.norm(sigma)
         root = (vectors * np.sqrt(values)) @ vectors.T
         assert np.linalg.norm(spec.sqrt_matrix() - root) <= max(1.0e-12, drift) * np.linalg.norm(root)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 50])
+    def test_tridiagonal_product_is_the_dense_product(self, p):
+        diag, off = spectrum._ar1_inverse(p, -0.8)
+        u = substream(9, "design").standard_normal((p, 3))
+        np.testing.assert_allclose(spectrum._tridiagonal_product(diag, off, u), dense_ar1_inverse(p, -0.8) @ u,
+                                   rtol=0.0, atol=1.0e-13)
 
     def test_zero_correlation_is_the_identity_exactly(self):
         for model in (CovarianceModel.ar1(7, 0.0), CovarianceModel.identity(7)):
@@ -204,6 +195,16 @@ class TestProjectDelta:
         delta = beta_star - beta0
         direct = float(delta @ model.materialize() @ delta) / p
         assert q_sigma(spec) == pytest.approx(direct, rel=1.0e-12)
+
+    def test_a_general_covariance_enters_through_its_own_spectrum(self):
+        p = 30
+        rng = substream(10, "signal")
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        sigma = (q * np.geomspace(0.1, 10.0, p)) @ q.T
+        spec = DiscreteSpectrum(*np.linalg.eigh(sigma), matrix=sigma)
+        delta = sample_sphere(p, 1.0, rng)
+        spec = project_delta(spec, delta, np.zeros(p))
+        assert q_sigma(spec) == pytest.approx(float(delta @ sigma @ delta) / p, rel=1.0e-12)
 
     def test_shape_mismatch_rejected(self):
         spec = decompose(CovarianceModel.identity(4))
