@@ -131,7 +131,10 @@ def _theory_grid(args: argparse.Namespace) -> tuple[float, ...]:
 def _theory_inputs(args: argparse.Namespace, reg: Regularizer) -> list[TheoryInputs]:
     """One input per grid point; all share one spectrum and one frozen misalignment draw."""
     grid = _theory_grid(args)
-    spec = decompose(CovarianceModel(args.p, args.rho if args.cov == "ar1" else 0.0))
+    if args.cov == "identity" and args.rho is not None:
+        raise ConfigError("an identity covariance takes no --rho; drop it or pass --cov ar1")
+    rho = 0.0 if args.cov == "identity" else 0.5 if args.rho is None else args.rho
+    spec = decompose(CovarianceModel(args.p, rho))
     spec = _frozen_signal(spec, args.seed, 0.1, args.delta_norm)[0]
     return [TheoryInputs(spec, args.gamma, sigma2, args.lambda_tilde, reg=reg) for sigma2 in grid]
 
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         tp.add_argument("--lambda-tilde", type=float, default=1.0, help="noise-adapted penalty weight")
         tp.add_argument("--p", type=int, default=400, help="spectrum dimension")
         tp.add_argument("--cov", choices=("ar1", "identity"), default="ar1")
-        tp.add_argument("--rho", type=float, default=0.5, help="ar1 correlation")
+        tp.add_argument("--rho", type=float, default=None, help="ar1 correlation (default 0.5)")
         tp.add_argument("--delta-norm", type=float, default=1.0, help="misalignment radius")
         tp.add_argument("--seed", type=int, default=12345, help="seed for the frozen misalignment draw")
         tp.add_argument("--nodes", type=int, default=61, help="quadrature nodes for the fixed point")

@@ -9,6 +9,11 @@ shifted system ``(X'X/n + lam I) e = rhs`` for its error ``e``;
 Newton fit solves one piecewise-quadratic pattern per step through the same
 resolvent, corrected by Woodbury identities for a few outliers or a few
 inliers, or else through a Cholesky factor; it never decomposes again.  A
+ridge pattern's outlier correction reads the resolvent's
+:meth:`Resolvent.factor` ``X V (D + s I)^-1/2``, formed once for the fit's
+one penalty ``s`` and kept for every step and sweep point on the design, so
+a step costs ``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o``
+product.  A
 block of noise-adapted ridge fits alone, whose shifts grow with the noise,
 is well conditioned and skips both the decomposition and the design:
 :func:`_shifted_solve` solves it in whitened coordinates ``f = Sigma^1/2 e``
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -118,12 +123,15 @@ class Resolvent:
 
     Build it with :meth:`of`, which takes the decomposition once; every fit
     on the same design reuses it.  ``evals`` ascend, so ``evals[-1]`` is the
-    largest eigenvalue ``||X||_2**2 / n``.
+    largest eigenvalue ``||X||_2**2 / n``.  :meth:`factor` keeps one
+    ``n x p`` factor, for the last shift it was asked for.
     """
 
     x: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
+    # the shift and factor :meth:`factor` last formed
+    _factor: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, x: np.ndarray) -> Resolvent:
@@ -131,7 +139,9 @@ class Resolvent:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.size == 0 or not np.isfinite(x).all():
             raise ConfigError(f"design must be a nonempty finite 2-d array, got shape {x.shape}")
-        return cls(x, *np.linalg.eigh(x.T @ x / x.shape[0]))
+        gram = x.T @ x
+        gram /= x.shape[0]  # in place: no second p x p array
+        return cls(x, *np.linalg.eigh(gram))
 
     def solve(self, rhs: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
         """``(X'X/n + lam I)^-1 rhs`` through the eigenbasis, for a vector or
@@ -139,6 +149,21 @@ class Resolvent:
         shift or ``k`` of them, one per column."""
         shift = self.evals.reshape((-1,) + (1,) * (np.ndim(rhs) - 1)) + lam
         return self.evecs @ ((self.evecs.T @ rhs) / shift)
+
+    def factor(self, shift: float) -> np.ndarray:
+        """The ``n x p`` factor ``Y = X V (D + shift I)^-1/2`` of
+        ``X (X'X/n + shift I)^-1 X' = Y Y'``, where ``X'X/n = V D V'``.
+
+        One product on first use, scaled in place.  Only the last shift's
+        factor is kept: every Newton step of a fit at one penalty on this
+        design reads the same one.
+        """
+        if self._factor[0] != shift:
+            self._factor[:] = None, None  # the old factor is freed before the new one is formed
+            y = self.x @ self.evecs
+            y /= np.sqrt(self.evals + shift)
+            self._factor[:] = shift, y
+        return self._factor[1]
 
 
 def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root: Callable[[], np.ndarray],
@@ -176,15 +201,18 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     ``sqrt(rho' Sigma rho / r' Sigma r)`` with ``rho = (M + s_k T) f_k - r_k``
     recomputed from ``M + s_0 T`` at the end; a column above
     ``_CERTIFICATE`` (the budget ran out, or rounding held the true residual
-    up) is solved again through a :class:`Resolvent` of
+    up) falls back: it is solved again through a :class:`Resolvent` of
     ``X = Z Sigma^1/2``, with ``Sigma^1/2 = root()`` taken only then, and
-    certified the same way.  Below ``_KRYLOV_FEATURES`` features the whole
+    certified the same way, and it keeps whichever of the two solutions has
+    the smaller certificate.  Below ``_KRYLOV_FEATURES`` features the whole
     block is solved and certified through that ``Resolvent`` at once, which
     is not a fallback.  The certificate bounds the residual, not the error
     (see ``_CERTIFICATE``).
 
     Returns the solutions, their certificates and a mask of the columns
-    that fell back to the ``Resolvent``.
+    that fell back, i.e. whose Krylov solve missed ``_CERTIFICATE`` and
+    were solved again through the ``Resolvent``; such a column may still
+    hold its Krylov solution, when that one's certificate is the smaller.
     """
     n, p = z.shape
     diag, off = precision
@@ -220,16 +248,19 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
         return np.sqrt(np.einsum("ij,ij->j", residual, covariance(residual))) / np.maximum(scale[cols], 1.0e-300)
 
     redo = np.arange(shifts.size)  # the columns solved through the Resolvent
-    sol, certificate, fell_back = np.empty_like(rhs), np.empty(shifts.size), np.zeros(shifts.size, bool)
+    sol, certificate, fell_back = np.empty_like(rhs), np.full(shifts.size, np.inf), np.zeros(shifts.size, bool)
     if p >= _KRYLOV_FEATURES:
         sol = _multi_shift(seed_product, covariance, seeds, coefficients, gaps, _CG_BUDGET * p)
         certificate = certify(redo)
         fell_back = ~(certificate <= _CERTIFICATE)
         redo = np.flatnonzero(fell_back)
     if redo.size:
+        krylov, krylov_certificate = sol[:, redo], certificate[redo]
         half = root()
         sol[:, redo] = half @ Resolvent.of(z @ half).solve(half @ rhs[:, redo], shifts[redo])
         certificate[redo] = certify(redo)
+        keep = krylov_certificate < certificate[redo]  # the Krylov solve was the better one
+        sol[:, redo[keep]], certificate[redo[keep]] = krylov[:, keep], krylov_certificate[keep]
     return sol, certificate, fell_back
 
 
@@ -423,14 +454,26 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
 
     with ``v`` the inlier responses and ``k`` times the outlier signs,
     ``s = lam_2 + mu`` and ``(lam_1, lam_2)`` equal to ``(lam, 0)`` for the
-    lasso and ``(0, lam)`` for the ridge.  The system is solved the cheapest
-    exact way by flop count: through the ``Resolvent`` with a Woodbury
-    correction for the outliers when every coordinate is free and the
-    resolvent is finite (``s > 0``, or a Gram matrix conditioned within
-    1e12); with a Woodbury correction of ``s I`` for the inliers when
-    ``s > 0`` (no inliers and ``mu = 0`` give ``b = k X' sign / (lam n)``);
-    otherwise by a Cholesky factor of ``X_IF' X_IF / n + s I``, whose
-    failure raises ``numpy.linalg.LinAlgError``.
+    lasso and ``(0, lam)`` for the ridge.  With ``o = n - m`` outliers and
+    ``m`` inliers, the system is solved the cheapest exact way by the flop
+    counts of :func:`_route_costs`:
+
+    - ``outliers``, when every coordinate is free: through the
+      ``Resolvent`` of ``A = X'X/n + s I`` with a Woodbury correction for
+      the outlier rows ``O``, whose capacitance is
+      ``n I - X_O A^-1 X_O'``.  With ``s > 0`` that is
+      ``n I - Y_O Y_O'`` for the design's :meth:`Resolvent.factor` ``Y``
+      (``p o^2 + o^3/3``), and the correction is one more solve of a
+      vector.  With ``s = 0`` (a lasso pattern with every coordinate free
+      and no proximal term) it is formed through the eigenbasis
+      (``2 p^2 o + p o^2``) and needs a Gram matrix conditioned within
+      1e12.
+    - ``inliers``, when ``s > 0``: a Woodbury correction of ``s I`` for the
+      inlier rows (``m^2 q + m^3/3``); no inliers and ``mu = 0`` give
+      ``b = k X' sign / (lam n)``.
+    - ``cholesky``: a Cholesky factor of ``X_IF' X_IF / n + s I``
+      (``m q^2 + q^3/3``), whose failure raises
+      ``numpy.linalg.LinAlgError``.
     """
     x = design.x
     n, p = x.shape
@@ -449,16 +492,22 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
         shift = mu
         c -= lam * sign[free]
 
-    costs = {"cholesky": m * q * q + q ** 3 / 3.0}
-    if q == p and (shift > 0.0 or design.evals[-1] <= _MAX_CONDITION * design.evals[0]):
-        costs["outliers"] = 2.0 * p * p * (n - m) + p * (n - m) ** 2
-    if shift > 0.0:
-        costs["inliers"] = m * m * q + m ** 3 / 3.0
+    costs = _route_costs(design, m, q, shift)
     route = min(costs, key=costs.get)
     if route == "outliers":
         # (A - X_O'X_O/n)^-1 = A^-1 + A^-1 X_O' (n I - X_O A^-1 X_O')^-1 X_O A^-1,  A = X'X/n + s I
         b = design.solve(c, shift)
-        if m < n:
+        if m < n and shift > 0.0:
+            # X_O A^-1 X_O' = Y_O Y_O'; X_O b is (X b)[O] and X_O' u is X' u with u scattered onto O
+            rows = np.flatnonzero(~inlier)
+            y_o = design.factor(shift)[rows]
+            capacitance = y_o @ y_o.T
+            capacitance *= -1.0
+            capacitance.flat[::n - m + 1] += n
+            u = np.zeros(n)
+            u[rows] = _spd_solve(capacitance, (x @ b)[rows])
+            b += design.solve(x.T @ u, shift)
+        elif m < n:
             x_o = x[~inlier]
             w = design.solve(x_o.T, shift)
             b += w @ _spd_solve(n * np.eye(n - m) - x_o @ w, x_o @ b)
@@ -466,21 +515,49 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
         # (s I + X_I'X_I/n)^-1 = (I - X_I' (n s I + X_I X_I')^-1 X_I) / s
         x_i = x_f[inlier]
         if m:
-            c = c - x_i.T @ _spd_solve(n * shift * np.eye(m) + x_i @ x_i.T, x_i @ c)
+            capacitance = x_i @ x_i.T
+            capacitance.flat[::m + 1] += n * shift
+            c = c - x_i.T @ _spd_solve(capacitance, x_i @ c)
         b = c / shift
     else:
         x_i = x_f[inlier]
-        h = x_i.T @ x_i / n
-        h[np.diag_indices(q)] += shift
+        h = x_i.T @ x_i
+        h /= n
+        h.flat[::q + 1] += shift
         b = _spd_solve(h, c)
     out[free] = b
     return out
 
 
+def _route_costs(design: Resolvent, m: int, q: int, shift: float) -> dict[str, float]:
+    """Flops of each exact route :func:`_pattern_solve` may take for a
+    pattern of ``m`` inliers, ``q`` free coordinates and shift ``s``, by
+    name; a route missing from the table is not exact for that pattern.
+    The outlier route's factor is formed once per design and shift, so it
+    is not charged."""
+    n, p = design.x.shape
+    o = n - m
+    costs = {"cholesky": m * q * q + q ** 3 / 3.0}
+    if q == p and shift > 0.0:
+        costs["outliers"] = p * o * o + o ** 3 / 3.0
+    elif q == p and design.evals[-1] <= _MAX_CONDITION * design.evals[0]:
+        costs["outliers"] = 2.0 * p * p * o + p * o * o
+    if shift > 0.0:
+        costs["inliers"] = m * m * q + m ** 3 / 3.0
+    return costs
+
+
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` for a symmetric positive definite ``a``, by Cholesky."""
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True, check_finite=False), b,
-                                  check_finite=False)
+    """``a^-1 b`` for a symmetric positive definite ``a``, by LAPACK's
+    Cholesky ``potrf`` and ``potrs``; ``a`` is overwritten by its factor.
+    Raises ``numpy.linalg.LinAlgError`` when ``a`` is not positive definite."""
+    # a.T is a in the Fortran order LAPACK takes, so the factor is formed in place
+    factor, info = scipy.linalg.lapack.dpotrf(a.T, lower=True, clean=False, overwrite_a=True)
+    if info == 0:
+        solution, info = scipy.linalg.lapack.dpotrs(factor, b, lower=True)
+    if info:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
+    return solution
 
 
 def empirical_risk(beta_hat: np.ndarray, beta_star: np.ndarray, sigma: np.ndarray) -> float:

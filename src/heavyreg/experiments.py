@@ -195,7 +195,9 @@ class RiskRecord:
     closed-form fit solved on the white draw (transient, universality)
     reports as its certificate the relative residual of its shifted Gram
     system ``(X'X/n + lam I) e = r``, recomputed from the whitened solve, and
-    whether the solve fell back to the ``Resolvent``.  The certificate bounds
+    whether the solve fell back: its conjugate gradients missed the
+    certificate, it was solved again through the ``Resolvent``, and it kept
+    whichever of the two solutions has the smaller one.  The certificate bounds
     the residual, not the error: the error can reach ``cond(X'X/n + lam I)``
     times it (at n = 40, p = 60 and ``lam = 1e-6``, solves certified at
     1e-10 were up to 9.7e-10 relative off the exact error).  Other

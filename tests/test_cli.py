@@ -136,6 +136,19 @@ class TestTheoryCommand:
         assert identity == run_json(capsys, argv + ["--cov", "ar1", "--rho", "0"])
         assert identity != run_json(capsys, argv)
 
+    @pytest.mark.parametrize("command", ["ridge-risk", "fixed-point"])
+    @pytest.mark.parametrize("rho", ["0.9", "0.5", "0"])
+    def test_identity_with_a_rho_exits_two(self, command, rho, capsys):
+        """Any given --rho, the default's value and 0 included, would be
+        dropped, so it is an error, as in the INI file."""
+        assert main(["theory", command, "--cov", "identity", "--rho", rho, "--p", "40"]) == 2
+        assert "identity covariance takes no --rho" in capsys.readouterr().err
+
+    def test_ar1_without_a_rho_takes_one_half(self, capsys):
+        argv = ["theory", "ridge-risk", "--sigma2", "10", "--p", "80", "--json"]
+        assert run_json(capsys, argv) == run_json(capsys, argv + ["--cov", "ar1", "--rho", "0.5"])
+        assert run_json(capsys, argv) != run_json(capsys, argv + ["--rho", "0.9"])
+
     def test_misalignment_is_the_experiments_frozen_draw(self, capsys):
         _, payload = run_json(capsys, ["theory", "ridge-risk", "--p", "80", "--seed", "7", "--json"])
         config = experiments.ExperimentConfig(name="paradox", n=200, p=80, grid=(0.0,), master_seed=7)

@@ -257,6 +257,33 @@ class TestShiftedSolve:
         assert np.all(forced_certificate <= 1.0e-10)
         assert np.all(np.linalg.norm(forced - sol, axis=0) <= 1.0e-10 * np.linalg.norm(sol, axis=0))
 
+    def test_a_fallback_keeps_the_more_accurate_solve_at_a_tiny_shift(self):
+        # AR(1) rho = -0.8, n < p, shift 1e-6 (cond(G + sI) = 1.3e7): conjugate gradients spend their budget at a
+        # certificate of 1.4e-4, 1.8e-6 relative off the 30-digit solution; the Resolvent's is certified to 7e-13
+        z, tridiagonal, root, seeds, coefficients = self.make_block(40, 60, "ar1-minus-0.8")
+        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
+        assert fell_back[0] and certificate[0] <= 1.0e-10
+        want = self.exact_white_solve(z, tridiagonal, (seeds @ coefficients)[:, 0], self.SHIFTS[0])
+        assert np.linalg.norm(sol[:, 0] - want) <= 1.0e-9 * np.linalg.norm(want)
+
+    def test_a_fallback_keeps_the_smaller_certificate(self, monkeypatch):
+        z, tridiagonal, root, seeds, coefficients = self.make_block(40, 60, "ar1-0.5")
+
+        def solve():
+            return _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
+
+        monkeypatch.setattr(estimators, "_CERTIFICATE", np.inf)
+        krylov, krylov_certificate, _ = solve()  # conjugate gradients alone
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 61)
+        resolvent, resolvent_certificate, _ = solve()  # the Resolvent alone, on the same block
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
+        monkeypatch.setattr(estimators, "_CERTIFICATE", 0.0)
+        sol, certificate, fell_back = solve()  # every column falls back
+        better = krylov_certificate < resolvent_certificate
+        assert fell_back.all() and better.any() and not better.all()
+        np.testing.assert_array_equal(certificate, np.minimum(krylov_certificate, resolvent_certificate))
+        np.testing.assert_array_equal(sol, np.where(better, krylov, resolvent))
+
     def test_few_features_take_one_resolvent_without_a_fallback(self, monkeypatch):
         z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
         krylov, _, _ = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
@@ -536,6 +563,131 @@ class TestFitProximal:
         # active coordinates: gradient + lam * sign = 0; inactive: |gradient| <= lam
         assert np.max(np.abs(grad[active] + lam * np.sign(fit.beta_hat[active]))) <= 1.0e-7
         assert np.max(np.abs(grad[~active])) <= lam + 1.0e-7
+
+
+class TestPatternSolve:
+    """The exact routes of one Newton pattern and the Cholesky solve under them."""
+
+    ROUTES = ("outliers", "inliers", "cholesky")
+
+    @staticmethod
+    def ridge_pattern(n, p, o):
+        """A Huber-ridge pattern of ``o`` signed outliers among ``n`` rows."""
+        x, y, _ = make_problem(n=n, p=p, seed=n + o, noise=3.0)
+        rng = np.random.default_rng(o)
+        outlier = np.zeros(n)
+        outlier[rng.choice(n, o, replace=False)] = rng.choice([-1.0, 1.0], o)
+        return Resolvent.of(x), y, outlier
+
+    @pytest.mark.parametrize("n, p", [(80, 30), (30, 80)])
+    @pytest.mark.parametrize("outliers", ["none", "one", "half", "all but one", "all"])
+    @pytest.mark.parametrize("mu", [0.0, 0.05])
+    def test_the_factor_route_matches_the_inlier_and_cholesky_routes(self, n, p, outliers, mu, monkeypatch):
+        o = {"none": 0, "one": 1, "half": n // 2, "all but one": n - 1, "all": n}[outliers]
+        design, y, outlier = self.ridge_pattern(n, p, o)
+        anchor = np.random.default_rng(1).standard_normal(p)
+        costs = estimators._route_costs
+        solutions = {}
+        for route in self.ROUTES:  # each route alone, as if it were the cheapest
+            monkeypatch.setattr(estimators, "_route_costs", lambda *args, route=route: {route: costs(*args)[route]})
+            solutions[route] = estimators._pattern_solve(design, y, 1.5, outlier, None, 0.1, anchor, mu)
+        want = solutions["outliers"]
+        for route in ("inliers", "cholesky"):
+            assert np.linalg.norm(solutions[route] - want) <= 1.0e-12 * np.linalg.norm(want)
+        # the pattern's own system, densely: (X_I'X_I/n + s I) b = X'v/n + mu anchor
+        x, inlier = design.x, outlier == 0.0
+        rhs = x.T @ np.where(inlier, y, 1.5 * outlier) / n + mu * anchor
+        dense = np.linalg.solve(x[inlier].T @ x[inlier] / n + (0.1 + mu) * np.eye(p), rhs)
+        assert np.linalg.norm(dense - want) <= 1.0e-12 * np.linalg.norm(dense)
+        assert (design._factor[0] is None) == (o == 0)  # formed only for a correction
+
+    def test_a_huber_sweep_forms_the_factor_once(self, monkeypatch):
+        # a 12-point scale sweep at one penalty, warm-started as the experiments run it
+        x, _, beta_star = make_problem(n=200, p=80, seed=5)
+        noise = np.random.default_rng(6).standard_t(1.5, 200)
+        design = Resolvent.of(x)
+        factors, form = [], Resolvent.factor
+        monkeypatch.setattr(Resolvent, "factor", lambda self, shift: factors.append(form(self, shift)) or factors[-1])
+        config, warm = EstimatorConfig(HUBER, RIDGE, 0.1), None
+        for scale in np.geomspace(1.0, 1.0e5, 12):
+            fit = fit_proximal(config, design, x @ beta_star + scale * noise, x0=warm)
+            assert fit.converged
+            warm = fit.beta_hat
+        assert len(factors) > 1 and all(f is factors[0] for f in factors)  # one array, read at every correction
+        np.testing.assert_allclose(factors[0] @ factors[0].T, x @ np.linalg.solve(x.T @ x / 200 + 0.1 * np.eye(80), x.T),
+                                   rtol=0.0, atol=1.0e-12)
+        assert form(design, 0.2) is not factors[0] and design._factor[0] == 0.2  # one shift is kept at a time
+
+    @staticmethod
+    def route_through_the_eigenbasis(monkeypatch):
+        """Put every outlier correction back on the route the factor replaced:
+        ``A^-1 X_O'`` formed through the eigenbasis at each step and charged
+        ``2 p^2 o + p o^2``; the other routes are left as they are.  Returns
+        a list that gains an entry per correction made that way."""
+        solve, costs = estimators._pattern_solve, estimators._route_costs
+        corrections = []
+
+        def eigenbasis_costs(design, m, q, shift):
+            table = costs(design, m, q, shift)
+            if "outliers" in table:
+                n, p = design.x.shape
+                table["outliers"] = 2.0 * p * p * (n - m) + p * (n - m) ** 2
+            return table
+
+        def eigenbasis_solve(design, y, k, outlier, sign, lam, anchor, mu):
+            x, inlier = design.x, outlier == 0.0
+            n, p = x.shape
+            shift = lam + mu if sign is None else mu
+            table = eigenbasis_costs(design, int(inlier.sum()), p if sign is None else np.count_nonzero(sign), shift)
+            if min(table, key=table.get) != "outliers" or inlier.all() or shift == 0.0:
+                return solve(design, y, k, outlier, sign, lam, anchor, mu)
+            c = x.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * anchor
+            if sign is not None:
+                c -= lam * sign
+            b = design.solve(c, shift)
+            x_o = x[~inlier]
+            w = design.solve(x_o.T, shift)
+            corrections.append(len(x_o))
+            return b + w @ np.linalg.solve(n * np.eye(len(x_o)) - x_o @ w, x_o @ b)
+
+        monkeypatch.setattr(estimators, "_route_costs", eigenbasis_costs)
+        monkeypatch.setattr(estimators, "_pattern_solve", eigenbasis_solve)
+        return corrections
+
+    def test_tiny_trichotomy_takes_the_newton_steps_of_the_eigenbasis_route(self, monkeypatch):
+        from test_experiments import tiny_config
+
+        from heavyreg.experiments import run_experiment
+
+        factored = run_experiment(tiny_config("trichotomy"))
+        corrections = self.route_through_the_eigenbasis(monkeypatch)
+        eigenbasis = run_experiment(tiny_config("trichotomy"))
+        assert corrections
+        assert factored.summary["checks"] == eigenbasis.summary["checks"]
+        huber = 0
+        for new, old in zip(factored.records, eigenbasis.records, strict=True):
+            assert (new.estimator, new.sweep_value, new.replication) == (old.estimator, old.sweep_value,
+                                                                         old.replication)
+            assert new.newton_steps == old.newton_steps and new.converged == old.converged
+            assert new.risk == pytest.approx(old.risk, rel=1.0e-13, abs=0.0)
+            huber += new.estimator == "huber" and new.newton_steps > 0
+        assert huber > 0
+
+    def test_spd_solve_matches_scipys_cholesky(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((50, 30))
+        a = a.T @ a + 0.1 * np.eye(30)
+        for b in (rng.standard_normal(30), rng.standard_normal((30, 3))):
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+            got = estimators._spd_solve(a.copy(), b)
+            assert got.shape == b.shape
+            assert np.linalg.norm(got - want) <= 1.0e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("a", [np.diag([1.0, -1.0, 2.0]), np.ones((3, 3)), np.zeros((1, 1))])
+    def test_spd_solve_raises_on_a_matrix_that_is_not_positive_definite(self, a):
+        # fit_proximal's proximal retry catches exactly this error
+        with pytest.raises(np.linalg.LinAlgError):
+            estimators._spd_solve(a.copy(), np.ones(a.shape[0]))
 
 
 class TestEmpiricalRisk:
