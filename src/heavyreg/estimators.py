@@ -8,12 +8,11 @@ shifted system ``(X'X/n + lam I) e = rhs`` for its error ``e``;
 :meth:`Resolvent.solve` takes a block of them with one shift per column.  The
 Newton fit solves one piecewise-quadratic pattern per step through the same
 resolvent, corrected by Woodbury identities for a few outliers or a few
-inliers, or else through a Cholesky factor; it never decomposes again.  A
-ridge pattern's outlier correction reads the resolvent's
-:meth:`Resolvent.factor` ``X V (D + s I)^-1/2``, formed once for the fit's
-one penalty ``s`` and kept for every step and sweep point on the design, so
-a step costs ``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o``
-product.  A
+inliers, or else through a Cholesky factor; it never decomposes again.  The
+outlier correction reads the resolvent's :meth:`Resolvent.factor`
+``X V (D + s I)^-1/2``, formed once for the fit's one shift ``s`` and kept
+for every step and sweep point on the design, so a step costs
+``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o`` product.  A
 block of noise-adapted ridge fits alone, whose shifts grow with the noise,
 is well conditioned and skips both the decomposition and the design:
 :func:`_shifted_solve` solves it in whitened coordinates ``f = Sigma^1/2 e``
@@ -77,6 +76,12 @@ _CG_BUDGET = 2
 # with p <= 120 (0.4 against 2.2-4.6 ms at p = 40), and conjugate gradients
 # in every case with p >= 160 and lambda_tilde = 1.
 _KRYLOV_FEATURES = 128
+# Columns gathered at a time for a Woodbury capacitance (:func:`_capacitance`):
+# a 1000 x 128 block is 1 MiB, where a copy of 1000 rows of p = 1000 columns
+# is 7.6 MiB.  The rank-k updates halve the product's flops, but the gathers
+# take most of that back (17 against 20 ms at n = 2000, 1000 rows, p = 1000
+# on one BLAS thread), so each route is still charged the full product.
+_GATHER_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -461,13 +466,11 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
     - ``outliers``, when every coordinate is free: through the
       ``Resolvent`` of ``A = X'X/n + s I`` with a Woodbury correction for
       the outlier rows ``O``, whose capacitance is
-      ``n I - X_O A^-1 X_O'``.  With ``s > 0`` that is
-      ``n I - Y_O Y_O'`` for the design's :meth:`Resolvent.factor` ``Y``
-      (``p o^2 + o^3/3``), and the correction is one more solve of a
-      vector.  With ``s = 0`` (a lasso pattern with every coordinate free
-      and no proximal term) it is formed through the eigenbasis
-      (``2 p^2 o + p o^2``) and needs a Gram matrix conditioned within
-      1e12.
+      ``n I - X_O A^-1 X_O' = n I - Y_O Y_O'`` for the design's
+      :meth:`Resolvent.factor` ``Y`` (``p o^2 + o^3/3``), and the
+      correction is one more solve of a vector.  With ``s = 0`` (a lasso
+      pattern with every coordinate free and no proximal term) it needs a
+      Gram matrix conditioned within 1e12, so that ``Y`` is finite.
     - ``inliers``, when ``s > 0``: a Woodbury correction of ``s I`` for the
       inlier rows (``m^2 q + m^3/3``); no inliers and ``mu = 0`` give
       ``b = k X' sign / (lam n)``.
@@ -497,27 +500,20 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
     if route == "outliers":
         # (A - X_O'X_O/n)^-1 = A^-1 + A^-1 X_O' (n I - X_O A^-1 X_O')^-1 X_O A^-1,  A = X'X/n + s I
         b = design.solve(c, shift)
-        if m < n and shift > 0.0:
+        if m < n:
             # X_O A^-1 X_O' = Y_O Y_O'; X_O b is (X b)[O] and X_O' u is X' u with u scattered onto O
             rows = np.flatnonzero(~inlier)
-            y_o = design.factor(shift)[rows]
-            capacitance = y_o @ y_o.T
-            capacitance *= -1.0
-            capacitance.flat[::n - m + 1] += n
             u = np.zeros(n)
-            u[rows] = _spd_solve(capacitance, (x @ b)[rows])
+            u[rows] = _spd_solve(_capacitance(design.factor(shift), rows, n, -1.0), (x @ b)[rows])
             b += design.solve(x.T @ u, shift)
-        elif m < n:
-            x_o = x[~inlier]
-            w = design.solve(x_o.T, shift)
-            b += w @ _spd_solve(n * np.eye(n - m) - x_o @ w, x_o @ b)
     elif route == "inliers":
-        # (s I + X_I'X_I/n)^-1 = (I - X_I' (n s I + X_I X_I')^-1 X_I) / s
-        x_i = x_f[inlier]
+        # (s I + X_I'X_I/n)^-1 = (I - X_I' (n s I + X_I X_I')^-1 X_I) / s; each copy of the rows X_I
+        # lives only for its product with a vector, never beside the capacitance
         if m:
-            capacitance = x_i @ x_i.T
-            capacitance.flat[::m + 1] += n * shift
-            c = c - x_i.T @ _spd_solve(capacitance, x_i @ c)
+            rows = np.flatnonzero(inlier)
+            v = x_f[rows] @ c
+            v = _spd_solve(_capacitance(x_f, rows, n * shift, 1.0), v)
+            c = c - x_f[rows].T @ v
         b = c / shift
     else:
         x_i = x_f[inlier]
@@ -538,18 +534,31 @@ def _route_costs(design: Resolvent, m: int, q: int, shift: float) -> dict[str, f
     n, p = design.x.shape
     o = n - m
     costs = {"cholesky": m * q * q + q ** 3 / 3.0}
-    if q == p and shift > 0.0:
+    if q == p and (shift > 0.0 or design.evals[-1] <= _MAX_CONDITION * design.evals[0]):
         costs["outliers"] = p * o * o + o ** 3 / 3.0
-    elif q == p and design.evals[-1] <= _MAX_CONDITION * design.evals[0]:
-        costs["outliers"] = 2.0 * p * p * o + p * o * o
     if shift > 0.0:
         costs["inliers"] = m * m * q + m ** 3 / 3.0
     return costs
 
 
+def _capacitance(a: np.ndarray, rows: np.ndarray, diagonal: float, sign: float) -> np.ndarray:
+    """``diagonal I + sign A_R A_R'`` for the rows ``R`` of ``a``, as
+    :func:`_spd_solve` takes it: only the upper triangle is formed, all that
+    Cholesky reads, by rank-k updates over column blocks of ``A_R``, so the
+    rows are never copied whole."""
+    k = len(rows)
+    capacitance = np.zeros((k, k), order="F")
+    capacitance.flat[::k + 1] = diagonal
+    for j in range(0, a.shape[1], _GATHER_COLUMNS):
+        capacitance = scipy.linalg.blas.dsyrk(sign, a[rows, j:j + _GATHER_COLUMNS].T, 1.0, capacitance,
+                                              trans=1, lower=1, overwrite_c=1)
+    return capacitance.T
+
+
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` for a symmetric positive definite ``a``, by LAPACK's
-    Cholesky ``potrf`` and ``potrs``; ``a`` is overwritten by its factor.
+    Cholesky ``potrf`` and ``potrs``, which read only the upper triangle of
+    ``a`` (the lower one of ``a.T``); ``a`` is overwritten by its factor.
     Raises ``numpy.linalg.LinAlgError`` when ``a`` is not positive definite."""
     # a.T is a in the Fortran order LAPACK takes, so the factor is formed in place
     factor, info = scipy.linalg.lapack.dpotrf(a.T, lower=True, clean=False, overwrite_a=True)

@@ -582,7 +582,9 @@ class TestPatternSolve:
     @pytest.mark.parametrize("n, p", [(80, 30), (30, 80)])
     @pytest.mark.parametrize("outliers", ["none", "one", "half", "all but one", "all"])
     @pytest.mark.parametrize("mu", [0.0, 0.05])
-    def test_the_factor_route_matches_the_inlier_and_cholesky_routes(self, n, p, outliers, mu, monkeypatch):
+    @pytest.mark.parametrize("gather", [7, 128])
+    def test_the_factor_route_matches_the_inlier_and_cholesky_routes(self, n, p, outliers, mu, gather, monkeypatch):
+        monkeypatch.setattr(estimators, "_GATHER_COLUMNS", gather)  # 7: the capacitance in 5 or 12 column blocks
         o = {"none": 0, "one": 1, "half": n // 2, "all but one": n - 1, "all": n}[outliers]
         design, y, outlier = self.ridge_pattern(n, p, o)
         anchor = np.random.default_rng(1).standard_normal(p)
@@ -600,6 +602,30 @@ class TestPatternSolve:
         dense = np.linalg.solve(x[inlier].T @ x[inlier] / n + (0.1 + mu) * np.eye(p), rhs)
         assert np.linalg.norm(dense - want) <= 1.0e-12 * np.linalg.norm(dense)
         assert (design._factor[0] is None) == (o == 0)  # formed only for a correction
+
+    @pytest.mark.parametrize("o", [1, 20, 40])
+    def test_the_factor_route_serves_a_lasso_pattern_with_no_shift(self, o, monkeypatch):
+        # every coordinate free and mu = 0: s = 0, so the factor is X V D^-1/2.  The
+        # Woodbury correction loses digits with the pattern's condition (166 at o = 40;
+        # at o = 50, m = p and 8e3, both this route and the eigenbasis products it
+        # replaced land 3.5e-12 off a 40-digit solve)
+        design, y, outlier = self.ridge_pattern(80, 30, o)
+        sign = np.random.default_rng(2).choice([-1.0, 1.0], 30)
+        anchor = np.zeros(30)
+        costs = estimators._route_costs
+        solutions = {}
+        for route in ("outliers", "cholesky"):
+            monkeypatch.setattr(estimators, "_route_costs", lambda *args, route=route: {route: costs(*args)[route]})
+            solutions[route] = estimators._pattern_solve(design, y, 1.5, outlier, sign, 0.1, anchor, 0.0)
+        want = solutions["cholesky"]
+        assert np.linalg.norm(solutions["outliers"] - want) <= 1.0e-12 * np.linalg.norm(want)
+        assert design._factor[0] == 0.0
+
+    def test_no_shift_and_a_singular_gram_matrix_leave_no_outlier_route(self):
+        x, _, _ = make_problem(n=80, p=30, seed=3)
+        x[:, 1] = x[:, 0]  # a duplicated column: the Gram matrix is singular
+        assert "outliers" not in estimators._route_costs(Resolvent.of(x), 70, 30, 0.0)
+        assert "outliers" in estimators._route_costs(Resolvent.of(x), 70, 30, 0.1)
 
     def test_a_huber_sweep_forms_the_factor_once(self, monkeypatch):
         # a 12-point scale sweep at one penalty, warm-started as the experiments run it
@@ -639,7 +665,7 @@ class TestPatternSolve:
             n, p = x.shape
             shift = lam + mu if sign is None else mu
             table = eigenbasis_costs(design, int(inlier.sum()), p if sign is None else np.count_nonzero(sign), shift)
-            if min(table, key=table.get) != "outliers" or inlier.all() or shift == 0.0:
+            if min(table, key=table.get) != "outliers" or inlier.all():
                 return solve(design, y, k, outlier, sign, lam, anchor, mu)
             c = x.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * anchor
             if sign is not None:

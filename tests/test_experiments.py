@@ -412,8 +412,8 @@ class TestGoldenRecords:
                   "617b1fb81b478bc856cb1fc19e25cd3dda435e4239cc6a51ee4e7b102ecc13da"),
         "transient": ("f65e4aa8566ea384c3b91d00f237ee9701ac25e4de559b95b397a4187ee8c351",
                       "6a2119d37c008d6d4559895ef712bd890b172538b8a6523d3f1256ace58fd228"),
-        "trichotomy": ("67bdfe12a57d98aa00b91b354be27beed0a3628f50ed26e644174564cfada794",
-                       "9e8b646544be18699105124c2f76e9a2488128ff48c4b070c5b392acbe901c48"),
+        "trichotomy": ("bfcecbf4e9e1e676dd12fa1b67d85b29a0b365f4910a3ef1c69f7ab1cdc9b58f",
+                       "b334954d7154248b05b275787d14b2bc1def48212dcf8caa281286d11beea10a"),
         "universality": ("14d10575b91cc1caffa9186d0ec0579076f9c4a3491ef1831338d6df5511391d",
                          "283bd7166089cfe8edab8421f00f829382094428a5b67fa9a09d25492ba482ab"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
