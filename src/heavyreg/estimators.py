@@ -2,27 +2,36 @@
 Huber loss with a ridge or lasso penalty, and the shifted Gram solves behind
 every closed-form squared-loss fit.
 
-A :class:`Resolvent` is the eigendecomposition of the design's Gram matrix
-``X'X/n``, taken once per design.  A closed-form squared-loss fit is one
-shifted system ``(X'X/n + lam I) e = rhs`` for its error ``e``;
-:meth:`Resolvent.solve` takes a block of them with one shift per column.  The
-Newton fit solves one piecewise-quadratic pattern per step through the same
-resolvent, corrected by Woodbury identities for a few outliers or a few
-inliers, or else through a Cholesky factor; it never decomposes again.  The
-outlier correction reads the resolvent's :meth:`Resolvent.factor`
-``X V (D + s I)^-1/2``, formed once for the fit's one shift ``s`` and kept
-for every step and sweep point on the design, so a step costs
-``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o`` product.  A
-block of noise-adapted ridge fits alone, whose shifts grow with the noise,
-is well conditioned and skips both the decomposition and the design:
-:func:`_shifted_solve` solves it in whitened coordinates ``f = Sigma^1/2 e``
-on the white draw ``Z`` of ``X = Z Sigma^1/2``, by multi-shift conjugate
-gradients preconditioned with the tridiagonal precision ``Sigma^-1``, and
-the fit's risk ``e' Sigma e / p`` is ``f'f / p``.  Every right-hand side of
-such a block combines the same two seeds, ``Z'w/n`` and the whitened
-misalignment, so one Krylov sequence per seed serves every shift.  Below
-``_KRYLOV_FEATURES`` features the block goes through one ``Resolvent``
-instead, which is cheaper there.
+A :class:`Resolvent` is a design with its Gram matrix ``G = X'X/n``, formed
+once per design, and only what its fits read of it; nothing reads the
+spectrum, so nothing eigendecomposes it.  A closed-form squared-loss fit is
+one shifted system ``(G + lam I) e = rhs`` for its error ``e``.  A shift
+that does not grow with the noise (least squares, fixed ridge, the noiseless
+floor) gets one LAPACK Cholesky factor, ``p^3/3`` flops, and ``dpotrs``
+solves; :func:`_gram_solve` sends a draw's noise-adapted ridge columns,
+whose shifts grow with the noise, through one multi-shift conjugate-gradient
+loop on ``G`` instead, one symmetric mat-vec per seed and step.  The Newton
+fit solves one piecewise-quadratic pattern per step, through the Cholesky
+factor of ``G + s I`` corrected by Woodbury identities for a few outliers or
+a few inliers, or else through a Cholesky factor of the pattern's own
+system.  The outlier correction reads :meth:`Resolvent.factor`
+``Y = X L^-T`` (one ``dtrsm``), formed once for the fit's one shift ``s``
+and kept for every step and sweep point on the design, so a step costs
+``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o`` product.  The
+proximal-gradient step reads the largest eigenvalue of ``G``, computed on
+first use by LAPACK ``syevr`` for that one eigenvalue.
+
+A draw whose fits are all noise-adapted ridge skips the design as well:
+:func:`_shifted_solve` solves its block in whitened coordinates
+``f = Sigma^1/2 e`` on the white draw ``Z`` of ``X = Z Sigma^1/2``, by
+multi-shift conjugate gradients preconditioned with the tridiagonal
+precision ``Sigma^-1``, and the fit's risk ``e' Sigma e / p`` is ``f'f / p``.
+Every right-hand side of such a block combines the same two seeds, ``Z'w/n``
+and the whitened misalignment, so one Krylov sequence per seed serves every
+shift.  Below ``_KRYLOV_FEATURES`` features both routes solve directly
+instead, which is cheaper there: the whitened one through one
+eigendecomposition of ``X'X/n``, the other by one Cholesky factor per
+distinct shift.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -36,6 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -52,7 +62,7 @@ __all__ = [
     "empirical_risk",
 ]
 
-_MAX_CONDITION = 1.0e12
+_MAX_CONDITION = 1.0e12  # largest condition of G, by LAPACK pocon's estimate, for the s = 0 outlier route
 _ROUNDING = 1.0e-12  # relative objective slack that absorbs rounding
 _MIN_STEP = 2.0 ** -60  # the shortest step the halving tries
 _PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to L
@@ -68,10 +78,12 @@ _CG_TOL = 1.0e-12  # recurrence residual at which a (seed, shift) pair leaves th
 # Spent in full on one BLAS thread it costs about 2.1 (p = 400) to 2.9
 # (p = 1000) eighs of the p x p Gram matrix.
 _CG_BUDGET = 2
-# Fewest features at which a whitened block is solved by conjugate gradients
-# rather than through one Resolvent.  Each Krylov step pays a fixed overhead
-# of tens of microseconds in NumPy and LAPACK calls, which an eigh of a small
-# Gram matrix does not: on one BLAS thread at n = p..3p, lambda_tilde = 1 or
+# Fewest features at which a noise-adapted ridge block is solved by conjugate
+# gradients rather than directly: a whitened block through one eigh of its
+# Gram matrix, a block on the design by one Cholesky factor per distinct
+# shift.  Each Krylov step pays a fixed overhead of tens of microseconds in
+# NumPy and LAPACK calls, which an eigh of a small Gram matrix does not: for
+# the whitened block on one BLAS thread at n = p..3p, lambda_tilde = 1 or
 # 1e-6 and 10 or 25 shifts the eigh route was faster in every measured case
 # with p <= 120 (0.4 against 2.2-4.6 ms at p = 40), and conjugate gradients
 # in every case with p >= 160 and lambda_tilde = 1.
@@ -124,49 +136,94 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Resolvent:
-    """One design and the eigendecomposition of its Gram matrix ``X'X/n``.
+    """One design and its Gram matrix ``G = X'X/n``.
 
-    Build it with :meth:`of`, which takes the decomposition once; every fit
-    on the same design reuses it.  ``evals`` ascend, so ``evals[-1]`` is the
-    largest eigenvalue ``||X||_2**2 / n``.  :meth:`factor` keeps one
-    ``n x p`` factor, for the last shift it was asked for.
+    Build it with :meth:`of`, which forms ``G`` once; every fit on the same
+    design reuses it.  Nothing else is formed up front.  :meth:`cholesky`
+    factors ``G + s I`` and keeps the factor of the last shift it was asked
+    for, :meth:`factor` keeps one ``n x p`` outlier factor, and :attr:`top`
+    and :attr:`invertible` are computed on first use.  So a draw holds at
+    most ``G``, one Cholesky factor and one outlier factor.
     """
 
     x: np.ndarray
-    evals: np.ndarray
-    evecs: np.ndarray
-    # the shift and factor :meth:`factor` last formed
+    gram: np.ndarray
+    # the shift and lower Cholesky factor :meth:`cholesky` last formed, and the
+    # shift and factor :meth:`factor` last formed
+    _cholesky: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
     _factor: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, x: np.ndarray) -> Resolvent:
-        """Validate a finite 2-d design and eigendecompose ``X'X/n``."""
+        """Validate a finite 2-d design and form ``X'X/n``."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.size == 0 or not np.isfinite(x).all():
             raise ConfigError(f"design must be a nonempty finite 2-d array, got shape {x.shape}")
         gram = x.T @ x
         gram /= x.shape[0]  # in place: no second p x p array
-        return cls(x, *np.linalg.eigh(gram))
+        return cls(x, gram)
+
+    @cached_property
+    def top(self) -> float:
+        """The largest eigenvalue of ``G``, ``||X||_2**2 / n``, by LAPACK
+        ``syevr`` for that eigenvalue alone."""
+        p = self.gram.shape[0]
+        return float(scipy.linalg.eigh(self.gram, subset_by_index=[p - 1, p - 1], eigvals_only=True)[0])
+
+    @cached_property
+    def invertible(self) -> bool:
+        """``G`` is positive definite with a condition number within
+        ``_MAX_CONDITION``, by LAPACK ``pocon``'s estimate of its 1-norm
+        condition from the Cholesky factor at shift 0 (``O(p^2)``)."""
+        try:
+            factor = self.cholesky(0.0)
+        except np.linalg.LinAlgError:
+            return False
+        norm = scipy.linalg.lapack.dlange("1", self.gram.T)
+        rcond, _ = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
+        return rcond * _MAX_CONDITION >= 1.0
+
+    def cholesky(self, shift: float) -> np.ndarray:
+        """The lower Cholesky factor ``L`` of ``G + shift I`` by
+        :func:`_potrf`, which raises ``numpy.linalg.LinAlgError`` when that is
+        not positive definite.  Only the last shift's factor is kept."""
+        shift = float(shift)
+        if self._cholesky[0] != shift:
+            self._cholesky[:] = None, None  # the old factor is freed before the new one is formed
+            a = self.gram.copy()
+            a.flat[::a.shape[0] + 1] += shift
+            self._cholesky[:] = shift, _potrf(a)
+        return self._cholesky[1]
 
     def solve(self, rhs: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
-        """``(X'X/n + lam I)^-1 rhs`` through the eigenbasis, for a vector or
-        a ``p x k`` block of right-hand sides; for a block ``lam`` is one
-        shift or ``k`` of them, one per column."""
-        shift = self.evals.reshape((-1,) + (1,) * (np.ndim(rhs) - 1)) + lam
-        return self.evecs @ ((self.evecs.T @ rhs) / shift)
+        """``(G + lam I)^-1 rhs`` by Cholesky, for a vector or a ``p x k``
+        block of right-hand sides; for a block ``lam`` is one shift or ``k``
+        of them, one per column.  Each distinct shift is factorized once, in
+        ascending order, so the largest one's factor stays kept."""
+        if np.ndim(rhs) == 1:  # two triangular solves, a third of potrs's time on one right-hand side
+            factor = self.cholesky(lam)
+            return scipy.linalg.blas.dtrsv(factor, scipy.linalg.blas.dtrsv(factor, rhs, lower=True),
+                                           lower=True, trans=True)
+        lam = np.broadcast_to(lam, rhs.shape[1:])
+        out = np.empty(rhs.shape)
+        for shift in np.unique(lam):
+            cols = lam == shift
+            out[:, cols] = scipy.linalg.lapack.dpotrs(self.cholesky(shift), rhs[:, cols], lower=True)[0]
+        return out
 
     def factor(self, shift: float) -> np.ndarray:
-        """The ``n x p`` factor ``Y = X V (D + shift I)^-1/2`` of
-        ``X (X'X/n + shift I)^-1 X' = Y Y'``, where ``X'X/n = V D V'``.
+        """The ``n x p`` factor ``Y = X L^-T`` of
+        ``X (X'X/n + shift I)^-1 X' = Y Y'``, where ``L`` is
+        :meth:`cholesky` at ``shift``.
 
-        One product on first use, scaled in place.  Only the last shift's
-        factor is kept: every Newton step of a fit at one penalty on this
-        design reads the same one.
+        One triangular solve (BLAS ``trsm``) on first use.  Only the last
+        shift's factor is kept: every Newton step of a fit at one penalty on
+        this design reads the same one.
         """
         if self._factor[0] != shift:
             self._factor[:] = None, None  # the old factor is freed before the new one is formed
-            y = self.x @ self.evecs
-            y /= np.sqrt(self.evals + shift)
+            # L^-1 X' in Fortran order is Y in C order
+            y = scipy.linalg.blas.dtrsm(1.0, self.cholesky(shift), self.x.T, lower=True).T
             self._factor[:] = shift, y
         return self._factor[1]
 
@@ -206,18 +263,20 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
     ``sqrt(rho' Sigma rho / r' Sigma r)`` with ``rho = (M + s_k T) f_k - r_k``
     recomputed from ``M + s_0 T`` at the end; a column above
     ``_CERTIFICATE`` (the budget ran out, or rounding held the true residual
-    up) falls back: it is solved again through a :class:`Resolvent` of
-    ``X = Z Sigma^1/2``, with ``Sigma^1/2 = root()`` taken only then, and
-    certified the same way, and it keeps whichever of the two solutions has
-    the smaller certificate.  Below ``_KRYLOV_FEATURES`` features the whole
-    block is solved and certified through that ``Resolvent`` at once, which
-    is not a fallback.  The certificate bounds the residual, not the error
-    (see ``_CERTIFICATE``).
+    up) falls back: it is solved again through an eigendecomposition of the
+    Gram matrix of ``X = Z Sigma^1/2`` (:func:`_eigenbasis_solve`), with
+    ``Sigma^1/2 = root()`` taken only then, and certified the same way, and
+    it keeps whichever of the two solutions has the smaller certificate.
+    Below ``_KRYLOV_FEATURES`` features the whole block is solved and
+    certified through that eigendecomposition at once, which is not a
+    fallback.  The certificate bounds the residual, not the error (see
+    ``_CERTIFICATE``).
 
     Returns the solutions, their certificates and a mask of the columns
     that fell back, i.e. whose Krylov solve missed ``_CERTIFICATE`` and
-    were solved again through the ``Resolvent``; such a column may still
-    hold its Krylov solution, when that one's certificate is the smaller.
+    were solved again through the eigendecomposition; such a column may
+    still hold its Krylov solution, when that one's certificate is the
+    smaller.
     """
     n, p = z.shape
     diag, off = precision
@@ -252,7 +311,7 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
         residual = shifted(sol[:, cols], gaps[cols]) - rhs[:, cols]
         return np.sqrt(np.einsum("ij,ij->j", residual, covariance(residual))) / np.maximum(scale[cols], 1.0e-300)
 
-    redo = np.arange(shifts.size)  # the columns solved through the Resolvent
+    redo = np.arange(shifts.size)  # the columns solved through the eigendecomposition
     sol, certificate, fell_back = np.empty_like(rhs), np.full(shifts.size, np.inf), np.zeros(shifts.size, bool)
     if p >= _KRYLOV_FEATURES:
         sol = _multi_shift(seed_product, covariance, seeds, coefficients, gaps, _CG_BUDGET * p)
@@ -260,20 +319,100 @@ def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root
         fell_back = ~(certificate <= _CERTIFICATE)
         redo = np.flatnonzero(fell_back)
     if redo.size:
-        krylov, krylov_certificate = sol[:, redo], certificate[redo]
         half = root()
-        sol[:, redo] = half @ Resolvent.of(z @ half).solve(half @ rhs[:, redo], shifts[redo])
-        certificate[redo] = certify(redo)
-        keep = krylov_certificate < certificate[redo]  # the Krylov solve was the better one
-        sol[:, redo[keep]], certificate[redo[keep]] = krylov[:, keep], krylov_certificate[keep]
+        _solve_again(sol, certificate, redo,
+                     lambda cols: half @ _eigenbasis_solve(z @ half, half @ rhs[:, cols], shifts[cols]), certify)
     return sol, certificate, fell_back
+
+
+def _eigenbasis_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``(X'X/n + shifts[k] I)^-1 r_k`` for every column ``k`` of ``rhs``,
+    through one eigendecomposition of ``X'X/n``: the direct solve of a
+    whitened block."""
+    gram = x.T @ x
+    gram /= x.shape[0]  # in place: no second p x p array
+    evals, evecs = np.linalg.eigh(gram)
+    return evecs @ ((evecs.T @ rhs) / (evals[:, None] + shifts))
+
+
+def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, shifts: np.ndarray,
+                adapted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(G + shifts[k] I)^-1 r_k`` on the design's Gram matrix
+    ``G = X'X/n``, for every column ``k`` of ``r = seeds @ coefficients``
+    (formed by :func:`_right_hand_sides`).
+
+    A column whose shift does not grow with the noise is solved by Cholesky
+    (:meth:`Resolvent.solve`, one factor per distinct shift).  The
+    ``adapted`` columns, noise-adapted ridge, are solved from
+    ``_KRYLOV_FEATURES`` features on by the multi-shift conjugate gradients
+    of :func:`_shifted_solve`, on ``G`` itself and with no preconditioner:
+    one recurrence per seed at the smallest adapted shift ``s_0``, each step
+    one symmetric mat-vec ``(G + s_0 I) d`` per unfinished seed.  Its
+    iterates are the whitened route's, mapped through ``Sigma^1/2``.
+
+    Every column is certified by its relative residual
+    ``||(G + s_k I) e_k - r_k|| / ||r_k||``, formed with one ``p x k``
+    product.  An adapted column above ``_CERTIFICATE`` falls back: it is
+    solved again by Cholesky at its shift, certified the same way, and keeps
+    whichever of the two solutions has the smaller certificate.  Returns the
+    solutions, their certificates and a mask of the columns that fell back.
+    """
+    p = design.gram.shape[0]
+    rhs = _right_hand_sides(seeds, coefficients)
+    krylov = adapted & (p >= _KRYLOV_FEATURES)
+    sol = np.empty_like(rhs)
+    if krylov.any():
+        base = shifts[krylov].min()
+        gram = design.gram.T  # G in the Fortran order BLAS takes
+
+        def seed_product(d: np.ndarray) -> np.ndarray:  # (G + s_0 I) d by one symmetric mat-vec per column
+            return np.stack([scipy.linalg.blas.dsymv(1.0, gram, column, base, column) for column in d.T], axis=1)
+
+        sol[:, krylov] = _multi_shift(seed_product, lambda r: r, seeds, coefficients[:, krylov],
+                                      shifts[krylov] - base, _CG_BUDGET * p)
+    sol[:, ~krylov] = design.solve(rhs[:, ~krylov], shifts[~krylov])
+    scale = np.linalg.norm(rhs, axis=0)
+
+    def certify(cols: np.ndarray) -> np.ndarray:
+        residual = design.gram @ sol[:, cols] + sol[:, cols] * shifts[cols] - rhs[:, cols]
+        return np.linalg.norm(residual, axis=0) / np.maximum(scale[cols], 1.0e-300)
+
+    certificate = certify(np.arange(shifts.size))
+    fell_back = krylov & ~(certificate <= _CERTIFICATE)
+    redo = np.flatnonzero(fell_back)
+    if redo.size:
+        _solve_again(sol, certificate, redo, lambda cols: design.solve(rhs[:, cols], shifts[cols]), certify)
+    return sol, certificate, fell_back
+
+
+def _solve_again(sol: np.ndarray, certificate: np.ndarray, redo: np.ndarray,
+                 direct: Callable[[np.ndarray], np.ndarray], certify: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Solve the columns ``redo`` of ``sol`` again by ``direct(redo)``,
+    certify them by ``certify(redo)``, and keep in place, per column,
+    whichever of the two solutions has the smaller certificate."""
+    krylov, krylov_certificate = sol[:, redo], certificate[redo]
+    sol[:, redo] = direct(redo)
+    certificate[redo] = certify(redo)
+    keep = krylov_certificate < certificate[redo]  # the Krylov solve was the better one
+    sol[:, redo[keep]], certificate[redo[keep]] = krylov[:, keep], krylov_certificate[keep]
+
+
+def _right_hand_sides(seeds: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The block ``seeds @ coefficients``, formed one product at a time, so
+    each column is ``sum_j c_j seed_j`` to the last bit in the seeds' order
+    (a matrix product may fuse the multiply and the add)."""
+    rhs = seeds[:, :1] * coefficients[0]
+    for seed, row in zip(seeds.T[1:], coefficients[1:]):
+        rhs += seed[:, None] * row
+    return rhs
 
 
 def _multi_shift(product: Callable[[np.ndarray], np.ndarray], covariance: Callable[[np.ndarray], np.ndarray],
                  seeds: np.ndarray, coefficients: np.ndarray, gaps: np.ndarray, budget: int) -> np.ndarray:
-    """The Krylov loop of :func:`_shifted_solve`: ``product`` multiplies
-    ``M + s_0 T`` into the seeds' search directions, ``covariance`` applies
-    the preconditioner, ``gaps`` are ``s - s_0`` and ``budget`` caps the
+    """The Krylov loop of :func:`_shifted_solve` and :func:`_gram_solve`:
+    ``product`` multiplies ``M + s_0 T`` (or ``G + s_0 I``) into the seeds'
+    search directions, ``covariance`` applies the preconditioner (there the
+    identity), ``gaps`` are ``s - s_0`` and ``budget`` caps the
     column mat-vecs.  Returns the columns of ``seeds @ coefficients``
     solved as far as their pairs got."""
     res = seeds.copy()
@@ -360,7 +499,11 @@ def fit_proximal(
 
     ``iterations`` counts Newton steps.  Convergence means the
     gradient-mapping certificate, computed once at the end with the step
-    ``1/L``, ``L = evals[-1]``, holds.  Raises only ``ConfigError``, on
+    ``1/L``, holds; ``L`` is the largest eigenvalue of ``X'X/n``
+    (:attr:`Resolvent.top`), computed once per design by the first fit that
+    is not screened.  A screened fit needs no ``L``: the gradient map at an
+    optimal centre vanishes at every step, so its screening gradient gives
+    the certificate at the unit step.  Raises only ``ConfigError``, on
     invalid input (a loss or penalty other than those above, wrong shapes,
     non-finite ``y``, center or ``x0``); a busted budget or a stalled step
     returns the result with ``converged=False``.
@@ -380,8 +523,6 @@ def fit_proximal(
     y_shift = y - x @ center
     lasso = reg.kind is RegKind.LASSO
     k = loss.param if loss.kind is LossKind.HUBER else math.inf
-    lipschitz = float(design.evals[-1]) * loss.derivative_lipschitz()
-    step = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
 
     def objective(d: np.ndarray, r: np.ndarray) -> float:
         return float(np.mean(loss.value(r))) + lam * float(reg.value(d))
@@ -389,10 +530,14 @@ def fit_proximal(
     def gradient(r: np.ndarray) -> np.ndarray:
         return -(x.T @ np.asarray(loss.derivative(r))) / n
 
-    screened = lasso and np.max(np.abs(gradient(y_shift))) <= lam
-    if screened:
-        d = np.zeros(p)  # the centre is optimal
-    r = y_shift - x @ d
+    grad = gradient(y_shift) if lasso else None
+    screened = lasso and np.max(np.abs(grad)) <= lam
+    if screened:  # the centre is optimal
+        d, r, step = np.zeros(p), y_shift, 1.0
+    else:
+        lipschitz = design.top * loss.derivative_lipschitz()
+        step = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
+        r = y_shift - x @ d
     f = objective(d, r)
     iterations = 0
     solved = None  # the pattern of the last exact full step
@@ -434,7 +579,9 @@ def fit_proximal(
         d, r, f = cand, r_cand, f_cand
         solved = pattern if cand is target and mu == 0.0 else None
 
-    mapped = prox_reg(reg, step * lam, d - step * gradient(r))
+    if not screened:
+        grad = gradient(r)
+    mapped = prox_reg(reg, step * lam, d - step * grad)
     gradient_map_norm = float(np.linalg.norm(d - mapped)) / step
     beta = center + d
     return FitResult(
@@ -463,14 +610,16 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
     ``m`` inliers, the system is solved the cheapest exact way by the flop
     counts of :func:`_route_costs`:
 
-    - ``outliers``, when every coordinate is free: through the
-      ``Resolvent`` of ``A = X'X/n + s I`` with a Woodbury correction for
-      the outlier rows ``O``, whose capacitance is
+    - ``outliers``, when every coordinate is free: through the design's
+      Cholesky factor ``L`` of ``A = X'X/n + s I``
+      (:meth:`Resolvent.cholesky`, two ``potrs`` solves) with a Woodbury
+      correction for the outlier rows ``O``, whose capacitance is
       ``n I - X_O A^-1 X_O' = n I - Y_O Y_O'`` for the design's
-      :meth:`Resolvent.factor` ``Y`` (``p o^2 + o^3/3``), and the
+      :meth:`Resolvent.factor` ``Y = X L^-T`` (``p o^2 + o^3/3``), and the
       correction is one more solve of a vector.  With ``s = 0`` (a lasso
       pattern with every coordinate free and no proximal term) it needs a
-      Gram matrix conditioned within 1e12, so that ``Y`` is finite.
+      Gram matrix conditioned within 1e12 (:attr:`Resolvent.invertible`),
+      so that ``Y`` is accurate.
     - ``inliers``, when ``s > 0``: a Woodbury correction of ``s I`` for the
       inlier rows (``m^2 q + m^3/3``); no inliers and ``mu = 0`` give
       ``b = k X' sign / (lam n)``.
@@ -529,12 +678,15 @@ def _route_costs(design: Resolvent, m: int, q: int, shift: float) -> dict[str, f
     """Flops of each exact route :func:`_pattern_solve` may take for a
     pattern of ``m`` inliers, ``q`` free coordinates and shift ``s``, by
     name; a route missing from the table is not exact for that pattern.
-    The outlier route's factor is formed once per design and shift, so it
-    is not charged."""
+    The outlier route's factors, the Cholesky factor of ``X'X/n + s I``
+    (``p^3/3``) and ``Y`` (``n p^2``), are formed once per design and shift,
+    so they are not charged; with ``s = 0`` the route is open only to a
+    design whose Gram matrix is :attr:`Resolvent.invertible`, which the
+    first such pattern checks with one ``pocon`` on the factor."""
     n, p = design.x.shape
     o = n - m
     costs = {"cholesky": m * q * q + q ** 3 / 3.0}
-    if q == p and (shift > 0.0 or design.evals[-1] <= _MAX_CONDITION * design.evals[0]):
+    if q == p and (shift > 0.0 or design.invertible):
         costs["outliers"] = p * o * o + o ** 3 / 3.0
     if shift > 0.0:
         costs["inliers"] = m * m * q + m ** 3 / 3.0
@@ -556,17 +708,22 @@ def _capacitance(a: np.ndarray, rows: np.ndarray, diagonal: float, sign: float) 
 
 
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` for a symmetric positive definite ``a``, by LAPACK's
-    Cholesky ``potrf`` and ``potrs``, which read only the upper triangle of
-    ``a`` (the lower one of ``a.T``); ``a`` is overwritten by its factor.
-    Raises ``numpy.linalg.LinAlgError`` when ``a`` is not positive definite."""
+    """``a^-1 b`` for a symmetric positive definite ``a``, by :func:`_potrf`
+    and LAPACK ``potrs``; ``a`` is overwritten by its factor."""
+    return scipy.linalg.lapack.dpotrs(_potrf(a), b, lower=True)[0]
+
+
+def _potrf(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor ``L`` of a symmetric positive definite
+    ``a``, by LAPACK ``potrf``, which reads only the upper triangle of ``a``
+    (the lower one of ``a.T``).  It is formed in place, in the Fortran order
+    LAPACK takes, and only its lower triangle holds ``L``.  Raises
+    ``numpy.linalg.LinAlgError`` when ``a`` is not positive definite."""
     # a.T is a in the Fortran order LAPACK takes, so the factor is formed in place
     factor, info = scipy.linalg.lapack.dpotrf(a.T, lower=True, clean=False, overwrite_a=True)
-    if info == 0:
-        solution, info = scipy.linalg.lapack.dpotrs(factor, b, lower=True)
     if info:
         raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
-    return solution
+    return factor
 
 
 def empirical_risk(beta_hat: np.ndarray, beta_star: np.ndarray, sigma: np.ndarray) -> float:

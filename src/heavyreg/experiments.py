@@ -42,6 +42,7 @@ from .estimators import (
     EstimatorConfig,
     FitResult,
     Resolvent,
+    _gram_solve,
     _shifted_solve,
     empirical_risk,
     fit_proximal,
@@ -191,18 +192,18 @@ class ExperimentConfig:
 class RiskRecord:
     """One Monte Carlo measurement.
 
-    A Newton fit also reports its step count and optimality certificate.  A
-    closed-form fit solved on the white draw (transient, universality)
-    reports as its certificate the relative residual of its shifted Gram
-    system ``(X'X/n + lam I) e = r``, recomputed from the whitened solve, and
-    whether the solve fell back: its conjugate gradients missed the
-    certificate, it was solved again through the ``Resolvent``, and it kept
-    whichever of the two solutions has the smaller one.  The certificate bounds
-    the residual, not the error: the error can reach ``cond(X'X/n + lam I)``
-    times it (at n = 40, p = 60 and ``lam = 1e-6``, solves certified at
-    1e-10 were up to 9.7e-10 relative off the exact error).  Other
-    closed-form fits leave these at None and False.  None of them goes into
-    the CSV.
+    A Newton fit also reports its step count and optimality certificate.
+    Every closed-form fit reports as its certificate the relative residual
+    of its shifted Gram system ``(X'X/n + lam I) e = r`` (recomputed from the
+    whitened solve on a white draw), is converged when that is within
+    ``_CERTIFICATE``, and reports whether the solve fell back: its conjugate
+    gradients missed the certificate, it was solved again directly (by an
+    eigendecomposition on a white draw, by Cholesky on a design), and it
+    kept whichever of the two solutions has the smaller one.  The
+    certificate bounds the residual, not the error: the error can reach
+    ``cond(X'X/n + lam I)`` times it (at n = 40, p = 60 and ``lam = 1e-6``,
+    solves certified at 1e-10 were up to 9.7e-10 relative off the exact
+    error).  None of them goes into the CSV.
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
     evaluation.  The closed-form fits of one draw are solved and evaluated in
@@ -336,8 +337,8 @@ class _RepDraw:
 
     ``x`` is the design ``X``, or on a whitened plan the white matrix ``Z``
     with ``X = Z Sigma^1/2``; both come from the replication's one design
-    stream.  ``design`` eigendecomposes the Gram matrix of ``X`` on first
-    use, once per draw; a white draw never asks for it.
+    stream.  ``design`` forms the Gram matrix of ``X`` on first use, once
+    per draw; a white draw never asks for it.
     """
 
     x: np.ndarray
@@ -413,28 +414,21 @@ def _error_block(plan: _Plan, draw: _RepDraw,
     return np.stack(seeds, axis=1), coefficients[:len(seeds)], np.array(shifts)
 
 
-def _right_hand_sides(seeds: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """The block ``seeds @ coefficients`` of an :func:`_error_block`, formed
-    one product at a time, so each column is ``a v - lam (beta_star - c)``
-    to the last bit (a matrix product may fuse the multiply and the add)."""
-    rhs = seeds[:, :1] * coefficients[0]
-    for seed, row in zip(seeds.T[1:], coefficients[1:]):
-        rhs += seed[:, None] * row
-    return rhs
-
-
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
-# The fits solved on the white draw.  Every other fit reads the eigenbasis:
-# the Newton fits, and least squares and fixed ridge, whose penalties do not
-# grow with the noise and would spend the conjugate-gradient budget.
-_WHITENED_FITS = ("transfer_ridge",)
+# The closed-form fits whose penalty grows with the noise, solved by
+# multi-shift conjugate gradients; a row with no other fit draws the white Z
+# and never forms the design.  Least squares and fixed ridge, whose penalties
+# do not grow with the noise and would spend the conjugate-gradient budget,
+# are solved by Cholesky, as is the noiseless point.
+_ADAPTED_FITS = ("transfer_ridge",)
 
 
 def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float, sigma2: float,
-                  warm: np.ndarray | None) -> FitResult:
+                  warm: np.ndarray | None, signal: np.ndarray) -> FitResult:
     """Newton fit of one proximal estimator at noise amplitude ``amplitude``,
     at the penalty and centre :func:`_penalty_and_centre` gives it at ``sigma2``.
 
+    ``signal`` is the draw's ``X beta_star``, formed once per draw.
     Huber-ridge sees the raw heavy-tailed noise; transfer lasso sees the
     winsorized noise.
     """
@@ -443,7 +437,7 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float,
         loss, reg, noise = Loss(LossKind.HUBER, plan.config.huber_k), Regularizer(RegKind.RIDGE), draw.w_unit
     else:  # transfer_lasso
         loss, reg, noise = Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO), draw.w_wins_unit
-    y = draw.x @ plan.beta_star + amplitude * noise
+    y = signal + amplitude * noise
     return fit_proximal(EstimatorConfig(loss, reg, lam, center=centre), draw.design, y, x0=warm)
 
 
@@ -458,7 +452,7 @@ def _record(plan: _Plan, estimator: str, sweep: float, rep: int, risk: float, t0
         sweep_value=float(sweep),
         replication=rep,
         risk=float(risk),
-        converged=fit.converged if fit is not None else (certificate is None or certificate <= _CERTIFICATE),
+        converged=fit.converged if fit is not None else certificate <= _CERTIFICATE,
         wall_ms=(time.perf_counter() - t0) * 1.0e3,
         newton_steps=None if fit is None else fit.iterations,
         certificate=certificate if fit is None else fit.gradient_map_norm,
@@ -480,12 +474,13 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     design law (the configured one, or each of the row's ``designs``, whose
     name then suffixes the estimator label).  The closed-form fits at every
     point form one :func:`_error_block`.  If every fit is noise-adapted
-    ridge (``_WHITENED_FITS``), the draw is the white ``Z`` and the block is
-    solved whitened by :func:`_shifted_solve`, whose records carry their
-    certificates and fallback flags, and each risk is ``f'f / p``.  Else the
-    design ``X`` is drawn and factorized before the clock starts, and the
-    block is solved through its ``Resolvent``.  Each proximal fit
-    warm-starts from its own fit at the previous point.
+    ridge (``_ADAPTED_FITS``), the draw is the white ``Z`` and the block is
+    solved whitened by :func:`_shifted_solve`, and each risk is ``f'f / p``.
+    Else the design ``X`` is drawn and its Gram matrix formed before the
+    clock starts, and the block is solved on it by :func:`_gram_solve`:
+    noise-adapted columns by conjugate gradients, the rest by Cholesky.
+    Either way every record carries its certificate and fallback flag.  Each
+    proximal fit warm-starts from its own fit at the previous point.
     """
     cfg = plan.config
     row = _EXPERIMENTS[cfg.name]
@@ -496,7 +491,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     for kind in row.designs or (cfg.design_kind,):
         draw = _draw_replication(plan, rep, design_kind=kind)
         if not plan.whitened:
-            draw.design  # factorized before the clock starts
+            draw.design  # the Gram matrix is formed before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
         seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
@@ -505,25 +500,25 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
                                                                    seeds, coefficients, shifts)
             risks = np.einsum("ij,ij->j", white_errors, white_errors) / cfg.p
         else:
-            errors = draw.design.solve(_right_hand_sides(seeds, coefficients), shifts)
+            adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in closed], dtype=bool)
+            errors, certificates, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
             # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
             risks = [empirical_risk(e, np.zeros_like(e), plan.spec.matrix) for e in errors.T]
-            certificates, fell_back = None, np.zeros(len(shifts), bool)
         share = (time.perf_counter() - t0) / len(closed)
         for k, (estimator, g, _, _) in enumerate(closed):
             # the clock starts a share of the block early
             records.append(_record(plan, estimator + suffix, g, rep, risks[k], time.perf_counter() - share,
-                                   certificate=None if certificates is None else float(certificates[k]),
-                                   resolvent_fallback=bool(fell_back[k])))
+                                   certificate=float(certificates[k]), resolvent_fallback=bool(fell_back[k])))
         warm: dict[str, np.ndarray] = {}
+        fits = [e for e in row.estimators if e in _PROXIMAL_FITS]
+        signal = draw.x @ plan.beta_star if fits else None
         for g, a, sigma2 in points:
-            for estimator in row.estimators:
-                if estimator in _PROXIMAL_FITS:
-                    t0 = time.perf_counter()
-                    fit = _proximal_fit(plan, draw, estimator, a, sigma2, warm.get(estimator))
-                    warm[estimator] = fit.beta_hat
-                    risk = empirical_risk(fit.beta_hat, plan.beta_star, plan.spec.matrix)
-                    records.append(_record(plan, estimator + suffix, g, rep, risk, t0, fit))
+            for estimator in fits:
+                t0 = time.perf_counter()
+                fit = _proximal_fit(plan, draw, estimator, a, sigma2, warm.get(estimator), signal)
+                warm[estimator] = fit.beta_hat
+                risk = empirical_risk(fit.beta_hat, plan.beta_star, plan.spec.matrix)
+                records.append(_record(plan, estimator + suffix, g, rep, risk, t0, fit))
     return records
 
 
@@ -816,8 +811,8 @@ class _Experiment:
 
     @property
     def whitened(self) -> bool:
-        """Every fit is solved on the white draw (``_WHITENED_FITS``)."""
-        return bool(self.estimators) and all(e in _WHITENED_FITS for e in self.estimators)
+        """Every fit is solved on the white draw (``_ADAPTED_FITS``)."""
+        return bool(self.estimators) and all(e in _ADAPTED_FITS for e in self.estimators)
 
 
 # The configuration fields an experiment that draws no design reads.

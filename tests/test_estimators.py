@@ -51,8 +51,8 @@ class TestEstimatorConfig:
 
 
 class TestResolvent:
-    """The Gram eigendecomposition every fit goes through, against explicit
-    dense oracles."""
+    """The Gram matrix every fit goes through and the Cholesky solves on it,
+    against explicit dense oracles."""
 
     def test_solve_matches_the_explicit_penalized_gram_system(self):
         x, _, _ = make_problem(n=60, p=12, seed=4)
@@ -84,22 +84,46 @@ class TestResolvent:
                 np.testing.assert_allclose(sol[:, k], expected, rtol=1.0e-9, atol=1.0e-12)
 
     def test_scalar_shift_keeps_the_block_arithmetic(self):
-        # a repeated per-column shift and the scalar one divide by the same
-        # values after the same products, so they agree bit for bit
+        # a repeated per-column shift and the scalar one solve with the same
+        # factor, and both are LAPACK's Cholesky solve of X'X/n + 0.3 I formed
+        # here from the design, so all three agree bit for bit; a vector is
+        # two triangular solves with that factor, bit for bit too
         x, _, _ = make_problem(n=60, p=12, seed=4)
         design = Resolvent.of(x)
         rhs = np.random.default_rng(5).standard_normal((12, 3))
         scalar = design.solve(rhs, 0.3)
         assert np.array_equal(design.solve(rhs, np.full(3, 0.3)), scalar)
-        assert np.array_equal(scalar, design.evecs @ ((design.evecs.T @ rhs) / (design.evals + 0.3)[:, None]))
-        vector = rhs[:, 1]
-        assert np.array_equal(design.solve(vector, 0.3),
-                              design.evecs @ ((design.evecs.T @ vector) / (design.evals + 0.3)))
+        factor = scipy.linalg.cho_factor(x.T @ x / 60 + 0.3 * np.eye(12), lower=True)
+        assert np.array_equal(scalar, scipy.linalg.cho_solve(factor, rhs))
+        vector, trsv = rhs[:, 1], scipy.linalg.blas.dtrsv
+        want = trsv(factor[0], trsv(factor[0], vector, lower=True), lower=True, trans=True)
+        assert np.array_equal(design.solve(vector, 0.3), want)
 
     def test_top_eigenvalue_is_the_squared_spectral_norm_over_n(self):
         for n, p in ((60, 12), (30, 50)):
             x, _, _ = make_problem(n=n, p=p, seed=8)
-            assert Resolvent.of(x).evals[-1] == pytest.approx(np.linalg.norm(x, 2) ** 2 / n, rel=1.0e-12)
+            assert Resolvent.of(x).top == pytest.approx(np.linalg.norm(x, 2) ** 2 / n, rel=1.0e-12)
+
+    def test_keeps_only_the_last_shifts_factor(self):
+        # a block factorizes its distinct shifts in ascending order, so the largest is kept
+        x, _, _ = make_problem(n=60, p=12, seed=4)
+        design = Resolvent.of(x)
+        calls, potrf = [], scipy.linalg.lapack.dpotrf
+        rhs = np.random.default_rng(5).standard_normal((12, 4))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scipy.linalg.lapack, "dpotrf", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+            design.solve(rhs, np.array([1.0, 0.0, 1.0, 0.5]))
+            assert len(calls) == 3 and design._cholesky[0] == 1.0
+            factor = design.cholesky(1.0)
+            design.solve(rhs[:, 0], 1.0)
+            assert len(calls) == 3 and design.cholesky(1.0) is factor  # reused, not formed again
+        want = np.linalg.cholesky(x.T @ x / 60 + np.eye(12))
+        np.testing.assert_allclose(np.tril(factor), want, rtol=0.0, atol=1.0e-14)
+
+    def test_cholesky_of_an_indefinite_shift_raises(self):
+        x, _, _ = make_problem(n=60, p=12, seed=4)
+        with pytest.raises(np.linalg.LinAlgError):
+            Resolvent.of(x).cholesky(-1.0e3)
 
     def test_non_finite_or_non_matrix_designs_are_rejected(self):
         x, _, _ = make_problem()
@@ -195,7 +219,7 @@ class TestShiftedSolve:
         rhs = seeds @ coefficients
         x = z @ root
         gram = x.T @ x / n
-        design = Resolvent.of(x)
+        evals, evecs = np.linalg.eigh(gram)
         for k, shift in enumerate(self.SHIFTS):
             system = gram + shift * np.eye(p)
             # A solve in doubles errs by up to eps * cond, the eigenbasis and LU as much as this one.
@@ -204,7 +228,7 @@ class TestShiftedSolve:
             # fallback takes lands up to 9.3e-10 off it, and this solve at most 6.0e-10 (the one
             # column that falls back; 2.2e-10 where conjugate gradients certify).  Every residual is 1e-10.
             if np.finfo(float).eps * np.linalg.cond(system) <= 1.0e-10:
-                oracles, bound = (root @ design.solve(root @ rhs[:, k], shift),
+                oracles, bound = (root @ evecs @ ((evecs.T @ root @ rhs[:, k]) / (evals + shift)),
                                   root @ np.linalg.solve(system, root @ rhs[:, k])), 1.0e-10
             else:
                 oracles, bound = (self.exact_white_solve(z, tridiagonal, rhs[:, k], shift),), 1.0e-9
@@ -367,6 +391,89 @@ class TestShiftedSolve:
         assert block == steps  # the six shifts take the steps of the smallest alone
         assert sum(block) == seeds.shape[1] * len(block)  # column mat-vecs: seeds x steps
         assert 0 < len(block) < 50
+
+
+class TestGramSolve:
+    """A closed-form block on the design's Gram matrix ``G = X'X/n``:
+    noise-adapted columns by multi-shift conjugate gradients on ``G``, the
+    rest by one Cholesky factor per shift, every column certified by its
+    relative residual."""
+
+    SHIFTS = TestShiftedSolve.SHIFTS
+
+    @staticmethod
+    def make_block(n, p, precision="ar1-0.5"):
+        """The whitened block of :class:`TestShiftedSolve` and its design
+        ``X = Z Sigma^1/2`` with the seeds mapped to ``Sigma^1/2 seeds``."""
+        z, tridiagonal, root, seeds, coefficients = TestShiftedSolve.make_block(n, p, precision)
+        return z, tridiagonal, root, seeds, coefficients, Resolvent.of(z @ root), root @ seeds
+
+    @staticmethod
+    def relative_residual(x, e, shift, r):
+        return np.linalg.norm(x.T @ (x @ e) / x.shape[0] + shift * e - r) / np.linalg.norm(r)
+
+    @pytest.mark.parametrize("n, p", [(300, 128), (800, 400)])
+    def test_krylov_matches_the_whitened_solve_mapped_through_the_root(self, n, p):
+        # the same iterates: f = Sigma^1/2 e for (Z'Z/n + s T) f = r and (G + s I) e = Sigma^1/2 r
+        z, tridiagonal, root, seeds, coefficients, design, x_seeds = self.make_block(n, p)
+        white, _, white_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
+        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS,
+                                                             np.ones(len(self.SHIFTS), bool))
+        assert not fell_back.any() and not white_back.any() and np.all(certificate <= 1.0e-10)
+        for k in range(len(self.SHIFTS)):
+            assert np.linalg.norm(root @ sol[:, k] - white[:, k]) <= 1.0e-12 * np.linalg.norm(white[:, k])
+
+    def test_fixed_columns_take_one_cholesky_factor_per_shift(self, monkeypatch):
+        z, _, root, _, coefficients, design, x_seeds = self.make_block(300, 128)
+        shifts = np.array([0.0, 0.1, 1.0e-12, 0.1, 1.0, 10.0])
+        adapted = np.array([False, False, False, False, True, True])
+        symv, potrf = scipy.linalg.blas.dsymv, scipy.linalg.lapack.dpotrf
+        products, factors = [], []
+        monkeypatch.setattr(scipy.linalg.blas, "dsymv", lambda *a, **k: products.append(1) or symv(*a, **k))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda *a, **k: factors.append(a[0][0, 0]) or potrf(*a, **k))
+        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, shifts, adapted)
+        assert len(factors) == 3 and products  # 0, 1e-12 and 0.1 factorized once each; 1 and 10 iterate
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+        rhs = estimators._right_hand_sides(x_seeds, coefficients)
+        x = z @ root
+        for k, shift in enumerate(shifts):
+            if not adapted[k]:
+                assert np.array_equal(sol[:, k], design.solve(rhs[:, k:k + 1], shift)[:, 0])
+            # both at rounding level, formed in other orders (the stopped solve below matches them closely)
+            assert certificate[k] == pytest.approx(self.relative_residual(x, sol[:, k], shift, rhs[:, k]),
+                                                   rel=1.0e-6, abs=1.0e-13)
+
+    def test_certificate_is_the_relative_residual_of_a_stopped_solve(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_CG_TOL", 1.0e-3)
+        monkeypatch.setattr(estimators, "_CERTIFICATE", 1.0)
+        z, _, root, _, coefficients, design, x_seeds = self.make_block(300, 128)
+        adapted = np.ones(len(self.SHIFTS), bool)
+        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS, adapted)
+        assert not fell_back.any()
+        rhs = estimators._right_hand_sides(x_seeds, coefficients)
+        for k, shift in enumerate(self.SHIFTS):
+            residual = self.relative_residual(z @ root, sol[:, k], shift, rhs[:, k])
+            assert 1.0e-6 < residual and certificate[k] == pytest.approx(residual, rel=1.0e-8)
+
+    def test_spent_budget_falls_back_to_cholesky(self, monkeypatch):
+        _, _, _, _, coefficients, design, x_seeds = self.make_block(300, 128)
+        adapted = np.array([True, True, False, True, True, True])
+        krylov, _, _ = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS, adapted)
+        monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
+        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS, adapted)
+        assert np.array_equal(fell_back, adapted) and np.all(certificate <= 1.0e-10)
+        rhs = estimators._right_hand_sides(x_seeds, coefficients)
+        assert np.array_equal(sol, design.solve(rhs, self.SHIFTS))  # no step taken: Cholesky wins every column
+        assert np.all(np.linalg.norm(sol - krylov, axis=0) <= 1.0e-10 * np.linalg.norm(krylov, axis=0))
+
+    def test_few_features_factorize_every_shift(self, monkeypatch):
+        _, _, _, _, coefficients, design, x_seeds = self.make_block(200, 50)
+        products, symv = [], scipy.linalg.blas.dsymv
+        monkeypatch.setattr(scipy.linalg.blas, "dsymv", lambda *a, **k: products.append(1) or symv(*a, **k))
+        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS,
+                                                             np.ones(len(self.SHIFTS), bool))
+        assert products == [] and not fell_back.any() and np.all(certificate <= 1.0e-10)
+        assert np.array_equal(sol, design.solve(estimators._right_hand_sides(x_seeds, coefficients), self.SHIFTS))
 
 
 class TestNonFiniteInput:
@@ -627,6 +734,32 @@ class TestPatternSolve:
         assert "outliers" not in estimators._route_costs(Resolvent.of(x), 70, 30, 0.0)
         assert "outliers" in estimators._route_costs(Resolvent.of(x), 70, 30, 0.1)
 
+    @pytest.mark.parametrize("gram, open_", [("zero column", False), ("condition 1e13", False),
+                                             ("condition 1e10", True)])
+    def test_the_condition_estimate_gates_the_outlier_route_with_no_shift(self, gram, open_, monkeypatch):
+        # LAPACK pocon estimates the 1-norm condition, which for a symmetric matrix is at least the
+        # 2-norm one and at most p times it: 1e13 is refused, and 1e10 (at most 3e11) is not
+        n, p = 80, 30
+        rng = np.random.default_rng(9)
+        if gram.startswith("condition"):
+            rows, _ = np.linalg.qr(rng.standard_normal((n, p)))
+            basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            evals = np.geomspace(1.0, 1.0 / float(gram.split()[1]), p)
+            x = (rows * np.sqrt(n * evals)) @ basis.T  # X'X/n = V diag(evals) V'
+            cond = np.linalg.cond(x.T @ x / n)
+            assert 0.5 < cond * evals[-1] < 2.0
+        else:
+            x = rng.standard_normal((n, p))
+            x[:, 1] = 0.0
+        calls, pocon = [], scipy.linalg.lapack.dpocon
+        monkeypatch.setattr(scipy.linalg.lapack, "dpocon", lambda *a, **k: calls.append(1) or pocon(*a, **k))
+        design = Resolvent.of(x)
+        for _ in range(2):
+            assert ("outliers" in estimators._route_costs(design, 70, p, 0.0)) is open_
+        assert design.invertible is open_
+        assert len(calls) == (0 if gram == "zero column" else 1)  # no factor, no estimate
+        assert "outliers" in estimators._route_costs(design, 70, p, 0.1)
+
     def test_a_huber_sweep_forms_the_factor_once(self, monkeypatch):
         # a 12-point scale sweep at one penalty, warm-started as the experiments run it
         x, _, beta_star = make_problem(n=200, p=80, seed=5)
@@ -647,9 +780,10 @@ class TestPatternSolve:
     @staticmethod
     def route_through_the_eigenbasis(monkeypatch):
         """Put every outlier correction back on the route the factor replaced:
-        ``A^-1 X_O'`` formed through the eigenbasis at each step and charged
-        ``2 p^2 o + p o^2``; the other routes are left as they are.  Returns
-        a list that gains an entry per correction made that way."""
+        ``A^-1 X_O'`` formed at each step through an eigendecomposition of
+        ``X'X/n`` taken here, and charged ``2 p^2 o + p o^2``; the other
+        routes are left as they are.  Returns a list that gains an entry per
+        correction made that way."""
         solve, costs = estimators._pattern_solve, estimators._route_costs
         corrections = []
 
@@ -670,9 +804,10 @@ class TestPatternSolve:
             c = x.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * anchor
             if sign is not None:
                 c -= lam * sign
-            b = design.solve(c, shift)
+            evals, evecs = np.linalg.eigh(x.T @ x / n)
+            b = evecs @ ((evecs.T @ c) / (evals + shift))
             x_o = x[~inlier]
-            w = design.solve(x_o.T, shift)
+            w = evecs @ ((evecs.T @ x_o.T) / (evals + shift)[:, None])
             corrections.append(len(x_o))
             return b + w @ np.linalg.solve(n * np.eye(len(x_o)) - x_o @ w, x_o @ b)
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from heavyreg import experiments
+from heavyreg import estimators, experiments
 from heavyreg.errors import ConfigError
 from heavyreg.experiments import (
     CSV_HEADER,
@@ -251,7 +251,7 @@ class TestRecordProtocol:
 
     @pytest.mark.parametrize("kind", ("gaussian", "rademacher"))
     def test_white_and_correlated_draws_share_one_design_stream(self, kind):
-        # a whitened row reads Z and an eigenbasis row X = Z Sigma^1/2 of the same (seed, "design", rep)
+        # a whitened row reads Z and a design row X = Z Sigma^1/2 of the same (seed, "design", rep)
         plan = experiments._build_plan(tiny_config("transient"))
         eigenbasis = dataclasses.replace(plan, precision=None, white_delta=None)
         for rep in (0, 3):
@@ -264,9 +264,9 @@ class TestRecordProtocol:
 
     def test_every_closed_form_sweep_point_matches_a_dense_oracle(self):
         # the oracle solves each fit's centred normal equations densely in
-        # the beta form; the harness solves the error form in the eigenbasis
-        from heavyreg.experiments import (_adapted_lambda, _build_plan, _draw_replication, _error_block,
-                                          _right_hand_sides)
+        # the beta form; the harness solves the error form by Cholesky
+        from heavyreg.estimators import _right_hand_sides
+        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _error_block
 
         cfg = tiny_config("paradox")
         plan = _build_plan(cfg)
@@ -299,7 +299,7 @@ class TestErrorBlock:
         plan = dataclasses.replace(experiments._build_plan(config), **plan_fields)
         draw = draw or experiments._draw_replication(plan, rep=0)
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
-        return plan, draw, draw.design.solve(experiments._right_hand_sides(seeds, coefficients), shifts)
+        return plan, draw, draw.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
 
     @staticmethod
     def response(plan, draw, amplitude):
@@ -331,7 +331,7 @@ class TestErrorBlock:
         draw = experiments._draw_replication(plan, rep=0)
         points = [("ols", 1.0, 1.0), ("fixed_ridge", 2.0, 4.0), ("transfer_ridge", 3.0, 9.0)]
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
-        rhs = experiments._right_hand_sides(seeds, coefficients)
+        rhs = estimators._right_hand_sides(seeds, coefficients)
         assert rhs.shape == (cfg.p, 3)
         assert shifts.tolist() == [0.0, cfg.lambda_fixed, experiments._adapted_lambda(cfg, 9.0)]
         # the seeds: v and each estimator's offset beta_star - c, each column a v - lam (beta_star - c)
@@ -406,14 +406,14 @@ class TestGoldenRecords:
     """
 
     GOLDEN = {
-        "paradox": ("1490f47c284914c18e9308f1da22a492de47b30deb3919659c2246921638c357",
-                    "42b6aceffb5f1e3d464c1447bf2722e96a60ad0af9e473224ef3fe076e62f9e0"),
-        "floor": ("b0efe1bbf11a146116cdfbbfb56a998cdae1dbccb15984cde6d53eaac691d5c4",
-                  "617b1fb81b478bc856cb1fc19e25cd3dda435e4239cc6a51ee4e7b102ecc13da"),
+        "paradox": ("74de793914f1807d2855d25b7aa231898f8e8947b7bcdcf94b46eabda612b220",
+                    "ddc2e3000c2496ad9be0f61b476bbcac3175b11922029703f72fe14676bfb63e"),
+        "floor": ("da9b9f65ae0a80e1fb3528e746da550af63e199a8fa70fb6e5405115e0be95ce",
+                  "1cc0373e260c7a8e8d687b58f44ddb54e2832b47795302cbe92fe57e4d2ca3ab"),
         "transient": ("f65e4aa8566ea384c3b91d00f237ee9701ac25e4de559b95b397a4187ee8c351",
                       "6a2119d37c008d6d4559895ef712bd890b172538b8a6523d3f1256ace58fd228"),
-        "trichotomy": ("bfcecbf4e9e1e676dd12fa1b67d85b29a0b365f4910a3ef1c69f7ab1cdc9b58f",
-                       "b334954d7154248b05b275787d14b2bc1def48212dcf8caa281286d11beea10a"),
+        "trichotomy": ("0fa3995a0f41181653612c5729d5f040feb6a4c0a92b4043f21bff3e25ba55c0",
+                       "57b70bbc0b58853b5a8c2b15e33bb3e9e63d9c8af922ef44741039d58457fdb6"),
         "universality": ("14d10575b91cc1caffa9186d0ec0579076f9c4a3491ef1831338d6df5511391d",
                          "283bd7166089cfe8edab8421f00f829382094428a5b67fa9a09d25492ba482ab"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
@@ -516,7 +516,7 @@ class TestTransientRunner:
     """Monte Carlo versus the deterministic risk curve, and the solve rule:
     a draw whose fits are all noise-adapted ridge (transient, universality)
     is solved whitened, by conjugate gradients on the white draw ``Z``, any
-    other through one eigenbasis of ``X = Z Sigma^1/2``."""
+    other on the Gram matrix of the design ``X = Z Sigma^1/2``."""
 
     # Per conjugate-gradient sweep: its design laws with their estimator
     # labels, and a grid value's noise amplitude and effective variance.
@@ -546,8 +546,9 @@ class TestTransientRunner:
     def eigenbasis_risks(cls, config):
         """Every record by the eigenbasis solve of the fitted ridge itself,
         ``beta0 + (G + lam I)^-1 (G (beta_star - beta0) + a X'w/n)``, with
-        ``G d`` formed from the design, for each design law."""
-        from heavyreg.estimators import Resolvent, empirical_risk
+        ``G d`` formed from the design and ``G`` eigendecomposed here, for
+        each design law."""
+        from heavyreg.estimators import empirical_risk
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
 
         laws, amplitude_and_sigma2 = cls.SWEEPS[config.name]
@@ -556,12 +557,13 @@ class TestTransientRunner:
         for rep in range(config.replications):
             for law, estimator in laws:
                 draw = _draw_replication(plan, rep, design_kind=law)
-                design = Resolvent.of(draw.x)
+                evals, evecs = np.linalg.eigh(draw.x.T @ draw.x / config.n)
                 xtw = draw.x.T @ draw.w_wins_unit / config.n
                 gd = draw.x.T @ (draw.x @ (plan.beta_star - plan.beta0)) / config.n
                 for g in config.grid:
                     amplitude, sigma2 = amplitude_and_sigma2(g, plan.sigma2_unit)
-                    beta = plan.beta0 + design.solve(gd + amplitude * xtw, _adapted_lambda(config, sigma2))
+                    rhs = gd + amplitude * xtw
+                    beta = plan.beta0 + evecs @ ((evecs.T @ rhs) / (evals + _adapted_lambda(config, sigma2)))
                     risks[(estimator, g, rep)] = empirical_risk(beta, plan.beta_star, plan.spec.matrix)
         return risks
 
@@ -584,8 +586,6 @@ class TestTransientRunner:
 
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_sweep_is_certified_without_an_eigendecomposition(self, name, monkeypatch):
-        from heavyreg import estimators
-
         monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)  # conjugate gradients from 40 features on
         shapes = self.eigh_shapes(monkeypatch)
         designs = []
@@ -600,8 +600,6 @@ class TestTransientRunner:
 
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_spent_budget_routes_every_column_through_one_resolvent(self, name, monkeypatch):
-        from heavyreg import estimators
-
         monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
         shapes = self.eigh_shapes(monkeypatch)
@@ -639,13 +637,58 @@ class TestTransientRunner:
             root = plan.spec.sqrt_matrix()
             np.testing.assert_allclose(root @ plan.white_delta, plan.beta_star - plan.beta0, rtol=0.0, atol=1.0e-13)
 
+    @pytest.mark.parametrize("krylov", (False, True), ids=("cholesky", "krylov"))
     @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
-    def test_eigenbasis_fits_take_one_gram_eigh_per_draw(self, name, monkeypatch):
-        # least squares, fixed ridge and the Newton fits read the eigenbasis
+    def test_design_draws_take_one_gram_matrix_and_no_eigh(self, name, krylov, monkeypatch):
+        # least squares, fixed ridge, transfer ridge and the Newton fits read X'X/n, never its spectrum;
+        # only a Newton fit that takes a step reads the top eigenvalue, once per draw
+        import scipy.linalg
+
+        cholesky = run_experiment(tiny_config(name)) if krylov else None
+        if krylov:  # the noise-adapted transfer-ridge columns go through conjugate gradients
+            monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)
         shapes = self.eigh_shapes(monkeypatch)
+        grams, of = [], estimators.Resolvent.of
+        monkeypatch.setattr(estimators.Resolvent, "of", lambda x: grams.append(x.shape) or of(x))
+        tops, eigh = [], scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: tops.append(1) or eigh(*a, **k))
         result = run_experiment(tiny_config(name))
-        assert shapes == [(40, 40)] * result.config.replications
-        assert not any(r.resolvent_fallback for r in result.records)
+        reps = result.config.replications
+        assert shapes == [] and grams == [(120, 40)] * reps
+        assert len(tops) == (0 if name == "paradox" else reps)
+        for r in result.records:
+            assert r.converged and not r.resolvent_fallback
+            assert r.certificate <= (1.0e-8 if r.estimator in experiments._PROXIMAL_FITS else 1.0e-10)
+        if krylov:  # the same records as the Cholesky route, within the solves' certificates
+            for new, old in zip(result.records, cholesky.records, strict=True):
+                assert (new.estimator, new.sweep_value, new.replication) == (old.estimator, old.sweep_value,
+                                                                             old.replication)
+                assert new.newton_steps == old.newton_steps
+                assert new.risk == pytest.approx(old.risk, rel=1.0e-10, abs=1.0e-30)
+            for check, old in cholesky.summary["checks"].items():
+                new = result.summary["checks"][check]
+                assert new["passed"] == old["passed"] and new["value"] == pytest.approx(old["value"], rel=1.0e-10)
+
+    @pytest.mark.parametrize("name", ("paradox", "trichotomy"))
+    def test_least_squares_and_fixed_ridge_rows_match_a_dense_solve(self, name):
+        # where a solve in doubles allows 1e-12 (eps * cond(G + lam I) <= 1e-12), every row is held to it
+        cfg = tiny_config(name)
+        plan = experiments._build_plan(cfg)
+        rows = [r for r in run_experiment(cfg).records if r.estimator in ("ols", "fixed_ridge")]
+        checked = 0
+        for rep in range(cfg.replications):
+            draw = experiments._draw_replication(plan, rep)
+            gram = draw.x.T @ draw.x / cfg.n
+            v = draw.x.T @ draw.w_wins_unit / cfg.n
+            for r in (r for r in rows if r.replication == rep):
+                lam, centre = experiments._penalty_and_centre(plan, r.estimator, r.sweep_value ** 2 * plan.sigma2_unit)
+                system = gram + lam * np.eye(cfg.p)
+                error = np.linalg.solve(system, r.sweep_value * v - lam * (plan.beta_star - centre))
+                assert r.converged and r.certificate <= 1.0e-10 and not r.resolvent_fallback
+                if np.finfo(float).eps * np.linalg.cond(system) <= 1.0e-12:
+                    assert r.risk == pytest.approx(error @ plan.spec.matrix @ error / cfg.p, rel=1.0e-12, abs=0.0)
+                    checked += 1
+        assert checked == len(rows) == 2 * cfg.replications * len(cfg.grid)
 
 
 class TestTrichotomyRunner:
