@@ -337,8 +337,8 @@ class _RepDraw:
 
     ``x`` is the design ``X``, or on a whitened plan the white matrix ``Z``
     with ``X = Z Sigma^1/2``; both come from the replication's one design
-    stream.  ``design`` forms the Gram matrix of ``X`` on first use, once
-    per draw; a white draw never asks for it.
+    stream.  ``design`` is the :class:`Resolvent` of ``X``, made on first
+    use, once per draw; a white draw never asks for it.
     """
 
     x: np.ndarray
@@ -491,7 +491,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     for kind in row.designs or (cfg.design_kind,):
         draw = _draw_replication(plan, rep, design_kind=kind)
         if not plan.whitened:
-            draw.design  # the Gram matrix is formed before the clock starts
+            draw.design.gram  # formed before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
         seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])

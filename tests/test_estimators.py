@@ -120,6 +120,16 @@ class TestResolvent:
         want = np.linalg.cholesky(x.T @ x / 60 + np.eye(12))
         np.testing.assert_allclose(np.tril(factor), want, rtol=0.0, atol=1.0e-14)
 
+    def test_the_outlier_factor_frees_the_gram_matrix(self):
+        # the Newton steps that read Y read only L and Y; G is formed again, to the bit, if asked for
+        x, _, _ = make_problem(n=60, p=12, seed=4)
+        design = Resolvent.of(x)
+        gram = design.gram
+        y = design.factor(0.1)
+        assert design._gram[0] is None and design._cholesky[0] == 0.1
+        np.testing.assert_allclose(y @ y.T, x @ np.linalg.solve(gram + 0.1 * np.eye(12), x.T), rtol=0.0, atol=1.0e-13)
+        assert np.array_equal(design.gram, gram)
+
     def test_cholesky_of_an_indefinite_shift_raises(self):
         x, _, _ = make_problem(n=60, p=12, seed=4)
         with pytest.raises(np.linalg.LinAlgError):
