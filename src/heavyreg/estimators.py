@@ -2,36 +2,37 @@
 Huber loss with a ridge or lasso penalty, and the shifted Gram solves behind
 every closed-form squared-loss fit.
 
-A :class:`Resolvent` is a design with its Gram matrix ``G = X'X/n``, formed
-once per design, and only what its fits read of it; nothing reads the
-spectrum, so nothing eigendecomposes it.  A closed-form squared-loss fit is
-one shifted system ``(G + lam I) e = rhs`` for its error ``e``.  A shift
-that does not grow with the noise (least squares, fixed ridge, the noiseless
-floor) gets one LAPACK Cholesky factor, ``p^3/3`` flops, and ``dpotrs``
-solves; :func:`_gram_solve` sends a draw's noise-adapted ridge columns,
-whose shifts grow with the noise, through one multi-shift conjugate-gradient
-loop on ``G`` instead, one symmetric mat-vec per seed and step.  The Newton
-fit solves one piecewise-quadratic pattern per step, through the Cholesky
-factor of ``G + s I`` corrected by Woodbury identities for a few outliers or
-a few inliers, or else through a Cholesky factor of the pattern's own
-system.  The outlier correction reads :meth:`Resolvent.factor`
+A :class:`Resolvent` is one shifted family of Gram systems ``G + s T``,
+formed once per draw, and only what its fits read of it; no fit reads the
+spectrum of ``G``.  On a design ``X``,
+``G = X'X/n`` and ``T = I``.  A closed-form squared-loss fit is one shifted
+system ``(G + lam I) e = rhs`` for its error ``e``.  A draw whose fits are
+all noise-adapted ridge skips the design: its Resolvent is the white draw
+``Z`` of ``X = Z Sigma^1/2`` with ``G = Z'Z/n`` and ``T`` the tridiagonal
+precision ``Sigma^-1``, the same systems in the coordinates
+``f = Sigma^1/2 e``, and the fit's risk ``e' Sigma e / p`` is ``f'f / p``.
+
+:func:`_gram_solve` solves a draw's block either way.  A shift that does
+not grow with the noise (least squares, fixed ridge, the noiseless floor),
+and any column whose conjugate gradients miss their certificate, gets one
+LAPACK Cholesky factor of ``G + s T``, ``p^3/3`` flops, and ``dpotrs``
+solves.  The noise-adapted ridge columns, whose shifts grow with the noise,
+go through one multi-shift conjugate-gradient loop preconditioned by ``T``
+instead, one symmetric mat-vec per seed and step: every right-hand side
+combines the same two seeds, so one Krylov sequence per seed serves every
+shift.  Below ``_KRYLOV_FEATURES`` features no block iterates, which is
+cheaper there: a design factorizes each distinct shift, and a white draw is
+solved through one eigendecomposition of ``X'X/n``, the only one left.
+
+The Newton fit solves one piecewise-quadratic pattern per step, through the
+Cholesky factor of ``G + s I`` corrected by Woodbury identities for a few
+outliers or a few inliers, or else through a Cholesky factor of the
+pattern's own system.  The outlier correction reads :meth:`Resolvent.factor`
 ``Y = X L^-T`` (one ``dtrsm``), formed once for the fit's one shift ``s``
 and kept for every step and sweep point on the design in place of ``G``, so
 a step costs ``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o`` product.
 The proximal-gradient step reads the largest eigenvalue of ``G``, computed
 on first use by LAPACK ``syevr`` for that one eigenvalue.
-
-A draw whose fits are all noise-adapted ridge skips the design as well:
-:func:`_shifted_solve` solves its block in whitened coordinates
-``f = Sigma^1/2 e`` on the white draw ``Z`` of ``X = Z Sigma^1/2``, by
-multi-shift conjugate gradients preconditioned with the tridiagonal
-precision ``Sigma^-1``, and the fit's risk ``e' Sigma e / p`` is ``f'f / p``.
-Every right-hand side of such a block combines the same two seeds, ``Z'w/n``
-and the whitened misalignment, so one Krylov sequence per seed serves every
-shift.  Below ``_KRYLOV_FEATURES`` features both routes solve directly
-instead, which is cheaper there: the whitened one through one
-eigendecomposition of ``X'X/n``, the other by one Cholesky factor per
-distinct shift.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -79,14 +80,17 @@ _CG_TOL = 1.0e-12  # recurrence residual at which a (seed, shift) pair leaves th
 # (p = 1000) eighs of the p x p Gram matrix.
 _CG_BUDGET = 2
 # Fewest features at which a noise-adapted ridge block is solved by conjugate
-# gradients rather than directly: a whitened block through one eigh of its
-# Gram matrix, a block on the design by one Cholesky factor per distinct
-# shift.  Each Krylov step pays a fixed overhead of tens of microseconds in
-# NumPy and LAPACK calls, which an eigh of a small Gram matrix does not: for
-# the whitened block on one BLAS thread at n = p..3p, lambda_tilde = 1 or
-# 1e-6 and 10 or 25 shifts the eigh route was faster in every measured case
-# with p <= 120 (0.4 against 2.2-4.6 ms at p = 40), and conjugate gradients
-# in every case with p >= 160 and lambda_tilde = 1.
+# gradients rather than directly: a white block through one eigh of its
+# design's Gram matrix, a block on the design by one Cholesky factor per
+# distinct shift.  Each Krylov step pays a fixed overhead of tens of
+# microseconds in NumPy and LAPACK calls, which an eigh of a small Gram matrix
+# does not: for the white block on one BLAS thread at n = p..3p,
+# lambda_tilde = 1 or 1e-6 and 10 or 25 shifts the eigh route was faster in
+# every measured case with p <= 120 (0.4 against 2.2-4.6 ms at p = 40), and
+# conjugate gradients in every case with p >= 160 and lambda_tilde = 1.  The
+# white block's eigh is also what heavybench's
+# test_experiment_eigh_excludes_the_one_inside_decompose counts: one per tiny
+# transient-paper replication, to probe that decompose's own eigh is left out.
 _KRYLOV_FEATURES = 128
 # Columns gathered at a time for a Woodbury capacitance (:func:`_capacitance`):
 # a 1000 x 128 block is 1 MiB, where a copy of 1000 rows of p = 1000 columns
@@ -136,11 +140,21 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Resolvent:
-    """One design and its Gram matrix ``G = X'X/n``.
+    """One shifted family of Gram systems ``(G + s T) e = r``.
 
-    Build it with :meth:`of`; every fit on the same design reuses what it
+    On a design ``X``, ``G = X'X/n`` and ``T`` is the identity.  On the
+    white draw ``Z`` of a design ``X = Z Sigma^1/2``, ``G = Z'Z/n`` and
+    ``T = Sigma^-1``, the symmetric tridiagonal ``precision`` as (diagonal,
+    off-diagonal): the design's systems in the coordinates
+    ``f = Sigma^1/2 e``, since ``(X'X/n + s I) e = Sigma^1/2 r`` exactly
+    when ``(Z'Z/n + s T) f = r``, and ``e' Sigma e = f'f``.  A white draw
+    below ``_KRYLOV_FEATURES`` features may carry ``root = Sigma^1/2`` for
+    the direct solve of :func:`_gram_solve`.  The Newton fits read only a
+    design.
+
+    Build it with :meth:`of`; every fit on the same draw reuses what it
     forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
-    ``G + s I`` and keeps the factor of the last shift it was asked for,
+    ``G + s T`` and keeps the factor of the last shift it was asked for,
     :meth:`factor` keeps one ``n x p`` outlier factor and frees ``G``, and
     :attr:`top` and :attr:`invertible` are computed on first use.  So a
     draw holds one Cholesky factor beside ``G`` or beside the outlier
@@ -148,6 +162,8 @@ class Resolvent:
     """
 
     x: np.ndarray
+    precision: tuple[np.ndarray, np.ndarray] | None = None
+    root: np.ndarray | None = None
     # G once formed; the shift and lower Cholesky factor :meth:`cholesky` last
     # formed; and the shift and factor :meth:`factor` last formed
     _gram: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
@@ -155,12 +171,35 @@ class Resolvent:
     _factor: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     @classmethod
-    def of(cls, x: np.ndarray) -> Resolvent:
-        """Validate a finite 2-d design."""
+    def of(cls, x: np.ndarray, precision: tuple[np.ndarray, np.ndarray] | None = None,
+           root: np.ndarray | None = None) -> Resolvent:
+        """Validate a finite 2-d design, and factor a white draw's
+        precision, which must be positive definite."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.size == 0 or not np.isfinite(x).all():
             raise ConfigError(f"design must be a nonempty finite 2-d array, got shape {x.shape}")
-        return cls(x)
+        design = cls(x, precision, root)
+        if precision is not None:
+            design._precision_factor  # raises on an indefinite precision
+        return design
+
+    @cached_property
+    def _precision_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """LAPACK ``pttrf``'s ``L D L'`` factor of ``T``, formed once."""
+        diag, off = self.precision
+        # the LAPACK wrapper rejects an empty off-diagonal, so a 1 x 1 T gets a zero one
+        factor_d, factor_e, info = scipy.linalg.lapack.dpttrf(diag, off if diag.size > 1 else np.zeros(1))
+        if info:
+            raise ConfigError(f"precision is not positive definite (pttrf info {info})")
+        return factor_d, factor_e
+
+    def t_product(self, u: np.ndarray) -> np.ndarray:
+        """``T u`` for a ``p x k`` block ``u``; ``u`` itself on a design."""
+        return u if self.precision is None else _tridiagonal_product(*self.precision, u)
+
+    def t_solve(self, r: np.ndarray) -> np.ndarray:
+        """``T^-1 r`` by LAPACK ``pttrs``; ``r`` itself on a design."""
+        return r if self.precision is None else scipy.linalg.lapack.dpttrs(*self._precision_factor, r)[0]
 
     @property
     def gram(self) -> np.ndarray:
@@ -193,19 +232,24 @@ class Resolvent:
         return rcond * _MAX_CONDITION >= 1.0
 
     def cholesky(self, shift: float) -> np.ndarray:
-        """The lower Cholesky factor ``L`` of ``G + shift I`` by
+        """The lower Cholesky factor ``L`` of ``G + shift T`` by
         :func:`_potrf`, which raises ``numpy.linalg.LinAlgError`` when that is
         not positive definite.  Only the last shift's factor is kept."""
         shift = float(shift)
         if self._cholesky[0] != shift:
             self._cholesky[:] = None, None  # the old factor is freed before the new one is formed
             a = self.gram.copy()
-            a.flat[::a.shape[0] + 1] += shift
+            p = a.shape[0]
+            if self.precision is None:
+                a.flat[::p + 1] += shift
+            else:  # potrf reads only the upper triangle
+                a.flat[::p + 1] += shift * self.precision[0]
+                a.flat[1::p + 1] += shift * self.precision[1]
             self._cholesky[:] = shift, _potrf(a)
         return self._cholesky[1]
 
     def solve(self, rhs: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
-        """``(G + lam I)^-1 rhs`` by Cholesky, for a vector or a ``p x k``
+        """``(G + lam T)^-1 rhs`` by Cholesky, for a vector or a ``p x k``
         block of right-hand sides; for a block ``lam`` is one shift or ``k``
         of them, one per column.  Each distinct shift is factorized once, in
         ascending order, so the largest one's factor stays kept."""
@@ -240,107 +284,10 @@ class Resolvent:
         return self._factor[1]
 
 
-def _shifted_solve(z: np.ndarray, precision: tuple[np.ndarray, np.ndarray], root: Callable[[], np.ndarray],
-                   seeds: np.ndarray, coefficients: np.ndarray,
-                   shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(M + shifts[k] T)^-1 r_k`` for every column ``k`` of
-    ``r = seeds @ coefficients``, with ``M = Z'Z/n`` for the white draw
-    ``Z`` and ``T`` the symmetric tridiagonal ``precision = (diagonal,
-    off-diagonal)`` of a covariance ``Sigma = T^-1``, by multi-shift
-    preconditioned conjugate gradients: one Krylov sequence per seed, a
-    column of the ``p x m`` ``seeds``, serves every shift.
-
-    This is the whitened form of the design's shifted Gram system: for
-    ``X = Z Sigma^1/2`` and ``G = X'X/n``, ``f = Sigma^1/2 e`` solves it
-    exactly when ``(G + s I) e = Sigma^1/2 r``, and ``e' Sigma e = f'f``.
-    The preconditioner is ``T``: each step applies ``Sigma`` by a
-    tridiagonal solve (LAPACK ``pttrf`` once, ``pttrs`` per step).  It turns
-    ``M + s T`` into ``Sigma M + s I``, a family shifted exactly, so a
-    seed's Krylov space is the same at every shift (Jegerlehner 1996,
-    hep-lat/9612014; Frommer 2003, *Computing* 70).  Each seed runs one
-    recurrence at the smallest shift ``s_0``: its iterates are those of
-    plain conjugate gradients on ``G + s_0 I`` mapped through
-    ``Sigma^1/2``, and each step multiplies ``M + s_0 T`` into each
-    unfinished seed (one symmetric mat-vec).  At a shift ``s`` the residual
-    is ``zeta`` times the seed's, ``1 / zeta`` being the seed's residual
-    polynomial at ``s_0 - s``, so every (seed, shift) pair follows from
-    scalar recurrences, and its solution is a combination of the seed's
-    preconditioned residuals, formed for the whole block in one product at
-    the end.  A pair with a nonzero coefficient iterates until
-    ``zeta^2 r' Sigma r`` falls to ``_CG_TOL^2`` of its start, and a seed
-    until all its pairs have left; the seeds stop after ``_CG_BUDGET * p``
-    column mat-vecs in all.
-
-    Every column is certified by the relative residual of the Gram system,
-    ``sqrt(rho' Sigma rho / r' Sigma r)`` with ``rho = (M + s_k T) f_k - r_k``
-    recomputed from ``M + s_0 T`` at the end; a column above
-    ``_CERTIFICATE`` (the budget ran out, or rounding held the true residual
-    up) falls back: it is solved again through an eigendecomposition of the
-    Gram matrix of ``X = Z Sigma^1/2`` (:func:`_eigenbasis_solve`), with
-    ``Sigma^1/2 = root()`` taken only then, and certified the same way, and
-    it keeps whichever of the two solutions has the smaller certificate.
-    Below ``_KRYLOV_FEATURES`` features the whole block is solved and
-    certified through that eigendecomposition at once, which is not a
-    fallback.  The certificate bounds the residual, not the error (see
-    ``_CERTIFICATE``).
-
-    Returns the solutions, their certificates and a mask of the columns
-    that fell back, i.e. whose Krylov solve missed ``_CERTIFICATE`` and
-    were solved again through the eigendecomposition; such a column may
-    still hold its Krylov solution, when that one's certificate is the
-    smaller.
-    """
-    n, p = z.shape
-    diag, off = precision
-    # the LAPACK wrapper rejects an empty off-diagonal, so a 1 x 1 T gets a zero one
-    factor_d, factor_e, info = scipy.linalg.lapack.dpttrf(diag, off if p > 1 else np.zeros(1))
-    if info:
-        raise ConfigError(f"precision is not positive definite (pttrf info {info})")
-
-    def covariance(r: np.ndarray) -> np.ndarray:  # Sigma r = T^-1 r
-        return scipy.linalg.lapack.dpttrs(factor_d, factor_e, r)[0]
-
-    base = shifts.min()
-    gaps = shifts - base
-    # every step multiplies A = M + s_0 T; a column at shift s is certified against A + (s - s_0) T
-    system = z.T @ z
-    system /= n
-    system.flat[::p + 1] += base * diag
-    system.flat[1::p + 1] += base * off
-    system.flat[p::p + 1] += base * off
-
-    def seed_product(d: np.ndarray) -> np.ndarray:  # A d by one symmetric mat-vec per column
-        # dsymv reads one triangle of A, half a GEMM's memory traffic; A.T is A in the Fortran order BLAS takes
-        return np.stack([scipy.linalg.blas.dsymv(1.0, system.T, column) for column in d.T], axis=1)
-
-    def shifted(f: np.ndarray, gap: np.ndarray) -> np.ndarray:  # (A + gap T) f
-        return system @ f + _tridiagonal_product(diag, off, f) * gap
-
-    rhs = seeds @ coefficients
-    scale = np.sqrt(np.einsum("ij,ij->j", rhs, covariance(rhs)))
-
-    def certify(cols: np.ndarray) -> np.ndarray:
-        residual = shifted(sol[:, cols], gaps[cols]) - rhs[:, cols]
-        return np.sqrt(np.einsum("ij,ij->j", residual, covariance(residual))) / np.maximum(scale[cols], 1.0e-300)
-
-    redo = np.arange(shifts.size)  # the columns solved through the eigendecomposition
-    sol, certificate, fell_back = np.empty_like(rhs), np.full(shifts.size, np.inf), np.zeros(shifts.size, bool)
-    if p >= _KRYLOV_FEATURES:
-        sol = _multi_shift(seed_product, covariance, seeds, coefficients, gaps, _CG_BUDGET * p)
-        certificate = certify(redo)
-        fell_back = ~(certificate <= _CERTIFICATE)
-        redo = np.flatnonzero(fell_back)
-    if redo.size:
-        half = root()
-        _solve_again(sol, certificate, redo,
-                     lambda cols: half @ _eigenbasis_solve(z @ half, half @ rhs[:, cols], shifts[cols]), certify)
-    return sol, certificate, fell_back
-
-
 def _eigenbasis_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """``(X'X/n + shifts[k] I)^-1 r_k`` for every column ``k`` of ``rhs``,
     through one eigendecomposition of ``X'X/n``: the direct solve of a
-    whitened block."""
+    white block below ``_KRYLOV_FEATURES`` features."""
     gram = x.T @ x
     gram /= x.shape[0]  # in place: no second p x p array
     evals, evecs = np.linalg.eigh(gram)
@@ -349,27 +296,33 @@ def _eigenbasis_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.
 
 def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, shifts: np.ndarray,
                 adapted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(G + shifts[k] I)^-1 r_k`` on the design's Gram matrix
-    ``G = X'X/n``, for every column ``k`` of ``r = seeds @ coefficients``
+    """``(G + shifts[k] T)^-1 r_k`` in the design's shifted family
+    (:class:`Resolvent`), for every column ``k`` of ``r = seeds @ coefficients``
     (formed by :func:`_right_hand_sides`).
 
-    A column whose shift does not grow with the noise is solved by Cholesky
-    (:meth:`Resolvent.solve`, one factor per distinct shift).  The
-    ``adapted`` columns, noise-adapted ridge, are solved from
+    The ``adapted`` columns, noise-adapted ridge, are solved from
     ``_KRYLOV_FEATURES`` features on by the multi-shift conjugate gradients
-    of :func:`_shifted_solve`, on ``G`` itself and with no preconditioner:
-    one recurrence per seed at the smallest adapted shift ``s_0``, each step
-    one symmetric mat-vec ``(G + s_0 I) d`` per unfinished seed.  Its
-    iterates are the whitened route's, mapped through ``Sigma^1/2``.
+    of :func:`_multi_shift`, preconditioned by ``T``: one recurrence per seed
+    at the smallest adapted shift ``s_0``, each step one symmetric mat-vec
+    ``G d + s_0 T d`` per unfinished seed and one solve with ``T``
+    (:meth:`Resolvent.t_solve`).  Every other column is solved directly, by
+    Cholesky of ``G + s T`` (:meth:`Resolvent.solve`, one factor per distinct
+    shift); a white draw that carries its root (below ``_KRYLOV_FEATURES``
+    features) solves them instead through one eigendecomposition of the Gram
+    matrix of ``X = Z Sigma^1/2`` (:func:`_eigenbasis_solve`).
 
-    Every column is certified by its relative residual
-    ``||(G + s_k I) e_k - r_k|| / ||r_k||``, formed with one ``p x k``
-    product.  An adapted column above ``_CERTIFICATE`` falls back: it is
-    solved again by Cholesky at its shift, certified the same way, and keeps
-    whichever of the two solutions has the smaller certificate.  Returns the
-    solutions, their certificates and a mask of the columns that fell back.
+    Every column is certified by its relative residual in the ``T^-1`` norm,
+    ``sqrt(rho' T^-1 rho / r' T^-1 r)`` with ``rho = (G + s_k T) e_k - r_k``,
+    formed with one ``p x k`` product: the 2-norm on a design, and on a
+    white draw the relative residual of the design's own system.  An adapted
+    column above ``_CERTIFICATE`` (the budget ran out, or rounding held the
+    true residual up) falls back: it is solved again by Cholesky of
+    ``G + s T``, certified the same way, and keeps whichever of the two
+    solutions has the smaller certificate.  The certificate bounds the
+    residual, not the error (see ``_CERTIFICATE``).  Returns the solutions,
+    their certificates and a mask of the columns that fell back.
     """
-    p = design.gram.shape[0]
+    p = design.x.shape[1]
     rhs = _right_hand_sides(seeds, coefficients)
     krylov = adapted & (p >= _KRYLOV_FEATURES)
     sol = np.empty_like(rhs)
@@ -377,36 +330,40 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
         base = shifts[krylov].min()
         gram = design.gram.T  # G in the Fortran order BLAS takes
 
-        def seed_product(d: np.ndarray) -> np.ndarray:  # (G + s_0 I) d by one symmetric mat-vec per column
-            return np.stack([scipy.linalg.blas.dsymv(1.0, gram, column, base, column) for column in d.T], axis=1)
+        def seed_product(d: np.ndarray) -> np.ndarray:  # G d + s_0 T d by one symmetric mat-vec per column
+            return np.stack([scipy.linalg.blas.dsymv(1.0, gram, column, base, t_column)
+                             for column, t_column in zip(d.T, design.t_product(d).T)], axis=1)
 
-        sol[:, krylov] = _multi_shift(seed_product, lambda r: r, seeds, coefficients[:, krylov],
+        sol[:, krylov] = _multi_shift(seed_product, design.t_solve, seeds, coefficients[:, krylov],
                                       shifts[krylov] - base, _CG_BUDGET * p)
-    sol[:, ~krylov] = design.solve(rhs[:, ~krylov], shifts[~krylov])
-    scale = np.linalg.norm(rhs, axis=0)
+    direct = ~krylov
+    if design.root is None:
+        sol[:, direct] = design.solve(rhs[:, direct], shifts[direct])
+    elif direct.any():
+        # the right-hand sides as one product, then the columns: the rounding this route's records are pinned at
+        half = design.root
+        sol[:, direct] = half @ _eigenbasis_solve(design.x @ half, half @ (seeds @ coefficients)[:, direct],
+                                                  shifts[direct])
+
+    def t_norms(r: np.ndarray) -> np.ndarray:  # sqrt(r' T^-1 r) per column
+        return np.sqrt(np.einsum("ij,ij->j", r, design.t_solve(r)))
+
+    scale = t_norms(rhs)
 
     def certify(cols: np.ndarray) -> np.ndarray:
-        residual = design.gram @ sol[:, cols] + sol[:, cols] * shifts[cols] - rhs[:, cols]
-        return np.linalg.norm(residual, axis=0) / np.maximum(scale[cols], 1.0e-300)
+        residual = design.gram @ sol[:, cols] + design.t_product(sol[:, cols]) * shifts[cols] - rhs[:, cols]
+        return t_norms(residual) / np.maximum(scale[cols], 1.0e-300)
 
     certificate = certify(np.arange(shifts.size))
     fell_back = krylov & ~(certificate <= _CERTIFICATE)
     redo = np.flatnonzero(fell_back)
     if redo.size:
-        _solve_again(sol, certificate, redo, lambda cols: design.solve(rhs[:, cols], shifts[cols]), certify)
+        iterated, iterated_certificate = sol[:, redo], certificate[redo]
+        sol[:, redo] = design.solve(rhs[:, redo], shifts[redo])
+        certificate[redo] = certify(redo)
+        keep = iterated_certificate < certificate[redo]  # the Krylov solve was the better one
+        sol[:, redo[keep]], certificate[redo[keep]] = iterated[:, keep], iterated_certificate[keep]
     return sol, certificate, fell_back
-
-
-def _solve_again(sol: np.ndarray, certificate: np.ndarray, redo: np.ndarray,
-                 direct: Callable[[np.ndarray], np.ndarray], certify: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Solve the columns ``redo`` of ``sol`` again by ``direct(redo)``,
-    certify them by ``certify(redo)``, and keep in place, per column,
-    whichever of the two solutions has the smaller certificate."""
-    krylov, krylov_certificate = sol[:, redo], certificate[redo]
-    sol[:, redo] = direct(redo)
-    certificate[redo] = certify(redo)
-    keep = krylov_certificate < certificate[redo]  # the Krylov solve was the better one
-    sol[:, redo[keep]], certificate[redo[keep]] = krylov[:, keep], krylov_certificate[keep]
 
 
 def _right_hand_sides(seeds: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -419,16 +376,28 @@ def _right_hand_sides(seeds: np.ndarray, coefficients: np.ndarray) -> np.ndarray
     return rhs
 
 
-def _multi_shift(product: Callable[[np.ndarray], np.ndarray], covariance: Callable[[np.ndarray], np.ndarray],
+def _multi_shift(product: Callable[[np.ndarray], np.ndarray], precondition: Callable[[np.ndarray], np.ndarray],
                  seeds: np.ndarray, coefficients: np.ndarray, gaps: np.ndarray, budget: int) -> np.ndarray:
-    """The Krylov loop of :func:`_shifted_solve` and :func:`_gram_solve`:
-    ``product`` multiplies ``M + s_0 T`` (or ``G + s_0 I``) into the seeds'
-    search directions, ``covariance`` applies the preconditioner (there the
-    identity), ``gaps`` are ``s - s_0`` and ``budget`` caps the
-    column mat-vecs.  Returns the columns of ``seeds @ coefficients``
-    solved as far as their pairs got."""
+    """The Krylov loop of :func:`_gram_solve`: multi-shift preconditioned
+    conjugate gradients on ``(G + s T) e = r`` for every shift ``s`` at once.
+
+    ``product`` multiplies ``G + s_0 T`` into the seeds' search directions,
+    ``precondition`` applies ``T^-1``, ``gaps`` are ``s - s_0`` and
+    ``budget`` caps the column mat-vecs.  Preconditioning by ``T`` turns
+    ``G + s T`` into ``T^-1 G + s I``, a family shifted exactly, so a seed's
+    Krylov space is the same at every shift (Jegerlehner 1996,
+    hep-lat/9612014; Frommer 2003, *Computing* 70): each seed runs one
+    recurrence at the smallest shift ``s_0``, and at a shift ``s`` the
+    residual is ``zeta`` times the seed's, ``1 / zeta`` being the seed's
+    residual polynomial at ``s_0 - s``, so every (seed, shift) pair follows
+    from scalar recurrences.  On the white draw of ``X = Z Sigma^1/2`` the
+    iterates are those of plain conjugate gradients on ``X'X/n + s_0 I``
+    mapped through ``Sigma^1/2``.  A pair with a nonzero coefficient iterates
+    until ``zeta^2 r' T^-1 r`` falls to ``_CG_TOL^2`` of its start, and a
+    seed until all its pairs have left.  Returns the columns of
+    ``seeds @ coefficients`` solved as far as their pairs got."""
     res = seeds.copy()
-    pre = covariance(res)
+    pre = precondition(res)
     rho = np.einsum("ij,ij->j", res, pre)
     stop = _CG_TOL ** 2 * rho
     live = (rho > stop)[:, None] & (coefficients != 0.0)
@@ -449,7 +418,7 @@ def _multi_shift(product: Callable[[np.ndarray], np.ndarray], covariance: Callab
         alpha_next = rho / np.einsum("ij,ij->j", direction, q)
         res = res - alpha_next * q
         basis.append(pre)
-        pre = covariance(res)
+        pre = precondition(res)
         rho_next = np.einsum("ij,ij->j", res, pre)
         beta_next = rho_next / rho
         direction = pre + beta_next * direction

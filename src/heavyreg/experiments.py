@@ -31,10 +31,10 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from . import estimators
 from .convex import Loss, LossKind, RegKind, Regularizer
 from .errors import ConfigError
 from .estimators import (
@@ -43,7 +43,6 @@ from .estimators import (
     FitResult,
     Resolvent,
     _gram_solve,
-    _shifted_solve,
     empirical_risk,
     fit_proximal,
 )
@@ -194,12 +193,12 @@ class RiskRecord:
 
     A Newton fit also reports its step count and optimality certificate.
     Every closed-form fit reports as its certificate the relative residual
-    of its shifted Gram system ``(X'X/n + lam I) e = r`` (recomputed from the
-    whitened solve on a white draw), is converged when that is within
-    ``_CERTIFICATE``, and reports whether the solve fell back: its conjugate
-    gradients missed the certificate, it was solved again directly (by an
-    eigendecomposition on a white draw, by Cholesky on a design), and it
-    kept whichever of the two solutions has the smaller one.  The
+    of its shifted Gram system ``(X'X/n + lam I) e = r`` (the same number
+    from the whitened system on a white draw), is converged when that is
+    within ``_CERTIFICATE``, and reports whether the solve fell back: its
+    conjugate gradients missed the certificate, it was solved again by
+    Cholesky of the draw's shifted Gram matrix, and it kept whichever of the
+    two solutions has the smaller one.  The
     certificate bounds the residual, not the error: the error can reach
     ``cond(X'X/n + lam I)`` times it (at n = 40, p = 60 and ``lam = 1e-6``,
     solves certified at 1e-10 were up to 9.7e-10 relative off the exact
@@ -301,7 +300,7 @@ class _Plan:
 
     @property
     def whitened(self) -> bool:
-        """The row's draws are white and solved by :func:`_shifted_solve`."""
+        """The row's draws are white, in the coordinates ``f = Sigma^1/2 e``."""
         return self.precision is not None
 
 
@@ -333,30 +332,36 @@ def _build_plan(config: ExperimentConfig) -> _Plan:
 
 @dataclass(frozen=True)
 class _RepDraw:
-    """One replication's design and unit noise, raw and winsorized.
+    """One replication's draw and unit noise, raw and winsorized.
 
-    ``x`` is the design ``X``, or on a whitened plan the white matrix ``Z``
-    with ``X = Z Sigma^1/2``; both come from the replication's one design
-    stream.  ``design`` is the :class:`Resolvent` of ``X``, made on first
-    use, once per draw; a white draw never asks for it.
+    ``design`` is the :class:`Resolvent` of the design ``X``, or on a
+    whitened plan of the white matrix ``Z`` with ``X = Z Sigma^1/2`` and
+    precision ``Sigma^-1``; both come from the replication's one design
+    stream.
     """
 
-    x: np.ndarray
+    design: Resolvent
     w_unit: np.ndarray
     w_wins_unit: np.ndarray
 
-    @cached_property
-    def design(self) -> Resolvent:
-        return Resolvent.of(self.x)
+    @property
+    def x(self) -> np.ndarray:
+        return self.design.x
 
 
 def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
+    """A white draw below ``_KRYLOV_FEATURES`` features carries the root
+    ``Sigma^1/2`` for its direct solve; from there on nothing reads it."""
     cfg = plan.config
     kind = cfg.design_kind if design_kind is None else design_kind
     rng = substream(cfg.master_seed, "design", rep)
-    x = _white_draw(cfg.n, cfg.p, rng, kind) if plan.whitened else sample_design(plan.spec, cfg.n, rng, kind=kind)
+    if plan.whitened:
+        root = plan.spec.sqrt_matrix() if cfg.p < estimators._KRYLOV_FEATURES else None
+        design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision, root)
+    else:
+        design = Resolvent.of(sample_design(plan.spec, cfg.n, rng, kind=kind))
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
-    return _RepDraw(x=x, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
+    return _RepDraw(design=design, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
 
 
 def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
@@ -396,7 +401,7 @@ def _error_block(plan: _Plan, draw: _RepDraw,
 
     On a whitened plan the draw is white and the systems are whitened,
     ``(Z'Z/n + lam Sigma^-1) f = a Z'w/n - lam Sigma^-1/2 (beta_star - c)``
-    for ``f = Sigma^1/2 e`` (see :func:`_shifted_solve`).  Only
+    for ``f = Sigma^1/2 e`` (see :class:`Resolvent`).  Only
     noise-adapted ridge is solved whitened, so the centre is ``beta0``, the
     offset the plan's ``white_delta`` and the seeds ``(v, white_delta)``.
     """
@@ -473,14 +478,14 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     ``a = sqrt(g / sigma2_unit)``.  Draws the design and unit noise once per
     design law (the configured one, or each of the row's ``designs``, whose
     name then suffixes the estimator label).  The closed-form fits at every
-    point form one :func:`_error_block`.  If every fit is noise-adapted
-    ridge (``_ADAPTED_FITS``), the draw is the white ``Z`` and the block is
-    solved whitened by :func:`_shifted_solve`, and each risk is ``f'f / p``.
-    Else the design ``X`` is drawn and its Gram matrix formed before the
-    clock starts, and the block is solved on it by :func:`_gram_solve`:
-    noise-adapted columns by conjugate gradients, the rest by Cholesky.
-    Either way every record carries its certificate and fallback flag.  Each
-    proximal fit warm-starts from its own fit at the previous point.
+    point form one :func:`_error_block`, solved by :func:`_gram_solve` on
+    the draw's Gram matrix, formed before the clock starts: noise-adapted
+    columns by conjugate gradients, the rest by Cholesky.  If every fit is
+    noise-adapted ridge (``_ADAPTED_FITS``), the draw is the white ``Z``,
+    the block is solved whitened and each risk is ``f'f / p``; else the
+    design ``X`` is drawn and each risk is ``e' Sigma e / p``.  Every record
+    carries its certificate and fallback flag.  Each proximal fit
+    warm-starts from its own fit at the previous point.
     """
     cfg = plan.config
     row = _EXPERIMENTS[cfg.name]
@@ -490,19 +495,15 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     records = []
     for kind in row.designs or (cfg.design_kind,):
         draw = _draw_replication(plan, rep, design_kind=kind)
-        if not plan.whitened:
-            draw.design.gram  # formed before the clock starts
+        draw.design.gram  # formed before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
         seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
+        adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in closed], dtype=bool)
+        errors, certificates, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
         if plan.whitened:
-            white_errors, certificates, fell_back = _shifted_solve(draw.x, plan.precision, plan.spec.sqrt_matrix,
-                                                                   seeds, coefficients, shifts)
-            risks = np.einsum("ij,ij->j", white_errors, white_errors) / cfg.p
-        else:
-            adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in closed], dtype=bool)
-            errors, certificates, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
-            # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
+            risks = np.einsum("ij,ij->j", errors, errors) / cfg.p
+        else:  # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
             risks = [empirical_risk(e, np.zeros_like(e), plan.spec.matrix) for e in errors.T]
         share = (time.perf_counter() - t0) / len(closed)
         for k, (estimator, g, _, _) in enumerate(closed):
@@ -577,8 +578,9 @@ def _collect_records(config: ExperimentConfig, replicate: Callable, plan) -> tup
 
 def summarize(records: tuple[RiskRecord, ...]) -> dict:
     """Deterministic per-(estimator, sweep) statistics; for a Newton-fitted
-    estimator also the largest and 95th-percentile step count, and for any
-    record that carries one the worst certificate."""
+    estimator also the largest and 95th-percentile step count, for any
+    record that carries one the worst certificate, and for a closed-form
+    estimator the number of solves that fell back."""
     groups: dict[tuple[str, float], list[RiskRecord]] = {}
     for record in records:
         groups.setdefault((record.estimator, record.sweep_value), []).append(record)
@@ -603,6 +605,9 @@ def summarize(records: tuple[RiskRecord, ...]) -> dict:
         certificates = [r.certificate for r in groups[(estimator, sweep)] if r.certificate is not None]
         if certificates:
             block.setdefault("certificate_max", []).append(max(certificates))
+        if certificates and not steps:  # closed form
+            block.setdefault("resolvent_fallbacks", []).append(
+                sum(r.resolvent_fallback for r in groups[(estimator, sweep)]))
     return out
 
 
@@ -675,9 +680,7 @@ def _floor_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> 
 
 def _transient_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
     """Monte Carlo risk of noise-adapted transfer ridge across the
-    effective-variance grid, against the deterministic closed form; the
-    summary also counts, per σ² point, the solves that fell back to the
-    ``Resolvent``."""
+    effective-variance grid, against the deterministic closed form."""
     # Looked up on heavyreg.theory at call time, so a wrapper installed on
     # that module's binding sees every call.
     from .theory import TheoryInputs, ridge_risk_closed_form
@@ -689,15 +692,7 @@ def _transient_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict)
     ]
     rel_errors = [abs(mc - th) / th for mc, th in zip(stats["transfer_ridge"]["mean"], theory)]
     checks = {"median_relative_error": _check(float(np.median(rel_errors)), None, 0.03)}
-    fallbacks = _resolvent_fallbacks(records, "transfer_ridge", stats)
-    return checks, {"theory_risk": theory, "relative_errors": rel_errors, "resolvent_fallbacks": fallbacks}
-
-
-def _resolvent_fallbacks(records: tuple[RiskRecord, ...], estimator: str, stats: dict) -> list[int]:
-    """Per sweep point of ``estimator``, the whitened solves that fell back
-    to the ``Resolvent``."""
-    return [sum(r.resolvent_fallback for r in records if r.estimator == estimator and r.sweep_value == g)
-            for g in stats[estimator]["sweep_values"]]
+    return checks, {"theory_risk": theory, "relative_errors": rel_errors}
 
 
 def _trichotomy_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
@@ -716,19 +711,15 @@ def _trichotomy_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict
 
 def _universality_checks(plan: _Plan, records: tuple[RiskRecord, ...], stats: dict) -> tuple[dict, dict]:
     """Paired Gaussian/Rademacher designs share noise streams; their
-    transfer-ridge risks must agree within two pooled standard errors.  The
-    summary also counts, per design and noise scale, the solves that fell
-    back to the ``Resolvent``."""
+    transfer-ridge risks must agree within two pooled standard errors."""
     g = stats["transfer_ridge_gaussian"]
     r = stats["transfer_ridge_rademacher"]
     z_scores = []
     for mg, mr, sg, sr in zip(g["mean"], r["mean"], g["se"], r["se"]):
         pooled = math.sqrt(sg ** 2 + sr ** 2)
         z_scores.append(abs(mg - mr) / pooled if pooled > 0.0 else 0.0)
-    fallbacks = {design: _resolvent_fallbacks(records, f"transfer_ridge_{design}", stats)
-                 for design in ("gaussian", "rademacher")}
     return ({"max_design_gap_in_ses": _check(float(np.max(z_scores)), None, 2.0)},
-            {"design_gap_in_ses": z_scores, "resolvent_fallbacks": fallbacks})
+            {"design_gap_in_ses": z_scores})
 
 
 def _concentration_checks(config: ExperimentConfig, records: tuple[RiskRecord, ...],

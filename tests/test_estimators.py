@@ -13,7 +13,6 @@ from heavyreg.estimators import (
     EstimatorConfig,
     FitResult,
     Resolvent,
-    _shifted_solve,
     empirical_risk,
     fit_proximal,
 )
@@ -135,6 +134,29 @@ class TestResolvent:
         with pytest.raises(np.linalg.LinAlgError):
             Resolvent.of(x).cholesky(-1.0e3)
 
+    @pytest.mark.parametrize("p", (1, 2, 12))
+    def test_a_white_draw_factors_and_solves_its_shifted_family(self, p):
+        # G + s T with G = Z'Z/n and T the tridiagonal precision: the factor of the dense sum, and T's own products
+        z = np.random.default_rng(9).standard_normal((60, p))
+        diag, off = _ar1_inverse(p, -0.8)
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        white = Resolvent.of(z, (diag, off))
+        rhs = np.random.default_rng(10).standard_normal((p, 3))
+        for shift in (0.0, 1.0e-3, 1.0, 1.0e3):
+            system = z.T @ z / 60 + shift * t
+            np.testing.assert_allclose(np.tril(white.cholesky(shift)), np.linalg.cholesky(system), rtol=0.0,
+                                       atol=1.0e-13 * np.abs(system).max())
+            np.testing.assert_allclose(white.solve(rhs, shift), np.linalg.solve(system, rhs), rtol=1.0e-10)
+            np.testing.assert_allclose(white.solve(rhs[:, 0], shift), np.linalg.solve(system, rhs[:, 0]), rtol=1.0e-10)
+        np.testing.assert_allclose(white.t_product(rhs), t @ rhs, rtol=1.0e-14)
+        np.testing.assert_allclose(white.t_solve(rhs), np.linalg.solve(t, rhs), rtol=1.0e-12)
+        design = Resolvent.of(z)
+        assert design.t_product(rhs) is rhs and design.t_solve(rhs) is rhs  # T = I on a design
+
+    def test_an_indefinite_precision_is_rejected(self):
+        with pytest.raises(ConfigError, match="positive definite"):
+            Resolvent.of(np.ones((3, 2)), (np.array([1.0, -1.0]), np.zeros(1)))
+
     def test_non_finite_or_non_matrix_designs_are_rejected(self):
         x, _, _ = make_problem()
         for bad in (np.nan, np.inf):
@@ -146,22 +168,20 @@ class TestResolvent:
             Resolvent.of(x[0])
 
 
-class TestShiftedSolve:
-    """Multi-shift preconditioned conjugate gradients over a block of
-    whitened shifted systems ``(Z'Z/n + s T) f = r``, against the
-    eigenbasis and a dense solve of the design's Gram system
-    ``(X'X/n + s I) e = Sigma^1/2 r`` with ``X = Z Sigma^1/2``,
-    ``Sigma = T^-1`` and ``f = Sigma^1/2 e``, on right-hand sides of a
-    noise-adapted ridge sweep's form: the seeds ``(v, d)`` with
-    ``v = Z'w/n``, combined as ``sqrt(s) v - s d``."""
+class TestGramSolve:
+    """A closed-form block through :func:`_gram_solve`, on either kind of
+    draw: a design ``X = Z Sigma^1/2``, whose family is ``X'X/n + s I``, or
+    its white draw ``Z`` with the tridiagonal precision ``T = Sigma^-1``,
+    whose family is ``Z'Z/n + s T`` and whose solution ``f = Sigma^1/2 e``
+    solves the design's ``(X'X/n + s I) e = Sigma^1/2 r``.  Noise-adapted
+    columns go through multi-shift conjugate gradients preconditioned by
+    ``T``, the rest through one Cholesky factor of ``G + s T`` per shift,
+    every column certified by its relative residual.  Right-hand sides have
+    a noise-adapted ridge sweep's form: the seeds ``(v, d)`` with
+    ``v = Z'w/n``, combined as ``sqrt(s) v - s d`` (and mapped through
+    ``Sigma^1/2`` on the design)."""
 
     SHIFTS = np.array([1.0e-6, 1.0e-3, 0.1, 1.0, 10.0, 1.0e4])
-
-    @pytest.fixture(autouse=True)
-    def krylov(self, monkeypatch):
-        """Every block goes through conjugate gradients, however few its features."""
-        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
-
     # Each tridiagonal precision T as (diagonal, off-diagonal); "spread" is
     # the diagonal precision of Sigma^1/2 = diag(linspace(0.3, 2, p)).
     PRECISIONS = {
@@ -170,320 +190,319 @@ class TestShiftedSolve:
         "identity": lambda p: _ar1_inverse(p, 0.0),
         "spread": lambda p: (np.linspace(0.3, 2.0, p) ** -2.0, np.zeros(p - 1)),
     }
+    # The design (of AR(1) 0.5) and the white draw under each precision.
+    KINDS = ["design"] + [f"white-{name}" for name in PRECISIONS]
+
+    @pytest.fixture
+    def krylov(self, monkeypatch):
+        """Every adapted block goes through conjugate gradients, however few its features."""
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
+
+    @dataclasses.dataclass
+    class Block:
+        design: Resolvent  # carries no root
+        seeds: np.ndarray
+        coefficients: np.ndarray
+        z: np.ndarray  # the white draw
+        root: np.ndarray  # Sigma^1/2
+        white: bool
+
+        @property
+        def rhs(self):
+            return estimators._right_hand_sides(self.seeds, self.coefficients)
+
+        def solve(self, shifts=None, adapted=None, coefficients=None, seeds=None, design=None):
+            """``_gram_solve`` of the block, every column adapted unless told otherwise."""
+            shifts = TestGramSolve.SHIFTS if shifts is None else shifts
+            return estimators._gram_solve(
+                self.design if design is None else design, self.seeds if seeds is None else seeds,
+                self.coefficients if coefficients is None else coefficients, shifts,
+                np.ones(len(shifts), bool) if adapted is None else adapted)
+
+        def residual(self, sol, shift, r):
+            """``||(X'X/n + s I) e - b|| / ||b||`` densely, for the design's
+            error ``e`` and right-hand side ``b``: on a white block
+            ``e = Sigma^-1/2 f`` and ``b = Sigma^1/2 r``."""
+            x = self.z @ self.root
+            if self.white:
+                sol, r = np.linalg.solve(self.root, sol), self.root @ r
+            return np.linalg.norm(x.T @ (x @ sol) / x.shape[0] + shift * sol - r) / np.linalg.norm(r)
+
+        def weight(self, r):
+            """The design's 2-norm of a right-hand side: ``||Sigma^1/2 r||`` on a white block."""
+            return np.linalg.norm(self.root @ r if self.white else r)
 
     @classmethod
-    def make_block(cls, n, p, precision):
-        """The white draw, the precision, the dense root ``Sigma^1/2``, the
-        seeds ``(v, d)`` and their coefficients ``(sqrt(s), -s)``."""
+    def make_block(cls, n, p, kind="white-ar1-0.5", root=False):
+        """The block of ``kind`` for the white draw ``Z`` (``n x p``), with
+        the coefficients ``(sqrt(s), -s)`` of :attr:`SHIFTS`; with ``root`` a
+        white draw carries ``Sigma^1/2``."""
         rng = np.random.default_rng(n + p)
         z = rng.standard_normal((n, p))
         v = z.T @ rng.standard_t(1.5, n) / n
         d = rng.standard_normal(p)
-        diag, off = cls.PRECISIONS[precision](p)
+        diag, off = cls.PRECISIONS["ar1-0.5" if kind == "design" else kind.removeprefix("white-")](p)
         evals, evecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        root = (evecs * evals ** -0.5) @ evecs.T
-        return z, (diag, off), root, np.stack([v, d], axis=1), np.stack([np.sqrt(cls.SHIFTS), -cls.SHIFTS])
+        half = (evecs * evals ** -0.5) @ evecs.T
+        seeds, coefficients = np.stack([v, d], axis=1), np.stack([np.sqrt(cls.SHIFTS), -cls.SHIFTS])
+        if kind == "design":
+            return cls.Block(Resolvent.of(z @ half), half @ seeds, coefficients, z, half, False)
+        design = Resolvent.of(z, (diag, off), half if root else None)
+        return cls.Block(design, seeds, coefficients, z, half, True)
 
     @staticmethod
     def krylov_steps(monkeypatch):
         """A log filled, per Krylov step, with the number of seeds multiplied into
-        ``Z'Z/n + s_0 T``: the symmetric mat-vecs between two preconditioner solves."""
+        ``G + s_0 T``: the symmetric mat-vecs between two preconditioner solves."""
         log, steps = [], []
-        symv, pttrs = scipy.linalg.blas.dsymv, scipy.linalg.lapack.dpttrs
+        symv, t_solve = scipy.linalg.blas.dsymv, Resolvent.t_solve
         monkeypatch.setattr(scipy.linalg.blas, "dsymv", lambda *a, **k: log.append(1) or symv(*a, **k))
 
-        def solve(*args, **kwargs):
+        def solve(self, r):
             if log:
                 steps.append(len(log))
                 log.clear()
-            return pttrs(*args, **kwargs)
+            return t_solve(self, r)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", solve)
+        monkeypatch.setattr(Resolvent, "t_solve", solve)
         return steps
 
     @staticmethod
-    def gram_residual(z, root, f, shift, r):
-        """``||(G + s I) e - Sigma^1/2 r|| / ||Sigma^1/2 r||`` for ``e = Sigma^-1/2 f``, densely."""
-        x = z @ root
-        e = np.linalg.solve(root, f)
-        b = root @ r
-        return np.linalg.norm(x.T @ (x @ e) / z.shape[0] + shift * e - b) / np.linalg.norm(b)
+    def calls(monkeypatch, module, name):
+        """A log of the calls of ``module.name``, by the first argument's shape."""
+        log, function = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, *args, **kw: log.append(a.shape) or function(a, *args, **kw))
+        return log
 
     @staticmethod
-    def exact_white_solve(z, precision, r, shift):
+    def exact_white_solve(block, r, shift):
         """``(Z'Z/n + s T)^-1 r`` to 30 digits, from the float inputs as given."""
         import mpmath
 
-        diag, off = precision
+        diag, off = block.design.precision
         t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         with mpmath.workdps(30):
-            z_mp = mpmath.matrix(z.tolist())
-            system = z_mp.T * z_mp / z.shape[0] + mpmath.mpf(float(shift)) * mpmath.matrix(t.tolist())
+            z_mp = mpmath.matrix(block.z.tolist())
+            system = z_mp.T * z_mp / block.z.shape[0] + mpmath.mpf(float(shift)) * mpmath.matrix(t.tolist())
             return np.array([float(v) for v in mpmath.lu_solve(system, mpmath.matrix(r.tolist()))])
 
+    @pytest.mark.usefixtures("krylov")
     @pytest.mark.parametrize("precision", list(PRECISIONS))
     @pytest.mark.parametrize("n, p", [(200, 50), (40, 60), (60, 60), (800, 400)])
     def test_matches_the_eigenbasis_solve(self, precision, n, p):
-        z, tridiagonal, root, seeds, coefficients = self.make_block(n, p, precision)
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        rhs = seeds @ coefficients
-        x = z @ root
+        block = self.make_block(n, p, f"white-{precision}")
+        sol, certificate, fell_back = block.solve()
+        rhs = block.rhs
+        x = block.z @ block.root
         gram = x.T @ x / n
         evals, evecs = np.linalg.eigh(gram)
+        root = block.root
         for k, shift in enumerate(self.SHIFTS):
             system = gram + shift * np.eye(p)
             # A solve in doubles errs by up to eps * cond, the eigenbasis and LU as much as this one.
             # Where that allows 1e-10, both hold every column to it.  Where it does not (n < p at the
-            # 1e-6 shift) the oracle is a 30-digit solve, held to 1e-9: there the eigenbasis solve a
-            # fallback takes lands up to 9.3e-10 off it, and this solve at most 6.0e-10 (the one
-            # column that falls back; 2.2e-10 where conjugate gradients certify).  Every residual is 1e-10.
+            # 1e-6 shift) the oracle is a 30-digit solve, held to 1e-9.  Every residual is 1e-10.
             if np.finfo(float).eps * np.linalg.cond(system) <= 1.0e-10:
                 oracles, bound = (root @ evecs @ ((evecs.T @ root @ rhs[:, k]) / (evals + shift)),
                                   root @ np.linalg.solve(system, root @ rhs[:, k])), 1.0e-10
             else:
-                oracles, bound = (self.exact_white_solve(z, tridiagonal, rhs[:, k], shift),), 1.0e-9
+                oracles, bound = (self.exact_white_solve(block, rhs[:, k], shift),), 1.0e-9
             for want in oracles:
                 assert np.linalg.norm(sol[:, k] - want) <= bound * np.linalg.norm(want)
-            assert self.gram_residual(z, root, sol[:, k], shift, rhs[:, k]) <= 1.0e-10
+            assert block.residual(sol[:, k], shift, rhs[:, k]) <= 1.0e-10
         assert np.all(certificate <= 1.0e-10)
         assert not fell_back[self.SHIFTS >= 1.0].any()  # conditioned within 5: conjugate gradients
-
-    @pytest.mark.parametrize("precision", list(PRECISIONS))
-    def test_certificate_is_the_gram_systems_relative_residual(self, precision, monkeypatch):
-        # stopped at 1e-3, every column keeps a residual far above rounding
-        monkeypatch.setattr(estimators, "_CG_TOL", 1.0e-3)
-        monkeypatch.setattr(estimators, "_CERTIFICATE", 1.0)
-        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, precision)
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        assert not fell_back.any()
-        for k, shift in enumerate(self.SHIFTS):
-            rhs = seeds @ coefficients[:, k]
-            residual = self.gram_residual(z, root, sol[:, k], shift, rhs)
-            # each seed's pair stops at 1e-3 of its seed, so the column at 1e-3 of the seeds' sum
-            bound = sum(abs(c) * np.linalg.norm(root @ seed) for c, seed in zip(coefficients[:, k], seeds.T))
-            assert 1.0e-6 < residual <= 1.001e-3 * bound / np.linalg.norm(root @ rhs)
-            assert certificate[k] == pytest.approx(residual, rel=1.0e-8)
-
-    def test_one_feature_is_the_scalar_formula(self):
-        # a 1 x 1 T: one Krylov step per seed solves every shift exactly
-        rng = np.random.default_rng(3)
-        z, seeds, t = rng.standard_normal((30, 1)), rng.standard_normal((1, 2)), 1.7
-        coefficients = rng.standard_normal((2, len(self.SHIFTS)))
-        sol, certificate, fell_back = _shifted_solve(z, (np.array([t]), np.empty(0)),
-                                                     lambda: np.array([[t ** -0.5]]), seeds, coefficients,
-                                                     self.SHIFTS)
-        want = (seeds @ coefficients)[0] / (z[:, 0] @ z[:, 0] / 30 + self.SHIFTS * t)
-        np.testing.assert_allclose(sol[0], want, rtol=1.0e-13)
-        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
-
-    def test_spent_budget_falls_back_to_one_resolvent(self, monkeypatch):
-        z, tridiagonal, root, seeds, coefficients = self.make_block(800, 400, "ar1-0.5")
-        roots, eighs = [], []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root,
-                                                     seeds, coefficients, self.SHIFTS)
-        assert not fell_back.any() and eighs == [] and roots == []  # no root without a fallback
-        monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
-        forced, forced_certificate, forced_back = _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root,
-                                                                 seeds, coefficients, self.SHIFTS)
-        assert forced_back.all() and eighs == [(400, 400)] and roots == [1]  # one Resolvent for the whole block
-        assert np.all(forced_certificate <= 1.0e-10)
-        assert np.all(np.linalg.norm(forced - sol, axis=0) <= 1.0e-10 * np.linalg.norm(sol, axis=0))
-
-    def test_a_fallback_keeps_the_more_accurate_solve_at_a_tiny_shift(self):
-        # AR(1) rho = -0.8, n < p, shift 1e-6 (cond(G + sI) = 1.3e7): conjugate gradients spend their budget at a
-        # certificate of 1.4e-4, 1.8e-6 relative off the 30-digit solution; the Resolvent's is certified to 7e-13
-        z, tridiagonal, root, seeds, coefficients = self.make_block(40, 60, "ar1-minus-0.8")
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        assert fell_back[0] and certificate[0] <= 1.0e-10
-        want = self.exact_white_solve(z, tridiagonal, (seeds @ coefficients)[:, 0], self.SHIFTS[0])
-        assert np.linalg.norm(sol[:, 0] - want) <= 1.0e-9 * np.linalg.norm(want)
-
-    def test_a_fallback_keeps_the_smaller_certificate(self, monkeypatch):
-        z, tridiagonal, root, seeds, coefficients = self.make_block(40, 60, "ar1-0.5")
-
-        def solve():
-            return _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-
-        monkeypatch.setattr(estimators, "_CERTIFICATE", np.inf)
-        krylov, krylov_certificate, _ = solve()  # conjugate gradients alone
-        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 61)
-        resolvent, resolvent_certificate, _ = solve()  # the Resolvent alone, on the same block
-        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
-        monkeypatch.setattr(estimators, "_CERTIFICATE", 0.0)
-        sol, certificate, fell_back = solve()  # every column falls back
-        better = krylov_certificate < resolvent_certificate
-        assert fell_back.all() and better.any() and not better.all()
-        np.testing.assert_array_equal(certificate, np.minimum(krylov_certificate, resolvent_certificate))
-        np.testing.assert_array_equal(sol, np.where(better, krylov, resolvent))
-
-    def test_few_features_take_one_resolvent_without_a_fallback(self, monkeypatch):
-        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
-        krylov, _, _ = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        roots, eighs = [], []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
-        steps = self.krylov_steps(monkeypatch)
-        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 51)
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root,
-                                                     seeds, coefficients, self.SHIFTS)
-        assert steps == [] and eighs == [(50, 50)] and roots == [1]  # the whole block at once
-        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
-        assert np.all(np.linalg.norm(sol - krylov, axis=0) <= 1.0e-10 * np.linalg.norm(krylov, axis=0))
-        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 50)
-        _shifted_solve(z, tridiagonal, lambda: roots.append(1) or root, seeds, coefficients, self.SHIFTS)
-        assert steps and eighs == [(50, 50)] and roots == [1]  # from the threshold on, conjugate gradients
-
-    def test_indefinite_precision_is_rejected(self):
-        with pytest.raises(ConfigError, match="positive definite"):
-            _shifted_solve(np.ones((3, 2)), (np.array([1.0, -1.0]), np.zeros(1)), lambda: np.eye(2),
-                           np.ones((2, 1)), np.ones((1, 1)), np.ones(1))
-
-    def test_zero_right_hand_side_is_solved_exactly(self):
-        z, tridiagonal, root, seeds, coefficients = self.make_block(60, 12, "ar1-0.5")
-        coefficients[:, 2] = 0.0
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        assert np.array_equal(sol[:, 2], np.zeros(12)) and certificate[2] == 0.0 and not fell_back[2]
-
-    @pytest.mark.parametrize("zero", ("v", "d", "both"))
-    def test_a_zero_seed_takes_no_steps(self, zero, monkeypatch):
-        # delta_norm = 0 makes the whitened misalignment d zero; the noise seed v may be zero too
-        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
-        seeds[:, {"v": [0], "d": [1], "both": [0, 1]}[zero]] = 0.0
-        steps = self.krylov_steps(monkeypatch)
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
-        if zero == "both":
-            assert steps == [] and np.array_equal(sol, np.zeros_like(sol)) and np.array_equal(certificate, np.zeros(6))
-            return
-        assert steps and set(steps) == {1}  # only the other seed iterates
-        rhs = seeds @ coefficients
-        for k, shift in enumerate(self.SHIFTS):
-            assert self.gram_residual(z, root, sol[:, k], shift, rhs[:, k]) <= 1.0e-10
-
-    def test_a_zero_amplitude_leaves_the_other_seed(self):
-        # a_k = 0 (the noiseless point): column k is -s_k d alone
-        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
-        coefficients[0, [0, 3]] = 0.0
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        alone, _, _ = _shifted_solve(z, tridiagonal, lambda: root, seeds[:, 1:], coefficients[1:], self.SHIFTS)
-        np.testing.assert_allclose(sol[:, [0, 3]], alone[:, [0, 3]], rtol=1.0e-10, atol=0.0)
-        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
-
-    def test_duplicate_shifts_give_equal_columns(self):
-        # the smallest shift is the seeds' own (gap 0); each shift appears twice
-        z, tridiagonal, root, seeds, _ = self.make_block(200, 50, "ar1-0.5")
-        shifts = np.array([1.0e-3, 0.1, 1.0e-3, 10.0, 0.1, 10.0])
-        coefficients = np.stack([np.sqrt(shifts), -shifts])
-        sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, shifts)
-        for a, b in ((0, 2), (1, 4), (3, 5)):  # equal up to the blocking of the final product
-            np.testing.assert_allclose(sol[:, a], sol[:, b], rtol=1.0e-14, atol=0.0)
-        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
-        for k, shift in enumerate(shifts):
-            assert self.gram_residual(z, root, sol[:, k], shift, seeds @ coefficients[:, k]) <= 1.0e-10
-
-    def test_one_column_block(self):
-        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
-        for k, shift in enumerate(self.SHIFTS):
-            sol, certificate, fell_back = _shifted_solve(z, tridiagonal, lambda: root, seeds,
-                                                         coefficients[:, k:k + 1], self.SHIFTS[k:k + 1])
-            assert sol.shape == (50, 1) and not fell_back[0] and certificate[0] <= 1.0e-10
-            assert self.gram_residual(z, root, sol[:, 0], shift, seeds @ coefficients[:, k]) <= 1.0e-10
-
-    def test_work_does_not_grow_with_the_number_of_shifts(self, monkeypatch):
-        z, tridiagonal, root, seeds, coefficients = self.make_block(200, 50, "ar1-0.5")
-        steps = self.krylov_steps(monkeypatch)
-        _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        block = list(steps)
-        steps.clear()
-        _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients[:, :1], self.SHIFTS[:1])
-        assert block == steps  # the six shifts take the steps of the smallest alone
-        assert sum(block) == seeds.shape[1] * len(block)  # column mat-vecs: seeds x steps
-        assert 0 < len(block) < 50
-
-
-class TestGramSolve:
-    """A closed-form block on the design's Gram matrix ``G = X'X/n``:
-    noise-adapted columns by multi-shift conjugate gradients on ``G``, the
-    rest by one Cholesky factor per shift, every column certified by its
-    relative residual."""
-
-    SHIFTS = TestShiftedSolve.SHIFTS
-
-    @staticmethod
-    def make_block(n, p, precision="ar1-0.5"):
-        """The whitened block of :class:`TestShiftedSolve` and its design
-        ``X = Z Sigma^1/2`` with the seeds mapped to ``Sigma^1/2 seeds``."""
-        z, tridiagonal, root, seeds, coefficients = TestShiftedSolve.make_block(n, p, precision)
-        return z, tridiagonal, root, seeds, coefficients, Resolvent.of(z @ root), root @ seeds
-
-    @staticmethod
-    def relative_residual(x, e, shift, r):
-        return np.linalg.norm(x.T @ (x @ e) / x.shape[0] + shift * e - r) / np.linalg.norm(r)
 
     @pytest.mark.parametrize("n, p", [(300, 128), (800, 400)])
     def test_krylov_matches_the_whitened_solve_mapped_through_the_root(self, n, p):
         # the same iterates: f = Sigma^1/2 e for (Z'Z/n + s T) f = r and (G + s I) e = Sigma^1/2 r
-        z, tridiagonal, root, seeds, coefficients, design, x_seeds = self.make_block(n, p)
-        white, _, white_back = _shifted_solve(z, tridiagonal, lambda: root, seeds, coefficients, self.SHIFTS)
-        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS,
-                                                             np.ones(len(self.SHIFTS), bool))
+        white = self.make_block(n, p)
+        f, _, white_back = white.solve()
+        sol, certificate, fell_back = self.make_block(n, p, "design").solve()
         assert not fell_back.any() and not white_back.any() and np.all(certificate <= 1.0e-10)
         for k in range(len(self.SHIFTS)):
-            assert np.linalg.norm(root @ sol[:, k] - white[:, k]) <= 1.0e-12 * np.linalg.norm(white[:, k])
+            assert np.linalg.norm(white.root @ sol[:, k] - f[:, k]) <= 1.0e-12 * np.linalg.norm(f[:, k])
 
-    def test_fixed_columns_take_one_cholesky_factor_per_shift(self, monkeypatch):
-        z, _, root, _, coefficients, design, x_seeds = self.make_block(300, 128)
+    @pytest.mark.parametrize("kind", ["design", "white-ar1-0.5"])
+    def test_fixed_columns_take_one_cholesky_factor_per_shift(self, kind, monkeypatch):
+        block = self.make_block(300, 128, kind)
         shifts = np.array([0.0, 0.1, 1.0e-12, 0.1, 1.0, 10.0])
         adapted = np.array([False, False, False, False, True, True])
         symv, potrf = scipy.linalg.blas.dsymv, scipy.linalg.lapack.dpotrf
         products, factors = [], []
         monkeypatch.setattr(scipy.linalg.blas, "dsymv", lambda *a, **k: products.append(1) or symv(*a, **k))
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda *a, **k: factors.append(a[0][0, 0]) or potrf(*a, **k))
-        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, shifts, adapted)
+        sol, certificate, fell_back = block.solve(shifts, adapted)
         assert len(factors) == 3 and products  # 0, 1e-12 and 0.1 factorized once each; 1 and 10 iterate
         assert not fell_back.any() and np.all(certificate <= 1.0e-10)
-        rhs = estimators._right_hand_sides(x_seeds, coefficients)
-        x = z @ root
+        rhs = block.rhs
         for k, shift in enumerate(shifts):
             if not adapted[k]:
-                assert np.array_equal(sol[:, k], design.solve(rhs[:, k:k + 1], shift)[:, 0])
+                assert np.array_equal(sol[:, k], block.design.solve(rhs[:, k:k + 1], shift)[:, 0])
             # both at rounding level, formed in other orders (the stopped solve below matches them closely)
-            assert certificate[k] == pytest.approx(self.relative_residual(x, sol[:, k], shift, rhs[:, k]),
-                                                   rel=1.0e-6, abs=1.0e-13)
+            assert certificate[k] == pytest.approx(block.residual(sol[:, k], shift, rhs[:, k]), rel=1.0e-6, abs=1.0e-13)
 
-    def test_certificate_is_the_relative_residual_of_a_stopped_solve(self, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_certificate_is_the_relative_residual_of_a_stopped_solve(self, kind, monkeypatch):
+        # stopped at 1e-3, every column keeps a residual far above rounding
         monkeypatch.setattr(estimators, "_CG_TOL", 1.0e-3)
         monkeypatch.setattr(estimators, "_CERTIFICATE", 1.0)
-        z, _, root, _, coefficients, design, x_seeds = self.make_block(300, 128)
-        adapted = np.ones(len(self.SHIFTS), bool)
-        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS, adapted)
+        block = self.make_block(300, 128, kind)
+        sol, certificate, fell_back = block.solve()
         assert not fell_back.any()
-        rhs = estimators._right_hand_sides(x_seeds, coefficients)
         for k, shift in enumerate(self.SHIFTS):
-            residual = self.relative_residual(z @ root, sol[:, k], shift, rhs[:, k])
-            assert 1.0e-6 < residual and certificate[k] == pytest.approx(residual, rel=1.0e-8)
+            rhs = block.rhs[:, k]
+            residual = block.residual(sol[:, k], shift, rhs)
+            # each seed's pair stops at 1e-3 of its seed, so the column at 1e-3 of the seeds' sum
+            bound = sum(abs(c) * block.weight(seed) for c, seed in zip(block.coefficients[:, k], block.seeds.T))
+            assert 1.0e-6 < residual <= 1.001e-3 * bound / block.weight(rhs)
+            assert certificate[k] == pytest.approx(residual, rel=1.0e-8)
 
-    def test_spent_budget_falls_back_to_cholesky(self, monkeypatch):
-        _, _, _, _, coefficients, design, x_seeds = self.make_block(300, 128)
+    @pytest.mark.usefixtures("krylov")
+    @pytest.mark.parametrize("t", (1.0, 1.7), ids=("design", "white"))
+    def test_one_feature_is_the_scalar_formula(self, t):
+        # a 1 x 1 T: one Krylov step per seed solves every shift exactly
+        rng = np.random.default_rng(3)
+        z, seeds = rng.standard_normal((30, 1)), rng.standard_normal((1, 2))
+        coefficients = rng.standard_normal((2, len(self.SHIFTS)))
+        design = Resolvent.of(z) if t == 1.0 else Resolvent.of(z, (np.array([t]), np.empty(0)))
+        sol, certificate, fell_back = estimators._gram_solve(design, seeds, coefficients, self.SHIFTS,
+                                                             np.ones(len(self.SHIFTS), bool))
+        want = (seeds @ coefficients)[0] / (z[:, 0] @ z[:, 0] / 30 + self.SHIFTS * t)
+        np.testing.assert_allclose(sol[0], want, rtol=1.0e-13)
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spent_budget_falls_back_to_cholesky(self, kind, monkeypatch):
+        block = self.make_block(300, 128, kind)
         adapted = np.array([True, True, False, True, True, True])
-        krylov, _, _ = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS, adapted)
+        krylov, _, _ = block.solve(adapted=adapted)
+        eighs = self.calls(monkeypatch, np.linalg, "eigh")
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
-        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS, adapted)
-        assert np.array_equal(fell_back, adapted) and np.all(certificate <= 1.0e-10)
-        rhs = estimators._right_hand_sides(x_seeds, coefficients)
-        assert np.array_equal(sol, design.solve(rhs, self.SHIFTS))  # no step taken: Cholesky wins every column
+        sol, certificate, fell_back = block.solve(adapted=adapted)
+        assert np.array_equal(fell_back, adapted) and np.all(certificate <= 1.0e-10) and eighs == []
+        assert np.array_equal(sol, block.design.solve(block.rhs, self.SHIFTS))  # no step taken: Cholesky wins
         assert np.all(np.linalg.norm(sol - krylov, axis=0) <= 1.0e-10 * np.linalg.norm(krylov, axis=0))
 
-    def test_few_features_factorize_every_shift(self, monkeypatch):
-        _, _, _, _, coefficients, design, x_seeds = self.make_block(200, 50)
-        products, symv = [], scipy.linalg.blas.dsymv
-        monkeypatch.setattr(scipy.linalg.blas, "dsymv", lambda *a, **k: products.append(1) or symv(*a, **k))
-        sol, certificate, fell_back = estimators._gram_solve(design, x_seeds, coefficients, self.SHIFTS,
-                                                             np.ones(len(self.SHIFTS), bool))
-        assert products == [] and not fell_back.any() and np.all(certificate <= 1.0e-10)
-        assert np.array_equal(sol, design.solve(estimators._right_hand_sides(x_seeds, coefficients), self.SHIFTS))
+    @pytest.mark.usefixtures("krylov")
+    def test_a_fallback_keeps_the_more_accurate_solve_at_a_tiny_shift(self):
+        # AR(1) rho = -0.8, n < p, shift 1e-6 (cond(G + sI) = 1.3e7): conjugate gradients spend their budget at a
+        # certificate of 1.4e-4, 1.8e-6 relative off the 30-digit solution; Cholesky of Z'Z/n + s T is certified
+        block = self.make_block(40, 60, "white-ar1-minus-0.8")
+        sol, certificate, fell_back = block.solve()
+        assert fell_back[0] and certificate[0] <= 1.0e-10
+        want = self.exact_white_solve(block, block.rhs[:, 0], self.SHIFTS[0])
+        assert np.linalg.norm(sol[:, 0] - want) <= 1.0e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["design", "white-ar1-0.5"])
+    def test_a_fallback_keeps_the_smaller_certificate(self, kind, monkeypatch):
+        # at n = p the smallest shifts' solves miss the certificate and Cholesky wins them; at 1e4 the
+        # Krylov solve has the smaller residual
+        block = self.make_block(60, 60, kind)
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
+        monkeypatch.setattr(estimators, "_CERTIFICATE", np.inf)
+        krylov, krylov_certificate, _ = block.solve()  # conjugate gradients alone
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 61)
+        direct, direct_certificate, _ = block.solve()  # Cholesky alone, on the same block
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
+        monkeypatch.setattr(estimators, "_CERTIFICATE", 0.0)
+        sol, certificate, fell_back = block.solve()  # every column falls back
+        better = krylov_certificate < direct_certificate
+        assert fell_back.all() and better.any() and not better.all()
+        np.testing.assert_array_equal(certificate, np.minimum(krylov_certificate, direct_certificate))
+        np.testing.assert_array_equal(sol, np.where(better, krylov, direct))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_few_features_are_solved_directly(self, kind, monkeypatch):
+        # below the threshold no block iterates: a design factorizes each distinct shift, and a white draw
+        # that carries its root takes one eigh of the Gram matrix of Z Sigma^1/2 for the whole block
+        block = self.make_block(200, 50, kind, root=True)
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
+        krylov, _, _ = block.solve()
+        monkeypatch.undo()
+        eighs = self.calls(monkeypatch, np.linalg, "eigh")
+        steps = self.krylov_steps(monkeypatch)
+        sol, certificate, fell_back = block.solve()
+        assert steps == [] and not fell_back.any() and np.all(certificate <= 1.0e-10)
+        assert np.all(np.linalg.norm(sol - krylov, axis=0) <= 1.0e-10 * np.linalg.norm(krylov, axis=0))
+        if not block.white:
+            assert eighs == [] and np.array_equal(sol, block.design.solve(block.rhs, self.SHIFTS))
+            return
+        assert eighs == [(50, 50)]
+        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 50)
+        block.solve()
+        assert steps and eighs == [(50, 50)]  # from the threshold on, conjugate gradients
+
+    @pytest.mark.usefixtures("krylov")
+    @pytest.mark.parametrize("kind", ["design", "white-ar1-0.5"])
+    def test_zero_right_hand_side_is_solved_exactly(self, kind):
+        block = self.make_block(60, 12, kind)
+        block.coefficients[:, 2] = 0.0
+        sol, certificate, fell_back = block.solve()
+        assert np.array_equal(sol[:, 2], np.zeros(12)) and certificate[2] == 0.0 and not fell_back[2]
+
+    @pytest.mark.usefixtures("krylov")
+    @pytest.mark.parametrize("kind", ["design", "white-ar1-0.5"])
+    @pytest.mark.parametrize("zero", ("v", "d", "both"))
+    def test_a_zero_seed_takes_no_steps(self, kind, zero, monkeypatch):
+        # delta_norm = 0 makes the misalignment seed d zero; the noise seed v may be zero too
+        block = self.make_block(200, 50, kind)
+        block.seeds[:, {"v": [0], "d": [1], "both": [0, 1]}[zero]] = 0.0
+        steps = self.krylov_steps(monkeypatch)
+        sol, certificate, fell_back = block.solve()
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+        if zero == "both":
+            assert steps == [] and np.array_equal(sol, np.zeros_like(sol)) and np.array_equal(certificate, np.zeros(6))
+            return
+        assert steps and set(steps) == {1}  # only the other seed iterates
+        rhs = block.rhs
+        for k, shift in enumerate(self.SHIFTS):
+            assert block.residual(sol[:, k], shift, rhs[:, k]) <= 1.0e-10
+
+    @pytest.mark.usefixtures("krylov")
+    def test_a_zero_amplitude_leaves_the_other_seed(self):
+        # a_k = 0 (the noiseless point): column k is -s_k d alone
+        block = self.make_block(200, 50)
+        block.coefficients[0, [0, 3]] = 0.0
+        sol, certificate, fell_back = block.solve()
+        alone, _, _ = block.solve(seeds=block.seeds[:, 1:], coefficients=block.coefficients[1:])
+        np.testing.assert_allclose(sol[:, [0, 3]], alone[:, [0, 3]], rtol=1.0e-10, atol=0.0)
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+
+    @pytest.mark.usefixtures("krylov")
+    def test_duplicate_shifts_give_equal_columns(self):
+        # the smallest shift is the seeds' own (gap 0); each shift appears twice
+        block = self.make_block(200, 50)
+        shifts = np.array([1.0e-3, 0.1, 1.0e-3, 10.0, 0.1, 10.0])
+        block.coefficients = np.stack([np.sqrt(shifts), -shifts])
+        sol, certificate, fell_back = block.solve(shifts)
+        for a, b in ((0, 2), (1, 4), (3, 5)):  # equal up to the blocking of the final product
+            np.testing.assert_allclose(sol[:, a], sol[:, b], rtol=1.0e-14, atol=0.0)
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+        for k, shift in enumerate(shifts):
+            assert block.residual(sol[:, k], shift, block.rhs[:, k]) <= 1.0e-10
+
+    @pytest.mark.usefixtures("krylov")
+    def test_one_column_block(self):
+        block = self.make_block(200, 50)
+        for k, shift in enumerate(self.SHIFTS):
+            sol, certificate, fell_back = block.solve(self.SHIFTS[k:k + 1], coefficients=block.coefficients[:, k:k + 1])
+            assert sol.shape == (50, 1) and not fell_back[0] and certificate[0] <= 1.0e-10
+            assert block.residual(sol[:, 0], shift, block.rhs[:, k]) <= 1.0e-10
+
+    @pytest.mark.usefixtures("krylov")
+    @pytest.mark.parametrize("kind", ["design", "white-ar1-0.5"])
+    def test_work_does_not_grow_with_the_number_of_shifts(self, kind, monkeypatch):
+        block = self.make_block(200, 50, kind)
+        steps = self.krylov_steps(monkeypatch)
+        block.solve()
+        whole = list(steps)
+        steps.clear()
+        block.solve(self.SHIFTS[:1], coefficients=block.coefficients[:, :1])
+        assert whole == steps  # the six shifts take the steps of the smallest alone
+        # column mat-vecs: one per step for each seed until it finishes
+        assert whole[0] == block.seeds.shape[1] and whole == sorted(whole, reverse=True) and whole[-1] >= 1
+        assert 0 < len(whole) < 50
 
 
 class TestNonFiniteInput:

@@ -356,7 +356,8 @@ class TestErrorBlock:
         # X = [I; I] makes X'X/n = 2I/n, so least squares is the mean of the blocks
         cfg = tiny_config("paradox", n=8, p=4, cov=CovarianceModel.identity(4))
         noise = np.arange(1.0, 9.0)
-        draw = experiments._RepDraw(x=np.vstack([np.eye(4), np.eye(4)]), w_unit=noise, w_wins_unit=noise)
+        draw = experiments._RepDraw(design=estimators.Resolvent.of(np.vstack([np.eye(4), np.eye(4)])),
+                                    w_unit=noise, w_wins_unit=noise)
         plan, _, errors = self.solved(cfg, [("ols", 2.0, 4.0)], draw=draw)
         np.testing.assert_allclose(errors[:, 0], 2.0 * (noise[:4] + noise[4:]) / 2.0, rtol=0.0, atol=1.0e-12)
 
@@ -407,15 +408,15 @@ class TestGoldenRecords:
 
     GOLDEN = {
         "paradox": ("74de793914f1807d2855d25b7aa231898f8e8947b7bcdcf94b46eabda612b220",
-                    "ddc2e3000c2496ad9be0f61b476bbcac3175b11922029703f72fe14676bfb63e"),
+                    "258eac1152f60ed9a86918e56fda95b0da4ec9e2e40e603a3b0fdda396928585"),
         "floor": ("da9b9f65ae0a80e1fb3528e746da550af63e199a8fa70fb6e5405115e0be95ce",
-                  "1cc0373e260c7a8e8d687b58f44ddb54e2832b47795302cbe92fe57e4d2ca3ab"),
+                  "ee0efa1d928ae7ad5f27f6afaf802f106463e648af7e0236a6c3cda4487014d6"),
         "transient": ("f65e4aa8566ea384c3b91d00f237ee9701ac25e4de559b95b397a4187ee8c351",
-                      "6a2119d37c008d6d4559895ef712bd890b172538b8a6523d3f1256ace58fd228"),
+                      "391828bb013b9cbb8b8e5a9c9027d981dd2a846b6aea482dc2763e683efd3c3f"),
         "trichotomy": ("0fa3995a0f41181653612c5729d5f040feb6a4c0a92b4043f21bff3e25ba55c0",
-                       "57b70bbc0b58853b5a8c2b15e33bb3e9e63d9c8af922ef44741039d58457fdb6"),
+                       "5d0ff22042f9730bfe5a1d04fbbffd244ecef47a6b2823e20221a84bac92eee0"),
         "universality": ("14d10575b91cc1caffa9186d0ec0579076f9c4a3491ef1831338d6df5511391d",
-                         "283bd7166089cfe8edab8421f00f829382094428a5b67fa9a09d25492ba482ab"),
+                         "b9656e5bf24cb1517e57f81f8cc577489f68bd6a07fd61b9a6d3f09b4c9ebdf3"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -568,11 +569,11 @@ class TestTransientRunner:
         return risks
 
     @staticmethod
-    def fallback_counts(result, count):
-        """The summary's fallback counts when ``count`` solves fell back at every point: one list per
-        sweep for transient, one per design for universality."""
-        counts = [count] * len(result.config.grid)
-        return counts if result.config.name == "transient" else {"gaussian": counts, "rademacher": counts}
+    def assert_fallback_counts(result, count):
+        """Each estimator's summary counts ``count`` solves that fell back at every noisy sweep point, and
+        none at the noiseless one, whose penalty does not grow with the noise and is solved by Cholesky."""
+        for block in result.summary["estimators"].values():
+            assert block["resolvent_fallbacks"] == [count if g > 0.0 else 0 for g in block["sweep_values"]]
 
     def assert_certified_and_equal_to_the_eigenbasis(self, result):
         want = self.eigenbasis_risks(result.config)
@@ -596,30 +597,38 @@ class TestTransientRunner:
         monkeypatch.undo()  # the oracle draws X
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert not any(r.resolvent_fallback for r in result.records)
-        assert result.summary["resolvent_fallbacks"] == self.fallback_counts(result, 0)
+        self.assert_fallback_counts(result, 0)
+
+    @staticmethod
+    def root_reads(monkeypatch):
+        """A log filled with one entry per read of a spectrum's ``sqrt_matrix()``."""
+        reads, sqrt_matrix = [], experiments.DiscreteSpectrum.sqrt_matrix
+        monkeypatch.setattr(experiments.DiscreteSpectrum, "sqrt_matrix",
+                            lambda self: reads.append(1) or sqrt_matrix(self))
+        return reads
 
     @pytest.mark.parametrize("name", ("transient", "universality"))
-    def test_spent_budget_routes_every_column_through_one_resolvent(self, name, monkeypatch):
-        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)
+    def test_a_white_fallback_takes_no_eigh_and_no_root(self, name, monkeypatch):
+        # from 128 features on, a spent budget sends every noisy column to Cholesky of Z'Z/n + lam Sigma^-1
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
-        shapes = self.eigh_shapes(monkeypatch)
-        result = run_experiment(tiny_config(name))
-        draws = result.config.replications * len(self.SWEEPS[name][0])
-        assert shapes == [(40, 40)] * draws  # one Resolvent per draw
+        shapes, reads = self.eigh_shapes(monkeypatch), self.root_reads(monkeypatch)
+        result = run_experiment(tiny_config(name, n=300, p=128, cov=CovarianceModel.ar1(128, 0.5)))
+        assert shapes == [] and reads == []
+        assert all(r.resolvent_fallback is (r.sweep_value > 0.0) for r in result.records)
+        self.assert_fallback_counts(result, result.config.replications)
+        monkeypatch.undo()  # the oracle draws X
         self.assert_certified_and_equal_to_the_eigenbasis(result)
-        assert all(r.resolvent_fallback for r in result.records)
-        assert result.summary["resolvent_fallbacks"] == self.fallback_counts(result, result.config.replications)
 
     @pytest.mark.parametrize("name", ("transient", "universality"))
-    def test_few_features_take_one_resolvent_per_draw_and_no_fallback(self, name, monkeypatch):
-        # 40 features are below the conjugate-gradient threshold
-        shapes = self.eigh_shapes(monkeypatch)
+    def test_few_features_take_one_eigh_per_draw_and_no_fallback(self, name, monkeypatch):
+        # 40 features are below the conjugate-gradient threshold: each draw carries the root for its one eigh
+        shapes, reads = self.eigh_shapes(monkeypatch), self.root_reads(monkeypatch)
         result = run_experiment(tiny_config(name))
         draws = result.config.replications * len(self.SWEEPS[name][0])
-        assert shapes == [(40, 40)] * draws
+        assert shapes == [(40, 40)] * draws and len(reads) == draws
         self.assert_certified_and_equal_to_the_eigenbasis(result)
         assert not any(r.resolvent_fallback for r in result.records)
-        assert result.summary["resolvent_fallbacks"] == self.fallback_counts(result, 0)
+        self.assert_fallback_counts(result, 0)
 
     def test_ill_conditioned_sweep_is_certified(self):
         """At n = p and lambda_tilde = 1e-6 the Gram matrix is nearly
@@ -817,6 +826,24 @@ class TestSummarize:
         assert block["newton_steps_max"] == [3, 3]
         assert block["newton_steps_p95"] == [pytest.approx(np.quantile([1, 2, 3], 0.95))] * 2
         assert block["certificate_max"] == [1.0, 1.0]
+
+    def test_closed_form_estimators_count_their_fallbacks(self):
+        # a record with a certificate and no Newton steps is a closed-form solve
+        records = [dataclasses.replace(r, certificate=1.0e-12,
+                                       resolvent_fallback=r.replication == 0 or r.sweep_value == 2.0)
+                   for r in self.fake_records() if r.estimator == "a"]
+        records += [dataclasses.replace(r, newton_steps=3, certificate=1.0e-9) for r in self.fake_records()
+                    if r.estimator == "b"]
+        stats = summarize(tuple(records))
+        assert stats["a"]["resolvent_fallbacks"] == [1, 3]
+        assert "resolvent_fallbacks" not in stats["b"]
+        assert "resolvent_fallbacks" not in summarize(self.fake_records())["a"]  # no certificate: not a solve
+        for name in ("paradox", "floor", "trichotomy"):  # every closed-form estimator of every experiment
+            summary = run_experiment(tiny_config(name, replications=2)).summary["estimators"]
+            for estimator, block in summary.items():
+                assert ("resolvent_fallbacks" in block) is (estimator not in experiments._PROXIMAL_FITS)
+                if estimator not in experiments._PROXIMAL_FITS:
+                    assert block["resolvent_fallbacks"] == [0] * len(block["sweep_values"])
 
     def test_written_summary_reports_every_sweep_points_solver(self, tmp_path):
         result = run_experiment(tiny_config("floor"))
