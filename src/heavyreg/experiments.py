@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators
 from .convex import Loss, LossKind, RegKind, Regularizer
 from .errors import ConfigError
 from .estimators import (
@@ -350,14 +349,13 @@ class _RepDraw:
 
 
 def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
-    """A white draw below ``_KRYLOV_FEATURES`` features carries the root
-    ``Sigma^1/2`` for its direct solve; from there on nothing reads it."""
+    """A white draw carries the plan's spectrum, whose root ``Sigma^1/2``
+    :func:`_gram_solve` reads only below ``_KRYLOV_FEATURES`` features."""
     cfg = plan.config
     kind = cfg.design_kind if design_kind is None else design_kind
     rng = substream(cfg.master_seed, "design", rep)
     if plan.whitened:
-        root = plan.spec.sqrt_matrix() if cfg.p < estimators._KRYLOV_FEATURES else None
-        design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision, root)
+        design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision, plan.spec)
     else:
         design = Resolvent.of(sample_design(plan.spec, cfg.n, rng, kind=kind))
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
