@@ -65,7 +65,6 @@ __all__ = [
     "empirical_risk",
 ]
 
-_MAX_CONDITION = 1.0e12  # largest condition of G, by LAPACK pocon's estimate, for the s = 0 outlier route
 _ROUNDING = 1.0e-12  # relative objective slack that absorbs rounding
 _MIN_STEP = 2.0 ** -60  # the shortest step the halving tries
 _PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to L
@@ -159,9 +158,8 @@ class Resolvent:
     forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
     ``G + s T`` and keeps the factor of the last shift it was asked for,
     :meth:`factor` keeps one ``n x p`` outlier factor and frees ``G``, and
-    :attr:`top` and :attr:`invertible` are computed on first use.  So a
-    draw holds one Cholesky factor beside ``G`` or beside the outlier
-    factor, never all three.
+    :attr:`top` is computed on first use.  So a draw holds one Cholesky
+    factor beside ``G`` or beside the outlier factor, never all three.
     """
 
     x: np.ndarray
@@ -220,19 +218,6 @@ class Resolvent:
         ``syevr`` for that eigenvalue alone."""
         p = self.gram.shape[0]
         return float(scipy.linalg.eigh(self.gram, subset_by_index=[p - 1, p - 1], eigvals_only=True)[0])
-
-    @cached_property
-    def invertible(self) -> bool:
-        """``G`` is positive definite with a condition number within
-        ``_MAX_CONDITION``, by LAPACK ``pocon``'s estimate of its 1-norm
-        condition from the Cholesky factor at shift 0 (``O(p^2)``)."""
-        try:
-            factor = self.cholesky(0.0)
-        except np.linalg.LinAlgError:
-            return False
-        norm = scipy.linalg.lapack.dlange("1", self.gram.T)
-        rcond, _ = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
-        return rcond * _MAX_CONDITION >= 1.0
 
     def cholesky(self, shift: float) -> np.ndarray:
         """The lower Cholesky factor ``L`` of ``G + shift T`` by
@@ -298,7 +283,7 @@ def _eigenbasis_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.
 
 
 def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, shifts: np.ndarray,
-                adapted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                adapted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(G + shifts[k] T)^-1 r_k`` in the design's shifted family
     (:class:`Resolvent`), for every column ``k`` of ``r = seeds @ coefficients``
     (formed by :func:`_right_hand_sides`).
@@ -323,7 +308,8 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
     ``G + s T``, certified the same way, and keeps whichever of the two
     solutions has the smaller certificate.  The certificate bounds the
     residual, not the error (see ``_CERTIFICATE``).  Returns the solutions,
-    their certificates and a mask of the columns that fell back.
+    their certificates, a mask of the columns converged (certified within
+    ``_CERTIFICATE``) and a mask of the columns that fell back.
     """
     p = design.x.shape[1]
     rhs = _right_hand_sides(seeds, coefficients)
@@ -366,7 +352,7 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
         certificate[redo] = certify(redo)
         keep = iterated_certificate < certificate[redo]  # the Krylov solve was the better one
         sol[:, redo[keep]], certificate[redo[keep]] = iterated[:, keep], iterated_certificate[keep]
-    return sol, certificate, fell_back
+    return sol, certificate, certificate <= _CERTIFICATE, fell_back
 
 
 def _right_hand_sides(seeds: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -601,9 +587,10 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
       ``n I - X_O A^-1 X_O' = n I - Y_O Y_O'`` for the design's
       :meth:`Resolvent.factor` ``Y = X L^-T`` (``p o^2 + o^3/3``), and the
       correction is one more solve of a vector.  With ``s = 0`` (a lasso
-      pattern with every coordinate free and no proximal term) it needs a
-      Gram matrix conditioned within 1e12 (:attr:`Resolvent.invertible`),
-      so that ``Y`` is accurate.
+      pattern with every coordinate free and no proximal term) it serves
+      only a pattern with no outliers, whose system is ``X'X/n`` itself:
+      one factor and no ``Y``, and a singular ``X'X/n`` raises
+      ``numpy.linalg.LinAlgError`` as the ``cholesky`` route would.
     - ``inliers``, when ``s > 0``: a Woodbury correction of ``s I`` for the
       inlier rows (``m^2 q + m^3/3``); no inliers and ``mu = 0`` give
       ``b = k X' sign / (lam n)``.
@@ -664,13 +651,14 @@ def _route_costs(design: Resolvent, m: int, q: int, shift: float) -> dict[str, f
     name; a route missing from the table is not exact for that pattern.
     The outlier route's factors, the Cholesky factor of ``X'X/n + s I``
     (``p^3/3``) and ``Y`` (``n p^2``), are formed once per design and shift,
-    so they are not charged; with ``s = 0`` the route is open only to a
-    design whose Gram matrix is :attr:`Resolvent.invertible`, which the
-    first such pattern checks with one ``pocon`` on the factor."""
+    so they are not charged.  With ``s = 0`` the route is open only to a
+    pattern with no outliers, whose system is the factored ``X'X/n``
+    itself; an outlier correction there would read ``Y = X L^-T`` of a Gram
+    matrix that may be near singular, so such a pattern takes ``cholesky``."""
     n, p = design.x.shape
     o = n - m
     costs = {"cholesky": m * q * q + q ** 3 / 3.0}
-    if q == p and (shift > 0.0 or design.invertible):
+    if q == p and (shift > 0.0 or o == 0):
         costs["outliers"] = p * o * o + o ** 3 / 3.0
     if shift > 0.0:
         costs["inliers"] = m * m * q + m ** 3 / 3.0

@@ -37,7 +37,6 @@ import numpy as np
 from .convex import Loss, LossKind, RegKind, Regularizer
 from .errors import ConfigError
 from .estimators import (
-    _CERTIFICATE,
     EstimatorConfig,
     FitResult,
     Resolvent,
@@ -193,15 +192,15 @@ class RiskRecord:
     A Newton fit also reports its step count and optimality certificate.
     Every closed-form fit reports as its certificate the relative residual
     of its shifted Gram system ``(X'X/n + lam I) e = r`` (the same number
-    from the whitened system on a white draw), is converged when that is
-    within ``_CERTIFICATE``, and reports whether the solve fell back: its
-    conjugate gradients missed the certificate, it was solved again by
-    Cholesky of the draw's shifted Gram matrix, and it kept whichever of the
-    two solutions has the smaller one.  The
-    certificate bounds the residual, not the error: the error can reach
-    ``cond(X'X/n + lam I)`` times it (at n = 40, p = 60 and ``lam = 1e-6``,
-    solves certified at 1e-10 were up to 9.7e-10 relative off the exact
-    error).  None of them goes into the CSV.
+    from the whitened system on a white draw), is converged when
+    :func:`_gram_solve` finds that within its threshold (1e-10), and reports
+    whether the solve fell back: its conjugate gradients missed the
+    threshold, it was solved again by Cholesky of the draw's shifted Gram
+    matrix, and it kept whichever of the two solutions has the smaller
+    certificate.  The certificate bounds the residual, not the error: the
+    error can reach ``cond(X'X/n + lam I)`` times it (at n = 40, p = 60 and
+    ``lam = 1e-6``, solves certified at 1e-10 were up to 9.7e-10 relative
+    off the exact error).  None of them goes into the CSV.
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
     evaluation.  The closed-form fits of one draw are solved and evaluated in
@@ -445,17 +444,18 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float,
 
 
 def _record(plan: _Plan, estimator: str, sweep: float, rep: int, risk: float, t0: float,
-            fit: FitResult | None = None, certificate: float | None = None,
+            fit: FitResult | None = None, certificate: float | None = None, converged: bool = False,
             resolvent_fallback: bool = False) -> RiskRecord:
-    """The record of one fit with risk ``risk``.  A closed-form fit is
-    converged unless its certificate misses ``_CERTIFICATE``."""
+    """The record of one fit with risk ``risk``: a Newton ``fit``'s, or a
+    closed-form fit's with its ``certificate`` and ``converged`` flag from
+    :func:`_gram_solve`."""
     return RiskRecord(
         experiment=plan.config.name,
         estimator=estimator,
         sweep_value=float(sweep),
         replication=rep,
         risk=float(risk),
-        converged=fit.converged if fit is not None else certificate <= _CERTIFICATE,
+        converged=fit.converged if fit is not None else converged,
         wall_ms=(time.perf_counter() - t0) * 1.0e3,
         newton_steps=None if fit is None else fit.iterations,
         certificate=certificate if fit is None else fit.gradient_map_norm,
@@ -498,7 +498,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
         t0 = time.perf_counter()
         seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
         adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in closed], dtype=bool)
-        errors, certificates, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
+        errors, certificates, converged, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
         if plan.whitened:
             risks = np.einsum("ij,ij->j", errors, errors) / cfg.p
         else:  # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
@@ -507,7 +507,8 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
         for k, (estimator, g, _, _) in enumerate(closed):
             # the clock starts a share of the block early
             records.append(_record(plan, estimator + suffix, g, rep, risks[k], time.perf_counter() - share,
-                                   certificate=float(certificates[k]), resolvent_fallback=bool(fell_back[k])))
+                                   certificate=float(certificates[k]), converged=bool(converged[k]),
+                                   resolvent_fallback=bool(fell_back[k])))
         warm: dict[str, np.ndarray] = {}
         fits = [e for e in row.estimators if e in _PROXIMAL_FITS]
         signal = draw.x @ plan.beta_star if fits else None
@@ -876,18 +877,17 @@ def write_records_csv(records: tuple[RiskRecord, ...], path) -> None:
             ])
 
 
-def write_outputs(result: ExperimentResult, out_dir, tag: str | None = None) -> dict:
+def write_outputs(result: ExperimentResult, out_dir) -> dict:
     """Write the CSV, the JSON summary, and the resolved-config echo.
 
-    Returns the mapping of artifact names to paths.  The default tag is
-    ``seed<master_seed>`` so that reruns with the same configuration land on
-    the same filenames.
+    Returns the mapping of artifact names to paths.  Their stem is
+    ``<name>_seed<master_seed>``, so that reruns with the same configuration
+    land on the same filenames.
     """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    tag = tag if tag is not None else f"seed{result.config.master_seed}"
-    base = f"{result.config.name}_{tag}"
+    base = f"{result.config.name}_seed{result.config.master_seed}"
     paths = {
         "csv": os.path.join(out_dir, base + ".csv"),
         "summary": os.path.join(out_dir, base + ".summary.json"),

@@ -212,12 +212,16 @@ class TestGramSolve:
             return estimators._right_hand_sides(self.seeds, self.coefficients)
 
         def solve(self, shifts=None, adapted=None, coefficients=None, seeds=None, design=None):
-            """``_gram_solve`` of the block, every column adapted unless told otherwise."""
+            """``_gram_solve`` of the block, every column adapted unless told
+            otherwise: the solutions, certificates and fallback mask, once its
+            converged mask is checked against the certificates."""
             shifts = TestGramSolve.SHIFTS if shifts is None else shifts
-            return estimators._gram_solve(
+            sol, certificate, converged, fell_back = estimators._gram_solve(
                 self.design if design is None else design, self.seeds if seeds is None else seeds,
                 self.coefficients if coefficients is None else coefficients, shifts,
                 np.ones(len(shifts), bool) if adapted is None else adapted)
+            assert np.array_equal(converged, certificate <= estimators._CERTIFICATE)
+            return sol, certificate, fell_back
 
         def residual(self, sol, shift, r):
             """``||(X'X/n + s I) e - b|| / ||b||`` densely, for the design's
@@ -367,11 +371,11 @@ class TestGramSolve:
         z, seeds = rng.standard_normal((30, 1)), rng.standard_normal((1, 2))
         coefficients = rng.standard_normal((2, len(self.SHIFTS)))
         design = Resolvent.of(z) if t == 1.0 else Resolvent.of(z, (np.array([t]), np.empty(0)))
-        sol, certificate, fell_back = estimators._gram_solve(design, seeds, coefficients, self.SHIFTS,
-                                                             np.ones(len(self.SHIFTS), bool))
+        sol, certificate, converged, fell_back = estimators._gram_solve(design, seeds, coefficients, self.SHIFTS,
+                                                                        np.ones(len(self.SHIFTS), bool))
         want = (seeds @ coefficients)[0] / (z[:, 0] @ z[:, 0] / 30 + self.SHIFTS * t)
         np.testing.assert_allclose(sol[0], want, rtol=1.0e-13)
-        assert not fell_back.any() and np.all(certificate <= 1.0e-10)
+        assert not fell_back.any() and np.all(certificate <= 1.0e-10) and converged.all()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_spent_budget_falls_back_to_cholesky(self, kind, monkeypatch):
@@ -746,22 +750,18 @@ class TestPatternSolve:
         assert (design._factor[0] is None) == (o == 0)  # formed only for a correction
 
     @pytest.mark.parametrize("o", [1, 20, 40])
-    def test_the_factor_route_serves_a_lasso_pattern_with_no_shift(self, o, monkeypatch):
-        # every coordinate free and mu = 0: s = 0, so the factor is X V D^-1/2.  The
-        # Woodbury correction loses digits with the pattern's condition (166 at o = 40;
-        # at o = 50, m = p and 8e3, both this route and the eigenbasis products it
-        # replaced land 3.5e-12 off a 40-digit solve)
+    def test_a_lasso_pattern_with_outliers_and_no_shift_matches_a_dense_solve(self, o):
+        # every coordinate free and mu = 0: s = 0, so the table offers only the Cholesky route,
+        # whose pattern system is conditioned up to 166 (at o = 40)
         design, y, outlier = self.ridge_pattern(80, 30, o)
         sign = np.random.default_rng(2).choice([-1.0, 1.0], 30)
-        anchor = np.zeros(30)
-        costs = estimators._route_costs
-        solutions = {}
-        for route in ("outliers", "cholesky"):
-            monkeypatch.setattr(estimators, "_route_costs", lambda *args, route=route: {route: costs(*args)[route]})
-            solutions[route] = estimators._pattern_solve(design, y, 1.5, outlier, sign, 0.1, anchor, 0.0)
-        want = solutions["cholesky"]
-        assert np.linalg.norm(solutions["outliers"] - want) <= 1.0e-12 * np.linalg.norm(want)
-        assert design._factor[0] == 0.0
+        assert list(estimators._route_costs(design, 80 - o, 30, 0.0)) == ["cholesky"]
+        b = estimators._pattern_solve(design, y, 1.5, outlier, sign, 0.1, np.zeros(30), 0.0)
+        x, inlier = design.x, outlier == 0.0
+        rhs = x.T @ np.where(inlier, y, 1.5 * outlier) / 80 - 0.1 * sign
+        dense = np.linalg.solve(x[inlier].T @ x[inlier] / 80, rhs)
+        assert np.linalg.norm(b - dense) <= 1.0e-12 * np.linalg.norm(dense)
+        assert design._factor[0] is None  # no Y formed
 
     def test_no_shift_and_a_singular_gram_matrix_leave_no_outlier_route(self):
         x, _, _ = make_problem(n=80, p=30, seed=3)
@@ -769,31 +769,45 @@ class TestPatternSolve:
         assert "outliers" not in estimators._route_costs(Resolvent.of(x), 70, 30, 0.0)
         assert "outliers" in estimators._route_costs(Resolvent.of(x), 70, 30, 0.1)
 
-    @pytest.mark.parametrize("gram, open_", [("zero column", False), ("condition 1e13", False),
-                                             ("condition 1e10", True)])
-    def test_the_condition_estimate_gates_the_outlier_route_with_no_shift(self, gram, open_, monkeypatch):
-        # LAPACK pocon estimates the 1-norm condition, which for a symmetric matrix is at least the
-        # 2-norm one and at most p times it: 1e13 is refused, and 1e10 (at most 3e11) is not
+    @staticmethod
+    def no_shift_design(gram):
+        """An 80 x 30 design whose Gram matrix is well conditioned, singular
+        (a duplicated column of signs, so ``potrf`` meets an exact zero pivot),
+        or conditioned at 1e13."""
         n, p = 80, 30
         rng = np.random.default_rng(9)
-        if gram.startswith("condition"):
-            rows, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        x = rng.standard_normal((n, p))
+        if gram == "duplicated column":
+            x[:, 0] = x[:, 1] = rng.choice([-1.0, 1.0], n)
+        elif gram == "condition 1e13":
+            rows, _ = np.linalg.qr(x)
             basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
-            evals = np.geomspace(1.0, 1.0 / float(gram.split()[1]), p)
+            evals = np.geomspace(1.0, 1.0e-13, p)
             x = (rows * np.sqrt(n * evals)) @ basis.T  # X'X/n = V diag(evals) V'
-            cond = np.linalg.cond(x.T @ x / n)
-            assert 0.5 < cond * evals[-1] < 2.0
-        else:
-            x = rng.standard_normal((n, p))
-            x[:, 1] = 0.0
-        calls, pocon = [], scipy.linalg.lapack.dpocon
-        monkeypatch.setattr(scipy.linalg.lapack, "dpocon", lambda *a, **k: calls.append(1) or pocon(*a, **k))
-        design = Resolvent.of(x)
-        for _ in range(2):
-            assert ("outliers" in estimators._route_costs(design, 70, p, 0.0)) is open_
-        assert design.invertible is open_
-        assert len(calls) == (0 if gram == "zero column" else 1)  # no factor, no estimate
-        assert "outliers" in estimators._route_costs(design, 70, p, 0.1)
+        return Resolvent.of(x)
+
+    @pytest.mark.parametrize("gram", ["well conditioned", "duplicated column", "condition 1e13"])
+    def test_with_no_shift_the_factor_route_serves_only_a_pattern_with_no_outliers(self, gram, monkeypatch):
+        # the pattern with no outliers is X'X/n itself, which the factor route solves with no condition estimate
+        estimates = TestGramSolve.calls(monkeypatch, scipy.linalg.lapack, "dpocon")
+        design = self.no_shift_design(gram)
+        for m in (80, 79, 70, 0):
+            assert ("outliers" in estimators._route_costs(design, m, 30, 0.0)) is (m == 80)
+            assert "outliers" in estimators._route_costs(design, m, 30, 0.1)
+        assert estimates == [] and design._cholesky[0] is None  # the table factors nothing
+
+    def test_no_shift_and_no_outliers_on_a_singular_gram_matrix_raise(self):
+        # as the Cholesky route does, so fit_proximal retries the pattern with its proximal term
+        design = self.no_shift_design("duplicated column")
+        sign, anchor, inlier = np.ones(30), np.zeros(30), np.zeros(80)
+        y = np.random.default_rng(1).standard_normal(80)
+        costs = estimators._route_costs(design, 80, 30, 0.0)
+        assert min(costs, key=costs.get) == "outliers"
+        with pytest.raises(np.linalg.LinAlgError):
+            estimators._pattern_solve(design, y, 1.5, inlier, sign, 0.1, anchor, 0.0)
+        x = design.x
+        with pytest.raises(np.linalg.LinAlgError):
+            estimators._spd_solve(x.T @ x / 80, x.T @ y / 80 - 0.1 * sign)  # the Cholesky route's own factor
 
     def test_a_huber_sweep_forms_the_factor_once(self, monkeypatch):
         # a 12-point scale sweep at one penalty, warm-started as the experiments run it

@@ -897,8 +897,3 @@ class TestSerialization:
         echo = json.loads(open(paths["config"]).read())
         assert echo["master_seed"] == 20240817
         assert echo["grid"] == [0.0, 1.0, 10.0, 100.0, 1000.0]
-
-    def test_custom_tag_overrides_the_seed_tag(self, tmp_path):
-        result = run_experiment(tiny_config("paradox", replications=2))
-        paths = write_outputs(result, tmp_path, tag="pilot")
-        assert paths["csv"].endswith("paradox_pilot.csv")
