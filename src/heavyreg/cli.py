@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=None, help="master seed (default 12345)")
     exp.add_argument("--workers", type=int, default=None, help="parallel replication workers")
     exp.add_argument("--paper-scale", action="store_true",
-                     help="long-run protocol (n=2000, p=1000, 500 replications; 0.1 to 1.2 s per "
+                     help="long-run protocol (n=2000, p=1000, 500 replications; 0.1 to 0.9 s per "
                           "replication on one BLAS thread, trichotomy the slowest)")
     exp.add_argument("--json", action="store_true")
     exp.set_defaults(func=cmd_experiment)

@@ -33,8 +33,13 @@ pattern's own system.  The outlier correction reads :meth:`Resolvent.factor`
 ``Y = X L^-T`` (one ``dtrsm``), formed once for the fit's one shift ``s``
 and kept for every step and sweep point on the design in place of ``G``, so
 a step costs ``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o`` product.
-The proximal-gradient step reads the largest eigenvalue of ``G``, computed
-on first use by LAPACK ``syevr`` for that one eigenvalue.
+A ridge step goes to the exact minimum of the objective along its ray, a
+piecewise quadratic in the step length (:func:`_ray_minimum`, O(n) per
+evaluation); a lasso step is halved while it would raise the objective.
+Only the lasso's proximal-gradient step reads the largest eigenvalue of
+``G``, computed on first use by LAPACK ``syevr`` for that one eigenvalue; a
+ridge fit is certified by its gradient and reads it only to retry a pattern
+whose factorization failed.
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -66,8 +71,9 @@ __all__ = [
 ]
 
 _ROUNDING = 1.0e-12  # relative objective slack that absorbs rounding
-_MIN_STEP = 2.0 ** -60  # the shortest step the halving tries
+_MIN_STEP = 2.0 ** -60  # the shortest step the lasso's halving tries
 _PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to L
+_RAY_EVALUATIONS = 64  # cap on the evaluations of phi' in one ridge step's line search (:func:`_ray_minimum`)
 # Relative residual a shifted solve must reach.  It bounds the residual, not
 # the error, which can reach cond(G + s I) times it: at n = 40, p = 60 and
 # s = 1e-6 eigenbasis solves certified below it were 4.2e-10 to 9.7e-10
@@ -129,8 +135,10 @@ class EstimatorConfig:
 class FitResult:
     """Outcome of a fit, with its optimality certificate.
 
-    ``converged`` is True only when the gradient-mapping norm certifies
-    first-order optimality; ``iterations`` counts Newton steps.
+    ``converged`` is True only when ``gradient_map_norm`` certifies
+    first-order optimality: the gradient norm for a ridge fit, the gradient
+    map at the step ``1/L`` for a lasso fit.  ``iterations`` counts Newton
+    steps.
     """
 
     beta_hat: np.ndarray
@@ -158,8 +166,10 @@ class Resolvent:
     forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
     ``G + s T`` and keeps the factor of the last shift it was asked for,
     :meth:`factor` keeps one ``n x p`` outlier factor and frees ``G``, and
-    :attr:`top` is computed on first use.  So a draw holds one Cholesky
-    factor beside ``G`` or beside the outlier factor, never all three.
+    :attr:`top` is computed on first use, which only a lasso fit that is
+    not screened and a ridge fit's proximal retry make.  So a draw holds one
+    Cholesky factor beside ``G`` or beside the outlier factor, never all
+    three.
     """
 
     x: np.ndarray
@@ -215,7 +225,10 @@ class Resolvent:
     @cached_property
     def top(self) -> float:
         """The largest eigenvalue of ``G``, ``||X||_2**2 / n``, by LAPACK
-        ``syevr`` for that eigenvalue alone."""
+        ``syevr`` for that eigenvalue alone (7 ms at p = 400, 90-99 ms at
+        p = 1000 on one BLAS thread): the lasso's step ``1/L`` and the
+        weight of the proximal term on a pattern whose factorization failed.
+        A ridge fit reads it only for that retry."""
         p = self.gram.shape[0]
         return float(scipy.linalg.eigh(self.gram, subset_by_index=[p - 1, p - 1], eigvals_only=True)[0])
 
@@ -453,30 +466,38 @@ def fit_proximal(
     Both objectives are piecewise quadratic.  Each step reads a pattern --
     every residual an inlier (``|r| <= k``) or an outlier of a given sign,
     every lasso coordinate zero or free with a given sign -- and solves that
-    pattern's quadratic exactly (:func:`_pattern_solve`).  The lasso reads
-    its signs from the proximal-gradient point ``prox(b - grad / L)`` and
-    steps from there.  When the full step raises the objective, the step is
-    halved (for the lasso, coordinates that would change sign stop at zero).
-    The method stops when a full step lands on the pattern it was solved
-    for, since that point satisfies the optimality conditions exactly, or
-    when a step no longer lowers the objective.  A lasso pattern with more
-    free coordinates than inlier rows, or a Cholesky factorization that
-    fails, has no unique minimizer; its step adds the proximal term
-    ``(mu/2) ||b - b_k||^2`` with ``mu = 1e-6 L`` and never ends the method.
-    ``x0`` warm-starts it (e.g. from the previous sweep point).  A lasso
-    whose centre is optimal, ``||X' loss'(y - X beta0) / n||_inf <=
-    lambda_n``, returns the centre in zero steps.
+    pattern's quadratic exactly (:func:`_pattern_solve`).  A ridge step then
+    moves to the exact minimizer of the objective on the ray from the
+    current point through the pattern's solution, found by
+    :func:`_ray_minimum` (Madsen & Nielsen 1990, *BIT* 30); the full step,
+    tested first, is that minimizer when it lands on its own pattern.  The
+    lasso reads its signs from the proximal-gradient point
+    ``prox(b - grad / L)`` and steps from there; when its full step raises
+    the objective, coordinates that would change sign stop at zero, and then
+    the step is halved.  The method stops when a full step lands on the
+    pattern it was solved for, since that point satisfies the optimality
+    conditions exactly, or when a step no longer lowers the objective.  A
+    lasso pattern with more free coordinates than inlier rows, or a Cholesky
+    factorization that fails, has no unique minimizer; its step adds the
+    proximal term ``(mu/2) ||b - b_k||^2`` with ``mu = 1e-6 L`` and never
+    ends the method.  ``x0`` warm-starts it (e.g. from the previous sweep
+    point).  A lasso whose centre is optimal, ``||X' loss'(y - X beta0) /
+    n||_inf <= lambda_n``, returns the centre in zero steps.
 
-    ``iterations`` counts Newton steps.  Convergence means the
-    gradient-mapping certificate, computed once at the end with the step
-    ``1/L``, holds; ``L`` is the largest eigenvalue of ``X'X/n``
-    (:attr:`Resolvent.top`), computed once per design by the first fit that
-    is not screened.  A screened fit needs no ``L``: the gradient map at an
-    optimal centre vanishes at every step, so its screening gradient gives
-    the certificate at the unit step.  Raises only ``ConfigError``, on
-    invalid input (a loss or penalty other than those above, wrong shapes,
-    non-finite ``y``, center or ``x0``); a busted budget or a stalled step
-    returns the result with ``converged=False``.
+    ``iterations`` counts Newton steps.  Convergence means the certificate,
+    computed once at the end, holds.  The ridge objective is differentiable,
+    and its certificate is the gradient norm
+    ``||-X' loss'(r) / n + lambda_n (beta - beta0)||``, the gradient map's
+    limit as its step goes to 0 and never below the map at any step.  The
+    lasso's is the gradient map at the step ``1/L``, where ``L`` is the
+    largest eigenvalue of ``X'X/n`` (:attr:`Resolvent.top`), computed once
+    per design by the first lasso fit that is not screened.  A screened fit
+    needs no ``L``: the gradient map at an optimal centre vanishes at every
+    step, so its screening gradient gives the certificate at the unit step.
+    Raises only ``ConfigError``, on invalid input (a loss or penalty other
+    than those above, wrong shapes, non-finite ``y``, center or ``x0``); a
+    busted budget or a stalled step returns the result with
+    ``converged=False``.
     """
     loss, reg = config.loss, config.reg
     if loss.kind not in (LossKind.SQUARED, LossKind.HUBER) or reg is None \
@@ -500,13 +521,15 @@ def fit_proximal(
     def gradient(r: np.ndarray) -> np.ndarray:
         return -(x.T @ np.asarray(loss.derivative(r))) / n
 
+    def lipschitz() -> float:  # read on first use, by the lasso and the proximal term alone
+        return design.top * loss.derivative_lipschitz()
+
     grad = gradient(y_shift) if lasso else None
     screened = lasso and np.max(np.abs(grad)) <= lam
     if screened:  # the centre is optimal
         d, r, step = np.zeros(p), y_shift, 1.0
     else:
-        lipschitz = design.top * loss.derivative_lipschitz()
-        step = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
+        step = 1.0 / lipschitz() if lasso and lipschitz() > 0.0 else 1.0
         r = y_shift - x @ d
     f = objective(d, r)
     iterations = 0
@@ -518,32 +541,38 @@ def fit_proximal(
             sign = np.where(np.abs(u) > step * lam, np.sign(u), 0.0)
             base = np.where(sign != 0.0, u - step * lam * sign, 0.0)
             r_base = y_shift - x @ base
-        pattern = (np.where(np.abs(r_base) <= k, 0.0, np.sign(r_base)), sign)
+        pattern = (_sides(r_base, k), sign)
         if solved is not None and all(a is None or np.array_equal(a, b) for a, b in zip(pattern, solved)):
             break  # a full step landed on its own pattern
         iterations += 1
         if lasso:  # never above the objective at d, by the descent lemma
             d, r, f = base, r_base, objective(base, r_base)
         singular = lasso and np.count_nonzero(sign) > np.count_nonzero(pattern[0] == 0.0)
-        mu = _PROXIMAL * lipschitz if singular else 0.0
+        mu = _PROXIMAL * lipschitz() if singular else 0.0
         try:
             target = _pattern_solve(design, y_shift, k, *pattern, lam, d, mu)
         except np.linalg.LinAlgError:
-            mu = _PROXIMAL * lipschitz
+            mu = _PROXIMAL * lipschitz()
             target = _pattern_solve(design, y_shift, k, *pattern, lam, d, mu)
-        # the full step; for the lasso next the full step with coordinates
-        # that would change sign stopped at zero; then halvings of that
-        t, cand = 1.0, target
-        while True:
-            r_cand = y_shift - x @ cand
-            f_cand = objective(cand, r_cand)
-            if f_cand <= f + _ROUNDING * abs(f) or t < _MIN_STEP:
-                break
-            if not (lasso and cand is target):
-                t *= 0.5
-            cand = d + t * (target - d)
-            if lasso:
+        if lasso:
+            # the full step; next the full step with coordinates that would
+            # change sign stopped at zero; then halvings of that
+            t, cand = 1.0, target
+            while True:
+                r_cand = y_shift - x @ cand
+                f_cand = objective(cand, r_cand)
+                if f_cand <= f + _ROUNDING * abs(f) or t < _MIN_STEP:
+                    break
+                if cand is not target:
+                    t *= 0.5
+                cand = d + t * (target - d)
                 cand = np.where(cand * sign > 0.0, cand, 0.0)
+        else:  # the exact minimizer along the ray d + t (target - d)
+            ray = target - d
+            t, r_cand = _ray_minimum(r, x @ ray, k, lam * float(d @ ray), lam * float(ray @ ray),
+                                     pattern[0] if mu == 0.0 else None)
+            cand = target if t == 1.0 else d + t * ray
+            f_cand = objective(cand, r_cand)
         if not f_cand < f:
             break  # no descent left
         d, r, f = cand, r_cand, f_cand
@@ -551,8 +580,11 @@ def fit_proximal(
 
     if not screened:
         grad = gradient(r)
-    mapped = prox_reg(reg, step * lam, d - step * grad)
-    gradient_map_norm = float(np.linalg.norm(d - mapped)) / step
+    if lasso:
+        mapped = prox_reg(reg, step * lam, d - step * grad)
+        gradient_map_norm = float(np.linalg.norm(d - mapped)) / step
+    else:
+        gradient_map_norm = float(np.linalg.norm(grad + lam * d))
     beta = center + d
     return FitResult(
         beta_hat=beta,
@@ -561,6 +593,60 @@ def fit_proximal(
         objective=f,
         gradient_map_norm=gradient_map_norm,
     )
+
+
+def _sides(r: np.ndarray, k: float) -> np.ndarray:
+    """The residual pattern: 0 for an inlier (``|r| <= k``), else the sign."""
+    return np.where(np.abs(r) <= k, 0.0, np.sign(r))
+
+
+def _ray_minimum(r: np.ndarray, delta: np.ndarray, k: float, slope: float, curvature: float,
+                 solved: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """The exact minimizer ``t* >= 0`` of
+    ``phi(t) = mean(huber_k(r - t delta)) + slope t + curvature t^2 / 2``
+    and the residual ``r - t* delta`` there; ``k = inf`` is squared loss.
+
+    A ridge step from ``d`` towards ``d + D`` has ``delta = X D``,
+    ``slope = lam d'D`` and ``curvature = lam D'D > 0``, and
+    ``phi'(0) <= 0``.  ``phi'`` is nondecreasing and linear between the
+    breakpoints where a residual crosses ``+-k``, so a safeguarded Newton
+    iteration on it from ``t = 1`` ends exactly: each evaluation, O(n),
+    reads the piece at ``t`` (the pattern of :func:`_sides`) and steps to
+    the root of that piece's line, which is the root of ``phi'`` once it
+    lands on the same piece.  A step that leaves the bracket
+    ``phi'(lo) < 0 < phi'(hi)`` takes the bracket's secant instead.
+    ``solved`` is the pattern at ``t = 0`` when ``t = 1`` is the root of its
+    line (a full Newton step with no proximal term): a full step that lands
+    on it is taken at the first evaluation.  After ``_RAY_EVALUATIONS``
+    evaluations ``lo`` is returned, where ``phi`` is no higher than at 0.
+    """
+    n = r.size
+    square = delta * delta
+    lo, hi, g_lo, g_hi = 0.0, math.inf, None, None  # the bracket and phi' at its ends, once evaluated
+    t, came_from = 1.0, solved  # came_from: the piece whose line has its root at t, if any
+    for _ in range(_RAY_EVALUATIONS):
+        z = r - t * delta
+        piece = _sides(z, k)
+        if came_from is not None and np.array_equal(piece, came_from):
+            return t, z
+        g = slope + curvature * t - float(np.clip(z, -k, k) @ delta) / n
+        step = t - g / (curvature + float(square @ (piece == 0.0)) / n)
+        if step == t:  # the root, to rounding
+            return t, z
+        if g < 0.0:
+            lo, g_lo = t, g
+        else:
+            hi, g_hi = t, g
+        t, came_from = step, piece
+        if not lo < t < hi:  # hi is finite: a step from left of the root moves right
+            if g_lo is None:
+                g_lo = slope - float(np.clip(r, -k, k) @ delta) / n
+                if g_lo >= 0.0:
+                    return 0.0, r
+            t, came_from = lo - g_lo * (hi - lo) / (g_hi - g_lo), None
+            if not lo < t < hi:  # no float strictly inside the bracket
+                break
+    return lo, r - lo * delta
 
 
 def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarray,

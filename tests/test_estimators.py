@@ -658,8 +658,9 @@ class TestFitProximal:
     @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
     @pytest.mark.parametrize("reg", (RIDGE, LASSO), ids=("ridge", "lasso"))
     def test_fixed_step_never_increases_the_objective(self, loss, reg):
-        # every step, full or halved, keeps the objective from rising, for
-        # wide and tall designs alike and whether or not the fit certifies
+        # every step keeps the objective from rising -- a ridge step to the
+        # minimum along its ray, a lasso step full or halved -- for wide and
+        # tall designs alike and whether or not the fit certifies
         for n, p, seed in ((100, 40, 23), (30, 60, 29)):
             x, y, _ = make_problem(n=n, p=p, seed=seed, noise=3.0)
             design = Resolvent.of(x)
@@ -691,6 +692,56 @@ class TestFitProximal:
             for reg in (RIDGE, LASSO):
                 assert fit_proximal(EstimatorConfig(loss, reg, 0.05), design, y).converged
 
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_ridge_fits_read_no_top_eigenvalue(self, loss, monkeypatch):
+        # the ridge certificate is the gradient norm and its steps search their rays, so no syevr runs
+        x, y, _ = make_problem(n=100, p=40, seed=13, noise=5.0)
+        design = Resolvent.of(x)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ridge fit called scipy.linalg.eigh")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+        for lam in (1.0e-3, 0.1, 10.0):
+            assert fit_proximal(EstimatorConfig(loss, RIDGE, lam), design, y).converged
+        assert "top" not in vars(design)
+
+    def test_ridge_certificate_is_the_gradient_norm(self):
+        # ||-X' psi(y - X b) / n + lam (b - b0)|| at every iterate, not the gradient map at step 1/L
+        x, y, _ = make_problem(n=100, p=40, seed=5, noise=3.0)
+        center = np.linspace(-1.0, 1.0, 40)
+        design = Resolvent.of(x)
+        for loss in (SQUARED, HUBER):
+            config = EstimatorConfig(loss, RIDGE, 0.1, center=center)
+            final = fit_proximal(config, design, y)
+            assert final.converged
+            for j in range(1, final.iterations + 1):
+                fit = fit_proximal(dataclasses.replace(config, max_iterations=j), design, y)
+                grad = -x.T @ loss.derivative(y - x @ fit.beta_hat) / 100 + 0.1 * (fit.beta_hat - center)
+                assert fit.gradient_map_norm == pytest.approx(np.linalg.norm(grad), rel=1.0e-9, abs=1.0e-13)
+        assert final.iterations >= 3 and not fit_proximal(dataclasses.replace(config, max_iterations=1),
+                                                          design, y).converged
+
+    def test_a_failed_ridge_pattern_retries_with_the_proximal_term(self, monkeypatch):
+        # only the retry reads the top eigenvalue, for mu = 1e-6 ||X||_2^2 / n
+        x, y, _ = make_problem(n=100, p=40, seed=5, noise=3.0)
+        design = Resolvent.of(x)
+        plain = fit_proximal(EstimatorConfig(HUBER, RIDGE, 0.1), design, y)
+        assert "top" not in vars(design)
+        solve, mus = estimators._pattern_solve, []
+
+        def fail_once(*args):
+            mus.append(args[-1])
+            if len(mus) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return solve(*args)
+
+        monkeypatch.setattr(estimators, "_pattern_solve", fail_once)
+        fit = fit_proximal(EstimatorConfig(HUBER, RIDGE, 0.1), design, y)
+        assert fit.converged
+        assert mus[:2] == [0.0, 1.0e-6 * design.top] and not any(mus[2:])
+        np.testing.assert_allclose(fit.beta_hat, plain.beta_hat, rtol=0.0, atol=1.0e-12)
+
     def test_converged_fit_carries_a_valid_certificate(self):
         x, y, _ = make_problem(n=100, p=40, seed=21, noise=1.0)
         config = EstimatorConfig(SQUARED, LASSO, 0.05)
@@ -709,6 +760,114 @@ class TestFitProximal:
         # active coordinates: gradient + lam * sign = 0; inactive: |gradient| <= lam
         assert np.max(np.abs(grad[active] + lam * np.sign(fit.beta_hat[active]))) <= 1.0e-7
         assert np.max(np.abs(grad[~active])) <= lam + 1.0e-7
+
+
+class TestRayMinimum:
+    """The exact line search of a ridge step, the minimizer ``t* >= 0`` of
+    ``phi(t) = mean(huber_k(r - t delta)) + slope t + curvature t^2 / 2``,
+    against an oracle that takes the root of ``phi'`` on every segment
+    between its breakpoints."""
+
+    K = 1.5
+
+    @classmethod
+    def derivative(cls, r, delta, slope, curvature, t):
+        """``phi'(t)``."""
+        return slope + curvature * t - np.clip(r - t * delta, -cls.K, cls.K) @ delta / r.size
+
+    @classmethod
+    def oracle(cls, r, delta, slope, curvature):
+        """The root of ``phi'``, by enumerating every breakpoint ``t > 0``:
+        ``phi'`` is linear between two of them and past the last one."""
+        moving = delta != 0.0
+        knots = np.concatenate([(r[moving] - cls.K) / delta[moving], (r[moving] + cls.K) / delta[moving]])
+        knots = np.unique(np.concatenate([[0.0], knots[knots > 0.0]]))
+        knots = np.append(knots, knots[-1] + 1.0)
+        g = [cls.derivative(r, delta, slope, curvature, t) for t in knots]
+        if g[0] >= 0.0:
+            return 0.0
+        for a, b, g_a, g_b in zip(knots[:-1], knots[1:], g[:-1], g[1:]):
+            if g_b >= 0.0 or b == knots[-1]:
+                return a - g_a * (b - a) / (g_b - g_a)
+
+    @classmethod
+    def slope_for(cls, r, delta, descent):
+        """The slope at which ``phi'(0) = -descent``."""
+        return np.clip(r, -cls.K, cls.K) @ delta / r.size - descent
+
+    @staticmethod
+    def evaluations(monkeypatch):
+        """A list that gains an entry per evaluation of ``phi'`` (each reads one piece)."""
+        sides, calls = estimators._sides, []
+        monkeypatch.setattr(estimators, "_sides", lambda z, k: calls.append(1) or sides(z, k))
+        return calls
+
+    def search(self, r, delta, slope, curvature, solved=None):
+        t, z = estimators._ray_minimum(r, delta, self.K, slope, curvature, solved)
+        assert np.array_equal(z, r - t * delta)
+        return t
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_oracle(self, seed):
+        # a tenth of delta is zero, and the roots spread from well below 1 to well above it (8 of 24 above)
+        rng = np.random.default_rng(seed)
+        r = 3.0 * rng.standard_normal(300)
+        delta = rng.standard_normal(300) * (rng.uniform(size=300) > 0.1)
+        curvature = 10.0 ** rng.uniform(-3.0, 1.0)
+        slope = self.slope_for(r, delta, 10.0 ** rng.uniform(-2.0, 1.0))
+        t = self.search(r, delta, slope, curvature)
+        assert t == pytest.approx(self.oracle(r, delta, slope, curvature), rel=1.0e-12, abs=0.0)
+
+    def test_a_full_step_on_its_own_pattern_is_taken_at_once(self, monkeypatch):
+        # every residual stays an inlier on [0, 1], where the all-inlier line's root is t = 1
+        rng = np.random.default_rng(3)
+        r, delta = rng.uniform(-0.7, 0.7, 100), rng.uniform(-0.7, 0.7, 100)
+        curvature = 0.3
+        slope = (r - delta) @ delta / 100 - curvature
+        assert self.oracle(r, delta, slope, curvature) == pytest.approx(1.0, rel=1.0e-14)
+        calls = self.evaluations(monkeypatch)
+        assert self.search(r, delta, slope, curvature, solved=np.zeros(100)) == 1.0 and len(calls) == 1
+        assert self.search(r, delta, slope, curvature) == pytest.approx(1.0, rel=1.0e-14)
+
+    def test_all_outliers_give_the_root_of_one_line(self, monkeypatch):
+        # |r - t delta| > k on [0, 9]: phi' = slope + curvature t - k mean(sign(r) delta), root 2.5
+        rng = np.random.default_rng(4)
+        r = rng.choice([-1.0, 1.0], 100) * rng.uniform(10.0, 20.0, 100)
+        delta = rng.uniform(-1.0, 1.0, 100)
+        curvature = 0.4
+        slope = self.K * np.sign(r) @ delta / 100 - 2.5 * curvature
+        calls = self.evaluations(monkeypatch)
+        t = self.search(r, delta, slope, curvature)
+        assert t == pytest.approx(2.5, rel=1.0e-14) and len(calls) == 2
+        assert t == pytest.approx(self.oracle(r, delta, slope, curvature), rel=1.0e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_root_at_a_breakpoint(self, seed):
+        # phi'(b) = 0 where residual i enters the band, so phi' changes slope at its root
+        rng = np.random.default_rng(seed)
+        r, delta = 3.0 * rng.standard_normal(200), rng.standard_normal(200)
+        i = np.flatnonzero((delta > 0.1) & (r > self.K + 0.5))[0]
+        b = (r[i] - self.K) / delta[i]
+        curvature = 0.05
+        slope = np.clip(r - b * delta, -self.K, self.K) @ delta / 200 - curvature * b
+        assert self.derivative(r, delta, slope, curvature, 0.0) < 0.0
+        assert self.oracle(r, delta, slope, curvature) == pytest.approx(b, rel=1.0e-12)
+        assert self.search(r, delta, slope, curvature) == pytest.approx(b, rel=1.0e-12)
+
+    def test_zero_entries_of_delta_leave_their_residuals(self):
+        # half of delta is zero, on inliers and outliers alike; with all of it zero phi' is one line
+        rng = np.random.default_rng(5)
+        r = 3.0 * rng.standard_normal(200)
+        delta = np.where(np.arange(200) % 2 == 0, 0.0, rng.standard_normal(200))
+        slope = self.slope_for(r, delta, 0.5)
+        assert self.search(r, delta, slope, 0.2) == pytest.approx(self.oracle(r, delta, slope, 0.2), rel=1.0e-12)
+        assert self.search(r, np.zeros(200), -0.6, 0.2) == pytest.approx(3.0, rel=1.0e-15)
+
+    def test_no_descent_stays_at_zero(self):
+        rng = np.random.default_rng(6)
+        r, delta = 3.0 * rng.standard_normal(100), rng.standard_normal(100)
+        for slope in (self.slope_for(r, delta, 0.0), self.slope_for(r, delta, -1.0)):  # phi'(0) = 0 and 1
+            assert self.search(r, delta, slope, 0.3) == 0.0
 
 
 class TestPatternSolve:
@@ -762,12 +921,6 @@ class TestPatternSolve:
         dense = np.linalg.solve(x[inlier].T @ x[inlier] / 80, rhs)
         assert np.linalg.norm(b - dense) <= 1.0e-12 * np.linalg.norm(dense)
         assert design._factor[0] is None  # no Y formed
-
-    def test_no_shift_and_a_singular_gram_matrix_leave_no_outlier_route(self):
-        x, _, _ = make_problem(n=80, p=30, seed=3)
-        x[:, 1] = x[:, 0]  # a duplicated column: the Gram matrix is singular
-        assert "outliers" not in estimators._route_costs(Resolvent.of(x), 70, 30, 0.0)
-        assert "outliers" in estimators._route_costs(Resolvent.of(x), 70, 30, 0.1)
 
     @staticmethod
     def no_shift_design(gram):
