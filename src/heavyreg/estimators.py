@@ -21,10 +21,9 @@ go through one multi-shift conjugate-gradient loop preconditioned by ``T``
 instead, one symmetric mat-vec per seed and step: every right-hand side
 combines the same two seeds, so one Krylov sequence per seed serves every
 shift.  Below ``_KRYLOV_FEATURES`` features no block iterates, which is
-cheaper there, and every block is solved by Cholesky, except a white draw
-that carries its covariance spectrum: it is solved through one
-eigendecomposition of ``X'X/n``, the only one left, which heavybench's eigh
-probe counts.
+cheaper there: a design's block is solved by Cholesky, and a white draw's
+through one eigendecomposition of ``B^-T G B^-1`` for ``T = B'B``, the only
+one left, which heavybench's eigh probe counts.
 
 The Newton fit solves one piecewise-quadratic pattern per step, through the
 Cholesky factor of ``G + s I`` corrected by Woodbury identities for a few
@@ -60,7 +59,7 @@ import scipy.linalg
 
 from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
 from .errors import ConfigError
-from .spectrum import DiscreteSpectrum, _tridiagonal_product
+from .spectrum import _tridiagonal_product
 
 __all__ = [
     "Resolvent",
@@ -93,12 +92,10 @@ _CG_BUDGET = 2
 # lambda_tilde = 1 or 1e-6 and 10 or 25 shifts, an eigh of the Gram matrix
 # was faster than conjugate gradients in every measured case with p <= 120
 # (0.4 against 2.2-4.6 ms at p = 40), and conjugate gradients in every case
-# with p >= 160 and lambda_tilde = 1.  Below this threshold a white draw that
-# carries its spectrum still takes that eigh, only because heavybench's
-# test_experiment_eigh_excludes_the_one_inside_decompose counts one per tiny
-# transient-paper replication: it is no faster than Cholesky of
-# Z'Z/n + s Sigma^-1 per shift (0.25 against 0.20 ms at n = 120, p = 40 and
-# 6 shifts, 0.28-0.51 against 0.57-1.0 ms at 25 shifts, one BLAS thread).
+# with p >= 160 and lambda_tilde = 1.  Below it a white block still takes one
+# eigh (:func:`_eigenbasis_solve`), only for heavybench's eigh probe, which
+# counts one per tiny transient-paper replication; Cholesky of Z'Z/n + s T per
+# shift is as fast there (0.20 against 0.25 ms at n = 120, p = 40, 6 shifts).
 _KRYLOV_FEATURES = 128
 # Columns gathered at a time for a Woodbury capacitance (:func:`_capacitance`):
 # a 1000 x 128 block is 1 MiB, where a copy of 1000 rows of p = 1000 columns
@@ -157,10 +154,8 @@ class Resolvent:
     ``T = Sigma^-1``, the symmetric tridiagonal ``precision`` as (diagonal,
     off-diagonal): the design's systems in the coordinates
     ``f = Sigma^1/2 e``, since ``(X'X/n + s I) e = Sigma^1/2 r`` exactly
-    when ``(Z'Z/n + s T) f = r``, and ``e' Sigma e = f'f``.  A white draw
-    may carry the ``spectrum`` of ``Sigma``: below ``_KRYLOV_FEATURES``
-    features :func:`_gram_solve` then reads ``Sigma^1/2`` from it for one
-    eigh.  The Newton fits read only a design.
+    when ``(Z'Z/n + s T) f = r``, and ``e' Sigma e = f'f``.  The Newton
+    fits read only a design.
 
     Build it with :meth:`of`; every fit on the same draw reuses what it
     forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
@@ -174,7 +169,6 @@ class Resolvent:
 
     x: np.ndarray
     precision: tuple[np.ndarray, np.ndarray] | None = None
-    spectrum: DiscreteSpectrum | None = None
     # G once formed; the shift and lower Cholesky factor :meth:`cholesky` last
     # formed; and the shift and factor :meth:`factor` last formed
     _gram: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
@@ -182,14 +176,13 @@ class Resolvent:
     _factor: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     @classmethod
-    def of(cls, x: np.ndarray, precision: tuple[np.ndarray, np.ndarray] | None = None,
-           spectrum: DiscreteSpectrum | None = None) -> Resolvent:
+    def of(cls, x: np.ndarray, precision: tuple[np.ndarray, np.ndarray] | None = None) -> Resolvent:
         """Validate a finite 2-d design, and factor a white draw's
         precision, which must be positive definite."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.size == 0 or not np.isfinite(x).all():
             raise ConfigError(f"design must be a nonempty finite 2-d array, got shape {x.shape}")
-        design = cls(x, precision, spectrum)
+        design = cls(x, precision)
         if precision is not None:
             design._precision_factor  # raises on an indefinite precision
         return design
@@ -285,14 +278,21 @@ class Resolvent:
         return self._factor[1]
 
 
-def _eigenbasis_solve(x: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """``(X'X/n + shifts[k] I)^-1 r_k`` for every column ``k`` of ``rhs``,
-    through one eigendecomposition of ``X'X/n``: the direct solve of a
-    white block below ``_KRYLOV_FEATURES`` features."""
-    gram = x.T @ x
-    gram /= x.shape[0]  # in place: no second p x p array
-    evals, evecs = np.linalg.eigh(gram)
-    return evecs @ ((evecs.T @ rhs) / (evals[:, None] + shifts))
+def _eigenbasis_solve(design: Resolvent, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``(Z'Z/n + shifts[k] T)^-1 r_k`` per column ``k`` of ``rhs`` on a white
+    draw.  With ``T = B'B``, ``B = D^1/2 L'`` from ``pttrf``'s ``L D L'``,
+    ``G + s T = B' (M + s I) B`` for ``M = B^-T G B^-1 = V diag(w) V'`` (one
+    eigh), so banded solves (LAPACK ``tbtrs``) give ``B^-1 V (V' B^-T r) / (w + s)``."""
+    factor_d, factor_e = design._precision_factor
+    root = np.sqrt(factor_d)
+    band = np.stack([np.r_[0.0, root[:-1] * factor_e[:root.size - 1]], root])  # B in LAPACK's upper band storage
+
+    def b_solve(r: np.ndarray, trans: str) -> np.ndarray:  # B^-1 r, or B^-T r
+        return scipy.linalg.lapack.dtbtrs(band, r, trans=trans)[0]
+
+    white = b_solve(design.x.T, "T")  # (Z B^-1)'
+    evals, evecs = np.linalg.eigh(white @ white.T / design.x.shape[0])
+    return b_solve(evecs @ ((evecs.T @ b_solve(rhs, "T")) / (evals[:, None] + shifts)), "N")
 
 
 def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, shifts: np.ndarray,
@@ -308,9 +308,8 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
     ``G d + s_0 T d`` per unfinished seed and one solve with ``T``
     (:meth:`Resolvent.t_solve`).  Every other column is solved directly, by
     Cholesky of ``G + s T`` (:meth:`Resolvent.solve`, one factor per distinct
-    shift); below ``_KRYLOV_FEATURES`` features a white draw that carries its
-    spectrum solves them instead through one eigendecomposition of the Gram
-    matrix of ``X = Z Sigma^1/2`` (:func:`_eigenbasis_solve`).
+    shift); below ``_KRYLOV_FEATURES`` features a white draw solves them
+    instead through one eigendecomposition (:func:`_eigenbasis_solve`).
 
     Every column is certified by its relative residual in the ``T^-1`` norm,
     ``sqrt(rho' T^-1 rho / r' T^-1 r)`` with ``rho = (G + s_k T) e_k - r_k``,
@@ -338,14 +337,10 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
 
         sol[:, krylov] = _multi_shift(seed_product, design.t_solve, seeds, coefficients[:, krylov],
                                       shifts[krylov] - base, _CG_BUDGET * p)
-    direct = ~krylov
-    if design.spectrum is None or p >= _KRYLOV_FEATURES:
-        sol[:, direct] = design.solve(rhs[:, direct], shifts[direct])
-    elif direct.any():
-        # the right-hand sides as one product, then the columns: the rounding this route's records are pinned at
-        half = design.spectrum.sqrt_matrix()
-        sol[:, direct] = half @ _eigenbasis_solve(design.x @ half, half @ (seeds @ coefficients)[:, direct],
-                                                  shifts[direct])
+    if design.precision is not None and p < _KRYLOV_FEATURES:  # a small white block: no column iterates
+        sol[:] = _eigenbasis_solve(design, rhs, shifts)
+    else:
+        sol[:, ~krylov] = design.solve(rhs[:, ~krylov], shifts[~krylov])
 
     def t_norms(r: np.ndarray) -> np.ndarray:  # sqrt(r' T^-1 r) per column
         return np.sqrt(np.einsum("ij,ij->j", r, design.t_solve(r)))
@@ -476,13 +471,15 @@ def fit_proximal(
     the objective, coordinates that would change sign stop at zero, and then
     the step is halved.  The method stops when a full step lands on the
     pattern it was solved for, since that point satisfies the optimality
-    conditions exactly, or when a step no longer lowers the objective.  A
-    lasso pattern with more free coordinates than inlier rows, or a Cholesky
-    factorization that fails, has no unique minimizer; its step adds the
-    proximal term ``(mu/2) ||b - b_k||^2`` with ``mu = 1e-6 L`` and never
-    ends the method.  ``x0`` warm-starts it (e.g. from the previous sweep
-    point).  A lasso whose centre is optimal, ``||X' loss'(y - X beta0) /
-    n||_inf <= lambda_n``, returns the centre in zero steps.
+    conditions exactly, or when a step no longer lowers the objective (a
+    full ridge step with no proximal term that ties it to ``_ROUNDING`` goes
+    on to the landing test).  A lasso pattern with more free coordinates than
+    inlier rows, or a Cholesky factorization that fails, has no unique
+    minimizer; its step adds the proximal term ``(mu/2) ||b - b_k||^2`` with
+    ``mu = 1e-6 L`` and never ends the method.  ``x0`` warm-starts it (e.g.
+    from the previous sweep point).  A lasso whose centre is optimal,
+    ``||X' loss'(y - X beta0) / n||_inf <= lambda_n``, returns the centre
+    in zero steps.
 
     ``iterations`` counts Newton steps.  Convergence means the certificate,
     computed once at the end, holds.  The ridge objective is differentiable,
@@ -573,8 +570,8 @@ def fit_proximal(
                                      pattern[0] if mu == 0.0 else None)
             cand = target if t == 1.0 else d + t * ray
             f_cand = objective(cand, r_cand)
-        if not f_cand < f:
-            break  # no descent left
+        if not (f_cand < f or not lasso and cand is target and mu == 0.0 and f_cand <= f + _ROUNDING * abs(f)):
+            break  # no descent left; a full ridge step that ties goes on to the landing test
         d, r, f = cand, r_cand, f_cand
         solved = pattern if cand is target and mu == 0.0 else None
 

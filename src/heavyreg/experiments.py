@@ -41,7 +41,7 @@ from .estimators import (
     FitResult,
     Resolvent,
     _gram_solve,
-    empirical_risk,
+    empirical_risk,  # unused here, kept as the binding heavybench's spans.py wraps by name
     fit_proximal,
 )
 from .spectrum import (
@@ -54,6 +54,7 @@ from .spectrum import (
     sample_signal,
     sample_sphere,
     _ar1_inverse,
+    _energy,
     _white_draw,
 )
 from .streams import substream
@@ -348,13 +349,12 @@ class _RepDraw:
 
 
 def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
-    """A white draw carries the plan's spectrum, whose root ``Sigma^1/2``
-    :func:`_gram_solve` reads only below ``_KRYLOV_FEATURES`` features."""
+    """The replication's draw (white on a whitened plan) and unit noise."""
     cfg = plan.config
     kind = cfg.design_kind if design_kind is None else design_kind
     rng = substream(cfg.master_seed, "design", rep)
     if plan.whitened:
-        design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision, plan.spec)
+        design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision)
     else:
         design = Resolvent.of(sample_design(plan.spec, cfg.n, rng, kind=kind))
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
@@ -481,9 +481,9 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     columns by conjugate gradients, the rest by Cholesky.  If every fit is
     noise-adapted ridge (``_ADAPTED_FITS``), the draw is the white ``Z``,
     the block is solved whitened and each risk is ``f'f / p``; else the
-    design ``X`` is drawn and each risk is ``e' Sigma e / p``.  Every record
-    carries its certificate and fallback flag.  Each proximal fit
-    warm-starts from its own fit at the previous point.
+    design ``X`` is drawn and each risk is ``e' Sigma e / p``, from the
+    eigen-atoms.  Every record carries its certificate and fallback flag.
+    Each proximal fit warm-starts from its own fit at the previous point.
     """
     cfg = plan.config
     row = _EXPERIMENTS[cfg.name]
@@ -502,7 +502,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
         if plan.whitened:
             risks = np.einsum("ij,ij->j", errors, errors) / cfg.p
         else:  # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
-            risks = [empirical_risk(e, np.zeros_like(e), plan.spec.matrix) for e in errors.T]
+            risks = _energy(plan.spec, errors)
         share = (time.perf_counter() - t0) / len(closed)
         for k, (estimator, g, _, _) in enumerate(closed):
             # the clock starts a share of the block early
@@ -517,7 +517,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
                 t0 = time.perf_counter()
                 fit = _proximal_fit(plan, draw, estimator, a, sigma2, warm.get(estimator), signal)
                 warm[estimator] = fit.beta_hat
-                risk = empirical_risk(fit.beta_hat, plan.beta_star, plan.spec.matrix)
+                risk = _energy(plan.spec, fit.beta_hat - plan.beta_star)
                 records.append(_record(plan, estimator + suffix, g, rep, risk, t0, fit))
     return records
 

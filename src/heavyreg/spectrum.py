@@ -6,10 +6,10 @@ is :class:`DiscreteSpectrum`: eigen-atoms with uniform weight ``1/p``,
 optionally carrying misalignment coefficients.
 
 Every covariance model is an AR(1) correlation (identity is ``rho = 0``),
-whose tridiagonal inverse is known in closed form, so :func:`decompose` takes
-its eigenpairs from that tridiagonal and takes no dense eigendecomposition.
-A general covariance enters the theory as a :class:`DiscreteSpectrum` built
-from its eigenpairs.
+whose tridiagonal inverse ``T`` is known in closed form: :func:`decompose`
+takes its eigenpairs from ``T`` and forms no dense covariance, and every
+energy ``v' Sigma v`` is read from the eigen-atoms.  A general covariance
+enters the theory as a :class:`DiscreteSpectrum` built from its eigenpairs.
 """
 
 from __future__ import annotations
@@ -76,15 +76,17 @@ class DiscreteSpectrum:
         Positive eigenvalues ``s_j`` in ascending order, length ``p``.
     basis : ndarray
         Orthonormal eigenvectors, column ``j`` paired with ``eigenvalues[j]``.
-    matrix : ndarray
-        The covariance that was decomposed (kept for exact cross-checks).
+    matrix : ndarray or None
+        A caller's own decomposed covariance, which :func:`project_delta`
+        checks the pairing against.  None skips that check: :func:`decompose`
+        passes None, having certified its pairs against ``T``.
     delta_coeffs : ndarray or None
         Eigenbasis coefficients of the misalignment ``beta_star - beta0``.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     delta_coeffs: np.ndarray | None = None
 
     @property
@@ -93,7 +95,7 @@ class DiscreteSpectrum:
 
     def sqrt_matrix(self) -> np.ndarray:
         """Symmetric square root of the covariance, taken once per spectrum
-        and returned read-only."""
+        and returned read-only; only a design draw reads it."""
         return self._sqrt_matrix
 
     @cached_property
@@ -126,7 +128,6 @@ def decompose(model: CovarianceModel) -> DiscreteSpectrum:
         If the eigenbasis misses the residual or the orthogonality bound
         (``1e-10`` each).  The message names the check.
     """
-    sigma = model.materialize()
     diag, off = _ar1_inverse(model.p, model.rho)
     mu, basis = linalg.eigh_tridiagonal(-diag, -off)
     eigenvalues = -1.0 / mu
@@ -142,7 +143,7 @@ def decompose(model: CovarianceModel) -> DiscreteSpectrum:
     orthogonality = float(np.linalg.norm(gram))
     if not orthogonality <= _CERTIFICATE_TOL:
         raise ConvergenceError(f"eigenbasis orthogonality error {orthogonality} exceeds {_CERTIFICATE_TOL}")
-    return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=sigma)
+    return DiscreteSpectrum(eigenvalues=eigenvalues, basis=basis, matrix=None)
 
 
 def _ar1_inverse(p: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -185,31 +186,40 @@ def _tridiagonal_residual(diag: np.ndarray, off: np.ndarray, eigenvalues: np.nda
 def project_delta(spec: DiscreteSpectrum, beta_star: np.ndarray, beta0: np.ndarray) -> DiscreteSpectrum:
     """Attach misalignment coefficients ``basis.T @ (beta_star - beta0)``.
 
-    The spectral representation of the misalignment energy must agree with the
-    direct quadratic form to 1e-10 relative, which catches basis/eigenvalue
-    pairing mistakes immediately.
+    On a spectrum with a ``matrix``, the spectral representation of the
+    misalignment energy must agree with the direct quadratic form to 1e-10
+    relative, which catches basis/eigenvalue pairing mistakes immediately.
     """
     beta_star = np.asarray(beta_star, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     if beta_star.shape != (spec.p,) or beta0.shape != (spec.p,):
         raise ConfigError(f"signal vectors must have shape ({spec.p},)")
     delta = beta_star - beta0
-    coeffs = spec.basis.T @ delta
-    spectral = float(np.sum(spec.eigenvalues * coeffs ** 2)) / spec.p
-    direct = float(delta @ spec.matrix @ delta) / spec.p
-    scale = max(abs(direct), 1.0e-300)
-    if abs(spectral - direct) > 1.0e-10 * scale:
-        raise ConfigError(
-            f"misalignment energy mismatch: spectral {spectral} vs direct {direct}"
-        )
-    return replace(spec, delta_coeffs=coeffs)
+    projected = replace(spec, delta_coeffs=spec.basis.T @ delta)
+    if spec.matrix is not None:
+        spectral = float(_energy(projected))
+        direct = float(delta @ spec.matrix @ delta) / spec.p
+        scale = max(abs(direct), 1.0e-300)
+        if abs(spectral - direct) > 1.0e-10 * scale:
+            raise ConfigError(
+                f"misalignment energy mismatch: spectral {spectral} vs direct {direct}"
+            )
+    return projected
 
 
 def q_sigma(spec: DiscreteSpectrum) -> float:
     """Normalized misalignment energy ``p^-1 sum_j s_j Delta_j^2``."""
     if spec.delta_coeffs is None:
         raise ConfigError("spectrum carries no misalignment coefficients; call project_delta first")
-    return float(np.sum(spec.eigenvalues * spec.delta_coeffs ** 2)) / spec.p
+    return float(_energy(spec))
+
+
+def _energy(spec: DiscreteSpectrum, v: np.ndarray | None = None) -> np.ndarray:
+    """The covariance energy ``v' Sigma v / p = p^-1 sum_j s_j (u_j' v)^2``
+    from the eigen-atoms, for a vector ``v`` or per column of a ``p x k``
+    block; with no ``v``, the misalignment's, from its coefficients."""
+    coeffs = spec.delta_coeffs if v is None else spec.basis.T @ v
+    return np.sum(spec.eigenvalues * coeffs.T ** 2, axis=-1) / spec.p
 
 
 def sample_design(
@@ -218,7 +228,7 @@ def sample_design(
     rng: np.random.Generator,
     kind: str = "gaussian",
 ) -> np.ndarray:
-    """Draw an ``n x p`` design with row covariance equal to the spectrum's matrix.
+    """Draw an ``n x p`` design whose rows have the spectrum's covariance.
 
     ``kind`` selects the iid entry law of the pre-correlation matrix:
     ``"gaussian"`` or ``"rademacher"`` (unit variance either way).  The

@@ -16,7 +16,7 @@ from heavyreg.estimators import (
     empirical_risk,
     fit_proximal,
 )
-from heavyreg.spectrum import DiscreteSpectrum, _ar1_inverse
+from heavyreg.spectrum import _ar1_inverse
 
 SQUARED = Loss(LossKind.SQUARED)
 RIDGE = Regularizer(RegKind.RIDGE)
@@ -200,7 +200,7 @@ class TestGramSolve:
 
     @dataclasses.dataclass
     class Block:
-        design: Resolvent  # carries no spectrum unless made with one
+        design: Resolvent
         seeds: np.ndarray
         coefficients: np.ndarray
         z: np.ndarray  # the white draw
@@ -237,10 +237,9 @@ class TestGramSolve:
             return np.linalg.norm(self.root @ r if self.white else r)
 
     @classmethod
-    def make_block(cls, n, p, kind="white-ar1-0.5", spectrum=False):
+    def make_block(cls, n, p, kind="white-ar1-0.5"):
         """The block of ``kind`` for the white draw ``Z`` (``n x p``), with
-        the coefficients ``(sqrt(s), -s)`` of :attr:`SHIFTS`; with
-        ``spectrum`` a white draw carries the spectrum of ``Sigma``."""
+        the coefficients ``(sqrt(s), -s)`` of :attr:`SHIFTS`."""
         rng = np.random.default_rng(n + p)
         z = rng.standard_normal((n, p))
         v = z.T @ rng.standard_t(1.5, n) / n
@@ -251,9 +250,7 @@ class TestGramSolve:
         seeds, coefficients = np.stack([v, d], axis=1), np.stack([np.sqrt(cls.SHIFTS), -cls.SHIFTS])
         if kind == "design":
             return cls.Block(Resolvent.of(z @ half), half @ seeds, coefficients, z, half, False)
-        covariance = DiscreteSpectrum(1.0 / evals, evecs, (evecs / evals) @ evecs.T) if spectrum else None
-        design = Resolvent.of(z, (diag, off), covariance)
-        return cls.Block(design, seeds, coefficients, z, half, True)
+        return cls.Block(Resolvent.of(z, (diag, off)), seeds, coefficients, z, half, True)
 
     @staticmethod
     def krylov_steps(monkeypatch):
@@ -407,8 +404,10 @@ class TestGramSolve:
         monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
         monkeypatch.setattr(estimators, "_CERTIFICATE", np.inf)
         krylov, krylov_certificate, _ = block.solve()  # conjugate gradients alone
-        monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 61)
-        direct, direct_certificate, _ = block.solve()  # Cholesky alone, on the same block
+        monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
+        monkeypatch.setattr(estimators, "_CERTIFICATE", 0.0)
+        direct, direct_certificate, _ = block.solve()  # no Krylov step: Cholesky alone, on the same block
+        monkeypatch.undo()
         monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
         monkeypatch.setattr(estimators, "_CERTIFICATE", 0.0)
         sol, certificate, fell_back = block.solve()  # every column falls back
@@ -420,8 +419,8 @@ class TestGramSolve:
     @pytest.mark.parametrize("kind", KINDS)
     def test_few_features_are_solved_directly(self, kind, monkeypatch):
         # below the threshold no block iterates: a design factorizes each distinct shift, and a white draw
-        # that carries its spectrum takes one eigh of the Gram matrix of Z Sigma^1/2 for the whole block
-        block = self.make_block(200, 50, kind, spectrum=True)
+        # takes one eigh of B^-T (Z'Z/n) B^-1 for the whole block, reading no root of Sigma
+        block = self.make_block(200, 50, kind)
         monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 1)
         krylov, _, _ = block.solve()
         monkeypatch.undo()
@@ -439,6 +438,23 @@ class TestGramSolve:
         assert steps and eighs == [(50, 50)]  # from the threshold on, conjugate gradients
         block.solve(adapted=np.zeros(self.SHIFTS.size, bool))
         assert eighs == [(50, 50)]  # and Cholesky for the columns solved directly
+
+    @pytest.mark.parametrize("n, p, precision", [(30, 1, "ar1-0.5"), (30, 2, "ar1-0.5"), (120, 40, "ar1-0.5"),
+                                                  (120, 40, "ar1-minus-0.8"), (120, 40, "spread")])
+    def test_small_white_block_matches_a_dense_solve(self, n, p, precision):
+        # the eigh route of a white block: (Z'Z/n + s T) f = r, T = B'B with B = D^1/2 L' from pttrf's L D L'
+        rng = np.random.default_rng(p)
+        z, seeds = rng.standard_normal((n, p)), rng.standard_normal((p, 2))
+        coefficients = np.stack([np.sqrt(self.SHIFTS), -self.SHIFTS])
+        diag, off = self.PRECISIONS[precision](p) if p > 1 else (np.array([1.7]), np.empty(0))
+        design = Resolvent.of(z, (diag, off))
+        sol, certificate, converged, fell_back = estimators._gram_solve(design, seeds, coefficients, self.SHIFTS,
+                                                                        np.ones(len(self.SHIFTS), bool))
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        for k, shift in enumerate(self.SHIFTS):
+            want = np.linalg.solve(z.T @ z / n + shift * t, seeds @ coefficients[:, k])
+            assert np.linalg.norm(sol[:, k] - want) <= 1.0e-12 * np.linalg.norm(want)
+        assert converged.all() and not fell_back.any()
 
     @pytest.mark.usefixtures("krylov")
     @pytest.mark.parametrize("kind", ["design", "white-ar1-0.5"])
@@ -551,6 +567,31 @@ class TestFitProximal:
         exact = np.linalg.solve(x.T @ x / 100 + 0.3 * np.eye(40), x.T @ y / 100)
         assert newton.converged and newton.iterations == 1
         np.testing.assert_allclose(newton.beta_hat, exact, rtol=1.0e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", (3, 5))
+    def test_a_full_step_that_ties_the_objective_is_taken(self, seed):
+        # At noise 1e5 every residual is an outlier, so the fit is b = k X' sign(r) / (lam n) and the objective,
+        # about 1.2e5, has a rounding unit of 1.5e-11.  A warm start 1.4e-6 off b is 1e-12 above b's objective,
+        # while its gradient norm is 50 times the tolerance.  The full step to b computes an objective that ties
+        # the warm start's (seed 3) or rounds just above it (seed 5); it must be taken and certified.
+        x, y, _ = make_problem(n=200, p=20, seed=seed, noise=1.0e5)
+        lam = 1.0
+        config = EstimatorConfig(HUBER, RIDGE, lam)
+        exact = 1.5 * x.T @ np.sign(y) / (lam * 200)
+        r = y - x @ exact
+        assert np.all(np.abs(r) > 1.5) and np.array_equal(np.sign(r), np.sign(y))  # every residual an outlier
+        eps = np.sqrt(2.0e-12 / lam)  # the Hessian is lam I
+        warm = exact + eps * np.eye(20)[0]
+
+        def objective(b):
+            return float(np.mean(HUBER.value(y - x @ b))) + lam * RIDGE.value(b)
+
+        assert abs(objective(warm) - objective(exact)) <= 1.0e-15 * objective(exact)
+        warm_gradient = np.linalg.norm(-x.T @ np.clip(y - x @ warm, -1.5, 1.5) / 200 + lam * warm)
+        assert warm_gradient > 50 * config.gradient_map_tol * (1.0 + np.linalg.norm(warm))
+        fit = fit_proximal(config, Resolvent.of(x), y, x0=warm)
+        assert fit.converged and fit.iterations == 1
+        np.testing.assert_allclose(fit.beta_hat, exact, rtol=1.0e-12, atol=0.0)
 
     def test_huber_recovers_noiseless_data(self):
         x, y, beta_star = make_problem(n=80, p=20, seed=11)

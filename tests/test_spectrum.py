@@ -50,8 +50,9 @@ class TestCovarianceModel:
         identity, ar1 = CovarianceModel.identity(p), CovarianceModel.ar1(p, 0.0)
         assert identity == ar1 == CovarianceModel(p)
         a, b = decompose(identity), decompose(ar1)
-        for field in ("eigenvalues", "basis", "matrix"):
+        for field in ("eigenvalues", "basis"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.matrix is None and b.matrix is None  # decompose forms no dense covariance
 
 
 class TestDecompose:
@@ -159,13 +160,13 @@ class TestTridiagonalRoute:
             spec = decompose(model)
             assert np.array_equal(spec.eigenvalues, np.ones(7))
             assert np.array_equal(spec.basis, np.eye(7))
-            assert np.array_equal(spec.matrix, np.eye(7))
+            assert spec.matrix is None
 
     @pytest.mark.parametrize("rho", [0.0, 0.7, -0.95])
     def test_one_dimension_is_a_unit_variance(self, rho):
         spec = decompose(CovarianceModel.ar1(1, rho))
         assert spec.eigenvalues.tolist() == [1.0] and np.abs(spec.basis).tolist() == [[1.0]]
-        assert spec.matrix.tolist() == [[1.0]]
+        assert spec.matrix is None
 
     def test_materialized_ar1_is_the_outer_power(self):
         idx = np.arange(200)
@@ -206,6 +207,19 @@ class TestProjectDelta:
         spec = project_delta(spec, delta, np.zeros(p))
         assert q_sigma(spec) == pytest.approx(float(delta @ sigma @ delta) / p, rel=1.0e-12)
 
+    def test_a_mispaired_spectrum_with_its_own_matrix_is_rejected(self):
+        p = 30
+        rng = substream(11, "signal")
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        sigma = (q * np.geomspace(0.1, 10.0, p)) @ q.T
+        values, vectors = np.linalg.eigh(sigma)
+        delta = sample_sphere(p, 1.0, rng)
+        project_delta(DiscreteSpectrum(values, vectors, sigma), delta, np.zeros(p))  # paired: accepted
+        with pytest.raises(ConfigError, match="misalignment energy mismatch"):
+            project_delta(DiscreteSpectrum(values[::-1], vectors, sigma), delta, np.zeros(p))
+        # None, the matrix decompose passes, skips the check
+        project_delta(DiscreteSpectrum(values[::-1], vectors, None), delta, np.zeros(p))
+
     def test_shape_mismatch_rejected(self):
         spec = decompose(CovarianceModel.identity(4))
         with pytest.raises(ConfigError):
@@ -225,6 +239,33 @@ class TestProjectDelta:
         base = q_sigma(project_delta(spec, delta, np.zeros(p)))
         scaled = q_sigma(project_delta(spec, radius * delta, np.zeros(p)))
         assert scaled == pytest.approx(radius ** 2 * base, rel=1.0e-9)
+
+
+class TestEnergy:
+    """``_energy``: the covariance energy ``v' Sigma v / p`` from the eigen-atoms."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.8])
+    @pytest.mark.parametrize("norm", [1.0, 1.0e-12])
+    def test_matches_the_dense_quadratic_form(self, rho, norm):
+        p = 150
+        model = CovarianceModel.ar1(p, rho)
+        spec, sigma = decompose(model), model.materialize()
+        block = substream(12, "signal").standard_normal((p, 4))
+        block *= norm / np.linalg.norm(block, axis=0)
+        energies = spectrum._energy(spec, block)
+        assert energies.shape == (4,)
+        for e, energy in zip(block.T, energies):
+            direct = float(e @ sigma @ e) / p
+            assert abs(energy - direct) <= 1.0e-13 * direct
+            assert spectrum._energy(spec, e) == pytest.approx(energy, rel=1.0e-14)  # a column alone
+
+    def test_without_a_vector_it_is_the_misalignment_energy(self):
+        p = 40
+        spec = decompose(CovarianceModel.ar1(p, 0.5))
+        delta = sample_sphere(p, 1.0, substream(13, "signal"))
+        projected = project_delta(spec, delta, np.zeros(p))
+        assert spectrum._energy(projected) == q_sigma(projected) == pytest.approx(
+            float(spectrum._energy(spec, delta)), rel=1.0e-14)
 
 
 class TestSampling:

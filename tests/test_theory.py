@@ -232,6 +232,7 @@ class TestRidgeClosedForm:
         pred = ridge_risk_closed_form(TheoryInputs(spec, gamma, sigma2, lt))
         sqrt_sigma = spec.sqrt_matrix()
         delta = spec.basis @ spec.delta_coeffs
+        sigma = CovarianceModel.ar1(p, 0.5).materialize()  # make_spectrum's covariance
         rng = np.random.default_rng(2024)
         mu = lt * sigma2
         risks = []
@@ -242,7 +243,7 @@ class TestRidgeClosedForm:
             g = x.T @ x / n
             d = np.linalg.solve(g + mu * np.eye(p), x.T @ y / n)
             err = d - delta
-            risks.append(float(err @ spec.matrix @ err) / p)
+            risks.append(float(err @ sigma @ err) / p)
         mc = float(np.mean(risks))
         se = float(np.std(risks, ddof=1)) / math.sqrt(len(risks))
         assert abs(pred.risk - mc) <= 3.0 * se
