@@ -35,10 +35,9 @@ a step costs ``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o`` product.
 A ridge step goes to the exact minimum of the objective along its ray, a
 piecewise quadratic in the step length (:func:`_ray_minimum`, O(n) per
 evaluation); a lasso step is halved while it would raise the objective.
-Only the lasso's proximal-gradient step reads the largest eigenvalue of
-``G``, computed on first use by LAPACK ``syevr`` for that one eigenvalue; a
-ridge fit is certified by its gradient and reads it only to retry a pattern
-whose factorization failed.
+No fit reads an eigenvalue of ``G``: the lasso's proximal-gradient step
+takes ``1/L`` for a curvature ``L`` backtracked along its own moves, and
+every fit is certified by its least-norm subgradient, O(p).
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -57,7 +56,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
+from .convex import prox_reg  # unused here, kept as the binding heavybench's spans.py wraps by name
+from .convex import Loss, LossKind, Regularizer, RegKind
 from .errors import ConfigError
 from .spectrum import _tridiagonal_product
 
@@ -71,7 +71,7 @@ __all__ = [
 
 _ROUNDING = 1.0e-12  # relative objective slack that absorbs rounding
 _MIN_STEP = 2.0 ** -60  # the shortest step the lasso's halving tries
-_PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to L
+_PROXIMAL = 1.0e-6  # weight of the proximal term on a singular pattern, relative to trace(G)/p
 _RAY_EVALUATIONS = 64  # cap on the evaluations of phi' in one ridge step's line search (:func:`_ray_minimum`)
 # Relative residual a shifted solve must reach.  It bounds the residual, not
 # the error, which can reach cond(G + s I) times it: at n = 40, p = 60 and
@@ -133,9 +133,9 @@ class FitResult:
     """Outcome of a fit, with its optimality certificate.
 
     ``converged`` is True only when ``gradient_map_norm`` certifies
-    first-order optimality: the gradient norm for a ridge fit, the gradient
-    map at the step ``1/L`` for a lasso fit.  ``iterations`` counts Newton
-    steps.
+    first-order optimality: it is the norm of the least-norm subgradient,
+    the gradient itself for a ridge fit, and never below the gradient map
+    at any step.  ``iterations`` counts Newton steps.
     """
 
     beta_hat: np.ndarray
@@ -160,11 +160,9 @@ class Resolvent:
     Build it with :meth:`of`; every fit on the same draw reuses what it
     forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
     ``G + s T`` and keeps the factor of the last shift it was asked for,
-    :meth:`factor` keeps one ``n x p`` outlier factor and frees ``G``, and
-    :attr:`top` is computed on first use, which only a lasso fit that is
-    not screened and a ridge fit's proximal retry make.  So a draw holds one
-    Cholesky factor beside ``G`` or beside the outlier factor, never all
-    three.
+    and :meth:`factor` keeps one ``n x p`` outlier factor and frees ``G``.
+    So a draw holds one Cholesky factor beside ``G`` or beside the outlier
+    factor, never all three.  No fit reads an eigenvalue of ``G``.
     """
 
     x: np.ndarray
@@ -214,16 +212,6 @@ class Resolvent:
             gram /= self.x.shape[0]  # in place: no second p x p array
             self._gram[0] = gram
         return self._gram[0]
-
-    @cached_property
-    def top(self) -> float:
-        """The largest eigenvalue of ``G``, ``||X||_2**2 / n``, by LAPACK
-        ``syevr`` for that eigenvalue alone (7 ms at p = 400, 90-99 ms at
-        p = 1000 on one BLAS thread): the lasso's step ``1/L`` and the
-        weight of the proximal term on a pattern whose factorization failed.
-        A ridge fit reads it only for that retry."""
-        p = self.gram.shape[0]
-        return float(scipy.linalg.eigh(self.gram, subset_by_index=[p - 1, p - 1], eigvals_only=True)[0])
 
     def cholesky(self, shift: float) -> np.ndarray:
         """The lower Cholesky factor ``L`` of ``G + shift T`` by
@@ -467,7 +455,15 @@ def fit_proximal(
     :func:`_ray_minimum` (Madsen & Nielsen 1990, *BIT* 30); the full step,
     tested first, is that minimizer when it lands on its own pattern.  The
     lasso reads its signs from the proximal-gradient point
-    ``prox(b - grad / L)`` and steps from there; when its full step raises
+    ``prox(b - grad / L)`` and steps from there.  ``L`` starts at the
+    Rayleigh quotient of ``X'X/n`` along the fit's first gradient (one
+    mat-vec), and while the descent lemma
+    ``h(prox) <= h(b) + grad'(prox - b) + (L/2) ||prox - b||^2`` fails for
+    the smooth part ``h``, it rises to at least the move's own curvature
+    ``||X (prox - b)||^2 / (n ||prox - b||^2)`` and at least ``1.5 L``
+    (Beck & Teboulle 2009, *SIAM J. Imaging Sci.* 2(1)); it is kept for the
+    rest of the fit.  So the proximal-gradient point is never above the
+    objective at ``b``, and no eigenvalue is read.  When its full step raises
     the objective, coordinates that would change sign stop at zero, and then
     the step is halved.  The method stops when a full step lands on the
     pattern it was solved for, since that point satisfies the optimality
@@ -476,21 +472,23 @@ def fit_proximal(
     on to the landing test).  A lasso pattern with more free coordinates than
     inlier rows, or a Cholesky factorization that fails, has no unique
     minimizer; its step adds the proximal term ``(mu/2) ||b - b_k||^2`` with
-    ``mu = 1e-6 L`` and never ends the method.  ``x0`` warm-starts it (e.g.
-    from the previous sweep point).  A lasso whose centre is optimal,
+    ``mu = 1e-6 trace(X'X/n) / p``, which is ``1e-6 ||X||_F^2 / (n p)``
+    and needs no ``X'X``, and never ends the method.  ``x0`` warm-starts it (e.g. from the previous sweep point).
+    A lasso whose centre is optimal,
     ``||X' loss'(y - X beta0) / n||_inf <= lambda_n``, returns the centre
     in zero steps.
 
     ``iterations`` counts Newton steps.  Convergence means the certificate,
-    computed once at the end, holds.  The ridge objective is differentiable,
-    and its certificate is the gradient norm
-    ``||-X' loss'(r) / n + lambda_n (beta - beta0)||``, the gradient map's
-    limit as its step goes to 0 and never below the map at any step.  The
-    lasso's is the gradient map at the step ``1/L``, where ``L`` is the
-    largest eigenvalue of ``X'X/n`` (:attr:`Resolvent.top`), computed once
-    per design by the first lasso fit that is not screened.  A screened fit
-    needs no ``L``: the gradient map at an optimal centre vanishes at every
-    step, so its screening gradient gives the certificate at the unit step.
+    computed once at the end in O(p), holds.  It is the norm of the
+    least-norm subgradient of the objective.  For the ridge that is the
+    gradient ``-X' loss'(r) / n + lambda_n (beta - beta0)``; for the lasso,
+    with ``g`` the smooth part's gradient and ``d = beta - beta0``, it reads
+    ``g_j + lambda_n sign(d_j)`` on a coordinate with ``d_j != 0`` and
+    ``max(|g_j| - lambda_n, 0)`` on one at zero.  It is never below the
+    gradient map at any step (Beck 2017, *First-Order Methods in
+    Optimization*, ch. 10: the proximal map is nonexpansive), so it
+    certifies no point that the gradient map at the step ``1/L`` would not.
+    A screened fit's certificate is 0.
     Raises only ``ConfigError``, on invalid input (a loss or penalty other
     than those above, wrong shapes, non-finite ``y``, center or ``x0``); a
     busted budget or a stalled step returns the result with
@@ -512,44 +510,62 @@ def fit_proximal(
     lasso = reg.kind is RegKind.LASSO
     k = loss.param if loss.kind is LossKind.HUBER else math.inf
 
-    def objective(d: np.ndarray, r: np.ndarray) -> float:
-        return float(np.mean(loss.value(r))) + lam * float(reg.value(d))
+    def smooth(r: np.ndarray) -> float:
+        return float(np.mean(loss.value(r)))
+
+    def penalty(d: np.ndarray) -> float:
+        return lam * float(reg.value(d))
 
     def gradient(r: np.ndarray) -> np.ndarray:
         return -(x.T @ np.asarray(loss.derivative(r))) / n
 
-    def lipschitz() -> float:  # read on first use, by the lasso and the proximal term alone
-        return design.top * loss.derivative_lipschitz()
+    def curvature(v: np.ndarray, xv: np.ndarray) -> float:  # the Rayleigh quotient of X'X/n along v, xv = X v
+        return float(xv @ xv) / (n * float(v @ v))
+
+    def mean_curvature() -> float:  # trace(X'X/n) / p, read without X'X
+        return float(np.linalg.norm(x)) ** 2 / (n * p)
 
     grad = gradient(y_shift) if lasso else None
     screened = lasso and np.max(np.abs(grad)) <= lam
     if screened:  # the centre is optimal
-        d, r, step = np.zeros(p), y_shift, 1.0
+        d, r = np.zeros(p), y_shift
     else:
-        step = 1.0 / lipschitz() if lasso and lipschitz() > 0.0 else 1.0
         r = y_shift - x @ d
-    f = objective(d, r)
+    h = smooth(r)  # the smooth part of the objective f at d
+    f = h + penalty(d)
+    lipschitz = None  # the lasso's backtracked curvature L, set at its first step
     iterations = 0
     solved = None  # the pattern of the last exact full step
     while not screened and iterations < config.max_iterations:
         base, r_base, sign = d, r, None
         if lasso:  # the proximal-gradient point lies inside its own sign pattern
-            u = d - step * gradient(r)
-            sign = np.where(np.abs(u) > step * lam, np.sign(u), 0.0)
-            base = np.where(sign != 0.0, u - step * lam * sign, 0.0)
-            r_base = y_shift - x @ base
+            g = gradient(r)
+            if lipschitz is None:  # a start with a zero gradient has no quotient along it
+                lipschitz = curvature(g, x @ g) if g.any() else mean_curvature()
+            while True:  # raise L until the descent lemma holds at the proximal point
+                step = 1.0 / lipschitz
+                u = d - step * g
+                sign = np.where(np.abs(u) > step * lam, np.sign(u), 0.0)
+                base = np.where(sign != 0.0, u - step * lam * sign, 0.0)
+                r_base = y_shift - x @ base
+                move = base - d
+                bound = h + float(g @ move) + 0.5 * lipschitz * float(move @ move)
+                h_base = smooth(r_base)
+                if h_base <= bound + _ROUNDING * abs(h):
+                    break
+                lipschitz = max(1.5 * lipschitz, curvature(move, r - r_base))
         pattern = (_sides(r_base, k), sign)
         if solved is not None and all(a is None or np.array_equal(a, b) for a, b in zip(pattern, solved)):
             break  # a full step landed on its own pattern
         iterations += 1
         if lasso:  # never above the objective at d, by the descent lemma
-            d, r, f = base, r_base, objective(base, r_base)
+            d, r, h, f = base, r_base, h_base, h_base + penalty(base)
         singular = lasso and np.count_nonzero(sign) > np.count_nonzero(pattern[0] == 0.0)
-        mu = _PROXIMAL * lipschitz() if singular else 0.0
+        mu = _PROXIMAL * mean_curvature() if singular else 0.0
         try:
             target = _pattern_solve(design, y_shift, k, *pattern, lam, d, mu)
         except np.linalg.LinAlgError:
-            mu = _PROXIMAL * lipschitz()
+            mu = _PROXIMAL * mean_curvature()
             target = _pattern_solve(design, y_shift, k, *pattern, lam, d, mu)
         if lasso:
             # the full step; next the full step with coordinates that would
@@ -557,7 +573,8 @@ def fit_proximal(
             t, cand = 1.0, target
             while True:
                 r_cand = y_shift - x @ cand
-                f_cand = objective(cand, r_cand)
+                h_cand = smooth(r_cand)
+                f_cand = h_cand + penalty(cand)
                 if f_cand <= f + _ROUNDING * abs(f) or t < _MIN_STEP:
                     break
                 if cand is not target:
@@ -569,19 +586,20 @@ def fit_proximal(
             t, r_cand = _ray_minimum(r, x @ ray, k, lam * float(d @ ray), lam * float(ray @ ray),
                                      pattern[0] if mu == 0.0 else None)
             cand = target if t == 1.0 else d + t * ray
-            f_cand = objective(cand, r_cand)
+            h_cand = smooth(r_cand)
+            f_cand = h_cand + penalty(cand)
         if not (f_cand < f or not lasso and cand is target and mu == 0.0 and f_cand <= f + _ROUNDING * abs(f)):
             break  # no descent left; a full ridge step that ties goes on to the landing test
-        d, r, f = cand, r_cand, f_cand
+        d, r, h, f = cand, r_cand, h_cand, f_cand
         solved = pattern if cand is target and mu == 0.0 else None
 
     if not screened:
         grad = gradient(r)
-    if lasso:
-        mapped = prox_reg(reg, step * lam, d - step * grad)
-        gradient_map_norm = float(np.linalg.norm(d - mapped)) / step
+    if lasso:  # the least-norm subgradient
+        subgradient = np.where(d != 0.0, grad + lam * np.sign(d), np.maximum(np.abs(grad) - lam, 0.0))
     else:
-        gradient_map_norm = float(np.linalg.norm(grad + lam * d))
+        subgradient = grad + lam * d
+    gradient_map_norm = float(np.linalg.norm(subgradient))
     beta = center + d
     return FitResult(
         beta_hat=beta,

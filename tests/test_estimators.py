@@ -98,11 +98,6 @@ class TestResolvent:
         want = trsv(factor[0], trsv(factor[0], vector, lower=True), lower=True, trans=True)
         assert np.array_equal(design.solve(vector, 0.3), want)
 
-    def test_top_eigenvalue_is_the_squared_spectral_norm_over_n(self):
-        for n, p in ((60, 12), (30, 50)):
-            x, _, _ = make_problem(n=n, p=p, seed=8)
-            assert Resolvent.of(x).top == pytest.approx(np.linalg.norm(x, 2) ** 2 / n, rel=1.0e-12)
-
     def test_keeps_only_the_last_shifts_factor(self):
         # a block factorizes its distinct shifts in ascending order, so the largest is kept
         x, _, _ = make_problem(n=60, p=12, seed=4)
@@ -557,7 +552,7 @@ class TestNonFiniteInput:
 
 class TestFitProximal:
     """The exact active-set Newton fit: squared or Huber loss with a ridge or
-    lasso penalty, certified by the gradient map."""
+    lasso penalty, certified by its least-norm subgradient."""
 
     def test_matches_the_ridge_closed_form(self):
         x, y, _ = make_problem(n=100, p=40, seed=7, noise=1.0)
@@ -643,12 +638,17 @@ class TestFitProximal:
         assert fit.converged
         assert np.count_nonzero(fit.beta_hat) <= 30
 
-    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
-    def test_lasso_with_a_duplicated_column_certifies(self, loss):
-        # both copies free with one sign make the pattern's Cholesky fail
+    @staticmethod
+    def duplicated_column_problem():
         x, _, _ = make_problem(n=100, p=40, seed=3)
         x[:, 1] = x[:, 0]
         y = x @ np.random.default_rng(4).standard_normal(40) + np.random.default_rng(5).standard_normal(100)
+        return x, y
+
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_lasso_with_a_duplicated_column_certifies(self, loss):
+        # both copies free with one sign make the pattern's Cholesky fail
+        x, y = self.duplicated_column_problem()
         fit = fit_proximal(EstimatorConfig(loss, LASSO, 1.0e-3), Resolvent.of(x), y)
         assert fit.converged
 
@@ -721,31 +721,110 @@ class TestFitProximal:
         assert warm.iterations < cold.iterations
         assert warm.iterations <= 2
 
-    def test_makes_no_eigendecomposition(self, monkeypatch):
-        x, y, _ = make_problem(n=100, p=40, seed=13, noise=5.0)
-        design = Resolvent.of(x)
-
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_no_fit_reads_an_eigenvalue(self, loss, monkeypatch):
+        # the lasso backtracks its curvature and every certificate is a subgradient, so no eigh runs
         def forbidden(*args, **kwargs):
-            raise AssertionError("fit_proximal called numpy.linalg.eigh")
+            raise AssertionError("fit_proximal called eigh")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        for loss in (SQUARED, HUBER):
-            for reg in (RIDGE, LASSO):
-                assert fit_proximal(EstimatorConfig(loss, reg, 0.05), design, y).converged
-
-    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
-    def test_ridge_fits_read_no_top_eigenvalue(self, loss, monkeypatch):
-        # the ridge certificate is the gradient norm and its steps search their rays, so no syevr runs
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
         x, y, _ = make_problem(n=100, p=40, seed=13, noise=5.0)
         design = Resolvent.of(x)
+        for reg, lam in ((RIDGE, 1.0e-3), (RIDGE, 0.05), (RIDGE, 0.1), (RIDGE, 10.0), (LASSO, 0.05)):
+            assert fit_proximal(EstimatorConfig(loss, reg, lam), design, y).converged
+        wide, y_wide, _ = make_problem(n=30, p=60, seed=29, noise=3.0)
+        assert fit_proximal(EstimatorConfig(loss, LASSO, 0.05), Resolvent.of(wide), y_wide).converged
+        duplicated, y_duplicated = self.duplicated_column_problem()
+        assert fit_proximal(EstimatorConfig(loss, LASSO, 1.0e-3), Resolvent.of(duplicated), y_duplicated).converged
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a ridge fit called scipy.linalg.eigh")
+    @pytest.mark.parametrize("n, p", ((100, 40), (30, 60)), ids=("tall", "wide"))
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_lasso_certificate_is_the_least_norm_subgradient(self, n, p, loss):
+        # at every iterate: g + lam s over the subdifferential lam [-1, 1] of a zero coordinate, projected to
+        # its least norm; never below the gradient map at the step 1 / lambda_max(X'X/n)
+        x, y, _ = make_problem(n=n, p=p, seed=29, noise=3.0)
+        lam, center = 0.05, np.linspace(-0.5, 0.5, p)
+        config = EstimatorConfig(loss, LASSO, lam, center=center)
+        design = Resolvent.of(x)
+        step = 1.0 / np.linalg.eigvalsh(x.T @ x / n)[-1]
+        final = fit_proximal(config, design, y)
+        assert final.converged and final.iterations >= 3
+        for j in range(1, final.iterations + 1):
+            fit = fit_proximal(dataclasses.replace(config, max_iterations=j), design, y)
+            d = fit.beta_hat - center
+            g = -x.T @ loss.derivative(y - x @ fit.beta_hat) / n
+            s = np.array([np.sign(dj) if dj != 0.0 else np.clip(-gj / lam, -1.0, 1.0) for dj, gj in zip(d, g)])
+            assert fit.gradient_map_norm == pytest.approx(np.linalg.norm(g + lam * s), rel=1.0e-9, abs=1.0e-13)
+            u = d - step * g
+            mapped = np.sign(u) * np.maximum(np.abs(u) - step * lam, 0.0)
+            assert fit.gradient_map_norm >= np.linalg.norm(d - mapped) / step * (1.0 - 1.0e-12) - 1.0e-13
 
-        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
-        for lam in (1.0e-3, 0.1, 10.0):
-            assert fit_proximal(EstimatorConfig(loss, RIDGE, lam), design, y).converged
-        assert "top" not in vars(design)
+    @staticmethod
+    def descent_case(name):
+        """Design, response, warm start and penalty.  ``diagonal`` has ``X'X/n = diag(1, 100)`` and a warm start
+        ``(0, 1/2)`` whose gradient ``(-a, 0)``, ``a = 1 + 1e-4``, has curvature 1; at the step 1 the
+        proximal-gradient point ``(1e-4, 0)`` moves the second coordinate too, along curvature 100, and lies
+        about 12 above the start."""
+        if name == "diagonal":
+            x = np.sqrt(2.0) * np.diag([1.0, 10.0])
+            return x, np.sqrt(2.0) * np.array([1.0 + 1.0e-4, 5.0]), np.array([0.0, 0.5]), 1.0
+        x, y, _ = make_problem(*{"tall": (100, 40), "wide": (30, 60)}[name], seed=29, noise=3.0)
+        return x, y, None, 0.05
+
+    @pytest.mark.parametrize("name", ("tall", "wide", "diagonal"))
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_the_proximal_gradient_point_never_rises_above_the_iterate(self, name, loss, monkeypatch):
+        # the backtracked L satisfies the descent lemma, so step j's proximal-gradient point, the anchor its
+        # pattern solve receives, is no higher than iterate j - 1 (the start for j = 1)
+        x, y, x0, lam = self.descent_case(name)
+        design = Resolvent.of(x)
+
+        def objective(b):
+            return float(np.mean(loss.value(y - x @ b))) + lam * LASSO.value(b)
+
+        config = EstimatorConfig(loss, LASSO, lam)
+        before = [objective(np.zeros(x.shape[1]) if x0 is None else x0)]
+        before += [fit_proximal(dataclasses.replace(config, max_iterations=j), design, y, x0).objective
+                   for j in range(1, 30)]
+        solve, anchors = estimators._pattern_solve, []
+
+        def record(*args):
+            if not anchors or not np.array_equal(args[6], anchors[-1]):  # a retry solves at the same anchor
+                anchors.append(args[6].copy())
+            return solve(*args)
+
+        monkeypatch.setattr(estimators, "_pattern_solve", record)
+        fit = fit_proximal(dataclasses.replace(config, max_iterations=30), design, y, x0)
+        assert len(anchors) == fit.iterations >= 1
+        for f, anchor in zip(before, anchors):
+            assert objective(anchor) <= f + 1.0e-12 * abs(f)
+
+    def test_a_lasso_warm_start_with_a_zero_gradient_steps(self):
+        # an integer design and response fit exactly by the warm start: the first gradient is 0, so L has no
+        # Rayleigh quotient to start from
+        rng = np.random.default_rng(6)
+        x = rng.integers(-3, 4, size=(50, 10)).astype(float)
+        b = rng.integers(-3, 4, size=10).astype(float)
+        y = x @ b
+        assert not (x.T @ (y - x @ b)).any()
+        config = EstimatorConfig(SQUARED, LASSO, 0.05)
+        warm = fit_proximal(config, Resolvent.of(x), y, x0=b)
+        cold = fit_proximal(config, Resolvent.of(x), y)
+        assert warm.converged and warm.iterations >= 1
+        np.testing.assert_allclose(warm.beta_hat, cold.beta_hat, rtol=0.0, atol=1.0e-12)
+
+    @pytest.mark.parametrize("n, p", ((100, 40), (200, 20), (400, 100)))
+    def test_every_strongly_convex_lasso_fit_converges(self, n, p):
+        # n > p: X'X/n is positive definite, so each pattern's system is too and the fit is unique
+        for seed in (13, 29, 3, 7):
+            for noise in (0.0, 1.0, 5.0, 30.0):
+                x, y, _ = make_problem(n=n, p=p, seed=seed, noise=noise)
+                design = Resolvent.of(x)
+                for loss in (SQUARED, HUBER):
+                    for lam in (1.0e-12, 1.0e-3, 0.05, 0.5):
+                        fit = fit_proximal(EstimatorConfig(loss, LASSO, lam), design, y)
+                        assert fit.converged, (seed, noise, loss.kind, lam, fit.iterations)
 
     def test_ridge_certificate_is_the_gradient_norm(self):
         # ||-X' psi(y - X b) / n + lam (b - b0)|| at every iterate, not the gradient map at step 1/L
@@ -764,11 +843,10 @@ class TestFitProximal:
                                                           design, y).converged
 
     def test_a_failed_ridge_pattern_retries_with_the_proximal_term(self, monkeypatch):
-        # only the retry reads the top eigenvalue, for mu = 1e-6 ||X||_2^2 / n
+        # the retry's weight is mu = 1e-6 trace(X'X/n) / p = 1e-6 ||X||_F^2 / (n p)
         x, y, _ = make_problem(n=100, p=40, seed=5, noise=3.0)
         design = Resolvent.of(x)
         plain = fit_proximal(EstimatorConfig(HUBER, RIDGE, 0.1), design, y)
-        assert "top" not in vars(design)
         solve, mus = estimators._pattern_solve, []
 
         def fail_once(*args):
@@ -780,7 +858,8 @@ class TestFitProximal:
         monkeypatch.setattr(estimators, "_pattern_solve", fail_once)
         fit = fit_proximal(EstimatorConfig(HUBER, RIDGE, 0.1), design, y)
         assert fit.converged
-        assert mus[:2] == [0.0, 1.0e-6 * design.top] and not any(mus[2:])
+        assert mus[0] == 0.0 and mus[1] == pytest.approx(1.0e-6 * np.trace(x.T @ x) / (100 * 40), rel=1.0e-13)
+        assert not any(mus[2:])
         np.testing.assert_allclose(fit.beta_hat, plain.beta_hat, rtol=0.0, atol=1.0e-12)
 
     def test_converged_fit_carries_a_valid_certificate(self):
