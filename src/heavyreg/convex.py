@@ -105,12 +105,6 @@ class Loss:
             out = np.tanh(t)
         return out if out.shape else float(out)
 
-    def derivative_lipschitz(self) -> float:
-        """Upper bound on the curvature of a smooth loss."""
-        if not self.smooth:
-            raise ConfigError(f"{self.kind.value} is not smooth; no curvature bound")
-        return 1.0  # t, clip(t, -k, k), tanh(t) are all 1-Lipschitz
-
 
 class RegKind(enum.Enum):
     RIDGE = "ridge"

@@ -35,7 +35,8 @@ Two routes are provided and must agree for the ridge penalty:
 
 Both scalar equations, ``r = R(r)`` and the companion one in its fixed-point
 form ``v = 1 - gamma * E_S[S v / (S v + mu)]``, are solved by one
-root-finder, :func:`_bracketed_secant`.
+root-finder, :func:`_bracketed_secant`.  The companion root is solved once
+per ``(spectrum, gamma, mu)`` and kept on the spectrum.
 
 As ``sigma2 -> inf`` every prox collapses to the centering point, ``R`` tends
 to the misalignment energy ``q_Sigma``, and ``tau`` tends to
@@ -186,6 +187,17 @@ def solve_companion_v(eigenvalues: np.ndarray, gamma: float, mu: float) -> float
     return v
 
 
+def _companion_v(spec: DiscreteSpectrum, gamma: float, mu: float) -> float:
+    """:func:`solve_companion_v` on the spectrum's eigenvalues, solved once
+    per ``(gamma, mu)`` and kept on the spectrum: every prediction at one
+    ``(spectrum, gamma, mu)`` reads the same root."""
+    roots = spec._companion_roots
+    key = (gamma, mu)
+    if key not in roots:
+        roots[key] = solve_companion_v(spec.eigenvalues, gamma, mu)
+    return roots[key]
+
+
 def _sigma2_over_n(inputs: TheoryInputs) -> float:
     # The sample size enters only through sigma2/n = gamma * sigma2 / p.
     return inputs.gamma * inputs.sigma2 / inputs.spectrum.p
@@ -201,10 +213,10 @@ def ridge_risk_closed_form(inputs: TheoryInputs) -> RiskPrediction:
     gamma = inputs.gamma
     sigma2 = inputs.sigma2
     if sigma2 == 0.0:
-        return RiskPrediction(risk=0.0, tau=1.0, v=solve_companion_v(s, gamma, 0.0),
+        return RiskPrediction(risk=0.0, tau=1.0, v=_companion_v(spec, gamma, 0.0),
                               bias_term=0.0, variance_term=0.0)
     mu = inputs.lambda_tilde * sigma2
-    v = solve_companion_v(s, gamma, mu)
+    v = _companion_v(spec, gamma, mu)
     denom = s * v + mu
     bias = mu ** 2 * float(np.mean(s * d2 / denom ** 2))
     chi = gamma * float(np.mean((s * v) ** 2 / denom ** 2))
@@ -338,11 +350,11 @@ def solve_general_fixed_point(inputs: TheoryInputs, gh_nodes: int = _GH_NODES_DE
     """
     if gh_nodes < 1:
         raise ConfigError(f"gh_nodes must be >= 1, got {gh_nodes}")
-    s = inputs.spectrum.eigenvalues
+    spec = inputs.spectrum
     gamma = inputs.gamma
     if inputs.sigma2 == 0.0:
-        return RiskPrediction(risk=0.0, tau=1.0, v=solve_companion_v(s, gamma, 0.0))
-    v = solve_companion_v(s, gamma, inputs.lambda_tilde * inputs.sigma2)
+        return RiskPrediction(risk=0.0, tau=1.0, v=_companion_v(spec, gamma, 0.0))
+    v = _companion_v(spec, gamma, inputs.lambda_tilde * inputs.sigma2)
     risk_functional = _risk_functional(inputs, v, gh_nodes)
 
     def gap(risk: float) -> float:

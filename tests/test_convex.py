@@ -107,13 +107,6 @@ class TestLossValues:
         mid = float(loss.value(0.5 * (a + b)))
         assert mid <= 0.5 * float(loss.value(a)) + 0.5 * float(loss.value(b)) + 1.0e-12
 
-    def test_derivative_lipschitz_only_for_smooth_losses(self):
-        assert Loss(LossKind.SQUARED).derivative_lipschitz() == 1.0
-        assert Loss(LossKind.HUBER, 2.0).derivative_lipschitz() == 1.0
-        assert Loss(LossKind.LOGCOSH).derivative_lipschitz() == 1.0
-        with pytest.raises(ValueError):
-            Loss(LossKind.ABSOLUTE).derivative_lipschitz()
-
 
 class TestClassification:
     """Conjugate-domain boundedness classification."""

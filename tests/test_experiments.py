@@ -407,16 +407,16 @@ class TestGoldenRecords:
     """
 
     GOLDEN = {
-        "paradox": ("58070a0db3974b2eb2da3a1806c9b9d1bf547d66c938ab0762119c444a886879",
-                    "3c39285225e037a7eac0215b86caedf29d7396ddf491a40d0c0244e27a108fcf"),
-        "floor": ("7340574570aee1e35daddf0df3a8130bcdbbe6df19a8791eff8aebf5f06f499b",
-                  "85c1bf5a619f08bfe2a19f38865eb5d26a62613785d73be33048c6b2fd260107"),
-        "transient": ("ef62675b9ecc48daeb887b7c1a2d56f6fe17efc9d3a0cee0a5022b234aa136d0",
-                      "2b7dd72567762fba46cefffc4fdd764538f2d492087f1127ae17862f3db412e1"),
-        "trichotomy": ("019bb97920284512b979a1636c794f5eed4032ecf11f8106028111e68fb019c7",
-                       "7db55828a66ab817027e049a7227e70844fd12408c7e8e8303f7cb3af3490366"),
-        "universality": ("138d55775f61db645fcb5172f8379fa6ea49801b6afd585f01f3badccd687ee2",
-                         "1d6702575187244f3f4b788c06f362acff94b19ecc00dd06c38599dc22185daa"),
+        "paradox": ("a272d7a7a0c77c9dcf79971abb217867d5aa5cfd7f1e0cc8602898e7d682f9ea",
+                    "b9686e24aa67ffe4c44af2743c0594f3460d75e0ad60f9838048e0986335f54f"),
+        "floor": ("6624cf1bfb143b594cc2c5720722e77b8a1c795793b23dbcb34fd5bb418ac8e9",
+                  "97f79fcf3656953329430550dc8e15a4a3a69204e0505bef0a2c6bc2bbb3e0da"),
+        "transient": ("14d325d91609b384f8eca56978c73deb810d4b2411e4513a38e4eecd03557573",
+                      "00f5b1c78b5af5ae3b65d9144e8cf6ce7a211817334ccb4c54adbdf448e6ec37"),
+        "trichotomy": ("914ad7a5ef826e705489f917eb1d7c50cced9859be3eb2c6f65ea55cea615813",
+                       "c7053a478ab13cf34cbf4cf4242520f272ddc70cf67a648b672a6d2274e5fde6"),
+        "universality": ("1228591257d1426c32ab3ff4da8e114179fcbd8972fc6d14e48bd90558234eb3",
+                         "bea0cb859281ffb0fd9cdec8e027cf0eed22acb3fa80ee7ab8bf1f11543cb0c0"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }

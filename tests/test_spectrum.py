@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from heavyreg import spectrum
 from heavyreg.errors import ConfigError, ConvergenceError
@@ -79,28 +80,33 @@ class TestDecompose:
         assert np.allclose(gram, np.eye(40), rtol=0.0, atol=1.0e-12)
 
     def test_inexact_tridiagonal_eigenvalues_fail_the_residual(self, monkeypatch):
-        eigh_tridiagonal = spectrum.linalg.eigh_tridiagonal
+        eigenpairs = spectrum._ar1_eigenpairs
 
-        def perturbed(d, e):
-            mu, basis = eigh_tridiagonal(d, e)
-            return mu * (1.0 + 1.0e-6), basis
+        def perturbed(p, rho):
+            values, basis = eigenpairs(p, rho)
+            return values * (1.0 + 1.0e-6), basis
 
-        monkeypatch.setattr(spectrum.linalg, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(spectrum, "_ar1_eigenpairs", perturbed)
         with pytest.raises(ConvergenceError, match="residual"):
             decompose(CovarianceModel.ar1(10, 0.5))
 
     def test_duplicated_eigenpair_fails_the_orthogonality_check(self, monkeypatch):
         # an exact eigenpair twice passes the residual; only orthogonality sees it
-        eigh_tridiagonal = spectrum.linalg.eigh_tridiagonal
+        eigenpairs = spectrum._ar1_eigenpairs
 
-        def duplicated(d, e):
-            mu, basis = eigh_tridiagonal(d, e)
-            mu[4], basis[:, 4] = mu[3], basis[:, 3]
-            return mu, basis
+        def duplicated(p, rho):
+            values, basis = eigenpairs(p, rho)
+            values[4], basis[:, 4] = values[3], basis[:, 3]
+            return values, basis
 
-        monkeypatch.setattr(spectrum.linalg, "eigh_tridiagonal", duplicated)
+        monkeypatch.setattr(spectrum, "_ar1_eigenpairs", duplicated)
         with pytest.raises(ConvergenceError, match="orthogonality"):
             decompose(CovarianceModel.ar1(10, 0.5))
+
+    def test_unsettled_newton_steps_raise(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_NEWTON_CAP", 1)
+        with pytest.raises(ConvergenceError, match="secular equation"):
+            decompose(CovarianceModel.ar1(50, 0.5))
 
     def test_ar1_takes_no_dense_eigendecomposition(self, monkeypatch):
         calls = []
@@ -167,6 +173,54 @@ class TestTridiagonalRoute:
         spec = decompose(CovarianceModel.ar1(1, rho))
         assert spec.eigenvalues.tolist() == [1.0] and np.abs(spec.basis).tolist() == [[1.0]]
         assert spec.matrix is None
+
+    @pytest.mark.parametrize("rho", [0.99, -0.99, 0.999])
+    def test_eigenvalues_match_a_40_digit_oracle(self, rho):
+        # eigh_tridiagonal of T read 3.4e-13, 3.4e-13 and 1.0e-11 here: the
+        # largest eigenvalues are reciprocals of T's smallest
+        mpmath = pytest.importorskip("mpmath")
+        p = 60
+        with mpmath.workdps(40):
+            exact = mpmath.eigsy(mpmath.matrix([[mpmath.mpf(rho) ** abs(i - j) for j in range(p)]
+                                                for i in range(p)]), eigvals_only=True)
+            exact = np.sort(np.array([float(e) for e in exact]))
+        spec = decompose(CovarianceModel.ar1(p, rho))
+        assert np.max(np.abs(spec.eigenvalues / exact - 1.0)) <= 1.0e-14
+
+    def test_basis_stays_orthonormal_at_large_dimension(self):
+        # pins the exact argument reduction: with its integer part left unreduced this read 4.4e-12
+        p = 2000
+        spec = decompose(CovarianceModel.ar1(p, 0.5))
+        gram = spec.basis.T @ spec.basis
+        gram.flat[::p + 1] -= 1.0
+        assert np.linalg.norm(gram) <= 1.0e-12
+
+    @pytest.mark.parametrize("p", [7, 8])
+    @pytest.mark.parametrize("rho", [0.5, -0.8])
+    def test_eigenvectors_are_exactly_symmetric_or_antisymmetric(self, p, rho):
+        # T commutes with the reversal J, so J u = +-u for every eigenvector u
+        basis = decompose(CovarianceModel.ar1(p, rho)).basis
+        assert np.array_equal(np.abs(basis[::-1]), np.abs(basis))
+
+    @pytest.mark.parametrize("p, rho", [(2, 1.0 - 1.0e-6), (2, -1.0 + 1.0e-6), (40, 1.0 - 1.0e-5),
+                                        (1000, 1.0 - 1.0e-4)])
+    def test_near_unit_correlation_is_certified(self, p, rho):
+        # the residual grows as eps ||T|| max(s), about eps / (1 - |rho|)^2; LAPACK's
+        # eigenpairs missed its 1e-10 bound at the last two
+        spec = decompose(CovarianceModel.ar1(p, rho))
+        assert spec.eigenvalues[0] > 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [1.0e-8, -1.0e-8])
+    def test_tiny_correlation_agrees_with_lapack(self, p, rho):
+        diag, off = spectrum._ar1_inverse(p, rho)
+        mu, vectors = linalg.eigh_tridiagonal(-diag, -off)
+        spec = decompose(CovarianceModel.ar1(p, rho))
+        np.testing.assert_allclose(spec.eigenvalues, -1.0 / mu, rtol=4.0e-16, atol=0.0)
+        # at p = 3 LAPACK puts 4e-9 in the centre of the odd eigenvector,
+        # which the symmetry of T makes exactly 0 (the closed form: 4e-17)
+        signs = np.sign(np.sum(spec.basis * vectors, axis=0))
+        np.testing.assert_allclose(spec.basis, vectors * signs, rtol=0.0, atol=1.0e-8)
 
     def test_materialized_ar1_is_the_outer_power(self):
         idx = np.arange(200)

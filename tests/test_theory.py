@@ -171,6 +171,50 @@ class TestCompanion:
             assert float(abs(v - root) / root) <= 1.0e-15
 
 
+class TestCompanionMemo:
+    """The companion root is solved once per (spectrum, gamma, mu)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The ``(gamma, mu)`` of every :func:`solve_companion_v` call."""
+        calls = []
+        solve = theory.solve_companion_v
+
+        def counted(s, gamma, mu):
+            calls.append((gamma, mu))
+            return solve(s, gamma, mu)
+
+        monkeypatch.setattr(theory, "solve_companion_v", counted)
+        return calls
+
+    def test_predictions_at_one_key_share_one_solve(self, calls):
+        spec = make_spectrum(p=60)
+        inputs = [TheoryInputs(spec, 0.5, 4.0, 0.3, reg=reg) for reg in PENALTIES]
+        shared = [solve_general_fixed_point(ti) for ti in inputs] + [ridge_risk_closed_form(inputs[0])]
+        assert calls == [(0.5, 0.3 * 4.0)]
+        assert spec._companion_roots == {(0.5, 0.3 * 4.0): shared[0].v}
+        # each prediction again on its own copy of the spectrum, whose memo is empty
+        alone = [solve_general_fixed_point(dataclasses.replace(ti, spectrum=dataclasses.replace(spec)))
+                 for ti in inputs]
+        alone.append(ridge_risk_closed_form(dataclasses.replace(inputs[0], spectrum=dataclasses.replace(spec))))
+        assert len(calls) == 5
+        assert [dataclasses.astuple(r) for r in shared] == [dataclasses.astuple(r) for r in alone]
+
+    def test_each_key_is_solved_once(self, calls):
+        spec = make_spectrum(p=60)
+        for gamma, sigma2 in [(0.5, 1.0), (0.5, 2.0), (2.0, 1.0), (0.5, 1.0), (0.5, 0.0), (0.5, 0.0)]:
+            ridge_risk_closed_form(TheoryInputs(spec, gamma, sigma2, 1.0))
+        assert calls == [(0.5, 1.0), (0.5, 2.0), (2.0, 1.0), (0.5, 0.0)]
+
+    def test_a_fresh_decompose_starts_with_an_empty_memo(self):
+        model = CovarianceModel.ar1(40, 0.5)
+        spec = project_delta(decompose(model), np.ones(40), np.zeros(40))
+        ridge_risk_closed_form(TheoryInputs(spec, 0.5, 1.0, 1.0))
+        assert len(spec._companion_roots) == 1
+        assert decompose(model)._companion_roots == {}
+        assert project_delta(spec, np.ones(40), np.zeros(40))._companion_roots == {}
+
+
 class TestBracketedSecant:
     """The one root-finder behind the companion root and the risk fixed point."""
 
