@@ -67,10 +67,6 @@ class Loss:
         elif self.param is not None:
             raise ConfigError(f"{self.kind.value} takes no parameter")
 
-    @property
-    def smooth(self) -> bool:
-        return self.kind in (LossKind.SQUARED, LossKind.HUBER, LossKind.LOGCOSH)
-
     def value(self, t: np.ndarray | float) -> np.ndarray | float:
         t = np.asarray(t, dtype=float)
         k = self.kind

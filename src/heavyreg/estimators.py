@@ -6,17 +6,20 @@ A :class:`Resolvent` is one shifted family of Gram systems ``G + s T``,
 formed once per draw, and only what its fits read of it; no fit reads the
 spectrum of ``G``.  On a design ``X``,
 ``G = X'X/n`` and ``T = I``.  A closed-form squared-loss fit is one shifted
-system ``(G + lam I) e = rhs`` for its error ``e``.  A draw whose fits are
-all noise-adapted ridge skips the design: its Resolvent is the white draw
-``Z`` of ``X = Z Sigma^1/2`` with ``G = Z'Z/n`` and ``T`` the tridiagonal
-precision ``Sigma^-1``, the same systems in the coordinates
-``f = Sigma^1/2 e``, and the fit's risk ``e' Sigma e / p`` is ``f'f / p``.
+system ``(G + lam I) e = rhs`` for its error ``e``.  A draw with no Huber
+fit skips the design: its Resolvent is the white draw ``Z`` of
+``X = Z Sigma^1/2`` with ``G = Z'Z/n`` and ``T`` the tridiagonal precision
+``Sigma^-1``, the same systems in the coordinates ``f = Sigma^1/2 e``, and
+the fit's risk ``e' Sigma e / p`` is ``f'f / p``.  A transfer lasso on such
+a draw is a closed form where one certifies it: its full-support candidate
+is the unshifted system ``G f = rhs``, and only a lasso point that neither
+it nor the KKT screen at the centre settles is Newton-fitted on ``X``.
 
 :func:`_gram_solve` solves a draw's block either way.  A shift that does
-not grow with the noise (least squares, fixed ridge, the noiseless floor),
-and any column whose conjugate gradients miss their certificate, gets one
-LAPACK Cholesky factor of ``G + s T``, ``p^3/3`` flops, and ``dpotrs``
-solves.  The noise-adapted ridge columns, whose shifts grow with the noise,
+not grow with the noise (least squares, fixed ridge, the noiseless floor, a
+lasso candidate's 0), and any column whose conjugate gradients miss their
+certificate, gets one LAPACK Cholesky factor of ``G + s T``, ``p^3/3``
+flops, and ``dpotrs`` solves.  The noise-adapted ridge columns, whose shifts grow with the noise,
 go through one multi-shift conjugate-gradient loop preconditioned by ``T``
 instead, one symmetric mat-vec per seed and step: every right-hand side
 combines the same two seeds, so one Krylov sequence per seed serves every

@@ -10,6 +10,14 @@ Each replication draws a fresh design and a fresh unit-scale noise vector
 from per-replication streams, so any subset of replications can run on any
 worker without changing a single byte of output.
 
+Draws: a run with no Huber fit (paradox, floor, transient, universality)
+draws only the white ``Z`` of the design ``X = Z Sigma^1/2`` and solves every
+closed form on ``Z'Z/n``, reading ``Sigma`` through its eigen-atoms and its
+tridiagonal inverse.  Its transfer lasso is settled by a KKT screen or a
+full-support candidate, both exact on ``Z``, and ``X`` is drawn, from the
+same stream, only for a point neither certifies.  Trichotomy, whose
+Huber-ridge fits read ``X``, draws ``X`` itself.
+
 Noise delivery: squared-loss estimators receive the winsorized noise (clamped
 at the sample-size-coupled threshold, scaled exactly equivariantly along the
 sweep); the Huber estimator receives the raw heavy-tailed noise.  On the
@@ -31,6 +39,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -190,10 +199,13 @@ class ExperimentConfig:
 class RiskRecord:
     """One Monte Carlo measurement.
 
-    A Newton fit also reports its step count and optimality certificate.
-    Every closed-form fit reports as its certificate the relative residual
-    of its shifted Gram system ``(X'X/n + lam I) e = r`` (the same number
-    from the whitened system on a white draw), is converged when
+    A Newton fit also reports its step count and optimality certificate,
+    and so does a lasso point settled by its screen or its full-support
+    candidate (see :func:`_rep_sweep`): zero steps, and the norm of its
+    least-norm subgradient.  Every closed-form fit reports as its
+    certificate the relative residual of its shifted Gram system
+    ``(X'X/n + lam I) e = r`` (the same number from the whitened system on
+    a white draw), is converged when
     :func:`_gram_solve` finds that within its threshold (1e-10), and reports
     whether the solve fell back: its conjugate gradients missed the
     threshold, it was solved again by Cholesky of the draw's shifted Gram
@@ -205,8 +217,9 @@ class RiskRecord:
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
     evaluation.  The closed-form fits of one draw are solved and evaluated in
-    one block, so each of their records gets an equal share of it.  The
-    replication's shared draw and factorization are not in it.
+    one block, with the lasso points it settles, so each of their records
+    gets an equal share of it.  The replication's shared draw and
+    factorization are not in it, nor is a design drawn for a Newton fit.
     """
 
     experiment: str
@@ -292,10 +305,13 @@ class _Plan:
     beta0: np.ndarray
     tau_unit: float
     sigma2_unit: float
-    # On a whitened row: Sigma^-1 as (diagonal, off-diagonal), and the
-    # whitened misalignment Sigma^-1/2 (beta_star - beta0).
+    # On a whitened row: Sigma^-1 as (diagonal, off-diagonal); per estimator
+    # the seed its error systems read on the white draw besides Z'w/n (see
+    # :func:`_white_seeds`); and, with a lasso fit, the root product
+    # Sigma^1/2 (beta_star - beta0) its screen reads.
     precision: tuple[np.ndarray, np.ndarray] | None = None
-    white_delta: np.ndarray | None = None
+    white_seeds: dict[str, np.ndarray] | None = None
+    root_delta: np.ndarray | None = None
 
     @property
     def whitened(self) -> bool:
@@ -314,19 +330,53 @@ def _frozen_signal(spec: DiscreteSpectrum, master_seed: int, sparsity: float,
     return project_delta(spec, beta_star, beta0), beta_star, beta0
 
 
+def _root_product(spec: DiscreteSpectrum, v: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``Sigma^1/2 v``, or ``Sigma^-1/2 v``, from the eigen-atoms, for a
+    vector or per column of a ``p x k`` block: two products with the basis,
+    and no dense root."""
+    roots = np.sqrt(spec.eigenvalues)
+    coeffs = (spec.basis.T @ v).T
+    return spec.basis @ (coeffs / roots if inverse else coeffs * roots).T
+
+
+def _white_seeds(spec: DiscreteSpectrum, beta_star: np.ndarray, beta0: np.ndarray,
+                 estimators: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Per estimator, the seed of its error systems on the white draw
+    besides ``Z'w/n`` (see :func:`_error_block`): the white offset
+    ``Sigma^-1/2 (beta_star - c)``, one per centre ``c`` of
+    :func:`_penalty_and_centre` (``beta0`` for transfer ridge, the origin for
+    least squares and fixed ridge); for the transfer lasso
+    ``Sigma^-1/2 sign(beta_star - beta0)``, its full-support candidate's."""
+    delta = beta_star - beta0
+    offsets: dict[bool, np.ndarray] = {}  # by whether the centre is beta0
+    seeds = {}
+    for estimator in estimators:
+        if estimator == "transfer_lasso":
+            seeds[estimator] = _root_product(spec, np.sign(delta), inverse=True)
+            continue
+        transfer = estimator == "transfer_ridge"
+        if transfer not in offsets:
+            offsets[transfer] = _root_product(spec, delta if transfer else beta_star, inverse=True)
+        seeds[estimator] = offsets[transfer]
+    return seeds
+
+
 def _build_plan(config: ExperimentConfig) -> _Plan:
     spec, beta_star, beta0 = _frozen_signal(decompose(config.cov), config.master_seed, config.sparsity,
                                             config.delta_norm)
-    precision = white_delta = None
-    if _EXPERIMENTS[config.name].whitened:
+    row = _EXPERIMENTS[config.name]
+    precision = white_seeds = root_delta = None
+    if row.whitened:
         precision = _ar1_inverse(config.p, config.cov.rho)
-        white_delta = spec.basis @ (spec.delta_coeffs / np.sqrt(spec.eigenvalues))
+        white_seeds = _white_seeds(spec, beta_star, beta0, row.estimators)
+        if "transfer_lasso" in row.estimators:
+            root_delta = _root_product(spec, beta_star - beta0)
     else:
         spec.sqrt_matrix()  # taken once here, so every worker inherits it
     tau_unit = float(config.n) ** (1.0 / config.noise.alpha)
     sigma2_unit = effective_variance_exact(config.noise, tau_unit)
-    return _Plan(config=config, spec=spec, beta_star=beta_star, beta0=beta0,
-                 tau_unit=tau_unit, sigma2_unit=sigma2_unit, precision=precision, white_delta=white_delta)
+    return _Plan(config=config, spec=spec, beta_star=beta_star, beta0=beta0, tau_unit=tau_unit,
+                 sigma2_unit=sigma2_unit, precision=precision, white_seeds=white_seeds, root_delta=root_delta)
 
 
 @dataclass(frozen=True)
@@ -336,7 +386,8 @@ class _RepDraw:
     ``design`` is the :class:`Resolvent` of the design ``X``, or on a
     whitened plan of the white matrix ``Z`` with ``X = Z Sigma^1/2`` and
     precision ``Sigma^-1``; both come from the replication's one design
-    stream.
+    stream, and a Newton fit on a whitened plan reads ``X`` drawn again from
+    it by ``sample_design`` (see :func:`_rep_sweep`).
     """
 
     design: Resolvent
@@ -346,6 +397,12 @@ class _RepDraw:
     @property
     def x(self) -> np.ndarray:
         return self.design.x
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """``X'w/n`` (``Z'w/n`` on a white draw) for the unit winsorized
+        noise ``w``: the first seed of the draw's error block."""
+        return self.x.T @ self.w_wins_unit / self.x.shape[0]
 
 
 def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
@@ -398,31 +455,115 @@ def _error_block(plan: _Plan, draw: _RepDraw,
 
     On a whitened plan the draw is white and the systems are whitened,
     ``(Z'Z/n + lam Sigma^-1) f = a Z'w/n - lam Sigma^-1/2 (beta_star - c)``
-    for ``f = Sigma^1/2 e`` (see :class:`Resolvent`).  Only
-    noise-adapted ridge is solved whitened, so the centre is ``beta0``, the
-    offset the plan's ``white_delta`` and the seeds ``(v, white_delta)``.
+    for ``f = Sigma^1/2 e`` (see :class:`Resolvent`), so each offset is the
+    plan's white one (:func:`_white_seeds`).  There a transfer-lasso point
+    is its full-support candidate: the lasso's optimality conditions with
+    every coordinate free and of the sign ``s = sign(beta_star - beta0)``,
+    the unshifted system ``Z'Z/n f = a Z'w/n - lam Sigma^-1/2 s``, with the
+    seed ``Sigma^-1/2 s`` and the shift 0.
     """
-    v = draw.x.T @ draw.w_wins_unit / plan.config.n
-    seeds, rows = [v], {}
+    seeds, rows = [draw.v], {}
     coefficients = np.zeros((1 + len(points), len(points)))
     shifts = []
     for k, (estimator, amplitude, sigma2) in enumerate(points):
         lam, centre = _penalty_and_centre(plan, estimator, sigma2)
         if estimator not in rows:
             rows[estimator] = len(seeds)
-            seeds.append(plan.white_delta if plan.whitened else plan.beta_star - centre)
+            seeds.append(plan.white_seeds[estimator] if plan.whitened else plan.beta_star - centre)
         coefficients[0, k], coefficients[rows[estimator], k] = amplitude, -lam
-        shifts.append(lam)
+        shifts.append(0.0 if estimator == "transfer_lasso" else lam)
     return np.stack(seeds, axis=1), coefficients[:len(seeds)], np.array(shifts)
+
+
+def _solve_block(plan: _Plan, draw: _RepDraw,
+                 block: list[tuple[str, float, float, float]]) -> tuple[np.ndarray, ...]:
+    """The risks, errors, certificates, converged and fell-back masks of the
+    closed-form fits ``block``, ``(estimator, g, a, sigma2)`` each, on one
+    draw: one :func:`_error_block` solved by :func:`_gram_solve`, its
+    noise-adapted ridge columns by conjugate gradients and the rest by
+    Cholesky.  A white draw's risk is ``f'f / p``; a design's is
+    ``e' Sigma e / p``, from the eigen-atoms."""
+    seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in block])
+    adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in block], dtype=bool)
+    errors, certificates, converged, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
+    if plan.whitened:
+        risks = np.einsum("ij,ij->j", errors, errors) / plan.config.p
+    else:  # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
+        risks = _energy(plan.spec, errors)
+    return risks, errors, certificates, converged, fell_back
 
 
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
 # The closed-form fits whose penalty grows with the noise, solved by
-# multi-shift conjugate gradients; a row with no other fit draws the white Z
-# and never forms the design.  Least squares and fixed ridge, whose penalties
-# do not grow with the noise and would spend the conjugate-gradient budget,
-# are solved by Cholesky, as is the noiseless point.
+# multi-shift conjugate gradients.  Least squares and fixed ridge, whose
+# penalties do not grow with the noise and would spend the conjugate-gradient
+# budget, are solved by Cholesky, as are the noiseless point and the lasso's
+# full-support candidates.
 _ADAPTED_FITS = ("transfer_ridge",)
+# The lasso screen on a white draw (:func:`_centre_gradients`) keeps this
+# much, relative to a norm-wise bound on the centre gradient, below the
+# penalty, many times the rounding of its products: a point closer to the
+# boundary goes on to its candidate and its Newton fit.
+_SCREEN_ROUNDING = 1.0e-12
+
+
+def _centre_gradients(plan: _Plan, draw: _RepDraw, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minus the gradient of the transfer lasso's smooth part at its centre
+    ``beta0``, per noise amplitude ``a``, read from the white draw, and the
+    rounding the screen allows it.
+
+    With ``delta = beta_star - beta0`` and ``X = Z Sigma^1/2`` the gradient
+    is ``-(X'X/n delta + a X'w/n) = -Sigma^1/2 (Z'Z/n Sigma^1/2 delta + a v)``
+    for ``v = Z'w/n``: two root products per draw (:func:`_root_product`),
+    of ``Z'Z/n Sigma^1/2 delta`` and of ``v``, and O(p) per amplitude.  The
+    allowance is ``_SCREEN_ROUNDING`` times
+    ``s_max tr(Z'Z/n) ||delta|| + a sqrt(s_max) ||v||``, which bounds the
+    norms of the two terms for the largest eigenvalue ``s_max`` of
+    ``Sigma``.  The centre is optimal when no entry of the gradient exceeds
+    the penalty (see :func:`fit_proximal`).
+    """
+    gram, v = draw.design.gram, draw.v
+    terms = _root_product(plan.spec, np.stack([gram @ plan.root_delta, v], axis=1))
+    s_max = float(plan.spec.eigenvalues[-1])
+    scale = s_max * float(np.trace(gram)) * float(np.linalg.norm(plan.beta_star - plan.beta0))
+    return (terms[:, :1] + terms[:, 1:] * amplitudes,
+            _SCREEN_ROUNDING * (scale + amplitudes * math.sqrt(s_max) * float(np.linalg.norm(v))))
+
+
+def _lasso_candidates(plan: _Plan, draw: _RepDraw, f: np.ndarray, amplitudes: np.ndarray,
+                      lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transfer lasso's full-support candidates on a white draw: per
+    column ``f = Sigma^1/2 e`` of the block (see :func:`_error_block`), at
+    noise amplitude ``a`` and penalty ``lam``, the fit ``beta_star + e``,
+    its certificate, and whether the candidate is the fit.
+
+    It is the fit when ``d = beta_star - beta0 + e`` keeps the signs of
+    ``beta_star - beta0`` it was solved for, so that ``d`` meets the
+    optimality conditions, and its certificate holds.  The certificate is
+    :func:`fit_proximal`'s, the norm of the least-norm subgradient, from the
+    smooth part's gradient ``X'X/n e - a X'w/n = Sigma^1/2 (Z'Z/n f - a v)``
+    (one root product), and it holds within ``fit_proximal``'s tolerance
+    ``gradient_map_tol (1 + ||beta||)``.
+    """
+    delta = plan.beta_star - plan.beta0
+    e = _root_product(plan.spec, f, inverse=True)
+    d = delta[:, None] + e
+    gradient = _root_product(plan.spec, draw.design.gram @ f - np.outer(draw.v, amplitudes))
+    subgradient = np.where(d != 0.0, gradient + lams * np.sign(d), np.maximum(np.abs(gradient) - lams, 0.0))
+    certificates = np.linalg.norm(subgradient, axis=0)
+    betas = plan.beta_star[:, None] + e
+    certified = certificates <= EstimatorConfig.gradient_map_tol * (1.0 + np.linalg.norm(betas, axis=0))
+    return betas, certificates, certified & np.all(np.sign(d) == np.sign(delta)[:, None], axis=0)
+
+
+def _newton_draw(plan: _Plan, draw: _RepDraw, rep: int, kind: str) -> _RepDraw:
+    """The draw a Newton fit reads: ``draw`` itself on a design, and on a
+    white draw the design ``X = Z Sigma^1/2`` of ``sample_design`` on the
+    replication's design stream (the same ``Z``), with the same noise."""
+    if not plan.whitened:
+        return draw
+    rng = substream(plan.config.master_seed, "design", rep)
+    return dataclasses.replace(draw, design=Resolvent.of(sample_design(plan.spec, plan.config.n, rng, kind=kind)))
 
 
 def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float, sigma2: float,
@@ -445,10 +586,11 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float,
 
 def _record(plan: _Plan, estimator: str, sweep: float, rep: int, risk: float, t0: float,
             fit: FitResult | None = None, certificate: float | None = None, converged: bool = False,
-            resolvent_fallback: bool = False) -> RiskRecord:
+            resolvent_fallback: bool = False, newton_steps: int | None = None) -> RiskRecord:
     """The record of one fit with risk ``risk``: a Newton ``fit``'s, or a
     closed-form fit's with its ``certificate`` and ``converged`` flag from
-    :func:`_gram_solve`."""
+    :func:`_gram_solve` (a lasso point settled without a Newton fit passes
+    ``newton_steps=0``)."""
     return RiskRecord(
         experiment=plan.config.name,
         estimator=estimator,
@@ -457,7 +599,7 @@ def _record(plan: _Plan, estimator: str, sweep: float, rep: int, risk: float, t0
         risk=float(risk),
         converged=fit.converged if fit is not None else converged,
         wall_ms=(time.perf_counter() - t0) * 1.0e3,
-        newton_steps=None if fit is None else fit.iterations,
+        newton_steps=newton_steps if fit is None else fit.iterations,
         certificate=certificate if fit is None else fit.gradient_map_norm,
         resolvent_fallback=resolvent_fallback,
     )
@@ -475,47 +617,87 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     ``sigma2 = g**2 sigma2_unit``, or on a σ² grid ``sigma2 = g`` with
     ``a = sqrt(g / sigma2_unit)``.  Draws the design and unit noise once per
     design law (the configured one, or each of the row's ``designs``, whose
-    name then suffixes the estimator label).  The closed-form fits at every
-    point form one :func:`_error_block`, solved by :func:`_gram_solve` on
-    the draw's Gram matrix, formed before the clock starts: noise-adapted
-    columns by conjugate gradients, the rest by Cholesky.  If every fit is
-    noise-adapted ridge (``_ADAPTED_FITS``), the draw is the white ``Z``,
-    the block is solved whitened and each risk is ``f'f / p``; else the
-    design ``X`` is drawn and each risk is ``e' Sigma e / p``, from the
-    eigen-atoms.  Every record carries its certificate and fallback flag.
-    Each proximal fit warm-starts from its own fit at the previous point.
+    name then suffixes the estimator label).  With no Huber fit in the row
+    the draw is the white ``Z``; else it is the design ``X``.  The
+    closed-form fits at every point form one block (:func:`_solve_block`) on
+    the draw's Gram matrix, formed before the clock starts.  Every record
+    carries its certificate and fallback flag.
+
+    On a white draw each transfer-lasso point is settled by the first of
+    three exact steps that certifies it:
+
+    1. the screen: the centre ``beta0`` is optimal when its gradient
+       (:func:`_centre_gradients`) clears the penalty by more than rounding;
+       the fit is ``beta0``, in zero steps with certificate 0;
+    2. with ``n > p``, the full-support candidate, a shift-0 column of the
+       block (:func:`_error_block`), kept when :func:`_lasso_candidates`
+       finds its signs and certificate hold; zero steps, risk ``f'f / p``;
+    3. the Newton fit on ``X``, drawn by :func:`_newton_draw` at most once
+       per draw.
+
+    A Newton fit on a design reads the draw itself.  Each proximal fit
+    warm-starts from its own fit at the previous point.
     """
     cfg = plan.config
     row = _EXPERIMENTS[cfg.name]
     points = [(g, math.sqrt(g / plan.sigma2_unit), g) if row.sigma2_grid else (g, g, g ** 2 * plan.sigma2_unit)
               for g in cfg.grid]
     closed = [(e, *point) for point in points for e in row.estimators if e not in _PROXIMAL_FITS]
+    fits = [e for e in row.estimators if e in _PROXIMAL_FITS]
+    white_lasso = plan.whitened and "transfer_lasso" in fits
+    if white_lasso:  # each point's amplitude and lasso penalty
+        amplitudes = np.array([a for _, a, _ in points])
+        lams = np.array([_penalty_and_centre(plan, "transfer_lasso", sigma2)[0] for _, _, sigma2 in points])
     records = []
     for kind in row.designs or (cfg.design_kind,):
         draw = _draw_replication(plan, rep, design_kind=kind)
         draw.design.gram  # formed before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
-        seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in closed])
-        adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in closed], dtype=bool)
-        errors, certificates, converged, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
-        if plan.whitened:
-            risks = np.einsum("ij,ij->j", errors, errors) / cfg.p
-        else:  # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
-            risks = _energy(plan.spec, errors)
-        share = (time.perf_counter() - t0) / len(closed)
+        settled: dict[float, tuple[float, np.ndarray, float]] = {}  # g -> a lasso point's risk, fit, certificate
+        candidates = []
+        if white_lasso:
+            gradients, rounding = _centre_gradients(plan, draw, amplitudes)
+            screened = np.max(np.abs(gradients), axis=0) + rounding <= lams
+            centre_risk = float(_energy(plan.spec, plan.beta0 - plan.beta_star))
+            settled = {g: (centre_risk, plan.beta0, 0.0) for (g, _, _), s in zip(points, screened) if s}
+            if cfg.n > cfg.p:  # Z'Z/n can be factored
+                candidates = [k for k, s in enumerate(screened) if not s]
+        block = closed + [("transfer_lasso", *points[k]) for k in candidates]
+        try:
+            risks, errors, certificates, converged, fell_back = _solve_block(plan, draw, block)
+        except np.linalg.LinAlgError:  # Z'Z/n is singular to working precision: no candidate
+            if not candidates:
+                raise
+            candidates = []
+            risks, errors, certificates, converged, fell_back = _solve_block(plan, draw, closed)
+        if candidates:
+            columns = slice(len(closed), None)
+            betas, fit_certificates, kept = _lasso_candidates(plan, draw, errors[:, columns], amplitudes[candidates],
+                                                              lams[candidates])
+            for j, k in enumerate(candidates):
+                if kept[j]:
+                    settled[points[k][0]] = (risks[len(closed) + j], betas[:, j], float(fit_certificates[j]))
+        share = (time.perf_counter() - t0) / (len(closed) + len(settled))
         for k, (estimator, g, _, _) in enumerate(closed):
             # the clock starts a share of the block early
             records.append(_record(plan, estimator + suffix, g, rep, risks[k], time.perf_counter() - share,
                                    certificate=float(certificates[k]), converged=bool(converged[k]),
                                    resolvent_fallback=bool(fell_back[k])))
         warm: dict[str, np.ndarray] = {}
-        fits = [e for e in row.estimators if e in _PROXIMAL_FITS]
-        signal = draw.x @ plan.beta_star if fits else None
+        newton, signal = None, None  # formed at the first Newton fit
         for g, a, sigma2 in points:
             for estimator in fits:
+                if estimator == "transfer_lasso" and g in settled:
+                    risk, warm[estimator], certificate = settled[g]
+                    records.append(_record(plan, estimator + suffix, g, rep, risk, time.perf_counter() - share,
+                                           certificate=certificate, converged=True, newton_steps=0))
+                    continue
+                if newton is None:
+                    newton = _newton_draw(plan, draw, rep, kind)
+                    signal = newton.x @ plan.beta_star
                 t0 = time.perf_counter()
-                fit = _proximal_fit(plan, draw, estimator, a, sigma2, warm.get(estimator), signal)
+                fit = _proximal_fit(plan, newton, estimator, a, sigma2, warm.get(estimator), signal)
                 warm[estimator] = fit.beta_hat
                 risk = _energy(plan.spec, fit.beta_hat - plan.beta_star)
                 records.append(_record(plan, estimator + suffix, g, rep, risk, t0, fit))
@@ -801,8 +983,10 @@ class _Experiment:
 
     @property
     def whitened(self) -> bool:
-        """Every fit is solved on the white draw (``_ADAPTED_FITS``)."""
-        return bool(self.estimators) and all(e in _ADAPTED_FITS for e in self.estimators)
+        """No fit is Huber-ridge, so every draw is the white ``Z`` and the
+        design ``X`` is formed only for a lasso Newton fit (see
+        :func:`_rep_sweep`)."""
+        return bool(self.estimators) and "huber" not in self.estimators
 
 
 # The configuration fields an experiment that draws no design reads.

@@ -54,11 +54,6 @@ class TestLossValidation:
         with pytest.raises(ValueError):
             Loss(LossKind.SQUARED, 2.0)
 
-    def test_smoothness_flags(self):
-        smooth = {LossKind.SQUARED, LossKind.HUBER, LossKind.LOGCOSH}
-        for loss in ALL_LOSSES:
-            assert loss.smooth == (loss.kind in smooth)
-
 
 class TestLossValues:
     """Pointwise loss values and derivatives."""

@@ -49,6 +49,18 @@ def tiny_config(name, **overrides):
     return ExperimentConfig(**base)
 
 
+def design_plan(plan):
+    """``plan`` with its draws the design ``X = Z Sigma^1/2`` rather than the white ``Z``."""
+    return dataclasses.replace(plan, precision=None, white_seeds=None, root_delta=None)
+
+
+def sample_design_calls(monkeypatch):
+    """A log filled with one entry per ``sample_design`` call the harness makes."""
+    calls, sample = [], experiments.sample_design
+    monkeypatch.setattr(experiments, "sample_design", lambda *a, **k: calls.append(1) or sample(*a, **k))
+    return calls
+
+
 class TestExperimentConfig:
     """Validation of the run description."""
 
@@ -252,30 +264,38 @@ class TestRecordProtocol:
     @pytest.mark.parametrize("kind", ("gaussian", "rademacher"))
     def test_white_and_correlated_draws_share_one_design_stream(self, kind):
         # a whitened row reads Z and a design row X = Z Sigma^1/2 of the same (seed, "design", rep)
+        # and so does the design a Newton fit on a whitened row draws again
         plan = experiments._build_plan(tiny_config("transient"))
-        eigenbasis = dataclasses.replace(plan, precision=None, white_delta=None)
+        eigenbasis = design_plan(plan)
         for rep in (0, 3):
             z = _white_draw(plan.config.n, plan.config.p, substream(plan.config.master_seed, "design", rep), kind)
             white = experiments._draw_replication(plan, rep, design_kind=kind)
             draw = experiments._draw_replication(eigenbasis, rep, design_kind=kind)
+            newton = experiments._newton_draw(plan, white, rep, kind)
             assert np.array_equal(white.x, z)
             assert np.array_equal(z @ plan.spec.sqrt_matrix(), draw.x)
-            assert np.array_equal(white.w_unit, draw.w_unit)
+            assert np.array_equal(newton.x, draw.x) and experiments._newton_draw(eigenbasis, draw, rep, kind) is draw
+            assert np.array_equal(white.w_unit, draw.w_unit) and newton.w_wins_unit is white.w_wins_unit
 
-    def test_every_closed_form_sweep_point_matches_a_dense_oracle(self):
+    @pytest.mark.parametrize("name", ("paradox", "trichotomy"))
+    def test_every_closed_form_sweep_point_matches_a_dense_oracle(self, name):
         # the oracle solves each fit's centred normal equations densely in
-        # the beta form; the harness solves the error form by Cholesky
+        # the beta form on X; the harness solves the error form by Cholesky,
+        # on the white draw for paradox (f = Sigma^1/2 e) and on X for trichotomy
         from heavyreg.estimators import _right_hand_sides
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _error_block
 
-        cfg = tiny_config("paradox")
+        cfg = tiny_config(name)
         plan = _build_plan(cfg)
+        assert plan.whitened is (name == "paradox")
         draw = _draw_replication(plan, rep=0)
-        x = draw.x
+        x = experiments._newton_draw(plan, draw, 0, cfg.design_kind).x
         estimators = ("ols", "fixed_ridge", "transfer_ridge")
         points = [(e, scale, scale ** 2 * plan.sigma2_unit) for scale in cfg.grid for e in estimators]
         seeds, coefficients, shifts = _error_block(plan, draw, points)
         errors = draw.design.solve(_right_hand_sides(seeds, coefficients), shifts)
+        if plan.whitened:
+            errors = experiments._root_product(plan.spec, errors, inverse=True)
         assert 0.0 in cfg.grid
         for k, (estimator, scale, sigma2) in enumerate(points):
             y = x @ plan.beta_star + scale * draw.w_wins_unit
@@ -326,7 +346,7 @@ class TestErrorBlock:
             experiments._penalty_and_centre(plan, "elastic_net", 1.0)
 
     def test_block_has_one_column_and_one_shift_per_point(self):
-        cfg = tiny_config("paradox")
+        cfg = tiny_config("trichotomy")
         plan = experiments._build_plan(cfg)
         draw = experiments._draw_replication(plan, rep=0)
         points = [("ols", 1.0, 1.0), ("fixed_ridge", 2.0, 4.0), ("transfer_ridge", 3.0, 9.0)]
@@ -349,12 +369,62 @@ class TestErrorBlock:
         draw = experiments._draw_replication(plan, rep=0)
         points = [("transfer_ridge", 1.0, 1.0), ("transfer_ridge", 2.0, 4.0)]
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
-        assert np.array_equal(seeds, np.stack([draw.x.T @ draw.w_wins_unit / cfg.n, plan.white_delta], axis=1))
+        white_delta = plan.white_seeds["transfer_ridge"]
+        assert np.array_equal(seeds, np.stack([draw.x.T @ draw.w_wins_unit / cfg.n, white_delta], axis=1))
         assert np.array_equal(coefficients, np.stack([[1.0, 2.0], -shifts]))
+
+    def test_white_seeds_are_one_offset_per_centre_and_the_lasso_signs(self):
+        # paradox and floor solve every closed form on the white draw: Sigma^-1/2 (beta_star - c) per centre,
+        # and the lasso's full-support candidate Sigma^-1/2 sign(beta_star - beta0) at shift 0
+        paradox = experiments._build_plan(tiny_config("paradox"))
+        floor = experiments._build_plan(tiny_config("floor"))
+        root = paradox.spec.sqrt_matrix()
+        delta = paradox.beta_star - paradox.beta0
+        assert set(paradox.white_seeds) == {"ols", "fixed_ridge", "transfer_ridge"}
+        assert paradox.white_seeds["ols"] is paradox.white_seeds["fixed_ridge"]
+        assert set(floor.white_seeds) == {"transfer_ridge", "transfer_lasso"}
+        for seed, want in ((paradox.white_seeds["ols"], paradox.beta_star),
+                           (paradox.white_seeds["transfer_ridge"], delta),
+                           (floor.white_seeds["transfer_lasso"], np.sign(delta))):
+            np.testing.assert_allclose(root @ seed, want, rtol=0.0, atol=1.0e-13)
+        np.testing.assert_allclose(floor.root_delta, root @ delta, rtol=0.0, atol=1.0e-13)
+        assert paradox.root_delta is None
+        draw = experiments._draw_replication(floor, rep=0)
+        points = [("transfer_ridge", 2.0, 4.0), ("transfer_lasso", 2.0, 4.0), ("transfer_lasso", 0.0, 0.0)]
+        seeds, coefficients, shifts = experiments._error_block(floor, draw, points)
+        assert np.array_equal(seeds, np.stack([draw.v, floor.white_seeds["transfer_ridge"],
+                                               floor.white_seeds["transfer_lasso"]], axis=1))
+        lam = experiments._adapted_lambda(floor.config, 4.0)
+        assert shifts.tolist() == [lam, 0.0, 0.0]
+        assert np.array_equal(coefficients, [[2.0, 2.0, 0.0], [-lam, 0.0, 0.0],
+                                             [0.0, -lam, -experiments._NOISELESS_PENALTY]])
+
+    @pytest.mark.parametrize("name", ("paradox", "floor"))
+    def test_white_block_is_the_design_block_mapped_through_the_root(self, name):
+        # f = Sigma^1/2 e for every closed-form column, the lasso's candidates included
+        cfg = tiny_config(name)
+        plan = experiments._build_plan(cfg)
+        points = [(e, g, g ** 2 * plan.sigma2_unit) for g in cfg.grid
+                  for e in experiments._EXPERIMENTS[name].estimators]
+        white = experiments._draw_replication(plan, rep=1)
+        design = experiments._draw_replication(design_plan(plan), rep=1)
+        seeds, coefficients, shifts = experiments._error_block(plan, white, points)
+        f = white.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
+        x = design.x
+        sign = np.sign(plan.beta_star - plan.beta0)
+        for k, (estimator, amplitude, sigma2) in enumerate(points):
+            lam, centre = experiments._penalty_and_centre(plan, estimator, sigma2)
+            if estimator == "transfer_lasso":  # X'X/n e = a X'w/n - lam sign(delta)
+                rhs, lam = amplitude * design.v - lam * sign, 0.0
+            else:
+                rhs = amplitude * design.v - lam * (plan.beta_star - centre)
+            e = np.linalg.solve(x.T @ x / cfg.n + lam * np.eye(cfg.p), rhs)
+            np.testing.assert_allclose(f[:, k], plan.spec.sqrt_matrix() @ e, rtol=1.0e-10,
+                                       atol=1.0e-12 * np.linalg.norm(e), err_msg=f"{estimator} at {amplitude}")
 
     def test_stacked_identity_design_averages_the_two_response_blocks(self):
         # X = [I; I] makes X'X/n = 2I/n, so least squares is the mean of the blocks
-        cfg = tiny_config("paradox", n=8, p=4, cov=CovarianceModel.identity(4))
+        cfg = tiny_config("trichotomy", n=8, p=4, cov=CovarianceModel.identity(4))
         noise = np.arange(1.0, 9.0)
         draw = experiments._RepDraw(design=estimators.Resolvent.of(np.vstack([np.eye(4), np.eye(4)])),
                                     w_unit=noise, w_wins_unit=noise)
@@ -362,31 +432,31 @@ class TestErrorBlock:
         np.testing.assert_allclose(errors[:, 0], 2.0 * (noise[:4] + noise[4:]) / 2.0, rtol=0.0, atol=1.0e-12)
 
     def test_noiseless_least_squares_recovers_the_signal_exactly(self):
-        plan, _, errors = self.solved(tiny_config("paradox"), [("ols", 0.0, 0.0)])
+        plan, _, errors = self.solved(tiny_config("trichotomy"), [("ols", 0.0, 0.0)])
         assert np.array_equal(errors[:, 0], np.zeros(plan.config.p))
 
     def test_least_squares_residual_is_orthogonal_to_the_columns(self):
-        plan, draw, errors = self.solved(tiny_config("paradox"), [("ols", 3.0, 9.0)])
+        plan, draw, errors = self.solved(tiny_config("trichotomy"), [("ols", 3.0, 9.0)])
         y = self.response(plan, draw, 3.0)
         resid = y - draw.x @ (plan.beta_star + errors[:, 0])
         assert np.max(np.abs(draw.x.T @ resid)) <= 1.0e-10 * np.linalg.norm(y)
 
     def test_least_squares_error_is_linear_in_the_noise_amplitude(self):
         # the pure-variance curve behind the slope-two check
-        _, _, errors = self.solved(tiny_config("paradox"), [("ols", 1.0, 1.0), ("ols", 1.0e3, 1.0e6)])
+        _, _, errors = self.solved(tiny_config("trichotomy"), [("ols", 1.0, 1.0), ("ols", 1.0e3, 1.0e6)])
         np.testing.assert_allclose(errors[:, 1], 1.0e3 * errors[:, 0], rtol=1.0e-12, atol=0.0)
 
     def test_huge_penalty_pins_the_transfer_fit_at_its_centre(self):
-        plan, _, errors = self.solved(tiny_config("paradox", lambda_tilde=1.0e12), [("transfer_ridge", 1.0, 1.0)])
+        plan, _, errors = self.solved(tiny_config("trichotomy", lambda_tilde=1.0e12), [("transfer_ridge", 1.0, 1.0)])
         assert np.linalg.norm(plan.beta_star + errors[:, 0] - plan.beta0) <= 1.0e-6
 
     def test_vanishing_penalty_approaches_least_squares(self):
-        _, _, errors = self.solved(tiny_config("paradox", lambda_fixed=1.0e-12),
+        _, _, errors = self.solved(tiny_config("trichotomy", lambda_fixed=1.0e-12),
                                    [("ols", 0.3, 0.09), ("fixed_ridge", 0.3, 0.09)])
         np.testing.assert_allclose(errors[:, 1], errors[:, 0], rtol=0.0, atol=1.0e-9)
 
     def test_single_column_ridge_is_the_shrinkage_formula(self):
-        cfg = tiny_config("paradox", n=40, p=1, cov=CovarianceModel.identity(1), sparsity=1.0, lambda_fixed=0.8)
+        cfg = tiny_config("trichotomy", n=40, p=1, cov=CovarianceModel.identity(1), sparsity=1.0, lambda_fixed=0.8)
         plan, draw, errors = self.solved(cfg, [("fixed_ridge", 2.0, 4.0)])
         x, y = draw.x[:, 0], self.response(plan, draw, 2.0)
         expected = (x @ y / 40) / (x @ x / 40 + 0.8)
@@ -407,10 +477,10 @@ class TestGoldenRecords:
     """
 
     GOLDEN = {
-        "paradox": ("a272d7a7a0c77c9dcf79971abb217867d5aa5cfd7f1e0cc8602898e7d682f9ea",
-                    "b9686e24aa67ffe4c44af2743c0594f3460d75e0ad60f9838048e0986335f54f"),
-        "floor": ("6624cf1bfb143b594cc2c5720722e77b8a1c795793b23dbcb34fd5bb418ac8e9",
-                  "97f79fcf3656953329430550dc8e15a4a3a69204e0505bef0a2c6bc2bbb3e0da"),
+        "paradox": ("9a0cbd84192a132911c8bec9bd700692ef197b5bf8ae6570d729266ff9dd10fe",
+                    "e637c5f4ef00f003ea3d83798fb460d7463246432f339c612a9e2ae05122f089"),
+        "floor": ("3f5c55d4ccd73ac58811031970f79aa9aaafd5193d6b4a551d3f09e8b6e99ee3",
+                  "79703546ffb6f387eb53d473e65b9b972f2785dfe53eb98fd6f2469e896663b3"),
         "transient": ("14d325d91609b384f8eca56978c73deb810d4b2411e4513a38e4eecd03557573",
                       "00f5b1c78b5af5ae3b65d9144e8cf6ce7a211817334ccb4c54adbdf448e6ec37"),
         "trichotomy": ("914ad7a5ef826e705489f917eb1d7c50cced9859be3eb2c6f65ea55cea615813",
@@ -468,7 +538,8 @@ class TestParadoxRunner:
         """The noiseless transfer-ridge risk (about 3e-25) against its error
         solved in 50 digits from the same design, signal and centre.  The risk
         must come from the solved error itself: a round trip through
-        ``beta_star + e`` loses about 1e-5 of it."""
+        ``beta_star + e`` loses about 1e-5 of it.  The harness solves on the
+        white draw ``Z``; the oracle reads the design ``X = Z Sigma^1/2``."""
         import mpmath
 
         cfg = tiny_config("paradox")
@@ -477,7 +548,7 @@ class TestParadoxRunner:
         record = next(r for r in run_experiment(cfg).records
                       if (r.estimator, r.sweep_value, r.replication) == ("transfer_ridge", 0.0, 4))
         with mpmath.workdps(50):
-            x = mpmath.matrix(draw.x.tolist())
+            x = mpmath.matrix((draw.x @ plan.spec.sqrt_matrix()).tolist())
             lam = mpmath.mpf(experiments._NOISELESS_PENALTY)
             system = x.T * x / cfg.n + lam * mpmath.eye(cfg.p)
             centre_gap = mpmath.matrix(plan.beta_star.tolist()) - mpmath.matrix(plan.beta0.tolist())
@@ -512,12 +583,163 @@ class TestFloorRunner:
         for estimator in ("transfer_ridge", "transfer_lasso"):
             assert result.summary["estimators"][estimator]["mean"][0] <= q
 
+    def test_noiseless_lasso_row_matches_a_high_precision_oracle(self):
+        """The noiseless transfer-lasso risk (about 1e-23) against the
+        full-support fit solved in 50 digits from the same design
+        ``X = Z Sigma^1/2``: ``X'X/n e = -lam sign(delta)`` for
+        ``delta = beta_star - beta0``, whose sign pattern must hold.  A fit
+        returned as ``beta0 + d`` cancels: it was 6.6e-5 and 4.5e-5 off."""
+        import mpmath
+
+        cfg = tiny_config("floor", n=60, p=30, cov=CovarianceModel.ar1(30, 0.5), replications=2, master_seed=12345,
+                          grid=(0.0, 1.0))
+        plan = experiments._build_plan(cfg)
+        records = {r.replication: r for r in run_experiment(cfg).records
+                   if (r.estimator, r.sweep_value) == ("transfer_lasso", 0.0)}
+        delta = plan.beta_star - plan.beta0
+        for rep, record in records.items():
+            x = sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep))
+            with mpmath.workdps(50):
+                xm = mpmath.matrix(x.tolist())
+                lam = mpmath.mpf(experiments._NOISELESS_PENALTY)
+                error = mpmath.lu_solve(xm.T * xm / cfg.n, -lam * mpmath.matrix(np.sign(delta).tolist()))
+                signs = [mpmath.sign(mpmath.mpf(float(dj)) + ej) for dj, ej in zip(delta, error)]
+                assert signs == np.sign(delta).tolist()
+                oracle = float((error.T * mpmath.matrix(cfg.cov.materialize().tolist()) * error)[0] / cfg.p)
+            assert 0.0 < oracle < 1.0e-20
+            assert record.converged and record.newton_steps == 0
+            assert record.risk == pytest.approx(oracle, rel=1.0e-12, abs=0.0)
+
+    @staticmethod
+    def fit_calls(monkeypatch):
+        """A log filled with one entry per ``fit_proximal`` call the harness makes."""
+        calls, fit = [], experiments.fit_proximal
+        monkeypatch.setattr(experiments, "fit_proximal", lambda *a, **k: calls.append(1) or fit(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("scale", ("tiny", "desk"))
+    def test_screen_and_candidate_settle_every_lasso_point_without_the_design(self, scale, monkeypatch):
+        # at lambda_tilde = 1 the screen settles every noisy point and the full-support candidate the noiseless one
+        cfg = tiny_config("floor") if scale == "tiny" else dataclasses.replace(default_config("floor"), replications=4)
+        designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
+        result = run_experiment(cfg)
+        assert designs == [] and fits == []
+        assert result.passed, result.summary["checks"]
+        for r in result.records:
+            assert r.converged and r.newton_steps == (0 if r.estimator == "transfer_lasso" else None)
+
+    def test_design_rows_draw_the_design_once_per_replication(self, monkeypatch):
+        designs = sample_design_calls(monkeypatch)
+        result = run_experiment(tiny_config("trichotomy"))
+        assert designs == [1] * result.config.replications
+
+    def test_lasso_points_the_screen_leaves_match_a_newton_run_on_the_design(self, monkeypatch):
+        """At lambda_tilde = 1e-3 the screen fails at the smaller noise
+        scales, and those points are fitted by Newton on ``X``, drawn at most
+        once per replication.  A run forced to draw ``X`` for every fit
+        (today's trichotomy route) gives the same records: each lasso risk
+        within what the two fits' certificates allow, ``||b - b'|| <= (c + c')
+        / lambda_min(X'X/n)`` plus the rounding of ``beta0 + d``, and each
+        ridge risk within its solves' certificates."""
+        cfg = tiny_config("floor", lambda_tilde=1.0e-3)
+        designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
+        result = run_experiment(cfg)
+        assert designs == [1] * cfg.replications and 0 < len(fits) < len(result.records) // 2
+        monkeypatch.undo()
+        monkeypatch.setattr(experiments._Experiment, "whitened", property(lambda self: False))
+        forced = run_experiment(cfg)
+        plan = experiments._build_plan(cfg)
+        assert result.passed and forced.passed
+        s_max = float(plan.spec.eigenvalues[-1])
+        for new, old in zip(result.records, forced.records, strict=True):
+            assert (new.estimator, new.sweep_value, new.replication) == (old.estimator, old.sweep_value,
+                                                                         old.replication)
+            assert new.converged and old.converged
+            if new.estimator == "transfer_ridge":
+                assert new.risk == pytest.approx(old.risk, rel=1.0e-9)
+                continue
+            x = experiments._draw_replication(plan, new.replication).x
+            floor = float(np.linalg.eigvalsh(x.T @ x / cfg.n)[0])
+            gap = (new.certificate + old.certificate) / floor + 4.0 * np.finfo(float).eps * np.linalg.norm(plan.beta0)
+            bound = 2.0 * math.sqrt(s_max * old.risk / cfg.p) * gap + s_max * gap ** 2 / cfg.p
+            assert abs(new.risk - old.risk) <= bound
+
+    def test_a_point_within_rounding_of_the_penalty_goes_on_to_its_newton_fit(self, monkeypatch):
+        # the screen keeps a rounding allowance below the penalty: a point whose largest centre gradient equals
+        # the penalty is not screened, and its candidate fails its signs, so its Newton fit settles it; a
+        # penalty two allowances higher is screened
+        cfg = tiny_config("floor", grid=(1.0,), replications=1)
+        plan = experiments._build_plan(cfg)
+        gradients, rounding = experiments._centre_gradients(plan, experiments._draw_replication(plan, 0),
+                                                            np.array([1.0]))
+        top = float(np.max(np.abs(gradients)))
+        assert 0.0 < rounding[0] < 1.0e-9 * top
+        centre_risk = experiments._energy(plan.spec, plan.beta0 - plan.beta_star)
+        for lam, screened in ((top, False), (top + 2.0 * rounding[0], True)):
+            config = dataclasses.replace(cfg, lambda_tilde=lam / plan.sigma2_unit)
+            assert experiments._adapted_lambda(config, plan.sigma2_unit) == pytest.approx(lam, rel=1.0e-15)
+            designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
+            record = next(r for r in run_experiment(config).records if r.estimator == "transfer_lasso")
+            monkeypatch.undo()
+            assert (designs, fits) == (([], []) if screened else ([1], [1]))
+            assert record.converged and record.risk == pytest.approx(centre_risk, rel=1.0e-6)
+
+    def test_a_candidate_is_the_fit_only_when_its_signs_and_its_certificate_hold(self):
+        # the noiseless candidate of a tiny floor draw is the fit; moved off its solve by 1e-6 it keeps its signs
+        # but not its certificate, and with one misalignment entry below its error it keeps its certificate
+        # (a wrong sign costs the subgradient only 2 lam = 2e-12) but not its signs
+        plan = experiments._build_plan(tiny_config("floor"))
+        draw = experiments._draw_replication(plan, 0)
+        seeds, coefficients, shifts = experiments._error_block(plan, draw, [("transfer_lasso", 0.0, 0.0)])
+        f = draw.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
+        zero, lam = np.zeros(1), np.array([experiments._NOISELESS_PENALTY])
+        _, certificates, kept = experiments._lasso_candidates(plan, draw, f, zero, lam)
+        assert kept.tolist() == [True] and certificates[0] <= 1.0e-20
+        _, certificates, kept = experiments._lasso_candidates(plan, draw, f + 1.0e-6, zero, lam)
+        assert kept.tolist() == [False] and certificates[0] > 1.0e-7
+        delta = plan.beta_star - plan.beta0
+        e = experiments._root_product(plan.spec, f[:, 0], inverse=True)
+        j = np.flatnonzero(np.sign(e) != np.sign(delta))[0]
+        beta0 = plan.beta0.copy()
+        beta0[j] = plan.beta_star[j] - np.sign(delta[j]) * abs(e[j]) / 2.0  # the same sign, below |e_j|
+        moved = dataclasses.replace(plan, beta0=beta0)
+        assert np.array_equal(np.sign(moved.beta_star - moved.beta0), np.sign(delta))
+        _, certificates, kept = experiments._lasso_candidates(moved, draw, f, zero, lam)
+        assert kept.tolist() == [False] and certificates[0] <= 1.0e-10
+
+    def test_an_unfactorable_white_gram_matrix_sends_the_candidates_to_newton(self, monkeypatch):
+        # from 128 features the candidates are solved by Cholesky of Z'Z/n; where that fails the block is solved
+        # without them, and the noiseless lasso points go to the Newton fit on X
+        cfg = tiny_config("floor", n=300, p=128, cov=CovarianceModel.ar1(128, 0.5), replications=2, grid=(0.0, 1.0))
+        plain = run_experiment(cfg)
+        cholesky = estimators.Resolvent.cholesky
+
+        def unfactorable(self, shift):
+            if shift == 0.0 and self.precision is not None:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(self, shift)
+
+        monkeypatch.setattr(estimators.Resolvent, "cholesky", unfactorable)
+        designs = sample_design_calls(monkeypatch)
+        result = run_experiment(cfg)
+        assert designs == [1] * cfg.replications
+        for new, old in zip(result.records, plain.records, strict=True):
+            assert new.converged and (new.estimator, new.sweep_value) == (old.estimator, old.sweep_value)
+            if new.estimator == "transfer_lasso" and new.sweep_value == 0.0:
+                assert new.newton_steps > 0 and old.newton_steps == 0
+                assert new.risk == pytest.approx(old.risk, rel=1.0e-3)  # beta0 + d cancels
+            else:
+                assert new.risk == old.risk and new.newton_steps == old.newton_steps
+
 
 class TestTransientRunner:
     """Monte Carlo versus the deterministic risk curve, and the solve rule:
-    a draw whose fits are all noise-adapted ridge (transient, universality)
-    is solved whitened, by conjugate gradients on the white draw ``Z``, any
-    other on the Gram matrix of the design ``X = Z Sigma^1/2``."""
+    a draw with no Huber fit (paradox, floor, transient, universality) is
+    the white ``Z``, and its closed forms are solved whitened, the
+    noise-adapted ridge by conjugate gradients; a trichotomy draw is the
+    design ``X = Z Sigma^1/2``, solved on its Gram matrix.  A lasso point
+    that neither its screen nor its full-support candidate settles is fitted
+    on ``X`` drawn again from the same stream."""
 
     # Per conjugate-gradient sweep: its design laws with their estimator
     # labels, and a grid value's noise amplitude and effective variance.
@@ -553,7 +775,7 @@ class TestTransientRunner:
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
 
         laws, amplitude_and_sigma2 = cls.SWEEPS[config.name]
-        plan = dataclasses.replace(_build_plan(config), precision=None, white_delta=None)  # draws X
+        plan = design_plan(_build_plan(config))  # draws X
         sigma = config.cov.materialize()
         risks = {}
         for rep in range(config.replications):
@@ -650,7 +872,7 @@ class TestTransientRunner:
         t = mpmath.matrix((np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).tolist())
         for rep in range(cfg.replications):
             white = experiments._draw_replication(plan, rep)
-            x = experiments._draw_replication(dataclasses.replace(plan, precision=None, white_delta=None), rep).x
+            x = experiments._draw_replication(design_plan(plan), rep).x
             evals = np.linalg.eigvalsh(x.T @ x / cfg.n)
             points = [("transfer_ridge", math.sqrt(g / plan.sigma2_unit), g) for g in cfg.grid]
             seeds, coefficients, shifts = experiments._error_block(plan, white, points)
@@ -676,13 +898,15 @@ class TestTransientRunner:
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "transient", "trichotomy", "universality"))
     def test_only_rows_that_form_the_design_take_the_root_up_front(self, name):
+        # a whitened plan reads the eigen-atoms; the root is formed only inside sample_design
         plan = experiments._build_plan(tiny_config(name))
-        whitened = name in self.SWEEPS
+        whitened = name != "trichotomy"
         assert ("_sqrt_matrix" in vars(plan.spec)) is not whitened
-        assert (plan.white_delta is not None) is whitened and (plan.precision is not None) is whitened
+        assert (plan.white_seeds is not None) is whitened and (plan.precision is not None) is whitened
         if whitened:  # Sigma^-1/2 (beta_star - beta0)
             root = plan.spec.sqrt_matrix()
-            np.testing.assert_allclose(root @ plan.white_delta, plan.beta_star - plan.beta0, rtol=0.0, atol=1.0e-13)
+            np.testing.assert_allclose(root @ plan.white_seeds["transfer_ridge"], plan.beta_star - plan.beta0,
+                                       rtol=0.0, atol=1.0e-13)
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "transient", "trichotomy", "universality"))
     def test_no_run_forms_the_dense_covariance(self, name, monkeypatch):
@@ -692,11 +916,10 @@ class TestTransientRunner:
         run_experiment(tiny_config(name))
         assert formed == []
 
-    @pytest.mark.parametrize("krylov", (False, True), ids=("cholesky", "krylov"))
-    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
-    def test_design_draws_take_one_gram_matrix_and_no_eigh(self, name, krylov, monkeypatch):
-        # least squares, fixed ridge, transfer ridge and the Newton fits read X'X/n, never its spectrum,
-        # not even its top eigenvalue
+    def assert_one_gram_matrix_per_draw(self, name, krylov, monkeypatch):
+        """Run ``tiny_config(name)``, with conjugate gradients from 40 features on when ``krylov``: each
+        replication builds one Resolvent, and no fit reads a top eigenvalue.  Returns the ``eigh`` shapes and
+        the run, whose records match the run without ``krylov`` within the solves' certificates."""
         import scipy.linalg
 
         cholesky = run_experiment(tiny_config(name)) if krylov else None
@@ -704,12 +927,12 @@ class TestTransientRunner:
             monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)
         shapes = self.eigh_shapes(monkeypatch)
         grams, of = [], estimators.Resolvent.of
-        monkeypatch.setattr(estimators.Resolvent, "of", lambda x: grams.append(x.shape) or of(x))
+        monkeypatch.setattr(estimators.Resolvent, "of", lambda x, precision=None: grams.append(
+            (x.shape, precision is not None)) or of(x, precision))
         tops, eigh = [], scipy.linalg.eigh
         monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: tops.append(1) or eigh(*a, **k))
         result = run_experiment(tiny_config(name))
-        reps = result.config.replications
-        assert shapes == [] and grams == [(120, 40)] * reps
+        assert grams == [((120, 40), name != "trichotomy")] * result.config.replications
         assert tops == []
         for r in result.records:
             assert r.converged and not r.resolvent_fallback
@@ -723,6 +946,26 @@ class TestTransientRunner:
             for check, old in cholesky.summary["checks"].items():
                 new = result.summary["checks"][check]
                 assert new["passed"] == old["passed"] and new["value"] == pytest.approx(old["value"], rel=1.0e-10)
+        return shapes, result
+
+    @pytest.mark.parametrize("krylov", (False, True), ids=("cholesky", "krylov"))
+    @pytest.mark.parametrize("name", ("trichotomy",))
+    def test_design_draws_take_one_gram_matrix_and_no_eigh(self, name, krylov, monkeypatch):
+        # least squares, fixed ridge, transfer ridge and the Newton fits read X'X/n, never its spectrum,
+        # not even its top eigenvalue
+        shapes, _ = self.assert_one_gram_matrix_per_draw(name, krylov, monkeypatch)
+        assert shapes == []
+
+    @pytest.mark.parametrize("krylov", (False, True), ids=("eigenbasis", "krylov"))
+    @pytest.mark.parametrize("name", ("paradox", "floor"))
+    def test_white_draws_take_one_gram_matrix_and_no_design(self, name, krylov, monkeypatch):
+        # the closed forms, and the lasso's screen and full-support candidate, read Z'Z/n and the eigen-atoms:
+        # below 128 features each draw takes the one eigh of its small white block (none with conjugate
+        # gradients), no Newton fit runs and X = Z Sigma^1/2 is never formed
+        designs = sample_design_calls(monkeypatch)
+        shapes, result = self.assert_one_gram_matrix_per_draw(name, krylov, monkeypatch)
+        assert shapes == ([] if krylov else [(40, 40)] * result.config.replications)
+        assert designs == [] and all(r.newton_steps in (None, 0) for r in result.records)
 
     @pytest.mark.parametrize("name", ("paradox", "trichotomy"))
     def test_least_squares_and_fixed_ridge_rows_match_a_dense_solve(self, name):
@@ -733,7 +976,7 @@ class TestTransientRunner:
         sigma = cfg.cov.materialize()
         checked = 0
         for rep in range(cfg.replications):
-            draw = experiments._draw_replication(plan, rep)
+            draw = experiments._draw_replication(design_plan(plan), rep)  # paradox solves on Z, the oracle on X
             gram = draw.x.T @ draw.x / cfg.n
             v = draw.x.T @ draw.w_wins_unit / cfg.n
             for r in (r for r in rows if r.replication == rep):
@@ -900,6 +1143,15 @@ class TestSummarize:
                 assert ("resolvent_fallbacks" in block) is (estimator not in experiments._PROXIMAL_FITS)
                 if estimator not in experiments._PROXIMAL_FITS:
                     assert block["resolvent_fallbacks"] == [0] * len(block["sweep_values"])
+
+    @pytest.mark.parametrize("name, overrides", [(name, {}) for name in EXPERIMENT_NAMES]
+                             + [("floor", {"lambda_tilde": 1.0e-3})])
+    def test_every_summary_list_has_one_entry_per_sweep_value(self, name, overrides):
+        # screened, candidate and Newton lasso points alike carry steps and a certificate
+        stats = run_experiment(tiny_config(name, replications=3, **overrides)).summary["estimators"]
+        for estimator, block in stats.items():
+            for key, values in block.items():
+                assert len(values) == len(block["sweep_values"]), (estimator, key)
 
     def test_written_summary_reports_every_sweep_points_solver(self, tmp_path):
         result = run_experiment(tiny_config("floor"))
