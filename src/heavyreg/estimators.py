@@ -4,16 +4,14 @@ every closed-form squared-loss fit.
 
 A :class:`Resolvent` is one shifted family of Gram systems ``G + s T``,
 formed once per draw, and only what its fits read of it; no fit reads the
-spectrum of ``G``.  On a design ``X``,
-``G = X'X/n`` and ``T = I``.  A closed-form squared-loss fit is one shifted
-system ``(G + lam I) e = rhs`` for its error ``e``.  A draw with no Huber
-fit skips the design: its Resolvent is the white draw ``Z`` of
-``X = Z Sigma^1/2`` with ``G = Z'Z/n`` and ``T`` the tridiagonal precision
-``Sigma^-1``, the same systems in the coordinates ``f = Sigma^1/2 e``, and
-the fit's risk ``e' Sigma e / p`` is ``f'f / p``.  A transfer lasso on such
-a draw is a closed form where one certifies it: its full-support candidate
-is the unshifted system ``G f = rhs``, and only a lasso point that neither
-it nor the KKT screen at the centre settles is Newton-fitted on ``X``.
+spectrum of ``G``.  On a design ``X``, ``G = X'X/n`` and ``T = I``; on the
+white draw ``Z`` of ``X = Z Sigma^1/2``, ``G = Z'Z/n`` and ``T = Sigma^-1``.
+A closed-form squared-loss fit is one shifted system ``(G + lam T) f = rhs``
+for its error.  A ridge Newton fit on a white draw fits
+``theta = Sigma^1/2 beta`` with the penalty ``(lam/2) theta' T theta``; a
+lasso Newton fit reads only a design, and a transfer lasso on a white draw
+is a closed form where its full-support candidate ``G f = rhs`` or the KKT
+screen at the centre certifies it.
 
 :func:`_gram_solve` solves a draw's block either way.  A shift that does
 not grow with the noise (least squares, fixed ridge, the noiseless floor, a
@@ -29,18 +27,20 @@ through one eigendecomposition of ``B^-T G B^-1`` for ``T = B'B``, the only
 one left, which heavybench's eigh probe counts.
 
 The Newton fit solves one piecewise-quadratic pattern per step, through the
-Cholesky factor of ``G + s I`` corrected by Woodbury identities for a few
+Cholesky factor of ``G + s T`` corrected by Woodbury identities for a few
 outliers or a few inliers, or else through a Cholesky factor of the
 pattern's own system.  The outlier correction reads :meth:`Resolvent.factor`
 ``Y = X L^-T`` (one ``dtrsm``), formed once for the fit's one shift ``s``
-and kept for every step and sweep point on the design in place of ``G``, so
+and kept for every step and sweep point on the draw in place of ``G``, so
 a step costs ``p o^2 + o^3/3`` for ``o`` outliers and no ``p x o`` product.
-A ridge step goes to the exact minimum of the objective along its ray, a
-piecewise quadratic in the step length (:func:`_ray_minimum`, O(n) per
-evaluation); a lasso step is halved while it would raise the objective.
-No fit reads an eigenvalue of ``G``: the lasso's proximal-gradient step
-takes ``1/L`` for a curvature ``L`` backtracked along its own moves, and
-every fit is certified by its least-norm subgradient, O(p).
+The inlier correction reads ``X B^-1`` for ``T = B'B``, formed once per
+draw by banded solves.  A ridge step goes to the exact minimum of the
+objective along its ray, a piecewise quadratic in the step length
+(:func:`_ray_minimum`, O(n) per evaluation); a lasso step is halved while
+it would raise the objective.  No fit reads an eigenvalue of ``G``: the
+lasso's proximal-gradient step takes ``1/L`` for a curvature ``L``
+backtracked along its own moves, and every fit is certified by its
+least-norm subgradient, O(p).
 
 All fitting is centered: the penalty acts on ``beta - beta0`` where ``beta0``
 is a prior center (the origin when omitted), and objectives use the
@@ -157,8 +157,8 @@ class Resolvent:
     ``T = Sigma^-1``, the symmetric tridiagonal ``precision`` as (diagonal,
     off-diagonal): the design's systems in the coordinates
     ``f = Sigma^1/2 e``, since ``(X'X/n + s I) e = Sigma^1/2 r`` exactly
-    when ``(Z'Z/n + s T) f = r``, and ``e' Sigma e = f'f``.  The Newton
-    fits read only a design.
+    when ``(Z'Z/n + s T) f = r``, and ``e' Sigma e = f'f``.  A ridge fit
+    reads ``T`` as its penalty's metric; a lasso fit reads only a design.
 
     Build it with :meth:`of`; every fit on the same draw reuses what it
     forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
@@ -198,13 +198,35 @@ class Resolvent:
             raise ConfigError(f"precision is not positive definite (pttrf info {info})")
         return factor_d, factor_e
 
+    @cached_property
+    def _root_band(self) -> np.ndarray:
+        """``B = D^1/2 L'``, ``T = B'B``, in LAPACK's upper band storage."""
+        factor_d, factor_e = self._precision_factor
+        root = np.sqrt(factor_d)
+        return np.stack([np.r_[0.0, root[:-1] * factor_e[:root.size - 1]], root])
+
+    def _b_solve(self, r: np.ndarray, trans: str) -> np.ndarray:
+        """``B^-1 r`` or (``trans="T"``) ``B^-T r`` by ``tbtrs``; ``r`` on a design."""
+        return r if self.precision is None else scipy.linalg.lapack.dtbtrs(self._root_band, r, trans=trans)[0]
+
+    @cached_property
+    def _root_x(self) -> np.ndarray:
+        """``W = X B^-1``, formed once, O(np), so ``G + s T = B' (W'W/n + s I) B``."""
+        return self._b_solve(self.x.T, "T").T
+
     def t_product(self, u: np.ndarray) -> np.ndarray:
-        """``T u`` for a ``p x k`` block ``u``; ``u`` itself on a design."""
+        """``T u`` for a vector or a ``p x k`` block ``u``; ``u`` itself on a design."""
         return u if self.precision is None else _tridiagonal_product(*self.precision, u)
 
     def t_solve(self, r: np.ndarray) -> np.ndarray:
-        """``T^-1 r`` by LAPACK ``pttrs``; ``r`` itself on a design."""
+        """``T^-1 r`` by LAPACK ``pttrs`` for a vector or a ``p x k`` block; ``r`` itself on a design."""
         return r if self.precision is None else scipy.linalg.lapack.dpttrs(*self._precision_factor, r)[0]
+
+    def _add_shift(self, a: np.ndarray, shift: float) -> None:
+        """``a += shift T`` on the diagonal and upper off-diagonal of a C-ordered ``a``, all ``potrf`` reads."""
+        diag, off = (1.0, 0.0) if self.precision is None else self.precision
+        a.flat[::a.shape[0] + 1] += shift * diag
+        a.flat[1::a.shape[0] + 1] += shift * off
 
     @property
     def gram(self) -> np.ndarray:
@@ -224,12 +246,7 @@ class Resolvent:
         if self._cholesky[0] != shift:
             self._cholesky[:] = None, None  # the old factor is freed before the new one is formed
             a = self.gram.copy()
-            p = a.shape[0]
-            if self.precision is None:
-                a.flat[::p + 1] += shift
-            else:  # potrf reads only the upper triangle
-                a.flat[::p + 1] += shift * self.precision[0]
-                a.flat[1::p + 1] += shift * self.precision[1]
+            self._add_shift(a, shift)
             self._cholesky[:] = shift, _potrf(a)
         return self._cholesky[1]
 
@@ -251,8 +268,8 @@ class Resolvent:
 
     def factor(self, shift: float) -> np.ndarray:
         """The ``n x p`` factor ``Y = X L^-T`` of
-        ``X (X'X/n + shift I)^-1 X' = Y Y'``, where ``L`` is
-        :meth:`cholesky` at ``shift``.
+        ``X (G + shift T)^-1 X' = Y Y'``, where ``L`` is :meth:`cholesky`
+        at ``shift``.
 
         One triangular solve (BLAS ``trsm``) on first use.  Only the last
         shift's factor is kept: every Newton step of a fit at one penalty on
@@ -274,16 +291,9 @@ def _eigenbasis_solve(design: Resolvent, rhs: np.ndarray, shifts: np.ndarray) ->
     draw.  With ``T = B'B``, ``B = D^1/2 L'`` from ``pttrf``'s ``L D L'``,
     ``G + s T = B' (M + s I) B`` for ``M = B^-T G B^-1 = V diag(w) V'`` (one
     eigh), so banded solves (LAPACK ``tbtrs``) give ``B^-1 V (V' B^-T r) / (w + s)``."""
-    factor_d, factor_e = design._precision_factor
-    root = np.sqrt(factor_d)
-    band = np.stack([np.r_[0.0, root[:-1] * factor_e[:root.size - 1]], root])  # B in LAPACK's upper band storage
-
-    def b_solve(r: np.ndarray, trans: str) -> np.ndarray:  # B^-1 r, or B^-T r
-        return scipy.linalg.lapack.dtbtrs(band, r, trans=trans)[0]
-
-    white = b_solve(design.x.T, "T")  # (Z B^-1)'
+    white = design._root_x.T  # (Z B^-1)'
     evals, evecs = np.linalg.eigh(white @ white.T / design.x.shape[0])
-    return b_solve(evecs @ ((evecs.T @ b_solve(rhs, "T")) / (evals[:, None] + shifts)), "N")
+    return design._b_solve(evecs @ ((evecs.T @ design._b_solve(rhs, "T")) / (evals[:, None] + shifts)), "N")
 
 
 def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, shifts: np.ndarray,
@@ -447,7 +457,9 @@ def fit_proximal(
 ) -> FitResult:
     """Exact active-set (semismooth) Newton method on
     ``n^-1 sum loss(y - X beta) + lambda_n reg(beta - beta0)`` for squared
-    or Huber loss with a ridge or lasso penalty.
+    or Huber loss with a ridge or lasso penalty.  The ridge's is ``d'T d / 2``
+    for ``d = beta - beta0``: on a white draw it fits ``theta = Sigma^1/2 beta``
+    and reads the design fit's numbers.  A white lasso raises ``ConfigError``.
 
     Both objectives are piecewise quadratic.  Each step reads a pattern --
     every residual an inlier (``|r| <= k``) or an outlier of a given sign,
@@ -474,8 +486,8 @@ def fit_proximal(
     full ridge step with no proximal term that ties it to ``_ROUNDING`` goes
     on to the landing test).  A lasso pattern with more free coordinates than
     inlier rows, or a Cholesky factorization that fails, has no unique
-    minimizer; its step adds the proximal term ``(mu/2) ||b - b_k||^2`` with
-    ``mu = 1e-6 trace(X'X/n) / p``, which is ``1e-6 ||X||_F^2 / (n p)``
+    minimizer; its step adds the proximal term ``(mu/2) (b - b_k)' T (b - b_k)``
+    with ``mu = 1e-6 trace(G) / p``, which is ``1e-6 ||X||_F^2 / (n p)``
     and needs no ``X'X``, and never ends the method.  ``x0`` warm-starts it (e.g. from the previous sweep point).
     A lasso whose centre is optimal,
     ``||X' loss'(y - X beta0) / n||_inf <= lambda_n``, returns the centre
@@ -483,8 +495,8 @@ def fit_proximal(
 
     ``iterations`` counts Newton steps.  Convergence means the certificate,
     computed once at the end in O(p), holds.  It is the norm of the
-    least-norm subgradient of the objective.  For the ridge that is the
-    gradient ``-X' loss'(r) / n + lambda_n (beta - beta0)``; for the lasso,
+    least-norm subgradient of the objective (:func:`_certificate`).  For the
+    ridge that is the gradient ``-X' loss'(r) / n + lambda_n T d``; for the lasso,
     with ``g`` the smooth part's gradient and ``d = beta - beta0``, it reads
     ``g_j + lambda_n sign(d_j)`` on a coordinate with ``d_j != 0`` and
     ``max(|g_j| - lambda_n, 0)`` on one at zero.  It is never below the
@@ -503,6 +515,9 @@ def fit_proximal(
         penalty = "no penalty" if reg is None else repr(reg.kind.value)
         raise ConfigError(f"fitting takes squared or Huber loss with ridge or lasso, "
                           f"got {loss.kind.value!r} with {penalty}")
+    lasso = reg.kind is RegKind.LASSO
+    if lasso and design.precision is not None:
+        raise ConfigError("a lasso fit reads a design; got a white draw's Resolvent")
     x = design.x
     n, p = x.shape
     y = _finite_vector(y, n, "response")
@@ -510,14 +525,13 @@ def fit_proximal(
     center = np.zeros(p) if config.center is None else _finite_vector(config.center, p, "center")
     d = np.zeros(p) if x0 is None else _finite_vector(x0, p, "warm start") - center
     y_shift = y - x @ center
-    lasso = reg.kind is RegKind.LASSO
     k = loss.param if loss.kind is LossKind.HUBER else math.inf
 
     def smooth(r: np.ndarray) -> float:
         return float(np.mean(loss.value(r)))
 
-    def penalty(d: np.ndarray) -> float:
-        return lam * float(reg.value(d))
+    def penalty(d: np.ndarray) -> float:  # lambda ||d||_1, or lambda d'T d / 2
+        return lam * (float(reg.value(d)) if lasso else 0.5 * float(d @ design.t_product(d)))
 
     def gradient(r: np.ndarray) -> np.ndarray:
         return -(x.T @ np.asarray(loss.derivative(r))) / n
@@ -525,7 +539,7 @@ def fit_proximal(
     def curvature(v: np.ndarray, xv: np.ndarray) -> float:  # the Rayleigh quotient of X'X/n along v, xv = X v
         return float(xv @ xv) / (n * float(v @ v))
 
-    def mean_curvature() -> float:  # trace(X'X/n) / p, read without X'X
+    def mean_curvature() -> float:  # trace(G) / p, read without G
         return float(np.linalg.norm(x)) ** 2 / (n * p)
 
     grad = gradient(y_shift) if lasso else None
@@ -586,7 +600,8 @@ def fit_proximal(
                 cand = np.where(cand * sign > 0.0, cand, 0.0)
         else:  # the exact minimizer along the ray d + t (target - d)
             ray = target - d
-            t, r_cand = _ray_minimum(r, x @ ray, k, lam * float(d @ ray), lam * float(ray @ ray),
+            t_ray = design.t_product(ray)
+            t, r_cand = _ray_minimum(r, x @ ray, k, lam * float(d @ t_ray), lam * float(ray @ t_ray),
                                      pattern[0] if mu == 0.0 else None)
             cand = target if t == 1.0 else d + t * ray
             h_cand = smooth(r_cand)
@@ -598,19 +613,34 @@ def fit_proximal(
 
     if not screened:
         grad = gradient(r)
-    if lasso:  # the least-norm subgradient
-        subgradient = np.where(d != 0.0, grad + lam * np.sign(d), np.maximum(np.abs(grad) - lam, 0.0))
-    else:
-        subgradient = grad + lam * d
-    gradient_map_norm = float(np.linalg.norm(subgradient))
     beta = center + d
+    certificate, certified = _certificate(grad, d, beta, lam, config.gradient_map_tol, None if lasso else design)
     return FitResult(
         beta_hat=beta,
         iterations=iterations,
-        converged=gradient_map_norm <= config.gradient_map_tol * (1.0 + float(np.linalg.norm(beta))),
+        converged=bool(certified),
         objective=f,
-        gradient_map_norm=gradient_map_norm,
+        gradient_map_norm=float(certificate),
     )
+
+
+def _certificate(grad: np.ndarray, d: np.ndarray, beta: np.ndarray, lam: float | np.ndarray, tol: float,
+                 ridge: Resolvent | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The norm of the least-norm subgradient of ``h + lam reg(d)`` for the
+    smooth part's gradient ``grad`` at ``d = beta - beta0``, and whether it
+    holds within ``tol (1 + ||beta||)``, for vectors or per column.  With
+    no ``ridge`` the penalty is the lasso's (see :func:`fit_proximal`); else
+    it is ``d' T d / 2`` for that Resolvent's ``T``, whose gradient ``g`` is
+    held in the norms ``sqrt(g' T^-1 g)`` and ``sqrt(beta' T beta)``: on a
+    white draw the design fit's ``||Sigma^1/2 g||`` and ``||beta||``."""
+    if ridge is None:
+        subgradient = np.where(d != 0.0, grad + lam * np.sign(d), np.maximum(np.abs(grad) - lam, 0.0))
+        norm, size = np.linalg.norm(subgradient, axis=0), np.linalg.norm(beta, axis=0)
+    else:
+        subgradient = grad + lam * ridge.t_product(d)
+        norm = np.sqrt(np.sum(subgradient * ridge.t_solve(subgradient), axis=0))
+        size = np.sqrt(np.sum(beta * ridge.t_product(beta), axis=0))
+    return norm, norm <= tol * (1.0 + size)
 
 
 def _sides(r: np.ndarray, k: float) -> np.ndarray:
@@ -625,7 +655,7 @@ def _ray_minimum(r: np.ndarray, delta: np.ndarray, k: float, slope: float, curva
     and the residual ``r - t* delta`` there; ``k = inf`` is squared loss.
 
     A ridge step from ``d`` towards ``d + D`` has ``delta = X D``,
-    ``slope = lam d'D`` and ``curvature = lam D'D > 0``, and
+    ``slope = lam d'T D`` and ``curvature = lam D'T D > 0``, and
     ``phi'(0) <= 0``.  ``phi'`` is nondecreasing and linear between the
     breakpoints where a residual crosses ``+-k``, so a safeguarded Newton
     iteration on it from ``t = 1`` ends exactly: each evaluation, O(n),
@@ -669,14 +699,14 @@ def _ray_minimum(r: np.ndarray, delta: np.ndarray, k: float, slope: float, curva
 
 def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarray,
                    sign: np.ndarray | None, lam: float, anchor: np.ndarray, mu: float) -> np.ndarray:
-    """Minimizer of one pattern's quadratic plus ``(mu/2) ||b - anchor||^2``.
+    """Minimizer of one pattern's quadratic plus ``(mu/2) (b - anchor)' T (b - anchor)``.
 
     ``outlier`` is 0 for an inlier residual and its sign for an outlier;
     ``sign`` is None for the ridge, where every coordinate is free, and for
     the lasso each coordinate's sign, 0 for one held at zero.  On the free
     coordinates ``F`` the minimizer solves
 
-        ``(X_IF' X_IF / n + s I) b_F = X_F' v / n - lam_1 sign_F + mu anchor_F``
+        ``(X_IF' X_IF / n + s T) b_F = X_F' v / n - lam_1 sign_F + mu (T anchor)_F``
 
     with ``v`` the inlier responses and ``k`` times the outlier signs,
     ``s = lam_2 + mu`` and ``(lam_1, lam_2)`` equal to ``(lam, 0)`` for the
@@ -685,7 +715,7 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
     counts of :func:`_route_costs`:
 
     - ``outliers``, when every coordinate is free: through the design's
-      Cholesky factor ``L`` of ``A = X'X/n + s I``
+      Cholesky factor ``L`` of ``A = X'X/n + s T``
       (:meth:`Resolvent.cholesky`, two ``potrs`` solves) with a Woodbury
       correction for the outlier rows ``O``, whose capacitance is
       ``n I - X_O A^-1 X_O' = n I - Y_O Y_O'`` for the design's
@@ -696,9 +726,10 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
       one factor and no ``Y``, and a singular ``X'X/n`` raises
       ``numpy.linalg.LinAlgError`` as the ``cholesky`` route would.
     - ``inliers``, when ``s > 0``: a Woodbury correction of ``s I`` for the
-      inlier rows (``m^2 q + m^3/3``); no inliers and ``mu = 0`` give
-      ``b = k X' sign / (lam n)``.
-    - ``cholesky``: a Cholesky factor of ``X_IF' X_IF / n + s I``
+      inlier rows of ``W = X B^-1`` (:attr:`Resolvent._root_x`), between
+      banded solves with ``B`` (``m^2 q + m^3/3``); no inliers and
+      ``mu = 0`` give ``b = k T^-1 X' sign / (lam n)``.
+    - ``cholesky``: a Cholesky factor of ``X_IF' X_IF / n + s T``
       (``m q^2 + q^3/3``), whose failure raises
       ``numpy.linalg.LinAlgError``.
     """
@@ -712,7 +743,7 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
     if q == 0:
         return out
     x_f = x if q == p else x[:, free]
-    c = x_f.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * anchor[free]
+    c = x_f.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * design.t_product(anchor)[free]
     if sign is None:
         shift = lam + mu
     else:
@@ -722,7 +753,7 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
     costs = _route_costs(design, m, q, shift)
     route = min(costs, key=costs.get)
     if route == "outliers":
-        # (A - X_O'X_O/n)^-1 = A^-1 + A^-1 X_O' (n I - X_O A^-1 X_O')^-1 X_O A^-1,  A = X'X/n + s I
+        # (A - X_O'X_O/n)^-1 = A^-1 + A^-1 X_O' (n I - X_O A^-1 X_O')^-1 X_O A^-1,  A = X'X/n + s T
         b = design.solve(c, shift)
         if m < n:
             # X_O A^-1 X_O' = Y_O Y_O'; X_O b is (X b)[O] and X_O' u is X' u with u scattered onto O
@@ -731,19 +762,21 @@ def _pattern_solve(design: Resolvent, y: np.ndarray, k: float, outlier: np.ndarr
             u[rows] = _spd_solve(_capacitance(design.factor(shift), rows, n, -1.0), (x @ b)[rows])
             b += design.solve(x.T @ u, shift)
     elif route == "inliers":
-        # (s I + X_I'X_I/n)^-1 = (I - X_I' (n s I + X_I X_I')^-1 X_I) / s; each copy of the rows X_I
-        # lives only for its product with a vector, never beside the capacitance
+        # (s I + W_I'W_I/n)^-1 = (I - W_I' (n s I + W_I W_I')^-1 W_I) / s between B^-T and B^-1; each
+        # copy of the rows W_I lives only for its product with a vector, never beside the capacitance
+        w = design._root_x if q == p else x_f  # a lasso's T is I
+        c = design._b_solve(c, "T")
         if m:
             rows = np.flatnonzero(inlier)
-            v = x_f[rows] @ c
-            v = _spd_solve(_capacitance(x_f, rows, n * shift, 1.0), v)
-            c = c - x_f[rows].T @ v
-        b = c / shift
+            v = w[rows] @ c
+            v = _spd_solve(_capacitance(w, rows, n * shift, 1.0), v)
+            c = c - w[rows].T @ v
+        b = design._b_solve(c, "N") / shift
     else:
         x_i = x_f[inlier]
         h = x_i.T @ x_i
         h /= n
-        h.flat[::q + 1] += shift
+        design._add_shift(h, shift)
         b = _spd_solve(h, c)
     out[free] = b
     return out
@@ -753,7 +786,7 @@ def _route_costs(design: Resolvent, m: int, q: int, shift: float) -> dict[str, f
     """Flops of each exact route :func:`_pattern_solve` may take for a
     pattern of ``m`` inliers, ``q`` free coordinates and shift ``s``, by
     name; a route missing from the table is not exact for that pattern.
-    The outlier route's factors, the Cholesky factor of ``X'X/n + s I``
+    The outlier route's factors, the Cholesky factor of ``G + s T``
     (``p^3/3``) and ``Y`` (``n p^2``), are formed once per design and shift,
     so they are not charged.  With ``s = 0`` the route is open only to a
     pattern with no outliers, whose system is the factored ``X'X/n``

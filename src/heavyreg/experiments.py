@@ -10,13 +10,13 @@ Each replication draws a fresh design and a fresh unit-scale noise vector
 from per-replication streams, so any subset of replications can run on any
 worker without changing a single byte of output.
 
-Draws: a run with no Huber fit (paradox, floor, transient, universality)
-draws only the white ``Z`` of the design ``X = Z Sigma^1/2`` and solves every
-closed form on ``Z'Z/n``, reading ``Sigma`` through its eigen-atoms and its
-tridiagonal inverse.  Its transfer lasso is settled by a KKT screen or a
-full-support candidate, both exact on ``Z``, and ``X`` is drawn, from the
-same stream, only for a point neither certifies.  Trichotomy, whose
-Huber-ridge fits read ``X``, draws ``X`` itself.
+Draws: every run draws only the white ``Z`` of the design
+``X = Z Sigma^1/2`` and solves every closed form on ``Z'Z/n``, reading
+``Sigma`` through its eigen-atoms and its tridiagonal inverse.  Huber-ridge
+is fitted on ``Z`` in ``theta = Sigma^1/2 beta``.  The transfer lasso is
+settled by a KKT screen or a full-support candidate, both exact on ``Z``,
+and ``X`` is drawn, from the same stream, only for a point neither
+certifies.
 
 Noise delivery: squared-loss estimators receive the winsorized noise (clamped
 at the sample-size-coupled threshold, scaled exactly equivariantly along the
@@ -49,6 +49,7 @@ from .estimators import (
     EstimatorConfig,
     FitResult,
     Resolvent,
+    _certificate,
     _gram_solve,
     empirical_risk,  # unused here, kept as the binding heavybench's spans.py wraps by name
     fit_proximal,
@@ -202,11 +203,11 @@ class RiskRecord:
     A Newton fit also reports its step count and optimality certificate,
     and so does a lasso point settled by its screen or its full-support
     candidate (see :func:`_rep_sweep`): zero steps, and the norm of its
-    least-norm subgradient.  Every closed-form fit reports as its
-    certificate the relative residual of its shifted Gram system
-    ``(X'X/n + lam I) e = r`` (the same number from the whitened system on
-    a white draw), is converged when
-    :func:`_gram_solve` finds that within its threshold (1e-10), and reports
+    least-norm subgradient (the design fit's for a Huber fit on ``theta``).
+    Every closed-form fit reports as its certificate the relative residual
+    of its shifted Gram system ``(X'X/n + lam I) e = r``, read from the
+    whitened one it solves, is converged when :func:`_gram_solve` finds that
+    within its threshold (1e-10), and reports
     whether the solve fell back: its conjugate gradients missed the
     threshold, it was solved again by Cholesky of the draw's shifted Gram
     matrix, and it kept whichever of the two solutions has the smaller
@@ -305,18 +306,12 @@ class _Plan:
     beta0: np.ndarray
     tau_unit: float
     sigma2_unit: float
-    # On a whitened row: Sigma^-1 as (diagonal, off-diagonal); per estimator
-    # the seed its error systems read on the white draw besides Z'w/n (see
-    # :func:`_white_seeds`); and, with a lasso fit, the root product
-    # Sigma^1/2 (beta_star - beta0) its screen reads.
-    precision: tuple[np.ndarray, np.ndarray] | None = None
-    white_seeds: dict[str, np.ndarray] | None = None
-    root_delta: np.ndarray | None = None
-
-    @property
-    def whitened(self) -> bool:
-        """The row's draws are white, in the coordinates ``f = Sigma^1/2 e``."""
-        return self.precision is not None
+    # Sigma^-1 as (diagonal, off-diagonal); per estimator the seed its error systems read on the white
+    # draw besides Z'w/n (see :func:`_white_seeds`); and per Newton-fitted estimator the root product
+    # Sigma^1/2 (beta_star - c) for its centre c: the lasso screen's, and the Huber fit's theta_star.
+    precision: tuple[np.ndarray, np.ndarray]
+    white_seeds: dict[str, np.ndarray]
+    root_offsets: dict[str, np.ndarray]
 
 
 def _frozen_signal(spec: DiscreteSpectrum, master_seed: int, sparsity: float,
@@ -364,30 +359,24 @@ def _white_seeds(spec: DiscreteSpectrum, beta_star: np.ndarray, beta0: np.ndarra
 def _build_plan(config: ExperimentConfig) -> _Plan:
     spec, beta_star, beta0 = _frozen_signal(decompose(config.cov), config.master_seed, config.sparsity,
                                             config.delta_norm)
-    row = _EXPERIMENTS[config.name]
-    precision = white_seeds = root_delta = None
-    if row.whitened:
-        precision = _ar1_inverse(config.p, config.cov.rho)
-        white_seeds = _white_seeds(spec, beta_star, beta0, row.estimators)
-        if "transfer_lasso" in row.estimators:
-            root_delta = _root_product(spec, beta_star - beta0)
-    else:
-        spec.sqrt_matrix()  # taken once here, so every worker inherits it
+    estimators = _EXPERIMENTS[config.name].estimators
+    root_offsets = {e: _root_product(spec, beta_star - beta0 if e == "transfer_lasso" else beta_star)
+                    for e in estimators if e in _PROXIMAL_FITS}
     tau_unit = float(config.n) ** (1.0 / config.noise.alpha)
     sigma2_unit = effective_variance_exact(config.noise, tau_unit)
     return _Plan(config=config, spec=spec, beta_star=beta_star, beta0=beta0, tau_unit=tau_unit,
-                 sigma2_unit=sigma2_unit, precision=precision, white_seeds=white_seeds, root_delta=root_delta)
+                 sigma2_unit=sigma2_unit, precision=_ar1_inverse(config.p, config.cov.rho),
+                 white_seeds=_white_seeds(spec, beta_star, beta0, estimators), root_offsets=root_offsets)
 
 
 @dataclass(frozen=True)
 class _RepDraw:
     """One replication's draw and unit noise, raw and winsorized.
 
-    ``design`` is the :class:`Resolvent` of the design ``X``, or on a
-    whitened plan of the white matrix ``Z`` with ``X = Z Sigma^1/2`` and
-    precision ``Sigma^-1``; both come from the replication's one design
-    stream, and a Newton fit on a whitened plan reads ``X`` drawn again from
-    it by ``sample_design`` (see :func:`_rep_sweep`).
+    ``design`` is the :class:`Resolvent` of the white matrix ``Z`` of
+    ``X = Z Sigma^1/2``, with precision ``Sigma^-1``, from the
+    replication's design stream; a lasso Newton fit reads ``X`` drawn again
+    from it by ``sample_design`` (see :func:`_rep_sweep`).
     """
 
     design: Resolvent
@@ -400,20 +389,16 @@ class _RepDraw:
 
     @cached_property
     def v(self) -> np.ndarray:
-        """``X'w/n`` (``Z'w/n`` on a white draw) for the unit winsorized
-        noise ``w``: the first seed of the draw's error block."""
+        """``Z'w/n`` for the unit winsorized noise ``w``: the first seed of the draw's error block."""
         return self.x.T @ self.w_wins_unit / self.x.shape[0]
 
 
 def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
-    """The replication's draw (white on a whitened plan) and unit noise."""
+    """The replication's white draw and unit noise."""
     cfg = plan.config
     kind = cfg.design_kind if design_kind is None else design_kind
     rng = substream(cfg.master_seed, "design", rep)
-    if plan.whitened:
-        design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision)
-    else:
-        design = Resolvent.of(sample_design(plan.spec, cfg.n, rng, kind=kind))
+    design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision)
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
     return _RepDraw(design=design, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
 
@@ -444,20 +429,17 @@ def _error_block(plan: _Plan, draw: _RepDraw,
     """The error systems of closed-form squared-loss fits on one draw.
 
     A squared-loss fit with penalty ``lam`` and centre ``c`` (see
-    :func:`_penalty_and_centre`) at noise amplitude ``a`` errs by
-    ``beta_hat - beta_star = (X'X/n + lam I)^-1 (a v - lam (beta_star - c))``,
-    with ``v = X'w/n`` for the draw's unit winsorized noise.  ``points`` lists
-    ``(estimator, a, sigma2)``, ``sigma2`` being the effective noise variance
-    at amplitude ``a``.  Every right-hand side combines a few seed vectors:
-    ``v`` and each estimator's offset ``beta_star - c``.  Returns the
-    ``p x m`` seeds, the ``m x k`` coefficients (``a`` on ``v`` and ``-lam``
-    on the point's offset) and the ``k`` shifts ``lam``.
-
-    On a whitened plan the draw is white and the systems are whitened,
-    ``(Z'Z/n + lam Sigma^-1) f = a Z'w/n - lam Sigma^-1/2 (beta_star - c)``
-    for ``f = Sigma^1/2 e`` (see :class:`Resolvent`), so each offset is the
-    plan's white one (:func:`_white_seeds`).  There a transfer-lasso point
-    is its full-support candidate: the lasso's optimality conditions with
+    :func:`_penalty_and_centre`) at noise amplitude ``a`` errs by ``e``, and
+    ``f = Sigma^1/2 e`` solves the whitened system
+    ``(Z'Z/n + lam Sigma^-1) f = a v - lam Sigma^-1/2 (beta_star - c)`` for
+    ``v = Z'w/n`` and the draw's unit winsorized noise ``w`` (see
+    :class:`Resolvent`).  ``points`` lists ``(estimator, a, sigma2)``,
+    ``sigma2`` being the effective noise variance at amplitude ``a``.  Every
+    right-hand side combines a few seeds: ``v`` and each estimator's white
+    offset (:func:`_white_seeds`).  Returns the ``p x m`` seeds, the
+    ``m x k`` coefficients (``a`` on ``v`` and ``-lam`` on the point's
+    offset) and the ``k`` shifts ``lam``.  A transfer-lasso point is its
+    full-support candidate: the lasso's optimality conditions with
     every coordinate free and of the sign ``s = sign(beta_star - beta0)``,
     the unshifted system ``Z'Z/n f = a Z'w/n - lam Sigma^-1/2 s``, with the
     seed ``Sigma^-1/2 s`` and the shift 0.
@@ -469,7 +451,7 @@ def _error_block(plan: _Plan, draw: _RepDraw,
         lam, centre = _penalty_and_centre(plan, estimator, sigma2)
         if estimator not in rows:
             rows[estimator] = len(seeds)
-            seeds.append(plan.white_seeds[estimator] if plan.whitened else plan.beta_star - centre)
+            seeds.append(plan.white_seeds[estimator])
         coefficients[0, k], coefficients[rows[estimator], k] = amplitude, -lam
         shifts.append(0.0 if estimator == "transfer_lasso" else lam)
     return np.stack(seeds, axis=1), coefficients[:len(seeds)], np.array(shifts)
@@ -481,16 +463,11 @@ def _solve_block(plan: _Plan, draw: _RepDraw,
     closed-form fits ``block``, ``(estimator, g, a, sigma2)`` each, on one
     draw: one :func:`_error_block` solved by :func:`_gram_solve`, its
     noise-adapted ridge columns by conjugate gradients and the rest by
-    Cholesky.  A white draw's risk is ``f'f / p``; a design's is
-    ``e' Sigma e / p``, from the eigen-atoms."""
+    Cholesky.  The risk ``e' Sigma e / p`` is ``f'f / p``."""
     seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in block])
     adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in block], dtype=bool)
     errors, certificates, converged, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
-    if plan.whitened:
-        risks = np.einsum("ij,ij->j", errors, errors) / plan.config.p
-    else:  # the solved error as is: a tiny one loses no digits to adding and subtracting beta_star
-        risks = _energy(plan.spec, errors)
-    return risks, errors, certificates, converged, fell_back
+    return np.einsum("ij,ij->j", errors, errors) / plan.config.p, errors, certificates, converged, fell_back
 
 
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
@@ -523,7 +500,7 @@ def _centre_gradients(plan: _Plan, draw: _RepDraw, amplitudes: np.ndarray) -> tu
     the penalty (see :func:`fit_proximal`).
     """
     gram, v = draw.design.gram, draw.v
-    terms = _root_product(plan.spec, np.stack([gram @ plan.root_delta, v], axis=1))
+    terms = _root_product(plan.spec, np.stack([gram @ plan.root_offsets["transfer_lasso"], v], axis=1))
     s_max = float(plan.spec.eigenvalues[-1])
     scale = s_max * float(np.trace(gram)) * float(np.linalg.norm(plan.beta_star - plan.beta0))
     return (terms[:, :1] + terms[:, 1:] * amplitudes,
@@ -539,29 +516,24 @@ def _lasso_candidates(plan: _Plan, draw: _RepDraw, f: np.ndarray, amplitudes: np
 
     It is the fit when ``d = beta_star - beta0 + e`` keeps the signs of
     ``beta_star - beta0`` it was solved for, so that ``d`` meets the
-    optimality conditions, and its certificate holds.  The certificate is
-    :func:`fit_proximal`'s, the norm of the least-norm subgradient, from the
-    smooth part's gradient ``X'X/n e - a X'w/n = Sigma^1/2 (Z'Z/n f - a v)``
-    (one root product), and it holds within ``fit_proximal``'s tolerance
-    ``gradient_map_tol (1 + ||beta||)``.
+    optimality conditions, and its certificate holds.  The certificate and
+    its tolerance are :func:`fit_proximal`'s (:func:`_certificate`), from
+    the smooth part's gradient ``X'X/n e - a X'w/n = Sigma^1/2 (Z'Z/n f - a v)``
+    (one root product).
     """
     delta = plan.beta_star - plan.beta0
     e = _root_product(plan.spec, f, inverse=True)
     d = delta[:, None] + e
     gradient = _root_product(plan.spec, draw.design.gram @ f - np.outer(draw.v, amplitudes))
-    subgradient = np.where(d != 0.0, gradient + lams * np.sign(d), np.maximum(np.abs(gradient) - lams, 0.0))
-    certificates = np.linalg.norm(subgradient, axis=0)
     betas = plan.beta_star[:, None] + e
-    certified = certificates <= EstimatorConfig.gradient_map_tol * (1.0 + np.linalg.norm(betas, axis=0))
+    certificates, certified = _certificate(gradient, d, betas, lams, EstimatorConfig.gradient_map_tol)
     return betas, certificates, certified & np.all(np.sign(d) == np.sign(delta)[:, None], axis=0)
 
 
 def _newton_draw(plan: _Plan, draw: _RepDraw, rep: int, kind: str) -> _RepDraw:
-    """The draw a Newton fit reads: ``draw`` itself on a design, and on a
-    white draw the design ``X = Z Sigma^1/2`` of ``sample_design`` on the
-    replication's design stream (the same ``Z``), with the same noise."""
-    if not plan.whitened:
-        return draw
+    """The draw a lasso Newton fit reads: the design ``X = Z Sigma^1/2`` of
+    ``sample_design`` on the replication's design stream (the same ``Z``),
+    with the same noise."""
     rng = substream(plan.config.master_seed, "design", rep)
     return dataclasses.replace(draw, design=Resolvent.of(sample_design(plan.spec, plan.config.n, rng, kind=kind)))
 
@@ -571,7 +543,8 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float,
     """Newton fit of one proximal estimator at noise amplitude ``amplitude``,
     at the penalty and centre :func:`_penalty_and_centre` gives it at ``sigma2``.
 
-    ``signal`` is the draw's ``X beta_star``, formed once per draw.
+    ``signal`` is the draw's ``X beta_star``, formed once per draw, or for
+    Huber-ridge, fitted on ``Z`` in ``theta = Sigma^1/2 beta``, ``Z theta_star``.
     Huber-ridge sees the raw heavy-tailed noise; transfer lasso sees the
     winsorized noise.
     """
@@ -617,14 +590,14 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     ``sigma2 = g**2 sigma2_unit``, or on a σ² grid ``sigma2 = g`` with
     ``a = sqrt(g / sigma2_unit)``.  Draws the design and unit noise once per
     design law (the configured one, or each of the row's ``designs``, whose
-    name then suffixes the estimator label).  With no Huber fit in the row
-    the draw is the white ``Z``; else it is the design ``X``.  The
-    closed-form fits at every point form one block (:func:`_solve_block`) on
-    the draw's Gram matrix, formed before the clock starts.  Every record
+    name then suffixes the estimator label); the draw is the white ``Z``.
+    The closed-form fits at every point form one block (:func:`_solve_block`)
+    on the draw's Gram matrix, formed before the clock starts.  Every record
     carries its certificate and fallback flag.
 
-    On a white draw each transfer-lasso point is settled by the first of
-    three exact steps that certifies it:
+    Huber-ridge is Newton-fitted on ``Z`` in ``theta = Sigma^1/2 beta``, with
+    risk ``||theta_hat - theta_star||^2 / p``; each transfer-lasso point is
+    settled by the first of three exact steps that certifies it:
 
     1. the screen: the centre ``beta0`` is optimal when its gradient
        (:func:`_centre_gradients`) clears the penalty by more than rounding;
@@ -635,8 +608,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     3. the Newton fit on ``X``, drawn by :func:`_newton_draw` at most once
        per draw.
 
-    A Newton fit on a design reads the draw itself.  Each proximal fit
-    warm-starts from its own fit at the previous point.
+    Each proximal fit warm-starts from its own fit at the previous point.
     """
     cfg = plan.config
     row = _EXPERIMENTS[cfg.name]
@@ -644,8 +616,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
               for g in cfg.grid]
     closed = [(e, *point) for point in points for e in row.estimators if e not in _PROXIMAL_FITS]
     fits = [e for e in row.estimators if e in _PROXIMAL_FITS]
-    white_lasso = plan.whitened and "transfer_lasso" in fits
-    if white_lasso:  # each point's amplitude and lasso penalty
+    if "transfer_lasso" in fits:  # each point's amplitude and lasso penalty
         amplitudes = np.array([a for _, a, _ in points])
         lams = np.array([_penalty_and_centre(plan, "transfer_lasso", sigma2)[0] for _, _, sigma2 in points])
     records = []
@@ -656,7 +627,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
         t0 = time.perf_counter()
         settled: dict[float, tuple[float, np.ndarray, float]] = {}  # g -> a lasso point's risk, fit, certificate
         candidates = []
-        if white_lasso:
+        if "transfer_lasso" in fits:
             gradients, rounding = _centre_gradients(plan, draw, amplitudes)
             screened = np.max(np.abs(gradients), axis=0) + rounding <= lams
             centre_risk = float(_energy(plan.spec, plan.beta0 - plan.beta_star))
@@ -685,7 +656,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
                                    certificate=float(certificates[k]), converged=bool(converged[k]),
                                    resolvent_fallback=bool(fell_back[k])))
         warm: dict[str, np.ndarray] = {}
-        newton, signal = None, None  # formed at the first Newton fit
+        newton = truth = signal = None  # the Newton fits' draw, coefficients and signal, formed at the first
         for g, a, sigma2 in points:
             for estimator in fits:
                 if estimator == "transfer_lasso" and g in settled:
@@ -693,13 +664,15 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
                     records.append(_record(plan, estimator + suffix, g, rep, risk, time.perf_counter() - share,
                                            certificate=certificate, converged=True, newton_steps=0))
                     continue
-                if newton is None:
-                    newton = _newton_draw(plan, draw, rep, kind)
-                    signal = newton.x @ plan.beta_star
+                if newton is None:  # Huber-ridge on Z in theta = Sigma^1/2 beta, the lasso on X
+                    newton, truth = ((draw, plan.root_offsets["huber"]) if estimator == "huber"
+                                     else (_newton_draw(plan, draw, rep, kind), plan.beta_star))
+                    signal = newton.x @ truth
                 t0 = time.perf_counter()
                 fit = _proximal_fit(plan, newton, estimator, a, sigma2, warm.get(estimator), signal)
                 warm[estimator] = fit.beta_hat
-                risk = _energy(plan.spec, fit.beta_hat - plan.beta_star)
+                error = fit.beta_hat - truth
+                risk = float(error @ error) / cfg.p if newton is draw else _energy(plan.spec, error)
                 records.append(_record(plan, estimator + suffix, g, rep, risk, t0, fit))
     return records
 
@@ -980,13 +953,6 @@ class _Experiment:
     estimators: tuple[str, ...] = ()
     designs: tuple[str, ...] | None = None
     sigma2_grid: bool = False
-
-    @property
-    def whitened(self) -> bool:
-        """No fit is Huber-ridge, so every draw is the white ``Z`` and the
-        design ``X`` is formed only for a lasso Newton fit (see
-        :func:`_rep_sweep`)."""
-        return bool(self.estimators) and "huber" not in self.estimators
 
 
 # The configuration fields an experiment that draws no design reads.

@@ -246,10 +246,11 @@ def _ar1_inverse(p: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``T u`` for the symmetric tridiagonal ``T`` with the given diagonal
-    and off-diagonal and a ``p x k`` block ``u``."""
-    tu = diag[:, None] * u
-    tu[1:] += off[:, None] * u[:-1]
-    tu[:-1] += off[:, None] * u[1:]
+    and off-diagonal and a vector or a ``p x k`` block ``u``."""
+    diag, off = (diag, off) if u.ndim == 1 else (diag[:, None], off[:, None])
+    tu = diag * u
+    tu[1:] += off * u[:-1]
+    tu[:-1] += off * u[1:]
     return tu
 
 

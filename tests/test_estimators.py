@@ -143,8 +143,10 @@ class TestResolvent:
                                        atol=1.0e-13 * np.abs(system).max())
             np.testing.assert_allclose(white.solve(rhs, shift), np.linalg.solve(system, rhs), rtol=1.0e-10)
             np.testing.assert_allclose(white.solve(rhs[:, 0], shift), np.linalg.solve(system, rhs[:, 0]), rtol=1.0e-10)
-        np.testing.assert_allclose(white.t_product(rhs), t @ rhs, rtol=1.0e-14)
-        np.testing.assert_allclose(white.t_solve(rhs), np.linalg.solve(t, rhs), rtol=1.0e-12)
+        for u in (rhs, rhs[:, 0]):  # a block and a vector
+            np.testing.assert_allclose(white.t_product(u), t @ u, rtol=1.0e-14)
+            np.testing.assert_allclose(white.t_solve(u), np.linalg.solve(t, u), rtol=1.0e-12)
+            assert white.t_product(u).shape == white.t_solve(u).shape == u.shape
         design = Resolvent.of(z)
         assert design.t_product(rhs) is rhs and design.t_solve(rhs) is rhs  # T = I on a design
 
@@ -862,6 +864,46 @@ class TestFitProximal:
         assert not any(mus[2:])
         np.testing.assert_allclose(fit.beta_hat, plain.beta_hat, rtol=0.0, atol=1.0e-12)
 
+    @staticmethod
+    def white_and_design(n=200, p=60, rho=0.5, seed=1):
+        """``(Z, Sigma^1/2, beta, noise)`` for a white draw ``Z`` of the AR(1) covariance, whose design is
+        ``X = Z Sigma^1/2``."""
+        from heavyreg.spectrum import CovarianceModel, decompose
+
+        rng = np.random.default_rng(seed)
+        root = decompose(CovarianceModel.ar1(p, rho)).sqrt_matrix()
+        return rng.standard_normal((n, p)), root, rng.standard_normal(p), rng.standard_t(1.5, n)
+
+    @pytest.mark.parametrize("route", ("outliers", "inliers", "cholesky"))
+    @pytest.mark.parametrize("loss, noise", ((HUBER, 0.0), (HUBER, 3.0), (HUBER, 30.0), (HUBER, 1.0e4),
+                                             (SQUARED, 3.0)), ids=("huber-0", "huber-3", "huber-30", "huber-1e4",
+                                                                   "squared-3"))
+    def test_a_white_ridge_fit_is_the_design_fit_through_the_root(self, route, loss, noise, monkeypatch):
+        # on Z with T = Sigma^-1 the fit is theta = Sigma^1/2 beta of the fit on X = Z Sigma^1/2: the penalty
+        # (lam/2) theta'T theta is (lam/2) ||beta||^2, and the certificate and its tolerance are the design's
+        costs = estimators._route_costs
+        monkeypatch.setattr(estimators, "_route_costs", lambda *args: {route: costs(*args)[route]})
+        z, root, beta, w = self.white_and_design()
+        x, center = z @ root, np.linspace(-0.5, 0.5, z.shape[1])
+        white = Resolvent.of(z, _ar1_inverse(z.shape[1], 0.5))
+        y = x @ beta + noise * w
+        design_fit = fit_proximal(EstimatorConfig(loss, RIDGE, 0.1, center=center), Resolvent.of(x), y)
+        white_fit = fit_proximal(EstimatorConfig(loss, RIDGE, 0.1, center=root @ center), white, y)
+        assert design_fit.converged and white_fit.converged
+        assert white_fit.iterations == design_fit.iterations >= 1
+        want = root @ design_fit.beta_hat
+        assert np.max(np.abs(white_fit.beta_hat - want)) <= 1.0e-10 * np.max(np.abs(want))
+        assert white_fit.objective == pytest.approx(design_fit.objective, rel=1.0e-12)
+        tol = 1.0e-12 * (1.0 + np.linalg.norm(design_fit.beta_hat))
+        assert abs(white_fit.gradient_map_norm - design_fit.gradient_map_norm) <= tol
+
+    @pytest.mark.parametrize("loss", (SQUARED, HUBER), ids=("squared", "huber"))
+    def test_a_lasso_on_a_white_draw_is_rejected(self, loss):
+        z, _, _, w = self.white_and_design()
+        white = Resolvent.of(z, _ar1_inverse(z.shape[1], 0.5))
+        with pytest.raises(ConfigError, match="lasso"):
+            fit_proximal(EstimatorConfig(loss, LASSO, 0.1), white, w)
+
     def test_converged_fit_carries_a_valid_certificate(self):
         x, y, _ = make_problem(n=100, p=40, seed=21, noise=1.0)
         config = EstimatorConfig(SQUARED, LASSO, 0.05)
@@ -1028,6 +1070,25 @@ class TestPatternSolve:
         assert np.linalg.norm(dense - want) <= 1.0e-12 * np.linalg.norm(dense)
         assert (design._factor[0] is None) == (o == 0)  # formed only for a correction
 
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("o", [0, 60, 199])
+    @pytest.mark.parametrize("mu", [0.0, 0.05])
+    def test_a_white_ridge_pattern_is_the_design_pattern_through_the_root(self, route, o, mu, monkeypatch):
+        # on Z with T = Sigma^-1 each route solves (Z_I'Z_I/n + s T) theta = Z'v/n + mu T anchor, which is
+        # Sigma^1/2 times the pattern's solve on X = Z Sigma^1/2, the anchor mapped through Sigma^1/2 too
+        costs = estimators._route_costs
+        monkeypatch.setattr(estimators, "_route_costs", lambda *args: {route: costs(*args)[route]})
+        z, root, beta, w = TestFitProximal.white_and_design()
+        n, p = z.shape
+        x, rng = z @ root, np.random.default_rng(o)
+        outlier = np.zeros(n)
+        outlier[rng.choice(n, o, replace=False)] = rng.choice([-1.0, 1.0], o)
+        anchor, y = rng.standard_normal(p), x @ beta + 3.0 * w
+        white = Resolvent.of(z, _ar1_inverse(p, 0.5))
+        theta = estimators._pattern_solve(white, y, 1.5, outlier, None, 0.1, root @ anchor, mu)
+        want = root @ estimators._pattern_solve(Resolvent.of(x), y, 1.5, outlier, None, 0.1, anchor, mu)
+        assert np.linalg.norm(theta - want) <= 1.0e-11 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("o", [1, 20, 40])
     def test_a_lasso_pattern_with_outliers_and_no_shift_matches_a_dense_solve(self, o):
         # every coordinate free and mu = 0: s = 0, so the table offers only the Cholesky route,
@@ -1102,8 +1163,9 @@ class TestPatternSolve:
     @staticmethod
     def route_through_the_eigenbasis(monkeypatch):
         """Put every outlier correction back on the route the factor replaced:
-        ``A^-1 X_O'`` formed at each step through an eigendecomposition of
-        ``X'X/n`` taken here, and charged ``2 p^2 o + p o^2``; the other
+        ``A^-1 X_O'`` formed at each step through the generalized eigenpairs
+        of ``G`` against ``T`` (``X'X/n`` and ``I`` on a design) taken here,
+        and charged ``2 p^2 o + p o^2``; the other
         routes are left as they are.  Returns a list that gains an entry per
         correction made that way."""
         solve, costs = estimators._pattern_solve, estimators._route_costs
@@ -1117,16 +1179,18 @@ class TestPatternSolve:
             return table
 
         def eigenbasis_solve(design, y, k, outlier, sign, lam, anchor, mu):
+            # G + s T through the generalized eigenpairs G V = T V diag(evals), V'T V = I
             x, inlier = design.x, outlier == 0.0
             n, p = x.shape
             shift = lam + mu if sign is None else mu
             table = eigenbasis_costs(design, int(inlier.sum()), p if sign is None else np.count_nonzero(sign), shift)
             if min(table, key=table.get) != "outliers" or inlier.all():
                 return solve(design, y, k, outlier, sign, lam, anchor, mu)
-            c = x.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * anchor
+            t = design.t_product(np.eye(p))
+            c = x.T @ np.where(inlier, y, np.copysign(k, outlier)) / n + mu * t @ anchor
             if sign is not None:
                 c -= lam * sign
-            evals, evecs = np.linalg.eigh(x.T @ x / n)
+            evals, evecs = scipy.linalg.eigh(x.T @ x / n, t)
             b = evecs @ ((evecs.T @ c) / (evals + shift))
             x_o = x[~inlier]
             w = evecs @ ((evecs.T @ x_o.T) / (evals + shift)[:, None])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from heavyreg import estimators, experiments
+from heavyreg.convex import Loss, LossKind, RegKind, Regularizer
 from heavyreg.errors import ConfigError
 from heavyreg.experiments import (
     CSV_HEADER,
@@ -49,9 +50,11 @@ def tiny_config(name, **overrides):
     return ExperimentConfig(**base)
 
 
-def design_plan(plan):
-    """``plan`` with its draws the design ``X = Z Sigma^1/2`` rather than the white ``Z``."""
-    return dataclasses.replace(plan, precision=None, white_seeds=None, root_delta=None)
+def design_of(plan, rep, kind=None):
+    """The design ``X = Z Sigma^1/2`` of replication ``rep``'s white draw ``Z``: ``sample_design`` on the same
+    design stream."""
+    cfg = plan.config
+    return sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind or cfg.design_kind)
 
 
 def sample_design_calls(monkeypatch):
@@ -263,39 +266,34 @@ class TestRecordProtocol:
 
     @pytest.mark.parametrize("kind", ("gaussian", "rademacher"))
     def test_white_and_correlated_draws_share_one_design_stream(self, kind):
-        # a whitened row reads Z and a design row X = Z Sigma^1/2 of the same (seed, "design", rep)
-        # and so does the design a Newton fit on a whitened row draws again
+        # a replication draws Z of its (seed, "design", rep), and a lasso Newton fit X = Z Sigma^1/2 of the same
         plan = experiments._build_plan(tiny_config("transient"))
-        eigenbasis = design_plan(plan)
         for rep in (0, 3):
             z = _white_draw(plan.config.n, plan.config.p, substream(plan.config.master_seed, "design", rep), kind)
             white = experiments._draw_replication(plan, rep, design_kind=kind)
-            draw = experiments._draw_replication(eigenbasis, rep, design_kind=kind)
             newton = experiments._newton_draw(plan, white, rep, kind)
-            assert np.array_equal(white.x, z)
-            assert np.array_equal(z @ plan.spec.sqrt_matrix(), draw.x)
-            assert np.array_equal(newton.x, draw.x) and experiments._newton_draw(eigenbasis, draw, rep, kind) is draw
-            assert np.array_equal(white.w_unit, draw.w_unit) and newton.w_wins_unit is white.w_wins_unit
+            assert np.array_equal(white.x, z) and white.design.precision is plan.precision
+            assert np.array_equal(z @ plan.spec.sqrt_matrix(), design_of(plan, rep, kind))
+            assert np.array_equal(newton.x, design_of(plan, rep, kind)) and newton.design.precision is None
+            assert newton.w_unit is white.w_unit and newton.w_wins_unit is white.w_wins_unit
 
     @pytest.mark.parametrize("name", ("paradox", "trichotomy"))
     def test_every_closed_form_sweep_point_matches_a_dense_oracle(self, name):
         # the oracle solves each fit's centred normal equations densely in
-        # the beta form on X; the harness solves the error form by Cholesky,
-        # on the white draw for paradox (f = Sigma^1/2 e) and on X for trichotomy
+        # the beta form on X; the harness solves the error form by Cholesky
+        # on the white draw, f = Sigma^1/2 e
         from heavyreg.estimators import _right_hand_sides
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _error_block
 
         cfg = tiny_config(name)
         plan = _build_plan(cfg)
-        assert plan.whitened is (name == "paradox")
         draw = _draw_replication(plan, rep=0)
-        x = experiments._newton_draw(plan, draw, 0, cfg.design_kind).x
+        x = design_of(plan, 0)
         estimators = ("ols", "fixed_ridge", "transfer_ridge")
         points = [(e, scale, scale ** 2 * plan.sigma2_unit) for scale in cfg.grid for e in estimators]
         seeds, coefficients, shifts = _error_block(plan, draw, points)
         errors = draw.design.solve(_right_hand_sides(seeds, coefficients), shifts)
-        if plan.whitened:
-            errors = experiments._root_product(plan.spec, errors, inverse=True)
+        errors = experiments._root_product(plan.spec, errors, inverse=True)
         assert 0.0 in cfg.grid
         for k, (estimator, scale, sigma2) in enumerate(points):
             y = x @ plan.beta_star + scale * draw.w_wins_unit
@@ -313,17 +311,20 @@ class TestErrorBlock:
     centre, and the error systems one draw solves as a block."""
 
     @staticmethod
-    def solved(config, points, draw=None, **plan_fields):
-        """``(plan, draw, errors)`` for ``points`` on ``draw`` (the plan's
-        first draw when omitted), the plan's fields overridden as given."""
-        plan = dataclasses.replace(experiments._build_plan(config), **plan_fields)
-        draw = draw or experiments._draw_replication(plan, rep=0)
+    def solved(config, points, draw=None):
+        """``(plan, draw, x, errors)`` for ``points`` on ``draw`` (the
+        plan's first white draw when omitted): ``x`` is the draw's design
+        ``X = Z Sigma^1/2`` (``sample_design`` on the same stream), and each
+        error ``e`` is mapped back from the solved ``f = Sigma^1/2 e``."""
+        plan = experiments._build_plan(config)
+        draw, x = (experiments._draw_replication(plan, rep=0), design_of(plan, 0)) if draw is None else (draw, draw.x)
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
-        return plan, draw, draw.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
+        f = draw.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
+        return plan, draw, x, experiments._root_product(plan.spec, f, inverse=True)
 
     @staticmethod
-    def response(plan, draw, amplitude):
-        return draw.x @ plan.beta_star + amplitude * draw.w_wins_unit
+    def response(plan, draw, x, amplitude):
+        return x @ plan.beta_star + amplitude * draw.w_wins_unit
 
     def test_each_estimator_has_its_penalty_and_centre(self):
         cfg = tiny_config("paradox", lambda_tilde=0.5, lambda_fixed=0.2)
@@ -354,9 +355,10 @@ class TestErrorBlock:
         rhs = estimators._right_hand_sides(seeds, coefficients)
         assert rhs.shape == (cfg.p, 3)
         assert shifts.tolist() == [0.0, cfg.lambda_fixed, experiments._adapted_lambda(cfg, 9.0)]
-        # the seeds: v and each estimator's offset beta_star - c, each column a v - lam (beta_star - c)
+        # the seeds: v = Z'w/n and each estimator's white offset Sigma^-1/2 (beta_star - c), each column
+        # a v - lam Sigma^-1/2 (beta_star - c)
         v = draw.x.T @ draw.w_wins_unit / cfg.n
-        offsets = (plan.beta_star, plan.beta_star, plan.beta_star - plan.beta0)
+        offsets = [plan.white_seeds[e] for e, _, _ in points]
         assert seeds.shape == (cfg.p, 4) and np.array_equal(seeds[:, 0], v)
         for k, ((_, amplitude, _), offset, lam) in enumerate(zip(points, offsets, shifts)):
             assert np.array_equal(seeds[:, k + 1], offset)
@@ -387,8 +389,11 @@ class TestErrorBlock:
                            (paradox.white_seeds["transfer_ridge"], delta),
                            (floor.white_seeds["transfer_lasso"], np.sign(delta))):
             np.testing.assert_allclose(root @ seed, want, rtol=0.0, atol=1.0e-13)
-        np.testing.assert_allclose(floor.root_delta, root @ delta, rtol=0.0, atol=1.0e-13)
-        assert paradox.root_delta is None
+        np.testing.assert_allclose(floor.root_offsets["transfer_lasso"], root @ delta, rtol=0.0, atol=1.0e-13)
+        trichotomy = experiments._build_plan(tiny_config("trichotomy"))  # the Huber fit's theta_star
+        np.testing.assert_allclose(trichotomy.root_offsets["huber"], root @ trichotomy.beta_star, rtol=0.0,
+                                   atol=1.0e-13)
+        assert paradox.root_offsets == {} and set(floor.root_offsets) == {"transfer_lasso"}
         draw = experiments._draw_replication(floor, rep=0)
         points = [("transfer_ridge", 2.0, 4.0), ("transfer_lasso", 2.0, 4.0), ("transfer_lasso", 0.0, 0.0)]
         seeds, coefficients, shifts = experiments._error_block(floor, draw, points)
@@ -399,25 +404,25 @@ class TestErrorBlock:
         assert np.array_equal(coefficients, [[2.0, 2.0, 0.0], [-lam, 0.0, 0.0],
                                              [0.0, -lam, -experiments._NOISELESS_PENALTY]])
 
-    @pytest.mark.parametrize("name", ("paradox", "floor"))
+    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
     def test_white_block_is_the_design_block_mapped_through_the_root(self, name):
         # f = Sigma^1/2 e for every closed-form column, the lasso's candidates included
         cfg = tiny_config(name)
         plan = experiments._build_plan(cfg)
         points = [(e, g, g ** 2 * plan.sigma2_unit) for g in cfg.grid
-                  for e in experiments._EXPERIMENTS[name].estimators]
+                  for e in experiments._EXPERIMENTS[name].estimators if e != "huber"]
         white = experiments._draw_replication(plan, rep=1)
-        design = experiments._draw_replication(design_plan(plan), rep=1)
         seeds, coefficients, shifts = experiments._error_block(plan, white, points)
         f = white.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
-        x = design.x
+        x = design_of(plan, 1)
+        v = x.T @ white.w_wins_unit / cfg.n
         sign = np.sign(plan.beta_star - plan.beta0)
         for k, (estimator, amplitude, sigma2) in enumerate(points):
             lam, centre = experiments._penalty_and_centre(plan, estimator, sigma2)
             if estimator == "transfer_lasso":  # X'X/n e = a X'w/n - lam sign(delta)
-                rhs, lam = amplitude * design.v - lam * sign, 0.0
+                rhs, lam = amplitude * v - lam * sign, 0.0
             else:
-                rhs = amplitude * design.v - lam * (plan.beta_star - centre)
+                rhs = amplitude * v - lam * (plan.beta_star - centre)
             e = np.linalg.solve(x.T @ x / cfg.n + lam * np.eye(cfg.p), rhs)
             np.testing.assert_allclose(f[:, k], plan.spec.sqrt_matrix() @ e, rtol=1.0e-10,
                                        atol=1.0e-12 * np.linalg.norm(e), err_msg=f"{estimator} at {amplitude}")
@@ -428,37 +433,37 @@ class TestErrorBlock:
         noise = np.arange(1.0, 9.0)
         draw = experiments._RepDraw(design=estimators.Resolvent.of(np.vstack([np.eye(4), np.eye(4)])),
                                     w_unit=noise, w_wins_unit=noise)
-        plan, _, errors = self.solved(cfg, [("ols", 2.0, 4.0)], draw=draw)
+        plan, _, _, errors = self.solved(cfg, [("ols", 2.0, 4.0)], draw=draw)
         np.testing.assert_allclose(errors[:, 0], 2.0 * (noise[:4] + noise[4:]) / 2.0, rtol=0.0, atol=1.0e-12)
 
     def test_noiseless_least_squares_recovers_the_signal_exactly(self):
-        plan, _, errors = self.solved(tiny_config("trichotomy"), [("ols", 0.0, 0.0)])
+        plan, _, _, errors = self.solved(tiny_config("trichotomy"), [("ols", 0.0, 0.0)])
         assert np.array_equal(errors[:, 0], np.zeros(plan.config.p))
 
     def test_least_squares_residual_is_orthogonal_to_the_columns(self):
-        plan, draw, errors = self.solved(tiny_config("trichotomy"), [("ols", 3.0, 9.0)])
-        y = self.response(plan, draw, 3.0)
-        resid = y - draw.x @ (plan.beta_star + errors[:, 0])
-        assert np.max(np.abs(draw.x.T @ resid)) <= 1.0e-10 * np.linalg.norm(y)
+        plan, draw, x, errors = self.solved(tiny_config("trichotomy"), [("ols", 3.0, 9.0)])
+        y = self.response(plan, draw, x, 3.0)
+        resid = y - x @ (plan.beta_star + errors[:, 0])
+        assert np.max(np.abs(x.T @ resid)) <= 1.0e-10 * np.linalg.norm(y)
 
     def test_least_squares_error_is_linear_in_the_noise_amplitude(self):
         # the pure-variance curve behind the slope-two check
-        _, _, errors = self.solved(tiny_config("trichotomy"), [("ols", 1.0, 1.0), ("ols", 1.0e3, 1.0e6)])
+        _, _, _, errors = self.solved(tiny_config("trichotomy"), [("ols", 1.0, 1.0), ("ols", 1.0e3, 1.0e6)])
         np.testing.assert_allclose(errors[:, 1], 1.0e3 * errors[:, 0], rtol=1.0e-12, atol=0.0)
 
     def test_huge_penalty_pins_the_transfer_fit_at_its_centre(self):
-        plan, _, errors = self.solved(tiny_config("trichotomy", lambda_tilde=1.0e12), [("transfer_ridge", 1.0, 1.0)])
+        plan, _, _, errors = self.solved(tiny_config("trichotomy", lambda_tilde=1.0e12), [("transfer_ridge", 1.0, 1.0)])
         assert np.linalg.norm(plan.beta_star + errors[:, 0] - plan.beta0) <= 1.0e-6
 
     def test_vanishing_penalty_approaches_least_squares(self):
-        _, _, errors = self.solved(tiny_config("trichotomy", lambda_fixed=1.0e-12),
+        _, _, _, errors = self.solved(tiny_config("trichotomy", lambda_fixed=1.0e-12),
                                    [("ols", 0.3, 0.09), ("fixed_ridge", 0.3, 0.09)])
         np.testing.assert_allclose(errors[:, 1], errors[:, 0], rtol=0.0, atol=1.0e-9)
 
     def test_single_column_ridge_is_the_shrinkage_formula(self):
         cfg = tiny_config("trichotomy", n=40, p=1, cov=CovarianceModel.identity(1), sparsity=1.0, lambda_fixed=0.8)
-        plan, draw, errors = self.solved(cfg, [("fixed_ridge", 2.0, 4.0)])
-        x, y = draw.x[:, 0], self.response(plan, draw, 2.0)
+        plan, draw, x, errors = self.solved(cfg, [("fixed_ridge", 2.0, 4.0)])
+        x, y = x[:, 0], self.response(plan, draw, x, 2.0)
         expected = (x @ y / 40) / (x @ x / 40 + 0.8)
         assert plan.beta_star[0] + errors[0, 0] == pytest.approx(expected, rel=1.0e-12)
 
@@ -483,8 +488,8 @@ class TestGoldenRecords:
                   "79703546ffb6f387eb53d473e65b9b972f2785dfe53eb98fd6f2469e896663b3"),
         "transient": ("14d325d91609b384f8eca56978c73deb810d4b2411e4513a38e4eecd03557573",
                       "00f5b1c78b5af5ae3b65d9144e8cf6ce7a211817334ccb4c54adbdf448e6ec37"),
-        "trichotomy": ("914ad7a5ef826e705489f917eb1d7c50cced9859be3eb2c6f65ea55cea615813",
-                       "c7053a478ab13cf34cbf4cf4242520f272ddc70cf67a648b672a6d2274e5fde6"),
+        "trichotomy": ("faba2f1424a5556674c6dc3d34f98677be8d31039fcbd6f6b4797b1528e03e12",
+                       "f0d0d6fe59c7c6f82ed2d7f752dc3990b96f42c379c5ab5d81b6f81f5217f4fd"),
         "universality": ("1228591257d1426c32ab3ff4da8e114179fcbd8972fc6d14e48bd90558234eb3",
                          "bea0cb859281ffb0fd9cdec8e027cf0eed22acb3fa80ee7ab8bf1f11543cb0c0"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
@@ -628,41 +633,53 @@ class TestFloorRunner:
         for r in result.records:
             assert r.converged and r.newton_steps == (0 if r.estimator == "transfer_lasso" else None)
 
-    def test_design_rows_draw_the_design_once_per_replication(self, monkeypatch):
-        designs = sample_design_calls(monkeypatch)
+    def test_huber_rows_draw_no_design(self, monkeypatch):
+        # trichotomy's Huber-ridge fits read the white draw Z, in theta = Sigma^1/2 beta
+        designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
         result = run_experiment(tiny_config("trichotomy"))
-        assert designs == [1] * result.config.replications
+        assert designs == [] and len(fits) == sum(r.estimator == "huber" for r in result.records) > 0
 
     def test_lasso_points_the_screen_leaves_match_a_newton_run_on_the_design(self, monkeypatch):
         """At lambda_tilde = 1e-3 the screen fails at the smaller noise
         scales, and those points are fitted by Newton on ``X``, drawn at most
-        once per replication.  A run forced to draw ``X`` for every fit
-        (today's trichotomy route) gives the same records: each lasso risk
-        within what the two fits' certificates allow, ``||b - b'|| <= (c + c')
-        / lambda_min(X'X/n)`` plus the rounding of ``beta0 + d``, and each
-        ridge risk within its solves' certificates."""
+        once per replication.  Every point fitted again on ``X`` from
+        ``sample_design`` on the same stream gives the same records: each
+        lasso risk, from a Newton fit on ``X`` warm-started along the sweep,
+        within what the two fits' certificates allow,
+        ``||b - b'|| <= (c + c') / lambda_min(X'X/n)`` plus the rounding of
+        ``beta0 + d``, and each ridge risk, solved densely on ``X``, within
+        its solves' certificates."""
         cfg = tiny_config("floor", lambda_tilde=1.0e-3)
         designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
         result = run_experiment(cfg)
         assert designs == [1] * cfg.replications and 0 < len(fits) < len(result.records) // 2
+        assert result.passed
         monkeypatch.undo()
-        monkeypatch.setattr(experiments._Experiment, "whitened", property(lambda self: False))
-        forced = run_experiment(cfg)
         plan = experiments._build_plan(cfg)
-        assert result.passed and forced.passed
-        s_max = float(plan.spec.eigenvalues[-1])
-        for new, old in zip(result.records, forced.records, strict=True):
-            assert (new.estimator, new.sweep_value, new.replication) == (old.estimator, old.sweep_value,
-                                                                         old.replication)
-            assert new.converged and old.converged
-            if new.estimator == "transfer_ridge":
-                assert new.risk == pytest.approx(old.risk, rel=1.0e-9)
-                continue
-            x = experiments._draw_replication(plan, new.replication).x
-            floor = float(np.linalg.eigvalsh(x.T @ x / cfg.n)[0])
-            gap = (new.certificate + old.certificate) / floor + 4.0 * np.finfo(float).eps * np.linalg.norm(plan.beta0)
-            bound = 2.0 * math.sqrt(s_max * old.risk / cfg.p) * gap + s_max * gap ** 2 / cfg.p
-            assert abs(new.risk - old.risk) <= bound
+        s_max, delta = float(plan.spec.eigenvalues[-1]), plan.beta_star - plan.beta0
+        lasso = (Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO))
+        for rep in range(cfg.replications):
+            x, noise = design_of(plan, rep), experiments._draw_replication(plan, rep).w_wins_unit
+            design, gram = estimators.Resolvent.of(x), x.T @ x / cfg.n
+            floor = float(np.linalg.eigvalsh(gram)[0])
+            warm = None
+            for new in sorted((r for r in result.records if r.replication == rep), key=lambda r: r.sweep_value):
+                assert new.converged
+                a = new.sweep_value
+                lam, centre = experiments._penalty_and_centre(plan, new.estimator, a ** 2 * plan.sigma2_unit)
+                if new.estimator == "transfer_ridge":
+                    e = np.linalg.solve(gram + lam * np.eye(cfg.p), a * x.T @ noise / cfg.n - lam * delta)
+                    assert new.risk == pytest.approx(float(experiments._energy(plan.spec, e)), rel=1.0e-9)
+                    continue
+                old = estimators.fit_proximal(estimators.EstimatorConfig(*lasso, lam, center=centre), design,
+                                              x @ plan.beta_star + a * noise, x0=warm)
+                warm = old.beta_hat
+                assert old.converged
+                old_risk = float(experiments._energy(plan.spec, old.beta_hat - plan.beta_star))
+                gap = (new.certificate + old.gradient_map_norm) / floor + 4.0 * np.finfo(float).eps * np.linalg.norm(
+                    plan.beta0)
+                bound = 2.0 * math.sqrt(s_max * old_risk / cfg.p) * gap + s_max * gap ** 2 / cfg.p
+                assert abs(new.risk - old_risk) <= bound
 
     def test_a_point_within_rounding_of_the_penalty_goes_on_to_its_newton_fit(self, monkeypatch):
         # the screen keeps a rounding allowance below the penalty: a point whose largest centre gradient equals
@@ -734,12 +751,10 @@ class TestFloorRunner:
 
 class TestTransientRunner:
     """Monte Carlo versus the deterministic risk curve, and the solve rule:
-    a draw with no Huber fit (paradox, floor, transient, universality) is
-    the white ``Z``, and its closed forms are solved whitened, the
-    noise-adapted ridge by conjugate gradients; a trichotomy draw is the
-    design ``X = Z Sigma^1/2``, solved on its Gram matrix.  A lasso point
-    that neither its screen nor its full-support candidate settles is fitted
-    on ``X`` drawn again from the same stream."""
+    every draw is the white ``Z``, and its closed forms are solved whitened,
+    the noise-adapted ridge by conjugate gradients.  A lasso point that
+    neither its screen nor its full-support candidate settles is fitted on
+    ``X = Z Sigma^1/2`` drawn again from the same stream."""
 
     # Per conjugate-gradient sweep: its design laws with their estimator
     # labels, and a grid value's noise amplitude and effective variance.
@@ -775,15 +790,15 @@ class TestTransientRunner:
         from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
 
         laws, amplitude_and_sigma2 = cls.SWEEPS[config.name]
-        plan = design_plan(_build_plan(config))  # draws X
+        plan = _build_plan(config)
         sigma = config.cov.materialize()
         risks = {}
         for rep in range(config.replications):
             for law, estimator in laws:
-                draw = _draw_replication(plan, rep, design_kind=law)
-                evals, evecs = np.linalg.eigh(draw.x.T @ draw.x / config.n)
-                xtw = draw.x.T @ draw.w_wins_unit / config.n
-                gd = draw.x.T @ (draw.x @ (plan.beta_star - plan.beta0)) / config.n
+                x, w = design_of(plan, rep, law), _draw_replication(plan, rep, design_kind=law).w_wins_unit
+                evals, evecs = np.linalg.eigh(x.T @ x / config.n)
+                xtw = x.T @ w / config.n
+                gd = x.T @ (x @ (plan.beta_star - plan.beta0)) / config.n
                 for g in config.grid:
                     amplitude, sigma2 = amplitude_and_sigma2(g, plan.sigma2_unit)
                     rhs = gd + amplitude * xtw
@@ -872,7 +887,7 @@ class TestTransientRunner:
         t = mpmath.matrix((np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).tolist())
         for rep in range(cfg.replications):
             white = experiments._draw_replication(plan, rep)
-            x = experiments._draw_replication(design_plan(plan), rep).x
+            x = design_of(plan, rep)
             evals = np.linalg.eigvalsh(x.T @ x / cfg.n)
             points = [("transfer_ridge", math.sqrt(g / plan.sigma2_unit), g) for g in cfg.grid]
             seeds, coefficients, shifts = experiments._error_block(plan, white, points)
@@ -897,16 +912,15 @@ class TestTransientRunner:
             assert max(block["certificate_max"]) <= 1.0e-10 and "newton_steps_max" not in block
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "transient", "trichotomy", "universality"))
-    def test_only_rows_that_form_the_design_take_the_root_up_front(self, name):
-        # a whitened plan reads the eigen-atoms; the root is formed only inside sample_design
+    def test_no_plan_takes_the_root_up_front(self, name):
+        # a plan reads the eigen-atoms; the root is formed only inside sample_design
         plan = experiments._build_plan(tiny_config(name))
-        whitened = name != "trichotomy"
-        assert ("_sqrt_matrix" in vars(plan.spec)) is not whitened
-        assert (plan.white_seeds is not None) is whitened and (plan.precision is not None) is whitened
-        if whitened:  # Sigma^-1/2 (beta_star - beta0)
-            root = plan.spec.sqrt_matrix()
-            np.testing.assert_allclose(root @ plan.white_seeds["transfer_ridge"], plan.beta_star - plan.beta0,
-                                       rtol=0.0, atol=1.0e-13)
+        assert "_sqrt_matrix" not in vars(plan.spec)
+        root = plan.spec.sqrt_matrix()
+        for estimator, seed in plan.white_seeds.items():  # Sigma^-1/2 (beta_star - c)
+            centre = experiments._penalty_and_centre(plan, estimator, 1.0)[1]
+            want = np.sign(plan.beta_star - centre) if estimator == "transfer_lasso" else plan.beta_star - centre
+            np.testing.assert_allclose(root @ seed, want, rtol=0.0, atol=1.0e-13)
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "transient", "trichotomy", "universality"))
     def test_no_run_forms_the_dense_covariance(self, name, monkeypatch):
@@ -932,7 +946,7 @@ class TestTransientRunner:
         tops, eigh = [], scipy.linalg.eigh
         monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: tops.append(1) or eigh(*a, **k))
         result = run_experiment(tiny_config(name))
-        assert grams == [((120, 40), name != "trichotomy")] * result.config.replications
+        assert grams == [((120, 40), True)] * result.config.replications
         assert tops == []
         for r in result.records:
             assert r.converged and not r.resolvent_fallback
@@ -948,24 +962,17 @@ class TestTransientRunner:
                 assert new["passed"] == old["passed"] and new["value"] == pytest.approx(old["value"], rel=1.0e-10)
         return shapes, result
 
-    @pytest.mark.parametrize("krylov", (False, True), ids=("cholesky", "krylov"))
-    @pytest.mark.parametrize("name", ("trichotomy",))
-    def test_design_draws_take_one_gram_matrix_and_no_eigh(self, name, krylov, monkeypatch):
-        # least squares, fixed ridge, transfer ridge and the Newton fits read X'X/n, never its spectrum,
-        # not even its top eigenvalue
-        shapes, _ = self.assert_one_gram_matrix_per_draw(name, krylov, monkeypatch)
-        assert shapes == []
-
     @pytest.mark.parametrize("krylov", (False, True), ids=("eigenbasis", "krylov"))
-    @pytest.mark.parametrize("name", ("paradox", "floor"))
+    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
     def test_white_draws_take_one_gram_matrix_and_no_design(self, name, krylov, monkeypatch):
-        # the closed forms, and the lasso's screen and full-support candidate, read Z'Z/n and the eigen-atoms:
-        # below 128 features each draw takes the one eigh of its small white block (none with conjugate
-        # gradients), no Newton fit runs and X = Z Sigma^1/2 is never formed
+        # the closed forms, the lasso's screen and full-support candidate, and the Huber-ridge fits read Z'Z/n
+        # and the eigen-atoms, never the spectrum of Z'Z/n: below 128 features each draw takes the one eigh of
+        # its small white block (none with conjugate gradients), only Huber-ridge runs Newton steps, and
+        # X = Z Sigma^1/2 is never formed
         designs = sample_design_calls(monkeypatch)
         shapes, result = self.assert_one_gram_matrix_per_draw(name, krylov, monkeypatch)
         assert shapes == ([] if krylov else [(40, 40)] * result.config.replications)
-        assert designs == [] and all(r.newton_steps in (None, 0) for r in result.records)
+        assert designs == [] and all(r.newton_steps in (None, 0) for r in result.records if r.estimator != "huber")
 
     @pytest.mark.parametrize("name", ("paradox", "trichotomy"))
     def test_least_squares_and_fixed_ridge_rows_match_a_dense_solve(self, name):
@@ -976,9 +983,9 @@ class TestTransientRunner:
         sigma = cfg.cov.materialize()
         checked = 0
         for rep in range(cfg.replications):
-            draw = experiments._draw_replication(design_plan(plan), rep)  # paradox solves on Z, the oracle on X
-            gram = draw.x.T @ draw.x / cfg.n
-            v = draw.x.T @ draw.w_wins_unit / cfg.n
+            x = design_of(plan, rep)  # the harness solves on Z, the oracle on X
+            gram = x.T @ x / cfg.n
+            v = x.T @ experiments._draw_replication(plan, rep).w_wins_unit / cfg.n
             for r in (r for r in rows if r.replication == rep):
                 lam, centre = experiments._penalty_and_centre(plan, r.estimator, r.sweep_value ** 2 * plan.sigma2_unit)
                 system = gram + lam * np.eye(cfg.p)
