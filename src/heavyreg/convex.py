@@ -303,7 +303,7 @@ def _reg_weights(reg: Regularizer) -> tuple[float, float]:
 
 def _prox_steps(eta: float | np.ndarray) -> float | np.ndarray:
     """``eta``, as an array unless it is a scalar, once every step is finite and > 0."""
-    if np.ndim(eta) == 0:  # the solvers' per-iteration call: keep numpy out of the check
+    if np.ndim(eta) == 0:  # a scalar step of the public prox_reg; the theory's per-atom steps take the array branch
         valid = eta > 0.0 and math.isfinite(eta)
     else:
         eta = np.asarray(eta, dtype=float)

@@ -9,22 +9,20 @@ white draw ``Z`` of ``X = Z Sigma^1/2``, ``G = Z'Z/n`` and ``T = Sigma^-1``.
 A closed-form squared-loss fit is one shifted system ``(G + lam T) f = rhs``
 for its error.  A ridge Newton fit on a white draw fits
 ``theta = Sigma^1/2 beta`` with the penalty ``(lam/2) theta' T theta``; a
-lasso Newton fit reads only a design, and a transfer lasso on a white draw
-is a closed form where its full-support candidate ``G f = rhs`` or the KKT
-screen at the centre certifies it.
+lasso Newton fit reads only a design.
 
 :func:`_gram_solve` solves a draw's block either way.  A shift that does
-not grow with the noise (least squares, fixed ridge, the noiseless floor, a
-lasso candidate's 0), and any column whose conjugate gradients miss their
-certificate, gets one LAPACK Cholesky factor of ``G + s T``, ``p^3/3``
-flops, and ``dpotrs`` solves.  The noise-adapted ridge columns, whose shifts grow with the noise,
-go through one multi-shift conjugate-gradient loop preconditioned by ``T``
-instead, one symmetric mat-vec per seed and step: every right-hand side
-combines the same two seeds, so one Krylov sequence per seed serves every
-shift.  Below ``_KRYLOV_FEATURES`` features no block iterates, which is
-cheaper there: a design's block is solved by Cholesky, and a white draw's
-through one eigendecomposition of ``B^-T G B^-1`` for ``T = B'B``, the only
-one left, which heavybench's eigh probe counts.
+not grow with the noise (least squares, fixed ridge), and any column whose
+conjugate gradients miss their certificate, gets one LAPACK Cholesky
+factor of ``G + s T``, ``p^3/3`` flops, and ``dpotrs`` solves.  The
+noise-adapted ridge columns, whose shifts grow with the noise, go through
+one multi-shift conjugate-gradient loop preconditioned by ``T`` instead,
+one symmetric mat-vec per seed and step: every right-hand side combines
+the same two seeds, so one Krylov sequence per seed serves every shift.
+Below ``_KRYLOV_FEATURES`` features no block iterates, which is cheaper
+there: a design's block is solved by Cholesky, and a white draw's through
+one eigendecomposition of ``B^-T G B^-1`` for ``T = B'B``, the only one
+left, which heavybench's eigh probe counts.
 
 The Newton fit solves one piecewise-quadratic pattern per step, through the
 Cholesky factor of ``G + s T`` corrected by Woodbury identities for a few
@@ -326,6 +324,8 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
     """
     p = design.x.shape[1]
     rhs = _right_hand_sides(seeds, coefficients)
+    if not shifts.size:  # no LAPACK banded or tridiagonal solve takes an empty block
+        return rhs, np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
     krylov = adapted & (p >= _KRYLOV_FEATURES)
     sol = np.empty_like(rhs)
     if krylov.any():
@@ -618,29 +618,29 @@ def fit_proximal(
     return FitResult(
         beta_hat=beta,
         iterations=iterations,
-        converged=bool(certified),
+        converged=certified,
         objective=f,
-        gradient_map_norm=float(certificate),
+        gradient_map_norm=certificate,
     )
 
 
-def _certificate(grad: np.ndarray, d: np.ndarray, beta: np.ndarray, lam: float | np.ndarray, tol: float,
-                 ridge: Resolvent | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _certificate(grad: np.ndarray, d: np.ndarray, beta: np.ndarray, lam: float, tol: float,
+                 ridge: Resolvent | None = None) -> tuple[float, bool]:
     """The norm of the least-norm subgradient of ``h + lam reg(d)`` for the
     smooth part's gradient ``grad`` at ``d = beta - beta0``, and whether it
-    holds within ``tol (1 + ||beta||)``, for vectors or per column.  With
-    no ``ridge`` the penalty is the lasso's (see :func:`fit_proximal`); else
-    it is ``d' T d / 2`` for that Resolvent's ``T``, whose gradient ``g`` is
-    held in the norms ``sqrt(g' T^-1 g)`` and ``sqrt(beta' T beta)``: on a
-    white draw the design fit's ``||Sigma^1/2 g||`` and ``||beta||``."""
+    holds within ``tol (1 + ||beta||)``.  With no ``ridge`` the penalty is
+    the lasso's (see :func:`fit_proximal`); else it is ``d' T d / 2`` for
+    that Resolvent's ``T``, whose gradient ``g`` is held in the norms
+    ``sqrt(g' T^-1 g)`` and ``sqrt(beta' T beta)``: on a white draw the
+    design fit's ``||Sigma^1/2 g||`` and ``||beta||``."""
     if ridge is None:
         subgradient = np.where(d != 0.0, grad + lam * np.sign(d), np.maximum(np.abs(grad) - lam, 0.0))
-        norm, size = np.linalg.norm(subgradient, axis=0), np.linalg.norm(beta, axis=0)
+        square, size = np.sum(subgradient * subgradient), np.sum(beta * beta)
     else:
         subgradient = grad + lam * ridge.t_product(d)
-        norm = np.sqrt(np.sum(subgradient * ridge.t_solve(subgradient), axis=0))
-        size = np.sqrt(np.sum(beta * ridge.t_product(beta), axis=0))
-    return norm, norm <= tol * (1.0 + size)
+        square, size = np.sum(subgradient * ridge.t_solve(subgradient)), np.sum(beta * ridge.t_product(beta))
+    norm = math.sqrt(square)
+    return norm, norm <= tol * (1.0 + math.sqrt(size))
 
 
 def _sides(r: np.ndarray, k: float) -> np.ndarray:

@@ -13,10 +13,11 @@ worker without changing a single byte of output.
 Draws: every run draws only the white ``Z`` of the design
 ``X = Z Sigma^1/2`` and solves every closed form on ``Z'Z/n``, reading
 ``Sigma`` through its eigen-atoms and its tridiagonal inverse.  Huber-ridge
-is fitted on ``Z`` in ``theta = Sigma^1/2 beta``.  The transfer lasso is
-settled by a KKT screen or a full-support candidate, both exact on ``Z``,
-and ``X`` is drawn, from the same stream, only for a point neither
-certifies.
+is fitted on ``Z`` in ``theta = Sigma^1/2 beta``.  At noise scale 0 both
+transfer fits are least squares on noiseless data, ``beta_star`` itself
+(n > p).  Every other transfer-lasso point is settled by a KKT screen,
+exact on ``Z``, and ``X`` is formed from the same ``Z`` only for a point
+the screen leaves to a Newton fit.
 
 Noise delivery: squared-loss estimators receive the winsorized noise (clamped
 at the sample-size-coupled threshold, scaled exactly equivariantly along the
@@ -49,7 +50,6 @@ from .estimators import (
     EstimatorConfig,
     FitResult,
     Resolvent,
-    _certificate,
     _gram_solve,
     empirical_risk,  # unused here, kept as the binding heavybench's spans.py wraps by name
     fit_proximal,
@@ -60,7 +60,7 @@ from .spectrum import (
     decompose,
     project_delta,
     q_sigma,
-    sample_design,
+    sample_design,  # unused here, kept as the binding heavybench's spans.py wraps by name
     sample_signal,
     sample_sphere,
     _ar1_inverse,
@@ -91,7 +91,6 @@ __all__ = [
 
 CSV_HEADER = ("experiment", "estimator", "sweep_value", "replication", "risk", "converged", "wall_ms")
 
-_NOISELESS_PENALTY = 1.0e-12  # penalty floor for scale-zero rows
 _MAX_NONCONVERGED_FRACTION = 0.01
 _SLOPE_BAND_SQUARED = (1.8, 2.2)
 _SLOPE_BAND_FLAT = (-0.1, 0.1)
@@ -109,7 +108,9 @@ class ExperimentConfig:
     noise scales (>= 0) for paradox, floor, trichotomy and universality,
     effective noise variances sigma2 (> 0) for transient, and sample sizes
     (integers >= 1) for concentration.  It is normalized to ints for
-    concentration and to floats for every other experiment.
+    concentration and to floats for every other experiment.  A noise scale
+    of 0 is the noiseless row, least squares on noiseless data, which is
+    unique only when n > p.
     """
 
     name: str
@@ -165,6 +166,9 @@ class ExperimentConfig:
                 raise ConfigError(f"a sigma2 grid must be > 0, got {grid}")
             if grid[0] < 0.0:
                 raise ConfigError(f"a noise-scale grid must be >= 0, got {grid}")
+            if grid[0] == 0.0 and self.n <= self.p:
+                raise ConfigError("a noise scale of 0 is the noiseless row, least squares on noiseless data, "
+                                  "which is unique only when n > p")
             grid = tuple(map(float, grid))
         object.__setattr__(self, "grid", grid)
         if "ols" in row.estimators and self.n <= self.p:
@@ -201,10 +205,11 @@ class RiskRecord:
     """One Monte Carlo measurement.
 
     A Newton fit also reports its step count and optimality certificate,
-    and so does a lasso point settled by its screen or its full-support
-    candidate (see :func:`_rep_sweep`): zero steps, and the norm of its
-    least-norm subgradient (the design fit's for a Huber fit on ``theta``).
-    Every closed-form fit reports as its certificate the relative residual
+    the norm of its least-norm subgradient (the design fit's for a Huber fit
+    on ``theta``), and so does a lasso point settled without one (see
+    :func:`_rep_sweep`): zero steps and certificate 0.  A noiseless
+    transfer-ridge record is exact, with certificate 0.  Every other
+    closed-form fit reports as its certificate the relative residual
     of its shifted Gram system ``(X'X/n + lam I) e = r``, read from the
     whitened one it solves, is converged when :func:`_gram_solve` finds that
     within its threshold (1e-10), and reports
@@ -218,8 +223,8 @@ class RiskRecord:
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
     evaluation.  The closed-form fits of one draw are solved and evaluated in
-    one block, with the lasso points it settles, so each of their records
-    gets an equal share of it.  The replication's shared draw and
+    one block, with the points settled without a fit, so each of their
+    records gets an equal share of it.  The replication's shared draw and
     factorization are not in it, nor is a design drawn for a Newton fit.
     """
 
@@ -306,8 +311,8 @@ class _Plan:
     beta0: np.ndarray
     tau_unit: float
     sigma2_unit: float
-    # Sigma^-1 as (diagonal, off-diagonal); per estimator the seed its error systems read on the white
-    # draw besides Z'w/n (see :func:`_white_seeds`); and per Newton-fitted estimator the root product
+    # Sigma^-1 as (diagonal, off-diagonal); per closed-form estimator the seed its error systems read on the
+    # white draw besides Z'w/n (see :func:`_white_seeds`); and per Newton-fitted estimator the root product
     # Sigma^1/2 (beta_star - c) for its centre c: the lasso screen's, and the Huber fit's theta_star.
     precision: tuple[np.ndarray, np.ndarray]
     white_seeds: dict[str, np.ndarray]
@@ -336,22 +341,19 @@ def _root_product(spec: DiscreteSpectrum, v: np.ndarray, inverse: bool = False) 
 
 def _white_seeds(spec: DiscreteSpectrum, beta_star: np.ndarray, beta0: np.ndarray,
                  estimators: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Per estimator, the seed of its error systems on the white draw
-    besides ``Z'w/n`` (see :func:`_error_block`): the white offset
+    """Per closed-form estimator, the seed of its error systems on the white
+    draw besides ``Z'w/n`` (see :func:`_error_block`): the white offset
     ``Sigma^-1/2 (beta_star - c)``, one per centre ``c`` of
     :func:`_penalty_and_centre` (``beta0`` for transfer ridge, the origin for
-    least squares and fixed ridge); for the transfer lasso
-    ``Sigma^-1/2 sign(beta_star - beta0)``, its full-support candidate's."""
-    delta = beta_star - beta0
+    least squares and fixed ridge)."""
     offsets: dict[bool, np.ndarray] = {}  # by whether the centre is beta0
     seeds = {}
     for estimator in estimators:
-        if estimator == "transfer_lasso":
-            seeds[estimator] = _root_product(spec, np.sign(delta), inverse=True)
+        if estimator in _PROXIMAL_FITS:
             continue
         transfer = estimator == "transfer_ridge"
         if transfer not in offsets:
-            offsets[transfer] = _root_product(spec, delta if transfer else beta_star, inverse=True)
+            offsets[transfer] = _root_product(spec, beta_star - beta0 if transfer else beta_star, inverse=True)
         seeds[estimator] = offsets[transfer]
     return seeds
 
@@ -375,8 +377,8 @@ class _RepDraw:
 
     ``design`` is the :class:`Resolvent` of the white matrix ``Z`` of
     ``X = Z Sigma^1/2``, with precision ``Sigma^-1``, from the
-    replication's design stream; a lasso Newton fit reads ``X`` drawn again
-    from it by ``sample_design`` (see :func:`_rep_sweep`).
+    replication's design stream; a lasso Newton fit reads ``X`` formed from
+    it by :func:`_newton_draw` (see :func:`_rep_sweep`).
     """
 
     design: Resolvent
@@ -403,20 +405,15 @@ def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> 
     return _RepDraw(design=design, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
 
 
-def _adapted_lambda(config: ExperimentConfig, sigma2: float) -> float:
-    """The noise-adapted penalty ``lambda_tilde * sigma2``, floored so that
-    noiseless rows keep a positive penalty."""
-    return max(config.lambda_tilde * sigma2, _NOISELESS_PENALTY)
-
-
 def _penalty_and_centre(plan: _Plan, estimator: str, sigma2: float) -> tuple[float, np.ndarray]:
     """Each estimator's penalty level and centre at effective noise variance
     ``sigma2``: least squares is unpenalized, fixed ridge and Huber-ridge take
     ``lambda_fixed`` at the origin, and the transfer fits take the adapted
-    penalty at ``beta0``."""
+    penalty ``lambda_tilde * sigma2`` at ``beta0``, 0 on the noiseless row,
+    which :func:`_rep_sweep` settles without a fit."""
     cfg = plan.config
-    if estimator in ("transfer_ridge", "transfer_lasso"):
-        return _adapted_lambda(cfg, sigma2), plan.beta0
+    if estimator in _TRANSFER_FITS:
+        return cfg.lambda_tilde * sigma2, plan.beta0
     if estimator in ("fixed_ridge", "huber"):
         return cfg.lambda_fixed, np.zeros(cfg.p)
     if estimator == "ols":
@@ -438,11 +435,7 @@ def _error_block(plan: _Plan, draw: _RepDraw,
     right-hand side combines a few seeds: ``v`` and each estimator's white
     offset (:func:`_white_seeds`).  Returns the ``p x m`` seeds, the
     ``m x k`` coefficients (``a`` on ``v`` and ``-lam`` on the point's
-    offset) and the ``k`` shifts ``lam``.  A transfer-lasso point is its
-    full-support candidate: the lasso's optimality conditions with
-    every coordinate free and of the sign ``s = sign(beta_star - beta0)``,
-    the unshifted system ``Z'Z/n f = a Z'w/n - lam Sigma^-1/2 s``, with the
-    seed ``Sigma^-1/2 s`` and the shift 0.
+    offset) and the ``k`` shifts ``lam``.
     """
     seeds, rows = [draw.v], {}
     coefficients = np.zeros((1 + len(points), len(points)))
@@ -453,7 +446,7 @@ def _error_block(plan: _Plan, draw: _RepDraw,
             rows[estimator] = len(seeds)
             seeds.append(plan.white_seeds[estimator])
         coefficients[0, k], coefficients[rows[estimator], k] = amplitude, -lam
-        shifts.append(0.0 if estimator == "transfer_lasso" else lam)
+        shifts.append(lam)
     return np.stack(seeds, axis=1), coefficients[:len(seeds)], np.array(shifts)
 
 
@@ -465,22 +458,22 @@ def _solve_block(plan: _Plan, draw: _RepDraw,
     noise-adapted ridge columns by conjugate gradients and the rest by
     Cholesky.  The risk ``e' Sigma e / p`` is ``f'f / p``."""
     seeds, coefficients, shifts = _error_block(plan, draw, [(e, a, sigma2) for e, _, a, sigma2 in block])
-    adapted = np.array([e in _ADAPTED_FITS and sigma2 > 0.0 for e, _, _, sigma2 in block], dtype=bool)
+    adapted = np.array([e in _ADAPTED_FITS for e, _, _, _ in block], dtype=bool)
     errors, certificates, converged, fell_back = _gram_solve(draw.design, seeds, coefficients, shifts, adapted)
     return np.einsum("ij,ij->j", errors, errors) / plan.config.p, errors, certificates, converged, fell_back
 
 
 _PROXIMAL_FITS = ("huber", "transfer_lasso")
+_TRANSFER_FITS = ("transfer_ridge", "transfer_lasso")  # the noise-adapted fits, centred at beta0
 # The closed-form fits whose penalty grows with the noise, solved by
 # multi-shift conjugate gradients.  Least squares and fixed ridge, whose
 # penalties do not grow with the noise and would spend the conjugate-gradient
-# budget, are solved by Cholesky, as are the noiseless point and the lasso's
-# full-support candidates.
+# budget, are solved by Cholesky.
 _ADAPTED_FITS = ("transfer_ridge",)
 # The lasso screen on a white draw (:func:`_centre_gradients`) keeps this
 # much, relative to a norm-wise bound on the centre gradient, below the
 # penalty, many times the rounding of its products: a point closer to the
-# boundary goes on to its candidate and its Newton fit.
+# boundary goes on to its Newton fit.
 _SCREEN_ROUNDING = 1.0e-12
 
 
@@ -507,35 +500,11 @@ def _centre_gradients(plan: _Plan, draw: _RepDraw, amplitudes: np.ndarray) -> tu
             _SCREEN_ROUNDING * (scale + amplitudes * math.sqrt(s_max) * float(np.linalg.norm(v))))
 
 
-def _lasso_candidates(plan: _Plan, draw: _RepDraw, f: np.ndarray, amplitudes: np.ndarray,
-                      lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The transfer lasso's full-support candidates on a white draw: per
-    column ``f = Sigma^1/2 e`` of the block (see :func:`_error_block`), at
-    noise amplitude ``a`` and penalty ``lam``, the fit ``beta_star + e``,
-    its certificate, and whether the candidate is the fit.
-
-    It is the fit when ``d = beta_star - beta0 + e`` keeps the signs of
-    ``beta_star - beta0`` it was solved for, so that ``d`` meets the
-    optimality conditions, and its certificate holds.  The certificate and
-    its tolerance are :func:`fit_proximal`'s (:func:`_certificate`), from
-    the smooth part's gradient ``X'X/n e - a X'w/n = Sigma^1/2 (Z'Z/n f - a v)``
-    (one root product).
-    """
-    delta = plan.beta_star - plan.beta0
-    e = _root_product(plan.spec, f, inverse=True)
-    d = delta[:, None] + e
-    gradient = _root_product(plan.spec, draw.design.gram @ f - np.outer(draw.v, amplitudes))
-    betas = plan.beta_star[:, None] + e
-    certificates, certified = _certificate(gradient, d, betas, lams, EstimatorConfig.gradient_map_tol)
-    return betas, certificates, certified & np.all(np.sign(d) == np.sign(delta)[:, None], axis=0)
-
-
-def _newton_draw(plan: _Plan, draw: _RepDraw, rep: int, kind: str) -> _RepDraw:
+def _newton_draw(plan: _Plan, draw: _RepDraw) -> _RepDraw:
     """The draw a lasso Newton fit reads: the design ``X = Z Sigma^1/2`` of
-    ``sample_design`` on the replication's design stream (the same ``Z``),
-    with the same noise."""
-    rng = substream(plan.config.master_seed, "design", rep)
-    return dataclasses.replace(draw, design=Resolvent.of(sample_design(plan.spec, plan.config.n, rng, kind=kind)))
+    the draw's own ``Z``, bit for bit ``sample_design`` on its stream, with
+    the same noise."""
+    return dataclasses.replace(draw, design=Resolvent.of(draw.x @ plan.spec.sqrt_matrix()))
 
 
 def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float, sigma2: float,
@@ -595,18 +564,17 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     on the draw's Gram matrix, formed before the clock starts.  Every record
     carries its certificate and fallback flag.
 
-    Huber-ridge is Newton-fitted on ``Z`` in ``theta = Sigma^1/2 beta``, with
-    risk ``||theta_hat - theta_star||^2 / p``; each transfer-lasso point is
-    settled by the first of three exact steps that certifies it:
-
-    1. the screen: the centre ``beta0`` is optimal when its gradient
-       (:func:`_centre_gradients`) clears the penalty by more than rounding;
-       the fit is ``beta0``, in zero steps with certificate 0;
-    2. with ``n > p``, the full-support candidate, a shift-0 column of the
-       block (:func:`_error_block`), kept when :func:`_lasso_candidates`
-       finds its signs and certificate hold; zero steps, risk ``f'f / p``;
-    3. the Newton fit on ``X``, drawn by :func:`_newton_draw` at most once
-       per draw.
+    At ``sigma2 = 0`` both transfer fits are least squares on noiseless data,
+    their penalty ``lambda_tilde sigma2`` being 0, and so ``beta_star``
+    itself at ``n > p``: their records read risk 0 and certificate 0, the
+    lasso's 0 steps, with no column, factor or fit.  Huber-ridge is
+    Newton-fitted on ``Z`` in ``theta = Sigma^1/2 beta``, with risk
+    ``||theta_hat - theta_star||^2 / p``.  Every other transfer-lasso point
+    is settled by its screen, when the gradient at the centre ``beta0``
+    (:func:`_centre_gradients`) clears the penalty by more than rounding
+    (the fit is ``beta0``, in zero steps with certificate 0), or else by
+    its Newton fit on ``X``, formed by :func:`_newton_draw` at most once per
+    draw.
 
     Each proximal fit warm-starts from its own fit at the previous point.
     """
@@ -614,7 +582,11 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     row = _EXPERIMENTS[cfg.name]
     points = [(g, math.sqrt(g / plan.sigma2_unit), g) if row.sigma2_grid else (g, g, g ** 2 * plan.sigma2_unit)
               for g in cfg.grid]
-    closed = [(e, *point) for point in points for e in row.estimators if e not in _PROXIMAL_FITS]
+    # (estimator, g) -> the risk, fit and certificate of a point settled without a solve: here the noiseless rows
+    noiseless = {(e, g): (0.0, plan.beta_star, 0.0) for g, _, sigma2 in points if sigma2 == 0.0
+                 for e in row.estimators if e in _TRANSFER_FITS}
+    closed = [(e, *point) for point in points for e in row.estimators
+              if e not in _PROXIMAL_FITS and (e, point[0]) not in noiseless]
     fits = [e for e in row.estimators if e in _PROXIMAL_FITS]
     if "transfer_lasso" in fits:  # each point's amplitude and lasso penalty
         amplitudes = np.array([a for _, a, _ in points])
@@ -625,48 +597,34 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
         draw.design.gram  # formed before the clock starts
         suffix = "" if row.designs is None else f"_{kind}"
         t0 = time.perf_counter()
-        settled: dict[float, tuple[float, np.ndarray, float]] = {}  # g -> a lasso point's risk, fit, certificate
-        candidates = []
-        if "transfer_lasso" in fits:
+        settled = noiseless
+        if "transfer_lasso" in fits:  # and the lasso points the screen settles
             gradients, rounding = _centre_gradients(plan, draw, amplitudes)
             screened = np.max(np.abs(gradients), axis=0) + rounding <= lams
             centre_risk = float(_energy(plan.spec, plan.beta0 - plan.beta_star))
-            settled = {g: (centre_risk, plan.beta0, 0.0) for (g, _, _), s in zip(points, screened) if s}
-            if cfg.n > cfg.p:  # Z'Z/n can be factored
-                candidates = [k for k, s in enumerate(screened) if not s]
-        block = closed + [("transfer_lasso", *points[k]) for k in candidates]
-        try:
-            risks, errors, certificates, converged, fell_back = _solve_block(plan, draw, block)
-        except np.linalg.LinAlgError:  # Z'Z/n is singular to working precision: no candidate
-            if not candidates:
-                raise
-            candidates = []
-            risks, errors, certificates, converged, fell_back = _solve_block(plan, draw, closed)
-        if candidates:
-            columns = slice(len(closed), None)
-            betas, fit_certificates, kept = _lasso_candidates(plan, draw, errors[:, columns], amplitudes[candidates],
-                                                              lams[candidates])
-            for j, k in enumerate(candidates):
-                if kept[j]:
-                    settled[points[k][0]] = (risks[len(closed) + j], betas[:, j], float(fit_certificates[j]))
+            settled = {("transfer_lasso", g): (centre_risk, plan.beta0, 0.0)
+                       for (g, _, _), s in zip(points, screened) if s} | noiseless
+        risks, _, certificates, converged, fell_back = _solve_block(plan, draw, closed)
         share = (time.perf_counter() - t0) / (len(closed) + len(settled))
         for k, (estimator, g, _, _) in enumerate(closed):
             # the clock starts a share of the block early
             records.append(_record(plan, estimator + suffix, g, rep, risks[k], time.perf_counter() - share,
                                    certificate=float(certificates[k]), converged=bool(converged[k]),
                                    resolvent_fallback=bool(fell_back[k])))
+        for (estimator, g), (risk, _, certificate) in settled.items():
+            records.append(_record(plan, estimator + suffix, g, rep, risk, time.perf_counter() - share,
+                                   certificate=certificate, converged=True,
+                                   newton_steps=0 if estimator in _PROXIMAL_FITS else None))
         warm: dict[str, np.ndarray] = {}
         newton = truth = signal = None  # the Newton fits' draw, coefficients and signal, formed at the first
         for g, a, sigma2 in points:
             for estimator in fits:
-                if estimator == "transfer_lasso" and g in settled:
-                    risk, warm[estimator], certificate = settled[g]
-                    records.append(_record(plan, estimator + suffix, g, rep, risk, time.perf_counter() - share,
-                                           certificate=certificate, converged=True, newton_steps=0))
+                if (estimator, g) in settled:
+                    warm[estimator] = settled[estimator, g][1]
                     continue
                 if newton is None:  # Huber-ridge on Z in theta = Sigma^1/2 beta, the lasso on X
                     newton, truth = ((draw, plan.root_offsets["huber"]) if estimator == "huber"
-                                     else (_newton_draw(plan, draw, rep, kind), plan.beta_star))
+                                     else (_newton_draw(plan, draw), plan.beta_star))
                     signal = newton.x @ truth
                 t0 = time.perf_counter()
                 fit = _proximal_fit(plan, newton, estimator, a, sigma2, warm.get(estimator), signal)

@@ -310,6 +310,17 @@ class TestExperimentCommand:
         ini = write_ini(tmp_path, TINY_INI.replace("n = 100", "n = 30"))
         assert main(["experiment", "trichotomy", "--config", ini, "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("n", (30, 20), ids=("n=p", "n<p"))
+    def test_noiseless_row_with_n_not_above_p_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys, n):
+        def no_decompose(model):
+            raise AssertionError("a rejected config must not reach the covariance")
+
+        monkeypatch.setattr(experiments, "decompose", no_decompose)
+        ini = write_ini(tmp_path, TINY_INI.replace("n = 100", f"n = {n}"))
+        assert main(["experiment", "floor", "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "noiseless row" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_annotated_config_file_holds_the_desk_defaults(self):
         ini = _read_ini(str(DOCS_INI))
         desk = default_config("paradox")

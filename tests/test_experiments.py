@@ -57,11 +57,12 @@ def design_of(plan, rep, kind=None):
     return sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind or cfg.design_kind)
 
 
-def sample_design_calls(monkeypatch):
-    """A log filled with one entry per ``sample_design`` call the harness makes."""
-    calls, sample = [], experiments.sample_design
-    monkeypatch.setattr(experiments, "sample_design", lambda *a, **k: calls.append(1) or sample(*a, **k))
-    return calls
+def root_reads(monkeypatch):
+    """A log filled with one entry per read of a spectrum's ``sqrt_matrix()``, which the harness takes only to
+    form a design ``X = Z Sigma^1/2`` for a lasso Newton fit."""
+    reads, sqrt_matrix = [], experiments.DiscreteSpectrum.sqrt_matrix
+    monkeypatch.setattr(experiments.DiscreteSpectrum, "sqrt_matrix", lambda self: reads.append(1) or sqrt_matrix(self))
+    return reads
 
 
 class TestExperimentConfig:
@@ -132,6 +133,14 @@ class TestExperimentConfig:
 
     def test_aspect_ratio_property(self):
         assert tiny_config("paradox").gamma == pytest.approx(40.0 / 120.0)
+
+    @pytest.mark.parametrize("name", ("floor", "universality"))
+    @pytest.mark.parametrize("n", (40, 30), ids=("n=p", "n<p"))
+    def test_a_noiseless_row_needs_more_rows_than_columns(self, name, n):
+        # at noise scale 0 both transfer fits are least squares on noiseless data, unique only when n > p
+        with pytest.raises(ConfigError, match="noiseless row"):
+            tiny_config(name, n=n, grid=(0.0, 1.0, 10.0))
+        assert tiny_config(name, n=n, grid=(1.0, 10.0)).grid == (1.0, 10.0)
 
     def test_resolved_config_serializes_to_json(self):
         blob = json.dumps(tiny_config("paradox").to_dict())
@@ -271,7 +280,7 @@ class TestRecordProtocol:
         for rep in (0, 3):
             z = _white_draw(plan.config.n, plan.config.p, substream(plan.config.master_seed, "design", rep), kind)
             white = experiments._draw_replication(plan, rep, design_kind=kind)
-            newton = experiments._newton_draw(plan, white, rep, kind)
+            newton = experiments._newton_draw(plan, white)
             assert np.array_equal(white.x, z) and white.design.precision is plan.precision
             assert np.array_equal(z @ plan.spec.sqrt_matrix(), design_of(plan, rep, kind))
             assert np.array_equal(newton.x, design_of(plan, rep, kind)) and newton.design.precision is None
@@ -283,7 +292,7 @@ class TestRecordProtocol:
         # the beta form on X; the harness solves the error form by Cholesky
         # on the white draw, f = Sigma^1/2 e
         from heavyreg.estimators import _right_hand_sides
-        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication, _error_block
+        from heavyreg.experiments import _build_plan, _draw_replication, _error_block
 
         cfg = tiny_config(name)
         plan = _build_plan(cfg)
@@ -299,11 +308,41 @@ class TestRecordProtocol:
             y = x @ plan.beta_star + scale * draw.w_wins_unit
             lam, center = {"ols": (0.0, np.zeros(cfg.p)),
                            "fixed_ridge": (cfg.lambda_fixed, np.zeros(cfg.p)),
-                           "transfer_ridge": (_adapted_lambda(cfg, sigma2), plan.beta0)}[estimator]
+                           "transfer_ridge": (cfg.lambda_tilde * sigma2, plan.beta0)}[estimator]
             system = x.T @ x / cfg.n + lam * np.eye(cfg.p)
             oracle = center + np.linalg.solve(system, x.T @ (y - x @ center) / cfg.n)
             np.testing.assert_allclose(plan.beta_star + errors[:, k], oracle, rtol=1.0e-10, atol=1.0e-12,
                                        err_msg=f"{estimator} at scale {scale}")
+
+    @pytest.mark.parametrize("name, overrides", [("paradox", {}), ("floor", {}), ("trichotomy", {}),
+                                                 ("universality", {}), ("floor", {"lambda_tilde": 1.0e-3})])
+    def test_noiseless_transfer_rows_are_the_signal_itself(self, name, overrides, monkeypatch):
+        """At sigma2 = 0 the transfer penalty ``lambda_tilde * sigma2`` is 0,
+        so both transfer fits are least squares on noiseless data, which at
+        n > p is ``beta_star`` itself: risk 0 (``ridge_risk_closed_form`` at
+        sigma2 = 0), certificate 0 and converged, the lasso in 0 steps.  The
+        rule solves no block column and runs no fit for them."""
+        from heavyreg.theory import TheoryInputs, ridge_risk_closed_form
+
+        cfg = tiny_config(name, **overrides)
+        plan = experiments._build_plan(cfg)
+        theory = ridge_risk_closed_form(TheoryInputs(plan.spec, cfg.gamma, 0.0, cfg.lambda_tilde)).risk
+        assert cfg.grid[0] == 0.0 and theory == 0.0
+        columns, solve_block = [], experiments._solve_block
+        monkeypatch.setattr(experiments, "_solve_block", lambda plan, draw, block: columns.extend(block) or solve_block(
+            plan, draw, block))
+        fits, fit = [], experiments.fit_proximal
+        monkeypatch.setattr(experiments, "fit_proximal", lambda config, *a, **k: fits.append(config) or fit(
+            config, *a, **k))
+        result = run_experiment(cfg)
+        assert not [c for c in columns if c[0] in experiments._TRANSFER_FITS and c[3] == 0.0]
+        assert all(config.lambda_value > 0.0 for config in fits)
+        labels = [e for e in result.summary["estimators"] if e.startswith("transfer_")]
+        rows = [r for r in result.records if r.sweep_value == 0.0 and r.estimator in labels]
+        assert len(rows) == len(labels) * cfg.replications > 0
+        for r in rows:
+            assert (r.risk, r.certificate, r.converged, r.resolvent_fallback) == (theory, 0.0, True, False)
+            assert r.newton_steps == (0 if r.estimator == "transfer_lasso" else None)
 
 
 class TestErrorBlock:
@@ -336,10 +375,11 @@ class TestErrorBlock:
             assert got_lam == lam, estimator
             assert np.array_equal(got_centre, centre), estimator
 
-    def test_noiseless_transfer_penalty_keeps_its_floor(self):
-        plan = experiments._build_plan(tiny_config("paradox"))
-        lam, _ = experiments._penalty_and_centre(plan, "transfer_ridge", 0.0)
-        assert lam == experiments._NOISELESS_PENALTY > 0.0
+    def test_noiseless_transfer_penalty_is_zero(self):
+        # lambda_tilde * sigma2 itself, with no floor: the noiseless transfer fits are least squares
+        plan = experiments._build_plan(tiny_config("floor"))
+        for estimator in ("transfer_ridge", "transfer_lasso"):
+            assert experiments._penalty_and_centre(plan, estimator, 0.0)[0] == 0.0
 
     def test_unknown_estimator_is_rejected(self):
         plan = experiments._build_plan(tiny_config("paradox"))
@@ -354,7 +394,7 @@ class TestErrorBlock:
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
         rhs = estimators._right_hand_sides(seeds, coefficients)
         assert rhs.shape == (cfg.p, 3)
-        assert shifts.tolist() == [0.0, cfg.lambda_fixed, experiments._adapted_lambda(cfg, 9.0)]
+        assert shifts.tolist() == [0.0, cfg.lambda_fixed, cfg.lambda_tilde * 9.0]
         # the seeds: v = Z'w/n and each estimator's white offset Sigma^-1/2 (beta_star - c), each column
         # a v - lam Sigma^-1/2 (beta_star - c)
         v = draw.x.T @ draw.w_wins_unit / cfg.n
@@ -375,54 +415,41 @@ class TestErrorBlock:
         assert np.array_equal(seeds, np.stack([draw.x.T @ draw.w_wins_unit / cfg.n, white_delta], axis=1))
         assert np.array_equal(coefficients, np.stack([[1.0, 2.0], -shifts]))
 
-    def test_white_seeds_are_one_offset_per_centre_and_the_lasso_signs(self):
-        # paradox and floor solve every closed form on the white draw: Sigma^-1/2 (beta_star - c) per centre,
-        # and the lasso's full-support candidate Sigma^-1/2 sign(beta_star - beta0) at shift 0
+    def test_white_seeds_are_one_offset_per_centre(self):
+        # paradox and floor solve every closed form on the white draw: Sigma^-1/2 (beta_star - c) per centre;
+        # the lasso and Huber-ridge, fitted without a closed form, read none
         paradox = experiments._build_plan(tiny_config("paradox"))
         floor = experiments._build_plan(tiny_config("floor"))
         root = paradox.spec.sqrt_matrix()
         delta = paradox.beta_star - paradox.beta0
         assert set(paradox.white_seeds) == {"ols", "fixed_ridge", "transfer_ridge"}
         assert paradox.white_seeds["ols"] is paradox.white_seeds["fixed_ridge"]
-        assert set(floor.white_seeds) == {"transfer_ridge", "transfer_lasso"}
+        assert set(floor.white_seeds) == {"transfer_ridge"}
+        assert set(experiments._build_plan(tiny_config("trichotomy")).white_seeds) == set(paradox.white_seeds)
         for seed, want in ((paradox.white_seeds["ols"], paradox.beta_star),
-                           (paradox.white_seeds["transfer_ridge"], delta),
-                           (floor.white_seeds["transfer_lasso"], np.sign(delta))):
+                           (paradox.white_seeds["transfer_ridge"], delta)):
             np.testing.assert_allclose(root @ seed, want, rtol=0.0, atol=1.0e-13)
         np.testing.assert_allclose(floor.root_offsets["transfer_lasso"], root @ delta, rtol=0.0, atol=1.0e-13)
         trichotomy = experiments._build_plan(tiny_config("trichotomy"))  # the Huber fit's theta_star
         np.testing.assert_allclose(trichotomy.root_offsets["huber"], root @ trichotomy.beta_star, rtol=0.0,
                                    atol=1.0e-13)
         assert paradox.root_offsets == {} and set(floor.root_offsets) == {"transfer_lasso"}
-        draw = experiments._draw_replication(floor, rep=0)
-        points = [("transfer_ridge", 2.0, 4.0), ("transfer_lasso", 2.0, 4.0), ("transfer_lasso", 0.0, 0.0)]
-        seeds, coefficients, shifts = experiments._error_block(floor, draw, points)
-        assert np.array_equal(seeds, np.stack([draw.v, floor.white_seeds["transfer_ridge"],
-                                               floor.white_seeds["transfer_lasso"]], axis=1))
-        lam = experiments._adapted_lambda(floor.config, 4.0)
-        assert shifts.tolist() == [lam, 0.0, 0.0]
-        assert np.array_equal(coefficients, [[2.0, 2.0, 0.0], [-lam, 0.0, 0.0],
-                                             [0.0, -lam, -experiments._NOISELESS_PENALTY]])
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
     def test_white_block_is_the_design_block_mapped_through_the_root(self, name):
-        # f = Sigma^1/2 e for every closed-form column, the lasso's candidates included
+        # f = Sigma^1/2 e for every closed-form column
         cfg = tiny_config(name)
         plan = experiments._build_plan(cfg)
         points = [(e, g, g ** 2 * plan.sigma2_unit) for g in cfg.grid
-                  for e in experiments._EXPERIMENTS[name].estimators if e != "huber"]
+                  for e in experiments._EXPERIMENTS[name].estimators if e not in experiments._PROXIMAL_FITS]
         white = experiments._draw_replication(plan, rep=1)
         seeds, coefficients, shifts = experiments._error_block(plan, white, points)
         f = white.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
         x = design_of(plan, 1)
         v = x.T @ white.w_wins_unit / cfg.n
-        sign = np.sign(plan.beta_star - plan.beta0)
         for k, (estimator, amplitude, sigma2) in enumerate(points):
             lam, centre = experiments._penalty_and_centre(plan, estimator, sigma2)
-            if estimator == "transfer_lasso":  # X'X/n e = a X'w/n - lam sign(delta)
-                rhs, lam = amplitude * v - lam * sign, 0.0
-            else:
-                rhs = amplitude * v - lam * (plan.beta_star - centre)
+            rhs = amplitude * v - lam * (plan.beta_star - centre)
             e = np.linalg.solve(x.T @ x / cfg.n + lam * np.eye(cfg.p), rhs)
             np.testing.assert_allclose(f[:, k], plan.spec.sqrt_matrix() @ e, rtol=1.0e-10,
                                        atol=1.0e-12 * np.linalg.norm(e), err_msg=f"{estimator} at {amplitude}")
@@ -482,16 +509,16 @@ class TestGoldenRecords:
     """
 
     GOLDEN = {
-        "paradox": ("9a0cbd84192a132911c8bec9bd700692ef197b5bf8ae6570d729266ff9dd10fe",
-                    "e637c5f4ef00f003ea3d83798fb460d7463246432f339c612a9e2ae05122f089"),
-        "floor": ("3f5c55d4ccd73ac58811031970f79aa9aaafd5193d6b4a551d3f09e8b6e99ee3",
-                  "79703546ffb6f387eb53d473e65b9b972f2785dfe53eb98fd6f2469e896663b3"),
+        "paradox": ("c8a46e2724bc2967b1c0aeb2cce0811e2526cfad7ada1fb1d22d8ae7002cb766",
+                    "cf0845f0653f9916baf953fc5d6812655997697284550003a3165c28363b972d"),
+        "floor": ("5f2c744c335a87ccea56bedac563836009a4d230f7af82d8ad24578f37970925",
+                  "a1671ef22f608164f093e8bc619308275797f7c85b59650335d114818b6d8173"),
         "transient": ("14d325d91609b384f8eca56978c73deb810d4b2411e4513a38e4eecd03557573",
                       "00f5b1c78b5af5ae3b65d9144e8cf6ce7a211817334ccb4c54adbdf448e6ec37"),
-        "trichotomy": ("faba2f1424a5556674c6dc3d34f98677be8d31039fcbd6f6b4797b1528e03e12",
-                       "f0d0d6fe59c7c6f82ed2d7f752dc3990b96f42c379c5ab5d81b6f81f5217f4fd"),
-        "universality": ("1228591257d1426c32ab3ff4da8e114179fcbd8972fc6d14e48bd90558234eb3",
-                         "bea0cb859281ffb0fd9cdec8e027cf0eed22acb3fa80ee7ab8bf1f11543cb0c0"),
+        "trichotomy": ("aa935ea2ddcd3cbf1a94f9c26942a4f5dcf0b9aa8fa5e8ccbc0ac661b5d3dd38",
+                       "7289cfe01d3979b1233f4b3455b495454e5585c01c4316a0a5673bee4b6fe667"),
+        "universality": ("bb962efd8bc4fb18d016688a4a9cf0608d72829a285b539ba5e33d72e1cd0ebe",
+                         "322dd14f6a1d28134dd7e95491f608f1b2170dfa75fafebc694bbfb2e3c82aff"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
                           "b9eedb344eb3f60cc75a4dbe0850712a5420f89cca3414dafd42c536d4dfbc06"),
     }
@@ -539,29 +566,6 @@ class TestParadoxRunner:
         assert ols["sweep_values"][0] == 0.0
         assert ols["mean"][0] <= 1.0e-20
 
-    def test_noiseless_transfer_row_matches_a_high_precision_oracle(self):
-        """The noiseless transfer-ridge risk (about 3e-25) against its error
-        solved in 50 digits from the same design, signal and centre.  The risk
-        must come from the solved error itself: a round trip through
-        ``beta_star + e`` loses about 1e-5 of it.  The harness solves on the
-        white draw ``Z``; the oracle reads the design ``X = Z Sigma^1/2``."""
-        import mpmath
-
-        cfg = tiny_config("paradox")
-        plan = experiments._build_plan(cfg)
-        draw = experiments._draw_replication(plan, rep=4)
-        record = next(r for r in run_experiment(cfg).records
-                      if (r.estimator, r.sweep_value, r.replication) == ("transfer_ridge", 0.0, 4))
-        with mpmath.workdps(50):
-            x = mpmath.matrix((draw.x @ plan.spec.sqrt_matrix()).tolist())
-            lam = mpmath.mpf(experiments._NOISELESS_PENALTY)
-            system = x.T * x / cfg.n + lam * mpmath.eye(cfg.p)
-            centre_gap = mpmath.matrix(plan.beta_star.tolist()) - mpmath.matrix(plan.beta0.tolist())
-            error = mpmath.lu_solve(system, -lam * centre_gap)
-            oracle = float((error.T * mpmath.matrix(cfg.cov.materialize().tolist()) * error)[0] / cfg.p)
-        assert 0.0 < oracle < 1.0e-20
-        assert record.risk == pytest.approx(oracle, rel=1.0e-12, abs=0.0)
-
     def test_needs_more_rows_than_columns(self):
         for name in ("paradox", "trichotomy"):
             with pytest.raises(ConfigError):
@@ -588,33 +592,6 @@ class TestFloorRunner:
         for estimator in ("transfer_ridge", "transfer_lasso"):
             assert result.summary["estimators"][estimator]["mean"][0] <= q
 
-    def test_noiseless_lasso_row_matches_a_high_precision_oracle(self):
-        """The noiseless transfer-lasso risk (about 1e-23) against the
-        full-support fit solved in 50 digits from the same design
-        ``X = Z Sigma^1/2``: ``X'X/n e = -lam sign(delta)`` for
-        ``delta = beta_star - beta0``, whose sign pattern must hold.  A fit
-        returned as ``beta0 + d`` cancels: it was 6.6e-5 and 4.5e-5 off."""
-        import mpmath
-
-        cfg = tiny_config("floor", n=60, p=30, cov=CovarianceModel.ar1(30, 0.5), replications=2, master_seed=12345,
-                          grid=(0.0, 1.0))
-        plan = experiments._build_plan(cfg)
-        records = {r.replication: r for r in run_experiment(cfg).records
-                   if (r.estimator, r.sweep_value) == ("transfer_lasso", 0.0)}
-        delta = plan.beta_star - plan.beta0
-        for rep, record in records.items():
-            x = sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep))
-            with mpmath.workdps(50):
-                xm = mpmath.matrix(x.tolist())
-                lam = mpmath.mpf(experiments._NOISELESS_PENALTY)
-                error = mpmath.lu_solve(xm.T * xm / cfg.n, -lam * mpmath.matrix(np.sign(delta).tolist()))
-                signs = [mpmath.sign(mpmath.mpf(float(dj)) + ej) for dj, ej in zip(delta, error)]
-                assert signs == np.sign(delta).tolist()
-                oracle = float((error.T * mpmath.matrix(cfg.cov.materialize().tolist()) * error)[0] / cfg.p)
-            assert 0.0 < oracle < 1.0e-20
-            assert record.converged and record.newton_steps == 0
-            assert record.risk == pytest.approx(oracle, rel=1.0e-12, abs=0.0)
-
     @staticmethod
     def fit_calls(monkeypatch):
         """A log filled with one entry per ``fit_proximal`` call the harness makes."""
@@ -623,10 +600,10 @@ class TestFloorRunner:
         return calls
 
     @pytest.mark.parametrize("scale", ("tiny", "desk"))
-    def test_screen_and_candidate_settle_every_lasso_point_without_the_design(self, scale, monkeypatch):
-        # at lambda_tilde = 1 the screen settles every noisy point and the full-support candidate the noiseless one
+    def test_screen_and_noiseless_rule_settle_every_lasso_point_without_the_design(self, scale, monkeypatch):
+        # at lambda_tilde = 1 the screen settles every noisy point, and the noiseless one is beta_star itself
         cfg = tiny_config("floor") if scale == "tiny" else dataclasses.replace(default_config("floor"), replications=4)
-        designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
+        designs, fits = root_reads(monkeypatch), self.fit_calls(monkeypatch)
         result = run_experiment(cfg)
         assert designs == [] and fits == []
         assert result.passed, result.summary["checks"]
@@ -635,22 +612,22 @@ class TestFloorRunner:
 
     def test_huber_rows_draw_no_design(self, monkeypatch):
         # trichotomy's Huber-ridge fits read the white draw Z, in theta = Sigma^1/2 beta
-        designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
+        designs, fits = root_reads(monkeypatch), self.fit_calls(monkeypatch)
         result = run_experiment(tiny_config("trichotomy"))
         assert designs == [] and len(fits) == sum(r.estimator == "huber" for r in result.records) > 0
 
     def test_lasso_points_the_screen_leaves_match_a_newton_run_on_the_design(self, monkeypatch):
         """At lambda_tilde = 1e-3 the screen fails at the smaller noise
         scales, and those points are fitted by Newton on ``X``, drawn at most
-        once per replication.  Every point fitted again on ``X`` from
-        ``sample_design`` on the same stream gives the same records: each
+        once per replication from its white draw.  Every point fitted again on
+        ``X`` from ``sample_design`` on the same stream gives the same records: each
         lasso risk, from a Newton fit on ``X`` warm-started along the sweep,
         within what the two fits' certificates allow,
         ``||b - b'|| <= (c + c') / lambda_min(X'X/n)`` plus the rounding of
         ``beta0 + d``, and each ridge risk, solved densely on ``X``, within
         its solves' certificates."""
         cfg = tiny_config("floor", lambda_tilde=1.0e-3)
-        designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
+        designs, fits = root_reads(monkeypatch), self.fit_calls(monkeypatch)
         result = run_experiment(cfg)
         assert designs == [1] * cfg.replications and 0 < len(fits) < len(result.records) // 2
         assert result.passed
@@ -669,7 +646,11 @@ class TestFloorRunner:
                 lam, centre = experiments._penalty_and_centre(plan, new.estimator, a ** 2 * plan.sigma2_unit)
                 if new.estimator == "transfer_ridge":
                     e = np.linalg.solve(gram + lam * np.eye(cfg.p), a * x.T @ noise / cfg.n - lam * delta)
-                    assert new.risk == pytest.approx(float(experiments._energy(plan.spec, e)), rel=1.0e-9)
+                    assert new.risk == pytest.approx(float(experiments._energy(plan.spec, e)), rel=1.0e-9, abs=1.0e-24)
+                    continue
+                if a == 0.0:  # least squares on noiseless data: beta_star itself
+                    assert new.risk == 0.0
+                    warm = plan.beta_star
                     continue
                 old = estimators.fit_proximal(estimators.EstimatorConfig(*lasso, lam, center=centre), design,
                                               x @ plan.beta_star + a * noise, x0=warm)
@@ -681,10 +662,37 @@ class TestFloorRunner:
                 bound = 2.0 * math.sqrt(s_max * old_risk / cfg.p) * gap + s_max * gap ** 2 / cfg.p
                 assert abs(new.risk - old_risk) <= bound
 
+    def test_a_lasso_newton_fit_reads_the_one_white_draw(self, monkeypatch):
+        """Each replication draws ``Z`` once, and its Newton fits read
+        ``X = Z Sigma^1/2`` formed from that ``Z``: their records are bit for
+        bit those of Newton fits on ``X`` drawn again by ``sample_design`` on
+        the replication's design stream."""
+        from heavyreg import spectrum
+
+        cfg = tiny_config("floor", lambda_tilde=1.0e-3)
+        white_draws = []
+        for module in (experiments, spectrum):  # the harness's binding and the one sample_design reads
+            monkeypatch.setattr(module, "_white_draw", lambda *a: white_draws.append(1) or _white_draw(*a))
+        result = run_experiment(cfg)
+        assert white_draws == [1] * cfg.replications
+        monkeypatch.undo()
+        reps, draw_replication = [], experiments._draw_replication
+        monkeypatch.setattr(experiments, "_draw_replication", lambda plan, rep, design_kind=None: reps.append(
+            rep) or draw_replication(plan, rep, design_kind))
+        monkeypatch.setattr(experiments, "_newton_draw", lambda plan, draw: dataclasses.replace(
+            draw, design=estimators.Resolvent.of(design_of(plan, reps[-1]))))
+        drawn_again = run_experiment(cfg)
+
+        def lasso(records):
+            return [(r.sweep_value, r.replication, r.risk, r.converged, r.newton_steps, r.certificate)
+                    for r in records if r.estimator == "transfer_lasso"]
+
+        assert any(steps for *_, steps, _ in lasso(result.records))
+        assert lasso(result.records) == lasso(drawn_again.records)
+
     def test_a_point_within_rounding_of_the_penalty_goes_on_to_its_newton_fit(self, monkeypatch):
         # the screen keeps a rounding allowance below the penalty: a point whose largest centre gradient equals
-        # the penalty is not screened, and its candidate fails its signs, so its Newton fit settles it; a
-        # penalty two allowances higher is screened
+        # the penalty is not screened, so its Newton fit settles it; a penalty two allowances higher is screened
         cfg = tiny_config("floor", grid=(1.0,), replications=1)
         plan = experiments._build_plan(cfg)
         gradients, rounding = experiments._centre_gradients(plan, experiments._draw_replication(plan, 0),
@@ -694,67 +702,19 @@ class TestFloorRunner:
         centre_risk = experiments._energy(plan.spec, plan.beta0 - plan.beta_star)
         for lam, screened in ((top, False), (top + 2.0 * rounding[0], True)):
             config = dataclasses.replace(cfg, lambda_tilde=lam / plan.sigma2_unit)
-            assert experiments._adapted_lambda(config, plan.sigma2_unit) == pytest.approx(lam, rel=1.0e-15)
-            designs, fits = sample_design_calls(monkeypatch), self.fit_calls(monkeypatch)
+            assert config.lambda_tilde * plan.sigma2_unit == pytest.approx(lam, rel=1.0e-15)
+            designs, fits = root_reads(monkeypatch), self.fit_calls(monkeypatch)
             record = next(r for r in run_experiment(config).records if r.estimator == "transfer_lasso")
             monkeypatch.undo()
             assert (designs, fits) == (([], []) if screened else ([1], [1]))
             assert record.converged and record.risk == pytest.approx(centre_risk, rel=1.0e-6)
 
-    def test_a_candidate_is_the_fit_only_when_its_signs_and_its_certificate_hold(self):
-        # the noiseless candidate of a tiny floor draw is the fit; moved off its solve by 1e-6 it keeps its signs
-        # but not its certificate, and with one misalignment entry below its error it keeps its certificate
-        # (a wrong sign costs the subgradient only 2 lam = 2e-12) but not its signs
-        plan = experiments._build_plan(tiny_config("floor"))
-        draw = experiments._draw_replication(plan, 0)
-        seeds, coefficients, shifts = experiments._error_block(plan, draw, [("transfer_lasso", 0.0, 0.0)])
-        f = draw.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
-        zero, lam = np.zeros(1), np.array([experiments._NOISELESS_PENALTY])
-        _, certificates, kept = experiments._lasso_candidates(plan, draw, f, zero, lam)
-        assert kept.tolist() == [True] and certificates[0] <= 1.0e-20
-        _, certificates, kept = experiments._lasso_candidates(plan, draw, f + 1.0e-6, zero, lam)
-        assert kept.tolist() == [False] and certificates[0] > 1.0e-7
-        delta = plan.beta_star - plan.beta0
-        e = experiments._root_product(plan.spec, f[:, 0], inverse=True)
-        j = np.flatnonzero(np.sign(e) != np.sign(delta))[0]
-        beta0 = plan.beta0.copy()
-        beta0[j] = plan.beta_star[j] - np.sign(delta[j]) * abs(e[j]) / 2.0  # the same sign, below |e_j|
-        moved = dataclasses.replace(plan, beta0=beta0)
-        assert np.array_equal(np.sign(moved.beta_star - moved.beta0), np.sign(delta))
-        _, certificates, kept = experiments._lasso_candidates(moved, draw, f, zero, lam)
-        assert kept.tolist() == [False] and certificates[0] <= 1.0e-10
-
-    def test_an_unfactorable_white_gram_matrix_sends_the_candidates_to_newton(self, monkeypatch):
-        # from 128 features the candidates are solved by Cholesky of Z'Z/n; where that fails the block is solved
-        # without them, and the noiseless lasso points go to the Newton fit on X
-        cfg = tiny_config("floor", n=300, p=128, cov=CovarianceModel.ar1(128, 0.5), replications=2, grid=(0.0, 1.0))
-        plain = run_experiment(cfg)
-        cholesky = estimators.Resolvent.cholesky
-
-        def unfactorable(self, shift):
-            if shift == 0.0 and self.precision is not None:
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(self, shift)
-
-        monkeypatch.setattr(estimators.Resolvent, "cholesky", unfactorable)
-        designs = sample_design_calls(monkeypatch)
-        result = run_experiment(cfg)
-        assert designs == [1] * cfg.replications
-        for new, old in zip(result.records, plain.records, strict=True):
-            assert new.converged and (new.estimator, new.sweep_value) == (old.estimator, old.sweep_value)
-            if new.estimator == "transfer_lasso" and new.sweep_value == 0.0:
-                assert new.newton_steps > 0 and old.newton_steps == 0
-                assert new.risk == pytest.approx(old.risk, rel=1.0e-3)  # beta0 + d cancels
-            else:
-                assert new.risk == old.risk and new.newton_steps == old.newton_steps
-
-
 class TestTransientRunner:
     """Monte Carlo versus the deterministic risk curve, and the solve rule:
     every draw is the white ``Z``, and its closed forms are solved whitened,
     the noise-adapted ridge by conjugate gradients.  A lasso point that
-    neither its screen nor its full-support candidate settles is fitted on
-    ``X = Z Sigma^1/2`` drawn again from the same stream."""
+    its screen leaves is Newton-fitted on ``X = Z Sigma^1/2``, formed from
+    the draw's own ``Z``."""
 
     # Per conjugate-gradient sweep: its design laws with their estimator
     # labels, and a grid value's noise amplitude and effective variance.
@@ -785,9 +745,9 @@ class TestTransientRunner:
         """Every record by the eigenbasis solve of the fitted ridge itself,
         ``beta0 + (G + lam I)^-1 (G (beta_star - beta0) + a X'w/n)``, with
         ``G d`` formed from the design and ``G`` eigendecomposed here, for
-        each design law."""
+        each design law; at sigma2 = 0, ``lam = 0``, least squares."""
         from heavyreg.estimators import empirical_risk
-        from heavyreg.experiments import _adapted_lambda, _build_plan, _draw_replication
+        from heavyreg.experiments import _build_plan, _draw_replication
 
         laws, amplitude_and_sigma2 = cls.SWEEPS[config.name]
         plan = _build_plan(config)
@@ -802,14 +762,14 @@ class TestTransientRunner:
                 for g in config.grid:
                     amplitude, sigma2 = amplitude_and_sigma2(g, plan.sigma2_unit)
                     rhs = gd + amplitude * xtw
-                    beta = plan.beta0 + evecs @ ((evecs.T @ rhs) / (evals + _adapted_lambda(config, sigma2)))
+                    beta = plan.beta0 + evecs @ ((evecs.T @ rhs) / (evals + config.lambda_tilde * sigma2))
                     risks[(estimator, g, rep)] = empirical_risk(beta, plan.beta_star, sigma)
         return risks
 
     @staticmethod
     def assert_fallback_counts(result, count):
         """Each estimator's summary counts ``count`` solves that fell back at every noisy sweep point, and
-        none at the noiseless one, whose penalty does not grow with the noise and is solved by Cholesky."""
+        none at the noiseless one, which is settled without a solve."""
         for block in result.summary["estimators"].values():
             assert block["resolvent_fallbacks"] == [count if g > 0.0 else 0 for g in block["sweep_values"]]
 
@@ -818,7 +778,11 @@ class TestTransientRunner:
         assert len(want) == len(result.records)
         for r in result.records:
             assert r.converged and r.certificate <= 1.0e-10
-            assert r.risk == pytest.approx(want[(r.estimator, r.sweep_value, r.replication)], rel=1.0e-10)
+            oracle = want[(r.estimator, r.sweep_value, r.replication)]
+            if r.sweep_value == 0.0:  # beta_star itself, which the oracle's least squares meets to rounding
+                assert r.risk == 0.0 and oracle <= 1.0e-24
+            else:
+                assert r.risk == pytest.approx(oracle, rel=1.0e-10)
         for block in result.summary["estimators"].values():
             assert len(block["certificate_max"]) == len(block["sweep_values"])
             assert max(block["certificate_max"]) <= 1.0e-10 and "newton_steps_max" not in block
@@ -826,9 +790,7 @@ class TestTransientRunner:
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_sweep_is_certified_without_an_eigendecomposition(self, name, monkeypatch):
         monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)  # conjugate gradients from 40 features on
-        shapes = self.eigh_shapes(monkeypatch)
-        designs = []
-        monkeypatch.setattr(experiments, "sample_design", lambda *args, **kwargs: designs.append(args))
+        shapes, designs = self.eigh_shapes(monkeypatch), root_reads(monkeypatch)
         result = run_experiment(tiny_config(name))
         assert shapes == []  # the AR(1) covariance is decomposed through its tridiagonal inverse
         assert designs == []  # and X = Z Sigma^1/2 is never formed
@@ -837,19 +799,11 @@ class TestTransientRunner:
         assert not any(r.resolvent_fallback for r in result.records)
         self.assert_fallback_counts(result, 0)
 
-    @staticmethod
-    def root_reads(monkeypatch):
-        """A log filled with one entry per read of a spectrum's ``sqrt_matrix()``."""
-        reads, sqrt_matrix = [], experiments.DiscreteSpectrum.sqrt_matrix
-        monkeypatch.setattr(experiments.DiscreteSpectrum, "sqrt_matrix",
-                            lambda self: reads.append(1) or sqrt_matrix(self))
-        return reads
-
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_a_white_fallback_takes_no_eigh_and_no_root(self, name, monkeypatch):
         # from 128 features on, a spent budget sends every noisy column to Cholesky of Z'Z/n + lam Sigma^-1
         monkeypatch.setattr(estimators, "_CG_BUDGET", 0)
-        shapes, reads = self.eigh_shapes(monkeypatch), self.root_reads(monkeypatch)
+        shapes, reads = self.eigh_shapes(monkeypatch), root_reads(monkeypatch)
         result = run_experiment(tiny_config(name, n=300, p=128, cov=CovarianceModel.ar1(128, 0.5)))
         assert shapes == [] and reads == []
         assert all(r.resolvent_fallback is (r.sweep_value > 0.0) for r in result.records)
@@ -861,7 +815,7 @@ class TestTransientRunner:
     def test_few_features_take_one_eigh_per_draw_and_no_fallback(self, name, monkeypatch):
         # 40 features are below the conjugate-gradient threshold: each draw takes one eigh, of B^-T (Z'Z/n) B^-1
         # for the bidiagonal factor B'B = Sigma^-1, and reads no root of Sigma
-        shapes, reads = self.eigh_shapes(monkeypatch), self.root_reads(monkeypatch)
+        shapes, reads = self.eigh_shapes(monkeypatch), root_reads(monkeypatch)
         result = run_experiment(tiny_config(name))
         draws = result.config.replications * len(self.SWEEPS[name][0])
         assert shapes == [(40, 40)] * draws and reads == []
@@ -913,14 +867,13 @@ class TestTransientRunner:
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "transient", "trichotomy", "universality"))
     def test_no_plan_takes_the_root_up_front(self, name):
-        # a plan reads the eigen-atoms; the root is formed only inside sample_design
+        # a plan reads the eigen-atoms; the root is formed only to form a design X = Z Sigma^1/2
         plan = experiments._build_plan(tiny_config(name))
         assert "_sqrt_matrix" not in vars(plan.spec)
         root = plan.spec.sqrt_matrix()
         for estimator, seed in plan.white_seeds.items():  # Sigma^-1/2 (beta_star - c)
             centre = experiments._penalty_and_centre(plan, estimator, 1.0)[1]
-            want = np.sign(plan.beta_star - centre) if estimator == "transfer_lasso" else plan.beta_star - centre
-            np.testing.assert_allclose(root @ seed, want, rtol=0.0, atol=1.0e-13)
+            np.testing.assert_allclose(root @ seed, plan.beta_star - centre, rtol=0.0, atol=1.0e-13)
 
     @pytest.mark.parametrize("name", ("paradox", "floor", "transient", "trichotomy", "universality"))
     def test_no_run_forms_the_dense_covariance(self, name, monkeypatch):
@@ -965,11 +918,11 @@ class TestTransientRunner:
     @pytest.mark.parametrize("krylov", (False, True), ids=("eigenbasis", "krylov"))
     @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
     def test_white_draws_take_one_gram_matrix_and_no_design(self, name, krylov, monkeypatch):
-        # the closed forms, the lasso's screen and full-support candidate, and the Huber-ridge fits read Z'Z/n
+        # the closed forms, the lasso's screen and the Huber-ridge fits read Z'Z/n
         # and the eigen-atoms, never the spectrum of Z'Z/n: below 128 features each draw takes the one eigh of
         # its small white block (none with conjugate gradients), only Huber-ridge runs Newton steps, and
         # X = Z Sigma^1/2 is never formed
-        designs = sample_design_calls(monkeypatch)
+        designs = root_reads(monkeypatch)
         shapes, result = self.assert_one_gram_matrix_per_draw(name, krylov, monkeypatch)
         assert shapes == ([] if krylov else [(40, 40)] * result.config.replications)
         assert designs == [] and all(r.newton_steps in (None, 0) for r in result.records if r.estimator != "huber")
@@ -1154,7 +1107,7 @@ class TestSummarize:
     @pytest.mark.parametrize("name, overrides", [(name, {}) for name in EXPERIMENT_NAMES]
                              + [("floor", {"lambda_tilde": 1.0e-3})])
     def test_every_summary_list_has_one_entry_per_sweep_value(self, name, overrides):
-        # screened, candidate and Newton lasso points alike carry steps and a certificate
+        # noiseless, screened and Newton lasso points alike carry steps and a certificate
         stats = run_experiment(tiny_config(name, replications=3, **overrides)).summary["estimators"]
         for estimator, block in stats.items():
             for key, values in block.items():
