@@ -57,8 +57,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .convex import prox_reg  # unused here, kept as the binding heavybench's spans.py wraps by name
-from .convex import Loss, LossKind, Regularizer, RegKind
+from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
 from .errors import ConfigError
 from .spectrum import _tridiagonal_product
 
@@ -561,9 +560,8 @@ def fit_proximal(
                 lipschitz = curvature(g, x @ g) if g.any() else mean_curvature()
             while True:  # raise L until the descent lemma holds at the proximal point
                 step = 1.0 / lipschitz
-                u = d - step * g
-                sign = np.where(np.abs(u) > step * lam, np.sign(u), 0.0)
-                base = np.where(sign != 0.0, u - step * lam * sign, 0.0)
+                base = prox_reg(reg, step * lam, d - step * g)
+                sign = np.sign(base)
                 r_base = y_shift - x @ base
                 move = base - d
                 bound = h + float(g @ move) + 0.5 * lipschitz * float(move @ move)

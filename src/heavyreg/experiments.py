@@ -110,7 +110,9 @@ class ExperimentConfig:
     (integers >= 1) for concentration.  It is normalized to ints for
     concentration and to floats for every other experiment.  A noise scale
     of 0 is the noiseless row, least squares on noiseless data, which is
-    unique only when n > p.
+    unique only when n > p.  paradox, floor and trichotomy check their
+    curves against the misalignment floor ``q_Sigma``, and so need
+    ``delta_norm > 0``.
     """
 
     name: str
@@ -126,7 +128,6 @@ class ExperimentConfig:
     grid: tuple[float, ...] = ()
     replications: int = 100
     master_seed: int = 12345
-    design_kind: str = "gaussian"
     workers: int = 1
     paper_scale: bool = False
 
@@ -146,8 +147,6 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
-        if self.design_kind not in ("gaussian", "rademacher"):
-            raise ConfigError(f"unknown design kind {self.design_kind!r}")
         grid = tuple(self.grid)
         if not grid or not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"grid must be nonempty, finite and strictly ascending, got {grid}")
@@ -178,6 +177,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{label} must be finite and > 0, got {getattr(self, label)}")
         if not 0.0 <= self.delta_norm < math.inf:
             raise ConfigError(f"delta_norm must be finite and >= 0, got {self.delta_norm}")
+        if self.delta_norm == 0.0 and self.name in _FLOOR_CHECKED:
+            raise ConfigError(f"the {self.name} checks divide by the misalignment floor q_Sigma, "
+                              "which delta_norm = 0 makes 0; give delta_norm > 0")
 
     @property
     def gamma(self) -> float:
@@ -223,9 +225,10 @@ class RiskRecord:
 
     ``wall_ms`` is physical time: a Newton fit's own time plus its risk
     evaluation.  The closed-form fits of one draw are solved and evaluated in
-    one block, with the points settled without a fit, so each of their
-    records gets an equal share of it.  The replication's shared draw and
-    factorization are not in it, nor is a design drawn for a Newton fit.
+    one block, with the points settled without a fit, and each of their
+    records takes an equal share of the block's time.  The replication's
+    shared draw and factorization are not in it, nor is a design drawn for a
+    Newton fit.
     """
 
     experiment: str
@@ -395,10 +398,9 @@ class _RepDraw:
         return self.x.T @ self.w_wins_unit / self.x.shape[0]
 
 
-def _draw_replication(plan: _Plan, rep: int, design_kind: str | None = None) -> _RepDraw:
-    """The replication's white draw and unit noise."""
+def _draw_replication(plan: _Plan, rep: int, kind: str) -> _RepDraw:
+    """The replication's white draw of entry law ``kind`` and its unit noise."""
     cfg = plan.config
-    kind = cfg.design_kind if design_kind is None else design_kind
     rng = substream(cfg.master_seed, "design", rep)
     design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision)
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
@@ -526,27 +528,6 @@ def _proximal_fit(plan: _Plan, draw: _RepDraw, estimator: str, amplitude: float,
     return fit_proximal(EstimatorConfig(loss, reg, lam, center=centre), draw.design, y, x0=warm)
 
 
-def _record(plan: _Plan, estimator: str, sweep: float, rep: int, risk: float, t0: float,
-            fit: FitResult | None = None, certificate: float | None = None, converged: bool = False,
-            resolvent_fallback: bool = False, newton_steps: int | None = None) -> RiskRecord:
-    """The record of one fit with risk ``risk``: a Newton ``fit``'s, or a
-    closed-form fit's with its ``certificate`` and ``converged`` flag from
-    :func:`_gram_solve` (a lasso point settled without a Newton fit passes
-    ``newton_steps=0``)."""
-    return RiskRecord(
-        experiment=plan.config.name,
-        estimator=estimator,
-        sweep_value=float(sweep),
-        replication=rep,
-        risk=float(risk),
-        converged=fit.converged if fit is not None else converged,
-        wall_ms=(time.perf_counter() - t0) * 1.0e3,
-        newton_steps=newton_steps if fit is None else fit.iterations,
-        certificate=certificate if fit is None else fit.gradient_map_norm,
-        resolvent_fallback=resolvent_fallback,
-    )
-
-
 # --------------------------------------------------------------------------
 # Per-replication record generators: ``(plan, rep) -> records``.
 # --------------------------------------------------------------------------
@@ -558,8 +539,8 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     A grid value ``g`` is a noise scale, with amplitude ``a = g`` and
     ``sigma2 = g**2 sigma2_unit``, or on a σ² grid ``sigma2 = g`` with
     ``a = sqrt(g / sigma2_unit)``.  Draws the design and unit noise once per
-    design law (the configured one, or each of the row's ``designs``, whose
-    name then suffixes the estimator label); the draw is the white ``Z``.
+    design law of the row's ``designs``, whose name suffixes the estimator
+    label when there are several; the draw is the white ``Z``.
     The closed-form fits at every point form one block (:func:`_solve_block`)
     on the draw's Gram matrix, formed before the clock starts.  Every record
     carries its certificate and fallback flag.
@@ -592,10 +573,10 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
         amplitudes = np.array([a for _, a, _ in points])
         lams = np.array([_penalty_and_centre(plan, "transfer_lasso", sigma2)[0] for _, _, sigma2 in points])
     records = []
-    for kind in row.designs or (cfg.design_kind,):
-        draw = _draw_replication(plan, rep, design_kind=kind)
+    for kind in row.designs:
+        draw = _draw_replication(plan, rep, kind)
         draw.design.gram  # formed before the clock starts
-        suffix = "" if row.designs is None else f"_{kind}"
+        suffix = f"_{kind}" if len(row.designs) > 1 else ""
         t0 = time.perf_counter()
         settled = noiseless
         if "transfer_lasso" in fits:  # and the lasso points the screen settles
@@ -605,16 +586,15 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
             settled = {("transfer_lasso", g): (centre_risk, plan.beta0, 0.0)
                        for (g, _, _), s in zip(points, screened) if s} | noiseless
         risks, _, certificates, converged, fell_back = _solve_block(plan, draw, closed)
-        share = (time.perf_counter() - t0) / (len(closed) + len(settled))
+        share_ms = (time.perf_counter() - t0) * 1.0e3 / (len(closed) + len(settled))
         for k, (estimator, g, _, _) in enumerate(closed):
-            # the clock starts a share of the block early
-            records.append(_record(plan, estimator + suffix, g, rep, risks[k], time.perf_counter() - share,
-                                   certificate=float(certificates[k]), converged=bool(converged[k]),
-                                   resolvent_fallback=bool(fell_back[k])))
+            records.append(RiskRecord(cfg.name, estimator + suffix, g, rep, float(risks[k]), bool(converged[k]),
+                                      share_ms, certificate=float(certificates[k]),
+                                      resolvent_fallback=bool(fell_back[k])))
         for (estimator, g), (risk, _, certificate) in settled.items():
-            records.append(_record(plan, estimator + suffix, g, rep, risk, time.perf_counter() - share,
-                                   certificate=certificate, converged=True,
-                                   newton_steps=0 if estimator in _PROXIMAL_FITS else None))
+            records.append(RiskRecord(cfg.name, estimator + suffix, g, rep, risk, True, share_ms,
+                                      newton_steps=0 if estimator in _PROXIMAL_FITS else None,
+                                      certificate=certificate))
         warm: dict[str, np.ndarray] = {}
         newton = truth = signal = None  # the Newton fits' draw, coefficients and signal, formed at the first
         for g, a, sigma2 in points:
@@ -630,8 +610,10 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
                 fit = _proximal_fit(plan, newton, estimator, a, sigma2, warm.get(estimator), signal)
                 warm[estimator] = fit.beta_hat
                 error = fit.beta_hat - truth
-                risk = float(error @ error) / cfg.p if newton is draw else _energy(plan.spec, error)
-                records.append(_record(plan, estimator + suffix, g, rep, risk, t0, fit))
+                risk = float(error @ error) / cfg.p if newton is draw else float(_energy(plan.spec, error))
+                records.append(RiskRecord(cfg.name, estimator + suffix, g, rep, risk, fit.converged,
+                                          (time.perf_counter() - t0) * 1.0e3, newton_steps=fit.iterations,
+                                          certificate=fit.gradient_map_norm))
     return records
 
 
@@ -903,13 +885,13 @@ class _Experiment:
     none marks a study that draws no design and fits nothing, whose
     functions get the config in place of a plan and whose summary carries
     neither the plan's figures nor a convergence check.  ``designs`` are the
-    design laws each replication draws (None: the configured one), and
-    ``sigma2_grid`` says the grid holds σ² rather than noise scales.
+    design laws each replication draws, and ``sigma2_grid`` says the grid
+    holds σ² rather than noise scales.
     """
 
     checks: Callable  # (plan, records, stats) -> (checks, extra summary fields)
     estimators: tuple[str, ...] = ()
-    designs: tuple[str, ...] | None = None
+    designs: tuple[str, ...] = ("gaussian",)
     sigma2_grid: bool = False
 
 
@@ -917,6 +899,8 @@ class _Experiment:
 _DESIGN_FREE_FIELDS = ("name", "noise", "grid", "replications", "master_seed", "paper_scale")
 
 _SQUARED_LOSS_FITS = ("ols", "fixed_ridge", "transfer_ridge")
+# The experiments whose checks divide by the misalignment floor q_Sigma, and so need delta_norm > 0.
+_FLOOR_CHECKED = ("paradox", "floor", "trichotomy")
 
 _EXPERIMENTS = {
     "paradox": _Experiment(_paradox_checks, _SQUARED_LOSS_FITS),

@@ -262,6 +262,34 @@ class TestExperimentCommand:
         assert code == 2
         assert "replicas" in capsys.readouterr().err
 
+    def test_design_kind_is_an_unknown_key(self, tmp_path, capsys):
+        # each experiment's design laws are its registry row's, not a config field
+        ini = write_ini(tmp_path, TINY_INI.replace("replications = 3", "replications = 3\ndesign_kind = gaussian"))
+        assert main(["experiment", "paradox", "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "unknown key 'design_kind' in section [experiment]" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
+    def test_zero_misalignment_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys, name):
+        # their checks divide by the misalignment floor q_Sigma, which delta_norm = 0 makes 0
+        def no_decompose(model):
+            raise AssertionError("a rejected config must not reach the covariance")
+
+        monkeypatch.setattr(experiments, "decompose", no_decompose)
+        ini = write_ini(tmp_path, TINY_INI.replace("replications = 3", "replications = 3\ndelta_norm = 0"))
+        assert main(["experiment", name, "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "delta_norm = 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name", ("transient", "universality"))
+    def test_zero_misalignment_runs_where_no_check_divides_by_it(self, tmp_path, name):
+        # the run reaches its verdict: exit 0 when every check passes and 1 when one fails, never a traceback
+        ini = write_ini(tmp_path, TINY_INI.replace("replications = 3", "replications = 3\ndelta_norm = 0")
+                        .replace("0, 1, 10, 100", "1, 10, 100"))
+        code = main(["experiment", name, "--config", ini, "--out", str(tmp_path / "r")])
+        summary = json.loads((tmp_path / "r" / f"{name}_seed12345.summary.json").read_text())
+        assert summary["q_sigma"] == 0.0 and code == (0 if summary["passed"] else 1)
+
     def test_non_finite_penalty_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys):
         def no_decompose(model):
             raise AssertionError("a rejected config must not reach the covariance")

@@ -640,6 +640,18 @@ class TestFitProximal:
         assert fit.converged
         assert np.count_nonzero(fit.beta_hat) <= 30
 
+    def test_a_lasso_newton_step_reads_its_signs_from_the_one_soft_threshold(self, monkeypatch):
+        # the proximal-gradient point is prox_reg's, looked up on the estimators binding at call time, so a
+        # wrapper there sees every call; a screened fit takes no step and calls it not at all
+        calls, prox_reg = [], estimators.prox_reg
+        monkeypatch.setattr(estimators, "prox_reg", lambda reg, eta, v: calls.append(eta) or prox_reg(reg, eta, v))
+        x, y, _ = make_problem(n=100, p=40, seed=13, noise=2.0)
+        fit = fit_proximal(EstimatorConfig(SQUARED, LASSO, 0.05), Resolvent.of(x), y)
+        assert fit.converged and 0 < fit.iterations <= len(calls)
+        calls.clear()
+        assert fit_proximal(EstimatorConfig(SQUARED, LASSO, 1.0e9), Resolvent.of(x), y).iterations == 0
+        assert calls == []
+
     @staticmethod
     def duplicated_column_problem():
         x, _, _ = make_problem(n=100, p=40, seed=3)

@@ -50,11 +50,11 @@ def tiny_config(name, **overrides):
     return ExperimentConfig(**base)
 
 
-def design_of(plan, rep, kind=None):
-    """The design ``X = Z Sigma^1/2`` of replication ``rep``'s white draw ``Z``: ``sample_design`` on the same
-    design stream."""
+def design_of(plan, rep, kind="gaussian"):
+    """The design ``X = Z Sigma^1/2`` of replication ``rep``'s white draw ``Z`` of entry law ``kind``:
+    ``sample_design`` on the same design stream."""
     cfg = plan.config
-    return sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind or cfg.design_kind)
+    return sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind)
 
 
 def root_reads(monkeypatch):
@@ -125,7 +125,11 @@ class TestExperimentConfig:
         for field, bad in (("lambda_tilde", 0.0), ("lambda_fixed", -1.0), ("huber_k", 0.0), ("delta_norm", -1.0)):
             with pytest.raises(ConfigError, match=field):
                 tiny_config("paradox", **{field: bad})
-        assert tiny_config("paradox", delta_norm=0.0).delta_norm == 0.0
+        for name in ("paradox", "floor", "trichotomy"):  # their checks divide by q_Sigma, which delta_norm = 0 zeroes
+            with pytest.raises(ConfigError, match="delta_norm = 0"):
+                tiny_config(name, delta_norm=0.0)
+        for name in ("transient", "universality"):
+            assert tiny_config(name, delta_norm=0.0).delta_norm == 0.0
 
     def test_degenerate_noise_law_is_an_explicit_error(self):
         with pytest.raises(ConfigError):
@@ -166,7 +170,6 @@ class TestExperimentConfig:
     "rho": %s
   },
   "delta_norm": 1.0,
-  "design_kind": "gaussian",
   "gamma": 0.3,
   "grid": [
     0.0,
@@ -279,7 +282,7 @@ class TestRecordProtocol:
         plan = experiments._build_plan(tiny_config("transient"))
         for rep in (0, 3):
             z = _white_draw(plan.config.n, plan.config.p, substream(plan.config.master_seed, "design", rep), kind)
-            white = experiments._draw_replication(plan, rep, design_kind=kind)
+            white = experiments._draw_replication(plan, rep, kind)
             newton = experiments._newton_draw(plan, white)
             assert np.array_equal(white.x, z) and white.design.precision is plan.precision
             assert np.array_equal(z @ plan.spec.sqrt_matrix(), design_of(plan, rep, kind))
@@ -296,7 +299,7 @@ class TestRecordProtocol:
 
         cfg = tiny_config(name)
         plan = _build_plan(cfg)
-        draw = _draw_replication(plan, rep=0)
+        draw = _draw_replication(plan, 0, "gaussian")
         x = design_of(plan, 0)
         estimators = ("ols", "fixed_ridge", "transfer_ridge")
         points = [(e, scale, scale ** 2 * plan.sigma2_unit) for scale in cfg.grid for e in estimators]
@@ -356,7 +359,10 @@ class TestErrorBlock:
         ``X = Z Sigma^1/2`` (``sample_design`` on the same stream), and each
         error ``e`` is mapped back from the solved ``f = Sigma^1/2 e``."""
         plan = experiments._build_plan(config)
-        draw, x = (experiments._draw_replication(plan, rep=0), design_of(plan, 0)) if draw is None else (draw, draw.x)
+        if draw is None:
+            draw, x = experiments._draw_replication(plan, 0, "gaussian"), design_of(plan, 0)
+        else:
+            x = draw.x
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
         f = draw.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
         return plan, draw, x, experiments._root_product(plan.spec, f, inverse=True)
@@ -389,7 +395,7 @@ class TestErrorBlock:
     def test_block_has_one_column_and_one_shift_per_point(self):
         cfg = tiny_config("trichotomy")
         plan = experiments._build_plan(cfg)
-        draw = experiments._draw_replication(plan, rep=0)
+        draw = experiments._draw_replication(plan, 0, "gaussian")
         points = [("ols", 1.0, 1.0), ("fixed_ridge", 2.0, 4.0), ("transfer_ridge", 3.0, 9.0)]
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
         rhs = estimators._right_hand_sides(seeds, coefficients)
@@ -408,7 +414,7 @@ class TestErrorBlock:
     def test_whitened_block_has_two_seeds(self):
         cfg = tiny_config("transient")
         plan = experiments._build_plan(cfg)
-        draw = experiments._draw_replication(plan, rep=0)
+        draw = experiments._draw_replication(plan, 0, "gaussian")
         points = [("transfer_ridge", 1.0, 1.0), ("transfer_ridge", 2.0, 4.0)]
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
         white_delta = plan.white_seeds["transfer_ridge"]
@@ -442,7 +448,7 @@ class TestErrorBlock:
         plan = experiments._build_plan(cfg)
         points = [(e, g, g ** 2 * plan.sigma2_unit) for g in cfg.grid
                   for e in experiments._EXPERIMENTS[name].estimators if e not in experiments._PROXIMAL_FITS]
-        white = experiments._draw_replication(plan, rep=1)
+        white = experiments._draw_replication(plan, 1, "gaussian")
         seeds, coefficients, shifts = experiments._error_block(plan, white, points)
         f = white.design.solve(estimators._right_hand_sides(seeds, coefficients), shifts)
         x = design_of(plan, 1)
@@ -636,7 +642,7 @@ class TestFloorRunner:
         s_max, delta = float(plan.spec.eigenvalues[-1]), plan.beta_star - plan.beta0
         lasso = (Loss(LossKind.SQUARED), Regularizer(RegKind.LASSO))
         for rep in range(cfg.replications):
-            x, noise = design_of(plan, rep), experiments._draw_replication(plan, rep).w_wins_unit
+            x, noise = design_of(plan, rep), experiments._draw_replication(plan, rep, "gaussian").w_wins_unit
             design, gram = estimators.Resolvent.of(x), x.T @ x / cfg.n
             floor = float(np.linalg.eigvalsh(gram)[0])
             warm = None
@@ -677,8 +683,8 @@ class TestFloorRunner:
         assert white_draws == [1] * cfg.replications
         monkeypatch.undo()
         reps, draw_replication = [], experiments._draw_replication
-        monkeypatch.setattr(experiments, "_draw_replication", lambda plan, rep, design_kind=None: reps.append(
-            rep) or draw_replication(plan, rep, design_kind))
+        monkeypatch.setattr(experiments, "_draw_replication", lambda plan, rep, kind: reps.append(
+            rep) or draw_replication(plan, rep, kind))
         monkeypatch.setattr(experiments, "_newton_draw", lambda plan, draw: dataclasses.replace(
             draw, design=estimators.Resolvent.of(design_of(plan, reps[-1]))))
         drawn_again = run_experiment(cfg)
@@ -695,7 +701,7 @@ class TestFloorRunner:
         # the penalty is not screened, so its Newton fit settles it; a penalty two allowances higher is screened
         cfg = tiny_config("floor", grid=(1.0,), replications=1)
         plan = experiments._build_plan(cfg)
-        gradients, rounding = experiments._centre_gradients(plan, experiments._draw_replication(plan, 0),
+        gradients, rounding = experiments._centre_gradients(plan, experiments._draw_replication(plan, 0, "gaussian"),
                                                             np.array([1.0]))
         top = float(np.max(np.abs(gradients)))
         assert 0.0 < rounding[0] < 1.0e-9 * top
@@ -755,7 +761,7 @@ class TestTransientRunner:
         risks = {}
         for rep in range(config.replications):
             for law, estimator in laws:
-                x, w = design_of(plan, rep, law), _draw_replication(plan, rep, design_kind=law).w_wins_unit
+                x, w = design_of(plan, rep, law), _draw_replication(plan, rep, law).w_wins_unit
                 evals, evecs = np.linalg.eigh(x.T @ x / config.n)
                 xtw = x.T @ w / config.n
                 gd = x.T @ (x @ (plan.beta_star - plan.beta0)) / config.n
@@ -840,7 +846,7 @@ class TestTransientRunner:
         diag, off = plan.precision
         t = mpmath.matrix((np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).tolist())
         for rep in range(cfg.replications):
-            white = experiments._draw_replication(plan, rep)
+            white = experiments._draw_replication(plan, rep, "gaussian")
             x = design_of(plan, rep)
             evals = np.linalg.eigvalsh(x.T @ x / cfg.n)
             points = [("transfer_ridge", math.sqrt(g / plan.sigma2_unit), g) for g in cfg.grid]
@@ -938,7 +944,7 @@ class TestTransientRunner:
         for rep in range(cfg.replications):
             x = design_of(plan, rep)  # the harness solves on Z, the oracle on X
             gram = x.T @ x / cfg.n
-            v = x.T @ experiments._draw_replication(plan, rep).w_wins_unit / cfg.n
+            v = x.T @ experiments._draw_replication(plan, rep, "gaussian").w_wins_unit / cfg.n
             for r in (r for r in rows if r.replication == rep):
                 lam, centre = experiments._penalty_and_centre(plan, r.estimator, r.sweep_value ** 2 * plan.sigma2_unit)
                 system = gram + lam * np.eye(cfg.p)

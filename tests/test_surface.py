@@ -1,9 +1,12 @@
 """Pin of the package's public surface.
 
 A change that adds, renames or removes a public name must edit ``PUBLIC``,
-so the name count is read from this file rather than counted by hand.
+and one that adds, renames or removes a configuration field must edit
+``CONFIG_FIELDS``, so the counts are read from this file rather than
+counted by hand.
 """
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -70,6 +73,14 @@ PUBLIC = [
 ]
 
 
+CONFIG_FIELDS = {
+    "ExperimentConfig": ["name", "n", "p", "cov", "noise", "sparsity", "delta_norm", "lambda_tilde",
+                         "lambda_fixed", "huber_k", "grid", "replications", "master_seed", "workers",
+                         "paper_scale"],
+    "EstimatorConfig": ["loss", "reg", "lambda_value", "center", "gradient_map_tol", "max_iterations"],
+}
+
+
 def exported() -> list[str]:
     return sorted(name for name, value in vars(heavyreg).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
@@ -78,6 +89,13 @@ def exported() -> list[str]:
 def test_package_exports_exactly_the_pinned_names():
     assert len(PUBLIC) == 51
     assert exported() == PUBLIC
+
+
+def test_configs_hold_exactly_the_pinned_fields():
+    assert {name: len(fields) for name, fields in CONFIG_FIELDS.items()} == {"ExperimentConfig": 15,
+                                                                             "EstimatorConfig": 6}
+    for name, fields in CONFIG_FIELDS.items():
+        assert [field.name for field in dataclasses.fields(getattr(heavyreg, name))] == fields
 
 
 @pytest.mark.parametrize("name", [n for n in exported() if inspect.isclass(getattr(heavyreg, n))
