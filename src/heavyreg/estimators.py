@@ -5,11 +5,12 @@ every closed-form squared-loss fit.
 A :class:`Resolvent` is one shifted family of Gram systems ``G + s T``,
 formed once per draw, and only what its fits read of it; no fit reads the
 spectrum of ``G``.  On a design ``X``, ``G = X'X/n`` and ``T = I``; on the
-white draw ``Z`` of ``X = Z Sigma^1/2``, ``G = Z'Z/n`` and ``T = Sigma^-1``.
-A closed-form squared-loss fit is one shifted system ``(G + lam T) f = rhs``
-for its error.  A ridge Newton fit on a white draw fits
-``theta = Sigma^1/2 beta`` with the penalty ``(lam/2) theta' T theta``; a
-lasso Newton fit reads only a design.
+white draw ``Z`` of ``X = Z Sigma^1/2``, ``G = Z'Z/n`` and ``T = Sigma^-1``;
+a white draw's ``G`` is summed from its rows as they are drawn, and ``Z``
+is kept only for what reads its rows.  A closed-form squared-loss fit is
+one shifted system ``(G + lam T) f = rhs`` for its error.  A ridge Newton
+fit on a white draw fits ``theta = Sigma^1/2 beta`` with the penalty
+``(lam/2) theta' T theta``; a lasso Newton fit reads only a design.
 
 :func:`_gram_solve` solves a draw's block either way.  A shift that does
 not grow with the noise (least squares, fixed ridge), and any column whose
@@ -59,7 +60,7 @@ import scipy.linalg
 
 from .convex import Loss, LossKind, Regularizer, RegKind, prox_reg
 from .errors import ConfigError
-from .spectrum import _tridiagonal_product
+from .spectrum import _gram_pass, _tridiagonal_product
 
 __all__ = [
     "Resolvent",
@@ -157,15 +158,20 @@ class Resolvent:
     when ``(Z'Z/n + s T) f = r``, and ``e' Sigma e = f'f``.  A ridge fit
     reads ``T`` as its penalty's metric; a lasso fit reads only a design.
 
-    Build it with :meth:`of`; every fit on the same draw reuses what it
-    forms.  :attr:`gram` is formed on first use.  :meth:`cholesky` factors
-    ``G + s T`` and keeps the factor of the last shift it was asked for,
-    and :meth:`factor` keeps one ``n x p`` outlier factor and frees ``G``.
-    So a draw holds one Cholesky factor beside ``G`` or beside the outlier
-    factor, never all three.  No fit reads an eigenvalue of ``G``.
+    Build it with :meth:`of` from a design or a white draw, or with
+    :meth:`_of_gram` from a white draw's ``G``, formed with the draw
+    (:func:`heavyreg.spectrum._white_gram`), and ``Z`` only where something
+    reads its rows: :meth:`factor`, :attr:`_root_x` and :func:`fit_proximal`,
+    which raise ``ConfigError`` without it.  Every fit on the same draw
+    reuses what it forms.  :attr:`gram` is formed on first use.
+    :meth:`cholesky` factors ``G + s T`` and keeps the factor of the
+    last shift it was asked for, and :meth:`factor` keeps one ``n x p``
+    outlier factor and frees ``G``.  So a draw holds one Cholesky factor
+    beside ``G`` or beside the outlier factor, never all three.  No fit
+    reads an eigenvalue of ``G``.
     """
 
-    x: np.ndarray
+    x: np.ndarray | None
     precision: tuple[np.ndarray, np.ndarray] | None = None
     # G once formed; the shift and lower Cholesky factor :meth:`cholesky` last
     # formed; and the shift and factor :meth:`factor` last formed
@@ -184,6 +190,23 @@ class Resolvent:
         if precision is not None:
             design._precision_factor  # raises on an indefinite precision
         return design
+
+    @classmethod
+    def _of_gram(cls, gram: np.ndarray, precision: tuple[np.ndarray, np.ndarray],
+                 z: np.ndarray | None = None) -> Resolvent:
+        """A white draw's family from its ``G = Z'Z/n`` and, when kept, ``Z``
+        itself, as :func:`heavyreg.spectrum._white_gram` returns them; the
+        precision must be positive definite."""
+        design = cls(z, precision)
+        design._gram[0] = gram
+        design._precision_factor  # raises on an indefinite precision
+        return design
+
+    def _rows(self) -> np.ndarray:
+        """The design, or ``ConfigError`` when the draw did not keep it."""
+        if self.x is None:
+            raise ConfigError("this reads the rows of the design, which the draw did not keep")
+        return self.x
 
     @cached_property
     def _precision_factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +232,7 @@ class Resolvent:
     @cached_property
     def _root_x(self) -> np.ndarray:
         """``W = X B^-1``, formed once, O(np), so ``G + s T = B' (W'W/n + s I) B``."""
-        return self._b_solve(self.x.T, "T").T
+        return self._b_solve(self._rows().T, "T").T
 
     def t_product(self, u: np.ndarray) -> np.ndarray:
         """``T u`` for a vector or a ``p x k`` block ``u``; ``u`` itself on a design."""
@@ -227,11 +250,18 @@ class Resolvent:
 
     @property
     def gram(self) -> np.ndarray:
-        """``G = X'X/n``, formed on first use, and formed again when asked
-        for after :meth:`factor` freed it."""
+        """``G = X'X/n``, formed on first use, and formed again, to the bit,
+        when asked for after :meth:`factor` freed it.  A design's is one
+        product; a white draw's is summed over its rows' blocks by
+        :func:`heavyreg.spectrum._gram_pass`, as the draw forms it, so each
+        draw has one ``G``."""
         if self._gram[0] is None:
-            gram = self.x.T @ self.x
-            gram /= self.x.shape[0]  # in place: no second p x p array
+            x = self._rows()
+            if self.precision is None:
+                gram = x.T @ x
+                gram /= x.shape[0]  # in place: no second p x p array
+            else:
+                gram = _gram_pass(*x.shape, lambda start, stop: x[start:stop])[0]
             self._gram[0] = gram
         return self._gram[0]
 
@@ -275,11 +305,12 @@ class Resolvent:
         keeps 7.6 MiB out of a Huber-ridge fit's peak.
         """
         if self._factor[0] != shift:
+            x = self._rows()
             self._factor[:] = None, None  # the old factor is freed before the new one is formed
             factor = self.cholesky(shift)
             self._gram[0] = None
             # L^-1 X' in Fortran order is Y in C order
-            self._factor[:] = shift, scipy.linalg.blas.dtrsm(1.0, factor, self.x.T, lower=True).T
+            self._factor[:] = shift, scipy.linalg.blas.dtrsm(1.0, factor, x.T, lower=True).T
         return self._factor[1]
 
 
@@ -289,7 +320,7 @@ def _eigenbasis_solve(design: Resolvent, rhs: np.ndarray, shifts: np.ndarray) ->
     ``G + s T = B' (M + s I) B`` for ``M = B^-T G B^-1 = V diag(w) V'`` (one
     eigh), so banded solves (LAPACK ``tbtrs``) give ``B^-1 V (V' B^-T r) / (w + s)``."""
     white = design._root_x.T  # (Z B^-1)'
-    evals, evecs = np.linalg.eigh(white @ white.T / design.x.shape[0])
+    evals, evecs = np.linalg.eigh(white @ white.T / white.shape[1])
     return design._b_solve(evecs @ ((evecs.T @ design._b_solve(rhs, "T")) / (evals[:, None] + shifts)), "N")
 
 
@@ -321,7 +352,7 @@ def _gram_solve(design: Resolvent, seeds: np.ndarray, coefficients: np.ndarray, 
     their certificates, a mask of the columns converged (certified within
     ``_CERTIFICATE``) and a mask of the columns that fell back.
     """
-    p = design.x.shape[1]
+    p = seeds.shape[0]
     rhs = _right_hand_sides(seeds, coefficients)
     if not shifts.size:  # no LAPACK banded or tridiagonal solve takes an empty block
         return rhs, np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
@@ -504,7 +535,8 @@ def fit_proximal(
     certifies no point that the gradient map at the step ``1/L`` would not.
     A screened fit's certificate is 0.
     Raises only ``ConfigError``, on invalid input (a loss or penalty other
-    than those above, wrong shapes, non-finite ``y``, center or ``x0``); a
+    than those above, a Resolvent without its design, wrong shapes,
+    non-finite ``y``, center or ``x0``); a
     busted budget or a stalled step returns the result with
     ``converged=False``.
     """
@@ -517,7 +549,7 @@ def fit_proximal(
     lasso = reg.kind is RegKind.LASSO
     if lasso and design.precision is not None:
         raise ConfigError("a lasso fit reads a design; got a white draw's Resolvent")
-    x = design.x
+    x = design._rows()
     n, p = x.shape
     y = _finite_vector(y, n, "response")
     lam = config.lambda_value

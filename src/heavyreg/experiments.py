@@ -12,7 +12,9 @@ worker without changing a single byte of output.
 
 Draws: every run draws only the white ``Z`` of the design
 ``X = Z Sigma^1/2`` and solves every closed form on ``Z'Z/n``, reading
-``Sigma`` through its eigen-atoms and its tridiagonal inverse.  Huber-ridge
+``Sigma`` through its eigen-atoms and its tridiagonal inverse.  ``Z`` is
+streamed a block of rows at a time into ``Z'Z/n`` and ``Z'w/n``, and kept
+only by a draw whose rows a fit reads.  Huber-ridge
 is fitted on ``Z`` in ``theta = Sigma^1/2 beta``.  At noise scale 0 both
 transfer fits are least squares on noiseless data, ``beta_star`` itself
 (n > p).  Every other transfer-lasso point is settled by a KKT screen,
@@ -40,7 +42,6 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .estimators import (
     EstimatorConfig,
     FitResult,
     Resolvent,
+    _KRYLOV_FEATURES,
     _gram_solve,
     empirical_risk,  # unused here, kept as the binding heavybench's spans.py wraps by name
     fit_proximal,
@@ -65,7 +67,7 @@ from .spectrum import (
     sample_sphere,
     _ar1_inverse,
     _energy,
-    _white_draw,
+    _white_gram,
 )
 from .streams import substream
 from .tails import (
@@ -112,7 +114,8 @@ class ExperimentConfig:
     of 0 is the noiseless row, least squares on noiseless data, which is
     unique only when n > p.  paradox, floor and trichotomy check their
     curves against the misalignment floor ``q_Sigma``, and so need
-    ``delta_norm > 0``.
+    ``delta_norm > 0`` (and :func:`run_experiment` rejects one so small that
+    ``q_Sigma`` underflows to 0).
     """
 
     name: str
@@ -380,31 +383,35 @@ class _RepDraw:
 
     ``design`` is the :class:`Resolvent` of the white matrix ``Z`` of
     ``X = Z Sigma^1/2``, with precision ``Sigma^-1``, from the
-    replication's design stream; a lasso Newton fit reads ``X`` formed from
-    it by :func:`_newton_draw` (see :func:`_rep_sweep`).
+    replication's design stream, and ``v`` is ``Z'w/n`` for the unit
+    winsorized noise ``w``, the first seed of the draw's error block, both
+    formed as ``Z`` is drawn; a lasso Newton fit reads ``X`` formed from
+    ``Z`` by :func:`_newton_draw` (see :func:`_rep_sweep`).
     """
 
     design: Resolvent
     w_unit: np.ndarray
     w_wins_unit: np.ndarray
+    v: np.ndarray
 
     @property
-    def x(self) -> np.ndarray:
+    def x(self) -> np.ndarray | None:
         return self.design.x
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        """``Z'w/n`` for the unit winsorized noise ``w``: the first seed of the draw's error block."""
-        return self.x.T @ self.w_wins_unit / self.x.shape[0]
 
 
 def _draw_replication(plan: _Plan, rep: int, kind: str) -> _RepDraw:
-    """The replication's white draw of entry law ``kind`` and its unit noise."""
+    """The replication's white draw of entry law ``kind`` and its unit noise.
+
+    ``Z`` is streamed into ``Z'Z/n`` and ``Z'w/n`` (:func:`_white_gram`)
+    and kept only where its rows are read: by a Newton fit, and below
+    ``_KRYLOV_FEATURES`` by the eigenbasis solve of the closed forms.  Any
+    other draw holds ``Z'Z/n`` and one block of rows, not ``Z``."""
     cfg = plan.config
-    rng = substream(cfg.master_seed, "design", rep)
-    design = Resolvent.of(_white_draw(cfg.n, cfg.p, rng, kind), plan.precision)
     w_unit = sample_noise(cfg.noise, cfg.n, substream(cfg.master_seed, "noise", rep))
-    return _RepDraw(design=design, w_unit=w_unit, w_wins_unit=winsorize(w_unit, plan.tau_unit))
+    w_wins_unit = winsorize(w_unit, plan.tau_unit)
+    keep = cfg.p < _KRYLOV_FEATURES or any(e in _PROXIMAL_FITS for e in _EXPERIMENTS[cfg.name].estimators)
+    z, gram, v = _white_gram(cfg.n, cfg.p, substream(cfg.master_seed, "design", rep), kind, w_wins_unit, keep)
+    return _RepDraw(design=Resolvent._of_gram(gram, plan.precision, z), w_unit=w_unit, w_wins_unit=w_wins_unit, v=v)
 
 
 def _penalty_and_centre(plan: _Plan, estimator: str, sigma2: float) -> tuple[float, np.ndarray]:
@@ -505,7 +512,7 @@ def _centre_gradients(plan: _Plan, draw: _RepDraw, amplitudes: np.ndarray) -> tu
 def _newton_draw(plan: _Plan, draw: _RepDraw) -> _RepDraw:
     """The draw a lasso Newton fit reads: the design ``X = Z Sigma^1/2`` of
     the draw's own ``Z``, bit for bit ``sample_design`` on its stream, with
-    the same noise."""
+    the same noise (and the white draw's ``v``, which no Newton fit reads)."""
     return dataclasses.replace(draw, design=Resolvent.of(draw.x @ plan.spec.sqrt_matrix()))
 
 
@@ -542,8 +549,8 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     design law of the row's ``designs``, whose name suffixes the estimator
     label when there are several; the draw is the white ``Z``.
     The closed-form fits at every point form one block (:func:`_solve_block`)
-    on the draw's Gram matrix, formed before the clock starts.  Every record
-    carries its certificate and fallback flag.
+    on the draw's Gram matrix, formed with the draw, before the clock
+    starts.  Every record carries its certificate and fallback flag.
 
     At ``sigma2 = 0`` both transfer fits are least squares on noiseless data,
     their penalty ``lambda_tilde sigma2`` being 0, and so ``beta_star``
@@ -558,6 +565,9 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     draw.
 
     Each proximal fit warm-starts from its own fit at the previous point.
+    At noise amplitude 0, Huber-ridge has fixed ridge's response, penalty
+    and centre, and starts from that point's fixed-ridge fit,
+    ``theta_star + f`` for its closed-form error ``f``.
     """
     cfg = plan.config
     row = _EXPERIMENTS[cfg.name]
@@ -575,7 +585,6 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
     records = []
     for kind in row.designs:
         draw = _draw_replication(plan, rep, kind)
-        draw.design.gram  # formed before the clock starts
         suffix = f"_{kind}" if len(row.designs) > 1 else ""
         t0 = time.perf_counter()
         settled = noiseless
@@ -585,7 +594,7 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
             centre_risk = float(_energy(plan.spec, plan.beta0 - plan.beta_star))
             settled = {("transfer_lasso", g): (centre_risk, plan.beta0, 0.0)
                        for (g, _, _), s in zip(points, screened) if s} | noiseless
-        risks, _, certificates, converged, fell_back = _solve_block(plan, draw, closed)
+        risks, errors, certificates, converged, fell_back = _solve_block(plan, draw, closed)
         share_ms = (time.perf_counter() - t0) * 1.0e3 / (len(closed) + len(settled))
         for k, (estimator, g, _, _) in enumerate(closed):
             records.append(RiskRecord(cfg.name, estimator + suffix, g, rep, float(risks[k]), bool(converged[k]),
@@ -597,11 +606,14 @@ def _rep_sweep(plan: _Plan, rep: int) -> list[RiskRecord]:
                                       certificate=certificate))
         warm: dict[str, np.ndarray] = {}
         newton = truth = signal = None  # the Newton fits' draw, coefficients and signal, formed at the first
+        column = {(e, g): k for k, (e, g, _, _) in enumerate(closed)}
         for g, a, sigma2 in points:
             for estimator in fits:
                 if (estimator, g) in settled:
                     warm[estimator] = settled[estimator, g][1]
                     continue
+                if estimator == "huber" and a == 0.0 and ("fixed_ridge", g) in column:
+                    warm[estimator] = plan.root_offsets["huber"] + errors[:, column["fixed_ridge", g]]
                 if newton is None:  # Huber-ridge on Z in theta = Sigma^1/2 beta, the lasso on X
                     newton, truth = ((draw, plan.root_offsets["huber"]) if estimator == "huber"
                                      else (_newton_draw(plan, draw), plan.beta_star))
@@ -922,10 +934,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.  The rest is shared: collect the records serially or in a
     process pool (the same bytes for any worker count), summarize them, add
     the non-convergence check to the entry's checks and assemble the
-    summary.
+    summary.  Raises ``ConfigError`` before any replication runs when the
+    checks of paradox, floor or trichotomy would divide by a ``q_Sigma``
+    that underflowed to 0.
     """
     experiment = _EXPERIMENTS[config.name]
     plan, replicate = (_build_plan(config), _rep_sweep) if experiment.estimators else (config, _rep_concentration)
+    if config.name in _FLOOR_CHECKED and not q_sigma(plan.spec) > 0.0:
+        raise ConfigError(f"the {config.name} checks divide by the misalignment floor q_Sigma, which "
+                          f"delta_norm = {config.delta_norm} underflows to 0; give a larger delta_norm")
     records = _collect_records(config, replicate, plan)
     stats = summarize(records)
     checks, extra = experiment.checks(plan, records, stats)

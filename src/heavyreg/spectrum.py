@@ -11,11 +11,16 @@ whose eigenpairs and tridiagonal inverse ``T`` are known in closed form:
 against ``T`` and forms no dense covariance, and every energy
 ``v' Sigma v`` is read from the eigen-atoms.  A general covariance
 enters the theory as a :class:`DiscreteSpectrum` built from its eigenpairs.
+
+A replication's white draw ``Z`` is streamed into its Gram matrix
+``Z'Z/n`` and ``Z'w/n`` a block of rows at a time (:func:`_white_gram`), and
+keeps ``Z`` itself only when asked to.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -39,6 +44,9 @@ _CERTIFICATE_TOL = 1.0e-10  # residual and orthogonality bound
 _EIGENVALUE_FLOOR = 1.0e-12
 _RESIDUAL_BLOCK = 32  # rows per slice of the tridiagonal residual
 _NEWTON_CAP = 64  # secular-equation Newton steps; the last float below rho = 1 takes 32
+# Rows of a white draw formed, checked and summed into its Gram matrix at a time: a
+# 128 x 1000 block is 1 MiB, where the whole paper-scale draw is 15.3 MiB.
+_DRAW_BLOCK = 128
 _EPS = float(np.finfo(float).eps)
 
 
@@ -333,11 +341,73 @@ def _white_draw(n: int, p: int, rng: np.random.Generator, kind: str) -> np.ndarr
     ``kind`` behind :func:`sample_design`."""
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
+    return _white_rows(rng, kind, np.empty((n, p)))
+
+
+def _white_rows(rng: np.random.Generator, kind: str, out: np.ndarray) -> np.ndarray:
+    """Fill the C-ordered ``out`` with the next ``out.size`` entries of the
+    law ``kind`` from ``rng``, row by row, and return it: ``"gaussian"``
+    entries are standard normal, and ``"rademacher"`` ones are -1 where a
+    uniform draw is below 1/2 and 1 elsewhere.  Successive calls on one
+    stream fill the rows one whole call would."""
     if kind == "gaussian":
-        return rng.standard_normal((n, p))
+        return rng.standard_normal(out=out)
     if kind == "rademacher":
-        return np.where(rng.random((n, p)) < 0.5, -1.0, 1.0)
+        rng.random(out=out)
+        np.subtract(out, 0.5, out=out)  # exact, and 0 only at 1/2, where copysign gives +1
+        return np.copysign(1.0, out, out=out)
     raise ConfigError(f"unknown design kind {kind!r}; expected 'gaussian' or 'rademacher'")
+
+
+def _white_gram(n: int, p: int, rng: np.random.Generator, kind: str, w: np.ndarray,
+                keep: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The white draw ``Z`` of :func:`_white_draw` on ``rng``, bit for bit,
+    streamed into ``G = Z'Z/n`` and ``v = Z'w/n`` by :func:`_gram_pass`:
+    ``(Z, G, v)`` when ``keep``, and else ``(None, G, v)``, the rows drawn
+    into one block buffer in turn, so that no ``n x p`` array is held.
+
+    Raises ``ConfigError`` for ``n < 1``, an unknown law, or a block that is
+    not finite."""
+    if n < 1:
+        raise ConfigError(f"sample size must be >= 1, got {n}")
+    z = np.empty((n, p)) if keep else None
+    buffer = None if keep else np.empty((min(n, _DRAW_BLOCK), p))
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        block = _white_rows(rng, kind, z[start:stop] if keep else buffer[:stop - start])
+        if not np.isfinite(block).all():
+            raise ConfigError(f"white draw rows {start}..{stop} are not finite")
+        return block
+
+    gram, v = _gram_pass(n, p, rows, w)
+    return z, gram, v
+
+
+def _gram_pass(n: int, p: int, rows: Callable[[int, int], np.ndarray],
+               w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``G = Z'Z/n``, and ``v = Z'w/n`` for a ``w``, from the row blocks
+    ``Z[start:stop]`` that ``rows(start, stop)`` returns for consecutive
+    blocks of ``_DRAW_BLOCK`` rows: each block's ``Z_b'Z_b`` is added into
+    the lower triangle of one Fortran-ordered ``p x p`` array by BLAS
+    ``syrk`` (``beta = 1``, on ``Z_b'``, a view), and ``Z_b'w_b`` into
+    ``v``; the triangle is mirrored once and both are divided by ``n``.  The
+    sums run over the blocks in order, so the same rows give the same bits,
+    and ``G`` is returned C-ordered and exactly symmetric."""
+    gram = np.zeros((p, p), order="F")
+    v = None if w is None else np.zeros(p)
+    for start in range(0, n, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, n)
+        block = rows(start, stop)
+        gram = linalg.blas.dsyrk(1.0, block.T, 1.0, gram, lower=1, overwrite_c=1)
+        if v is not None:
+            v += block.T @ w[start:stop]
+    gram = gram.T  # C-ordered, its upper triangle set
+    for i in range(1, p):  # each row of the lower triangle from a column of the upper
+        gram[i, :i] = gram[:i, i]
+    gram /= n
+    if v is not None:
+        v /= n
+    return gram, v
 
 
 def sample_signal(p: int, sparsity: float, rng: np.random.Generator) -> np.ndarray:

@@ -281,6 +281,18 @@ class TestExperimentCommand:
         assert "delta_norm = 0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("name", ("paradox", "floor", "trichotomy"))
+    def test_an_underflowing_misalignment_floor_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys, name):
+        # delta_norm = 1e-170 > 0 passes the config, but q_Sigma underflows to 0, which their checks divide by
+        def no_draw(*args):
+            raise AssertionError("a rejected run must not draw a replication")
+
+        monkeypatch.setattr(experiments, "_draw_replication", no_draw)
+        ini = write_ini(tmp_path, TINY_INI.replace("replications = 3", "replications = 3\ndelta_norm = 1e-170"))
+        assert main(["experiment", name, "--config", ini, "--out", str(tmp_path / "r")]) == 2
+        assert "q_Sigma" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("name", ("transient", "universality"))
     def test_zero_misalignment_runs_where_no_check_divides_by_it(self, tmp_path, name):
         # the run reaches its verdict: exit 0 when every check passes and 1 when one fails, never a traceback

@@ -124,6 +124,41 @@ class TestResolvent:
         np.testing.assert_allclose(y @ y.T, x @ np.linalg.solve(gram + 0.1 * np.eye(12), x.T), rtol=0.0, atol=1.0e-13)
         assert np.array_equal(design.gram, gram)
 
+    def test_a_white_draw_has_one_gram_matrix(self):
+        # the draw's G, summed by row blocks as Z is drawn, is the G a Resolvent of the same Z forms, and the one
+        # formed again after the outlier factor freed it, to the bit
+        from heavyreg.spectrum import _white_gram
+        from heavyreg.streams import substream
+
+        n, p = 300, 20
+        precision = _ar1_inverse(p, 0.5)
+        z, gram, v = _white_gram(n, p, substream(1, "design"), "gaussian", np.ones(n), keep=True)
+        drawn = Resolvent._of_gram(gram, precision, z)
+        assert drawn.gram is gram and np.array_equal(Resolvent.of(z, precision).gram, gram)
+        drawn.factor(0.1)
+        assert drawn._gram[0] is None and np.array_equal(drawn.gram, gram)
+
+    def test_a_draw_without_its_rows_solves_but_does_not_fit(self):
+        # a draw that kept only G serves every closed form, and raises where its rows would be read
+        from heavyreg.spectrum import _white_gram
+        from heavyreg.streams import substream
+
+        n, p = 300, 20
+        precision = _ar1_inverse(p, 0.5)
+        z, gram, _ = _white_gram(n, p, substream(2, "design"), "gaussian", np.ones(n), keep=True)
+        bare, whole = Resolvent._of_gram(gram.copy(), precision), Resolvent._of_gram(gram, precision, z)
+        assert bare.x is None
+        rhs = np.random.default_rng(3).standard_normal((p, 2))
+        assert np.array_equal(bare.solve(rhs, 0.5), whole.solve(rhs, 0.5))
+        with pytest.raises(ConfigError, match="did not keep"):
+            bare.factor(0.5)
+        with pytest.raises(ConfigError, match="did not keep"):
+            bare._root_x
+        with pytest.raises(ConfigError, match="did not keep"):
+            fit_proximal(EstimatorConfig(HUBER, RIDGE, 0.5), bare, np.zeros(n))
+        with pytest.raises(ConfigError, match="positive definite"):
+            Resolvent._of_gram(gram, (np.array([1.0, -1.0]), np.zeros(1)))
+
     def test_cholesky_of_an_indefinite_shift_raises(self):
         x, _, _ = make_problem(n=60, p=12, seed=4)
         with pytest.raises(np.linalg.LinAlgError):

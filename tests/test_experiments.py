@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from heavyreg import estimators, experiments
+from heavyreg import estimators, experiments, spectrum
 from heavyreg.convex import Loss, LossKind, RegKind, Regularizer
 from heavyreg.errors import ConfigError
 from heavyreg.experiments import (
@@ -23,7 +23,7 @@ from heavyreg.experiments import (
     write_outputs,
     write_records_csv,
 )
-from heavyreg.spectrum import CovarianceModel, _white_draw, decompose, sample_design
+from heavyreg.spectrum import CovarianceModel, _white_draw, _white_gram, decompose, sample_design
 from heavyreg.streams import substream
 from heavyreg.tails import NoiseFamily, TailLaw
 
@@ -55,6 +55,14 @@ def design_of(plan, rep, kind="gaussian"):
     ``sample_design`` on the same design stream."""
     cfg = plan.config
     return sample_design(plan.spec, cfg.n, substream(cfg.master_seed, "design", rep), kind=kind)
+
+
+def blockwise_v(z, w):
+    """``Z'w/n`` summed over the row blocks of the draw's Gram pass in the same order: the bits of ``draw.v``."""
+    v = np.zeros(z.shape[1])
+    for start in range(0, z.shape[0], spectrum._DRAW_BLOCK):
+        v += z[start:start + spectrum._DRAW_BLOCK].T @ w[start:start + spectrum._DRAW_BLOCK]
+    return v / z.shape[0]
 
 
 def root_reads(monkeypatch):
@@ -276,6 +284,31 @@ class TestRecordProtocol:
         x = sample_design(spec, 32, substream(0, "design", 0), kind="rademacher")
         assert set(np.unique(x)) == {-1.0, 1.0}
 
+    @pytest.mark.parametrize("name, keeps", [("transient", False), ("paradox", False), ("universality", False),
+                                             ("trichotomy", True), ("floor", True)])
+    def test_a_draw_keeps_z_only_for_a_fit_that_reads_its_rows(self, name, keeps):
+        """From 128 features on, a draw whose closed forms alone read it
+        holds ``Z'Z/n``, ``Z'w/n`` and one block of rows, and never an
+        ``n x p`` array; a draw with a Newton fit (Huber-ridge, the lasso)
+        keeps ``Z``.  Either way its products are those of ``Z`` summed by
+        row blocks."""
+        import tracemalloc
+
+        cfg = tiny_config(name, n=1000, p=128, cov=CovarianceModel.ar1(128, 0.5), grid=(1.0, 10.0))
+        plan = experiments._build_plan(cfg)
+        tracemalloc.start()
+        try:
+            draw = experiments._draw_replication(plan, 2, "gaussian")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        z = _white_draw(cfg.n, cfg.p, substream(cfg.master_seed, "design", 2), "gaussian")
+        assert (draw.x is not None) is keeps and (peak > cfg.n * cfg.p * 8) is keeps
+        if keeps:
+            assert np.array_equal(draw.x, z)
+        assert np.array_equal(draw.v, blockwise_v(z, draw.w_wins_unit))
+        assert np.array_equal(draw.design.gram, estimators.Resolvent.of(z, plan.precision).gram)
+
     @pytest.mark.parametrize("kind", ("gaussian", "rademacher"))
     def test_white_and_correlated_draws_share_one_design_stream(self, kind):
         # a replication draws Z of its (seed, "design", rep), and a lasso Newton fit X = Z Sigma^1/2 of the same
@@ -403,7 +436,7 @@ class TestErrorBlock:
         assert shifts.tolist() == [0.0, cfg.lambda_fixed, cfg.lambda_tilde * 9.0]
         # the seeds: v = Z'w/n and each estimator's white offset Sigma^-1/2 (beta_star - c), each column
         # a v - lam Sigma^-1/2 (beta_star - c)
-        v = draw.x.T @ draw.w_wins_unit / cfg.n
+        v = blockwise_v(draw.x, draw.w_wins_unit)
         offsets = [plan.white_seeds[e] for e, _, _ in points]
         assert seeds.shape == (cfg.p, 4) and np.array_equal(seeds[:, 0], v)
         for k, ((_, amplitude, _), offset, lam) in enumerate(zip(points, offsets, shifts)):
@@ -418,7 +451,7 @@ class TestErrorBlock:
         points = [("transfer_ridge", 1.0, 1.0), ("transfer_ridge", 2.0, 4.0)]
         seeds, coefficients, shifts = experiments._error_block(plan, draw, points)
         white_delta = plan.white_seeds["transfer_ridge"]
-        assert np.array_equal(seeds, np.stack([draw.x.T @ draw.w_wins_unit / cfg.n, white_delta], axis=1))
+        assert np.array_equal(seeds, np.stack([blockwise_v(draw.x, draw.w_wins_unit), white_delta], axis=1))
         assert np.array_equal(coefficients, np.stack([[1.0, 2.0], -shifts]))
 
     def test_white_seeds_are_one_offset_per_centre(self):
@@ -463,9 +496,9 @@ class TestErrorBlock:
     def test_stacked_identity_design_averages_the_two_response_blocks(self):
         # X = [I; I] makes X'X/n = 2I/n, so least squares is the mean of the blocks
         cfg = tiny_config("trichotomy", n=8, p=4, cov=CovarianceModel.identity(4))
-        noise = np.arange(1.0, 9.0)
-        draw = experiments._RepDraw(design=estimators.Resolvent.of(np.vstack([np.eye(4), np.eye(4)])),
-                                    w_unit=noise, w_wins_unit=noise)
+        noise, x = np.arange(1.0, 9.0), np.vstack([np.eye(4), np.eye(4)])
+        draw = experiments._RepDraw(design=estimators.Resolvent.of(x), w_unit=noise, w_wins_unit=noise,
+                                    v=blockwise_v(x, noise))
         plan, _, _, errors = self.solved(cfg, [("ols", 2.0, 4.0)], draw=draw)
         np.testing.assert_allclose(errors[:, 0], 2.0 * (noise[:4] + noise[4:]) / 2.0, rtol=0.0, atol=1.0e-12)
 
@@ -522,7 +555,7 @@ class TestGoldenRecords:
         "transient": ("14d325d91609b384f8eca56978c73deb810d4b2411e4513a38e4eecd03557573",
                       "00f5b1c78b5af5ae3b65d9144e8cf6ce7a211817334ccb4c54adbdf448e6ec37"),
         "trichotomy": ("aa935ea2ddcd3cbf1a94f9c26942a4f5dcf0b9aa8fa5e8ccbc0ac661b5d3dd38",
-                       "7289cfe01d3979b1233f4b3455b495454e5585c01c4316a0a5673bee4b6fe667"),
+                       "3fae4a5afa45814462514be4dcf7e89a953f0d721ff16099dde0d6088701c6b1"),
         "universality": ("bb962efd8bc4fb18d016688a4a9cf0608d72829a285b539ba5e33d72e1cd0ebe",
                          "322dd14f6a1d28134dd7e95491f608f1b2170dfa75fafebc694bbfb2e3c82aff"),
         "concentration": ("85d78afe9fd7c95ab5267f24b531be0ca410985edd0a7a822d23cb6c36810e46",
@@ -673,12 +706,10 @@ class TestFloorRunner:
         ``X = Z Sigma^1/2`` formed from that ``Z``: their records are bit for
         bit those of Newton fits on ``X`` drawn again by ``sample_design`` on
         the replication's design stream."""
-        from heavyreg import spectrum
-
         cfg = tiny_config("floor", lambda_tilde=1.0e-3)
-        white_draws = []
-        for module in (experiments, spectrum):  # the harness's binding and the one sample_design reads
-            monkeypatch.setattr(module, "_white_draw", lambda *a: white_draws.append(1) or _white_draw(*a))
+        white_draws = []  # the harness's streamed draw, and the one sample_design takes
+        monkeypatch.setattr(experiments, "_white_gram", lambda *a: white_draws.append(1) or _white_gram(*a))
+        monkeypatch.setattr(spectrum, "_white_draw", lambda *a: white_draws.append(1) or _white_draw(*a))
         result = run_experiment(cfg)
         assert white_draws == [1] * cfg.replications
         monkeypatch.undo()
@@ -899,13 +930,14 @@ class TestTransientRunner:
         if krylov:  # the noise-adapted transfer-ridge columns go through conjugate gradients
             monkeypatch.setattr(estimators, "_KRYLOV_FEATURES", 40)
         shapes = self.eigh_shapes(monkeypatch)
-        grams, of = [], estimators.Resolvent.of
-        monkeypatch.setattr(estimators.Resolvent, "of", lambda x, precision=None: grams.append(
-            (x.shape, precision is not None)) or of(x, precision))
+        grams, designs, of_gram, of = [], [], estimators.Resolvent._of_gram, estimators.Resolvent.of
+        monkeypatch.setattr(estimators.Resolvent, "_of_gram", lambda gram, precision, z=None: grams.append(
+            (z.shape, gram.shape, precision is not None)) or of_gram(gram, precision, z))
+        monkeypatch.setattr(estimators.Resolvent, "of", lambda *a: designs.append(1) or of(*a))
         tops, eigh = [], scipy.linalg.eigh
         monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: tops.append(1) or eigh(*a, **k))
         result = run_experiment(tiny_config(name))
-        assert grams == [((120, 40), True)] * result.config.replications
+        assert grams == [((120, 40), (40, 40), True)] * result.config.replications and designs == []
         assert tops == []
         for r in result.records:
             assert r.converged and not r.resolvent_fallback
@@ -958,6 +990,32 @@ class TestTransientRunner:
 
 class TestTrichotomyRunner:
     """Four risk curves with three behaviors."""
+
+    def test_the_noiseless_huber_fit_starts_from_the_fixed_ridge_fit(self, monkeypatch):
+        """At noise amplitude 0 Huber-ridge has fixed ridge's response,
+        penalty and centre, so its fit starts at ``theta_star + f`` for that
+        point's closed-form error ``f``.  It lands where a cold start lands,
+        to the bit, in fewer Newton steps."""
+        cfg = tiny_config("trichotomy")
+        blocks, solve_block = [], experiments._solve_block
+        monkeypatch.setattr(experiments, "_solve_block", lambda plan, draw, block: blocks.append(
+            (block, solve_block(plan, draw, block))) or blocks[-1][1])
+        fits, fit = [], experiments.fit_proximal
+        monkeypatch.setattr(experiments, "fit_proximal", lambda config, design, y, x0=None: fits.append(
+            (config, design, y, x0)) or fit(config, design, y, x0=x0))
+        result = run_experiment(cfg)
+        monkeypatch.undo()
+        plan = experiments._build_plan(cfg)
+        noiseless = [r for r in result.records if r.estimator == "huber" and r.sweep_value == 0.0]
+        assert cfg.grid[0] == 0.0 and len(fits) == len(cfg.grid) * cfg.replications == len(blocks) * len(cfg.grid)
+        for rep, (block, (_, errors, *_)) in enumerate(blocks):
+            config, design, y, x0 = fits[rep * len(cfg.grid)]  # the replication's first Huber fit, at scale 0
+            assert np.array_equal(x0, plan.root_offsets["huber"] + errors[:, block.index(("fixed_ridge", 0.0, 0.0, 0.0))])
+            warm, cold = fit(config, design, y, x0=x0), fit(config, design, y)
+            assert np.array_equal(warm.beta_hat, cold.beta_hat) and warm.converged and cold.converged
+            assert noiseless[rep].newton_steps == warm.iterations < cold.iterations
+            error = cold.beta_hat - plan.root_offsets["huber"]
+            assert noiseless[rep].risk == float(error @ error) / cfg.p
 
     def test_a_paper_scale_fit_whose_last_step_ties_converges(self):
         # master seed 12345, replication 377, scale 316.23: the Huber fit's last full step lowers the objective

@@ -376,3 +376,57 @@ class TestSampling:
         a = sample_design(decompose(CovarianceModel.ar1(5, 0.5)), 7, substream(10, "design", 2))
         b = sample_design(decompose(CovarianceModel.ar1(5, 0.5)), 7, substream(10, "design", 2))
         assert np.array_equal(a, b)
+
+
+def blockwise_oracle(z, w):
+    """``Z'Z/n`` and ``Z'w/n`` summed over the row blocks of the draw's Gram pass, in the same order."""
+    n, p = z.shape
+    gram, v = np.zeros((p, p)), np.zeros(p)
+    for start in range(0, n, spectrum._DRAW_BLOCK):
+        block = z[start:start + spectrum._DRAW_BLOCK]
+        gram += block.T @ block
+        v += block.T @ w[start:start + spectrum._DRAW_BLOCK]
+    return gram / n, v / n
+
+
+class TestWhiteGram:
+    """The white draw streamed into its Gram matrix a block of rows at a time."""
+
+    # one row, fewer rows than a block, and a row count that is not a multiple of the block
+    SIZES = [(1, 7), (50, 7), (2 * spectrum._DRAW_BLOCK + 44, 20), (300, 130)]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("n, p", SIZES)
+    def test_z_is_the_white_draw_and_its_products_are_summed_by_block(self, kind, n, p):
+        w = np.random.default_rng(n).standard_normal(n)
+        z, gram, v = spectrum._white_gram(n, p, substream(3, "design", 1), kind, w, keep=True)
+        rng = substream(3, "design", 1)  # the stream's entries, as one draw of the whole matrix takes them
+        whole = rng.standard_normal((n, p)) if kind == "gaussian" else np.where(rng.random((n, p)) < 0.5, -1.0, 1.0)
+        assert np.array_equal(z, whole) and np.array_equal(z, spectrum._white_draw(n, p, substream(3, "design", 1), kind))
+        want_gram, want_v = blockwise_oracle(z, w)
+        assert np.array_equal(gram, want_gram) and np.array_equal(v, want_v)  # to the last bit
+        assert np.array_equal(gram, gram.T) and gram.flags.c_contiguous
+        dense = z.T @ z / n
+        assert np.linalg.norm(gram - dense) <= 1.0e-15 * np.linalg.norm(dense)
+        assert np.linalg.norm(v - z.T @ w / n) <= 1.0e-15 * np.linalg.norm(z.T @ w / n)
+        if kind == "rademacher":  # sums of signs are exact in any order
+            assert np.array_equal(gram, dense)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("n, p", SIZES)
+    def test_a_draw_that_keeps_no_rows_has_the_same_products(self, kind, n, p):
+        w = np.random.default_rng(n).standard_normal(n)
+        z, gram, v = spectrum._white_gram(n, p, substream(4, "design"), kind, w, keep=True)
+        none, streamed_gram, streamed_v = spectrum._white_gram(n, p, substream(4, "design"), kind, w, keep=False)
+        assert none is None
+        assert np.array_equal(streamed_gram, gram) and np.array_equal(streamed_v, v)
+
+    def test_invalid_draws_are_rejected(self, monkeypatch):
+        w = np.zeros(5)
+        with pytest.raises(ConfigError, match="sample size"):
+            spectrum._white_gram(0, 3, substream(5, "design"), "gaussian", np.zeros(0), keep=False)
+        with pytest.raises(ConfigError, match="design kind"):
+            spectrum._white_gram(5, 3, substream(5, "design"), "uniform", w, keep=False)
+        monkeypatch.setattr(spectrum, "_white_rows", lambda rng, kind, out: out.fill(np.nan) or out)
+        with pytest.raises(ConfigError, match="not finite"):
+            spectrum._white_gram(5, 3, substream(5, "design"), "gaussian", w, keep=True)
